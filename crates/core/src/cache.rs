@@ -257,116 +257,6 @@ fn answer_from_json(v: &Json) -> Result<CachedAnswer, JsonError> {
     }
 }
 
-/// A [`CrowdSource`] adaptor that consults a [`CrowdCache`] before
-/// forwarding to the inner crowd.
-pub struct CachingCrowd<'c, C> {
-    inner: C,
-    cache: &'c mut CrowdCache,
-    asked: usize,
-    fresh: usize,
-}
-
-impl<'c, C: CrowdSource> CachingCrowd<'c, C> {
-    /// Wraps `inner` with `cache`.
-    pub fn new(inner: C, cache: &'c mut CrowdCache) -> Self {
-        CachingCrowd {
-            inner,
-            cache,
-            asked: 0,
-            fresh: 0,
-        }
-    }
-
-    /// Questions that actually reached the inner crowd (cache misses and
-    /// non-cacheable questions).
-    pub fn fresh_questions(&self) -> usize {
-        self.fresh
-    }
-
-    /// All questions, including cache hits.
-    pub fn total_questions(&self) -> usize {
-        self.asked
-    }
-
-    /// Unwraps the inner crowd.
-    pub fn into_inner(self) -> C {
-        self.inner
-    }
-}
-
-impl<C: CrowdSource> CrowdSource for CachingCrowd<'_, C> {
-    fn members(&self) -> Vec<MemberId> {
-        self.inner.members()
-    }
-
-    fn ask(&mut self, member: MemberId, question: &Question) -> Answer {
-        self.asked += 1;
-        if let Question::Concrete { pattern } = question {
-            if let Some(hit) = self.cache.get(member, pattern) {
-                return match hit.clone() {
-                    CachedAnswer::Support { support, more_tip } => {
-                        Answer::Support { support, more_tip }
-                    }
-                    CachedAnswer::Irrelevant { elem } => Answer::Irrelevant { elem },
-                };
-            }
-            self.fresh += 1;
-            let answer = self.inner.ask(member, question);
-            match &answer {
-                Answer::Support { support, more_tip } => {
-                    self.cache.put(
-                        member,
-                        pattern.clone(),
-                        CachedAnswer::Support {
-                            support: *support,
-                            more_tip: *more_tip,
-                        },
-                    );
-                }
-                Answer::Irrelevant { elem } => {
-                    self.cache.put(
-                        member,
-                        pattern.clone(),
-                        CachedAnswer::Irrelevant { elem: *elem },
-                    );
-                }
-                _ => {}
-            }
-            return answer;
-        }
-        self.fresh += 1;
-        self.inner.ask(member, question)
-    }
-
-    fn questions_asked(&self) -> usize {
-        self.asked
-    }
-
-    fn advance_clock(&mut self, ticks: u64) {
-        self.inner.advance_clock(ticks);
-    }
-
-    fn supports_prefetch(&self) -> bool {
-        self.inner.supports_prefetch()
-    }
-
-    fn prefetch(&mut self, batch: &[(MemberId, Question)]) {
-        // cache hits never reach the inner crowd, so speculating on them
-        // would only waste worker time (and be rolled back anyway)
-        let misses: Vec<(MemberId, Question)> = batch
-            .iter()
-            .filter(|(m, q)| match q {
-                Question::Concrete { pattern } => self.cache.get(*m, pattern).is_none(),
-                _ => true,
-            })
-            .cloned()
-            .collect();
-        if !misses.is_empty() {
-            self.inner.prefetch(&misses);
-        }
-    }
-}
-
 /// A thread-safe [`CrowdCache`] for concurrent query execution (batch
 /// requests through [`Oassis::run`](crate::Oassis::run) and the serving
 /// layer's sessions): several queries running on different threads share
@@ -429,29 +319,66 @@ impl SharedCrowdCache {
     }
 }
 
-/// The [`CachingCrowd`] analogue over a [`SharedCrowdCache`]: consults the
-/// shared store before forwarding to this query's own crowd. Takes `&`
-/// (not `&mut`) to the cache, so any number of concurrent queries can wrap
-/// the same store.
-pub struct SharedCachingCrowd<'c, C> {
+/// Where a [`CachingCrowd`] keeps answers: a [`CrowdCache`] owned by one
+/// caller, a [`SharedCrowdCache`] that concurrent queries share, or a
+/// durable store that logs each answer before caching it.
+pub trait AnswerStore {
+    /// The cached answer of `member` about `pattern`, if any.
+    fn get(&self, member: MemberId, pattern: &PatternSet) -> Option<CachedAnswer>;
+
+    /// Stores a fresh answer. `tick` is the wrapper's question count at
+    /// the ask that produced it (the engine's question tick), so a durable
+    /// store can log answers on the same clock as the op-log.
+    fn put(&mut self, member: MemberId, pattern: &PatternSet, answer: CachedAnswer, tick: usize);
+}
+
+impl AnswerStore for &mut CrowdCache {
+    fn get(&self, member: MemberId, pattern: &PatternSet) -> Option<CachedAnswer> {
+        (**self).get(member, pattern).cloned()
+    }
+
+    fn put(&mut self, member: MemberId, pattern: &PatternSet, answer: CachedAnswer, _: usize) {
+        (**self).put(member, pattern.clone(), answer);
+    }
+}
+
+impl AnswerStore for &SharedCrowdCache {
+    fn get(&self, member: MemberId, pattern: &PatternSet) -> Option<CachedAnswer> {
+        (**self).get(member, pattern)
+    }
+
+    fn put(&mut self, member: MemberId, pattern: &PatternSet, answer: CachedAnswer, _: usize) {
+        (**self).put(member, pattern.clone(), answer);
+    }
+}
+
+/// A [`CrowdSource`] adaptor that consults an [`AnswerStore`] before
+/// forwarding to the inner crowd: a cached concrete answer never reaches
+/// the crowd, and every fresh cacheable answer is stored.
+pub struct CachingCrowd<C, S> {
     inner: C,
-    cache: &'c SharedCrowdCache,
+    store: S,
     asked: usize,
     fresh: usize,
 }
 
-impl<'c, C: CrowdSource> SharedCachingCrowd<'c, C> {
-    /// Wraps `inner` with the shared `cache`.
-    pub fn new(inner: C, cache: &'c SharedCrowdCache) -> Self {
-        SharedCachingCrowd {
+/// A [`CachingCrowd`] over a [`SharedCrowdCache`]: any number of
+/// concurrent queries can wrap the same store.
+pub type SharedCachingCrowd<'c, C> = CachingCrowd<C, &'c SharedCrowdCache>;
+
+impl<C: CrowdSource, S: AnswerStore> CachingCrowd<C, S> {
+    /// Wraps `inner` with `store`.
+    pub fn new(inner: C, store: S) -> Self {
+        CachingCrowd {
             inner,
-            cache,
+            store,
             asked: 0,
             fresh: 0,
         }
     }
 
-    /// Questions that actually reached the inner crowd.
+    /// Questions that actually reached the inner crowd (cache misses and
+    /// non-cacheable questions).
     pub fn fresh_questions(&self) -> usize {
         self.fresh
     }
@@ -467,74 +394,45 @@ impl<'c, C: CrowdSource> SharedCachingCrowd<'c, C> {
     }
 }
 
-impl<C: CrowdSource> CrowdSource for SharedCachingCrowd<'_, C> {
+impl<C: CrowdSource, S: AnswerStore> CrowdSource for CachingCrowd<C, S> {
     fn members(&self) -> Vec<MemberId> {
         self.inner.members()
     }
 
     fn ask(&mut self, member: MemberId, question: &Question) -> Answer {
         self.asked += 1;
-        if let Question::Concrete { pattern } = question {
-            if let Some(hit) = self.cache.get(member, pattern) {
-                return match hit {
-                    CachedAnswer::Support { support, more_tip } => {
-                        Answer::Support { support, more_tip }
-                    }
-                    CachedAnswer::Irrelevant { elem } => Answer::Irrelevant { elem },
-                };
-            }
+        let Question::Concrete { pattern } = question else {
             self.fresh += 1;
-            let answer = self.inner.ask(member, question);
-            match &answer {
-                Answer::Support { support, more_tip } => {
-                    self.cache.put(
-                        member,
-                        pattern.clone(),
-                        CachedAnswer::Support {
-                            support: *support,
-                            more_tip: *more_tip,
-                        },
-                    );
-                }
-                Answer::Irrelevant { elem } => {
-                    self.cache.put(
-                        member,
-                        pattern.clone(),
-                        CachedAnswer::Irrelevant { elem: *elem },
-                    );
-                }
-                _ => {}
+            return self.inner.ask(member, question);
+        };
+        match self.store.get(member, pattern) {
+            Some(CachedAnswer::Support { support, more_tip }) => {
+                return Answer::Support { support, more_tip }
             }
-            return answer;
+            Some(CachedAnswer::Irrelevant { elem }) => return Answer::Irrelevant { elem },
+            None => {}
         }
         self.fresh += 1;
-        self.inner.ask(member, question)
+        let answer = self.inner.ask(member, question);
+        let cached = match answer {
+            Answer::Support { support, more_tip } => CachedAnswer::Support { support, more_tip },
+            Answer::Irrelevant { elem } => CachedAnswer::Irrelevant { elem },
+            _ => return answer,
+        };
+        self.store.put(member, pattern, cached, self.asked);
+        answer
     }
 
     fn questions_asked(&self) -> usize {
         self.asked
     }
 
+    fn member_has_profile(&self, member: MemberId, label: &str) -> bool {
+        self.inner.member_has_profile(member, label)
+    }
+
     fn advance_clock(&mut self, ticks: u64) {
         self.inner.advance_clock(ticks);
-    }
-
-    fn supports_prefetch(&self) -> bool {
-        self.inner.supports_prefetch()
-    }
-
-    fn prefetch(&mut self, batch: &[(MemberId, Question)]) {
-        let misses: Vec<(MemberId, Question)> = batch
-            .iter()
-            .filter(|(m, q)| match q {
-                Question::Concrete { pattern } => self.cache.get(*m, pattern).is_none(),
-                _ => true,
-            })
-            .cloned()
-            .collect();
-        if !misses.is_empty() {
-            self.inner.prefetch(&misses);
-        }
     }
 }
 

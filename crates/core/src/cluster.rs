@@ -151,14 +151,6 @@ impl<C: CrowdSource> CrowdSource for ShardCrowd<C> {
         self.inner.member_has_profile(member, label)
     }
 
-    fn supports_prefetch(&self) -> bool {
-        self.inner.supports_prefetch()
-    }
-
-    fn prefetch(&mut self, batch: &[(MemberId, Question)]) {
-        self.inner.prefetch(batch);
-    }
-
     fn advance_clock(&mut self, ticks: u64) {
         self.inner.advance_clock(ticks);
     }

@@ -202,26 +202,11 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
         })
         .collect();
     let mut per_member: Vec<usize> = vec![0; members.len()];
-    let speculate = crowd.supports_prefetch();
     let mut deg = Degradation::default();
 
     'outer: loop {
         let _round = tele.span("round");
         let tele = _round.tele();
-        // Speculative execution against concurrent crowds: predict each
-        // member's next question with a read-only emulation of the round
-        // and hand the batch to the source, which computes the answers on
-        // the worker threads while this coordinator thread is busy with
-        // other members. Predictions are best-effort — the source rolls
-        // back any mismatch — so outcomes are bit-identical either way.
-        if speculate {
-            let batch = predict_round(dag, &global, &members, &rng, cfg, questions);
-            if !batch.is_empty() {
-                tele.count("crowd.prefetch_batches", 1);
-                tele.count("crowd.prefetched_questions", batch.len() as u64);
-                crowd.prefetch(&batch);
-            }
-        }
         let mut asked_this_round = 0usize;
         deg.gave_up_this_round = 0;
         for mi in 0..members.len() {
@@ -558,169 +543,6 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
         undecided,
         rounds,
     }
-}
-
-/// What a read-only emulation of the batch planner could determine.
-struct PeekBatch {
-    /// Predicted question targets, in ask order (an antichain under ≤;
-    /// at most the batch width, empty when the frontier is exhausted).
-    targets: Vec<NodeId>,
-    /// The emulation hit a significant node whose children are not yet
-    /// generated: the real traversal will mutate the DAG there, so any
-    /// *further* target (for this and every later member) cannot be
-    /// predicted. Targets collected before the cut are still valid — the
-    /// real planner pops them before reaching the mutation point, and the
-    /// ask loop asks them first, so they remain a correct chain prefix.
-    cut: bool,
-}
-
-/// Read-only emulation of the batch planner: walks the member's queues
-/// without popping, descends through significant nodes via a *virtual*
-/// descended-set, never generates children, and applies the planner's
-/// antichain rule (a candidate ≤-comparable to an accepted target is
-/// deferred, hence not asked this round). Value-equivalent to the real
-/// traversal whenever the global state does not change before the
-/// member's real turn; any divergence only costs a rolled-back
-/// speculation.
-fn peek_batch(
-    view: &crate::dag::DagView<'_>,
-    global: &Classifier,
-    m: &MemberState,
-    width: usize,
-) -> PeekBatch {
-    let mut targets: Vec<NodeId> = Vec::new();
-    let mut virt_descended: HashSet<NodeId> = HashSet::new();
-    for hot in [true, false] {
-        let queue = if hot { &m.hot } else { &m.cold };
-        let mut extra: Vec<NodeId> = Vec::new();
-        let mut i = 0usize;
-        loop {
-            let id = if i < queue.len() {
-                // PANIC-OK: guarded by `i < queue.len()` just above.
-                queue[i]
-            } else if let Some(&e) = extra.get(i - queue.len()) {
-                e
-            } else {
-                break;
-            };
-            i += 1;
-            match global.class_frozen(view, id) {
-                Class::Insignificant => continue,
-                Class::Significant => {
-                    if !m.descended.contains(&id) && virt_descended.insert(id) {
-                        match view.children_if_generated(id) {
-                            Some(children) => extra.extend_from_slice(children),
-                            None => return PeekBatch { targets, cut: true },
-                        }
-                    }
-                    continue;
-                }
-                Class::Unknown => {}
-            }
-            if m.personal.class_frozen(view, id) == Class::Insignificant {
-                continue;
-            }
-            if m.answered.contains(&id) {
-                continue;
-            }
-            // the planner defers ≤-comparable pops (including duplicate
-            // queue entries — ≤ is reflexive), so they are not asked this
-            // round
-            if targets.iter().any(|&p| view.leq(p, id) || view.leq(id, p)) {
-                continue;
-            }
-            targets.push(id);
-            if targets.len() >= width {
-                return PeekBatch {
-                    targets,
-                    cut: false,
-                };
-            }
-        }
-    }
-    PeekBatch {
-        targets,
-        cut: false,
-    }
-}
-
-/// Predicts the questions the coming round will ask — one per member at
-/// most — by replaying the round's policy against a *clone* of the policy
-/// RNG and frozen classifier reads. The real RNG and all engine state are
-/// untouched; a wrong guess is rolled back by the crowd source.
-fn predict_round(
-    dag: &Dag<'_>,
-    global: &Classifier,
-    members: &[MemberState],
-    policy_rng: &StdRng,
-    cfg: &MiningConfig,
-    questions: usize,
-) -> Vec<(MemberId, Question)> {
-    let view = dag.view();
-    let mut rng = policy_rng.clone();
-    let width = cfg.batch_width.max(1);
-    let mut batch: Vec<(MemberId, Question)> = Vec::new();
-    'members: for m in members {
-        if cfg.max_questions.is_some_and(|mx| questions >= mx) {
-            break;
-        }
-        if !m.active {
-            continue;
-        }
-        let peek = peek_batch(&view, global, m, width);
-        for target in &peek.targets {
-            let target = *target;
-            let mut question: Option<Question> = None;
-            if cfg.specialization_ratio > 0.0 && rng.gen_bool(cfg.specialization_ratio) {
-                match view.children_if_generated(target) {
-                    Some(children) => {
-                        let options: Vec<NodeId> = children
-                            .iter()
-                            .copied()
-                            .filter(|&c| {
-                                global.class_frozen(&view, c) == Class::Unknown
-                                    && !m.answered.contains(&c)
-                                    && m.personal.class_frozen(&view, c) != Class::Insignificant
-                            })
-                            .take(cfg.max_spec_options)
-                            .collect();
-                        if !options.is_empty() {
-                            question = Some(Question::Specialization {
-                                base: view.node(target).assignment.apply(dag.query()),
-                                options: options
-                                    .iter()
-                                    .map(|&o| view.node(o).assignment.apply(dag.query()))
-                                    .collect(),
-                            });
-                        }
-                    }
-                    // the engine will generate these children on the
-                    // member's real turn; the offered options can't be
-                    // predicted (the RNG draw above still mirrors the real
-                    // loop's draw)
-                    None => {
-                        if width == 1 {
-                            continue 'members;
-                        }
-                        // mid-batch the member's remaining chain (and the
-                        // cloned RNG) can no longer stay aligned — stop
-                        // predicting this round
-                        break 'members;
-                    }
-                }
-            }
-            let question = question.unwrap_or_else(|| Question::Concrete {
-                pattern: view.node(target).assignment.apply(dag.query()),
-            });
-            batch.push((m.id, question));
-        }
-        if peek.cut {
-            // past this point the cloned RNG can no longer stay aligned
-            // with the real policy draws — stop predicting this round
-            break;
-        }
-    }
-    batch
 }
 
 /// Finds the member's next question by draining their pending frontier:

@@ -28,8 +28,6 @@
 //! * [`quality`] — the consistency (spammer) filter sketched in
 //!   Section 4.2: support of a more specific pattern can never exceed that
 //!   of a more general one;
-//! * [`parallel`] — members as concurrent worker-thread sessions
-//!   (Section 4.2's "multiple crowd-members working in parallel");
 //! * [`CrowdPolicy`] — the crowd-access policy layer (per-question
 //!   timeout, capped retry with deterministic backoff) that lets the
 //!   engines degrade gracefully when answers never arrive.
@@ -41,7 +39,6 @@
 mod answer_model;
 mod db;
 mod member;
-pub mod parallel;
 mod policy;
 pub mod population;
 pub mod quality;
@@ -49,7 +46,6 @@ mod question;
 
 pub use answer_model::AnswerModel;
 pub use db::PersonalDb;
-pub use member::{MemberBehavior, SessionSnapshot, SimulatedCrowd, SimulatedMember};
-pub use parallel::{with_parallel_crowd, ParallelHandle};
+pub use member::{MemberBehavior, SimulatedCrowd, SimulatedMember};
 pub use policy::CrowdPolicy;
 pub use question::{Answer, CrowdSource, MemberId, Question};

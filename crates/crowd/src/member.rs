@@ -96,28 +96,6 @@ impl SimulatedMember {
         self.questions_answered
     }
 
-    /// Captures the member's mutable session state — the RNG position and
-    /// the question counter are the *only* mutable fields `answer`
-    /// touches. Used by the speculative-ask protocol in
-    /// [`with_parallel_crowd`](crate::with_parallel_crowd): a worker
-    /// snapshots before answering speculatively and restores on
-    /// mis-speculation, so speculation can never perturb the member's
-    /// observable answer stream.
-    pub fn session_snapshot(&self) -> SessionSnapshot {
-        SessionSnapshot {
-            rng: self.rng.clone(),
-            questions_answered: self.questions_answered,
-            asks_seen: self.asks_seen,
-        }
-    }
-
-    /// Restores the state captured by [`Self::session_snapshot`].
-    pub fn restore_session(&mut self, snapshot: SessionSnapshot) {
-        self.rng = snapshot.rng;
-        self.questions_answered = snapshot.questions_answered;
-        self.asks_seen = snapshot.asks_seen;
-    }
-
     /// Resets the per-session question counter (a member returning for a
     /// new query).
     pub fn reset_session(&mut self) {
@@ -240,16 +218,6 @@ impl SimulatedMember {
             .max_by(|(fa, ca), (fb, cb)| ca.cmp(cb).then(fb.cmp(fa)))
             .map(|(f, _)| f)
     }
-}
-
-/// An opaque snapshot of a [`SimulatedMember`]'s mutable session state
-/// (RNG position + question counter); see
-/// [`SimulatedMember::session_snapshot`].
-#[derive(Debug, Clone)]
-pub struct SessionSnapshot {
-    rng: StdRng,
-    questions_answered: usize,
-    asks_seen: usize,
 }
 
 /// A crowd of simulated members sharing a vocabulary, implementing

@@ -111,25 +111,6 @@ pub trait CrowdSource {
         true
     }
 
-    /// Whether [`Self::prefetch`] does anything. Engines only spend time
-    /// predicting upcoming questions when this returns `true`; the
-    /// default sequential sources gain nothing from speculation and keep
-    /// their exact historical code path.
-    fn supports_prefetch(&self) -> bool {
-        false
-    }
-
-    /// Hints that `batch` questions are *likely* (not certain) to be
-    /// asked next, one per member at most. A concurrent source may start
-    /// computing the answers speculatively; a later mismatching (or
-    /// missing) [`Self::ask`] must roll the speculation back so member
-    /// state evolves exactly as if the hint never happened. Purely a
-    /// performance channel: it must never change any answer, and it does
-    /// not count towards [`Self::questions_asked`]. Default: no-op.
-    fn prefetch(&mut self, batch: &[(MemberId, Question)]) {
-        let _ = batch;
-    }
-
     /// Notifies the source that the engine is waiting `ticks` logical
     /// clock ticks (retry backoff of the [`CrowdPolicy`](crate::CrowdPolicy)).
     /// Simulated sources advance their event clock so delayed answers can
@@ -155,14 +136,6 @@ impl<C: CrowdSource + ?Sized> CrowdSource for &mut C {
 
     fn member_has_profile(&self, member: MemberId, label: &str) -> bool {
         (**self).member_has_profile(member, label)
-    }
-
-    fn supports_prefetch(&self) -> bool {
-        (**self).supports_prefetch()
-    }
-
-    fn prefetch(&mut self, batch: &[(MemberId, Question)]) {
-        (**self).prefetch(batch)
     }
 
     fn advance_clock(&mut self, ticks: u64) {

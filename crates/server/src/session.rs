@@ -13,9 +13,9 @@
 //!
 //! * a [`WalTap`] on [`MiningConfig::op_tap`] streams every accepted
 //!   answer op to its member's log at round boundaries;
-//! * a [`DurableCrowd`](self) wrapper persists every fresh cached
-//!   answer at ask time (and serves repeats from the session cache
-//!   without asking the crowd at all).
+//! * a [`CachingCrowd`] over a WAL-backed answer store persists every
+//!   fresh cached answer at ask time (and serves repeats from the
+//!   session cache without asking the crowd at all).
 //!
 //! Recovery replays the union of member logs against a freshly built
 //! DAG with [`OpLog::replay_merged`] and compares the replayed
@@ -24,12 +24,12 @@
 
 use crate::digest_hex;
 use crate::wal::{DoneMeta, KillSwitch, QueryMeta, QuerySpec, SessionWal, WalTap};
-use crowd::{Answer, CrowdSource, MemberId, Question};
-use oassis_core::cache::CachedAnswer;
+use crowd::{CrowdSource, MemberId};
+use oassis_core::cache::{AnswerStore, CachedAnswer};
 use oassis_core::oplog::OpTapHandle;
 use oassis_core::{
-    intern_wire_op, CrowdBinding, FixedSampleAggregator, MiningConfig, Oassis, OpLog, QueryRequest,
-    SemanticOutcome, SharedCrowdCache,
+    intern_wire_op, CachingCrowd, CrowdBinding, FixedSampleAggregator, MiningConfig, Oassis, OpLog,
+    QueryRequest, SemanticOutcome, SharedCrowdCache,
 };
 use oassis_ql::{bind, evaluate_where_pool, parse, MatchMode};
 use ontology::Ontology;
@@ -420,8 +420,12 @@ impl SessionManager {
         };
         let req = QueryRequest::pattern(&spec.src).with_mining(cfg);
         let agg = FixedSampleAggregator { sample_size: 1 };
-        let inner = self.provider.provide(&sess_spec);
-        let mut crowd = DurableCrowd::new(inner, cache, wal.clone());
+        let mut inner = self.provider.provide(&sess_spec);
+        let store = WalStore {
+            cache,
+            wal: wal.clone(),
+        };
+        let mut crowd = CachingCrowd::new(&mut *inner, store);
         let outcome = engine
             .run(&req, CrowdBinding::single(&mut crowd), &agg)
             .map_err(|e| ServerError::Engine(e.to_string()))?;
@@ -589,115 +593,37 @@ impl SessionHandle<'_> {
     }
 }
 
-/// The session's crowd wrapper: consults the shared cache first (a hit
-/// never reaches the crowd), and persists every fresh cacheable answer
-/// to the member's WAL *at ask time* — so a crash loses at most the
-/// in-flight question, and a recovered session never re-asks what any
-/// earlier query already learned.
-struct DurableCrowd<'p> {
-    inner: Box<dyn CrowdSource + Send + 'p>,
+/// The session's answer store: every fresh cacheable answer is appended
+/// to the member's WAL *at ask time*, then cached — so a crash loses at
+/// most the in-flight question, and a recovered session never re-asks
+/// what any earlier query already learned.
+struct WalStore {
     cache: Arc<SharedCrowdCache>,
     wal: Arc<TrackedMutex<SessionWal>>,
-    asked: usize,
-    fresh: usize,
 }
 
-impl<'p> DurableCrowd<'p> {
-    fn new(
-        inner: Box<dyn CrowdSource + Send + 'p>,
-        cache: Arc<SharedCrowdCache>,
-        wal: Arc<TrackedMutex<SessionWal>>,
-    ) -> DurableCrowd<'p> {
-        DurableCrowd {
-            inner,
-            cache,
-            wal,
-            asked: 0,
-            fresh: 0,
-        }
+impl AnswerStore for WalStore {
+    fn get(&self, member: MemberId, pattern: &ontology::PatternSet) -> Option<CachedAnswer> {
+        self.cache.get(member, pattern)
     }
 
-    fn total_questions(&self) -> usize {
-        self.asked
-    }
-
-    fn fresh_questions(&self) -> usize {
-        self.fresh
-    }
-
-    fn persist(&self, member: MemberId, pattern: &ontology::PatternSet, answer: &CachedAnswer) {
-        let mut wal = self.wal.lock().expect("wal mutex poisoned"); // PANIC-OK: poisoning means a holder already panicked; propagate it
-                                                                    // the ask counter is the engine's question tick, so the kill
-                                                                    // switch cuts answers and ops at the same logical instant
-        if let Err(e) = wal.append_answer(member, self.asked as u32, pattern, answer) {
+    fn put(
+        &mut self,
+        member: MemberId,
+        pattern: &ontology::PatternSet,
+        answer: CachedAnswer,
+        tick: usize,
+    ) {
+        // the ask tick is the engine's question tick, so the kill switch
+        // cuts answers and ops at the same logical instant
+        let appended = self
+            .wal
+            .lock()
+            .expect("wal mutex poisoned") // PANIC-OK: poisoning means a holder already panicked; propagate it
+            .append_answer(member, tick as u32, pattern, &answer);
+        if let Err(e) = appended {
             eprintln!("wal answer append failed: {e}");
         }
-    }
-}
-
-impl CrowdSource for DurableCrowd<'_> {
-    fn members(&self) -> Vec<MemberId> {
-        self.inner.members()
-    }
-
-    fn ask(&mut self, member: MemberId, question: &Question) -> Answer {
-        self.asked += 1;
-        if let Question::Concrete { pattern } = question {
-            if let Some(hit) = self.cache.get(member, pattern) {
-                return match hit {
-                    CachedAnswer::Support { support, more_tip } => {
-                        Answer::Support { support, more_tip }
-                    }
-                    CachedAnswer::Irrelevant { elem } => Answer::Irrelevant { elem },
-                };
-            }
-            self.fresh += 1;
-            let answer = self.inner.ask(member, question);
-            let cached = match &answer {
-                Answer::Support { support, more_tip } => Some(CachedAnswer::Support {
-                    support: *support,
-                    more_tip: *more_tip,
-                }),
-                Answer::Irrelevant { elem } => Some(CachedAnswer::Irrelevant { elem: *elem }),
-                _ => None,
-            };
-            if let Some(c) = cached {
-                self.persist(member, pattern, &c);
-                self.cache.put(member, pattern.clone(), c);
-            }
-            return answer;
-        }
-        self.fresh += 1;
-        self.inner.ask(member, question)
-    }
-
-    fn questions_asked(&self) -> usize {
-        self.asked
-    }
-
-    fn member_has_profile(&self, member: MemberId, label: &str) -> bool {
-        self.inner.member_has_profile(member, label)
-    }
-
-    fn supports_prefetch(&self) -> bool {
-        self.inner.supports_prefetch()
-    }
-
-    fn prefetch(&mut self, batch: &[(MemberId, Question)]) {
-        let misses: Vec<(MemberId, Question)> = batch
-            .iter()
-            .filter(|(m, q)| match q {
-                Question::Concrete { pattern } => self.cache.get(*m, pattern).is_none(),
-                _ => true,
-            })
-            .cloned()
-            .collect();
-        if !misses.is_empty() {
-            self.inner.prefetch(&misses);
-        }
-    }
-
-    fn advance_clock(&mut self, ticks: u64) {
-        self.inner.advance_clock(ticks);
+        self.cache.put(member, pattern.clone(), answer);
     }
 }

@@ -260,9 +260,6 @@ impl<C: CrowdSource> CrowdSource for FaultyCrowd<C> {
         self.inner.member_has_profile(member, label)
     }
 
-    // supports_prefetch stays false: the simulation serializes asks on the
-    // logical clock, so speculation would only blur the trace.
-
     fn advance_clock(&mut self, ticks: u64) {
         let now = self.clock.advance(ticks);
         self.tele.sync_tick(now);

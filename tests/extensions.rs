@@ -233,6 +233,49 @@ fn asking_clause_restricts_the_crowd() {
     );
     assert!(ans.outcome.answers_per_member.iter().all(|&n| n > 0));
 
+    // every crowd binding must recruit the same two locals: per-query
+    // crowds over a shared cache, and a cache-through wrapper
+    let shared = SharedCrowdCache::default();
+    let per_query = engine
+        .run(
+            &QueryRequest::new(&asking_query),
+            CrowdBinding::per_query(|_| SimulatedCrowd::new(v, members.clone()), &shared),
+            &agg,
+        )
+        .unwrap()
+        .into_patterns()
+        .unwrap();
+    let mut cache = CrowdCache::new();
+    let mut caching =
+        oassis::core::CachingCrowd::new(SimulatedCrowd::new(v, members.clone()), &mut cache);
+    let cached = engine
+        .run(
+            &QueryRequest::new(&asking_query),
+            CrowdBinding::single(&mut caching),
+            &agg,
+        )
+        .unwrap()
+        .into_patterns()
+        .unwrap();
+    let sorted = |answers: &[String]| {
+        let mut a = answers.to_vec();
+        a.sort();
+        a
+    };
+    for (binding, other) in [("per_query", &per_query), ("CachingCrowd", &cached)] {
+        assert_eq!(
+            other.outcome.answers_per_member.len(),
+            2,
+            "{binding} recruited: {:?}",
+            other.outcome.answers_per_member
+        );
+        assert_eq!(
+            sorted(&other.answers),
+            sorted(&ans.answers),
+            "{binding} changed the answers"
+        );
+    }
+
     // without ASKING, the empty-history tourists dilute the average below
     // the threshold and the answer set changes
     let mut crowd_all = SimulatedCrowd::new(v, members);

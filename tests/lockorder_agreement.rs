@@ -27,19 +27,14 @@ fn name_map() -> BTreeMap<&'static str, &'static str> {
     BTreeMap::from([
         ("core.cache.inner", "SharedCrowdCache.inner"),
         ("telemetry.sink.state", "TelemetrySink.state"),
-        (
-            "crowd.parallel.returned",
-            "crates/crowd/src/parallel.rs::with_parallel_crowd::returned",
-        ),
     ])
 }
 
 #[test]
 fn sim_run_lock_orders_agree_with_the_static_analysis() {
-    // Drive every tracked lock: two cluster sim sessions (telemetry
-    // sink under faults) and a parallel-crowd session (worker-pool
-    // return lock). The sanitizer is live throughout — an inversion
-    // would panic right here.
+    // Drive the telemetry-sink lock through two cluster sim sessions
+    // under faults. The sanitizer is live throughout — an inversion would
+    // panic right here.
     let report = simtest::run_cluster_seed(11, 2);
     assert!(report.shards >= 1);
     let report = simtest::run_cluster_seed(23, 4);
