@@ -20,20 +20,23 @@
 //! Recovery replays the union of member logs against a freshly built
 //! DAG with [`OpLog::replay_merged`] and compares the replayed
 //! [`SemanticOutcome`] digest against the one the `done` meta record
-//! stored — bit-identical or it's a finding.
+//! stored — bit-identical or it's a finding. A restart decodes the WAL
+//! once: the page-in's decode is kept on the resident session for the
+//! first `recover`, and any `query` in between drops it.
 
 use crate::digest_hex;
-use crate::wal::{DoneMeta, KillSwitch, QueryMeta, QuerySpec, SessionWal, WalTap};
+use crate::wal::{DoneMeta, KillSwitch, QueryMeta, QuerySpec, Recovered, SessionWal, WalTap};
 use crowd::{CrowdSource, MemberId};
 use oassis_core::cache::{AnswerStore, CachedAnswer};
 use oassis_core::oplog::OpTapHandle;
 use oassis_core::{
     intern_wire_op, CachingCrowd, CrowdBinding, FixedSampleAggregator, MiningConfig, Oassis, OpLog,
-    QueryRequest, SemanticOutcome, SharedCrowdCache,
+    QueryRequest, SemanticOutcome, SharedCrowdCache, WireOp,
 };
-use oassis_ql::{bind, evaluate_where_pool, parse, MatchMode};
+use oassis_ql::{bind, evaluate_where_pool, parse, BaseAssignment, BoundQuery, MatchMode};
 use ontology::Ontology;
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::Arc;
 use telemetry::lockorder::TrackedMutex;
@@ -166,6 +169,10 @@ struct Session {
     cache: Arc<SharedCrowdCache>,
     wal: Arc<TrackedMutex<SessionWal>>,
     next_qid: u32,
+    /// The page-in's decode of the WAL (its `queries` and `ops`; the
+    /// cache has moved into `cache`), kept for the next `recover`. Any
+    /// `query` drops it, since it appends to the WAL.
+    decoded: Option<Recovered>,
     /// Logical LRU stamp (manager-wide use counter).
     last_used: u64,
 }
@@ -286,10 +293,11 @@ impl SessionManager {
             .map_err(|e| ServerError::Wal(e.to_string()))?
             .with_kill(self.kill.clone());
         let mut spec = spec.clone();
-        let (cache, next_qid, known) = if existed {
-            let rec = wal
+        let (cache, next_qid, known, decoded) = if existed {
+            let mut rec = wal
                 .recover(self.ont.vocab())
                 .map_err(|e| ServerError::Wal(e.to_string()))?;
+            wal.resume_cadence(std::mem::take(&mut rec.wal_records));
             let next = rec.queries.iter().map(|q| q.qid).max().unwrap_or(0) + 1;
             let known: Vec<u32> = rec.queries.iter().map(|q| q.qid).collect();
             // the durable header is the source of truth for the crowd
@@ -299,7 +307,7 @@ impl SessionManager {
                 spec.seed = rec.seed;
                 spec.members = rec.members;
             }
-            (rec.cache, next, known)
+            (std::mem::take(&mut rec.cache), next, known, Some(rec))
         } else {
             wal.record_session(
                 &spec.name,
@@ -308,7 +316,7 @@ impl SessionManager {
                 spec.members,
             )
             .map_err(|e| ServerError::Wal(e.to_string()))?;
-            (Default::default(), 1, Vec::new())
+            (Default::default(), 1, Vec::new(), None)
         };
         let cached_answers = cache.len();
         let stamp = self.stamp();
@@ -319,6 +327,7 @@ impl SessionManager {
                 cache: Arc::new(SharedCrowdCache::new(cache)),
                 wal: Arc::new(TrackedMutex::new("server.wal", wal)),
                 next_qid,
+                decoded,
                 last_used: stamp,
             },
         );
@@ -390,6 +399,7 @@ impl SessionManager {
             let s = self.sessions.get_mut(name).unwrap();
             let qid = s.next_qid;
             s.next_qid += 1;
+            s.decoded = None;
             (s.wal.clone(), s.cache.clone(), s.spec.clone(), qid)
         };
         let tele = self.tele.labeled(&format!("session.{name}"));
@@ -463,23 +473,46 @@ impl SessionManager {
     /// Recovers every registered query of `name`'s session from its WAL:
     /// fresh DAG, interned wire ops, [`OpLog::replay_merged`], and a
     /// digest comparison against the recorded `done` footer.
+    ///
+    /// The first call after a page-in replays the page-in's decode; any
+    /// later call decodes the WAL from disk. Queries sharing a source
+    /// text share one parse/bind and WHERE evaluation — both are pure
+    /// functions of the text and the ontology.
     pub fn recover(&mut self, name: &str) -> Result<Vec<RecoveredQuery>, ServerError> {
         self.touch(name)?;
         // PANIC-OK: touch above paged the session in.
-        let wal = self.sessions.get(name).unwrap().wal.clone();
-        let rec = {
-            let wal = wal.lock().expect("wal mutex poisoned"); // PANIC-OK: poisoning means a holder already panicked; propagate it
-            wal.recover(self.ont.vocab())
-                .map_err(|e| ServerError::Wal(e.to_string()))?
+        let s = self.sessions.get_mut(name).unwrap();
+        let mut rec = match s.decoded.take() {
+            Some(rec) => rec,
+            None => {
+                let wal = s.wal.lock().expect("wal mutex poisoned"); // PANIC-OK: poisoning means a holder already panicked; propagate it
+                wal.recover(self.ont.vocab())
+                    .map_err(|e| ServerError::Wal(e.to_string()))?
+            }
         };
         let tele = self.tele.labeled(&format!("session.{name}"));
         let _span = tele.span("recover");
+        let mut prepared: HashMap<&str, (BoundQuery, Vec<BaseAssignment>)> = HashMap::new();
         let mut out = Vec::new();
         for q in &rec.queries {
-            let ops = rec.ops.get(&q.qid).cloned().unwrap_or_default();
-            out.push(self.replay_one(q, ops)?);
+            let (bound, base) = match prepared.entry(q.spec.src.as_str()) {
+                Entry::Occupied(seen) => seen.into_mut(),
+                Entry::Vacant(slot) => slot.insert(self.prepare(&q.spec.src)?),
+            };
+            let ops = rec.ops.remove(&q.qid).unwrap_or_default();
+            out.push(self.replay_one(q, ops, bound, base));
         }
         Ok(out)
+    }
+
+    /// Parses and binds `src`, then evaluates its WHERE clause: the
+    /// per-text half of a replay.
+    fn prepare(&self, src: &str) -> Result<(BoundQuery, Vec<BaseAssignment>), ServerError> {
+        let q = parse(src).map_err(|e| ServerError::Engine(e.to_string()))?;
+        let bound = bind(&q, &self.ont).map_err(|e| ServerError::Engine(e.to_string()))?;
+        let pool = minipool::Pool::sequential();
+        let base = evaluate_where_pool(&bound, &self.ont, MatchMode::Exact, &pool);
+        Ok((bound, base))
     }
 
     /// Replays one recovered query against a freshly built DAG — the
@@ -488,13 +521,12 @@ impl SessionManager {
     fn replay_one(
         &self,
         meta: &QueryMeta,
-        wire: Vec<oassis_core::WireOp>,
-    ) -> Result<RecoveredQuery, ServerError> {
-        let q = parse(&meta.spec.src).map_err(|e| ServerError::Engine(e.to_string()))?;
-        let bound = bind(&q, &self.ont).map_err(|e| ServerError::Engine(e.to_string()))?;
+        wire: Vec<WireOp>,
+        bound: &BoundQuery,
+        base: &[BaseAssignment],
+    ) -> RecoveredQuery {
         let pool = minipool::Pool::sequential();
-        let base = evaluate_where_pool(&bound, &self.ont, MatchMode::Exact, &pool);
-        let mut dag = oassis_core::Dag::new(&bound, self.ont.vocab(), &base);
+        let mut dag = oassis_core::Dag::new(bound, self.ont.vocab(), base);
         let ops: Vec<_> = wire.iter().map(|w| intern_wire_op(&mut dag, w)).collect();
         let threshold = match &meta.done {
             Some(d) => d.threshold,
@@ -510,11 +542,11 @@ impl SessionManager {
             &pool,
             &Telemetry::off(),
         );
-        let sem = SemanticOutcome::from_replay(&replay, &bound, self.ont.vocab());
+        let sem = SemanticOutcome::from_replay(&replay, bound, self.ont.vocab());
         let digest = digest_hex(sem.digest());
         let recorded = meta.done.as_ref().map(|d| d.digest.clone());
         let verified = recorded.as_ref().map(|want| *want == digest);
-        Ok(RecoveredQuery {
+        RecoveredQuery {
             qid: meta.qid,
             spec: meta.spec.clone(),
             answers: sem.valid_msps,
@@ -523,7 +555,7 @@ impl SessionManager {
             recorded_digest: recorded,
             verified,
             ops: n_ops,
-        })
+        }
     }
 
     /// Closes a session: pages it out (state stays durable on disk).

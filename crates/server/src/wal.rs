@@ -12,6 +12,11 @@
 //! {"crc":"<16 hex>","rec":{"kind":"op","qid":3,"op":{…wire op…}}}
 //! ```
 //!
+//! The crc is checked over the raw bytes of the `rec` body exactly as
+//! they sit in the line, before the body is parsed — the writer emits the
+//! canonical serialization, so any other byte sequence (even one that
+//! parses to the same value) fails the check.
+//!
 //! ## Record kinds
 //!
 //! * `meta.wal` — `session` (name + protocol version, first record),
@@ -53,7 +58,7 @@ use oassis_core::oplog::{AnswerOp, OpTap};
 use oassis_core::{op_to_wire, wire_from_json, wire_to_json, CrowdCache, Dag, WireOp};
 use ontology::json::{self, Json, JsonError};
 use ontology::{PatternSet, Vocabulary};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -176,6 +181,9 @@ pub struct Recovered {
     pub ops: BTreeMap<u32, Vec<WireOp>>,
     /// The union of the per-member answer databases.
     pub cache: CrowdCache,
+    /// Live record count per member WAL (records since its last
+    /// compaction); [`SessionWal::resume_cadence`] picks it up.
+    pub wal_records: BTreeMap<u32, u32>,
     /// Whether any torn tail was truncated during recovery.
     pub truncated: bool,
 }
@@ -194,21 +202,25 @@ pub struct SessionWal {
 
 impl SessionWal {
     /// Opens (creating if needed) the WAL directory of one session.
+    /// Reads nothing: the compaction cadence starts at zero until
+    /// [`resume_cadence`](Self::resume_cadence) hands it the counts a
+    /// [`recover`](Self::recover) found.
     pub fn open(dir: impl Into<PathBuf>, snapshot_every: u32) -> io::Result<SessionWal> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        let mut wal = SessionWal {
+        Ok(SessionWal {
             dir,
             snapshot_every,
             wal_records: BTreeMap::new(),
             kill: KillSwitch::new(),
-        };
-        // count live WAL records so compaction cadence survives restarts
-        for (member, path) in wal.member_wals()? {
-            let (records, _) = read_records(&path)?;
-            wal.wal_records.insert(member, records.len() as u32);
-        }
-        Ok(wal)
+        })
+    }
+
+    /// Resumes the compaction cadence from a recovery's live member-WAL
+    /// record counts ([`Recovered::wal_records`]), so a restart compacts
+    /// at the same record a never-restarted session would.
+    pub fn resume_cadence(&mut self, wal_records: BTreeMap<u32, u32>) {
+        self.wal_records = wal_records;
     }
 
     /// Installs a kill switch (simtest's process-death model). The
@@ -233,29 +245,6 @@ impl SessionWal {
 
     fn snap_path(&self, member: u32) -> PathBuf {
         self.dir.join(format!("member-{member}.snap"))
-    }
-
-    /// The member ids with a WAL file on disk.
-    fn member_wals(&self) -> io::Result<Vec<(u32, PathBuf)>> {
-        let mut out = Vec::new();
-        if !self.dir.exists() {
-            return Ok(out);
-        }
-        for entry in fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if let Some(id) = name
-                .strip_prefix("member-")
-                .and_then(|s| s.strip_suffix(".wal"))
-            {
-                if let Ok(id) = id.parse::<u32>() {
-                    out.push((id, entry.path()));
-                }
-            }
-        }
-        out.sort();
-        Ok(out)
     }
 
     /// The member ids with any durable state (snapshot or WAL).
@@ -402,10 +391,10 @@ impl SessionWal {
     pub fn compact(&mut self, member: u32) -> io::Result<()> {
         let (mut ops, mut answers) = (Vec::new(), Vec::new());
         if let Some(snap) = read_snapshot(&self.snap_path(member))? {
-            collect_member_records(&snap, &mut ops, &mut answers);
+            collect_member_records(snap, &mut ops, &mut answers);
         }
         let (records, _) = read_records(&self.wal_path(member))?;
-        for rec in &records {
+        for rec in records {
             collect_member_records(rec, &mut ops, &mut answers);
         }
         // last-wins per pattern, in first-seen order (matches the put
@@ -492,29 +481,27 @@ impl SessionWal {
         out.queries.sort_by_key(|q| q.qid);
         // --- member files: snapshot first, then the WAL tail
         for member in self.member_ids().map_err(io_shape)? {
-            let mut records = Vec::new();
+            let (mut ops, mut answers) = (Vec::new(), Vec::new());
             if let Some(snap) = read_snapshot(&self.snap_path(member)).map_err(io_shape)? {
-                records.push(snap);
+                collect_member_records(snap, &mut ops, &mut answers);
             }
             let (wal, torn) = read_records(&self.wal_path(member)).map_err(io_shape)?;
             out.truncated |= torn;
-            records.extend(wal);
-            let (mut ops, mut answers) = (Vec::new(), Vec::new());
-            for rec in &records {
+            let live = u32::try_from(wal.len()).unwrap_or(u32::MAX);
+            out.wal_records.insert(member, live);
+            for rec in wal {
                 collect_member_records(rec, &mut ops, &mut answers);
             }
             // idempotent re-delivery: a crash between snapshot rename and
             // WAL truncation can double a record — (tick, seq) is unique
             // within one member, so dedup is exact
-            let mut seen: Vec<(u32, u32, u32)> = Vec::new();
+            let mut seen: HashSet<(u32, u32, u32)> = HashSet::with_capacity(ops.len());
             for op_rec in ops {
                 let qid = op_rec.field("qid")?.as_u32()?;
                 let op = wire_from_json(vocab, op_rec.field("op")?)?;
-                let key = (qid, op.tick, op.seq);
-                if seen.contains(&key) {
+                if !seen.insert((qid, op.tick, op.seq)) {
                     continue;
                 }
-                seen.push(key);
                 out.ops.entry(qid).or_default().push(op);
             }
             for entry in answers {
@@ -553,29 +540,31 @@ fn as_bool(v: &Json) -> Result<bool, JsonError> {
 }
 
 /// Splits a member record (or a whole snapshot) into its op records and
-/// answer entries, appending to `ops` / `answers`. Unknown kinds are
+/// answer entries, moving them onto `ops` / `answers`. Unknown kinds are
 /// skipped — a future record kind must not break recovery.
-fn collect_member_records(rec: &Json, ops: &mut Vec<Json>, answers: &mut Vec<Json>) {
-    let Ok(kind) = rec.field("kind").and_then(|k| k.as_str()) else {
-        return;
-    };
-    match kind {
-        "op" => ops.push(rec.clone()),
-        "answer" => {
-            if let Ok(entry) = rec.field("entry") {
-                answers.push(entry.clone());
+fn collect_member_records(mut rec: Json, ops: &mut Vec<Json>, answers: &mut Vec<Json>) {
+    match rec.field("kind").and_then(Json::as_str) {
+        Ok("op") => ops.push(rec),
+        Ok("answer") => answers.extend(take_field(&mut rec, "entry")),
+        Ok("snap") => {
+            if let Some(Json::Arr(snap_ops)) = take_field(&mut rec, "ops") {
+                ops.extend(snap_ops);
             }
-        }
-        "snap" => {
-            if let Ok(snap_ops) = rec.field("ops").and_then(|o| o.as_arr()) {
-                ops.extend(snap_ops.iter().cloned());
-            }
-            if let Ok(snap_answers) = rec.field("answers").and_then(|a| a.as_arr()) {
-                answers.extend(snap_answers.iter().cloned());
+            if let Some(Json::Arr(snap_answers)) = take_field(&mut rec, "answers") {
+                answers.extend(snap_answers);
             }
         }
         _ => {}
     }
+}
+
+/// Moves field `name` out of an object record, leaving `null` behind.
+fn take_field(rec: &mut Json, name: &str) -> Option<Json> {
+    let Json::Obj(fields) = rec else {
+        return None;
+    };
+    let (_, value) = fields.iter_mut().find(|(k, _)| k == name)?;
+    Some(std::mem::replace(value, Json::Null))
 }
 
 impl SessionWal {
@@ -638,17 +627,29 @@ fn read_records(path: &Path) -> io::Result<(Vec<Json>, bool)> {
     Ok((records, false))
 }
 
-/// Parses and crc-checks one framed line.
+/// Crc-checks one framed line over its raw `rec` body bytes, then
+/// parses the body. The frame is exactly what [`frame`] writes:
+/// `{"crc":"<16 lowercase hex>","rec":<body>}`.
 fn decode_line(line: &[u8]) -> Option<Json> {
-    let text = std::str::from_utf8(line).ok()?;
-    let doc = json::parse(text).ok()?;
-    let crc = doc.field("crc").ok()?.as_str().ok()?.to_string();
-    let rec = doc.field("rec").ok()?;
-    let body = rec.to_string();
-    if format!("{:016x}", fnv64(body.as_bytes())) != crc {
+    let rest = line.strip_prefix(b"{\"crc\":\"")?;
+    let (hex, rest) = rest.split_at_checked(16)?;
+    let body = rest.strip_prefix(b"\",\"rec\":")?.strip_suffix(b"}")?;
+    if parse_crc(hex)? != fnv64(body) {
         return None;
     }
-    Some(rec.clone())
+    json::parse(std::str::from_utf8(body).ok()?).ok()
+}
+
+/// Parses the 16 lowercase hex digits [`frame`] writes for a crc.
+fn parse_crc(hex: &[u8]) -> Option<u64> {
+    hex.iter().try_fold(0u64, |acc, &b| {
+        let digit = match b {
+            b'0'..=b'9' => b - b'0',
+            b'a'..=b'f' => b - b'a' + 10,
+            _ => return None,
+        };
+        Some(acc << 4 | u64::from(digit))
+    })
 }
 
 /// Cuts `path` back to `len` bytes (tear repair).
@@ -815,6 +816,72 @@ mod tests {
         assert!(rec.truncated);
         assert_eq!(rec.ops[&1].len(), 1, "suffix after the bad line is gone");
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Rewrites the second of three member-0 op records with `damage`
+    /// and checks recovery rejects it: the file is cut back to the first
+    /// record, `truncated` is set, and only that record survives.
+    fn assert_second_line_rejected(name: &str, damage: impl Fn(&str) -> String) {
+        let dir = tmp_dir(name);
+        let ont = ontology::domains::figure1::ontology();
+        let mut wal = SessionWal::open(&dir, 0).unwrap();
+        for t in 1..=3 {
+            assert!(wal.append_op(1, &op(t, 0)).unwrap());
+        }
+        let path = dir.join("member-0.wal");
+        let text = fs::read_to_string(&path).unwrap();
+        let mut lines: Vec<String> = text.lines().map(String::from).collect();
+        let damaged = damage(&lines[1]);
+        assert_ne!(damaged, lines[1], "{name}: the damage must change the line");
+        lines[1] = damaged;
+        fs::write(&path, format!("{}\n", lines.join("\n"))).unwrap();
+        let rec = wal.recover(ont.vocab()).unwrap();
+        assert!(rec.truncated, "{name}: the damaged line must be rejected");
+        assert_eq!(rec.ops[&1].len(), 1, "{name}");
+        assert_eq!(
+            fs::read(&path).unwrap().len(),
+            lines[0].len() + 1,
+            "{name}: the file is cut at the damaged line"
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn flipped_crc_digit_is_rejected() {
+        assert_second_line_rejected("crc-digit", |line| {
+            // the first crc digit sits right after `{"crc":"`
+            let at = "{\"crc\":\"".len();
+            let flipped = if &line[at..=at] == "0" { "1" } else { "0" };
+            format!("{}{flipped}{}", &line[..at], &line[at + 1..])
+        });
+    }
+
+    #[test]
+    fn missing_closing_brace_is_rejected() {
+        assert_second_line_rejected("no-brace", |line| line[..line.len() - 1].to_string());
+    }
+
+    #[test]
+    fn non_hex_crc_is_rejected() {
+        assert_second_line_rejected("non-hex", |line| {
+            let at = "{\"crc\":\"".len();
+            format!("{}{}{}", &line[..at], "zz".repeat(8), &line[at + 16..])
+        });
+    }
+
+    #[test]
+    fn non_canonical_body_is_rejected() {
+        // same value, extra whitespace: the crc still covers the
+        // canonical serialization, so the raw bytes no longer match it
+        assert_second_line_rejected("whitespace", |line| {
+            let doc = json::parse(line).unwrap();
+            let body = doc.field("rec").unwrap().to_string();
+            let crc = doc.field("crc").unwrap().as_str().unwrap().to_string();
+            assert_eq!(format!("{:016x}", fnv64(body.as_bytes())), crc);
+            let spaced = body.replace(',', ", ");
+            assert_eq!(json::parse(&spaced).unwrap(), *doc.field("rec").unwrap());
+            format!("{{\"crc\":\"{crc}\",\"rec\":{spaced}}}")
+        });
     }
 
     #[test]

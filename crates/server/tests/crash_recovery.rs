@@ -13,12 +13,18 @@
 //!    digest — and ask strictly fewer fresh questions than a cold run;
 //! 4. snapshot compaction must be invisible: kill-at-tick with and
 //!    without snapshots recovers identical digests.
+//!
+//! It also pins the single-decode restart: the decode a page-in keeps
+//! for `recover` is dropped by a later query, a second `recover` reads
+//! the disk and agrees with the first, and the compaction cadence
+//! resumes from the recovered record counts.
 
 mod common;
 
 use common::{manager, spec, temp_root};
-use oassis_server::KillSwitch;
-use oassis_server::QuerySpec;
+use crowd::MemberId;
+use oassis_core::{WireOp, WireVerdict};
+use oassis_server::{KillSwitch, QuerySpec, SessionWal};
 use ontology::domains::figure1;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -194,6 +200,101 @@ fn torn_tail_on_a_killed_wal_still_recovers() {
         (reply.digest, reply.fresh)
     };
     assert_eq!(reply.digest, want);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn page_in_decode_is_dropped_by_a_later_query() {
+    let ont = Arc::new(figure1::ontology());
+    let root = temp_root("page-in-query");
+    let sp = spec("s");
+    {
+        let mut mgr = manager(&ont, &root);
+        mgr.open(&sp).unwrap();
+        mgr.query("s", &qspec()).unwrap();
+    }
+    // page in (the decode is kept), append a query, then recover: the
+    // kept decode predates qid 2, so recovery must read the WAL again
+    let mut mgr = manager(&ont, &root);
+    mgr.open(&sp).unwrap();
+    let second = mgr.query("s", &qspec()).unwrap();
+    assert_eq!(second.qid, 2);
+    let recovered = mgr.recover("s").unwrap();
+    let qids: Vec<u32> = recovered.iter().map(|r| r.qid).collect();
+    assert_eq!(qids, vec![1, 2]);
+    assert_eq!(recovered[1].verified, Some(true));
+    assert_eq!(recovered[1].digest, second.digest);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn second_recover_reads_the_disk_and_agrees() {
+    let ont = Arc::new(figure1::ontology());
+    let root = temp_root("recover-twice");
+    let sp = spec("s");
+    {
+        let mut mgr = manager(&ont, &root);
+        mgr.open(&sp).unwrap();
+        mgr.query("s", &qspec()).unwrap();
+        let mut other = qspec();
+        other.seed = 11;
+        mgr.query("s", &other).unwrap();
+    }
+    let mut mgr = manager(&ont, &root);
+    mgr.open(&sp).unwrap();
+    let from_page_in = mgr.recover("s").unwrap();
+    let from_disk = mgr.recover("s").unwrap();
+    assert_eq!(from_page_in.len(), 2);
+    assert!(from_page_in.iter().all(|r| r.verified == Some(true)));
+    assert_eq!(from_page_in, from_disk);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn compaction_cadence_survives_a_restart() {
+    let ont = Arc::new(figure1::ontology());
+    let root = temp_root("cadence");
+    let sp = spec("s");
+    let dir = root.join("s");
+    manager(&ont, &root)
+        .with_snapshot_every(4)
+        .open(&sp)
+        .unwrap();
+    // three member-0 records (ops of a qid no query registers, which
+    // recovery ignores), one short of the snapshot cadence
+    {
+        let mut wal = SessionWal::open(&dir, 4).unwrap();
+        for tick in 1..=3 {
+            let op = WireOp {
+                tick,
+                seq: 0,
+                member: MemberId(0),
+                node: None,
+                verdict: WireVerdict::NoAnswer,
+            };
+            assert!(wal.append_op(99, &op).unwrap());
+        }
+    }
+    assert!(!dir.join("member-0.snap").exists());
+    // page in, then append exactly one more member-0 record: armed at
+    // tick 2, the query's only durable member record is member 0's
+    // answer to its first question
+    let kill = KillSwitch::new();
+    let mut mgr = manager(&ont, &root)
+        .with_snapshot_every(4)
+        .with_kill(kill.clone());
+    assert!(mgr.open(&sp).unwrap().resumed);
+    kill.arm(2);
+    let _ = mgr.query("s", &qspec());
+    assert!(kill.killed());
+    assert!(
+        dir.join("member-0.snap").exists(),
+        "the fourth record since the last compaction must compact"
+    );
+    assert_eq!(
+        std::fs::metadata(dir.join("member-0.wal")).unwrap().len(),
+        0
+    );
     let _ = std::fs::remove_dir_all(&root);
 }
 
