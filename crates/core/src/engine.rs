@@ -26,9 +26,12 @@ use crate::rulemine::{run_rules, RuleMiningConfig, RuleOutcome};
 use crate::templates::QuestionTemplates;
 use crate::vertical::MiningConfig;
 use crowd::CrowdSource;
-use oassis_ql::{bind, evaluate_where_pool, parse, BoundQuery, MatchMode, OutputFormat, QlError};
+use oassis_ql::{
+    bind, evaluate_where_pool, parse, BaseAssignment, BoundQuery, MatchMode, OutputFormat, QlError,
+};
 use ontology::Ontology;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// Unified error type of the public engine surface.
 #[derive(Debug)]
@@ -290,6 +293,55 @@ pub struct Oassis<'o> {
     templates: QuestionTemplates,
     pool: minipool::Pool,
     policy: Option<crowd::CrowdPolicy>,
+    prepared: Option<Arc<PreparedQuery>>,
+}
+
+/// One query text made ready to mine: its parse/bind and its WHERE
+/// result under one match mode. Both are pure functions of the text,
+/// the ontology and the mode, so one entry serves every run of the
+/// text. [`Oassis::run`] mines from such an entry — a lent one
+/// ([`Oassis::with_prepared`]) or one it prepares for the call.
+#[derive(Debug)]
+pub struct PreparedQuery {
+    src: String,
+    mode: MatchMode,
+    bound: BoundQuery,
+    base: Vec<BaseAssignment>,
+}
+
+impl PreparedQuery {
+    /// Parses and binds `src`, then evaluates its WHERE clause under
+    /// `mode` (on `pool`; the result is identical at any pool width).
+    pub fn new(
+        ont: &Ontology,
+        src: &str,
+        mode: MatchMode,
+        pool: &minipool::Pool,
+    ) -> Result<PreparedQuery, OassisError> {
+        let bound = bind(&parse(src)?, ont)?;
+        let base = evaluate_where_pool(&bound, ont, mode, pool);
+        Ok(PreparedQuery {
+            src: src.to_string(),
+            mode,
+            bound,
+            base,
+        })
+    }
+
+    /// The query text this entry was prepared from.
+    pub fn src(&self) -> &str {
+        &self.src
+    }
+
+    /// The parsed and bound query.
+    pub fn bound(&self) -> &BoundQuery {
+        &self.bound
+    }
+
+    /// The WHERE clause's valid base assignments.
+    pub fn base(&self) -> &[BaseAssignment] {
+        &self.base
+    }
 }
 
 /// The answer to an OASSIS-QL query.
@@ -323,6 +375,7 @@ impl<'o> Oassis<'o> {
             templates: QuestionTemplates::new(),
             pool: minipool::Pool::sequential(),
             policy: None,
+            prepared: None,
         }
     }
 
@@ -348,6 +401,15 @@ impl<'o> Oassis<'o> {
         self
     }
 
+    /// Lends a prepared entry to [`Self::run`]: a query whose text and
+    /// match mode are the entry's mines from it without parsing, binding
+    /// or evaluating WHERE again. Any other query is prepared for the
+    /// call, exactly as without an entry.
+    pub fn with_prepared(mut self, entry: Arc<PreparedQuery>) -> Self {
+        self.prepared = Some(entry);
+        self
+    }
+
     /// Installs question templates (used by [`Self::render_question`]).
     pub fn with_templates(mut self, templates: QuestionTemplates) -> Self {
         self.templates = templates;
@@ -363,6 +425,20 @@ impl<'o> Oassis<'o> {
     pub fn prepare(&self, src: &str) -> Result<BoundQuery, OassisError> {
         let q = parse(src)?;
         Ok(bind(&q, self.ont)?)
+    }
+
+    /// The entry `src` mines from: the lent one when it serves `src`
+    /// under this engine's match mode, else one prepared here.
+    fn prepared(&self, src: &str) -> Result<Arc<PreparedQuery>, OassisError> {
+        match &self.prepared {
+            Some(entry) if entry.src == src && entry.mode == self.match_mode => Ok(entry.clone()),
+            _ => Ok(Arc::new(PreparedQuery::new(
+                self.ont,
+                src,
+                self.match_mode,
+                &self.pool,
+            )?)),
+        }
     }
 
     /// Renders a crowd question in natural language.
@@ -441,34 +517,39 @@ impl<'o> Oassis<'o> {
                 }
             }
         } else {
-            // PANIC-OK: the is_empty check above guarantees an element.
-            let src = req.queries[0];
-            let is_rule = !self.prepare(src)?.imp_meta.is_empty();
+            let prepared = {
+                let _s = mining.telemetry.span("prepare");
+                // PANIC-OK: the is_empty check above guarantees an element.
+                self.prepared(req.queries[0])?
+            };
+            let is_rule = !prepared.bound.imp_meta.is_empty();
             match crowd {
                 CrowdBinding::Single(c) => {
                     if is_rule {
                         QueryOutcome::Rules(self.run_rule_query(
-                            src,
+                            &prepared,
                             c,
                             &req.options.rules,
                             &mining.telemetry,
                         )?)
                     } else {
-                        QueryOutcome::Patterns(self.run_pattern_query(src, c, aggregator, mining)?)
+                        QueryOutcome::Patterns(
+                            self.run_pattern_query(&prepared, c, aggregator, mining)?,
+                        )
                     }
                 }
                 CrowdBinding::PerQuery { make, cache } => {
                     let mut c = SharedCachingCrowd::new(make(0), cache);
                     if is_rule {
                         QueryOutcome::Rules(self.run_rule_query(
-                            src,
+                            &prepared,
                             &mut c,
                             &req.options.rules,
                             &mining.telemetry,
                         )?)
                     } else {
                         QueryOutcome::Patterns(
-                            self.run_pattern_query(src, &mut c, aggregator, mining)?,
+                            self.run_pattern_query(&prepared, &mut c, aggregator, mining)?,
                         )
                     }
                 }
@@ -487,33 +568,27 @@ impl<'o> Oassis<'o> {
         Ok(outcome)
     }
 
-    /// Pattern-query pipeline: prepare → WHERE → DAG → multi-user mining
-    /// → selection/rendering, each phase under its own telemetry span.
+    /// Pattern-query pipeline over a prepared query: DAG → multi-user
+    /// mining → selection/rendering, each phase under its own telemetry
+    /// span.
     fn run_pattern_query<C: CrowdSource, A: Aggregator>(
         &self,
-        src: &str,
+        prepared: &PreparedQuery,
         crowd: &mut C,
         aggregator: &A,
         cfg: &MiningConfig,
     ) -> Result<QueryAnswer, OassisError> {
-        let root = cfg.telemetry.span("query.pattern");
-        let tele = root.tele().clone();
-        let bound = {
-            let _s = tele.span("prepare");
-            self.prepare(src)?
-        };
+        let bound = &prepared.bound;
         if !bound.imp_meta.is_empty() {
             return Err(OassisError::Ql(QlError::Invalid(
                 "query has an IMPLYING clause; rule queries dispatch through Oassis::run".into(),
             )));
         }
-        let base = {
-            let _s = tele.span("where_eval");
-            evaluate_where_pool(&bound, self.ont, self.match_mode, &self.pool)
-        };
+        let root = cfg.telemetry.span("query.pattern");
+        let tele = root.tele().clone();
         let mut dag = {
             let _s = tele.span("dag_build");
-            Dag::new(&bound, self.ont.vocab(), &base)
+            Dag::new(bound, self.ont.vocab(), &prepared.base)
         };
         let mut run_cfg = cfg.clone();
         if let Some(policy) = self.policy {
@@ -538,8 +613,8 @@ impl<'o> Oassis<'o> {
         let answers: Vec<String> = selected
             .iter()
             .map(|a| match bound.format {
-                OutputFormat::FactSets => a.apply(&bound).to_display(vocab),
-                OutputFormat::Variables => a.to_display(&bound, vocab),
+                OutputFormat::FactSets => a.apply(bound).to_display(vocab),
+                OutputFormat::Variables => a.to_display(bound, vocab),
             })
             .collect();
         Ok(QueryAnswer { answers, outcome })
@@ -581,9 +656,11 @@ impl<'o> Oassis<'o> {
                 templates: QuestionTemplates::new(),
                 pool: minipool::Pool::sequential(),
                 policy: self.policy,
+                prepared: self.prepared.clone(),
             };
             // PANIC-OK: `i` ranges over 0..queries.len() by construction.
-            engine.run_pattern_query(queries[i], &mut crowd, aggregator, &query_cfg)
+            let prepared = engine.prepared(queries[i])?;
+            engine.run_pattern_query(&prepared, &mut crowd, aggregator, &query_cfg)
         });
         if tele.is_enabled() {
             tele.count("batch.queries", queries.len() as u64);
@@ -597,28 +674,21 @@ impl<'o> Oassis<'o> {
         results
     }
 
-    /// Rule-query pipeline: prepare → WHERE → DAG → two-phase rule
+    /// Rule-query pipeline over a prepared query: DAG → two-phase rule
     /// mining → rendering, each phase under its own telemetry span.
     fn run_rule_query<C: CrowdSource>(
         &self,
-        src: &str,
+        prepared: &PreparedQuery,
         crowd: &mut C,
         cfg: &RuleMiningConfig,
         telemetry: &telemetry::Telemetry,
     ) -> Result<RuleAnswer, OassisError> {
         let root = telemetry.span("query.rules");
         let tele = root.tele();
-        let bound = {
-            let _s = tele.span("prepare");
-            self.prepare(src)?
-        };
-        let base = {
-            let _s = tele.span("where_eval");
-            evaluate_where_pool(&bound, self.ont, self.match_mode, &self.pool)
-        };
+        let bound = &prepared.bound;
         let mut dag = {
             let _s = tele.span("dag_build");
-            Dag::new(&bound, self.ont.vocab(), &base)
+            Dag::new(bound, self.ont.vocab(), &prepared.base)
         };
         let outcome = {
             let _s = tele.span("mine.rules");

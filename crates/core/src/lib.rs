@@ -72,8 +72,8 @@ pub use cluster::{
 pub use dag::{Dag, GenStats, Node, NodeId};
 pub use diversify::{diversify, semantic_distance};
 pub use engine::{
-    CrowdBinding, ExecuteOptions, Oassis, OassisError, QueryAnswer, QueryOutcome, QueryRequest,
-    RuleAnswer,
+    CrowdBinding, ExecuteOptions, Oassis, OassisError, PreparedQuery, QueryAnswer, QueryOutcome,
+    QueryRequest, RuleAnswer,
 };
 pub use manifest::PartialManifest;
 pub use multi::{run_multi, MultiOutcome, QuestionStats};

@@ -13,9 +13,8 @@
 //!   request/response/error frames over the hand-rolled
 //!   [`ontology::json`], decoding tolerant of unknown fields.
 //! * [`wal`] — the embedded store: per-member append-only `AnswerOp`
-//!   logs (wire form, crc-guarded, torn-tail tolerant) plus periodic
-//!   snapshot compaction, building directly on `core::oplog`'s record
-//!   format.
+//!   logs (wire form, crc-guarded, torn-tail tolerant), building
+//!   directly on `core::oplog`'s record format.
 //! * [`session`] — the session manager and the [`SessionHandle`]
 //!   façade: sessions page in by WAL replay and page out by dropping
 //!   resident state (everything is already durable).

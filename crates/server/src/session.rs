@@ -23,6 +23,11 @@
 //! stored — bit-identical or it's a finding. A restart decodes the WAL
 //! once: the page-in's decode is kept on the resident session for the
 //! first `recover`, and any `query` in between drops it.
+//!
+//! Parse/bind and WHERE are pure functions of a query's text and the
+//! ontology, so the manager keeps the last text it prepared
+//! ([`PreparedQuery`]) and lends it to the next `query` or `recover` of
+//! the same text; `recover` prepares each other text once per call.
 
 use crate::digest_hex;
 use crate::wal::{DoneMeta, KillSwitch, QueryMeta, QuerySpec, Recovered, SessionWal, WalTap};
@@ -31,9 +36,9 @@ use oassis_core::cache::{AnswerStore, CachedAnswer};
 use oassis_core::oplog::OpTapHandle;
 use oassis_core::{
     intern_wire_op, CachingCrowd, CrowdBinding, FixedSampleAggregator, MiningConfig, Oassis, OpLog,
-    QueryRequest, SemanticOutcome, SharedCrowdCache, WireOp,
+    PreparedQuery, QueryRequest, SemanticOutcome, SharedCrowdCache, WireOp,
 };
-use oassis_ql::{bind, evaluate_where_pool, parse, BaseAssignment, BoundQuery, MatchMode};
+use oassis_ql::MatchMode;
 use ontology::Ontology;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
@@ -186,10 +191,13 @@ pub struct SessionManager {
     provider: Box<dyn CrowdProvider>,
     root: PathBuf,
     resident_limit: usize,
-    snapshot_every: u32,
     kill: KillSwitch,
     tele: Telemetry,
     sessions: BTreeMap<String, Session>,
+    /// The last query text prepared, under [`MatchMode::Exact`] (every
+    /// server path's mode). One entry is the memo the measured traffic
+    /// needs: each benchmark session repeats one text.
+    last_prepared: Option<Arc<PreparedQuery>>,
     use_counter: u64,
 }
 
@@ -206,10 +214,10 @@ impl SessionManager {
             provider,
             root: root.into(),
             resident_limit: 8,
-            snapshot_every: 64,
             kill: KillSwitch::new(),
             tele: Telemetry::off(),
             sessions: BTreeMap::new(),
+            last_prepared: None,
             use_counter: 0,
         }
     }
@@ -218,12 +226,6 @@ impl SessionManager {
     /// (dropped — its state is already durable) past the cap.
     pub fn with_resident_limit(mut self, limit: usize) -> SessionManager {
         self.resident_limit = limit.max(1);
-        self
-    }
-
-    /// Member-WAL records between snapshot compactions (0 disables).
-    pub fn with_snapshot_every(mut self, every: u32) -> SessionManager {
-        self.snapshot_every = every;
         self
     }
 
@@ -289,7 +291,7 @@ impl SessionManager {
         }
         let dir = self.root.join(&spec.name);
         let existed = dir.join("meta.wal").exists();
-        let mut wal = SessionWal::open(&dir, self.snapshot_every)
+        let mut wal = SessionWal::open(&dir, 0)
             .map_err(|e| ServerError::Wal(e.to_string()))?
             .with_kill(self.kill.clone());
         let mut spec = spec.clone();
@@ -297,7 +299,6 @@ impl SessionManager {
             let mut rec = wal
                 .recover(self.ont.vocab())
                 .map_err(|e| ServerError::Wal(e.to_string()))?;
-            wal.resume_cadence(std::mem::take(&mut rec.wal_records));
             let next = rec.queries.iter().map(|q| q.qid).max().unwrap_or(0) + 1;
             let known: Vec<u32> = rec.queries.iter().map(|q| q.qid).collect();
             // the durable header is the source of truth for the crowd
@@ -404,13 +405,11 @@ impl SessionManager {
         };
         let tele = self.tele.labeled(&format!("session.{name}"));
         let span = tele.span_with("query", &spec.src);
-        let engine = Oassis::new(&self.ont);
+        let prepared = self.prepared(&spec.src)?;
+        let bound = prepared.bound();
         // rule queries would dispatch fine in-process, but their mined
         // rules have no op-log form, so the WAL could not recover them —
         // reject rather than persist something replay can't rebuild
-        let bound = engine
-            .prepare(&spec.src)
-            .map_err(|e| ServerError::Engine(e.to_string()))?;
         if !bound.imp_meta.is_empty() {
             return Err(ServerError::Protocol(
                 "rule queries (IMPLYING) are not served over sessions; use the library API".into(),
@@ -436,13 +435,18 @@ impl SessionManager {
             wal: wal.clone(),
         };
         let mut crowd = CachingCrowd::new(&mut *inner, store);
+        let engine = Oassis::new(&self.ont).with_prepared(prepared.clone());
         let outcome = engine
             .run(&req, CrowdBinding::single(&mut crowd), &agg)
-            .map_err(|e| ServerError::Engine(e.to_string()))?;
+            .map_err(|e| {
+                // no `done` footer will end this query and drop its handles
+                wal.lock().expect("wal mutex poisoned").close_files(); // PANIC-OK: poisoning means a holder already panicked; propagate it
+                ServerError::Engine(e.to_string())
+            })?;
         let (questions, fresh) = (crowd.total_questions(), crowd.fresh_questions());
         // PANIC-OK: a single non-IMPLYING query always yields Patterns.
         let answer = outcome.into_patterns().unwrap();
-        let sem = SemanticOutcome::from_mining(&answer.outcome.mining, &bound, self.ont.vocab());
+        let sem = SemanticOutcome::from_mining(&answer.outcome.mining, bound, self.ont.vocab());
         let digest = digest_hex(sem.digest());
         let threshold = answer.outcome.mining.ops.threshold();
         let complete = answer.outcome.mining.complete;
@@ -475,9 +479,9 @@ impl SessionManager {
     /// digest comparison against the recorded `done` footer.
     ///
     /// The first call after a page-in replays the page-in's decode; any
-    /// later call decodes the WAL from disk. Queries sharing a source
-    /// text share one parse/bind and WHERE evaluation — both are pure
-    /// functions of the text and the ontology.
+    /// later call decodes the WAL from disk. Each distinct query text is
+    /// parsed, bound and WHERE-evaluated at most once per call, and not
+    /// at all when it is the text the manager prepared last.
     pub fn recover(&mut self, name: &str) -> Result<Vec<RecoveredQuery>, ServerError> {
         self.touch(name)?;
         // PANIC-OK: touch above paged the session in.
@@ -492,27 +496,31 @@ impl SessionManager {
         };
         let tele = self.tele.labeled(&format!("session.{name}"));
         let _span = tele.span("recover");
-        let mut prepared: HashMap<&str, (BoundQuery, Vec<BaseAssignment>)> = HashMap::new();
+        let mut by_text: HashMap<&str, Arc<PreparedQuery>> = HashMap::new();
         let mut out = Vec::new();
         for q in &rec.queries {
-            let (bound, base) = match prepared.entry(q.spec.src.as_str()) {
-                Entry::Occupied(seen) => seen.into_mut(),
-                Entry::Vacant(slot) => slot.insert(self.prepare(&q.spec.src)?),
+            let prepared = match by_text.entry(q.spec.src.as_str()) {
+                Entry::Occupied(seen) => seen.get().clone(),
+                Entry::Vacant(slot) => slot.insert(self.prepared(&q.spec.src)?).clone(),
             };
             let ops = rec.ops.remove(&q.qid).unwrap_or_default();
-            out.push(self.replay_one(q, ops, bound, base));
+            out.push(self.replay_one(q, ops, &prepared));
         }
         Ok(out)
     }
 
-    /// Parses and binds `src`, then evaluates its WHERE clause: the
-    /// per-text half of a replay.
-    fn prepare(&self, src: &str) -> Result<(BoundQuery, Vec<BaseAssignment>), ServerError> {
-        let q = parse(src).map_err(|e| ServerError::Engine(e.to_string()))?;
-        let bound = bind(&q, &self.ont).map_err(|e| ServerError::Engine(e.to_string()))?;
+    /// The prepared entry for `src`: the last one when it is `src`'s,
+    /// else a fresh one, which becomes the last.
+    fn prepared(&mut self, src: &str) -> Result<Arc<PreparedQuery>, ServerError> {
+        if let Some(last) = self.last_prepared.as_ref().filter(|e| e.src() == src) {
+            return Ok(last.clone());
+        }
         let pool = minipool::Pool::sequential();
-        let base = evaluate_where_pool(&bound, &self.ont, MatchMode::Exact, &pool);
-        Ok((bound, base))
+        let entry = PreparedQuery::new(&self.ont, src, MatchMode::Exact, &pool)
+            .map_err(|e| ServerError::Engine(e.to_string()))
+            .map(Arc::new)?;
+        self.last_prepared = Some(entry.clone());
+        Ok(entry)
     }
 
     /// Replays one recovered query against a freshly built DAG — the
@@ -522,11 +530,11 @@ impl SessionManager {
         &self,
         meta: &QueryMeta,
         wire: Vec<WireOp>,
-        bound: &BoundQuery,
-        base: &[BaseAssignment],
+        prepared: &PreparedQuery,
     ) -> RecoveredQuery {
         let pool = minipool::Pool::sequential();
-        let mut dag = oassis_core::Dag::new(bound, self.ont.vocab(), base);
+        let bound = prepared.bound();
+        let mut dag = oassis_core::Dag::new(bound, self.ont.vocab(), prepared.base());
         let ops: Vec<_> = wire.iter().map(|w| intern_wire_op(&mut dag, w)).collect();
         let threshold = match &meta.done {
             Some(d) => d.threshold,
@@ -657,5 +665,48 @@ impl AnswerStore for WalStore {
             eprintln!("wal answer append failed: {e}");
         }
         self.cache.put(member, pattern.clone(), answer);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Figure1Provider;
+    use ontology::domains::figure1;
+
+    #[test]
+    fn memo_hit_mines_what_a_miss_mines() {
+        let ont = Arc::new(figure1::ontology());
+        let root = std::env::temp_dir().join(format!("oassis-memo-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let provider = Box::new(Figure1Provider::new(ont.clone()));
+        let mut mgr = SessionManager::new(ont, provider, &root);
+        let spec = QuerySpec {
+            src: figure1::SIMPLE_QUERY.to_string(),
+            threshold: None,
+            batch_width: 1,
+            max_questions: None,
+            seed: 3,
+        };
+        // two sessions with equal crowds, so each query starts cold
+        let mut runs = Vec::new();
+        for name in ["miss", "hit"] {
+            let (seed, members) = (7, 2);
+            mgr.open(&SessionSpec {
+                name: name.into(),
+                seed,
+                members,
+            })
+            .unwrap();
+            let r = mgr.query(name, &spec).unwrap();
+            let entry = mgr.last_prepared.clone().unwrap();
+            runs.push((entry, (r.digest, r.answers, r.questions, r.fresh)));
+        }
+        assert!(Arc::ptr_eq(&runs[0].0, &runs[1].0), "the repeat hit");
+        assert_eq!(runs[0].1, runs[1].1, "same digest, answers and questions");
+        // a second text (cap + 1) replaces the one entry
+        let other = mgr.prepared(&format!("{} ", spec.src)).unwrap();
+        assert!(Arc::ptr_eq(mgr.last_prepared.as_ref().unwrap(), &other));
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

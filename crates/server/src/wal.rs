@@ -2,11 +2,11 @@
 //!
 //! One directory per session. The paper's prototype kept each member's
 //! "virtual personal database" in MySQL; here every member gets an
-//! **append-only answer-op log** in wire form (`member-<id>.wal`) plus a
-//! periodic **snapshot** (`member-<id>.snap`), and the session's query
-//! registry lives in `meta.wal`. Everything is line-delimited JSON over
-//! [`ontology::json`], one record per line, each line guarded by an
-//! FNV-1a crc of its payload:
+//! **append-only answer-op log** in wire form (`member-<id>.wal`), and
+//! the session's query registry lives in `meta.wal`. No byte of either
+//! is ever rewritten (a torn tail is only cut off). Everything is
+//! line-delimited JSON over [`ontology::json`], one record per line,
+//! each line guarded by an FNV-1a crc of its payload:
 //!
 //! ```text
 //! {"crc":"<16 hex>","rec":{"kind":"op","qid":3,"op":{…wire op…}}}
@@ -25,8 +25,6 @@
 //! * `member-<id>.wal` — `op` (qid + one [`WireOp`] of that member) and
 //!   `answer` (one cached `(pattern, answer)` entry of that member's
 //!   personal database).
-//! * `member-<id>.snap` — a single `snap` record folding every op and
-//!   answer compacted so far.
 //!
 //! ## Why per-member logs merge safely
 //!
@@ -45,12 +43,16 @@
 //! the file back to the last complete record, and carries on — never a
 //! panic, never a lost *complete* record.
 //!
-//! ## Compaction invariant
+//! ## Append handles
 //!
-//! `compact` folds a member's WAL into its snapshot and truncates the
-//! WAL; recovery over `snapshot + WAL tail` reconstructs exactly the
-//! state recovery over the uncompacted stream would have — checked by
-//! the snapshot-vs-no-snapshot digests of the crash-recovery suite.
+//! A file's append handle is opened by the first record a query writes
+//! to it and dropped by the query's `done` footer, so an idle session
+//! holds none. A running query holds at most [`MAX_HELD_HANDLES`]: the
+//! crowd size is the client's to choose, and the process's descriptor
+//! limit is not. Past the bound, the handle of the highest-numbered held
+//! member gives way, so a crowd larger than the bound costs one `open`
+//! per record to its overflow members, as every record did before
+//! handles were held.
 
 use crowd::MemberId;
 use oassis_core::cache::{entry_from_json, entry_to_json, CachedAnswer};
@@ -58,7 +60,8 @@ use oassis_core::oplog::{AnswerOp, OpTap};
 use oassis_core::{op_to_wire, wire_from_json, wire_to_json, CrowdCache, Dag, WireOp};
 use ontology::json::{self, Json, JsonError};
 use ontology::{PatternSet, Vocabulary};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -176,51 +179,60 @@ pub struct Recovered {
     pub members: u32,
     /// The query registry, in qid order.
     pub queries: Vec<QueryMeta>,
-    /// Per-query merged member ops (each member's contiguous durable
-    /// prefix, deduplicated by `(member, tick, seq)`).
+    /// Per-query member ops: each member's contiguous durable prefix,
+    /// in append order, members in id order.
     pub ops: BTreeMap<u32, Vec<WireOp>>,
     /// The union of the per-member answer databases.
     pub cache: CrowdCache,
-    /// Live record count per member WAL (records since its last
-    /// compaction); [`SessionWal::resume_cadence`] picks it up.
-    pub wal_records: BTreeMap<u32, u32>,
     /// Whether any torn tail was truncated during recovery.
     pub truncated: bool,
+}
+
+/// Append handles one [`SessionWal`] holds at most. It covers
+/// `meta.wal` plus every member of the largest crowd the benchmark
+/// serves (48) and stays far below common descriptor limits (1024).
+pub const MAX_HELD_HANDLES: usize = 64;
+
+/// A file of a session directory that takes appends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Log {
+    Meta,
+    Member(u32),
+}
+
+impl Log {
+    fn file_name(self) -> String {
+        match self {
+            Log::Meta => "meta.wal".into(),
+            Log::Member(member) => format!("member-{member}.wal"),
+        }
+    }
 }
 
 /// The append side of one session's directory.
 #[derive(Debug)]
 pub struct SessionWal {
     dir: PathBuf,
-    /// Member-WAL records between snapshot compactions; `0` disables
-    /// compaction.
-    snapshot_every: u32,
-    /// Live record count per member WAL since its last compaction.
-    wal_records: BTreeMap<u32, u32>,
+    /// Append handles held for the running query (see the module doc).
+    handles: BTreeMap<Log, File>,
     kill: KillSwitch,
 }
 
 impl SessionWal {
     /// Opens (creating if needed) the WAL directory of one session.
-    /// Reads nothing: the compaction cadence starts at zero until
-    /// [`resume_cadence`](Self::resume_cadence) hands it the counts a
-    /// [`recover`](Self::recover) found.
-    pub fn open(dir: impl Into<PathBuf>, snapshot_every: u32) -> io::Result<SessionWal> {
+    /// Reads nothing and opens no file.
+    ///
+    /// `_snapshot_every` is unused: it is the cadence of a snapshot
+    /// compaction that no longer exists, kept so existing callers
+    /// compile unchanged.
+    pub fn open(dir: impl Into<PathBuf>, _snapshot_every: u32) -> io::Result<SessionWal> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
         Ok(SessionWal {
             dir,
-            snapshot_every,
-            wal_records: BTreeMap::new(),
+            handles: BTreeMap::new(),
             kill: KillSwitch::new(),
         })
-    }
-
-    /// Resumes the compaction cadence from a recovery's live member-WAL
-    /// record counts ([`Recovered::wal_records`]), so a restart compacts
-    /// at the same record a never-restarted session would.
-    pub fn resume_cadence(&mut self, wal_records: BTreeMap<u32, u32>) {
-        self.wal_records = wal_records;
     }
 
     /// Installs a kill switch (simtest's process-death model). The
@@ -235,19 +247,9 @@ impl SessionWal {
         &self.dir
     }
 
-    fn meta_path(&self) -> PathBuf {
-        self.dir.join("meta.wal")
-    }
-
-    fn wal_path(&self, member: u32) -> PathBuf {
-        self.dir.join(format!("member-{member}.wal"))
-    }
-
-    fn snap_path(&self, member: u32) -> PathBuf {
-        self.dir.join(format!("member-{member}.snap"))
-    }
-
-    /// The member ids with any durable state (snapshot or WAL).
+    /// The member ids with a WAL file. A `.snap` file is refused: it
+    /// holds the compacted prefix of a member log written by an older
+    /// build, and recovering without it would silently lose that prefix.
     fn member_ids(&self) -> io::Result<Vec<u32>> {
         let mut ids: Vec<u32> = Vec::new();
         if !self.dir.exists() {
@@ -256,17 +258,20 @@ impl SessionWal {
         for entry in fs::read_dir(&self.dir)? {
             let name = entry?.file_name();
             let name = name.to_string_lossy();
-            if let Some(rest) = name.strip_prefix("member-") {
-                let id = rest
-                    .strip_suffix(".wal")
-                    .or_else(|| rest.strip_suffix(".snap"));
-                if let Some(Ok(id)) = id.map(|s| s.parse::<u32>()) {
-                    ids.push(id);
-                }
+            if name.ends_with(".snap") {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("{name}: snapshot files of compacting builds are not read"),
+                ));
+            }
+            let id = name
+                .strip_prefix("member-")
+                .and_then(|rest| rest.strip_suffix(".wal"));
+            if let Some(Ok(id)) = id.map(str::parse::<u32>) {
+                ids.push(id);
             }
         }
         ids.sort_unstable();
-        ids.dedup();
         Ok(ids)
     }
 
@@ -274,7 +279,8 @@ impl SessionWal {
     /// The crowd spec (seed, member count) is part of the header: paging
     /// a session in must rebuild the *same* deterministic crowd, so the
     /// durable header — not whatever a later `open` frame claims — is
-    /// the source of truth.
+    /// the source of truth. No query is running, so the handle is
+    /// dropped again.
     pub fn record_session(
         &mut self,
         name: &str,
@@ -289,7 +295,7 @@ impl SessionWal {
             ("seed".into(), Json::Num(seed as f64)),
             ("members".into(), Json::Num(members as f64)),
         ]);
-        self.append_line(&self.meta_path(), &rec)
+        self.append_last(&rec)
     }
 
     /// Registers a query before it runs (so a crash mid-run still knows
@@ -314,15 +320,13 @@ impl SessionWal {
             ),
             ("seed".into(), Json::Num(spec.seed as f64)),
         ]);
-        self.append_line(&self.meta_path(), &rec)
+        self.append_line(Log::Meta, &rec)
     }
 
     /// Records a query's completion footer: the resolved threshold and
-    /// the `SemanticOutcome` digest recovery must reproduce.
+    /// the `SemanticOutcome` digest recovery must reproduce. The footer
+    /// ends the query, so every append handle is dropped.
     pub fn record_done(&mut self, qid: u32, done: &DoneMeta) -> io::Result<()> {
-        if !self.kill.admit(None) {
-            return Ok(());
-        }
         let rec = Json::Obj(vec![
             ("kind".into(), Json::Str("done".into())),
             ("qid".into(), Json::Num(qid as f64)),
@@ -330,7 +334,26 @@ impl SessionWal {
             ("digest".into(), Json::Str(done.digest.clone())),
             ("threshold".into(), Json::Num(done.threshold)),
         ]);
-        self.append_line(&self.meta_path(), &rec)
+        self.append_last(&rec)
+    }
+
+    /// Appends a `meta.wal` record no query record follows (the header,
+    /// a footer) and drops every held handle, even when the kill switch
+    /// drops the record.
+    fn append_last(&mut self, rec: &Json) -> io::Result<()> {
+        let appended = self
+            .kill
+            .admit(None)
+            .then(|| self.append_line(Log::Meta, rec));
+        self.close_files();
+        appended.unwrap_or(Ok(()))
+    }
+
+    /// Drops every held append handle. [`record_done`](Self::record_done)
+    /// does this; a query that ends without a footer (an engine error)
+    /// leaves it to its caller.
+    pub fn close_files(&mut self) {
+        self.handles.clear();
     }
 
     /// Appends one wire op to its member's log. Returns `false` when the
@@ -339,14 +362,13 @@ impl SessionWal {
         if !self.kill.admit(Some(op.tick)) {
             return Ok(false);
         }
-        let member = op.member.0;
         let rec = Json::Obj(vec![
             ("kind".into(), Json::Str("op".into())),
             ("qid".into(), Json::Num(qid as f64)),
             ("op".into(), wire_to_json(op)),
         ]);
-        self.append_line(&self.wal_path(member), &rec)?;
-        self.bump(member)
+        self.append_line(Log::Member(op.member.0), &rec)?;
+        Ok(true)
     }
 
     /// Appends one cached `(pattern, answer)` entry to its member's
@@ -366,80 +388,19 @@ impl SessionWal {
             ("kind".into(), Json::Str("answer".into())),
             ("entry".into(), entry_to_json(pattern, answer)),
         ]);
-        self.append_line(&self.wal_path(member.0), &rec)?;
-        self.bump(member.0)
-    }
-
-    /// Post-append bookkeeping: count the record, compact when due.
-    fn bump(&mut self, member: u32) -> io::Result<bool> {
-        let count = self.wal_records.entry(member).or_insert(0);
-        *count += 1;
-        if self.snapshot_every > 0 && *count >= self.snapshot_every {
-            self.compact(member)?;
-        }
+        self.append_line(Log::Member(member.0), &rec)?;
         Ok(true)
-    }
-
-    /// Folds `member`'s WAL into its snapshot and truncates the WAL.
-    ///
-    /// Purely textual: ops are concatenated in arrival order (the
-    /// member-prefix property is preserved), answers are last-wins per
-    /// pattern — the same state recovery would build from the
-    /// uncompacted stream. The snapshot is written to a temp file and
-    /// renamed over the old one, so a crash leaves either the old or
-    /// the new snapshot, never a torn one.
-    pub fn compact(&mut self, member: u32) -> io::Result<()> {
-        let (mut ops, mut answers) = (Vec::new(), Vec::new());
-        if let Some(snap) = read_snapshot(&self.snap_path(member))? {
-            collect_member_records(snap, &mut ops, &mut answers);
-        }
-        let (records, _) = read_records(&self.wal_path(member))?;
-        for rec in records {
-            collect_member_records(rec, &mut ops, &mut answers);
-        }
-        // last-wins per pattern, in first-seen order (matches the put
-        // order recovery would apply)
-        let mut dedup: Vec<(String, Json)> = Vec::new();
-        for entry in answers {
-            let key = entry
-                .as_arr()
-                .ok()
-                .and_then(|e| e.first())
-                .map(|p| p.to_string())
-                .unwrap_or_default();
-            if let Some(slot) = dedup.iter_mut().find(|(k, _)| *k == key) {
-                slot.1 = entry;
-            } else {
-                dedup.push((key, entry));
-            }
-        }
-        let snap = Json::Obj(vec![
-            ("kind".into(), Json::Str("snap".into())),
-            ("ops".into(), Json::Arr(ops)),
-            (
-                "answers".into(),
-                Json::Arr(dedup.into_iter().map(|(_, e)| e).collect()),
-            ),
-        ]);
-        let tmp = self.snap_path(member).with_extension("snap.tmp");
-        let mut f = File::create(&tmp)?;
-        f.write_all(frame(&snap).as_bytes())?;
-        f.flush()?;
-        fs::rename(&tmp, self.snap_path(member))?;
-        // the WAL's content now lives in the snapshot
-        File::create(self.wal_path(member))?;
-        self.wal_records.insert(member, 0);
-        Ok(())
     }
 
     /// Reconstructs the session from disk: query registry, per-query
     /// merged member ops, and the union answer cache. Torn tails are
     /// truncated to the last complete record; nothing here panics on a
-    /// damaged directory.
+    /// damaged directory. Call it with no append handle held (the
+    /// session manager recovers only between queries).
     pub fn recover(&self, vocab: &Vocabulary) -> Result<Recovered, JsonError> {
         let mut out = Recovered::default();
         // --- meta.wal: session header + query registry
-        let (meta, torn) = read_records(&self.meta_path()).map_err(io_shape)?;
+        let (meta, torn) = read_records(&self.dir.join(Log::Meta.file_name())).map_err(io_shape)?;
         out.truncated |= torn;
         for rec in &meta {
             match rec.field("kind").and_then(|k| k.as_str().map(String::from)) {
@@ -479,34 +440,27 @@ impl SessionWal {
             }
         }
         out.queries.sort_by_key(|q| q.qid);
-        // --- member files: snapshot first, then the WAL tail
+        // --- member files: ops and answers in append order
         for member in self.member_ids().map_err(io_shape)? {
-            let (mut ops, mut answers) = (Vec::new(), Vec::new());
-            if let Some(snap) = read_snapshot(&self.snap_path(member)).map_err(io_shape)? {
-                collect_member_records(snap, &mut ops, &mut answers);
-            }
-            let (wal, torn) = read_records(&self.wal_path(member)).map_err(io_shape)?;
+            let path = self.dir.join(Log::Member(member).file_name());
+            let (wal, torn) = read_records(&path).map_err(io_shape)?;
             out.truncated |= torn;
-            let live = u32::try_from(wal.len()).unwrap_or(u32::MAX);
-            out.wal_records.insert(member, live);
-            for rec in wal {
-                collect_member_records(rec, &mut ops, &mut answers);
-            }
-            // idempotent re-delivery: a crash between snapshot rename and
-            // WAL truncation can double a record — (tick, seq) is unique
-            // within one member, so dedup is exact
-            let mut seen: HashSet<(u32, u32, u32)> = HashSet::with_capacity(ops.len());
-            for op_rec in ops {
-                let qid = op_rec.field("qid")?.as_u32()?;
-                let op = wire_from_json(vocab, op_rec.field("op")?)?;
-                if !seen.insert((qid, op.tick, op.seq)) {
-                    continue;
+            for mut rec in wal {
+                match rec.field("kind").and_then(Json::as_str) {
+                    Ok("op") => {
+                        let qid = rec.field("qid")?.as_u32()?;
+                        let op = wire_from_json(vocab, rec.field("op")?)?;
+                        out.ops.entry(qid).or_default().push(op);
+                    }
+                    Ok("answer") => {
+                        if let Some(entry) = take_field(&mut rec, "entry") {
+                            let (pattern, answer) = entry_from_json(&entry)?;
+                            out.cache.put(MemberId(member), pattern, answer);
+                        }
+                    }
+                    // unknown kinds are future records — skip, don't fail
+                    _ => {}
                 }
-                out.ops.entry(qid).or_default().push(op);
-            }
-            for entry in answers {
-                let (pattern, answer) = entry_from_json(&entry)?;
-                out.cache.put(MemberId(member), pattern, answer);
             }
         }
         Ok(out)
@@ -539,25 +493,6 @@ fn as_bool(v: &Json) -> Result<bool, JsonError> {
     }
 }
 
-/// Splits a member record (or a whole snapshot) into its op records and
-/// answer entries, moving them onto `ops` / `answers`. Unknown kinds are
-/// skipped — a future record kind must not break recovery.
-fn collect_member_records(mut rec: Json, ops: &mut Vec<Json>, answers: &mut Vec<Json>) {
-    match rec.field("kind").and_then(Json::as_str) {
-        Ok("op") => ops.push(rec),
-        Ok("answer") => answers.extend(take_field(&mut rec, "entry")),
-        Ok("snap") => {
-            if let Some(Json::Arr(snap_ops)) = take_field(&mut rec, "ops") {
-                ops.extend(snap_ops);
-            }
-            if let Some(Json::Arr(snap_answers)) = take_field(&mut rec, "answers") {
-                answers.extend(snap_answers);
-            }
-        }
-        _ => {}
-    }
-}
-
 /// Moves field `name` out of an object record, leaving `null` behind.
 fn take_field(rec: &mut Json, name: &str) -> Option<Json> {
     let Json::Obj(fields) = rec else {
@@ -568,13 +503,24 @@ fn take_field(rec: &mut Json, name: &str) -> Option<Json> {
 }
 
 impl SessionWal {
-    /// Appends one crc-framed record line to `path`, flushing before
-    /// returning — the record is durable (modulo OS buffering) once the
-    /// call succeeds.
-    fn append_line(&self, path: &Path, rec: &Json) -> io::Result<()> {
-        let mut f = OpenOptions::new().create(true).append(true).open(path)?;
-        f.write_all(frame(rec).as_bytes())?;
-        f.flush()
+    /// Appends one crc-framed record line to `log` through its held
+    /// handle, opening the handle on the query's first record there
+    /// (dropping the highest held one when [`MAX_HELD_HANDLES`] are
+    /// held). The whole line is handed to the OS before the call
+    /// returns, so it survives the death of the process; nothing syncs
+    /// it to disk.
+    fn append_line(&mut self, log: Log, rec: &Json) -> io::Result<()> {
+        if self.handles.len() >= MAX_HELD_HANDLES && !self.handles.contains_key(&log) {
+            self.handles.pop_last();
+        }
+        let file = match self.handles.entry(log) {
+            Entry::Occupied(held) => held.into_mut(),
+            Entry::Vacant(slot) => {
+                let path = self.dir.join(log.file_name());
+                slot.insert(OpenOptions::new().create(true).append(true).open(path)?)
+            }
+        };
+        file.write_all(frame(rec).as_bytes())
     }
 }
 
@@ -658,14 +604,6 @@ fn truncate_to(path: &Path, len: usize) -> io::Result<()> {
     f.set_len(len as u64)
 }
 
-/// Reads a snapshot file: a single framed `snap` record, or `None` when
-/// absent or damaged (the rename protocol makes damage mean "the old
-/// snapshot", i.e. nothing, not data loss).
-fn read_snapshot(path: &Path) -> io::Result<Option<Json>> {
-    let (records, _) = read_records(path)?;
-    Ok(records.into_iter().next())
-}
-
 /// The [`OpTap`] the session manager installs on every query run: each
 /// flushed op is rendered to wire form against the run's DAG and
 /// appended to its member's log, stamped with the query id.
@@ -735,42 +673,42 @@ mod tests {
         }
     }
 
+    fn spec() -> QuerySpec {
+        QuerySpec {
+            src: "SELECT".into(),
+            threshold: Some(0.4),
+            batch_width: 2,
+            max_questions: None,
+            seed: 7,
+        }
+    }
+
+    fn done() -> DoneMeta {
+        DoneMeta {
+            complete: true,
+            digest: "00000000000000ff".into(),
+            threshold: 0.4,
+        }
+    }
+
     #[test]
     fn records_roundtrip_and_survive_reopen() {
         let dir = tmp_dir("roundtrip");
         let ont = ontology::domains::figure1::ontology();
         let mut wal = SessionWal::open(&dir, 0).unwrap();
         wal.record_session("s1", 1, 7, 2).unwrap();
-        let spec = QuerySpec {
-            src: "SELECT".into(),
-            threshold: Some(0.4),
-            batch_width: 2,
-            max_questions: None,
-            seed: 7,
-        };
-        wal.record_query(1, &spec).unwrap();
+        wal.record_query(1, &spec()).unwrap();
         assert!(wal.append_op(1, &op(1, 0)).unwrap());
         assert!(wal.append_op(1, &op(2, 1)).unwrap());
-        wal.record_done(
-            1,
-            &DoneMeta {
-                complete: true,
-                digest: "00000000000000ff".into(),
-                threshold: 0.4,
-            },
-        )
-        .unwrap();
+        wal.record_done(1, &done()).unwrap();
         drop(wal);
         let wal = SessionWal::open(&dir, 0).unwrap();
         let rec = wal.recover(ont.vocab()).unwrap();
         assert_eq!(rec.session.as_deref(), Some("s1"));
         assert_eq!(rec.proto, 1);
         assert_eq!(rec.queries.len(), 1);
-        assert_eq!(rec.queries[0].spec, spec);
-        assert_eq!(
-            rec.queries[0].done.as_ref().unwrap().digest,
-            "00000000000000ff"
-        );
+        assert_eq!(rec.queries[0].spec, spec());
+        assert_eq!(rec.queries[0].done, Some(done()));
         assert_eq!(rec.ops[&1].len(), 2);
         assert!(!rec.truncated);
         fs::remove_dir_all(&dir).unwrap();
@@ -885,23 +823,85 @@ mod tests {
     }
 
     #[test]
-    fn compaction_preserves_recovery_state() {
-        let dir_a = tmp_dir("compact-a");
-        let dir_b = tmp_dir("compact-b");
-        let ont = ontology::domains::figure1::ontology();
-        // identical streams; `a` compacts every 2 records, `b` never
-        let mut a = SessionWal::open(&dir_a, 2).unwrap();
-        let mut b = SessionWal::open(&dir_b, 0).unwrap();
-        for t in 1..=5 {
-            assert!(a.append_op(1, &op(t, 0)).unwrap());
-            assert!(b.append_op(1, &op(t, 0)).unwrap());
+    fn member_wal_only_grows_by_appends() {
+        let dir = tmp_dir("append-only");
+        // 64 was the default cadence of the snapshot compaction that
+        // used to rewrite this file; the argument is ignored now
+        let mut wal = SessionWal::open(&dir, 64).unwrap();
+        let path = dir.join("member-0.wal");
+        let mut before = Vec::new();
+        for t in 1..=200 {
+            assert!(wal.append_op(1, &op(t, 0)).unwrap());
+            let now = fs::read(&path).unwrap();
+            assert!(
+                now.len() > before.len() && now.starts_with(&before),
+                "record {t}"
+            );
+            before = now;
         }
-        assert!(dir_a.join("member-0.snap").exists());
-        let ra = a.recover(ont.vocab()).unwrap();
-        let rb = b.recover(ont.vocab()).unwrap();
-        assert_eq!(ra.ops[&1], rb.ops[&1]);
-        fs::remove_dir_all(&dir_a).unwrap();
-        fs::remove_dir_all(&dir_b).unwrap();
+        let names: Vec<String> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names, ["member-0.wal"]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn held_handles_are_bounded_and_dropped_by_the_footer() {
+        let dir = tmp_dir("handles");
+        let ont = ontology::domains::figure1::ontology();
+        let mut wal = SessionWal::open(&dir, 0).unwrap();
+        wal.record_session("s1", 1, 7, 3).unwrap();
+        assert!(wal.handles.is_empty(), "no query runs after the header");
+        wal.record_query(1, &spec()).unwrap();
+        // two round-robin passes over more members than the bound: one
+        // handle per file (meta.wal + the members so far), up to the bound
+        let members = MAX_HELD_HANDLES as u32 + 16;
+        for t in 0..2 * members {
+            assert!(wal.append_op(1, &op(t + 1, t % members)).unwrap());
+            let want = (t as usize + 2).min(MAX_HELD_HANDLES);
+            assert_eq!(wal.handles.len(), want, "record {t}");
+        }
+        wal.record_done(1, &done()).unwrap();
+        assert!(wal.handles.is_empty());
+        let ops = &wal.recover(ont.vocab()).unwrap().ops[&1];
+        let per_member = |m| ops.iter().filter(|o| o.member.0 == m).count();
+        assert!(
+            (0..members).all(|m| per_member(m) == 2),
+            "no record was lost"
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_snapshot_file_fails_recovery() {
+        let dir = tmp_dir("snap");
+        let ont = ontology::domains::figure1::ontology();
+        let mut wal = SessionWal::open(&dir, 0).unwrap();
+        assert!(wal.append_op(1, &op(1, 0)).unwrap());
+        wal.close_files();
+        assert!(wal.recover(ont.vocab()).is_ok());
+        // a compacting build kept member 0's older records here
+        fs::write(dir.join("member-0.snap"), "").unwrap();
+        let err = wal.recover(ont.vocab()).unwrap_err();
+        assert!(err.to_string().contains("member-0.snap"), "{err}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn tripped_kill_switch_drops_the_session_header() {
+        let dir = tmp_dir("kill-header");
+        let ont = ontology::domains::figure1::ontology();
+        let kill = KillSwitch::new();
+        let mut wal = SessionWal::open(&dir, 0).unwrap().with_kill(kill.clone());
+        kill.arm(1);
+        assert!(!wal.append_op(1, &op(1, 0)).unwrap());
+        assert!(kill.killed());
+        wal.record_session("s1", 1, 7, 2).unwrap();
+        let rec = wal.recover(ont.vocab()).unwrap();
+        assert_eq!(rec.session, None, "a dead process writes no header");
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -920,15 +920,7 @@ mod tests {
         assert!(kill.killed());
         // even earlier-stamped appends are dead now: the process is gone
         assert!(!wal.append_op(1, &op(2, 0)).unwrap());
-        wal.record_done(
-            1,
-            &DoneMeta {
-                complete: true,
-                digest: "aa".into(),
-                threshold: 0.5,
-            },
-        )
-        .unwrap();
+        wal.record_done(1, &done()).unwrap();
         let rec = wal.recover(ont.vocab()).unwrap();
         assert_eq!(rec.ops[&1].len(), 2);
         assert!(rec.queries.is_empty(), "the done record was dropped too");

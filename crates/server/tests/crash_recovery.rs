@@ -10,23 +10,24 @@
 //!    replayable prefix state;
 //! 3. re-running the cut query on the recovered session (resumption
 //!    over the paged-in answer cache) must land on the fault-free
-//!    digest — and ask strictly fewer fresh questions than a cold run;
-//! 4. snapshot compaction must be invisible: kill-at-tick with and
-//!    without snapshots recovers identical digests.
+//!    digest — and ask strictly fewer fresh questions than a cold run.
 //!
-//! It also pins the single-decode restart: the decode a page-in keeps
-//! for `recover` is dropped by a later query, a second `recover` reads
-//! the disk and agrees with the first, and the compaction cadence
-//! resumes from the recovered record counts.
+//! It also pins the single-decode restart (the decode a page-in keeps
+//! for `recover` is dropped by a later query, and a second `recover`
+//! reads the disk and agrees with the first) and the append-handle
+//! lifetime: a session between queries holds no open WAL file, and a
+//! crowd wider than the held-handle bound still recovers verified. A
+//! directory holding a snapshot file of a compacting build is refused.
 
 mod common;
 
 use common::{manager, spec, temp_root};
-use crowd::MemberId;
-use oassis_core::{WireOp, WireVerdict};
-use oassis_server::{KillSwitch, QuerySpec, SessionWal};
+use oassis_server::wal::MAX_HELD_HANDLES;
+use oassis_server::{KillSwitch, QueryReply, QuerySpec, SessionManager, SessionSpec};
 use ontology::domains::figure1;
+use ontology::Ontology;
 use proptest::prelude::*;
+use std::path::Path;
 use std::sync::Arc;
 
 fn qspec() -> QuerySpec {
@@ -39,26 +40,47 @@ fn qspec() -> QuerySpec {
     }
 }
 
+/// One process lifetime: a fresh manager over `root` opens `sp` and
+/// runs `queries`, then is dropped as at process exit.
+fn lifetime(
+    ont: &Arc<Ontology>,
+    root: &Path,
+    sp: &SessionSpec,
+    queries: &[QuerySpec],
+) -> Vec<QueryReply> {
+    let mut mgr = manager(ont, &root.to_path_buf());
+    mgr.open(sp).unwrap();
+    queries
+        .iter()
+        .map(|q| mgr.query(&sp.name, q).unwrap())
+        .collect()
+}
+
+/// A restarted process: a fresh manager over `root` with `sp` paged in.
+fn restart(ont: &Arc<Ontology>, root: &Path, sp: &SessionSpec) -> SessionManager {
+    let mut mgr = manager(ont, &root.to_path_buf());
+    mgr.open(sp).unwrap();
+    mgr
+}
+
 /// Fault-free reference: digest and question count of a cold run.
 fn fault_free(seed: u64) -> (String, usize) {
     let ont = Arc::new(figure1::ontology());
     let root = temp_root(&format!("ref-{seed}"));
-    let mut mgr = manager(&ont, &root);
     let mut sp = spec("ref");
     sp.seed = seed;
-    mgr.open(&sp).unwrap();
     let mut qs = qspec();
     qs.seed = seed;
-    let reply = mgr.query("ref", &qs).unwrap();
+    let reply = lifetime(&ont, &root, &sp, &[qs]).remove(0);
     let _ = std::fs::remove_dir_all(&root);
     (reply.digest, reply.fresh)
 }
 
 /// One kill/restart/verify cycle; returns the recovered digests (qid
 /// order) and the resumed re-run's reply digest + fresh count.
-fn kill_cycle(seed: u64, kill_tick: u32, snapshot_every: u32) -> (Vec<String>, String, usize) {
+fn kill_cycle(seed: u64, kill_tick: u32) -> (Vec<String>, String, usize) {
     let ont = Arc::new(figure1::ontology());
-    let root = temp_root(&format!("kill-{seed}-{kill_tick}-{snapshot_every}"));
+    let root = temp_root(&format!("kill-{seed}-{kill_tick}"));
     let mut sp = spec("s");
     sp.seed = seed;
     let mut qs = qspec();
@@ -67,9 +89,7 @@ fn kill_cycle(seed: u64, kill_tick: u32, snapshot_every: u32) -> (Vec<String>, S
     // --- pre-crash process: one finished query, then arm and cut
     let kill = KillSwitch::new();
     {
-        let mut mgr = manager(&ont, &root)
-            .with_snapshot_every(snapshot_every)
-            .with_kill(kill.clone());
+        let mut mgr = manager(&ont, &root).with_kill(kill.clone());
         mgr.open(&sp).unwrap();
         mgr.query("s", &qs).unwrap(); // qid 1 finishes durably
         kill.arm(kill_tick);
@@ -81,7 +101,7 @@ fn kill_cycle(seed: u64, kill_tick: u32, snapshot_every: u32) -> (Vec<String>, S
     }
 
     // --- restart: fresh manager over the same WAL root
-    let mut mgr = manager(&ont, &root).with_snapshot_every(snapshot_every);
+    let mut mgr = manager(&ont, &root);
     let opened = mgr.open(&sp).unwrap();
     assert!(opened.resumed, "durable state must page back in");
     let recovered = mgr.recover("s").unwrap();
@@ -106,27 +126,19 @@ fn kill_cycle(seed: u64, kill_tick: u32, snapshot_every: u32) -> (Vec<String>, S
 
 #[test]
 fn kill_at_tick_matrix_recovers_bit_identically() {
-    // the push matrix of the ISSUE: 3 seeds × snapshot-vs-no-snapshot
+    // 3 seeds × 3 kill ticks
     for seed in [3u64, 11, 29] {
         let (want_digest, cold_fresh) = fault_free(seed);
         assert!(cold_fresh > 4, "reference run must actually mine");
         for kill_tick in [2u32, 5, 9] {
-            let (snap_dig, snap_reply, snap_fresh) = kill_cycle(seed, kill_tick, 2);
-            let (flat_dig, flat_reply, flat_fresh) = kill_cycle(seed, kill_tick, 0);
-            // oracle 4: compaction is invisible to recovery
-            assert_eq!(
-                snap_dig, flat_dig,
-                "seed {seed} kill@{kill_tick}: snapshotted and flat WALs diverged"
-            );
-            // oracle 3: both resumptions land on the fault-free digest
-            assert_eq!(snap_reply, want_digest, "seed {seed} kill@{kill_tick}");
-            assert_eq!(flat_reply, want_digest, "seed {seed} kill@{kill_tick}");
-            assert_eq!(snap_fresh, flat_fresh);
+            let (_, reply, fresh) = kill_cycle(seed, kill_tick);
+            // oracle 3: the resumption lands on the fault-free digest
+            assert_eq!(reply, want_digest, "seed {seed} kill@{kill_tick}");
             // the paged-in cache must save crowd work: everything asked
             // before the kill tick is a hit on the re-run
             assert!(
-                snap_fresh < cold_fresh,
-                "seed {seed} kill@{kill_tick}: resumption asked {snap_fresh} fresh \
+                fresh < cold_fresh,
+                "seed {seed} kill@{kill_tick}: resumption asked {fresh} fresh \
                  questions, cold run asked {cold_fresh} — the recovered cache did nothing"
             );
         }
@@ -138,13 +150,8 @@ fn clean_restart_verifies_and_asks_nothing() {
     let ont = Arc::new(figure1::ontology());
     let root = temp_root("clean");
     let sp = spec("s");
-    let first = {
-        let mut mgr = manager(&ont, &root);
-        mgr.open(&sp).unwrap();
-        mgr.query("s", &qspec()).unwrap()
-    };
-    let mut mgr = manager(&ont, &root);
-    mgr.open(&sp).unwrap();
+    let first = lifetime(&ont, &root, &sp, &[qspec()]).remove(0);
+    let mut mgr = restart(&ont, &root, &sp);
     let recovered = mgr.recover("s").unwrap();
     assert_eq!(recovered.len(), 1);
     assert_eq!(recovered[0].verified, Some(true));
@@ -162,11 +169,7 @@ fn torn_tail_on_a_killed_wal_still_recovers() {
     let ont = Arc::new(figure1::ontology());
     let root = temp_root("torn");
     let sp = spec("s");
-    {
-        let mut mgr = manager(&ont, &root);
-        mgr.open(&sp).unwrap();
-        mgr.query("s", &qspec()).unwrap();
-    }
+    lifetime(&ont, &root, &sp, &[qspec()]);
     // tear every member WAL mid-record (a crash inside write(2))
     let dir = root.join("s");
     let mut tore = 0;
@@ -182,8 +185,7 @@ fn torn_tail_on_a_killed_wal_still_recovers() {
         }
     }
     assert!(tore > 0, "expected member WALs to tear");
-    let mut mgr = manager(&ont, &root);
-    mgr.open(&sp).unwrap();
+    let mut mgr = restart(&ont, &root, &sp);
     // recovery must not panic; the lost suffix means the digest check
     // can fail (verified == Some(false)) but the replay itself holds
     let recovered = mgr.recover("s").unwrap();
@@ -191,14 +193,9 @@ fn torn_tail_on_a_killed_wal_still_recovers() {
     assert!(recovered[0].verified.is_some());
     // and resumption still converges to the true answer
     let reply = mgr.query("s", &qspec()).unwrap();
-    let (want, _) = {
-        let r = temp_root("torn-ref");
-        let mut m = manager(&ont, &r);
-        m.open(&sp).unwrap();
-        let reply = m.query("s", &qspec()).unwrap();
-        let _ = std::fs::remove_dir_all(&r);
-        (reply.digest, reply.fresh)
-    };
+    let r = temp_root("torn-ref");
+    let want = lifetime(&ont, &r, &sp, &[qspec()]).remove(0).digest;
+    let _ = std::fs::remove_dir_all(&r);
     assert_eq!(reply.digest, want);
     let _ = std::fs::remove_dir_all(&root);
 }
@@ -208,15 +205,10 @@ fn page_in_decode_is_dropped_by_a_later_query() {
     let ont = Arc::new(figure1::ontology());
     let root = temp_root("page-in-query");
     let sp = spec("s");
-    {
-        let mut mgr = manager(&ont, &root);
-        mgr.open(&sp).unwrap();
-        mgr.query("s", &qspec()).unwrap();
-    }
+    lifetime(&ont, &root, &sp, &[qspec()]);
     // page in (the decode is kept), append a query, then recover: the
     // kept decode predates qid 2, so recovery must read the WAL again
-    let mut mgr = manager(&ont, &root);
-    mgr.open(&sp).unwrap();
+    let mut mgr = restart(&ont, &root, &sp);
     let second = mgr.query("s", &qspec()).unwrap();
     assert_eq!(second.qid, 2);
     let recovered = mgr.recover("s").unwrap();
@@ -232,69 +224,81 @@ fn second_recover_reads_the_disk_and_agrees() {
     let ont = Arc::new(figure1::ontology());
     let root = temp_root("recover-twice");
     let sp = spec("s");
-    {
-        let mut mgr = manager(&ont, &root);
-        mgr.open(&sp).unwrap();
-        mgr.query("s", &qspec()).unwrap();
-        let mut other = qspec();
-        other.seed = 11;
-        mgr.query("s", &other).unwrap();
-    }
-    let mut mgr = manager(&ont, &root);
-    mgr.open(&sp).unwrap();
+    // two texts in rotation: the one-entry prepare memo misses on each,
+    // and `recover` prepares each text once per call
+    let mut other = qspec();
+    other.seed = 11;
+    other.src.push(' ');
+    lifetime(&ont, &root, &sp, &[qspec(), other, qspec()]);
+    let mut mgr = restart(&ont, &root, &sp);
     let from_page_in = mgr.recover("s").unwrap();
     let from_disk = mgr.recover("s").unwrap();
-    assert_eq!(from_page_in.len(), 2);
+    assert_eq!(from_page_in.len(), 3);
     assert!(from_page_in.iter().all(|r| r.verified == Some(true)));
     assert_eq!(from_page_in, from_disk);
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// The WAL files of `dir` this process holds open, read from
+/// `/proc/self/fd`.
+#[cfg(target_os = "linux")]
+fn open_files_under(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+    std::fs::read_dir("/proc/self/fd")
+        .unwrap()
+        .filter_map(|fd| std::fs::read_link(fd.ok()?.path()).ok())
+        .filter(|target| target.starts_with(dir))
+        .collect()
+}
+
+#[cfg(target_os = "linux")]
 #[test]
-fn compaction_cadence_survives_a_restart() {
+fn a_session_between_queries_holds_no_wal_file_open() {
     let ont = Arc::new(figure1::ontology());
-    let root = temp_root("cadence");
-    let sp = spec("s");
-    let dir = root.join("s");
-    manager(&ont, &root)
-        .with_snapshot_every(4)
-        .open(&sp)
-        .unwrap();
-    // three member-0 records (ops of a qid no query registers, which
-    // recovery ignores), one short of the snapshot cadence
-    {
-        let mut wal = SessionWal::open(&dir, 4).unwrap();
-        for tick in 1..=3 {
-            let op = WireOp {
-                tick,
-                seq: 0,
-                member: MemberId(0),
-                node: None,
-                verdict: WireVerdict::NoAnswer,
-            };
-            assert!(wal.append_op(99, &op).unwrap());
-        }
-    }
-    assert!(!dir.join("member-0.snap").exists());
-    // page in, then append exactly one more member-0 record: armed at
-    // tick 2, the query's only durable member record is member 0's
-    // answer to its first question
-    let kill = KillSwitch::new();
-    let mut mgr = manager(&ont, &root)
-        .with_snapshot_every(4)
-        .with_kill(kill.clone());
-    assert!(mgr.open(&sp).unwrap().resumed);
-    kill.arm(2);
-    let _ = mgr.query("s", &qspec());
-    assert!(kill.killed());
-    assert!(
-        dir.join("member-0.snap").exists(),
-        "the fourth record since the last compaction must compact"
-    );
-    assert_eq!(
-        std::fs::metadata(dir.join("member-0.wal")).unwrap().len(),
-        0
-    );
+    let root = temp_root("handles");
+    // the fd table names the canonical path
+    std::fs::create_dir_all(&root).unwrap();
+    let dir = root.canonicalize().unwrap().join("s");
+    let mut mgr = manager(&ont, &root);
+    mgr.open(&spec("s")).unwrap();
+    assert_eq!(open_files_under(&dir), Vec::<std::path::PathBuf>::new());
+    mgr.query("s", &qspec()).unwrap();
+    assert_eq!(open_files_under(&dir), Vec::<std::path::PathBuf>::new());
+    // a query the engine rejects after its `query` record ends without
+    // a footer; its handle is dropped all the same
+    let mut bad = qspec();
+    bad.threshold = Some(1.5);
+    assert!(mgr.query("s", &bad).is_err());
+    assert_eq!(open_files_under(&dir), Vec::<std::path::PathBuf>::new());
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_crowd_larger_than_the_handle_bound_recovers_verified() {
+    let ont = Arc::new(figure1::ontology());
+    let root = temp_root("wide-crowd");
+    let mut sp = spec("s");
+    sp.members = 2 * MAX_HELD_HANDLES as u32;
+    // a low threshold asks enough questions to reach that many members
+    let mut qs = qspec();
+    qs.threshold = Some(0.05);
+    let digest = lifetime(&ont, &root, &sp, &[qs]).remove(0).digest;
+    let wal_files = std::fs::read_dir(root.join("s")).unwrap().count();
+    assert!(wal_files > MAX_HELD_HANDLES + 1, "{wal_files} files");
+    let recovered = restart(&ont, &root, &sp).recover("s").unwrap();
+    assert_eq!(recovered[0].verified, Some(true));
+    assert_eq!(recovered[0].digest, digest);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_session_with_a_snapshot_file_does_not_page_in() {
+    let ont = Arc::new(figure1::ontology());
+    let root = temp_root("snap-file");
+    lifetime(&ont, &root, &spec("s"), &[qspec()]);
+    // a compacting build kept member 0's older records in this file
+    std::fs::write(root.join("s").join("member-0.snap"), "").unwrap();
+    let mut mgr = manager(&ont, &root);
+    assert!(mgr.open(&spec("s")).is_err());
     let _ = std::fs::remove_dir_all(&root);
 }
 
@@ -306,7 +310,7 @@ proptest! {
     #[test]
     fn any_kill_tick_recovers(seed in 1u64..40, kill_tick in 1u32..14) {
         let (want, _) = fault_free(seed);
-        let (digests, resumed, _) = kill_cycle(seed, kill_tick, 2);
+        let (digests, resumed, _) = kill_cycle(seed, kill_tick);
         prop_assert_eq!(digests.len(), 2);
         prop_assert_eq!(resumed, want);
     }

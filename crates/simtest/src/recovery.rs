@@ -1,8 +1,8 @@
 //! Kill-at-tick crash recovery: the server process model under
 //! [`FaultKind::ServerKill`](crate::schedule::FaultKind::ServerKill).
 //!
-//! One seed derives a session spec (crowd size, snapshot cadence) and a
-//! [`Schedule`] of server-kill ticks. The harness drives an
+//! One seed derives a session spec (crowd size) and a [`Schedule`] of
+//! server-kill ticks. The harness drives an
 //! `oassis_server::SessionManager` through one process lifetime per
 //! kill: a query runs, the `KillSwitch` silently drops every durable
 //! append from the kill tick on (a faithful process death — the
@@ -43,9 +43,6 @@ pub struct RecoveryConfig {
     pub seed: u64,
     /// Simulated crowd size for the session.
     pub members: u32,
-    /// Member-WAL records between snapshot compactions (0 = never
-    /// compact), so the matrix covers snapshot and flat recovery.
-    pub snapshot_every: u32,
     /// The server-kill schedule driven through the process model.
     pub schedule: Schedule,
 }
@@ -56,12 +53,10 @@ impl RecoveryConfig {
     pub fn from_seed(seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5E4E_C0DE_D15C_0B01);
         let members = rng.gen_range(1..=3);
-        let snapshot_every = [0u32, 2, 4][rng.gen_range(0..3usize)]; // PANIC-OK: index drawn from 0..3.
         let schedule = Schedule::generate_recovery(seed, 14, 3);
         RecoveryConfig {
             seed,
             members,
-            snapshot_every,
             schedule,
         }
     }
@@ -120,18 +115,12 @@ fn query_spec(seed: u64) -> QuerySpec {
     }
 }
 
-fn manager(
-    ont: &Arc<Ontology>,
-    root: &Path,
-    cfg: &RecoveryConfig,
-    kill: Option<KillSwitch>,
-) -> SessionManager {
+fn manager(ont: &Arc<Ontology>, root: &Path, kill: Option<KillSwitch>) -> SessionManager {
     let mgr = SessionManager::new(
         ont.clone(),
         Box::new(Figure1Provider::new(ont.clone())),
         root.to_path_buf(),
-    )
-    .with_snapshot_every(cfg.snapshot_every);
+    );
     match kill {
         Some(k) => mgr.with_kill(k),
         None => mgr,
@@ -143,7 +132,7 @@ fn manager(
 /// it costs.
 fn reference(ont: &Arc<Ontology>, cfg: &RecoveryConfig) -> Result<(String, usize), String> {
     let root = wal_root(cfg.seed, &Schedule::fault_free()).join("ref");
-    let mut mgr = manager(ont, &root, cfg, None);
+    let mut mgr = manager(ont, &root, None);
     let spec = SessionSpec {
         name: "r".into(),
         seed: cfg.seed,
@@ -180,7 +169,7 @@ fn check_cycle(cfg: &RecoveryConfig, schedule: &Schedule) -> (Vec<String>, u64) 
     // Lifetime 0: one query completes and lands durably — the anchor
     // every later restart must verify against.
     {
-        let mut mgr = manager(&ont, &root, cfg, None);
+        let mut mgr = manager(&ont, &root, None);
         if let Err(e) = mgr.open(&spec).and_then(|_| mgr.query("s", &qs)) {
             failures.push(format!("anchor lifetime: {e}"));
         }
@@ -192,7 +181,7 @@ fn check_cycle(cfg: &RecoveryConfig, schedule: &Schedule) -> (Vec<String>, u64) 
         // while the query keeps running in memory.
         let kill = KillSwitch::new();
         {
-            let mut mgr = manager(&ont, &root, cfg, Some(kill.clone()));
+            let mut mgr = manager(&ont, &root, Some(kill.clone()));
             match mgr.open(&spec) {
                 Ok(opened) if !opened.resumed => {
                     failures.push(format!("kill {i}: durable session did not resume"))
@@ -208,7 +197,7 @@ fn check_cycle(cfg: &RecoveryConfig, schedule: &Schedule) -> (Vec<String>, u64) 
         expected += 1;
 
         // Restart over the surviving WAL prefix and verify.
-        let mut mgr = manager(&ont, &root, cfg, None);
+        let mut mgr = manager(&ont, &root, None);
         match mgr.open(&spec) {
             Ok(opened) if !opened.resumed => {
                 failures.push(format!("restart {i}: durable session did not resume"))
@@ -243,7 +232,7 @@ fn check_cycle(cfg: &RecoveryConfig, schedule: &Schedule) -> (Vec<String>, u64) 
 
     // Final restart: resumption lands on the fault-free digest, and the
     // anchor query's durable answers serve every repeat from cache.
-    let mut mgr = manager(&ont, &root, cfg, None);
+    let mut mgr = manager(&ont, &root, None);
     match mgr.open(&spec).and_then(|_| mgr.query("s", &qs)) {
         Ok(reply) => {
             if reply.digest != want_digest {

@@ -8,8 +8,7 @@
 //! replayable schedule before being reported.
 
 use simtest::{
-    run_recovery_corpus, run_recovery_seed, run_recovery_with_schedule, shrink_schedule,
-    RecoveryConfig, RecoveryReport, Schedule,
+    run_recovery_corpus, run_recovery_seed, run_recovery_with_schedule, RecoveryConfig, Schedule,
 };
 
 /// Seed range: `0..RECOVERY_SEEDS` (default 6 — each seed is a full
@@ -21,44 +20,9 @@ fn corpus_size() -> u64 {
         .unwrap_or(6)
 }
 
-/// Nightly matrix knob: `RECOVERY_SNAPSHOTS` pins the snapshot cadence
-/// for the whole corpus (`none` = WAL only, `every-N` = compact every N
-/// durable queries) instead of the default per-seed mix, so a
-/// compaction regression cannot hide behind seeds that drew `none`.
-fn pinned_snapshot_cadence() -> Option<u32> {
-    let raw = std::env::var("RECOVERY_SNAPSHOTS").ok()?;
-    match raw.as_str() {
-        "" | "mixed" => None,
-        "none" => Some(0),
-        other => other.strip_prefix("every-").and_then(|n| n.parse().ok()),
-    }
-}
-
-/// The corpus runner, with the cadence override applied when pinned;
-/// failures come back with their schedules already shrunk 1-minimal.
-fn run_corpus(seeds: std::ops::Range<u64>) -> Vec<RecoveryReport> {
-    let Some(cadence) = pinned_snapshot_cadence() else {
-        return run_recovery_corpus(seeds);
-    };
-    seeds
-        .filter_map(|seed| {
-            let mut cfg = RecoveryConfig::from_seed(seed);
-            cfg.snapshot_every = cadence;
-            let report = run_recovery_with_schedule(&cfg, &cfg.schedule);
-            if report.passed() {
-                return None;
-            }
-            let minimal = shrink_schedule(&cfg.schedule, |s| {
-                !run_recovery_with_schedule(&cfg, s).passed()
-            });
-            Some(run_recovery_with_schedule(&cfg, &minimal))
-        })
-        .collect()
-}
-
 #[test]
 fn seed_corpus_recovers_every_kill_schedule() {
-    let failures = run_corpus(0..corpus_size());
+    let failures = run_recovery_corpus(0..corpus_size());
     assert!(
         failures.is_empty(),
         "failing seeds (schedules already shrunk):\n{}",
@@ -88,9 +52,8 @@ fn same_seed_reproduces_bit_identical_recovery_digests() {
 #[test]
 fn replayed_kill_line_reproduces_the_exact_report() {
     // a hand-written worst case: three kills in one session, early and
-    // mid-run, against a snapshotting WAL
-    let mut cfg = RecoveryConfig::from_seed(17);
-    cfg.snapshot_every = 2;
+    // mid-run
+    let cfg = RecoveryConfig::from_seed(17);
     let schedule = Schedule::parse("s0@1,s0@5,s0@9").unwrap();
     let a = run_recovery_with_schedule(&cfg, &schedule);
     assert!(
