@@ -14,15 +14,13 @@
 //! the vertical algorithm had generated, for fairness).
 
 // audit: allow-file(D4, baseline replays index structures sized by the same domain that produced the indices)
-use crate::classify::{Class, Classifier};
+use crate::classify::Class;
 use crate::dag::{Dag, NodeId};
-use crate::vertical::{
-    finish, DiscoveryEvent, DiscoveryKind, MiningConfig, MiningOutcome, Session, ValidTracker,
-};
+use crate::fold::Fold;
+use crate::oplog::OpVerdict;
+use crate::vertical::{MiningConfig, MiningOutcome, Session};
 use crowd::{CrowdSource, MemberId};
-use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
 use std::collections::HashSet;
 
 /// Questions the exhaustive baseline would ask: `sample_size` per valid
@@ -33,7 +31,7 @@ pub fn baseline_question_count(dag: &mut Dag<'_>, sample_size: usize) -> usize {
 }
 
 /// Incrementally detects assignments whose MSP status is *entailed* by the
-/// current classification: known significant, children generated, and
+/// fold's current classification: known significant, children generated, and
 /// every child known non-significant.
 pub(crate) struct MspMonitor {
     /// High-water mark into the classifier's append-only witness list —
@@ -56,7 +54,8 @@ impl MspMonitor {
         }
     }
 
-    /// Scans for newly entailed MSPs and records discovery events.
+    /// Scans for newly entailed MSPs and confirms each through the fold,
+    /// as an [`OpVerdict::Msp`] op by `member` at the current tick.
     ///
     /// Only directly-witnessed significant nodes can be MSPs: a node that
     /// is significant purely by inference sits below its witness and thus
@@ -64,15 +63,8 @@ impl MspMonitor {
     /// witness list is append-only and duplicate-free) and leaves it when
     /// confirmed, so an update touches only the unconfirmed tail instead
     /// of rescanning — and reallocating — the whole witness list.
-    pub fn update(
-        &mut self,
-        dag: &mut Dag<'_>,
-        cls: &mut Classifier,
-        question: usize,
-        events: &mut Vec<DiscoveryEvent>,
-        out: &mut Vec<NodeId>,
-    ) {
-        let witnesses = cls.sig_witnesses();
+    pub fn update(&mut self, dag: &Dag<'_>, fold: &mut Fold<'_>, member: MemberId) {
+        let witnesses = fold.classifier().sig_witnesses();
         if self.seen < witnesses.len() {
             // PANIC-OK: `seen` only advances to a previously observed
             // witness-list length, and the list is append-only.
@@ -80,7 +72,7 @@ impl MspMonitor {
                 .extend(witnesses[self.seen..].iter().map(|&w| (w, 0u32)));
             self.seen = witnesses.len();
         }
-        let dag = &*dag;
+        let mut confirmed: Vec<NodeId> = Vec::new();
         self.pending.retain_mut(|(id, resume)| {
             let id = *id;
             let Some(children) = dag.children_if_generated(id) else {
@@ -92,9 +84,9 @@ impl MspMonitor {
                 // child it inspects, exactly as the historical rescan did —
                 // stickiness makes the stamping order observable. The
                 // cached fast path is a no-op for already-stamped children.
-                let cl = match cls.cached_queried(c) {
+                let cl = match fold.classifier().cached_queried(c) {
                     Some(cl) => cl,
-                    None => cls.class(dag, c),
+                    None => fold.class(dag, c),
                 };
                 match cl {
                     Class::Insignificant => i += 1,
@@ -110,15 +102,14 @@ impl MspMonitor {
                     }
                 }
             }
-            out.push(id);
-            events.push(DiscoveryEvent {
-                question,
-                kind: DiscoveryKind::Msp {
-                    valid: dag.node(id).valid,
-                },
-            });
+            confirmed.push(id);
             false
         });
+        let tick = fold.questions();
+        for id in confirmed {
+            let valid = dag.node(id).valid;
+            fold.record(dag, tick, member, id, OpVerdict::Msp { valid });
+        }
     }
 }
 
@@ -133,26 +124,9 @@ pub fn run_horizontal<C: CrowdSource>(
     member: MemberId,
     cfg: &MiningConfig,
 ) -> MiningOutcome {
-    let threshold = cfg.threshold.unwrap_or(dag.query().threshold);
     let root = cfg.telemetry.span("mine.horizontal");
-    let tele = root.tele().clone();
-    let mut s = Session {
-        cls: Classifier::new(),
-        rng: StdRng::seed_from_u64(cfg.seed),
-        questions: 0,
-        events: Vec::new(),
-        ops: crate::oplog::OpLog::new(threshold, false),
-        tracker: ValidTracker::new(dag).with_telemetry(tele.clone()),
-        available: true,
-        threshold,
-        cfg,
-        manifest: Default::default(),
-        gave_up: Vec::new(),
-        gave_up_set: HashSet::new(),
-        tele,
-    };
+    let mut s = Session::new(dag, cfg, root.tele().clone());
     let mut monitor = MspMonitor::new();
-    let mut msp_ids: Vec<NodeId> = Vec::new();
 
     // levelwise frontier: a node is asked only when all its materialized
     // parents are significant
@@ -169,14 +143,14 @@ pub fn run_horizontal<C: CrowdSource>(
         }
         let id = queue[qi];
         qi += 1;
-        let class = match s.cls.class(dag, id) {
+        let class = match s.fold.class(dag, id) {
             Class::Unknown => {
                 let parents_ok = dag
                     .parents(id)
-                    .all(|p| s.cls.class(dag, p) == Class::Significant);
+                    .all(|p| s.fold.class(dag, p) == Class::Significant);
                 if !parents_ok {
                     // re-queue: a later classification may unlock it
-                    if s.cls.class(dag, id) == Class::Unknown {
+                    if s.fold.class(dag, id) == Class::Unknown {
                         stalled += 1;
                         if stalled > queue.len() - qi {
                             break;
@@ -191,16 +165,7 @@ pub fn run_horizontal<C: CrowdSource>(
                 }
                 stalled = 0;
                 let sig = s.ask_concrete(dag, crowd, member, id);
-                let known = msp_ids.len();
-                monitor.update(dag, &mut s.cls, s.questions, &mut s.events, &mut msp_ids);
-                // PANIC-OK: `known` was msp_ids.len() before the update;
-                // the monitor only appends, so the range is in bounds.
-                // PANIC-OK: `known` was msp_ids.len() before the update; the
-                // monitor only appends, so the range is in bounds.
-                // PANIC-OK: `known` was msp_ids.len() before the update; the monitor
-                // only appends, so the range is in bounds.
-                s.ops
-                    .record_msps(s.questions, member, dag, &msp_ids[known..]);
+                monitor.update(dag, &mut s.fold, member);
                 if sig {
                     Class::Significant
                 } else {
@@ -221,17 +186,17 @@ pub fn run_horizontal<C: CrowdSource>(
         }
     }
     // final sweep for entailed MSPs
-    let known = msp_ids.len();
-    monitor.update(dag, &mut s.cls, s.questions, &mut s.events, &mut msp_ids);
-    // PANIC-OK: `known` was msp_ids.len() before the update; the monitor
-    // only appends, so the range is in bounds.
-    s.ops
-        .record_msps(s.questions, member, dag, &msp_ids[known..]);
+    monitor.update(dag, &mut s.fold, member);
     let complete = s.available
         && !s.exhausted_budget()
-        && crate::vertical::find_minimal_unclassified(dag, &mut s.cls, &cfg.pool, &HashSet::new())
-            .is_none();
-    finish(dag, s, msp_ids, complete)
+        && crate::vertical::find_minimal_unclassified(
+            dag,
+            s.fold.classifier_mut(),
+            &cfg.pool,
+            &HashSet::new(),
+        )
+        .is_none();
+    s.finish(dag, complete)
 }
 
 /// Runs the naive baseline: random order over the **valid** assignments of
@@ -242,26 +207,9 @@ pub fn run_naive<C: CrowdSource>(
     member: MemberId,
     cfg: &MiningConfig,
 ) -> MiningOutcome {
-    let threshold = cfg.threshold.unwrap_or(dag.query().threshold);
     let root = cfg.telemetry.span("mine.naive");
-    let tele = root.tele().clone();
-    let mut s = Session {
-        cls: Classifier::new(),
-        rng: StdRng::seed_from_u64(cfg.seed),
-        questions: 0,
-        events: Vec::new(),
-        ops: crate::oplog::OpLog::new(threshold, false),
-        tracker: ValidTracker::new(dag).with_telemetry(tele.clone()),
-        available: true,
-        threshold,
-        cfg,
-        manifest: Default::default(),
-        gave_up: Vec::new(),
-        gave_up_set: HashSet::new(),
-        tele,
-    };
+    let mut s = Session::new(dag, cfg, root.tele().clone());
     let mut monitor = MspMonitor::new();
-    let mut msp_ids: Vec<NodeId> = Vec::new();
 
     let mut order: Vec<NodeId> = dag.node_ids().filter(|&i| dag.node(i).valid).collect();
     order.shuffle(&mut s.rng);
@@ -269,36 +217,24 @@ pub fn run_naive<C: CrowdSource>(
         if s.exhausted() {
             break;
         }
-        if s.cls.class(dag, id) != Class::Unknown {
+        if s.fold.class(dag, id) != Class::Unknown {
             continue;
         }
         s.ask_concrete(dag, crowd, member, id);
-        let known = msp_ids.len();
-        monitor.update(dag, &mut s.cls, s.questions, &mut s.events, &mut msp_ids);
-        // PANIC-OK: `known` was msp_ids.len() before the update; the
-        // monitor only appends, so the range is in bounds.
-        // PANIC-OK: `known` was msp_ids.len() before the update; the monitor
-        // only appends, so the range is in bounds.
-        s.ops
-            .record_msps(s.questions, member, dag, &msp_ids[known..]);
+        monitor.update(dag, &mut s.fold, member);
     }
     // classify leftover non-valid nodes so the MSP sweep can conclude:
     // the naive algorithm only *asks* valid assignments, but entailment
     // over the expanded DAG still applies.
-    let known = msp_ids.len();
-    monitor.update(dag, &mut s.cls, s.questions, &mut s.events, &mut msp_ids);
-    // PANIC-OK: `known` was msp_ids.len() before the update; the monitor
-    // only appends, so the range is in bounds.
-    s.ops
-        .record_msps(s.questions, member, dag, &msp_ids[known..]);
+    monitor.update(dag, &mut s.fold, member);
     let all_resolved = {
         let view = dag.view();
         s.gave_up
             .iter()
-            .all(|&id| s.cls.class_frozen(&view, id) != Class::Unknown)
+            .all(|&id| s.fold.classifier().class_frozen(&view, id) != Class::Unknown)
     };
     let complete = s.available && !s.exhausted_budget() && all_resolved;
-    finish(dag, s, msp_ids, complete)
+    s.finish(dag, complete)
 }
 
 #[cfg(test)]

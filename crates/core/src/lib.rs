@@ -13,6 +13,8 @@
 //!   Observation 4.4, plus user-guided pruning.
 //! * [`vertical`] — Algorithm 1 (single user).
 //! * [`multi`] — the multi-user engine of Section 4.2 (`QueueManager`).
+//! * `fold` — the classification fold: the one writer of shared
+//!   classification state, run by every engine and by op-log replay.
 //! * [`oplog`] — the answer-operation log: every accepted answer as a
 //!   replayable delta, permutation-invariant under the canonical merge
 //!   order.
@@ -48,6 +50,7 @@ pub mod dag;
 pub mod diversify;
 pub mod engine;
 pub mod fingerprint;
+mod fold;
 pub mod invariants;
 pub mod manifest;
 pub mod multi;

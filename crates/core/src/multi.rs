@@ -17,16 +17,18 @@
 //! minimal unclassified one — when a general assignment is insignificant
 //! for a member, its typically many successors are pruned *for that user*.
 
-use crate::aggregate::{AggVerdict, Aggregator};
+use crate::aggregate::Aggregator;
 use crate::baselines::MspMonitor;
 use crate::classify::{Class, Classifier};
 use crate::dag::{Dag, NodeId};
+use crate::fold::{Fold, FoldMode};
 use crate::manifest::{ask_with_retry, PartialManifest};
-use crate::vertical::{DiscoveryEvent, MiningConfig, MiningOutcome, ValidTracker};
-use crowd::{Answer, CrowdPolicy, CrowdSource, MemberId, Question};
+use crate::oplog::OpVerdict;
+use crate::vertical::{MiningConfig, MiningOutcome};
+use crowd::{Answer, CrowdSource, MemberId, Question};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
 /// Question-type bookkeeping (the answer-mix statistics of Section 6.3).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -119,6 +121,17 @@ impl Degradation {
     }
 }
 
+/// The run state every member shares: the classification fold plus the
+/// planner's answer-mix and degradation bookkeeping.
+struct Shared<'a> {
+    fold: Fold<'a>,
+    stats: QuestionStats,
+    deg: Degradation,
+    /// Nodes the fold just marked significant, awaiting fan-out to every
+    /// member's queue.
+    newly_significant: Vec<NodeId>,
+}
+
 impl MemberState {
     fn push_hot(&mut self, id: NodeId) {
         self.hot.push_back(id);
@@ -159,26 +172,28 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
     let root = cfg.telemetry.span("mine.multi");
     let tele = root.tele().clone();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut global = Classifier::new();
-    let mut answers: HashMap<NodeId, Vec<(MemberId, f64)>> = HashMap::new();
-    let mut tracker = ValidTracker::new(dag)
-        .with_pool(cfg.pool)
-        .with_telemetry(tele.clone());
-    let mut events: Vec<DiscoveryEvent> = Vec::new();
+    let mut run = Shared {
+        fold: Fold::new(
+            dag,
+            threshold,
+            Some(aggregator),
+            cfg.pool,
+            &tele,
+            FoldMode::Engine,
+        ),
+        stats: QuestionStats::default(),
+        deg: Degradation::default(),
+        newly_significant: Vec::new(),
+    };
     let mut monitor = MspMonitor::new();
-    let mut msp_ids: Vec<NodeId> = Vec::new();
-    let mut stats = QuestionStats::default();
-    let mut questions = 0usize;
     let mut rounds = 0usize;
-    let mut oplog = crate::oplog::OpLog::new(threshold, true);
-    // ops already handed to cfg.op_tap (a prefix of oplog.ops())
+    // ops already handed to cfg.op_tap (a prefix of the fold's log)
     let mut tap_flushed = 0usize;
     // member of the most recent answered question: MSPs confirmed by the
     // final monitor sweep are logged under it, keeping every tick's ops
     // single-member (the canonical merge order then matches recording
     // order exactly).
     let mut last_member = MemberId(0);
-    let mut newly_significant: Vec<NodeId> = Vec::new();
     let mut global_decisions = 0usize;
 
     let roots: VecDeque<NodeId> = dag.roots().iter().copied().collect();
@@ -202,15 +217,14 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
         })
         .collect();
     let mut per_member: Vec<usize> = vec![0; members.len()];
-    let mut deg = Degradation::default();
 
     'outer: loop {
         let _round = tele.span("round");
         let tele = _round.tele();
         let mut asked_this_round = 0usize;
-        deg.gave_up_this_round = 0;
+        run.deg.gave_up_this_round = 0;
         for mi in 0..members.len() {
-            if cfg.max_questions.is_some_and(|m| questions >= m) {
+            if cfg.max_questions.is_some_and(|m| run.fold.questions() >= m) {
                 break 'outer;
             }
             // PANIC-OK: `mi` ranges over 0..members.len() by construction.
@@ -221,7 +235,7 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
             let mut planned: Vec<NodeId> = Vec::with_capacity(width);
             if width == 1 {
                 // PANIC-OK: `mi` is in bounds, as above.
-                if let Some(t) = next_target(dag, &mut global, &mut members[mi]) {
+                if let Some(t) = next_target(dag, run.fold.classifier_mut(), &mut members[mi]) {
                     planned.push(t);
                 }
             } else {
@@ -233,8 +247,10 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
                 // than asked redundantly in the same batch.
                 let mut deferred: Vec<NodeId> = Vec::new();
                 while planned.len() < width {
-                    // PANIC-OK: `mi` is in bounds, as above.
-                    let Some(t) = next_target(dag, &mut global, &mut members[mi]) else {
+                    let Some(t) =
+                        // PANIC-OK: `mi` is in bounds, as above.
+                        next_target(dag, run.fold.classifier_mut(), &mut members[mi])
+                    else {
                         break;
                     };
                     if planned.iter().any(|&p| dag.leq(p, t) || dag.leq(t, p)) {
@@ -266,88 +282,31 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
                 }
             }
             for target in planned {
-                if cfg.max_questions.is_some_and(|m| questions >= m) {
+                if cfg.max_questions.is_some_and(|m| run.fold.questions() >= m) {
                     break 'outer;
                 }
                 // batch efficiency: an answer landing after an earlier answer
                 // of the same batch already classified its target is redundant
-                // (record_answer will ignore it)
+                // (the fold will not mark it again)
                 let redundant = width > 1 && {
                     let view = dag.view();
-                    global.class_frozen(&view, target) != Class::Unknown
+                    run.fold.classifier().class_frozen(&view, target) != Class::Unknown
                 };
                 // question-type policy: specialization with configured ratio
                 let mut asked = false;
                 if cfg.specialization_ratio > 0.0 && rng.gen_bool(cfg.specialization_ratio) {
-                    let span = dag.ensure_children(target);
-                    let mut options: Vec<NodeId> = Vec::new();
-                    for ci in 0..span.1 {
-                        // PANIC-OK: `ci` ranges over the span's own length.
-                        let c = dag.child_slice(span)[ci as usize];
-                        if global.class(dag, c) == Class::Unknown
+                    // PANIC-OK: `mi` is in bounds, as above.
+                    asked = run.ask_specialization(dag, crowd, cfg, &mut members[mi], target, tele);
+                    if asked {
+                        // the base itself is still unanswered by this
+                        // member - revisit it later
                         // PANIC-OK: `mi` is in bounds, as above.
-                        && !members[mi].answered.contains(&c)
-                        // PANIC-OK: `mi` is in bounds, as above.
-                        && members[mi].personal.class(dag, c) != Class::Insignificant
-                        {
-                            options.push(c);
-                            if options.len() >= cfg.max_spec_options {
-                                break;
-                            }
-                        }
-                    }
-                    if !options.is_empty() {
-                        asked = ask_specialization(
-                            dag,
-                            crowd,
-                            aggregator,
-                            threshold,
-                            &cfg.policy,
-                            &mut deg,
-                            // PANIC-OK: `mi` is in bounds, as above.
-                            &mut members[mi],
-                            &options,
-                            target,
-                            &mut answers,
-                            &mut global,
-                            &mut tracker,
-                            &mut stats,
-                            &mut questions,
-                            &mut events,
-                            &mut newly_significant,
-                            &mut oplog,
-                            tele,
-                        );
-                        if asked {
-                            // the base itself is still unanswered by this
-                            // member - revisit it later
-                            // PANIC-OK: `mi` is in bounds, as above.
-                            members[mi].push_hot(target);
-                        }
+                        members[mi].push_hot(target);
                     }
                 }
                 if !asked {
-                    asked = ask_concrete(
-                        dag,
-                        crowd,
-                        aggregator,
-                        threshold,
-                        &cfg.pool,
-                        &cfg.policy,
-                        &mut deg,
-                        // PANIC-OK: `mi` is in bounds, as above.
-                        &mut members[mi],
-                        target,
-                        &mut answers,
-                        &mut global,
-                        &mut tracker,
-                        &mut stats,
-                        &mut questions,
-                        &mut events,
-                        &mut newly_significant,
-                        &mut oplog,
-                        tele,
-                    );
+                    // PANIC-OK: `mi` is in bounds, as above.
+                    asked = run.ask_concrete(dag, crowd, cfg, &mut members[mi], target, tele);
                 }
                 if asked {
                     // PANIC-OK: per_member was sized to members.len().
@@ -368,9 +327,10 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
                     // fan out the children of any node that just became
                     // globally significant to every member's queue (the
                     // QueueManager's frontier maintenance)
-                    let had_transition = global_decisions != global.decisions();
-                    global_decisions = global.decisions();
-                    let newly: Vec<NodeId> = std::mem::take(&mut newly_significant);
+                    let decisions = run.fold.classifier().decisions();
+                    let had_transition = global_decisions != decisions;
+                    global_decisions = decisions;
+                    let newly: Vec<NodeId> = std::mem::take(&mut run.newly_significant);
                     for node in newly {
                         let span = dag.ensure_children(node);
                         // a sticky-Insignificant child would be skipped as a
@@ -380,7 +340,10 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
                             .child_slice(span)
                             .iter()
                             .copied()
-                            .filter(|&c| global.cached_queried(c) != Some(Class::Insignificant))
+                            .filter(|&c| {
+                                run.fold.classifier().cached_queried(c)
+                                    != Some(Class::Insignificant)
+                            })
                             .collect();
                         for ms in members.iter_mut() {
                             ms.extend_hot(fresh.iter().copied());
@@ -389,17 +352,12 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
                     // MSP entailment can only change when a global
                     // classification changed
                     if had_transition {
-                        let known = msp_ids.len();
-                        monitor.update(dag, &mut global, questions, &mut events, &mut msp_ids);
-                        // PANIC-OK: `known` was msp_ids.len() before the update; the
-                        // monitor only appends, so the range is in bounds.
-                        // PANIC-OK: `known` was msp_ids.len() before the update; the monitor
-                        // only appends, so the range is in bounds.
-                        oplog.record_msps(questions, last_member, dag, &msp_ids[known..]);
+                        monitor.update(dag, &mut run.fold, last_member);
                         // TOP k early termination (Section 8 extension)
                         if let Some(k) = dag.query().top_k {
                             if !dag.query().diverse {
-                                let valid = msp_ids.iter().filter(|&&m| dag.node(m).valid).count();
+                                let msps = run.fold.msp_ids();
+                                let valid = msps.iter().filter(|&&m| dag.node(m).valid).count();
                                 if valid >= k {
                                     break 'outer;
                                 }
@@ -408,10 +366,11 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
                     }
                 }
                 if cfg.debug_checks {
-                    if stats.total() != questions {
+                    let questions = run.fold.questions();
+                    if run.stats.total() != questions {
                         panic!(
                         "simulation invariant violated: question stats total {} != questions {questions}",
-                        stats.total()
+                        run.stats.total()
                     );
                     }
                     if let Some(mx) = cfg.max_questions {
@@ -420,12 +379,14 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
                         "simulation invariant violated: {questions} questions exceed the budget of {mx}"
                     );
                     }
+                    let global = run.fold.classifier();
                     if let Err(e) =
-                        crate::invariants::check_classification_monotonicity(dag, &global)
+                        crate::invariants::check_classification_monotonicity(dag, global)
                     {
                         panic!("simulation invariant violated: {e}");
                     }
-                    if let Err(e) = crate::invariants::check_msp_maximality(dag, &global, &msp_ids)
+                    if let Err(e) =
+                        crate::invariants::check_msp_maximality(dag, global, run.fold.msp_ids())
                     {
                         panic!("simulation invariant violated: {e}");
                     }
@@ -439,13 +400,13 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
         // serving layer's tap — a crash after this point replays the
         // round, a crash before it loses only this round
         if let Some(tap) = &cfg.op_tap {
-            let ops = oplog.ops();
+            let ops = run.fold.log().ops();
             if tap_flushed < ops.len() {
                 tap.append(dag, &ops[tap_flushed..]); // PANIC-OK: tap_flushed only ever takes values of ops.len(), which never shrinks.
                 tap_flushed = ops.len();
             }
         }
-        if asked_this_round == 0 && deg.gave_up_this_round == 0 {
+        if asked_this_round == 0 && run.deg.gave_up_this_round == 0 {
             break;
         }
     }
@@ -453,92 +414,39 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
     // The completeness check expands the remaining significant frontier,
     // which may generate children that are classified purely by inference;
     // a final monitor sweep then confirms the last MSPs.
-    let complete =
-        crate::vertical::find_minimal_unclassified(dag, &mut global, &cfg.pool, &HashSet::new())
-            .is_none();
-    let known = msp_ids.len();
-    monitor.update(dag, &mut global, questions, &mut events, &mut msp_ids);
-    // PANIC-OK: `known` was msp_ids.len() before the update; the monitor
-    // only appends, so the range is in bounds.
-    oplog.record_msps(questions, last_member, dag, &msp_ids[known..]);
-    oplog.set_complete(complete);
+    let complete = crate::vertical::find_minimal_unclassified(
+        dag,
+        run.fold.classifier_mut(),
+        &cfg.pool,
+        &HashSet::new(),
+    )
+    .is_none();
+    monitor.update(dag, &mut run.fold, last_member);
     // final tap flush: the completeness sweep may have confirmed MSPs
     // after the last round boundary
     if let Some(tap) = &cfg.op_tap {
-        let ops = oplog.ops();
+        let ops = run.fold.log().ops();
         if tap_flushed < ops.len() {
             tap.append(dag, &ops[tap_flushed..]); // PANIC-OK: tap_flushed only ever takes values of ops.len(), which never shrinks.
         }
     }
-    let manifest = {
-        // frozen sweep: a gave-up node later classified through another
-        // member or by inference is answered, not missing
-        let mut manifest = deg.manifest;
-        let view = dag.view();
-        manifest.unanswered = deg
-            .gave_up
-            .iter()
-            .copied()
-            .filter(|&id| global.class_frozen(&view, id) == Class::Unknown)
-            .map(|id| view.node(id).assignment.clone())
-            .collect();
-        manifest
-    };
-    let undecided = {
-        // frozen sweep: no classification changes past this point, so the
-        // count shards over the read-only view
-        let view = dag.view();
-        let ids: Vec<NodeId> = dag.node_ids().collect();
-        cfg.pool
-            .par_map(&ids, |&i| global.class_frozen(&view, i) == Class::Unknown)
-            .into_iter()
-            .filter(|&u| u)
-            .count()
-    };
-    let msps: Vec<crate::Assignment> = msp_ids
-        .iter()
-        .map(|&i| dag.node(i).assignment.clone())
-        .collect();
-    let valid_msps: Vec<crate::Assignment> = msp_ids
-        .iter()
-        .filter(|&&i| dag.node(i).valid)
-        .map(|&i| dag.node(i).assignment.clone())
-        .collect();
-    let significant_valid = crate::vertical::significant_valid_assignments(dag, &global, &cfg.pool);
-    let total_valid = tracker.len();
-    let valid_mult_nodes = dag
-        .node_ids()
-        .filter(|&i| dag.node(i).valid && !dag.node(i).assignment.is_base())
-        .count();
+    let undecided = run.fold.undecided(dag, &cfg.pool);
+    let mining = run.fold.finish(
+        dag,
+        complete,
+        run.deg.manifest,
+        &run.deg.gave_up,
+        &cfg.pool,
+        &tele,
+    );
     if tele.is_enabled() {
-        let (hits, misses) = global.cache_stats();
-        tele.count("classifier.cache_hits", hits);
-        tele.count("classifier.cache_misses", misses);
-        let gs = dag.stats();
-        tele.count("dag.nodes_created", gs.nodes_created as u64);
-        tele.count("dag.nodes_expanded", gs.nodes_expanded as u64);
-        tele.count("dag.admits_calls", gs.admits_calls as u64);
-        tele.count("validity.bases_classified", tracker.total_classified as u64);
         for &n in &per_member {
             tele.observe("engine.answers_per_member", n as u64);
         }
     }
     MultiOutcome {
-        mining: MiningOutcome {
-            msps,
-            valid_msps,
-            significant_valid,
-            total_valid,
-            valid_mult_nodes,
-            questions,
-            events,
-            gen_stats: dag.stats(),
-            nodes_materialized: dag.len(),
-            complete,
-            manifest,
-            ops: oplog,
-        },
-        question_stats: stats,
+        mining,
+        question_stats: run.stats,
         answers_per_member: per_member,
         undecided,
         rounds,
@@ -601,334 +509,232 @@ fn next_target(dag: &mut Dag<'_>, global: &mut Classifier, m: &mut MemberState) 
     None
 }
 
-#[allow(clippy::too_many_arguments)]
-fn record_answer<A: Aggregator>(
-    dag: &mut Dag<'_>,
-    aggregator: &A,
-    threshold: f64,
-    node: NodeId,
-    member: MemberId,
-    support: f64,
-    answers: &mut HashMap<NodeId, Vec<(MemberId, f64)>>,
-    global: &mut Classifier,
-    tracker: &mut ValidTracker,
-    questions: usize,
-    events: &mut Vec<DiscoveryEvent>,
-    newly_significant: &mut Vec<NodeId>,
-    oplog: &mut crate::oplog::OpLog,
-) {
-    oplog.record(
-        questions,
-        member,
-        node,
-        crate::oplog::OpVerdict::Support { support },
-    );
-    let entry = answers.entry(node).or_default();
-    entry.push((member, support));
-    let verdict = aggregator.verdict(entry, threshold);
-    if verdict == AggVerdict::Undecided || global.class(dag, node) != Class::Unknown {
-        return;
-    }
-    let sig = verdict == AggVerdict::Significant;
-    if sig {
-        global.mark_significant(dag, node);
-        newly_significant.push(node);
-    } else {
-        global.mark_insignificant(dag, node);
-    }
-    if tracker.witness(dag, node, sig) {
-        events.push(DiscoveryEvent {
-            question: questions,
-            kind: crate::vertical::DiscoveryKind::ValidClassified {
-                total: tracker.total_classified,
-            },
-        });
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn ask_concrete<C: CrowdSource, A: Aggregator>(
-    dag: &mut Dag<'_>,
-    crowd: &mut C,
-    aggregator: &A,
-    threshold: f64,
-    pool: &minipool::Pool,
-    policy: &CrowdPolicy,
-    deg: &mut Degradation,
-    m: &mut MemberState,
-    target: NodeId,
-    answers: &mut HashMap<NodeId, Vec<(MemberId, f64)>>,
-    global: &mut Classifier,
-    tracker: &mut ValidTracker,
-    stats: &mut QuestionStats,
-    questions: &mut usize,
-    events: &mut Vec<DiscoveryEvent>,
-    newly_significant: &mut Vec<NodeId>,
-    oplog: &mut crate::oplog::OpLog,
-    tele: &telemetry::Telemetry,
-) -> bool {
-    let pattern = dag.node(target).assignment.apply(dag.query());
-    let question = Question::Concrete { pattern };
-    let answer = ask_with_retry(
-        crowd,
-        m.id,
-        &question,
-        policy,
-        &mut deg.manifest.timeouts,
-        &mut deg.manifest.retries,
-        tele,
-    );
-    match answer {
-        Answer::Support { support, more_tip } => {
-            *questions += 1;
-            stats.concrete += 1;
-            tele.count("engine.questions", 1);
-            tele.count("questions.concrete", 1);
-            m.answered.insert(target);
-            if support >= threshold {
-                m.personal.mark_significant(dag, target);
-                if let Some(tip) = more_tip {
-                    dag.attach_more_tip(target, tip);
-                }
-                // personal descent (rule 4): this member may be asked
-                // about the successors — low priority, so quorum work on
-                // the shared frontier runs first
-                let span = dag.ensure_children(target);
-                m.extend_cold(
-                    dag.child_slice(span)
-                        .iter()
-                        .copied()
-                        .filter(|&c| global.cached_queried(c) != Some(Class::Insignificant)),
-                );
-            } else {
-                m.personal.mark_insignificant(dag, target);
-            }
-            record_answer(
-                dag,
-                aggregator,
-                threshold,
-                target,
-                m.id,
-                support,
-                answers,
-                global,
-                tracker,
-                *questions,
-                events,
-                newly_significant,
-                oplog,
-            );
-            true
+impl Shared<'_> {
+    /// Folds one member's support vote for `node` at `tick`; a node the
+    /// vote decides significant is queued for fan-out.
+    fn vote(&mut self, dag: &Dag<'_>, tick: usize, member: MemberId, node: NodeId, support: f64) {
+        if self
+            .fold
+            .record(dag, tick, member, node, OpVerdict::Support { support })
+        {
+            self.newly_significant.push(node);
         }
-        Answer::Irrelevant { elem } => {
-            *questions += 1;
-            stats.pruning += 1;
-            tele.count("engine.questions", 1);
-            tele.count("questions.pruning", 1);
-            m.answered.insert(target);
-            oplog.record(
-                *questions,
-                m.id,
-                NodeId::SENTINEL,
-                crate::oplog::OpVerdict::NoAnswer,
-            );
-            m.personal.prune_elem(dag, elem);
-            // The click answers *every* assignment involving the element
-            // (or a specialization) at once for this member — feed those
-            // implicit 0-answers to the aggregator for all materialized
-            // nodes, so pruned cones reach quorum without further
-            // questions (Section 6.2's bulk effect). A node holds a
-            // specialization of `elem` in some slot exactly when `elem`'s
-            // bit is set in that slot's ancestor-closure fingerprint, so
-            // the per-node test is one bit probe per slot.
-            let affected: Vec<NodeId> = {
-                // the per-node probe is a pure read — shard it across the
-                // pool and merge the hits back in node-id order
-                let view = dag.view();
-                let vocab = view.vocab();
-                let space = view.fp_space();
-                let wps = space.words_per_slot();
-                let ebit_word = elem.index() / 64;
-                let ebit_mask = 1u64 << (elem.index() % 64);
-                let ids: Vec<NodeId> = view.node_ids().collect();
-                let hits = pool.par_map(&ids, |&id| {
-                    let words = view.fp_words(id);
-                    let hit_value = (0..space.num_slots()).any(|si| {
-                        // PANIC-OK: fingerprint layout fixes words.len() at
-                        // num_slots * wps with ebit_word < elem_words <= wps.
-                        words[si * wps + ebit_word] & ebit_mask != 0
+    }
+
+    /// Queues the children of `node` (significant for `m`) on the
+    /// member's low-priority frontier — personal descent (rule 4), run
+    /// after quorum work on the shared frontier.
+    fn descend(&self, dag: &mut Dag<'_>, m: &mut MemberState, node: NodeId) {
+        let span = dag.ensure_children(node);
+        m.extend_cold(
+            dag.child_slice(span).iter().copied().filter(|&c| {
+                self.fold.classifier().cached_queried(c) != Some(Class::Insignificant)
+            }),
+        );
+    }
+
+    fn ask_concrete<C: CrowdSource>(
+        &mut self,
+        dag: &mut Dag<'_>,
+        crowd: &mut C,
+        cfg: &MiningConfig,
+        m: &mut MemberState,
+        target: NodeId,
+        tele: &telemetry::Telemetry,
+    ) -> bool {
+        let pattern = dag.node(target).assignment.apply(dag.query());
+        let question = Question::Concrete { pattern };
+        let answer = ask_with_retry(
+            crowd,
+            m.id,
+            &question,
+            &cfg.policy,
+            &mut self.deg.manifest.timeouts,
+            &mut self.deg.manifest.retries,
+            tele,
+        );
+        match answer {
+            Answer::Support { support, more_tip } => {
+                self.stats.concrete += 1;
+                tele.count("engine.questions", 1);
+                tele.count("questions.concrete", 1);
+                let tick = self.fold.questions() + 1;
+                m.answered.insert(target);
+                if support >= self.fold.threshold() {
+                    m.personal.mark_significant(dag, target);
+                    if let Some(tip) = more_tip {
+                        dag.attach_more_tip(target, tip);
+                    }
+                    self.descend(dag, m, target);
+                } else {
+                    m.personal.mark_insignificant(dag, target);
+                }
+                self.vote(dag, tick, m.id, target, support);
+                true
+            }
+            Answer::Irrelevant { elem } => {
+                self.stats.pruning += 1;
+                tele.count("engine.questions", 1);
+                tele.count("questions.pruning", 1);
+                let tick = self.fold.questions() + 1;
+                m.answered.insert(target);
+                self.fold
+                    .record(dag, tick, m.id, NodeId::SENTINEL, OpVerdict::NoAnswer);
+                m.personal.prune_elem(dag, elem);
+                // The click answers *every* assignment involving the element
+                // (or a specialization) at once for this member — feed those
+                // implicit 0-answers to the aggregator for all materialized
+                // nodes, so pruned cones reach quorum without further
+                // questions (Section 6.2's bulk effect). A node holds a
+                // specialization of `elem` in some slot exactly when `elem`'s
+                // bit is set in that slot's ancestor-closure fingerprint, so
+                // the per-node test is one bit probe per slot.
+                let affected: Vec<NodeId> = {
+                    // the per-node probe is a pure read — shard it across the
+                    // pool and merge the hits back in node-id order
+                    let view = dag.view();
+                    let vocab = view.vocab();
+                    let space = view.fp_space();
+                    let wps = space.words_per_slot();
+                    let ebit_word = elem.index() / 64;
+                    let ebit_mask = 1u64 << (elem.index() % 64);
+                    let ids: Vec<NodeId> = view.node_ids().collect();
+                    let hits = cfg.pool.par_map(&ids, |&id| {
+                        let words = view.fp_words(id);
+                        let hit_value = (0..space.num_slots()).any(|si| {
+                            // PANIC-OK: fingerprint layout fixes words.len() at
+                            // num_slots * wps with ebit_word < elem_words <= wps.
+                            words[si * wps + ebit_word] & ebit_mask != 0
+                        });
+                        hit_value
+                            || view.node(id).assignment.more().iter().any(|f| {
+                                vocab.elem_leq(elem, f.subject) || vocab.elem_leq(elem, f.object)
+                            })
                     });
-                    hit_value
-                        || view.node(id).assignment.more().iter().any(|f| {
-                            vocab.elem_leq(elem, f.subject) || vocab.elem_leq(elem, f.object)
-                        })
-                });
-                ids.into_iter()
-                    .zip(hits)
-                    .filter_map(|(id, hit)| hit.then_some(id))
-                    .collect()
-            };
-            for id in affected {
-                if m.answered.insert(id) {
-                    record_answer(
-                        dag,
-                        aggregator,
-                        threshold,
-                        id,
-                        m.id,
-                        0.0,
-                        answers,
-                        global,
-                        tracker,
-                        *questions,
-                        events,
-                        newly_significant,
-                        oplog,
-                    );
+                    ids.into_iter()
+                        .zip(hits)
+                        .filter_map(|(id, hit)| hit.then_some(id))
+                        .collect()
+                };
+                for id in affected {
+                    if m.answered.insert(id) {
+                        self.vote(dag, tick, m.id, id, 0.0);
+                    }
+                }
+                true
+            }
+            Answer::Unavailable => {
+                m.active = false;
+                false
+            }
+            Answer::NoResponse => {
+                // retries exhausted: this member gives up on the target
+                // (another member can still answer it); no question counted
+                m.answered.insert(target);
+                self.deg.record_give_up(target);
+                false
+            }
+            _ => unreachable!("non-concrete answer to a concrete question"),
+        }
+    }
+
+    /// Asks `m` a specialization question at `base`, offering its
+    /// unclassified children that `m` has neither answered nor personally
+    /// excluded; asks nothing (returns `false`) when there are none.
+    fn ask_specialization<C: CrowdSource>(
+        &mut self,
+        dag: &mut Dag<'_>,
+        crowd: &mut C,
+        cfg: &MiningConfig,
+        m: &mut MemberState,
+        base: NodeId,
+        tele: &telemetry::Telemetry,
+    ) -> bool {
+        let span = dag.ensure_children(base);
+        let mut options: Vec<NodeId> = Vec::new();
+        for ci in 0..span.1 {
+            // PANIC-OK: `ci` ranges over the span's own length.
+            let c = dag.child_slice(span)[ci as usize];
+            if self.fold.class(dag, c) == Class::Unknown
+                && !m.answered.contains(&c)
+                && m.personal.class(dag, c) != Class::Insignificant
+            {
+                options.push(c);
+                if options.len() >= cfg.max_spec_options {
+                    break;
                 }
             }
-            true
         }
-        Answer::Unavailable => {
-            m.active = false;
-            false
+        if options.is_empty() {
+            return false;
         }
-        Answer::NoResponse => {
-            // retries exhausted: this member gives up on the target
-            // (another member can still answer it); no question counted
-            m.answered.insert(target);
-            deg.record_give_up(target);
-            false
-        }
-        _ => unreachable!("non-concrete answer to a concrete question"),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn ask_specialization<C: CrowdSource, A: Aggregator>(
-    dag: &mut Dag<'_>,
-    crowd: &mut C,
-    aggregator: &A,
-    threshold: f64,
-    policy: &CrowdPolicy,
-    deg: &mut Degradation,
-    m: &mut MemberState,
-    options: &[NodeId],
-    base: NodeId,
-    answers: &mut HashMap<NodeId, Vec<(MemberId, f64)>>,
-    global: &mut Classifier,
-    tracker: &mut ValidTracker,
-    stats: &mut QuestionStats,
-    questions: &mut usize,
-    events: &mut Vec<DiscoveryEvent>,
-    newly_significant: &mut Vec<NodeId>,
-    oplog: &mut crate::oplog::OpLog,
-    tele: &telemetry::Telemetry,
-) -> bool {
-    let q = Question::Specialization {
-        base: dag.node(base).assignment.apply(dag.query()),
-        options: options
-            .iter()
-            .map(|&o| dag.node(o).assignment.apply(dag.query()))
-            .collect(),
-    };
-    let answer = ask_with_retry(
-        crowd,
-        m.id,
-        &q,
-        policy,
-        &mut deg.manifest.timeouts,
-        &mut deg.manifest.retries,
-        tele,
-    );
-    match answer {
-        Answer::Specialized { choice, support } => {
-            *questions += 1;
-            stats.specialization += 1;
-            tele.count("engine.questions", 1);
-            tele.count("questions.specialization", 1);
-            // PANIC-OK: callers pass a non-empty options slice and the
-            // clamp keeps any crowd-supplied choice in bounds.
-            let chosen = options[choice.min(options.len() - 1)];
-            m.answered.insert(chosen);
-            if support >= threshold {
-                m.personal.mark_significant(dag, chosen);
-                let span = dag.ensure_children(chosen);
-                m.extend_cold(
-                    dag.child_slice(span)
-                        .iter()
-                        .copied()
-                        .filter(|&c| global.cached_queried(c) != Some(Class::Insignificant)),
-                );
-            } else {
-                m.personal.mark_insignificant(dag, chosen);
+        let q = Question::Specialization {
+            base: dag.node(base).assignment.apply(dag.query()),
+            options: options
+                .iter()
+                .map(|&o| dag.node(o).assignment.apply(dag.query()))
+                .collect(),
+        };
+        let answer = ask_with_retry(
+            crowd,
+            m.id,
+            &q,
+            &cfg.policy,
+            &mut self.deg.manifest.timeouts,
+            &mut self.deg.manifest.retries,
+            tele,
+        );
+        match answer {
+            Answer::Specialized { choice, support } => {
+                self.stats.specialization += 1;
+                tele.count("engine.questions", 1);
+                tele.count("questions.specialization", 1);
+                let tick = self.fold.questions() + 1;
+                // PANIC-OK: callers pass a non-empty options slice and the
+                // clamp keeps any crowd-supplied choice in bounds.
+                let chosen = options[choice.min(options.len() - 1)];
+                m.answered.insert(chosen);
+                if support >= self.fold.threshold() {
+                    m.personal.mark_significant(dag, chosen);
+                    self.descend(dag, m, chosen);
+                } else {
+                    m.personal.mark_insignificant(dag, chosen);
+                }
+                self.vote(dag, tick, m.id, chosen, support);
+                true
             }
-            record_answer(
-                dag,
-                aggregator,
-                threshold,
-                chosen,
-                m.id,
-                support,
-                answers,
-                global,
-                tracker,
-                *questions,
-                events,
-                newly_significant,
-                oplog,
-            );
-            true
-        }
-        Answer::NoneOfThese => {
-            *questions += 1;
-            stats.none_of_these += 1;
-            tele.count("engine.questions", 1);
-            tele.count("questions.none_of_these", 1);
-            for &o in options {
-                m.answered.insert(o);
-                m.personal.mark_insignificant(dag, o);
-                record_answer(
-                    dag,
-                    aggregator,
-                    threshold,
-                    o,
-                    m.id,
-                    0.0,
-                    answers,
-                    global,
-                    tracker,
-                    *questions,
-                    events,
-                    newly_significant,
-                    oplog,
-                );
+            Answer::NoneOfThese => {
+                self.stats.none_of_these += 1;
+                tele.count("engine.questions", 1);
+                tele.count("questions.none_of_these", 1);
+                let tick = self.fold.questions() + 1;
+                for &o in &options {
+                    m.answered.insert(o);
+                    m.personal.mark_insignificant(dag, o);
+                    self.vote(dag, tick, m.id, o, 0.0);
+                }
+                true
             }
-            true
+            Answer::Irrelevant { elem } => {
+                self.stats.pruning += 1;
+                tele.count("engine.questions", 1);
+                tele.count("questions.pruning", 1);
+                let tick = self.fold.questions() + 1;
+                self.fold
+                    .record(dag, tick, m.id, NodeId::SENTINEL, OpVerdict::NoAnswer);
+                m.personal.prune_elem(dag, elem);
+                true
+            }
+            Answer::Unavailable => {
+                m.active = false;
+                false
+            }
+            // spec timeout: nothing classified, no give-up — the caller falls
+            // back to a concrete probe of the base, whose own give-up path
+            // guarantees progress
+            Answer::NoResponse => false,
+            _ => unreachable!("support answer to a specialization question"),
         }
-        Answer::Irrelevant { elem } => {
-            *questions += 1;
-            stats.pruning += 1;
-            tele.count("engine.questions", 1);
-            tele.count("questions.pruning", 1);
-            oplog.record(
-                *questions,
-                m.id,
-                NodeId::SENTINEL,
-                crate::oplog::OpVerdict::NoAnswer,
-            );
-            m.personal.prune_elem(dag, elem);
-            true
-        }
-        Answer::Unavailable => {
-            m.active = false;
-            false
-        }
-        // spec timeout: nothing classified, no give-up — the caller falls
-        // back to a concrete probe of the base, whose own give-up path
-        // guarantees progress
-        Answer::NoResponse => false,
-        _ => unreachable!("support answer to a specialization question"),
     }
 }
 

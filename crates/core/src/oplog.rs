@@ -1,14 +1,13 @@
-//! # Answer-operation log — incremental classification deltas
+//! # Answer-operation log — the record of a run's classification deltas
 //!
-//! The round-driven engines ([`crate::vertical`], [`crate::baselines`],
-//! [`crate::multi`]) re-derive classification state inside their control
-//! loops: pick a question, block on the answer (and, multi-user, on the
-//! aggregator), mark, propagate, scan for the next frontier. This module
-//! turns every *accepted* crowd interaction into a first-class, replayable
-//! operation — an [`AnswerOp`] — appended to the run's [`OpLog`], so the
-//! same mining outcome can be reproduced by **applying answer deltas in
-//! log order** with no question selection, no crowd, and no round
-//! structure at all.
+//! Every *accepted* crowd interaction of a run is an [`AnswerOp`] in the
+//! run's [`OpLog`]. The engines do not write classification state
+//! themselves: they hand each answer to the classification fold
+//! (`crate::fold`), whose single
+//! `apply` appends the op here and applies its delta. Replaying a log is
+//! the same fold with no planner, so the mining outcome is reproduced by
+//! **applying answer deltas in log order** with no question selection, no
+//! crowd and no round structure.
 //!
 //! ## What is recorded
 //!
@@ -21,11 +20,11 @@
 //!   answer, a specialization choice, or (multi-user) the implicit
 //!   0-support fan-out of a pruning click and the per-option 0-supports of
 //!   "none of these". In aggregated logs the op feeds the black-box
-//!   [`Aggregator`] exactly as [`crate::multi`]'s `record_answer` does; in
-//!   single-user logs it marks directly against the threshold.
+//!   [`Aggregator`]; in single-user logs it marks directly against the
+//!   threshold.
 //! * [`OpVerdict::NoneOfThese`] — the single-user grouped "none of these":
 //!   all options marked insignificant as *one* interaction with at most
-//!   one discovery event, mirroring `Session::ask_specialization`.
+//!   one discovery event.
 //! * [`OpVerdict::Prune`] — a single-user "irrelevant" click: the element
 //!   is pruned from the classifier and the valid tracker.
 //! * [`OpVerdict::NoAnswer`] — a counted question whose effects were
@@ -36,8 +35,8 @@
 //!   node as an MSP at this tick. Discovery *timing* is control-flow
 //!   dependent (the vertical climb notices late, the baselines' monitor
 //!   notices per answer), so it is carried in the log and re-emitted at
-//!   its recorded position; replay asserts the re-derived state still
-//!   entails it (debug builds).
+//!   its recorded position; the fold asserts the state still entails it
+//!   (debug builds).
 //! * [`OpVerdict::Revise`] — a *compensating* op: a late or contradictory
 //!   re-answer for a node the member already answered (simtest's
 //!   contradiction faults). The engines keep the first accepted answer,
@@ -54,26 +53,25 @@
 //! **any permutation** of the ops converges to the same outcome: this is
 //! the differential oracle checked by `crates/simtest`'s permutation
 //! harness and `tests/oplog_equivalence.rs`, and the property that lets
-//! logs from future sharded coordinators (ROADMAP item 3) merge
+//! the per-node logs of a sharded deployment ([`crate::cluster`]) merge
 //! deterministically by `member` within a tick.
 //!
 //! ## Delta-cone invariants
 //!
-//! Replay applies each op to a fresh [`Classifier`]/`ValidTracker` pair
-//! over the *post-run* DAG (never materializing new nodes — `&Dag`, not
+//! Replay folds each op into a fresh classifier and valid tracker over
+//! the *post-run* DAG (never materializing new nodes — `&Dag`, not
 //! `&mut`). Each mark touches only the ≤-cone of the changed assignment
-//! (posting lists + eager propagation, PR 6's CSR/arena layout); the
-//! visited-cone size is reported per op through the `oplog.cone_size`
-//! histogram, with `oplog.applied`/`oplog.compensated` counters and an
-//! `oplog.apply` span per op.
+//! (posting lists + eager propagation); the visited-cone size is reported
+//! per op through the `oplog.cone_size` histogram, with
+//! `oplog.applied`/`oplog.compensated` counters and an `oplog.apply` span
+//! per op. The engines fold through the same code without this
+//! instrumentation.
 
-use std::collections::HashMap;
-
-use crate::aggregate::{AggVerdict, Aggregator};
+use crate::aggregate::Aggregator;
 use crate::assignment::Assignment;
-use crate::classify::{Class, Classifier};
 use crate::dag::{Dag, NodeId};
-use crate::vertical::{DiscoveryEvent, DiscoveryKind, ValidTracker};
+use crate::fold::{Fold, FoldMode};
+use crate::vertical::DiscoveryEvent;
 use crowd::MemberId;
 use ontology::ElemId;
 
@@ -230,6 +228,19 @@ impl OpLog {
     /// Appends an op at `tick` (the engine's question counter), assigning
     /// the next intra-tick sequence number.
     pub fn record(&mut self, tick: usize, member: MemberId, node: NodeId, verdict: OpVerdict) {
+        let op = self.stamp(tick, member, node, verdict);
+        self.push(op);
+    }
+
+    /// Builds the op [`OpLog::record`] would append at `tick`, advancing
+    /// the intra-tick sequence cursor.
+    pub(crate) fn stamp(
+        &mut self,
+        tick: usize,
+        member: MemberId,
+        node: NodeId,
+        verdict: OpVerdict,
+    ) -> AnswerOp {
         let tick = tick as u32;
         if tick != self.last_tick {
             self.last_tick = tick;
@@ -237,34 +248,18 @@ impl OpLog {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.ops.push(AnswerOp {
+        AnswerOp {
             tick,
             seq,
             member,
             node,
             verdict,
-        });
+        }
     }
 
-    /// Records one [`OpVerdict::Msp`] op per newly confirmed MSP (the
-    /// tail of an engine's `msp_ids` after an `MspMonitor` sweep).
-    pub(crate) fn record_msps(
-        &mut self,
-        tick: usize,
-        member: MemberId,
-        dag: &Dag<'_>,
-        new: &[NodeId],
-    ) {
-        for &id in new {
-            self.record(
-                tick,
-                member,
-                id,
-                OpVerdict::Msp {
-                    valid: dag.node(id).valid,
-                },
-            );
-        }
+    /// Appends an already stamped op.
+    pub(crate) fn push(&mut self, op: AnswerOp) {
+        self.ops.push(op);
     }
 
     /// Sets the footer completion flag (known only when the run ends).
@@ -353,7 +348,7 @@ impl OpLog {
         pool: &minipool::Pool,
         tele: &telemetry::Telemetry,
     ) -> ReplayOutcome {
-        self.replay_impl(dag, aggregator, pool, tele, false)
+        self.replay_impl(dag, aggregator, pool, tele, FoldMode::Replay)
     }
 
     /// The cluster coordinator's merge entry point: replays a log merged
@@ -381,206 +376,34 @@ impl OpLog {
         pool: &minipool::Pool,
         tele: &telemetry::Telemetry,
     ) -> ReplayOutcome {
-        self.replay_impl(dag, aggregator, pool, tele, true)
+        self.replay_impl(dag, aggregator, pool, tele, FoldMode::Merged)
     }
 
-    fn replay_impl<A: Aggregator>(
+    /// Sort, then fold each op: replay is the engines' fold with no
+    /// planner.
+    fn replay_impl(
         &self,
         dag: &Dag<'_>,
-        aggregator: &A,
+        aggregator: &dyn Aggregator,
         pool: &minipool::Pool,
         tele: &telemetry::Telemetry,
-        merged: bool,
+        mode: FoldMode,
     ) -> ReplayOutcome {
         let span = tele.span("oplog.replay");
-        let tele = span.tele().clone();
         let mut ops = self.ops.clone();
         Self::canonical_sort(&mut ops);
-
-        let mut cls = Classifier::new();
-        let mut tracker = ValidTracker::new(dag)
-            .with_pool(*pool)
-            .with_telemetry(tele.clone());
-        let mut events: Vec<DiscoveryEvent> = Vec::new();
-        let mut msp_ids: Vec<NodeId> = Vec::new();
-        // Aggregator inbox per node, exactly as `multi::record_answer`
-        // accumulates it (lookup only — never iterated, so the hash map
-        // cannot leak ordering into the outcome).
-        let mut entries: HashMap<NodeId, Vec<(MemberId, f64)>> = HashMap::new();
-        let mut applied: u64 = 0;
-        let mut compensated: u64 = 0;
-        let mut discarded_msps: u64 = 0;
-        let mut questions: usize = 0;
-
-        for op in &ops {
-            let _apply = tele.span("oplog.apply");
-            if !matches!(op.verdict, OpVerdict::Revise { .. }) {
-                questions = questions.max(op.tick as usize);
-            }
-            match &op.verdict {
-                OpVerdict::Support { support } => {
-                    applied += 1;
-                    tele.count("oplog.applied", 1);
-                    let (decided, sig) = if self.aggregated {
-                        // Mirror multi::record_answer: push, consult the
-                        // black box, and only mark while still Unknown.
-                        let entry = entries.entry(op.node).or_default();
-                        entry.push((op.member, *support));
-                        let verdict = aggregator.verdict(entry, self.threshold);
-                        if verdict == AggVerdict::Undecided
-                            || cls.class(dag, op.node) != Class::Unknown
-                        {
-                            (false, false)
-                        } else {
-                            (true, verdict == AggVerdict::Significant)
-                        }
-                    } else {
-                        // Single-user engines mark every accepted support
-                        // answer directly against the threshold.
-                        (true, *support >= self.threshold)
-                    };
-                    if decided {
-                        let cone = if sig {
-                            cls.mark_significant(dag, op.node)
-                        } else {
-                            cls.mark_insignificant(dag, op.node)
-                        };
-                        tele.observe("oplog.cone_size", cone as u64);
-                        if tracker.witness(dag, op.node, sig) {
-                            events.push(DiscoveryEvent {
-                                question: op.tick as usize,
-                                kind: DiscoveryKind::ValidClassified {
-                                    total: tracker.total_classified,
-                                },
-                            });
-                        }
-                    }
-                }
-                OpVerdict::NoneOfThese { options } => {
-                    applied += 1;
-                    tele.count("oplog.applied", 1);
-                    let mut changed = false;
-                    for &o in options {
-                        let cone = cls.mark_insignificant(dag, o);
-                        tele.observe("oplog.cone_size", cone as u64);
-                        changed |= tracker.witness(dag, o, false);
-                    }
-                    if changed {
-                        events.push(DiscoveryEvent {
-                            question: op.tick as usize,
-                            kind: DiscoveryKind::ValidClassified {
-                                total: tracker.total_classified,
-                            },
-                        });
-                    }
-                }
-                OpVerdict::Prune { elem } => {
-                    applied += 1;
-                    tele.count("oplog.applied", 1);
-                    cls.prune_elem(dag, *elem);
-                    if tracker.prune(dag, *elem) {
-                        events.push(DiscoveryEvent {
-                            question: op.tick as usize,
-                            kind: DiscoveryKind::ValidClassified {
-                                total: tracker.total_classified,
-                            },
-                        });
-                    }
-                }
-                OpVerdict::NoAnswer => {
-                    applied += 1;
-                    tele.count("oplog.applied", 1);
-                }
-                OpVerdict::Msp { valid } => {
-                    if merged {
-                        // Merged streams: a shard's MSP claim survives
-                        // only if the merged state entails it — evidence
-                        // present (not Unknown), no significant child,
-                        // validity matching the replica — and it is not a
-                        // duplicate of a peer shard's earlier claim.
-                        let view = dag.view();
-                        let entailed = cls.class_frozen(&view, op.node) != Class::Unknown
-                            && dag.children_if_generated(op.node).is_none_or(|children| {
-                                children
-                                    .iter()
-                                    .all(|&c| cls.class_frozen(&view, c) != Class::Significant)
-                            })
-                            && *valid == dag.node(op.node).valid;
-                        if !entailed || msp_ids.contains(&op.node) {
-                            discarded_msps += 1;
-                            tele.count("oplog.msp_discarded", 1);
-                            continue;
-                        }
-                    } else {
-                        // Carried discovery; the re-derived state must
-                        // still entail it: answered below (not Unknown),
-                        // no child significant, and the recorded validity
-                        // must match.
-                        #[cfg(debug_assertions)]
-                        {
-                            let view = dag.view();
-                            debug_assert_ne!(
-                                cls.class_frozen(&view, op.node),
-                                Class::Unknown,
-                                "MSP op for a node whose cone has no answers"
-                            );
-                            if let Some(children) = dag.children_if_generated(op.node) {
-                                for &c in children {
-                                    debug_assert_ne!(
-                                        cls.class_frozen(&view, c),
-                                        Class::Significant,
-                                        "MSP op for a node with a significant child"
-                                    );
-                                }
-                            }
-                            debug_assert_eq!(*valid, dag.node(op.node).valid);
-                        }
-                    }
-                    msp_ids.push(op.node);
-                    events.push(DiscoveryEvent {
-                        question: op.tick as usize,
-                        kind: DiscoveryKind::Msp { valid: *valid },
-                    });
-                }
-                OpVerdict::Revise { .. } => {
-                    // First accepted answer wins (the engines never replace
-                    // one); the revision compensates to a counted no-op.
-                    compensated += 1;
-                    tele.count("oplog.compensated", 1);
-                }
-            }
+        let mut fold = Fold::new(
+            dag,
+            self.threshold,
+            self.aggregated.then_some(aggregator),
+            *pool,
+            span.tele(),
+            mode,
+        );
+        for op in ops {
+            fold.apply(dag, op);
         }
-
-        // Frozen sweeps over the final knowledge, mirroring the engines'
-        // end-of-run derivations (never stamping, never materializing).
-        let view = dag.view();
-        let ids: Vec<NodeId> = dag.node_ids().collect();
-        let unknown = pool.par_map(&ids, |&id| cls.class_frozen(&view, id) == Class::Unknown);
-        let undecided = unknown.into_iter().filter(|&u| u).count();
-        let msps: Vec<Assignment> = msp_ids
-            .iter()
-            .map(|&id| dag.node(id).assignment.clone())
-            .collect();
-        let valid_msps: Vec<Assignment> = msp_ids
-            .iter()
-            .filter(|&&id| dag.node(id).valid)
-            .map(|&id| dag.node(id).assignment.clone())
-            .collect();
-
-        ReplayOutcome {
-            msps,
-            valid_msps,
-            msp_ids,
-            questions,
-            events,
-            total_valid: tracker.len(),
-            undecided,
-            nodes_materialized: dag.len(),
-            complete: self.complete,
-            applied,
-            compensated,
-            discarded_msps,
-        }
+        fold.into_replay(dag, pool, self.complete)
     }
 }
 

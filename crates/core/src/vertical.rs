@@ -15,6 +15,7 @@
 use crate::assignment::Assignment;
 use crate::classify::{Class, Classifier};
 use crate::dag::{Dag, NodeId};
+use crate::fold::{Fold, FoldMode};
 use crate::manifest::{ask_with_retry, PartialManifest};
 use crate::oplog::OpVerdict;
 use crowd::{Answer, CrowdPolicy, CrowdSource, MemberId, Question};
@@ -445,34 +446,16 @@ pub fn run_vertical<C: CrowdSource>(
     member: MemberId,
     cfg: &MiningConfig,
 ) -> MiningOutcome {
-    let threshold = cfg.threshold.unwrap_or(dag.query().threshold);
     let root = cfg.telemetry.span("mine.vertical");
-    let tele = root.tele().clone();
-    let mut s = Session {
-        cls: Classifier::new(),
-        rng: StdRng::seed_from_u64(cfg.seed),
-        questions: 0,
-        events: Vec::new(),
-        ops: crate::oplog::OpLog::new(threshold, false),
-        tracker: ValidTracker::new(dag)
-            .with_pool(cfg.pool)
-            .with_telemetry(tele.clone()),
-        available: true,
-        threshold,
-        cfg,
-        manifest: PartialManifest::default(),
-        gave_up: Vec::new(),
-        gave_up_set: HashSet::new(),
-        tele,
-    };
-    let mut msp_ids: Vec<NodeId> = Vec::new();
+    let mut s = Session::new(dag, cfg, root.tele().clone());
     let mut msp_set: HashSet<NodeId> = HashSet::new();
 
     'outer: loop {
         if s.exhausted() {
             break;
         }
-        let Some(mut phi) = find_minimal_unclassified(dag, &mut s.cls, &cfg.pool, &s.gave_up_set)
+        let Some(mut phi) =
+            find_minimal_unclassified(dag, s.fold.classifier_mut(), &cfg.pool, &s.gave_up_set)
         else {
             break;
         };
@@ -488,7 +471,7 @@ pub fn run_vertical<C: CrowdSource>(
             // jump to an already-classified significant child first
             if let Some(&c) = children
                 .iter()
-                .find(|&&c| s.cls.class(dag, c) == Class::Significant)
+                .find(|&&c| s.fold.class(dag, c) == Class::Significant)
             {
                 phi = c;
                 continue;
@@ -496,29 +479,20 @@ pub fn run_vertical<C: CrowdSource>(
             let unclassified: Vec<NodeId> = children
                 .iter()
                 .copied()
-                .filter(|&c| s.cls.class(dag, c) == Class::Unknown)
+                .filter(|&c| s.fold.class(dag, c) == Class::Unknown)
                 .collect();
             if unclassified.is_empty() {
                 if msp_set.insert(phi) {
-                    msp_ids.push(phi);
-                    s.events.push(DiscoveryEvent {
-                        question: s.questions,
-                        kind: DiscoveryKind::Msp {
-                            valid: dag.node(phi).valid,
-                        },
-                    });
-                    s.ops.record(
-                        s.questions,
-                        member,
-                        phi,
-                        crate::oplog::OpVerdict::Msp {
-                            valid: dag.node(phi).valid,
-                        },
-                    );
+                    let tick = s.fold.questions();
+                    let valid = dag.node(phi).valid;
+                    s.fold
+                        .record(dag, tick, member, phi, OpVerdict::Msp { valid });
                     if s.cfg.debug_checks {
-                        if let Err(e) =
-                            crate::invariants::check_msp_maximality(dag, &s.cls, &msp_ids)
-                        {
+                        if let Err(e) = crate::invariants::check_msp_maximality(
+                            dag,
+                            s.fold.classifier(),
+                            s.fold.msp_ids(),
+                        ) {
                             panic!("simulation invariant violated: {e}");
                         }
                     }
@@ -527,7 +501,8 @@ pub fn run_vertical<C: CrowdSource>(
                     // candidate set to choose from.
                     if let Some(k) = dag.query().top_k {
                         if !dag.query().diverse {
-                            let valid = msp_ids.iter().filter(|&&m| dag.node(m).valid).count();
+                            let msps = s.fold.msp_ids();
+                            let valid = msps.iter().filter(|&&m| dag.node(m).valid).count();
                             if valid >= k {
                                 break 'outer;
                             }
@@ -584,110 +559,18 @@ pub fn run_vertical<C: CrowdSource>(
     // `complete == false` (one resolved by a later inference does not)
     let complete = s.available
         && !s.exhausted_budget()
-        && find_minimal_unclassified(dag, &mut s.cls, &cfg.pool, &HashSet::new()).is_none();
-    finish(dag, s, msp_ids, complete)
+        && find_minimal_unclassified(dag, s.fold.classifier_mut(), &cfg.pool, &HashSet::new())
+            .is_none();
+    s.finish(dag, complete)
 }
 
-pub(crate) fn finish(
-    dag: &mut Dag<'_>,
-    mut s: Session<'_>,
-    msp_ids: Vec<NodeId>,
-    complete: bool,
-) -> MiningOutcome {
-    let mut manifest = std::mem::take(&mut s.manifest);
-    {
-        // frozen sweep: a gave-up node that another answer later
-        // classified by inference is answered, not missing
-        let view = dag.view();
-        manifest.unanswered = s
-            .gave_up
-            .iter()
-            .copied()
-            .filter(|&id| s.cls.class_frozen(&view, id) == Class::Unknown)
-            .map(|id| view.node(id).assignment.clone())
-            .collect();
-    }
-    let msps: Vec<Assignment> = msp_ids
-        .iter()
-        .map(|&id| dag.node(id).assignment.clone())
-        .collect();
-    let valid_msps: Vec<Assignment> = msp_ids
-        .iter()
-        .filter(|&&id| dag.node(id).valid)
-        .map(|&id| dag.node(id).assignment.clone())
-        .collect();
-    let significant_valid = significant_valid_assignments(dag, &s.cls, &s.cfg.pool);
-    let total_valid = s.tracker.len();
-    let valid_mult_nodes = dag
-        .node_ids()
-        .filter(|&id| dag.node(id).valid && !dag.node(id).assignment.is_base())
-        .count();
-    if s.tele.is_enabled() {
-        let (hits, misses) = s.cls.cache_stats();
-        s.tele.count("classifier.cache_hits", hits);
-        s.tele.count("classifier.cache_misses", misses);
-        let gs = dag.stats();
-        s.tele.count("dag.nodes_created", gs.nodes_created as u64);
-        s.tele.count("dag.nodes_expanded", gs.nodes_expanded as u64);
-        s.tele.count("dag.admits_calls", gs.admits_calls as u64);
-        s.tele.count(
-            "validity.bases_classified",
-            s.tracker.total_classified as u64,
-        );
-    }
-    let mut ops = s.ops;
-    ops.set_complete(complete);
-    MiningOutcome {
-        msps,
-        valid_msps,
-        significant_valid,
-        total_valid,
-        valid_mult_nodes,
-        questions: s.questions,
-        events: s.events,
-        gen_stats: dag.stats(),
-        nodes_materialized: dag.len(),
-        complete,
-        manifest,
-        ops,
-    }
-}
-
-/// All materialized valid assignments classified significant.
-///
-/// A read-only frozen sweep: classification goes through
-/// [`Classifier::class_frozen`] over a [`Dag::view`], which is
-/// value-identical to `class` but never stamps the sticky cache, so the
-/// scan shards freely across `pool` and merges in node-id order.
-pub(crate) fn significant_valid_assignments(
-    dag: &Dag<'_>,
-    cls: &Classifier,
-    pool: &minipool::Pool,
-) -> Vec<Assignment> {
-    let view = dag.view();
-    let ids: Vec<NodeId> = dag.node_ids().collect();
-    let hits = pool.par_map(&ids, |&id| {
-        view.node(id).valid && cls.class_frozen(&view, id) == Class::Significant
-    });
-    ids.into_iter()
-        .zip(hits)
-        .filter(|&(_, hit)| hit)
-        .map(|(id, _)| dag.node(id).assignment.clone())
-        .collect()
-}
-
-/// Shared per-run state: classifier, policy RNG, counters, curve tracker.
+/// A single-user run's planner state around its [`Fold`]: question-type
+/// policy RNG, crowd availability and the retry policy's give-ups.
 pub(crate) struct Session<'c> {
-    pub cls: Classifier,
+    /// The run's classification state; every answer is folded through it.
+    pub fold: Fold<'static>,
     pub rng: StdRng,
-    pub questions: usize,
-    pub events: Vec<DiscoveryEvent>,
-    /// Answer-operation log: every counted interaction as a replayable
-    /// delta (see [`crate::oplog`]).
-    pub ops: crate::oplog::OpLog,
-    pub tracker: ValidTracker,
     pub available: bool,
-    pub threshold: f64,
     pub cfg: &'c MiningConfig,
     /// Timeout/retry counters accumulated by the crowd-access policy.
     pub manifest: PartialManifest,
@@ -711,29 +594,52 @@ pub(crate) enum SpecOutcome {
     TimedOut,
 }
 
-impl Session<'_> {
+impl<'c> Session<'c> {
+    /// A fresh single-user session over `dag`; `tele` is the engine's
+    /// root-span handle.
+    pub fn new(dag: &Dag<'_>, cfg: &'c MiningConfig, tele: telemetry::Telemetry) -> Self {
+        let threshold = cfg.threshold.unwrap_or(dag.query().threshold);
+        Session {
+            fold: Fold::new(dag, threshold, None, cfg.pool, &tele, FoldMode::Engine),
+            rng: StdRng::seed_from_u64(cfg.seed),
+            available: true,
+            cfg,
+            manifest: PartialManifest::default(),
+            gave_up: Vec::new(),
+            gave_up_set: HashSet::new(),
+            tele,
+        }
+    }
+
+    /// Assembles the run's outcome.
+    pub fn finish(self, dag: &Dag<'_>, complete: bool) -> MiningOutcome {
+        self.fold.finish(
+            dag,
+            complete,
+            self.manifest,
+            &self.gave_up,
+            &self.cfg.pool,
+            &self.tele,
+        )
+    }
+
     pub fn exhausted_budget(&self) -> bool {
-        self.cfg.max_questions.is_some_and(|m| self.questions >= m)
+        self.cfg
+            .max_questions
+            .is_some_and(|m| self.fold.questions() >= m)
     }
 
     pub fn exhausted(&self) -> bool {
         !self.available || self.exhausted_budget()
     }
 
-    fn record_classification_event(&mut self) {
-        self.events.push(DiscoveryEvent {
-            question: self.questions,
-            kind: DiscoveryKind::ValidClassified {
-                total: self.tracker.total_classified,
-            },
-        });
-    }
-
     /// Bumps the answered-question counters (`engine.questions` plus one
-    /// per-kind counter matching [`crate::multi::QuestionStats`] naming).
-    fn count_question(&self, kind: &'static str) {
+    /// per-kind counter matching [`crate::multi::QuestionStats`] naming)
+    /// and returns the new question's tick.
+    fn count_question(&self, kind: &'static str) -> usize {
         self.tele.count("engine.questions", 1);
         self.tele.count(kind, 1);
+        self.fold.questions() + 1
     }
 
     /// Records that the retry policy gave up on `id` (stays `Unknown`).
@@ -745,14 +651,16 @@ impl Session<'_> {
 
     /// Step-level invariant checks, on when `cfg.debug_checks` is set.
     fn check_step(&self, dag: &Dag<'_>) {
-        if let Err(e) = crate::invariants::check_classification_monotonicity(dag, &self.cls) {
+        if let Err(e) =
+            crate::invariants::check_classification_monotonicity(dag, self.fold.classifier())
+        {
             panic!("simulation invariant violated: {e}");
         }
         if let Some(mx) = self.cfg.max_questions {
             assert!(
-                self.questions <= mx,
+                self.fold.questions() <= mx,
                 "simulation invariant violated: {} questions exceed the budget of {mx}",
-                self.questions
+                self.fold.questions()
             );
         }
     }
@@ -779,38 +687,23 @@ impl Session<'_> {
         );
         let sig = match answer {
             Answer::Support { support, more_tip } => {
-                self.questions += 1;
-                self.count_question("questions.concrete");
-                self.ops
-                    .record(self.questions, member, id, OpVerdict::Support { support });
+                let tick = self.count_question("questions.concrete");
                 if let Some(tip) = more_tip {
                     // the *more* button: materialize the extended successor
                     dag.attach_more_tip(id, tip);
                 }
-                let sig = support >= self.threshold;
-                if sig {
-                    self.cls.mark_significant(dag, id);
-                } else {
-                    self.cls.mark_insignificant(dag, id);
-                }
-                if self.tracker.witness(dag, id, sig) {
-                    self.record_classification_event();
-                }
-                sig
+                self.fold
+                    .record(dag, tick, member, id, OpVerdict::Support { support })
             }
             Answer::Irrelevant { elem } => {
-                self.questions += 1;
-                self.count_question("questions.pruning");
-                self.ops.record(
-                    self.questions,
+                let tick = self.count_question("questions.pruning");
+                self.fold.record(
+                    dag,
+                    tick,
                     member,
                     NodeId::SENTINEL,
                     OpVerdict::Prune { elem },
                 );
-                self.cls.prune_elem(dag, elem);
-                if self.tracker.prune(dag, elem) {
-                    self.record_classification_event();
-                }
                 false
             }
             Answer::Unavailable => {
@@ -859,66 +752,40 @@ impl Session<'_> {
         );
         let outcome = match answer {
             Answer::Specialized { choice, support } => {
-                self.questions += 1;
-                self.count_question("questions.specialization");
+                let tick = self.count_question("questions.specialization");
                 // PANIC-OK: callers pass a non-empty options slice and
                 // the clamp keeps any crowd-supplied choice in bounds.
                 let chosen = options[choice.min(options.len() - 1)];
-                self.ops.record(
-                    self.questions,
-                    member,
-                    chosen,
-                    OpVerdict::Support { support },
-                );
-                let sig = support >= self.threshold;
-                if sig {
-                    self.cls.mark_significant(dag, chosen);
-                } else {
-                    self.cls.mark_insignificant(dag, chosen);
-                }
-                if self.tracker.witness(dag, chosen, sig) {
-                    self.record_classification_event();
-                }
-                if sig {
+                if self
+                    .fold
+                    .record(dag, tick, member, chosen, OpVerdict::Support { support })
+                {
                     SpecOutcome::Jump(chosen)
                 } else {
                     SpecOutcome::NoJump
                 }
             }
             Answer::NoneOfThese => {
-                self.questions += 1;
-                self.count_question("questions.none_of_these");
-                self.ops.record(
-                    self.questions,
+                let tick = self.count_question("questions.none_of_these");
+                let options = options.to_vec();
+                self.fold.record(
+                    dag,
+                    tick,
                     member,
                     NodeId::SENTINEL,
-                    OpVerdict::NoneOfThese {
-                        options: options.to_vec(),
-                    },
+                    OpVerdict::NoneOfThese { options },
                 );
-                let mut changed = false;
-                for &o in options {
-                    self.cls.mark_insignificant(dag, o);
-                    changed |= self.tracker.witness(dag, o, false);
-                }
-                if changed {
-                    self.record_classification_event();
-                }
                 SpecOutcome::NoneLeft
             }
             Answer::Irrelevant { elem } => {
-                self.questions += 1;
-                self.count_question("questions.pruning");
-                self.ops.record(
-                    self.questions,
+                let tick = self.count_question("questions.pruning");
+                self.fold.record(
+                    dag,
+                    tick,
                     member,
                     NodeId::SENTINEL,
                     OpVerdict::Prune { elem },
                 );
-                self.cls.prune_elem(dag, elem);
-                if self.tracker.prune(dag, elem) {
-                    self.record_classification_event();
-                }
                 SpecOutcome::NoJump
             }
             Answer::Unavailable => {

@@ -11,18 +11,23 @@
 //! Each connection starts with a hello negotiation (see
 //! [`crate::proto`]); after that, frames are dispatched one at a time
 //! and every frame gets exactly one reply. Errors answer with an
-//! `error` frame and keep the connection alive — only a failed hello
-//! (or `bye`/EOF) ends it.
+//! `error` frame and keep the connection alive — only a failed hello,
+//! a frame longer than [`MAX_FRAME_BYTES`] (or `bye`/EOF) ends it.
 
 use crate::proto::{negotiate, Request, Response, PROTO_VERSION};
 use crate::session::{ServerError, SessionManager};
 use ontology::json;
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use telemetry::lockorder::TrackedMutex;
+
+/// The longest request frame the server reads, newline included. A
+/// client that sends more without a newline is answered `bad_frame` and
+/// disconnected, so no connection can grow server memory without bound.
+pub const MAX_FRAME_BYTES: usize = 1 << 20;
 
 /// Serve-loop configuration.
 #[derive(Debug, Clone)]
@@ -140,6 +145,60 @@ fn write_frame(stream: &mut TcpStream, resp: &Response) -> io::Result<()> {
     stream.flush()
 }
 
+/// One request frame as read off the wire.
+enum Frame {
+    /// A line (its newline, if any, still attached).
+    Line(String),
+    /// The client closed the connection.
+    Eof,
+    /// More than [`MAX_FRAME_BYTES`] without a newline, or not UTF-8.
+    Bad(&'static str),
+}
+
+/// Reads one frame, never buffering more than [`MAX_FRAME_BYTES`].
+fn read_frame(reader: &mut BufReader<TcpStream>, buf: &mut Vec<u8>) -> io::Result<Frame> {
+    buf.clear();
+    let n = reader
+        .by_ref()
+        .take(MAX_FRAME_BYTES as u64)
+        .read_until(b'\n', buf)?;
+    if n == 0 {
+        return Ok(Frame::Eof);
+    }
+    if n == MAX_FRAME_BYTES && buf.last() != Some(&b'\n') {
+        return Ok(Frame::Bad("frame exceeds the size limit"));
+    }
+    Ok(match String::from_utf8(std::mem::take(buf)) {
+        Ok(line) => Frame::Line(line),
+        Err(_) => Frame::Bad("frame is not UTF-8"),
+    })
+}
+
+/// Answers an unreadable frame with `bad_frame` and ends the connection:
+/// the reply is followed by a FIN, and input already in flight is
+/// drained (bounded by one more frame's worth and a short timeout) so
+/// closing does not reset the connection before the client reads it.
+fn reject_frame(
+    reader: &mut BufReader<TcpStream>,
+    stream: &mut TcpStream,
+    msg: &str,
+) -> io::Result<()> {
+    write_frame(
+        stream,
+        &Response::Error {
+            code: "bad_frame".into(),
+            msg: msg.into(),
+        },
+    )?;
+    stream.shutdown(Shutdown::Write)?;
+    stream.set_read_timeout(Some(std::time::Duration::from_millis(200)))?;
+    let _ = io::copy(
+        &mut reader.by_ref().take(MAX_FRAME_BYTES as u64),
+        &mut io::sink(),
+    );
+    Ok(())
+}
+
 /// One connection: hello handshake, then a frame-reply loop.
 fn handle_connection(
     stream: TcpStream,
@@ -148,12 +207,14 @@ fn handle_connection(
 ) -> io::Result<()> {
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut stream = stream;
-    let mut line = String::new();
+    let mut buf = Vec::new();
 
     // --- hello
-    if reader.read_line(&mut line)? == 0 {
-        return Ok(());
-    }
+    let line = match read_frame(&mut reader, &mut buf)? {
+        Frame::Line(line) => line,
+        Frame::Eof => return Ok(()),
+        Frame::Bad(msg) => return reject_frame(&mut reader, &mut stream, msg),
+    };
     let hello = json::parse(line.trim_end())
         .map_err(json_io)
         .and_then(|j| Request::from_json(&j).map_err(json_io));
@@ -196,10 +257,11 @@ fn handle_connection(
 
     // --- frame loop
     loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return Ok(());
-        }
+        let line = match read_frame(&mut reader, &mut buf)? {
+            Frame::Line(line) => line,
+            Frame::Eof => return Ok(()),
+            Frame::Bad(msg) => return reject_frame(&mut reader, &mut stream, msg),
+        };
         let req = match json::parse(line.trim_end()).and_then(|j| Request::from_json(&j)) {
             Ok(r) => r,
             Err(e) => {

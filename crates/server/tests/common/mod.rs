@@ -1,7 +1,7 @@
 //! Shared harness for the server integration tests: the crate's
 //! deterministic Figure-1 crowd provider and temp-dir WAL roots.
 
-use oassis_server::{Figure1Provider, SessionManager, SessionSpec};
+use oassis_server::{Figure1Provider, SessionManager};
 use ontology::Ontology;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -21,13 +21,4 @@ pub fn temp_root(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("oassis-server-test-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-/// The session spec every test session uses.
-pub fn spec(name: &str) -> SessionSpec {
-    SessionSpec {
-        name: name.to_string(),
-        seed: 7,
-        members: 2,
-    }
 }

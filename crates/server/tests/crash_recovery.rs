@@ -21,7 +21,7 @@
 
 mod common;
 
-use common::{manager, spec, temp_root};
+use common::{manager, temp_root};
 use oassis_server::wal::MAX_HELD_HANDLES;
 use oassis_server::{KillSwitch, QueryReply, QuerySpec, SessionManager, SessionSpec};
 use ontology::domains::figure1;
@@ -29,6 +29,15 @@ use ontology::Ontology;
 use proptest::prelude::*;
 use std::path::Path;
 use std::sync::Arc;
+
+/// The session spec every test session uses.
+fn spec(name: &str) -> SessionSpec {
+    SessionSpec {
+        name: name.to_string(),
+        seed: 7,
+        members: 2,
+    }
+}
 
 fn qspec() -> QuerySpec {
     QuerySpec {

@@ -5,12 +5,17 @@
 mod common;
 
 use common::{manager, temp_root};
+use oassis_server::service::MAX_FRAME_BYTES;
 use oassis_server::{
     digest_hex, Client, QuerySpec, Request, Response, Server, ServerConfig, SessionSpec,
     PROTO_VERSION,
 };
 use ontology::domains::figure1;
+use ontology::json;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::Duration;
 
 fn qspec(seed: u64) -> QuerySpec {
     QuerySpec {
@@ -168,6 +173,66 @@ fn protocol_errors_keep_the_connection_alive() {
         }))
         .unwrap();
     assert!(matches!(resp, Response::Opened { .. }));
+
+    client.bye().unwrap();
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn oversized_frame_is_rejected_and_closed() {
+    let ont = Arc::new(figure1::ontology());
+    let root = temp_root("oversized");
+    let server = spawn(&ont, &root);
+
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let hello = Request::Hello {
+        proto: PROTO_VERSION,
+        client: "oversized".into(),
+    };
+    writeln!(stream, "{}", hello.to_json()).unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("hello_ack"), "{line}");
+
+    // one byte past the limit, and no newline
+    stream.write_all(&vec![b'x'; MAX_FRAME_BYTES + 1]).unwrap();
+    line.clear();
+    reader
+        .read_line(&mut line)
+        .expect("the server answers instead of waiting for a newline");
+    let resp = json::parse(line.trim_end())
+        .and_then(|j| Response::from_json(&j))
+        .unwrap();
+    let Response::Error { code, .. } = resp else {
+        panic!("expected error, got {resp:?}")
+    };
+    assert_eq!(code, "bad_frame");
+    // ... and closes the connection
+    let mut rest = Vec::new();
+    assert_eq!(reader.read_to_end(&mut rest).unwrap(), 0);
+
+    // everyone else is still served
+    let mut client = Client::connect(server.addr()).unwrap();
+    let resp = client
+        .call(&Request::Open(SessionSpec {
+            name: "after".into(),
+            seed: 1,
+            members: 1,
+        }))
+        .unwrap();
+    assert!(matches!(resp, Response::Opened { .. }), "{resp:?}");
+    let resp = client
+        .call(&Request::Query {
+            session: "after".into(),
+            spec: qspec(1),
+        })
+        .unwrap();
+    assert!(matches!(resp, Response::Result { .. }), "{resp:?}");
 
     client.bye().unwrap();
     server.shutdown();

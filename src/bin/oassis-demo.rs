@@ -22,10 +22,32 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
+/// The value of flag `name`, or `default` when the flag is absent. A flag
+/// with no value, or one that does not parse, is an error naming it.
+fn flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(default);
+    };
+    let value = args
+        .get(i + 1)
+        .ok_or_else(|| format!("{name} needs a value"))?;
+    value
+        .parse()
+        .map_err(|_| format!("invalid value for {name}: {value:?}"))
+}
+
+/// The `mine` flags: support threshold Θ, crowd size and seed.
+fn mine_flags(args: &[String]) -> Result<(f64, usize, u64), String> {
+    let theta: f64 = flag(args, "--theta", 0.2)?;
+    // the query language's rule for WITH SUPPORT
+    if !(0.0..=1.0).contains(&theta) {
+        return Err(format!("--theta {theta} outside [0, 1]"));
+    }
+    Ok((
+        theta,
+        flag(args, "--members", 60)?,
+        flag(args, "--seed", 7)?,
+    ))
 }
 
 fn main() -> ExitCode {
@@ -109,15 +131,13 @@ fn main() -> ExitCode {
             let Some(domain) = args.get(1) else {
                 return usage();
             };
-            let theta: f64 = flag(&args, "--theta")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(0.2);
-            let members: usize = flag(&args, "--members")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(60);
-            let seed: u64 = flag(&args, "--seed")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(7);
+            let (theta, members, seed) = match mine_flags(&args) {
+                Ok(flags) => flags,
+                Err(e) => {
+                    eprintln!("{e}");
+                    return ExitCode::FAILURE;
+                }
+            };
 
             let (ont, query) = match domain.as_str() {
                 "figure1" => (figure1::ontology(), figure1::SIMPLE_QUERY.to_owned()),
