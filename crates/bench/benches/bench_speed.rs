@@ -245,7 +245,6 @@ fn telemetry_section() -> (Json, u64) {
         248,
         6,
         7,
-        minipool::Pool::sequential(),
         &tele,
     );
     let digest = digest_domain_run(&run);
@@ -304,7 +303,6 @@ fn batched_section(e1_digest: Option<u64>) -> Json {
             248,
             12,
             7,
-            minipool::Pool::sequential(),
             k,
             &telemetry::Telemetry::off(),
         );
@@ -519,9 +517,8 @@ fn cluster_section() -> (Json, bool) {
 
     let domain = travel(DomainScale::paper());
     let bound = bind_domain(&domain);
-    let pool = minipool::Pool::sequential();
     let tele = telemetry::Telemetry::off();
-    let base = oassis_ql::evaluate_where_pool(&bound, &domain.ontology, MatchMode::Exact, &pool);
+    let base = oassis_ql::evaluate_where(&bound, &domain.ontology, MatchMode::Exact);
     let mut dag = Dag::new(&bound, domain.ontology.vocab(), &base);
     let crowd = domain_crowd(&domain, domain.ontology.vocab(), 248, 12, 7);
     let mut cache = oassis_core::CrowdCache::new();
@@ -558,7 +555,7 @@ fn cluster_section() -> (Json, bool) {
                 coord.ingest(node as u32, 0, stream);
             }
             let mut replica = Dag::new(&bound, vocab, &base);
-            let merged = coord.merge(&mut replica, &agg, &pool, &tele, out.mining.complete);
+            let merged = coord.merge(&mut replica, &agg, &tele, out.mining.complete);
             let wall = start.elapsed().as_secs_f64();
             merge_ops = coord.merge_ops();
             samples.push((

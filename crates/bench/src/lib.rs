@@ -277,34 +277,6 @@ pub fn run_domain_at(
     habits: usize,
     seed: u64,
 ) -> DomainRun {
-    run_domain_at_pool(
-        domain,
-        bound,
-        ont,
-        cache,
-        threshold,
-        members,
-        habits,
-        seed,
-        minipool::Pool::sequential(),
-    )
-}
-
-/// [`run_domain_at`] with an explicit fork-join pool for the mining
-/// engine's data-parallel scans. Outcomes are bit-identical at any pool
-/// width (see `tests/parallel_equivalence.rs`).
-#[allow(clippy::too_many_arguments)]
-pub fn run_domain_at_pool(
-    domain: &GeneratedDomain,
-    bound: &BoundQuery,
-    ont: &Ontology,
-    cache: &mut oassis_core::CrowdCache,
-    threshold: f64,
-    members: usize,
-    habits: usize,
-    seed: u64,
-    pool: minipool::Pool,
-) -> DomainRun {
     run_domain_at_traced(
         domain,
         bound,
@@ -314,15 +286,14 @@ pub fn run_domain_at_pool(
         members,
         habits,
         seed,
-        pool,
         &telemetry::Telemetry::off(),
     )
 }
 
-/// [`run_domain_at_pool`] with a telemetry handle attached to the mining
+/// [`run_domain_at`] with a telemetry handle attached to the mining
 /// engine, so the perf harness can record per-phase span totals and
 /// engine counters for one instrumented (untimed) pass. With
-/// `Telemetry::off()` this is exactly [`run_domain_at_pool`].
+/// `Telemetry::off()` this is exactly [`run_domain_at`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_domain_at_traced(
     domain: &GeneratedDomain,
@@ -333,11 +304,10 @@ pub fn run_domain_at_traced(
     members: usize,
     habits: usize,
     seed: u64,
-    pool: minipool::Pool,
     tele: &telemetry::Telemetry,
 ) -> DomainRun {
     run_domain_at_batched(
-        domain, bound, ont, cache, threshold, members, habits, seed, pool, 1, tele,
+        domain, bound, ont, cache, threshold, members, habits, seed, 1, tele,
     )
 }
 
@@ -354,11 +324,10 @@ pub fn run_domain_at_batched(
     members: usize,
     habits: usize,
     seed: u64,
-    pool: minipool::Pool,
     batch_width: usize,
     tele: &telemetry::Telemetry,
 ) -> DomainRun {
-    let base = oassis_ql::evaluate_where_pool(bound, ont, MatchMode::Exact, &pool);
+    let base = oassis_ql::evaluate_where(bound, ont, MatchMode::Exact);
     let mut dag = Dag::new(bound, ont.vocab(), &base);
     let crowd = domain_crowd(domain, ont.vocab(), members, habits, seed);
     let mut caching = oassis_core::CachingCrowd::new(crowd, cache);
@@ -366,7 +335,6 @@ pub fn run_domain_at_batched(
         threshold: Some(threshold),
         specialization_ratio: 0.12, // the ratio observed in the paper's crowd
         seed,
-        pool,
         batch_width,
         telemetry: tele.clone(),
         ..Default::default()

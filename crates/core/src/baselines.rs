@@ -192,7 +192,6 @@ pub fn run_horizontal<C: CrowdSource>(
         && crate::vertical::find_minimal_unclassified(
             dag,
             s.fold.classifier_mut(),
-            &cfg.pool,
             &HashSet::new(),
         )
         .is_none();
@@ -227,12 +226,10 @@ pub fn run_naive<C: CrowdSource>(
     // the naive algorithm only *asks* valid assignments, but entailment
     // over the expanded DAG still applies.
     monitor.update(dag, &mut s.fold, member);
-    let all_resolved = {
-        let view = dag.view();
-        s.gave_up
-            .iter()
-            .all(|&id| s.fold.classifier().class_frozen(&view, id) != Class::Unknown)
-    };
+    let all_resolved = s
+        .gave_up
+        .iter()
+        .all(|&id| s.fold.classifier().class_frozen(dag, id) != Class::Unknown);
     let complete = s.available && !s.exhausted_budget() && all_resolved;
     s.finish(dag, complete)
 }

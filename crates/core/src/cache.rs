@@ -73,8 +73,9 @@ impl CrowdCache {
             .insert(pattern, answer);
     }
 
-    /// Serializes to JSON (the paper kept CrowdCache in MySQL; a snapshot
-    /// file plays that role here). Entries are sorted for determinism.
+    /// Serializes to JSON (the paper kept CrowdCache in MySQL; a document
+    /// a caller stores between runs plays that role here, restored by
+    /// [`Self::from_json`]). Entries are sorted for determinism.
     pub fn to_json(&self) -> String {
         let mut entries: Vec<(MemberId, &PatternSet, &CachedAnswer)> = self
             .answers
@@ -95,8 +96,9 @@ impl CrowdCache {
         Json::Obj(vec![("entries".into(), Json::Arr(entries))]).to_string()
     }
 
-    /// The members holding cached answers, in id order (the WAL store
-    /// shards its answer log by member).
+    /// The members holding cached answers, in id order. With
+    /// [`Self::entries_of`] it walks the cache member by member, the way
+    /// the server's WAL keeps one answer log per member.
     pub fn members(&self) -> Vec<MemberId> {
         let mut ids: Vec<MemberId> = self
             .answers
@@ -108,8 +110,8 @@ impl CrowdCache {
         ids
     }
 
-    /// One member's cached entries, sorted by pattern for determinism —
-    /// the per-member answer database a WAL snapshot persists.
+    /// One member's cached entries, sorted by pattern for determinism:
+    /// the answers that member's WAL answer log holds.
     pub fn entries_of(&self, member: MemberId) -> Vec<(&PatternSet, &CachedAnswer)> {
         let mut entries: Vec<(&PatternSet, &CachedAnswer)> = self
             .answers
@@ -140,8 +142,9 @@ impl CrowdCache {
     }
 }
 
-/// Serializes one `(pattern, answer)` cache entry — the WAL's `answer`
-/// record payload, reusing the snapshot encoding of [`CrowdCache::to_json`].
+/// Serializes one `(pattern, answer)` cache entry — the payload of the
+/// WAL's `answer` record, in the entry encoding [`CrowdCache::to_json`]
+/// uses.
 pub fn entry_to_json(pattern: &PatternSet, answer: &CachedAnswer) -> Json {
     Json::Arr(vec![pattern_to_json(pattern), answer_to_json(answer)])
 }

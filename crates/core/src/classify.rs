@@ -43,7 +43,7 @@
 //! code (Unknown results were never cached) and has been removed.
 
 use crate::assignment::{Assignment, Slot};
-use crate::dag::{Dag, DagView, NodeId};
+use crate::dag::{Dag, NodeId};
 use oassis_ql::Value;
 use ontology::{ElemId, Vocabulary};
 
@@ -72,7 +72,7 @@ enum Cached {
     DerivedInsig,
 }
 
-/// A witness-based classifier over (a view of) the assignment DAG.
+/// A witness-based classifier over the assignment DAG.
 ///
 /// The same type serves as the *global* classifier of the multi-user
 /// engine and as each member's *personal* exclusion record.
@@ -353,7 +353,7 @@ impl Classifier {
         } else {
             self.cache_misses += 1;
         }
-        let c = self.class_frozen(&dag.view(), id);
+        let c = self.class_frozen(dag, id);
         // Stickiness: the first query's verdict is cached permanently,
         // exactly as the historical classifier did. An Unknown result is
         // memoized against the current knowledge epoch instead — it stays
@@ -372,7 +372,7 @@ impl Classifier {
     /// already queried, else `None` (meaning the caller must fall back to
     /// [`Self::class`]). A `Queried` entry is permanent, so this is
     /// value-identical to `class` whenever it returns `Some` — it only
-    /// skips the hit/miss accounting and the view construction.
+    /// skips the hit/miss accounting.
     #[inline]
     pub fn cached_queried(&self, id: NodeId) -> Option<Class> {
         match self.cache.get(id.index()).copied().flatten() {
@@ -385,9 +385,10 @@ impl Classifier {
     /// without stamping the query cache. Because `class` is idempotent in
     /// value (the sticky cache only memoizes, never changes, the verdict
     /// reachable at query time), interleaving `class_frozen` and `class`
-    /// calls observes identical results — which is what lets parallel
-    /// sweeps share `&Classifier` across `minipool` workers.
-    pub fn class_frozen(&self, dag: &DagView<'_>, id: NodeId) -> Class {
+    /// calls observes identical results — which is what lets end-of-run
+    /// sweeps, MSP entailment checks and the invariant checkers read
+    /// through `&Classifier` without perturbing later lookups.
+    pub fn class_frozen(&self, dag: &Dag<'_>, id: NodeId) -> Class {
         match self.cache.get(id.index()).copied().flatten() {
             Some(Cached::Queried(c)) => c,
             Some(Cached::DerivedSig) => {
@@ -396,7 +397,7 @@ impl Classifier {
                 } else {
                     Class::Significant
                 };
-                debug_assert_eq!(c, self.class_by_scan_view(dag, id));
+                debug_assert_eq!(c, self.class_by_scan(dag, id));
                 c
             }
             Some(Cached::DerivedInsig) => {
@@ -407,12 +408,12 @@ impl Classifier {
                 } else {
                     Class::Insignificant
                 };
-                debug_assert_eq!(c, self.class_by_scan_view(dag, id));
+                debug_assert_eq!(c, self.class_by_scan(dag, id));
                 c
             }
             None => {
                 if self.unknown_memo_valid(dag, id) {
-                    debug_assert_eq!(Class::Unknown, self.class_by_scan_view(dag, id));
+                    debug_assert_eq!(Class::Unknown, self.class_by_scan(dag, id));
                     return Class::Unknown;
                 }
                 let c = if self.pruned_matches_node(dag, id) {
@@ -424,7 +425,7 @@ impl Classifier {
                 } else {
                     Class::Unknown
                 };
-                debug_assert_eq!(c, self.class_by_scan_view(dag, id));
+                debug_assert_eq!(c, self.class_by_scan(dag, id));
                 c
             }
         }
@@ -440,7 +441,7 @@ impl Classifier {
     /// classification is not word-localizable — empty fingerprints
     /// (≤ everything) and MORE facts (matched against vocabulary rows) —
     /// keep the conservative global behavior.
-    fn unknown_memo_valid(&self, dag: &DagView<'_>, id: NodeId) -> bool {
+    fn unknown_memo_valid(&self, dag: &Dag<'_>, id: NodeId) -> bool {
         let at = match self.unknown_at.get(id.index()) {
             Some(&a) if a != u32::MAX => a,
             _ => return false,
@@ -472,7 +473,7 @@ impl Classifier {
     /// be set in `F(w)`, so the posting list of any one value bit is a
     /// complete candidate set — verify the shortest. An empty posting
     /// for any value bit refutes all witnesses at once.
-    fn sig_hit(&self, dag: &DagView<'_>, id: NodeId) -> bool {
+    fn sig_hit(&self, dag: &Dag<'_>, id: NodeId) -> bool {
         if self.sig_witnesses.is_empty() {
             return false;
         }
@@ -509,7 +510,7 @@ impl Classifier {
     /// F(id)` puts `w`'s first value bit inside `F(id)`, so walking the
     /// set bits of `F(id)` over the postings covers all candidates;
     /// valueless witnesses are kept aside and always checked.
-    fn insig_hit(&self, dag: &DagView<'_>, id: NodeId) -> bool {
+    fn insig_hit(&self, dag: &Dag<'_>, id: NodeId) -> bool {
         if self.insig_witnesses.is_empty() {
             return false;
         }
@@ -544,7 +545,7 @@ impl Classifier {
     /// ancestor of `e`, i.e. a set bit in the elem region of the node's
     /// fingerprint — one word-AND per slot. MORE-fact components are
     /// checked against the vocabulary's ancestor rows directly.
-    fn pruned_matches_node(&self, dag: &DagView<'_>, id: NodeId) -> bool {
+    fn pruned_matches_node(&self, dag: &Dag<'_>, id: NodeId) -> bool {
         if self.pruned_elems.is_empty() {
             return false;
         }
@@ -572,11 +573,6 @@ impl Classifier {
     /// reference for the property tests). Computes from scratch; no
     /// caching.
     pub fn class_by_scan(&self, dag: &Dag<'_>, id: NodeId) -> Class {
-        self.class_by_scan_view(&dag.view(), id)
-    }
-
-    /// [`Self::class_by_scan`] over a [`DagView`].
-    fn class_by_scan_view(&self, dag: &DagView<'_>, id: NodeId) -> Class {
         let a = &dag.node(id).assignment;
         let vocab = dag.vocab();
         if self.pruned_matches(vocab, a) {

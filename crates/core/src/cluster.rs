@@ -532,7 +532,6 @@ impl Coordinator {
         &self,
         dag: &mut Dag<'_>,
         aggregator: &A,
-        pool: &minipool::Pool,
         tele: &telemetry::Telemetry,
         complete: bool,
     ) -> ReplayOutcome {
@@ -548,7 +547,7 @@ impl Coordinator {
         let mut log = OpLog::new(self.threshold, self.aggregated);
         log.set_complete(complete);
         log.with_ops(ops)
-            .replay_merged(dag, aggregator, pool, &tele)
+            .replay_merged(dag, aggregator, &minipool::Pool::sequential(), &tele)
     }
 }
 
@@ -783,7 +782,6 @@ mod tests {
         // two shard nodes, each mining its partition on its own replica
         let map = ShardMap::round_robin(members, 2);
         let mut coord = Coordinator::new(2, reference.mining.ops.threshold(), true);
-        let pool = minipool::Pool::sequential();
         let tele = telemetry::Telemetry::off();
         let mut all_complete = true;
         for node in 0..2u32 {
@@ -798,7 +796,7 @@ mod tests {
             assert_eq!(coord.ingest(node, 0, &wire), n);
         }
         let mut coord_dag = Dag::new(&b, d.ontology.vocab(), &base).without_multiplicities();
-        let merged = coord.merge(&mut coord_dag, &agg, &pool, &tele, all_complete);
+        let merged = coord.merge(&mut coord_dag, &agg, &tele, all_complete);
         let got = SemanticOutcome::from_replay(&merged, &b, d.ontology.vocab());
         assert_eq!(got, want);
         assert_eq!(got.digest(), want.digest());

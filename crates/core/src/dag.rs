@@ -116,6 +116,11 @@ pub struct GenStats {
 }
 
 /// The lazily generated assignment DAG for one query.
+///
+/// A query's DAG lives on the thread that mines it: the validity index
+/// memoizes through `RefCell`s, so `Dag` is not `Sync`. Readers (the
+/// engines, the classification fold, replay, the invariant checkers)
+/// borrow `&Dag`; only node generation takes `&mut`.
 pub struct Dag<'a> {
     q: &'a BoundQuery,
     vocab: &'a Vocabulary,
@@ -258,27 +263,29 @@ impl<'a> Dag<'a> {
     /// subset test on the slot fingerprints, then the exact MORE-fact
     /// condition (facts are not fingerprinted).
     pub fn leq(&self, a: NodeId, b: NodeId) -> bool {
-        self.view().leq(a, b)
+        if a == b {
+            return true;
+        }
+        let res = self.fp_summaries[a.index()] & !self.fp_summaries[b.index()] == 0
+            && fingerprint::subset(self.fp_words(a), self.fp_words(b))
+            && self.more_leq(a, b);
+        debug_assert_eq!(
+            res,
+            self.nodes[a.index()]
+                .assignment
+                .leq(self.vocab, &self.nodes[b.index()].assignment)
+        );
+        res
     }
 
-    /// A read-only, [`Sync`] snapshot of the materialized DAG state for
-    /// cross-thread scans. The view borrows only the interior-mutability-free
-    /// parts of the DAG (nodes, fingerprints, vocabulary) — everything the
-    /// order tests and classification lookups need — and deliberately
-    /// excludes the memoized [`ValidityIndex`] caches, which is why child
-    /// *generation* stays on the owning thread.
-    pub fn view(&self) -> DagView<'_> {
-        DagView {
-            vocab: self.vocab,
-            nodes: &self.nodes,
-            fp_space: &self.fp_space,
-            fps: &self.fps,
-            fp_summaries: &self.fp_summaries,
-            child_span: &self.child_span,
-            child_edges: &self.child_edges,
-            parent_link: &self.parent_link,
-            parent_blocks: &self.parent_blocks,
+    fn more_leq(&self, a: NodeId, b: NodeId) -> bool {
+        let am = self.nodes[a.index()].assignment.more();
+        if am.is_empty() {
+            return true;
         }
+        let bm = self.nodes[b.index()].assignment.more();
+        am.iter()
+            .all(|&f| bm.iter().any(|&g| self.vocab.fact_leq(f, g)))
     }
 
     fn make_roots(&mut self) {
@@ -621,120 +628,6 @@ impl<'a> Dag<'a> {
             cursor += 1;
         }
         self.nodes.len()
-    }
-}
-
-/// A read-only view of a [`Dag`]'s materialized nodes and fingerprints.
-///
-/// Unlike `&Dag`, a `DagView` is [`Sync`]: it borrows none of the DAG's
-/// generation-side scratch or the validity index's memoization cells, so
-/// it can be shared freely across `minipool` workers for order tests and
-/// frozen classification sweeps. It cannot expand nodes — materialization
-/// is sequential by design (interning and the validity oracle are serial).
-#[derive(Clone, Copy)]
-pub struct DagView<'d> {
-    vocab: &'d Vocabulary,
-    nodes: &'d [Node],
-    fp_space: &'d FingerprintSpace,
-    fps: &'d [u64],
-    fp_summaries: &'d [u64],
-    child_span: &'d [(u32, u32)],
-    child_edges: &'d [NodeId],
-    parent_link: &'d [(u32, u32)],
-    parent_blocks: &'d [ParentBlock],
-}
-
-impl<'d> DagView<'d> {
-    /// The vocabulary.
-    pub fn vocab(&self) -> &'d Vocabulary {
-        self.vocab
-    }
-
-    /// A materialized node.
-    pub fn node(&self, id: NodeId) -> &'d Node {
-        &self.nodes[id.index()]
-    }
-
-    /// Number of materialized nodes in the underlying DAG at view time.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the view covers no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// All node ids covered by this view.
-    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> {
-        (0..self.nodes.len() as u32).map(NodeId)
-    }
-
-    /// The fingerprint bit layout.
-    pub fn fp_space(&self) -> &'d FingerprintSpace {
-        self.fp_space
-    }
-
-    /// The closure fingerprint of a node.
-    #[inline]
-    pub fn fp_words(&self, id: NodeId) -> &'d [u64] {
-        let w = self.fp_space.words_per_node();
-        &self.fps[id.index() * w..(id.index() + 1) * w]
-    }
-
-    /// The one-word fingerprint summary of a node.
-    #[inline]
-    pub fn fp_summary(&self, id: NodeId) -> u64 {
-        self.fp_summaries[id.index()]
-    }
-
-    /// The generated children of `id` as an arena slice, if generated at
-    /// view time.
-    #[inline]
-    pub fn children_if_generated(&self, id: NodeId) -> Option<&'d [NodeId]> {
-        let (s, l) = self.child_span[id.index()];
-        if s == NONE32 {
-            None
-        } else {
-            Some(&self.child_edges[s as usize..(s + l) as usize])
-        }
-    }
-
-    /// The materialized parents of `id`, in insertion order.
-    #[inline]
-    pub fn parents(&self, id: NodeId) -> ParentsIter<'d> {
-        ParentsIter {
-            blocks: self.parent_blocks,
-            cur: self.parent_link[id.index()].0,
-            pos: 0,
-        }
-    }
-
-    /// `a ≤ b`; same test as [`Dag::leq`] (which delegates here).
-    pub fn leq(&self, a: NodeId, b: NodeId) -> bool {
-        if a == b {
-            return true;
-        }
-        let res = self.fp_summaries[a.index()] & !self.fp_summaries[b.index()] == 0
-            && fingerprint::subset(self.fp_words(a), self.fp_words(b))
-            && self.more_leq(a, b);
-        debug_assert_eq!(
-            res,
-            self.nodes[a.index()]
-                .assignment
-                .leq(self.vocab, &self.nodes[b.index()].assignment)
-        );
-        res
-    }
-
-    fn more_leq(&self, a: NodeId, b: NodeId) -> bool {
-        let am = self.nodes[a.index()].assignment.more();
-        if am.is_empty() {
-            return true;
-        }
-        let bm = self.nodes[b.index()].assignment.more();
-        am.iter()
-            .all(|&f| bm.iter().any(|&g| self.vocab.fact_leq(f, g)))
     }
 }
 

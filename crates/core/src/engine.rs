@@ -78,7 +78,7 @@ impl From<QlError> for OassisError {
 #[derive(Debug, Clone, Default)]
 pub struct ExecuteOptions {
     /// Mining configuration for pattern queries (threshold override,
-    /// question-type policy, pool, crowd-access policy, telemetry handle).
+    /// question-type policy, crowd-access policy, telemetry handle).
     pub mining: MiningConfig,
     /// Rule-mining configuration, used when the query has an `IMPLYING`
     /// clause.
@@ -395,7 +395,8 @@ impl<'o> Oassis<'o> {
 
     /// Installs a fork-join pool. Single queries use it for WHERE
     /// evaluation; batch requests use it to run whole queries on parallel
-    /// threads. Answers are bit-identical at any pool width.
+    /// threads, each mined on its worker alone. Answers are bit-identical
+    /// at any pool width.
     pub fn with_pool(mut self, pool: minipool::Pool) -> Self {
         self.pool = pool;
         self
@@ -643,10 +644,7 @@ impl<'o> Oassis<'o> {
         let indices: Vec<usize> = (0..queries.len()).collect();
         let results = self.pool.par_map(&indices, |&i| {
             let mut crowd = SharedCachingCrowd::new(make_crowd(i), cache);
-            // each query mines with a sequential inner pool: the
-            // parallelism budget is already spent at the query level
             let query_cfg = MiningConfig {
-                pool: minipool::Pool::sequential(),
                 telemetry: telemetry::Telemetry::off(),
                 ..cfg.clone()
             };

@@ -80,15 +80,12 @@ impl<'a> Fold<'a> {
         dag: &Dag<'_>,
         threshold: f64,
         aggregator: Option<&'a dyn Aggregator>,
-        pool: minipool::Pool,
         tele: &telemetry::Telemetry,
         mode: FoldMode,
     ) -> Fold<'a> {
         Fold {
             cls: Classifier::new(),
-            tracker: ValidTracker::new(dag)
-                .with_pool(pool)
-                .with_telemetry(tele.clone()),
+            tracker: ValidTracker::new(dag).with_telemetry(tele.clone()),
             aggregator,
             inbox: HashMap::new(),
             events: Vec::new(),
@@ -283,24 +280,19 @@ impl<'a> Fold<'a> {
     /// an answer (not Unknown), no generated child is significant, and the
     /// claimed validity matches the DAG's.
     fn entails_msp(&self, dag: &Dag<'_>, node: NodeId, valid: bool) -> bool {
-        let view = dag.view();
-        self.cls.class_frozen(&view, node) != Class::Unknown
+        self.cls.class_frozen(dag, node) != Class::Unknown
             && dag.children_if_generated(node).is_none_or(|children| {
                 children
                     .iter()
-                    .all(|&c| self.cls.class_frozen(&view, c) != Class::Significant)
+                    .all(|&c| self.cls.class_frozen(dag, c) != Class::Significant)
             })
             && valid == dag.node(node).valid
     }
 
     /// Materialized nodes still unclassified (a frozen sweep).
-    pub(crate) fn undecided(&self, dag: &Dag<'_>, pool: &minipool::Pool) -> usize {
-        let view = dag.view();
-        let cls = &self.cls;
-        let ids: Vec<NodeId> = dag.node_ids().collect();
-        pool.par_map(&ids, |&id| cls.class_frozen(&view, id) == Class::Unknown)
-            .into_iter()
-            .filter(|&u| u)
+    pub(crate) fn undecided(&self, dag: &Dag<'_>) -> usize {
+        dag.node_ids()
+            .filter(|&id| self.cls.class_frozen(dag, id) == Class::Unknown)
             .count()
     }
 
@@ -330,18 +322,22 @@ impl<'a> Fold<'a> {
         complete: bool,
         mut manifest: PartialManifest,
         gave_up: &[NodeId],
-        pool: &minipool::Pool,
         tele: &telemetry::Telemetry,
     ) -> MiningOutcome {
-        let view = dag.view();
         manifest.unanswered = gave_up
             .iter()
             .copied()
-            .filter(|&id| self.cls.class_frozen(&view, id) == Class::Unknown)
-            .map(|id| view.node(id).assignment.clone())
+            .filter(|&id| self.cls.class_frozen(dag, id) == Class::Unknown)
+            .map(|id| dag.node(id).assignment.clone())
             .collect();
         let (msps, valid_msps) = self.msp_assignments(dag);
-        let significant_valid = significant_valid_assignments(dag, &self.cls, pool);
+        let significant_valid = dag
+            .node_ids()
+            .filter(|&id| {
+                dag.node(id).valid && self.cls.class_frozen(dag, id) == Class::Significant
+            })
+            .map(|id| dag.node(id).assignment.clone())
+            .collect();
         let valid_mult_nodes = dag
             .node_ids()
             .filter(|&id| dag.node(id).valid && !dag.node(id).assignment.is_base())
@@ -379,13 +375,8 @@ impl<'a> Fold<'a> {
 
     /// The replay outcome of a fold over the post-run `dag`; `complete`
     /// is the replayed log's footer fact.
-    pub(crate) fn into_replay(
-        self,
-        dag: &Dag<'_>,
-        pool: &minipool::Pool,
-        complete: bool,
-    ) -> ReplayOutcome {
-        let undecided = self.undecided(dag, pool);
+    pub(crate) fn into_replay(self, dag: &Dag<'_>, complete: bool) -> ReplayOutcome {
+        let undecided = self.undecided(dag);
         let (msps, valid_msps) = self.msp_assignments(dag);
         ReplayOutcome {
             msps,
@@ -402,27 +393,4 @@ impl<'a> Fold<'a> {
             discarded_msps: self.discarded_msps,
         }
     }
-}
-
-/// All materialized valid assignments classified significant.
-///
-/// A read-only frozen sweep: classification goes through
-/// [`Classifier::class_frozen`] over a [`Dag::view`], which is
-/// value-identical to `class` but never stamps the sticky cache, so the
-/// scan shards freely across `pool` and merges in node-id order.
-fn significant_valid_assignments(
-    dag: &Dag<'_>,
-    cls: &Classifier,
-    pool: &minipool::Pool,
-) -> Vec<Assignment> {
-    let view = dag.view();
-    let ids: Vec<NodeId> = dag.node_ids().collect();
-    let hits = pool.par_map(&ids, |&id| {
-        view.node(id).valid && cls.class_frozen(&view, id) == Class::Significant
-    });
-    ids.into_iter()
-        .zip(hits)
-        .filter(|&(_, hit)| hit)
-        .map(|(id, _)| dag.node(id).assignment.clone())
-        .collect()
 }

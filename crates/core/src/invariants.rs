@@ -27,14 +27,13 @@ pub fn check_classification_monotonicity(dag: &Dag<'_>, cls: &Classifier) -> Res
     if cls.pruned_clicks() > 0 {
         return Ok(());
     }
-    let view = dag.view();
     for id in dag.node_ids() {
-        let Some(children) = view.children_if_generated(id) else {
+        let Some(children) = dag.children_if_generated(id) else {
             continue;
         };
-        let pc = cls.class_frozen(&view, id);
+        let pc = cls.class_frozen(dag, id);
         for &c in children {
-            let cc = cls.class_frozen(&view, c);
+            let cc = cls.class_frozen(dag, c);
             if cc == Class::Significant && pc != Class::Significant {
                 return Err(format!(
                     "classification monotonicity violated: child {c:?} is Significant \
@@ -60,24 +59,23 @@ pub fn check_msp_maximality(
     cls: &Classifier,
     msp_ids: &[NodeId],
 ) -> Result<(), String> {
-    let view = dag.view();
     for &m in msp_ids {
-        if cls.class_frozen(&view, m) != Class::Significant {
+        if cls.class_frozen(dag, m) != Class::Significant {
             return Err(format!(
                 "MSP invariant violated: confirmed MSP {m:?} is {:?}",
-                cls.class_frozen(&view, m)
+                cls.class_frozen(dag, m)
             ));
         }
-        let Some(children) = view.children_if_generated(m) else {
+        let Some(children) = dag.children_if_generated(m) else {
             return Err(format!(
                 "MSP invariant violated: {m:?} confirmed before its children were generated"
             ));
         };
         for &c in children {
-            if cls.class_frozen(&view, c) != Class::Insignificant {
+            if cls.class_frozen(dag, c) != Class::Insignificant {
                 return Err(format!(
                     "MSP maximality violated: MSP {m:?} has child {c:?} classified {:?}",
-                    cls.class_frozen(&view, c)
+                    cls.class_frozen(dag, c)
                 ));
             }
         }
@@ -85,7 +83,7 @@ pub fn check_msp_maximality(
     for (i, &a) in msp_ids.iter().enumerate() {
         // PANIC-OK: slicing from i+1 where i < len is always in range
         for &b in &msp_ids[i + 1..] {
-            if view.leq(a, b) || view.leq(b, a) {
+            if dag.leq(a, b) || dag.leq(b, a) {
                 return Err(format!(
                     "MSP antichain violated: MSPs {a:?} and {b:?} are order-comparable"
                 ));

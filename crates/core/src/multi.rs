@@ -173,14 +173,7 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
     let tele = root.tele().clone();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut run = Shared {
-        fold: Fold::new(
-            dag,
-            threshold,
-            Some(aggregator),
-            cfg.pool,
-            &tele,
-            FoldMode::Engine,
-        ),
+        fold: Fold::new(dag, threshold, Some(aggregator), &tele, FoldMode::Engine),
         stats: QuestionStats::default(),
         deg: Degradation::default(),
         newly_significant: Vec::new(),
@@ -288,10 +281,8 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
                 // batch efficiency: an answer landing after an earlier answer
                 // of the same batch already classified its target is redundant
                 // (the fold will not mark it again)
-                let redundant = width > 1 && {
-                    let view = dag.view();
-                    run.fold.classifier().class_frozen(&view, target) != Class::Unknown
-                };
+                let redundant =
+                    width > 1 && run.fold.classifier().class_frozen(dag, target) != Class::Unknown;
                 // question-type policy: specialization with configured ratio
                 let mut asked = false;
                 if cfg.specialization_ratio > 0.0 && rng.gen_bool(cfg.specialization_ratio) {
@@ -414,13 +405,9 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
     // The completeness check expands the remaining significant frontier,
     // which may generate children that are classified purely by inference;
     // a final monitor sweep then confirms the last MSPs.
-    let complete = crate::vertical::find_minimal_unclassified(
-        dag,
-        run.fold.classifier_mut(),
-        &cfg.pool,
-        &HashSet::new(),
-    )
-    .is_none();
+    let complete =
+        crate::vertical::find_minimal_unclassified(dag, run.fold.classifier_mut(), &HashSet::new())
+            .is_none();
     monitor.update(dag, &mut run.fold, last_member);
     // final tap flush: the completeness sweep may have confirmed MSPs
     // after the last round boundary
@@ -430,15 +417,10 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
             tap.append(dag, &ops[tap_flushed..]); // PANIC-OK: tap_flushed only ever takes values of ops.len(), which never shrinks.
         }
     }
-    let undecided = run.fold.undecided(dag, &cfg.pool);
-    let mining = run.fold.finish(
-        dag,
-        complete,
-        run.deg.manifest,
-        &run.deg.gave_up,
-        &cfg.pool,
-        &tele,
-    );
+    let undecided = run.fold.undecided(dag);
+    let mining = run
+        .fold
+        .finish(dag, complete, run.deg.manifest, &run.deg.gave_up, &tele);
     if tele.is_enabled() {
         for &n in &per_member {
             tele.observe("engine.answers_per_member", n as u64);
@@ -590,30 +572,25 @@ impl Shared<'_> {
                 // bit is set in that slot's ancestor-closure fingerprint, so
                 // the per-node test is one bit probe per slot.
                 let affected: Vec<NodeId> = {
-                    // the per-node probe is a pure read — shard it across the
-                    // pool and merge the hits back in node-id order
-                    let view = dag.view();
-                    let vocab = view.vocab();
-                    let space = view.fp_space();
+                    let vocab = dag.vocab();
+                    let space = dag.fp_space();
                     let wps = space.words_per_slot();
                     let ebit_word = elem.index() / 64;
                     let ebit_mask = 1u64 << (elem.index() % 64);
-                    let ids: Vec<NodeId> = view.node_ids().collect();
-                    let hits = cfg.pool.par_map(&ids, |&id| {
-                        let words = view.fp_words(id);
-                        let hit_value = (0..space.num_slots()).any(|si| {
-                            // PANIC-OK: fingerprint layout fixes words.len() at
-                            // num_slots * wps with ebit_word < elem_words <= wps.
-                            words[si * wps + ebit_word] & ebit_mask != 0
-                        });
-                        hit_value
-                            || view.node(id).assignment.more().iter().any(|f| {
-                                vocab.elem_leq(elem, f.subject) || vocab.elem_leq(elem, f.object)
-                            })
-                    });
-                    ids.into_iter()
-                        .zip(hits)
-                        .filter_map(|(id, hit)| hit.then_some(id))
+                    dag.node_ids()
+                        .filter(|&id| {
+                            let words = dag.fp_words(id);
+                            let hit_value = (0..space.num_slots()).any(|si| {
+                                // PANIC-OK: fingerprint layout fixes words.len() at
+                                // num_slots * wps with ebit_word < elem_words <= wps.
+                                words[si * wps + ebit_word] & ebit_mask != 0
+                            });
+                            hit_value
+                                || dag.node(id).assignment.more().iter().any(|f| {
+                                    vocab.elem_leq(elem, f.subject)
+                                        || vocab.elem_leq(elem, f.object)
+                                })
+                        })
                         .collect()
                 };
                 for id in affected {

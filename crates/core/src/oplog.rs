@@ -341,14 +341,18 @@ impl OpLog {
     /// the recording run used (ignored for single-user logs). The DAG is
     /// taken by shared reference: replay never materializes nodes, so
     /// `nodes_materialized` is derived, not re-grown.
+    ///
+    /// `_pool` is unused: replay runs on the calling thread. The parameter
+    /// stays only so that existing callers (perfbench's `recover`) keep
+    /// building.
     pub fn replay<A: Aggregator>(
         &self,
         dag: &Dag<'_>,
         aggregator: &A,
-        pool: &minipool::Pool,
+        _pool: &minipool::Pool,
         tele: &telemetry::Telemetry,
     ) -> ReplayOutcome {
-        self.replay_impl(dag, aggregator, pool, tele, FoldMode::Replay)
+        self.replay_impl(dag, aggregator, tele, FoldMode::Replay)
     }
 
     /// The cluster coordinator's merge entry point: replays a log merged
@@ -368,15 +372,15 @@ impl OpLog {
     /// which is what makes the merge commutative: ticks are per-node
     /// question counters, members belong to exactly one node, and `seq`
     /// orders within a tick, so the sort is a total order over any union
-    /// of per-node streams.
+    /// of per-node streams. `_pool` is unused, as in [`OpLog::replay`].
     pub fn replay_merged<A: Aggregator>(
         &self,
         dag: &Dag<'_>,
         aggregator: &A,
-        pool: &minipool::Pool,
+        _pool: &minipool::Pool,
         tele: &telemetry::Telemetry,
     ) -> ReplayOutcome {
-        self.replay_impl(dag, aggregator, pool, tele, FoldMode::Merged)
+        self.replay_impl(dag, aggregator, tele, FoldMode::Merged)
     }
 
     /// Sort, then fold each op: replay is the engines' fold with no
@@ -385,7 +389,6 @@ impl OpLog {
         &self,
         dag: &Dag<'_>,
         aggregator: &dyn Aggregator,
-        pool: &minipool::Pool,
         tele: &telemetry::Telemetry,
         mode: FoldMode,
     ) -> ReplayOutcome {
@@ -396,14 +399,13 @@ impl OpLog {
             dag,
             self.threshold,
             self.aggregated.then_some(aggregator),
-            *pool,
             span.tele(),
             mode,
         );
         for op in ops {
             fold.apply(dag, op);
         }
-        fold.into_replay(dag, pool, self.complete)
+        fold.into_replay(dag, self.complete)
     }
 }
 

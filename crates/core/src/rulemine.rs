@@ -110,10 +110,6 @@ pub fn run_rules<C: CrowdSource>(
         ));
     }
     let panel: Vec<MemberId> = members.into_iter().take(cfg.panel_size.max(1)).collect();
-    // rule mining is panel-bounded and never the throughput bottleneck;
-    // keep its minimality checks on the sequential path
-    let pool = minipool::Pool::sequential();
-
     let mut state = RuleState {
         cls: Classifier::new(),
         questions: 0,
@@ -130,7 +126,6 @@ pub fn run_rules<C: CrowdSource>(
         let Some(mut phi) = crate::vertical::find_minimal_unclassified(
             dag,
             &mut state.cls,
-            &pool,
             &std::collections::HashSet::new(),
         ) else {
             break;
@@ -168,7 +163,6 @@ pub fn run_rules<C: CrowdSource>(
         && crate::vertical::find_minimal_unclassified(
             dag,
             &mut state.cls,
-            &pool,
             &std::collections::HashSet::new(),
         )
         .is_none();

@@ -24,6 +24,12 @@ use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 
 /// Configuration shared by the mining algorithms.
+///
+/// A run mines on the calling thread. The paper's only concurrency is
+/// crowd members answering in parallel (Section 4.2), and the cost it
+/// bounds is crowd questions, which no thread count changes. Batch
+/// requests run whole queries in parallel instead
+/// ([`crate::Oassis::with_pool`]).
 #[derive(Debug, Clone)]
 pub struct MiningConfig {
     /// The support threshold Θ (overrides the query's `WITH SUPPORT` when
@@ -49,11 +55,6 @@ pub struct MiningConfig {
     /// Stop after this many answered questions (`None` = run to
     /// completion).
     pub max_questions: Option<usize>,
-    /// Fork-join pool for the engine's data-parallel scans (pruning-cone
-    /// sweeps, witness verification, final classification sweeps). The
-    /// default is sequential; any width produces bit-identical outcomes —
-    /// every parallel phase is a pure map merged in input order.
-    pub pool: minipool::Pool,
     /// Crowd-access policy: per-question timeout, retry cap, and backoff
     /// for members that stall ([`Answer::NoResponse`]). The default never
     /// activates on a fault-free crowd, so existing outcomes are
@@ -87,7 +88,6 @@ impl Default for MiningConfig {
             seed: 0,
             batch_width: 1,
             max_questions: None,
-            pool: minipool::Pool::sequential(),
             policy: CrowdPolicy::default(),
             debug_checks: false,
             telemetry: telemetry::Telemetry::off(),
@@ -193,8 +193,6 @@ pub(crate) struct ValidTracker {
     buckets_first: Vec<Vec<u32>>,
     /// Any value bit → bases holding it (each base once per slot).
     buckets_all: Vec<Vec<u32>>,
-    /// Pool for sharded candidate verification (sequential by default).
-    pool: minipool::Pool,
     /// Telemetry handle (off by default). Only counters and histograms
     /// are recorded here — never spans — so witness verification can run
     /// from any engine without perturbing the trace tick.
@@ -237,18 +235,8 @@ impl ValidTracker {
             empty_bases,
             buckets_first,
             buckets_all,
-            pool: minipool::Pool::sequential(),
             tele: telemetry::Telemetry::off(),
         }
-    }
-
-    /// Shards candidate verification across `pool` (shard-and-merge: the
-    /// pure hit tests run in parallel, the marks are applied sequentially
-    /// in candidate order — the classified set is order-insensitive
-    /// anyway, since `mark` is idempotent and commutative).
-    pub fn with_pool(mut self, pool: minipool::Pool) -> Self {
-        self.pool = pool;
-        self
     }
 
     /// Attaches a telemetry handle for witness/prune counters.
@@ -279,50 +267,19 @@ impl ValidTracker {
             // bases a ≤ w: no MORE facts and singleton slots, so the
             // condition is exactly "every base value bit is set in F(w)"
             let words = dag.fp_words(w);
-            if self.pool.threads() > 1 {
-                // Shard-and-merge: every base hits at most one first-bit
-                // bucket, so the candidate list is duplicate-free and the
-                // subset tests are independent pure reads; marks are
-                // applied afterwards in candidate order.
-                let mut candidates: Vec<u32> = Vec::new();
-                for bit in crate::fingerprint::iter_bits(words) {
-                    candidates.extend(
-                        // PANIC-OK: iter_bits yields bits below nbits.
-                        self.buckets_first[bit]
+            for bit in crate::fingerprint::iter_bits(words) {
+                // PANIC-OK: iter_bits yields bits below nbits.
+                for bi in 0..self.buckets_first[bit].len() {
+                    // PANIC-OK: `bit` and `bi` are loop-bounded.
+                    let i = self.buckets_first[bit][bi] as usize;
+                    // PANIC-OK: bucket entries are base indices.
+                    if !self.classified[i]
+                        // PANIC-OK: `i` is a base index, as above.
+                        && self.base_bits[i]
                             .iter()
-                            .copied()
-                            // PANIC-OK: bucket entries are base indices.
-                            .filter(|&i| !self.classified[i as usize]),
-                    );
-                }
-                self.tele
-                    .observe("minipool.shard_items", candidates.len() as u64);
-                let hits = self.pool.par_map(&candidates, |&i| {
-                    // PANIC-OK: candidates hold base indices, as above.
-                    self.base_bits[i as usize]
-                        .iter()
-                        .all(|&b| word_bit(words, b as usize))
-                });
-                for (&i, hit) in candidates.iter().zip(hits) {
-                    if hit {
-                        changed |= self.mark(i as usize);
-                    }
-                }
-            } else {
-                for bit in crate::fingerprint::iter_bits(words) {
-                    // PANIC-OK: iter_bits yields bits below nbits.
-                    for bi in 0..self.buckets_first[bit].len() {
-                        // PANIC-OK: `bit` and `bi` are loop-bounded.
-                        let i = self.buckets_first[bit][bi] as usize;
-                        // PANIC-OK: bucket entries are base indices.
-                        if !self.classified[i]
-                            // PANIC-OK: `i` is a base index, as above.
-                            && self.base_bits[i]
-                                .iter()
-                                .all(|&b| word_bit(words, b as usize))
-                        {
-                            changed |= self.mark(i);
-                        }
+                            .all(|&b| word_bit(words, b as usize))
+                    {
+                        changed |= self.mark(i);
                     }
                 }
             }
@@ -376,29 +333,11 @@ impl ValidTracker {
                     }
                 }
             }
-            if self.pool.threads() > 1 {
-                // `buckets_all` may list a base once per slot; duplicate
-                // candidates verify to the same verdict and `mark` is
-                // idempotent, so the classified set is unchanged.
-                self.tele
-                    .observe("minipool.shard_items", candidates.len() as u64);
-                let hits = self.pool.par_map(&candidates, |&i| {
-                    let i = i as usize;
-                    // PANIC-OK: bucket entries are base indices.
-                    !self.classified[i] && assignment.leq(vocab, &self.assignments[i])
-                });
-                for (&i, hit) in candidates.iter().zip(hits) {
-                    if hit {
-                        changed |= self.mark(i as usize);
-                    }
-                }
-            } else {
-                for i in candidates {
-                    let i = i as usize;
-                    // PANIC-OK: bucket entries are base indices.
-                    if !self.classified[i] && assignment.leq(vocab, &self.assignments[i]) {
-                        changed |= self.mark(i);
-                    }
+            for i in candidates {
+                let i = i as usize;
+                // PANIC-OK: bucket entries are base indices.
+                if !self.classified[i] && assignment.leq(vocab, &self.assignments[i]) {
+                    changed |= self.mark(i);
                 }
             }
         }
@@ -454,8 +393,7 @@ pub fn run_vertical<C: CrowdSource>(
         if s.exhausted() {
             break;
         }
-        let Some(mut phi) =
-            find_minimal_unclassified(dag, s.fold.classifier_mut(), &cfg.pool, &s.gave_up_set)
+        let Some(mut phi) = find_minimal_unclassified(dag, s.fold.classifier_mut(), &s.gave_up_set)
         else {
             break;
         };
@@ -559,8 +497,7 @@ pub fn run_vertical<C: CrowdSource>(
     // `complete == false` (one resolved by a later inference does not)
     let complete = s.available
         && !s.exhausted_budget()
-        && find_minimal_unclassified(dag, s.fold.classifier_mut(), &cfg.pool, &HashSet::new())
-            .is_none();
+        && find_minimal_unclassified(dag, s.fold.classifier_mut(), &HashSet::new()).is_none();
     s.finish(dag, complete)
 }
 
@@ -600,7 +537,7 @@ impl<'c> Session<'c> {
     pub fn new(dag: &Dag<'_>, cfg: &'c MiningConfig, tele: telemetry::Telemetry) -> Self {
         let threshold = cfg.threshold.unwrap_or(dag.query().threshold);
         Session {
-            fold: Fold::new(dag, threshold, None, cfg.pool, &tele, FoldMode::Engine),
+            fold: Fold::new(dag, threshold, None, &tele, FoldMode::Engine),
             rng: StdRng::seed_from_u64(cfg.seed),
             available: true,
             cfg,
@@ -613,14 +550,8 @@ impl<'c> Session<'c> {
 
     /// Assembles the run's outcome.
     pub fn finish(self, dag: &Dag<'_>, complete: bool) -> MiningOutcome {
-        self.fold.finish(
-            dag,
-            complete,
-            self.manifest,
-            &self.gave_up,
-            &self.cfg.pool,
-            &self.tele,
-        )
+        self.fold
+            .finish(dag, complete, self.manifest, &self.gave_up, &self.tele)
     }
 
     pub fn exhausted_budget(&self) -> bool {
@@ -814,7 +745,6 @@ impl<'c> Session<'c> {
 pub(crate) fn find_minimal_unclassified(
     dag: &mut Dag<'_>,
     cls: &mut Classifier,
-    pool: &minipool::Pool,
     skip: &HashSet<NodeId>,
 ) -> Option<NodeId> {
     let mut candidates: Vec<NodeId> = Vec::new();
@@ -838,33 +768,13 @@ pub(crate) fn find_minimal_unclassified(
             Class::Insignificant => {}
         }
     }
-    // Minimal element among candidates. The parallel path computes the
-    // dominated flag of every candidate and takes the first undominated
-    // one — the same node the sequential early-exit scan returns, since
-    // both walk `candidates` in push order.
-    let best: Option<NodeId> = if pool.threads() > 1 && candidates.len() >= 32 {
-        let view = dag.view();
-        let dominated = pool.par_map(&candidates, |&c| {
-            candidates.iter().any(|&d| d != c && view.leq(d, c))
-        });
-        candidates
-            .iter()
-            .zip(&dominated)
-            .find_map(|(&c, &dom)| (!dom).then_some(c))
-    } else {
-        let mut best: Option<NodeId> = None;
-        'cand: for &c in &candidates {
-            for &d in &candidates {
-                if d != c && dag.leq(d, c) {
-                    continue 'cand;
-                }
-            }
-            best = Some(c);
-            break;
-        }
-        best
-    };
-    best.or_else(|| candidates.first().copied())
+    // minimal element among candidates: the first, in push order, that no
+    // other candidate dominates
+    candidates
+        .iter()
+        .copied()
+        .find(|&c| !candidates.iter().any(|&d| d != c && dag.leq(d, c)))
+        .or_else(|| candidates.first().copied())
 }
 
 #[cfg(test)]

@@ -8,6 +8,10 @@
 
 use std::fmt;
 
+/// The largest integer up to which a JSON number here (an `f64`) holds
+/// every integer exactly: 2^53.
+pub const MAX_EXACT_INT: u64 = 1 << 53;
+
 /// A JSON document.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -116,6 +120,21 @@ impl Json {
             Ok(n as u32)
         } else {
             Err(JsonError::shape(format!("expected u32, got {n}")))
+        }
+    }
+
+    /// The value as an integer in `[0, MAX_EXACT_INT]`, or a shape error.
+    /// Negative, fractional and larger numbers are rejected, not rounded:
+    /// past 2^53 an `f64` no longer holds every integer, so a larger
+    /// value could not round-trip through a document.
+    pub fn as_exact_u64(&self) -> Result<u64, JsonError> {
+        let n = self.as_f64()?;
+        if n.fract() == 0.0 && (0.0..=MAX_EXACT_INT as f64).contains(&n) {
+            Ok(n as u64)
+        } else {
+            Err(JsonError::shape(format!(
+                "expected an integer in [0, 2^53], got {n}"
+            )))
         }
     }
 
@@ -445,6 +464,18 @@ mod tests {
         for v in [0.1, 1.0 / 3.0, 5.0 / 12.0, f64::MAX, 1e-300, 0.0] {
             let text = Json::Num(v).to_string();
             assert_eq!(parse(&text).unwrap().as_f64().unwrap(), v, "{text}");
+        }
+    }
+
+    #[test]
+    fn exact_integers_are_the_lossless_range_only() {
+        for v in [0u64, 1, 7, MAX_EXACT_INT] {
+            let text = Json::Num(v as f64).to_string();
+            assert_eq!(parse(&text).unwrap().as_exact_u64().unwrap(), v, "{text}");
+        }
+        // negative, fractional, past 2^53 (here 2^60), not a number
+        for bad in ["-1", "1.5", "1152921504606846976", "\"7\""] {
+            assert!(parse(bad).unwrap().as_exact_u64().is_err(), "{bad}");
         }
     }
 

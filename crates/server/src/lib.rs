@@ -45,7 +45,7 @@ pub use provider::Figure1Provider;
 pub use service::{Client, Server, ServerConfig};
 pub use session::{
     CrowdProvider, FnProvider, OpenReply, QueryReply, RecoveredQuery, ServerError, SessionHandle,
-    SessionManager, SessionSpec,
+    SessionManager, SessionSpec, MAX_MEMBERS,
 };
 pub use wal::{DoneMeta, KillSwitch, QueryMeta, QuerySpec, Recovered, SessionWal, WalTap};
 

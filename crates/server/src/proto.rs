@@ -189,9 +189,9 @@ impl Request {
             "open" => Ok(Request::Open(SessionSpec {
                 name: j.field("session")?.as_str()?.to_string(),
                 seed: opt_field(j, "seed")
-                    .map(Json::as_f64)
+                    .map(Json::as_exact_u64)
                     .transpose()?
-                    .unwrap_or(0.0) as u64,
+                    .unwrap_or(0),
                 members: opt_field(j, "members")
                     .map(Json::as_u32)
                     .transpose()?
@@ -210,9 +210,9 @@ impl Request {
                         .map(Json::as_u32)
                         .transpose()?,
                     seed: opt_field(j, "seed")
-                        .map(Json::as_f64)
+                        .map(Json::as_exact_u64)
                         .transpose()?
-                        .unwrap_or(0.0) as u64,
+                        .unwrap_or(0),
                 },
             }),
             "recover" => Ok(Request::Recover {
@@ -504,6 +504,41 @@ mod tests {
             code: "bad_frame".into(),
             msg: "nope".into(),
         });
+    }
+
+    /// Decodes an `open` and a `query` frame carrying `seed` (its JSON
+    /// text), returning each decode's result.
+    fn decode_seed(seed: &str) -> [Result<Request, JsonError>; 2] {
+        [
+            format!("{{\"type\":\"open\",\"session\":\"s\",\"seed\":{seed}}}"),
+            format!("{{\"type\":\"query\",\"session\":\"s\",\"src\":\"Q\",\"seed\":{seed}}}"),
+        ]
+        .map(|frame| Request::from_json(&json::parse(&frame).unwrap()))
+    }
+
+    #[test]
+    fn negative_seeds_are_rejected() {
+        for r in decode_seed("-1") {
+            assert!(r.is_err(), "{r:?}");
+        }
+    }
+
+    #[test]
+    fn fractional_seeds_are_rejected() {
+        for r in decode_seed("1.5") {
+            assert!(r.is_err(), "{r:?}");
+        }
+    }
+
+    #[test]
+    fn seeds_past_2_pow_53_are_rejected() {
+        // 2^60: an f64 holds it, but not every integer near it
+        for r in decode_seed("1152921504606846976") {
+            assert!(r.is_err(), "{r:?}");
+        }
+        let [open, query] = decode_seed("9007199254740992");
+        assert!(matches!(open, Ok(Request::Open(SessionSpec { seed, .. })) if seed == 1 << 53));
+        assert!(matches!(query, Ok(Request::Query { spec, .. }) if spec.seed == 1 << 53));
     }
 
     #[test]

@@ -39,6 +39,7 @@ use oassis_core::{
     PreparedQuery, QueryRequest, SemanticOutcome, SharedCrowdCache, WireOp,
 };
 use oassis_ql::MatchMode;
+use ontology::json::MAX_EXACT_INT;
 use ontology::Ontology;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
@@ -74,6 +75,12 @@ impl std::fmt::Display for ServerError {
 
 impl std::error::Error for ServerError {}
 
+/// The largest crowd a session may be opened with. A provider builds
+/// every member on the session's first query, so the bound caps what one
+/// `open` frame can make the server allocate. It leaves room above the
+/// paper's 248-member crowd.
+pub const MAX_MEMBERS: u32 = 1024;
+
 /// What a session was opened with (the `open` frame's payload); the
 /// crowd provider builds the session's crowd from it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,9 +88,10 @@ pub struct SessionSpec {
     /// Session name — also the WAL directory name, so restricted to
     /// `[A-Za-z0-9_-]`.
     pub name: String,
-    /// Crowd seed (deterministic simulated members).
+    /// Crowd seed (deterministic simulated members), at most
+    /// [`MAX_EXACT_INT`]: the WAL header stores it as a JSON number.
     pub seed: u64,
-    /// Crowd size.
+    /// Crowd size, at most [`MAX_MEMBERS`].
     pub members: u32,
 }
 
@@ -184,8 +192,8 @@ struct Session {
 
 /// Owns the shared ontology, the crowd provider, and every resident
 /// session. One manager per server process; the service layer guards it
-/// with the `server.sessions` mutex, so queries serialize per process —
-/// the engine itself parallelizes internally via its pool.
+/// with the `server.sessions` mutex, so queries serialize per process,
+/// and each mines on the calling thread.
 pub struct SessionManager {
     ont: Arc<Ontology>,
     provider: Box<dyn CrowdProvider>,
@@ -268,6 +276,17 @@ impl SessionManager {
         }
     }
 
+    /// Rejects a seed the WAL could not store exactly.
+    fn check_seed(seed: u64) -> Result<(), ServerError> {
+        if seed <= MAX_EXACT_INT {
+            Ok(())
+        } else {
+            Err(ServerError::Protocol(format!(
+                "seed {seed} exceeds 2^53, the largest the WAL stores exactly"
+            )))
+        }
+    }
+
     fn stamp(&mut self) -> u64 {
         self.use_counter += 1;
         self.use_counter
@@ -278,6 +297,13 @@ impl SessionManager {
     /// sessions (a reconnecting client re-sends `open`).
     pub fn open(&mut self, spec: &SessionSpec) -> Result<OpenReply, ServerError> {
         Self::check_name(&spec.name)?;
+        Self::check_seed(spec.seed)?;
+        if spec.members > MAX_MEMBERS {
+            return Err(ServerError::Protocol(format!(
+                "{} members exceed the limit of {MAX_MEMBERS}",
+                spec.members
+            )));
+        }
         if let Some(s) = self.sessions.get(&spec.name) {
             let reply = OpenReply {
                 resumed: true,
@@ -394,14 +420,12 @@ impl SessionManager {
     /// [`Oassis::run`], streaming ops and fresh answers to the WAL as it
     /// goes, and records the outcome digest in the `done` footer.
     pub fn query(&mut self, name: &str, spec: &QuerySpec) -> Result<QueryReply, ServerError> {
+        Self::check_seed(spec.seed)?;
         self.touch(name)?;
         let (wal, cache, sess_spec, qid) = {
             // PANIC-OK: touch above paged the session in.
-            let s = self.sessions.get_mut(name).unwrap();
-            let qid = s.next_qid;
-            s.next_qid += 1;
-            s.decoded = None;
-            (s.wal.clone(), s.cache.clone(), s.spec.clone(), qid)
+            let s = &self.sessions[name];
+            (s.wal.clone(), s.cache.clone(), s.spec.clone(), s.next_qid)
         };
         let tele = self.tele.labeled(&format!("session.{name}"));
         let span = tele.span_with("query", &spec.src);
@@ -419,6 +443,14 @@ impl SessionManager {
             .expect("wal mutex poisoned") // PANIC-OK: poisoning means a holder already panicked; propagate it
             .record_query(qid, spec)
             .map_err(|e| ServerError::Wal(e.to_string()))?;
+        // the qid is taken only once the WAL registers it, and the WAL
+        // has now grown past the page-in's decode
+        {
+            // PANIC-OK: touch above paged the session in.
+            let s = self.sessions.get_mut(name).unwrap();
+            s.next_qid += 1;
+            s.decoded = None;
+        }
         let cfg = MiningConfig {
             threshold: spec.threshold,
             batch_width: spec.batch_width as usize,

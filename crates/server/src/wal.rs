@@ -140,7 +140,8 @@ pub struct QuerySpec {
     pub batch_width: u32,
     /// Question budget.
     pub max_questions: Option<u32>,
-    /// Mining seed.
+    /// Mining seed, at most 2^53: the `query` record stores it as a
+    /// JSON number.
     pub seed: u64,
 }
 
@@ -407,7 +408,7 @@ impl SessionWal {
                 Ok(kind) if kind == "session" => {
                     out.session = Some(rec.field("name")?.as_str()?.to_string());
                     out.proto = rec.field("proto")?.as_u32()?;
-                    out.seed = rec.field("seed")?.as_f64()? as u64;
+                    out.seed = rec.field("seed")?.as_exact_u64()?;
                     out.members = rec.field("members")?.as_u32()?;
                 }
                 Ok(kind) if kind == "query" => {
@@ -416,7 +417,7 @@ impl SessionWal {
                         threshold: opt_f64(rec.field("threshold")?)?,
                         batch_width: rec.field("batch_width")?.as_u32()?,
                         max_questions: opt_u32(rec.field("max_questions")?)?,
-                        seed: rec.field("seed")?.as_f64()? as u64,
+                        seed: rec.field("seed")?.as_exact_u64()?,
                     };
                     out.queries.push(QueryMeta {
                         qid: rec.field("qid")?.as_u32()?,

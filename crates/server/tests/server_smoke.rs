@@ -7,8 +7,8 @@ mod common;
 use common::{manager, temp_root};
 use oassis_server::service::MAX_FRAME_BYTES;
 use oassis_server::{
-    digest_hex, Client, QuerySpec, Request, Response, Server, ServerConfig, SessionSpec,
-    PROTO_VERSION,
+    digest_hex, Client, QuerySpec, Request, Response, Server, ServerConfig, ServerError,
+    SessionSpec, SessionWal, MAX_MEMBERS, PROTO_VERSION,
 };
 use ontology::domains::figure1;
 use ontology::json;
@@ -234,6 +234,150 @@ fn oversized_frame_is_rejected_and_closed() {
         .unwrap();
     assert!(matches!(resp, Response::Result { .. }), "{resp:?}");
 
+    client.bye().unwrap();
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The `queries` an `opened` reply lists.
+fn opened_queries(client: &mut Client, spec: &SessionSpec) -> Vec<u32> {
+    let resp = client.call(&Request::Open(spec.clone())).unwrap();
+    let Response::Opened { queries, .. } = resp else {
+        panic!("expected opened, got {resp:?}")
+    };
+    queries
+}
+
+#[test]
+fn a_rejected_query_registers_no_qid() {
+    let ont = Arc::new(figure1::ontology());
+    let root = temp_root("rejected");
+    let server = spawn(&ont, &root);
+    let mut client = Client::connect(server.addr()).unwrap();
+    let session = SessionSpec {
+        name: "rejected".into(),
+        seed: 7,
+        members: 2,
+    };
+    assert!(opened_queries(&mut client, &session).is_empty());
+
+    let resp = client
+        .call(&Request::Query {
+            session: "rejected".into(),
+            spec: QuerySpec {
+                src: "SELECT nothing parseable".into(),
+                ..qspec(1)
+            },
+        })
+        .unwrap();
+    assert!(matches!(resp, Response::Error { .. }), "{resp:?}");
+
+    // the resident session and the one paged in from its WAL agree
+    let resident = opened_queries(&mut client, &session);
+    let resp = client
+        .call(&Request::Close {
+            session: "rejected".into(),
+        })
+        .unwrap();
+    assert!(matches!(resp, Response::Closed { .. }), "{resp:?}");
+    let paged_in = opened_queries(&mut client, &session);
+    assert_eq!(resident, paged_in);
+    assert!(resident.is_empty(), "no query was registered: {resident:?}");
+
+    // the next accepted query takes qid 1
+    let resp = client
+        .call(&Request::Query {
+            session: "rejected".into(),
+            spec: qspec(1),
+        })
+        .unwrap();
+    let Response::Result { reply, .. } = resp else {
+        panic!("expected result, got {resp:?}")
+    };
+    assert_eq!(reply.qid, 1);
+
+    client.bye().unwrap();
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn seeds_past_2_pow_53_are_a_protocol_error() {
+    let ont = Arc::new(figure1::ontology());
+    let root = temp_root("bigseed");
+    let mut mgr = manager(&ont, &root);
+    let max = 1u64 << 53;
+    let spec = |seed| SessionSpec {
+        name: "bigseed".into(),
+        seed,
+        members: 2,
+    };
+    let err = mgr.open(&spec(max + 1)).unwrap_err();
+    assert!(matches!(err, ServerError::Protocol(_)), "{err:?}");
+
+    // 2^53 itself is stored exactly
+    mgr.open(&spec(max)).unwrap();
+    let err = mgr.query("bigseed", &qspec(max + 1)).unwrap_err();
+    assert!(matches!(err, ServerError::Protocol(_)), "{err:?}");
+    assert_eq!(mgr.query("bigseed", &qspec(max)).unwrap().qid, 1);
+    mgr.close("bigseed").unwrap();
+    let rec = SessionWal::open(root.join("bigseed"), 0)
+        .unwrap()
+        .recover(ont.vocab())
+        .unwrap();
+    assert_eq!(rec.seed, max, "the header pages back in unrounded");
+    assert_eq!(rec.queries.len(), 1);
+    assert_eq!(rec.queries[0].spec.seed, max);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn oversized_crowd_is_rejected_and_others_are_served() {
+    let ont = Arc::new(figure1::ontology());
+    let root = temp_root("crowd");
+    let server = spawn(&ont, &root);
+
+    let mut greedy = Client::connect(server.addr()).unwrap();
+    let resp = greedy
+        .call(&Request::Open(SessionSpec {
+            name: "greedy".into(),
+            seed: 1,
+            members: 4_000_000_000,
+        }))
+        .unwrap();
+    let Response::Error { code, .. } = resp else {
+        panic!("expected error, got {resp:?}")
+    };
+    assert_eq!(code, "protocol");
+    // the limit itself is accepted
+    let resp = greedy
+        .call(&Request::Open(SessionSpec {
+            name: "greedy".into(),
+            seed: 1,
+            members: MAX_MEMBERS,
+        }))
+        .unwrap();
+    assert!(matches!(resp, Response::Opened { .. }), "{resp:?}");
+
+    // a second client is still served
+    let mut client = Client::connect(server.addr()).unwrap();
+    let resp = client
+        .call(&Request::Open(SessionSpec {
+            name: "modest".into(),
+            seed: 1,
+            members: 2,
+        }))
+        .unwrap();
+    assert!(matches!(resp, Response::Opened { .. }), "{resp:?}");
+    let resp = client
+        .call(&Request::Query {
+            session: "modest".into(),
+            spec: qspec(1),
+        })
+        .unwrap();
+    assert!(matches!(resp, Response::Result { .. }), "{resp:?}");
+
+    greedy.bye().unwrap();
     client.bye().unwrap();
     server.shutdown();
     let _ = std::fs::remove_dir_all(&root);

@@ -162,9 +162,8 @@ pub fn run_cluster(
         // merge on a fresh coordinator replica (the stale-DAG shape:
         // every op is interned at merge time, not at its own tick)
         let mut coord_dag = Dag::new(&b, vocab, &base).without_multiplicities();
-        let pool = minipool::Pool::sequential();
         let merged_complete = nonempty == complete && net.fully_delivered;
-        let merged = coord.merge(&mut coord_dag, &agg, &pool, tele, merged_complete);
+        let merged = coord.merge(&mut coord_dag, &agg, tele, merged_complete);
         let outcome = SemanticOutcome::from_replay(&merged, &b, vocab);
         ClusterRun {
             digest: outcome.digest(),

@@ -46,7 +46,7 @@ impl SimTrace {
     }
 
     /// FNV-1a digest of the rendered trace. Same seed ⇒ same digest,
-    /// across runs and pool widths.
+    /// across runs.
     pub fn digest(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for e in &self.entries {

@@ -3,8 +3,8 @@
 //! One seed deterministically derives a synthetic world (a planted-MSP
 //! DAG and a pure oracle crowd), a fault [`Schedule`], and a
 //! [`CrowdPolicy`]. The harness then runs every engine — `run_naive`,
-//! `run_vertical`, `run_horizontal` and `run_multi` at pool widths
-//! {1, 2, 4, 8} — against the *same* schedule and checks:
+//! `run_vertical`, `run_horizontal` and `run_multi` — against the *same*
+//! schedule and checks:
 //!
 //! * **Differential oracle (fault-free):** all engines report the same
 //!   MSP set, and it equals the planted ground truth.
@@ -14,7 +14,7 @@
 //!   patterns — is a subset of the fault-free outcome, and a non-empty
 //!   partial-answer manifest implies `complete == false`.
 //! * **Determinism:** re-running the same seed reproduces bit-identical
-//!   traces and outcomes, at every pool width.
+//!   traces and outcomes.
 //!
 //! On failure, [`shrink_failure`] minimizes the schedule to a one-line
 //! replayable counterexample via [`crate::shrink::shrink`].
@@ -81,24 +81,20 @@ impl SimConfig {
     }
 }
 
-/// The engines under differential test. `Multi(0)` is the sequential
-/// pool; other widths exercise the fork-join scans.
+/// The engines under differential test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EngineKind {
     Naive,
     Vertical,
     Horizontal,
-    Multi(usize),
+    Multi,
 }
 
-const ENGINES: [EngineKind; 7] = [
+const ENGINES: [EngineKind; 4] = [
     EngineKind::Naive,
     EngineKind::Vertical,
     EngineKind::Horizontal,
-    EngineKind::Multi(0),
-    EngineKind::Multi(2),
-    EngineKind::Multi(4),
-    EngineKind::Multi(8),
+    EngineKind::Multi,
 ];
 
 /// One engine's observable outcome, rendered order-independently.
@@ -218,7 +214,7 @@ fn run_engine(
             dag.materialize_all();
         }
         let members = match engine {
-            EngineKind::Multi(_) => cfg.members as usize,
+            EngineKind::Multi => cfg.members as usize,
             _ => 1,
         };
         let oracle = PlantedOracle::new(vocab, patterns.to_vec(), members, cfg.seed);
@@ -228,10 +224,6 @@ fn run_engine(
             specialization_ratio: 0.25,
             seed: cfg.seed,
             max_questions: budget,
-            pool: match engine {
-                EngineKind::Multi(w) if w > 0 => minipool::Pool::new(w),
-                _ => minipool::Pool::sequential(),
-            },
             policy: cfg.policy,
             debug_checks: true,
             telemetry: tele.clone(),
@@ -243,7 +235,7 @@ fn run_engine(
             EngineKind::Horizontal => {
                 run_horizontal(&mut dag, &mut crowd, MemberId(0), &mining_cfg)
             }
-            EngineKind::Multi(_) => {
+            EngineKind::Multi => {
                 let agg = FixedSampleAggregator { sample_size: 1 };
                 run_multi(&mut dag, &mut crowd, &agg, &mining_cfg).mining
             }
@@ -427,7 +419,7 @@ pub fn run_corpus(seeds: std::ops::Range<u64>) -> Vec<SimReport> {
 /// to the simulation clock, fault injections appear as `sim.*` counters
 /// and the engine's retry machinery as `crowd.*` counters. Serialize it
 /// with [`telemetry::TelemetrySink::write_jsonl`].
-pub fn record_seed_trace(seed: u64, pool_width: usize) -> std::sync::Arc<telemetry::TelemetrySink> {
+pub fn record_seed_trace(seed: u64) -> std::sync::Arc<telemetry::TelemetrySink> {
     let cfg = SimConfig::from_seed(seed);
     let (world, patterns) = build_world(&cfg);
     let vocab = world.dom.ontology.vocab();
@@ -437,7 +429,7 @@ pub fn record_seed_trace(seed: u64, pool_width: usize) -> std::sync::Arc<telemet
     let sink = telemetry::TelemetrySink::shared();
     let tele = telemetry::Telemetry::recording(&sink);
     run_engine(
-        EngineKind::Multi(pool_width),
+        EngineKind::Multi,
         &b,
         vocab,
         &base,

@@ -12,8 +12,8 @@
 //! * [`faulty`] — [`FaultyCrowd`], the schedule-driven crowd wrapper,
 //!   and the [`SimTrace`] determinism digest.
 //! * [`harness`] — [`run_seed`]: differential oracles across all four
-//!   engines and pool widths {1, 2, 4, 8}, graceful-degradation and
-//!   budget checks, and bit-identical-replay verification.
+//!   engines, graceful-degradation and budget checks, and
+//!   bit-identical-replay verification.
 //! * [`net`] — the simulated cluster network: seeded latency and
 //!   reordering, link partitions, node crash/restart with watermark
 //!   resync, all on the logical clock.

@@ -2,7 +2,7 @@
 //! changes *when* questions are asked (several per member per round, all
 //! mutually ≤-incomparable), never *what the miner concludes*. With a
 //! noise-free oracle — answers a pure function of the question — the MSP
-//! set must be identical at every batch width and pool width.
+//! set must be identical at every batch width.
 //!
 //! The second half property-tests the planner's antichain rule itself:
 //! `debug_checks` makes the engine assert, on every planned batch, that
@@ -26,7 +26,6 @@ fn mine(
     n_msps: usize,
     plant_seed: u64,
     batch_width: usize,
-    pool: Option<usize>,
     seed: u64,
     debug_checks: bool,
 ) -> (BTreeSet<String>, BTreeSet<String>, bool, usize) {
@@ -59,7 +58,6 @@ fn mine(
         seed,
         batch_width,
         debug_checks,
-        pool: pool.map_or(minipool::Pool::sequential(), minipool::Pool::new),
         ..Default::default()
     };
     let out = run_multi(&mut dag, &mut oracle, &agg, &cfg);
@@ -82,34 +80,28 @@ fn mine(
 #[test]
 fn batched_rounds_reproduce_the_unbatched_msp_set() {
     for seed in [8u64, 9, 10] {
-        let (ref_msps, ref_valid, complete, ref_rounds) = mine(120, 5, 6, 31, 1, None, seed, false);
+        let (ref_msps, ref_valid, complete, ref_rounds) = mine(120, 5, 6, 31, 1, seed, false);
         assert!(
             complete,
             "seed {seed}: unbatched reference did not converge"
         );
         assert!(!ref_msps.is_empty(), "seed {seed}: reference found no MSPs");
         for k in [2usize, 4, 8] {
-            for pool in [None, Some(4)] {
-                let (msps, valid, complete, rounds) = mine(120, 5, 6, 31, k, pool, seed, false);
-                let pw = pool.unwrap_or(1);
-                assert!(
-                    complete,
-                    "seed {seed}: batch width {k} (pool {pw}) did not converge"
-                );
-                assert_eq!(
-                    msps, ref_msps,
-                    "seed {seed}: batch width {k} (pool {pw}) changed the MSP set"
-                );
-                assert_eq!(
-                    valid, ref_valid,
-                    "seed {seed}: batch width {k} (pool {pw}) changed the valid-MSP set"
-                );
-                assert!(
-                    rounds <= ref_rounds,
-                    "seed {seed}: batch width {k} (pool {pw}) took {rounds} rounds, \
-                     more than the unbatched {ref_rounds}"
-                );
-            }
+            let (msps, valid, complete, rounds) = mine(120, 5, 6, 31, k, seed, false);
+            assert!(complete, "seed {seed}: batch width {k} did not converge");
+            assert_eq!(
+                msps, ref_msps,
+                "seed {seed}: batch width {k} changed the MSP set"
+            );
+            assert_eq!(
+                valid, ref_valid,
+                "seed {seed}: batch width {k} changed the valid-MSP set"
+            );
+            assert!(
+                rounds <= ref_rounds,
+                "seed {seed}: batch width {k} took {rounds} rounds, \
+                 more than the unbatched {ref_rounds}"
+            );
         }
     }
 }
@@ -130,7 +122,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let (msps, _, complete, _) = mine(
-            dom_width, 5, n_msps, plant_seed, batch_width, None, seed, true,
+            dom_width, 5, n_msps, plant_seed, batch_width, seed, true,
         );
         prop_assert!(complete);
         prop_assert!(!msps.is_empty());

@@ -5,9 +5,9 @@
 //! irrelevant.
 //!
 //! Three layers:
-//! 1. fixed-seed shuffles × pool widths {1, 4} against the multi-user
-//!    engine on planted synthetic workloads (MSP set, valid set and the
-//!    outcome digest must all survive);
+//! 1. fixed-seed shuffles against the multi-user engine on planted
+//!    synthetic workloads (MSP set, valid set and the outcome digest
+//!    must all survive);
 //! 2. the same oracle under a contradiction/delay/drop fault schedule —
 //!    a degraded run's log replays just as faithfully as a clean one's;
 //! 3. a proptest driving random domains, plant seeds and shuffle seeds
@@ -93,15 +93,14 @@ fn replay_digest(r: &ReplayOutcome) -> u64 {
 }
 
 /// Mines a planted synthetic workload round-driven, then replays its op
-/// log — canonical order plus `n_shuffles` random permutations — at the
-/// given replay pool width, asserting the digest and the MSP/valid sets
-/// survive every delivery order.
+/// log — canonical order plus `n_shuffles` random permutations —
+/// asserting the digest and the MSP/valid sets survive every delivery
+/// order.
 fn assert_permutation_oracle(
     dom_width: usize,
     n_msps: usize,
     plant_seed: u64,
     seed: u64,
-    pool_width: usize,
     n_shuffles: u64,
 ) {
     let dom = synthetic_domain(dom_width, 5, 1);
@@ -135,11 +134,7 @@ fn assert_permutation_oracle(
     assert!(!out.mining.ops.is_empty(), "run recorded no ops");
     let reference = run_digest(&out);
 
-    let pool = if pool_width <= 1 {
-        minipool::Pool::sequential()
-    } else {
-        minipool::Pool::new(pool_width)
-    };
+    let pool = minipool::Pool::sequential();
     let tele = telemetry::Telemetry::off();
     let ops = &out.mining.ops;
 
@@ -155,16 +150,16 @@ fn assert_permutation_oracle(
         let permuted = ops.with_ops(shuffled).replay(&dag, &agg, &pool, &tele);
         assert_eq!(
             permuted.msps, out.mining.msps,
-            "shuffle {shuffle_seed} (pool {pool_width}) changed the MSP set"
+            "shuffle {shuffle_seed} changed the MSP set"
         );
         assert_eq!(
             permuted.valid_msps, out.mining.valid_msps,
-            "shuffle {shuffle_seed} (pool {pool_width}) changed the valid set"
+            "shuffle {shuffle_seed} changed the valid set"
         );
         assert_eq!(
             replay_digest(&permuted),
             reference,
-            "shuffle {shuffle_seed} (pool {pool_width}) changed the digest"
+            "shuffle {shuffle_seed} changed the digest"
         );
     }
 }
@@ -172,9 +167,7 @@ fn assert_permutation_oracle(
 #[test]
 fn shuffled_replays_reproduce_round_driven_outcomes() {
     for seed in [11u64, 12, 13] {
-        for pool_width in [1usize, 4] {
-            assert_permutation_oracle(100, 6, 31, seed, pool_width, 4);
-        }
+        assert_permutation_oracle(100, 6, 31, seed, 4);
     }
 }
 
@@ -305,9 +298,8 @@ fn replay_against_a_stale_replica_reproduces_the_semantic_outcome() {
     let mut coord = Coordinator::new(1, out.mining.ops.threshold(), true);
     assert_eq!(coord.ingest(0, 0, &wire), wire.len());
     let mut fresh = Dag::new(&b, dom.ontology.vocab(), &base).without_multiplicities();
-    let pool = minipool::Pool::sequential();
     let tele = telemetry::Telemetry::off();
-    let merged = coord.merge(&mut fresh, &agg, &pool, &tele, out.mining.complete);
+    let merged = coord.merge(&mut fresh, &agg, &tele, out.mining.complete);
 
     // assignments are replica-portable, so the semantic fields compare
     // directly even though every NodeId differs between the replicas
@@ -345,6 +337,6 @@ proptest! {
         plant_seed in 0u64..500,
         seed in 0u64..500,
     ) {
-        assert_permutation_oracle(dom_width, n_msps, plant_seed, seed, 1, 2);
+        assert_permutation_oracle(dom_width, n_msps, plant_seed, seed, 2);
     }
 }

@@ -1,22 +1,20 @@
-//! Determinism guarantee of the parallel mining engine: at **every** pool
-//! width, mining outcomes are bit-identical to the sequential engine.
+//! Determinism guarantee of the engine's fork-join pool: at **every**
+//! pool width, answers are bit-identical to the sequential engine.
 //!
-//! Every parallel phase is shard-and-merge over pure reads (WHERE fork
-//! solving, pruning-cone sweeps, witness verification, frozen final
-//! classification sweeps), merged in input order — so the thread count
-//! must never leak into what the miner asks or concludes. These tests
-//! drive a domain workload and a Figure-5-style synthetic workload across
-//! pool widths {1, 2, 4, 8} and several seeds, comparing full outcome
-//! digests (questions, MSP sets, event streams, per-member counts)
-//! against the sequential run.
+//! A query mines on one thread. The pool ([`Oassis::with_pool`]) only
+//! fans out a single query's WHERE solving and runs a batch request's
+//! queries on parallel workers, each mined alone. Both merge in input
+//! order, so the thread count must never leak into what the miner asks
+//! or concludes. These tests drive a domain query and a concurrent batch
+//! across pool widths and seeds, comparing full outcome digests
+//! (questions, MSP sets, event streams, per-member counts) against the
+//! sequential run.
 
-use bench::{bind_domain, digest_domain_run, run_domain_at_pool};
-use oassis_core::synth::{plant_msps, synthetic_domain, MspDistribution, PlantedOracle};
 use oassis_core::{
-    run_multi, CrowdBinding, Dag, FixedSampleAggregator, MiningConfig, MultiOutcome, Oassis,
-    QueryRequest, SharedCrowdCache,
+    CachingCrowd, CrowdBinding, CrowdCache, FixedSampleAggregator, MiningConfig, MultiOutcome,
+    Oassis, QueryRequest, SharedCrowdCache,
 };
-use oassis_ql::{bind, evaluate_where, parse, BoundQuery, MatchMode};
+use oassis_ql::BoundQuery;
 use ontology::domains::{travel, DomainScale};
 
 const WIDTHS: [usize; 4] = [1, 2, 4, 8];
@@ -64,87 +62,42 @@ fn digest_multi(out: &MultiOutcome, b: &BoundQuery, vocab: &ontology::Vocabulary
 #[test]
 fn domain_workload_digests_match_at_every_pool_width() {
     // The travel-domain multi-user workload (bucketed answers, pruning
-    // clicks, specialization questions, answer caching) with a smaller
-    // crowd than the paper's 248 to keep 12 runs test-sized.
+    // clicks, specialization questions, answer caching) through
+    // `Oassis::run`, whose pool fans out the query's seven-pattern WHERE
+    // clause; a smaller crowd than the paper's 248 keeps the runs
+    // test-sized.
     let domain = travel(DomainScale::paper());
-    let bound = bind_domain(&domain);
+    let ont = &domain.ontology;
+    let agg = bench::paper_aggregator();
+    let run_at = |pool: minipool::Pool, seed: u64| -> (Vec<String>, u64) {
+        let engine = Oassis::new(ont).with_pool(pool);
+        let bound = engine.prepare(&domain.query).unwrap();
+        let mut cache = CrowdCache::new();
+        let mut crowd = CachingCrowd::new(
+            bench::domain_crowd(&domain, ont.vocab(), 60, 8, seed),
+            &mut cache,
+        );
+        let request = QueryRequest::pattern(&domain.query).with_mining(MiningConfig {
+            threshold: Some(0.2),
+            specialization_ratio: 0.12,
+            seed,
+            ..Default::default()
+        });
+        let answer = engine
+            .run(&request, CrowdBinding::single(&mut crowd), &agg)
+            .unwrap()
+            .into_patterns()
+            .unwrap();
+        let digest = digest_multi(&answer.outcome, &bound, ont.vocab());
+        (answer.answers, digest)
+    };
     for seed in [7u64, 8, 9] {
-        let reference = {
-            let mut cache = oassis_core::CrowdCache::new();
-            let run = run_domain_at_pool(
-                &domain,
-                &bound,
-                &domain.ontology,
-                &mut cache,
-                0.2,
-                60,
-                8,
-                seed,
-                minipool::Pool::sequential(),
-            );
-            digest_domain_run(&run)
-        };
+        let reference = run_at(minipool::Pool::sequential(), seed);
         for width in WIDTHS {
-            let mut cache = oassis_core::CrowdCache::new();
-            let run = run_domain_at_pool(
-                &domain,
-                &bound,
-                &domain.ontology,
-                &mut cache,
-                0.2,
-                60,
-                8,
-                seed,
-                minipool::Pool::new(width),
-            );
             assert_eq!(
-                digest_domain_run(&run),
+                run_at(minipool::Pool::new(width), seed),
                 reference,
                 "seed {seed}: pool width {width} changed the domain outcome"
-            );
-        }
-    }
-}
-
-#[test]
-fn fig5_synthetic_digests_match_at_every_pool_width() {
-    // Figure-5-style synthetic workload: planted MSPs, a 6-member oracle
-    // crowd with pruning clicks, a 3-answer quorum and specialization
-    // questions — the multi-user engine's full surface.
-    let dom = synthetic_domain(120, 5, 1);
-    let q = parse(&dom.query).unwrap();
-    let b = bind(&q, &dom.ontology).unwrap();
-    let base = evaluate_where(&b, &dom.ontology, MatchMode::Exact);
-    let mut full = Dag::new(&b, dom.ontology.vocab(), &base).without_multiplicities();
-    full.materialize_all();
-    let planted = plant_msps(&mut full, 6, true, MspDistribution::Uniform, 31);
-    let patterns: Vec<_> = planted
-        .iter()
-        .map(|&id| full.node(id).assignment.apply(&b))
-        .collect();
-
-    let run_at = |width: Option<usize>, seed: u64| -> u64 {
-        let mut dag = Dag::new(&b, dom.ontology.vocab(), &base).without_multiplicities();
-        let mut oracle = PlantedOracle::new(dom.ontology.vocab(), patterns.clone(), 6, seed + 9);
-        oracle.pruning_prob = 0.3;
-        let agg = FixedSampleAggregator { sample_size: 3 };
-        let cfg = MiningConfig {
-            specialization_ratio: 0.25,
-            seed,
-            pool: width.map_or(minipool::Pool::sequential(), minipool::Pool::new),
-            ..Default::default()
-        };
-        let out = run_multi(&mut dag, &mut oracle, &agg, &cfg);
-        digest_multi(&out, &b, dom.ontology.vocab())
-    };
-
-    for seed in [8u64, 9, 10] {
-        let reference = run_at(None, seed);
-        for width in WIDTHS {
-            assert_eq!(
-                run_at(Some(width), seed),
-                reference,
-                "seed {seed}: pool width {width} changed the synthetic outcome"
             );
         }
     }

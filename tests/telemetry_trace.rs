@@ -4,10 +4,10 @@
 //!
 //! 1. **NoopSink bit-identity** — the golden workloads of
 //!    `tests/golden_outcomes.rs` re-run with an explicit [`NoopSink`]
-//!    handle at every pool width {sequential, 1, 2, 4, 8} must
-//!    reproduce the PR-1 golden digests exactly: disabled telemetry is
-//!    observationally free. A recording sink must be outcome-neutral
-//!    too — same digest, with a non-empty trace on the side.
+//!    handle must reproduce the PR-1 golden digests exactly: disabled
+//!    telemetry is observationally free. A recording sink must be
+//!    outcome-neutral too — same digest, with a non-empty trace on the
+//!    side.
 //!
 //! 2. **Trace replay** — a faulty run recorded through the single-entry
 //!    [`Oassis::run`] API (with `with_trace_path`) emits a JSONL trace
@@ -94,17 +94,9 @@ fn u_avg(ont: &ontology::Ontology, seed: u64) -> SimulatedMember {
     )
 }
 
-/// Pools exercised by the bit-identity sweep: the sequential scheduler
-/// plus fork-join widths 1, 2, 4 and 8.
-fn pools() -> Vec<minipool::Pool> {
-    let mut ps = vec![minipool::Pool::sequential()];
-    ps.extend([1usize, 2, 4, 8].into_iter().map(minipool::Pool::new));
-    ps
-}
-
 /// The golden `multi_synthetic_crowd_with_pruning_clicks` recipe with an
-/// explicit telemetry handle and pool.
-fn multi_synthetic_digest(tele: Telemetry, pool: minipool::Pool) -> u64 {
+/// explicit telemetry handle.
+fn multi_synthetic_digest(tele: Telemetry) -> u64 {
     let dom = synthetic_domain(120, 5, 1);
     let q = parse(&dom.query).unwrap();
     let b = bind(&q, &dom.ontology).unwrap();
@@ -124,7 +116,6 @@ fn multi_synthetic_digest(tele: Telemetry, pool: minipool::Pool) -> u64 {
     let cfg = MiningConfig {
         specialization_ratio: 0.25,
         seed: 8,
-        pool,
         telemetry: tele,
         ..Default::default()
     };
@@ -133,8 +124,8 @@ fn multi_synthetic_digest(tele: Telemetry, pool: minipool::Pool) -> u64 {
 }
 
 /// The golden `vertical_synthetic_with_specialization_questions` recipe
-/// with an explicit telemetry handle and pool.
-fn vertical_synthetic_digest(tele: Telemetry, pool: minipool::Pool) -> u64 {
+/// with an explicit telemetry handle.
+fn vertical_synthetic_digest(tele: Telemetry) -> u64 {
     let dom = synthetic_domain(150, 6, 0);
     let q = parse(&dom.query).unwrap();
     let b = bind(&q, &dom.ontology).unwrap();
@@ -153,7 +144,6 @@ fn vertical_synthetic_digest(tele: Telemetry, pool: minipool::Pool) -> u64 {
     let cfg = MiningConfig {
         specialization_ratio: 0.5,
         seed: 4,
-        pool,
         telemetry: tele,
         ..Default::default()
     };
@@ -162,8 +152,8 @@ fn vertical_synthetic_digest(tele: Telemetry, pool: minipool::Pool) -> u64 {
 }
 
 /// The golden `multi_figure1_two_members` recipe with an explicit
-/// telemetry handle and pool.
-fn multi_figure1_digest(tele: Telemetry, pool: minipool::Pool) -> u64 {
+/// telemetry handle.
+fn multi_figure1_digest(tele: Telemetry) -> u64 {
     let ont = figure1::ontology();
     let q = parse(figure1::SIMPLE_QUERY).unwrap();
     let b = bind(&q, &ont).unwrap();
@@ -173,7 +163,6 @@ fn multi_figure1_digest(tele: Telemetry, pool: minipool::Pool) -> u64 {
     let mut crowd = SimulatedCrowd::new(ont.vocab(), members);
     let agg = FixedSampleAggregator { sample_size: 2 };
     let cfg = MiningConfig {
-        pool,
         telemetry: tele,
         ..Default::default()
     };
@@ -182,66 +171,35 @@ fn multi_figure1_digest(tele: Telemetry, pool: minipool::Pool) -> u64 {
 }
 
 #[test]
-fn noop_sink_reproduces_golden_digests_at_every_pool_width() {
-    for pool in pools() {
-        assert_eq!(
-            multi_figure1_digest(NoopSink.handle(), pool),
-            GOLDEN_MULTI_FIGURE1,
-            "multi_figure1 digest drifted under NoopSink (pool {pool:?})"
-        );
-        assert_eq!(
-            multi_synthetic_digest(NoopSink.handle(), pool),
-            GOLDEN_MULTI_SYNTHETIC,
-            "multi_synthetic digest drifted under NoopSink (pool {pool:?})"
-        );
-        assert_eq!(
-            vertical_synthetic_digest(NoopSink.handle(), pool),
-            GOLDEN_VERTICAL_SYNTHETIC,
-            "vertical_synthetic digest drifted under NoopSink (pool {pool:?})"
-        );
-    }
+fn noop_sink_reproduces_golden_digests() {
+    assert_eq!(
+        multi_figure1_digest(NoopSink.handle()),
+        GOLDEN_MULTI_FIGURE1,
+        "multi_figure1 digest drifted under NoopSink"
+    );
+    assert_eq!(
+        multi_synthetic_digest(NoopSink.handle()),
+        GOLDEN_MULTI_SYNTHETIC,
+        "multi_synthetic digest drifted under NoopSink"
+    );
+    assert_eq!(
+        vertical_synthetic_digest(NoopSink.handle()),
+        GOLDEN_VERTICAL_SYNTHETIC,
+        "vertical_synthetic digest drifted under NoopSink"
+    );
 }
 
 #[test]
-fn recording_sink_is_outcome_neutral_and_trace_is_pool_independent() {
+fn recording_sink_is_outcome_neutral() {
     // a recording sink must not change what the engine asks or concludes
     let sink = TelemetrySink::shared();
-    let d = multi_synthetic_digest(Telemetry::recording(&sink), minipool::Pool::sequential());
+    let d = multi_synthetic_digest(Telemetry::recording(&sink));
     assert_eq!(d, GOLDEN_MULTI_SYNTHETIC, "recording perturbed the outcome");
     assert!(
         !sink.events().is_empty(),
         "recording run captured no events"
     );
     assert!(sink.counter("engine.questions") > 0);
-
-    // and the recorded trace itself must not depend on the pool width
-    for width in [2usize, 8] {
-        let wide = TelemetrySink::shared();
-        let dw = multi_synthetic_digest(Telemetry::recording(&wide), minipool::Pool::new(width));
-        assert_eq!(dw, GOLDEN_MULTI_SYNTHETIC);
-        assert_eq!(
-            sink.to_jsonl(),
-            wide.to_jsonl(),
-            "trace differs at pool width {width}"
-        );
-        // counters are pool-independent; histograms too, except the
-        // `minipool.*` family, which measures parallel fan-out batches
-        // and is definitionally absent in sequential mode
-        let (a, b) = (sink.snapshot(), wide.snapshot());
-        assert_eq!(a.counters, b.counters, "counters differ at width {width}");
-        let shard_free = |s: &telemetry::Snapshot| {
-            s.histograms
-                .iter()
-                .filter(|(k, _)| !k.starts_with("minipool."))
-                .map(|(k, h)| (k.clone(), h.clone()))
-                .collect::<std::collections::BTreeMap<_, _>>()
-        };
-        assert_eq!(
-            shard_free(&a),
-            shard_free(&b),
-            "histograms differ at width {width}"
-        );
-    }
 }
 
 /// Validates one parsed JSONL line against the trace schema, returning
@@ -398,7 +356,7 @@ fn recorded_jsonl_trace_replays_against_the_manifest() {
 #[test]
 fn in_memory_events_and_jsonl_agree_on_counts() {
     let sink = TelemetrySink::shared();
-    multi_synthetic_digest(Telemetry::recording(&sink), minipool::Pool::sequential());
+    multi_synthetic_digest(Telemetry::recording(&sink));
     let events = sink.events();
     let lines = sink.to_jsonl().lines().count();
     assert_eq!(events.len(), lines);
