@@ -363,6 +363,7 @@ pub struct CachingCrowd<C, S> {
     store: S,
     asked: usize,
     fresh: usize,
+    stored: usize,
 }
 
 /// A [`CachingCrowd`] over a [`SharedCrowdCache`]: any number of
@@ -377,6 +378,7 @@ impl<C: CrowdSource, S: AnswerStore> CachingCrowd<C, S> {
             store,
             asked: 0,
             fresh: 0,
+            stored: 0,
         }
     }
 
@@ -389,6 +391,14 @@ impl<C: CrowdSource, S: AnswerStore> CachingCrowd<C, S> {
     /// All questions, including cache hits.
     pub fn total_questions(&self) -> usize {
         self.asked
+    }
+
+    /// Fresh answers handed to the store. Equal to
+    /// [`fresh_questions`](Self::fresh_questions) exactly when every
+    /// question that reached the crowd left its answer in the store, so
+    /// a re-run over the store would reach the crowd with none.
+    pub fn stored_answers(&self) -> usize {
+        self.stored
     }
 
     /// Unwraps the inner crowd.
@@ -423,6 +433,7 @@ impl<C: CrowdSource, S: AnswerStore> CrowdSource for CachingCrowd<C, S> {
             _ => return answer,
         };
         self.store.put(member, pattern, cached, self.asked);
+        self.stored += 1;
         answer
     }
 

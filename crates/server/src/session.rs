@@ -28,6 +28,15 @@
 //! ontology, so the manager keeps the last text it prepared
 //! ([`PreparedQuery`]) and lends it to the next `query` or `recover` of
 //! the same text; `recover` prepares each other text once per call.
+//!
+//! Each resident session also keeps a one-entry *result memo*: the spec,
+//! appended ops and reply of its last run that the answer cache alone
+//! reproduces. A `query` with an equal spec appends those ops under a
+//! new qid and returns that reply without mining (the `memo_hits`
+//! counter of the session's telemetry). The WAL bytes and the reply are
+//! those a re-run would produce, and `questions` still counts the
+//! questions the run posed, cache hits included. The memo is not
+//! durable: a page-in starts without one.
 
 use crate::digest_hex;
 use crate::wal::{DoneMeta, KillSwitch, QueryMeta, QuerySpec, Recovered, SessionWal, WalTap};
@@ -140,6 +149,25 @@ pub struct QueryReply {
     pub threshold: f64,
 }
 
+impl QueryReply {
+    /// The `done` footer recording this reply's outcome.
+    fn done_meta(&self) -> DoneMeta {
+        DoneMeta {
+            complete: self.complete,
+            digest: self.digest.clone(),
+            threshold: self.threshold,
+        }
+    }
+}
+
+/// A session's memo: a served query's spec, the op records its run
+/// appended (in append order) and its reply.
+struct Memo {
+    spec: QuerySpec,
+    ops: Vec<WireOp>,
+    reply: QueryReply,
+}
+
 /// One query's recovered state: the WAL replay and its verification
 /// against the recorded digest.
 #[derive(Debug, Clone, PartialEq)]
@@ -186,6 +214,9 @@ struct Session {
     /// cache has moved into `cache`), kept for the next `recover`. Any
     /// `query` drops it, since it appends to the WAL.
     decoded: Option<Recovered>,
+    /// The last query run the cache alone reproduces (see
+    /// [`SessionManager::query`]).
+    memo: Option<Memo>,
     /// Logical LRU stamp (manager-wide use counter).
     last_used: u64,
 }
@@ -355,6 +386,7 @@ impl SessionManager {
                 wal: Arc::new(TrackedMutex::new("server.wal", wal)),
                 next_qid,
                 decoded,
+                memo: None,
                 last_used: stamp,
             },
         );
@@ -419,16 +451,89 @@ impl SessionManager {
     /// Runs one pattern query in `name`'s session through
     /// [`Oassis::run`], streaming ops and fresh answers to the WAL as it
     /// goes, and records the outcome digest in the `done` footer.
+    ///
+    /// A query whose spec equals the session's memo is not mined again:
+    /// the WAL gets the `query` record, the memo's ops and the `done`
+    /// footer a re-run would append, through the same appends, and the
+    /// reply is the memo's under the new qid with `fresh: 0`. A run is
+    /// memoized only if the cache alone reproduces it: every answer that
+    /// reached the crowd was stored, no append failed and the kill switch
+    /// never tripped. Cache entries never change and the engine is
+    /// deterministic in its text, config and answers, so a re-run would
+    /// pose the same questions, get the same answers and append the same
+    /// ops.
     pub fn query(&mut self, name: &str, spec: &QuerySpec) -> Result<QueryReply, ServerError> {
         Self::check_seed(spec.seed)?;
         self.touch(name)?;
-        let (wal, cache, sess_spec, qid) = {
-            // PANIC-OK: touch above paged the session in.
-            let s = &self.sessions[name];
-            (s.wal.clone(), s.cache.clone(), s.spec.clone(), s.next_qid)
-        };
         let tele = self.tele.labeled(&format!("session.{name}"));
         let span = tele.span_with("query", &spec.src);
+        // any failure below leaves the memo empty
+        // PANIC-OK: touch above paged the session in.
+        let memo = self.sessions.get_mut(name).unwrap().memo.take();
+        let (reply, memo) = match memo.filter(|m| m.spec == *spec) {
+            Some(memo) => {
+                let reply = self.replay_memo(name, &memo)?;
+                tele.count("memo_hits", 1);
+                (reply, Some(memo))
+            }
+            None => self.mine(name, spec)?,
+        };
+        // PANIC-OK: touch above paged the session in.
+        self.sessions.get_mut(name).unwrap().memo = memo;
+        drop(span);
+        tele.count("queries", 1);
+        Ok(reply)
+    }
+
+    /// Registers `spec` as the session's next query in the WAL and takes
+    /// its qid.
+    fn register(
+        &mut self,
+        name: &str,
+        spec: &QuerySpec,
+    ) -> Result<(u32, Arc<TrackedMutex<SessionWal>>), ServerError> {
+        // PANIC-OK: every caller paged the session in.
+        let s = self.sessions.get_mut(name).unwrap();
+        s.wal
+            .lock()
+            .expect("wal mutex poisoned") // PANIC-OK: poisoning means a holder already panicked; propagate it
+            .record_query(s.next_qid, spec)
+            .map_err(|e| ServerError::Wal(e.to_string()))?;
+        // the qid is taken only once the WAL registers it, and the WAL
+        // has now grown past the page-in's decode
+        let qid = s.next_qid;
+        s.next_qid += 1;
+        s.decoded = None;
+        Ok((qid, s.wal.clone()))
+    }
+
+    /// Serves a memo hit: the WAL records of a re-run, then the memo's
+    /// reply under the new qid.
+    fn replay_memo(&mut self, name: &str, memo: &Memo) -> Result<QueryReply, ServerError> {
+        let (qid, wal) = self.register(name, &memo.spec)?;
+        let mut wal = wal.lock().expect("wal mutex poisoned"); // PANIC-OK: poisoning means a holder already panicked; propagate it
+        for op in &memo.ops {
+            if let Err(e) = wal.append_op(qid, op) {
+                wal.keep_failure(e);
+            }
+        }
+        let reply = QueryReply {
+            qid,
+            fresh: 0,
+            ..memo.reply.clone()
+        };
+        wal.record_done(qid, &reply.done_meta())
+            .map_err(|e| ServerError::Wal(e.to_string()))?;
+        Ok(reply)
+    }
+
+    /// Mines `spec` over the session's cache and crowd; returns the reply
+    /// and, when the cache alone reproduces the run, its memo.
+    fn mine(
+        &mut self,
+        name: &str,
+        spec: &QuerySpec,
+    ) -> Result<(QueryReply, Option<Memo>), ServerError> {
         let prepared = self.prepared(&spec.src)?;
         let bound = prepared.bound();
         // rule queries would dispatch fine in-process, but their mined
@@ -439,18 +544,12 @@ impl SessionManager {
                 "rule queries (IMPLYING) are not served over sessions; use the library API".into(),
             ));
         }
-        wal.lock()
-            .expect("wal mutex poisoned") // PANIC-OK: poisoning means a holder already panicked; propagate it
-            .record_query(qid, spec)
-            .map_err(|e| ServerError::Wal(e.to_string()))?;
-        // the qid is taken only once the WAL registers it, and the WAL
-        // has now grown past the page-in's decode
-        {
-            // PANIC-OK: touch above paged the session in.
-            let s = self.sessions.get_mut(name).unwrap();
-            s.next_qid += 1;
-            s.decoded = None;
-        }
+        let (qid, wal) = self.register(name, spec)?;
+        let (cache, sess_spec) = {
+            // PANIC-OK: register above found the session resident.
+            let s = &self.sessions[name];
+            (s.cache.clone(), s.spec.clone())
+        };
         let cfg = MiningConfig {
             threshold: spec.threshold,
             batch_width: spec.batch_width as usize,
@@ -475,35 +574,30 @@ impl SessionManager {
                 wal.lock().expect("wal mutex poisoned").close_files(); // PANIC-OK: poisoning means a holder already panicked; propagate it
                 ServerError::Engine(e.to_string())
             })?;
-        let (questions, fresh) = (crowd.total_questions(), crowd.fresh_questions());
+        let fresh = crowd.fresh_questions();
+        let replayable = fresh == crowd.stored_answers();
         // PANIC-OK: a single non-IMPLYING query always yields Patterns.
         let answer = outcome.into_patterns().unwrap();
         let sem = SemanticOutcome::from_mining(&answer.outcome.mining, bound, self.ont.vocab());
-        let digest = digest_hex(sem.digest());
-        let threshold = answer.outcome.mining.ops.threshold();
-        let complete = answer.outcome.mining.complete;
-        wal.lock()
-            .expect("wal mutex poisoned") // PANIC-OK: poisoning means a holder already panicked; propagate it
-            .record_done(
-                qid,
-                &DoneMeta {
-                    complete,
-                    digest: digest.clone(),
-                    threshold,
-                },
-            )
-            .map_err(|e| ServerError::Wal(e.to_string()))?;
-        drop(span);
-        tele.count("queries", 1);
-        Ok(QueryReply {
+        let reply = QueryReply {
             qid,
             answers: answer.answers,
-            questions,
+            questions: crowd.total_questions(),
             fresh,
-            complete,
-            digest,
-            threshold,
-        })
+            complete: answer.outcome.mining.complete,
+            digest: digest_hex(sem.digest()),
+            threshold: answer.outcome.mining.ops.threshold(),
+        };
+        let mut wal = wal.lock().expect("wal mutex poisoned"); // PANIC-OK: poisoning means a holder already panicked; propagate it
+        wal.record_done(qid, &reply.done_meta())
+            .map_err(|e| ServerError::Wal(e.to_string()))?;
+        let ops = wal.take_tapped();
+        let memo = (replayable && !self.kill.killed()).then(|| Memo {
+            spec: spec.clone(),
+            ops,
+            reply: reply.clone(),
+        });
+        Ok((reply, memo))
     }
 
     /// Recovers every registered query of `name`'s session from its WAL:
@@ -688,13 +782,11 @@ impl AnswerStore for WalStore {
     ) {
         // the ask tick is the engine's question tick, so the kill switch
         // cuts answers and ops at the same logical instant
-        let appended = self
-            .wal
-            .lock()
-            .expect("wal mutex poisoned") // PANIC-OK: poisoning means a holder already panicked; propagate it
-            .append_answer(member, tick as u32, pattern, &answer);
-        if let Err(e) = appended {
-            eprintln!("wal answer append failed: {e}");
+        {
+            let mut wal = self.wal.lock().expect("wal mutex poisoned"); // PANIC-OK: poisoning means a holder already panicked; propagate it
+            if let Err(e) = wal.append_answer(member, tick as u32, pattern, &answer) {
+                wal.keep_failure(e);
+            }
         }
         self.cache.put(member, pattern.clone(), answer);
     }

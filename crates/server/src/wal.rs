@@ -216,6 +216,12 @@ pub struct SessionWal {
     dir: PathBuf,
     /// Append handles held for the running query (see the module doc).
     handles: BTreeMap<Log, File>,
+    /// The op records the running query's [`WalTap`] appended, in
+    /// append order.
+    tapped: Vec<WireOp>,
+    /// The first append error of the running query's tap or answer
+    /// store; it stops the query's footer.
+    failed: Option<io::Error>,
     kill: KillSwitch,
 }
 
@@ -232,6 +238,8 @@ impl SessionWal {
         Ok(SessionWal {
             dir,
             handles: BTreeMap::new(),
+            tapped: Vec::new(),
+            failed: None,
             kill: KillSwitch::new(),
         })
     }
@@ -300,8 +308,11 @@ impl SessionWal {
     }
 
     /// Registers a query before it runs (so a crash mid-run still knows
-    /// what was running and how to rebuild its DAG).
+    /// what was running and how to rebuild its DAG). It starts the
+    /// query: the previous query's tapped ops and kept error are gone.
     pub fn record_query(&mut self, qid: u32, spec: &QuerySpec) -> io::Result<()> {
+        self.tapped.clear();
+        self.failed = None;
         if !self.kill.admit(None) {
             return Ok(());
         }
@@ -327,7 +338,15 @@ impl SessionWal {
     /// Records a query's completion footer: the resolved threshold and
     /// the `SemanticOutcome` digest recovery must reproduce. The footer
     /// ends the query, so every append handle is dropped.
+    ///
+    /// A footer claims that the query's whole log is on disk, so when an
+    /// append of the query failed ([`keep_failure`](Self::keep_failure))
+    /// nothing is written and the first such error is returned.
     pub fn record_done(&mut self, qid: u32, done: &DoneMeta) -> io::Result<()> {
+        if let Some(e) = self.failed.take() {
+            self.close_files();
+            return Err(e);
+        }
         let rec = Json::Obj(vec![
             ("kind".into(), Json::Str("done".into())),
             ("qid".into(), Json::Num(qid as f64)),
@@ -355,6 +374,17 @@ impl SessionWal {
     /// leaves it to its caller.
     pub fn close_files(&mut self) {
         self.handles.clear();
+    }
+
+    /// Keeps the running query's first append error, for writers that
+    /// cannot return one to the engine (the op tap, the answer store).
+    pub(crate) fn keep_failure(&mut self, e: io::Error) {
+        self.failed.get_or_insert(e);
+    }
+
+    /// Moves out the op records the running query's [`WalTap`] appended.
+    pub(crate) fn take_tapped(&mut self) -> Vec<WireOp> {
+        std::mem::take(&mut self.tapped)
     }
 
     /// Appends one wire op to its member's log. Returns `false` when the
@@ -607,27 +637,18 @@ fn truncate_to(path: &Path, len: usize) -> io::Result<()> {
 
 /// The [`OpTap`] the session manager installs on every query run: each
 /// flushed op is rendered to wire form against the run's DAG and
-/// appended to its member's log, stamped with the query id.
+/// appended to its member's log, stamped with the query id. The WAL
+/// keeps the appended ops for the query's caller and the first append
+/// error, which stops the query's `done` footer.
 pub struct WalTap {
     wal: Arc<TrackedMutex<SessionWal>>,
     qid: u32,
-    /// Ops appended (not dropped by the kill switch).
-    appended: Arc<AtomicU64>,
 }
 
 impl WalTap {
     /// A tap appending `qid`'s ops through `wal`.
     pub fn new(wal: Arc<TrackedMutex<SessionWal>>, qid: u32) -> WalTap {
-        WalTap {
-            wal,
-            qid,
-            appended: Arc::new(AtomicU64::new(0)),
-        }
-    }
-
-    /// A counter view of how many ops the tap durably appended.
-    pub fn appended(&self) -> Arc<AtomicU64> {
-        self.appended.clone()
+        WalTap { wal, qid }
     }
 }
 
@@ -637,16 +658,9 @@ impl OpTap for WalTap {
         for op in ops {
             let wire = op_to_wire(op, dag);
             match wal.append_op(self.qid, &wire) {
-                Ok(true) => {
-                    self.appended.fetch_add(1, Ordering::SeqCst);
-                }
+                Ok(true) => wal.tapped.push(wire),
                 Ok(false) => {} // kill switch: the process model is dead
-                Err(e) => {
-                    // an undropped io error would poison the engine run;
-                    // surface loudly instead — the recovery oracle treats
-                    // missing suffixes as a crash anyway
-                    eprintln!("wal append failed: {e}");
-                }
+                Err(e) => wal.keep_failure(e),
             }
         }
     }

@@ -206,6 +206,22 @@ impl<T> Drop for TrackedGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, UnwindSafe};
+
+    /// Runs `f`, which takes an order the sanitizer must refuse: it
+    /// panics with `expected` exactly when acquisitions are tracked.
+    fn refused_iff_tracking(expected: &str, f: impl FnOnce() + UnwindSafe) {
+        let outcome = catch_unwind(f);
+        assert_eq!(outcome.is_err(), TRACKING);
+        if let Err(payload) = outcome {
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert!(message.contains(expected), "{message}");
+        }
+    }
 
     #[test]
     fn consistent_order_is_silent_and_recorded() {
@@ -216,14 +232,14 @@ mod tests {
             let gb = b.lock().unwrap();
             assert_eq!(*ga + *gb, 3);
         }
-        assert!(
+        assert_eq!(
             observed_edges().contains(&("test.consistent.a", "test.consistent.b")),
-            "the a→b edge is in the order graph"
+            TRACKING,
+            "the a→b edge is in the order graph when tracked"
         );
     }
 
     #[test]
-    #[should_panic(expected = "lock-order inversion")]
     fn inversion_panics_on_the_second_order() {
         let a = TrackedMutex::new("test.invert.a", ());
         let b = TrackedMutex::new("test.invert.b", ());
@@ -231,12 +247,18 @@ mod tests {
             let _ga = a.lock().unwrap();
             let _gb = b.lock().unwrap();
         }
-        let _gb = b.lock().unwrap();
-        let _ga = a.lock().unwrap(); // inversion: b held, a→b already observed
+        refused_iff_tracking("lock-order inversion", || {
+            let _gb = b.lock().unwrap();
+            let _ga = a.lock().unwrap(); // inversion: b held, a→b already observed
+        });
     }
 
     #[test]
     #[should_panic(expected = "recursive acquisition")]
+    #[cfg_attr(
+        not(any(debug_assertions, feature = "lockorder")),
+        ignore = "untracked, a recursive lock of a std mutex deadlocks instead of panicking"
+    )]
     fn recursive_lock_panics() {
         let a = TrackedMutex::new("test.recursive.a", ());
         let _g1 = a.lock().unwrap();
@@ -244,7 +266,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "lock-order inversion")]
     fn longer_cycles_are_caught_transitively() {
         let a = TrackedMutex::new("test.cycle3.a", ());
         let b = TrackedMutex::new("test.cycle3.b", ());
@@ -257,8 +278,10 @@ mod tests {
             let _gb = b.lock().unwrap();
             let _gc = c.lock().unwrap();
         }
-        let _gc = c.lock().unwrap();
-        let _ga = a.lock().unwrap(); // c→a closes the a→b→c cycle
+        refused_iff_tracking("lock-order inversion", || {
+            let _gc = c.lock().unwrap();
+            let _ga = a.lock().unwrap(); // c→a closes the a→b→c cycle
+        });
     }
 
     #[test]

@@ -67,17 +67,29 @@ fn sim_run_lock_orders_agree_with_the_static_analysis() {
 }
 
 #[test]
-#[should_panic(expected = "lock-order inversion")]
 fn dynamic_sanitizer_catches_the_planted_inversion() {
     // The runtime half of the planted fixture: same AB/BA shape as
     // `fixtures/d7_locks.rs`, unique names so the shared order graph
-    // stays clean for the agreement test above.
+    // stays clean for the agreement test above. The sanitizer panics on
+    // the inversion exactly when it tracks: always in debug builds, and
+    // in release builds only with the `lockorder` feature.
     let a = TrackedMutex::new("planted.inversion.a", 0u32);
     let b = TrackedMutex::new("planted.inversion.b", 0u32);
     {
         let _ga = a.lock().unwrap();
         let _gb = b.lock().unwrap();
     }
-    let _gb = b.lock().unwrap();
-    let _ga = a.lock().unwrap();
+    let inverted = std::panic::catch_unwind(|| {
+        let _gb = b.lock().unwrap();
+        let _ga = a.lock().unwrap();
+    });
+    assert_eq!(inverted.is_err(), telemetry::lockorder::TRACKING);
+    if let Err(payload) = inverted {
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert!(message.contains("lock-order inversion"), "{message}");
+    }
 }
