@@ -204,6 +204,7 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
 /// Parses a JSON document; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
+        src: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -217,6 +218,7 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -383,22 +385,16 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("invalid escape")),
                     }
                 }
-                b => {
-                    // consume one UTF-8 code point
-                    let len = match b {
-                        0x00..=0x7F => 1,
-                        0xC0..=0xDF => 2,
-                        0xE0..=0xEF => 3,
-                        0xF0..=0xF7 => 4,
-                        _ => return Err(self.err("invalid UTF-8")),
-                    };
-                    let chunk = self
-                        .bytes
-                        .get(self.pos..self.pos + len)
-                        .ok_or_else(|| self.err("truncated UTF-8"))?;
-                    let s = std::str::from_utf8(chunk).map_err(|_| self.err("invalid UTF-8"))?;
-                    out.push_str(s);
-                    self.pos += len;
+                _ => {
+                    // copy the run up to the next quote or escape whole:
+                    // both are ASCII, so the run ends on a char boundary
+                    let start = self.pos;
+                    let run = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - start);
+                    self.pos += run;
+                    out.push_str(&self.src[start..self.pos]);
                 }
             }
         }
@@ -498,5 +494,20 @@ mod tests {
     fn unicode_strings_survive() {
         let doc = Json::Str("café ≤E 東京".into());
         assert_eq!(parse(&doc.to_string()).unwrap(), doc);
+    }
+
+    #[test]
+    fn multibyte_runs_and_escapes_mix_in_one_string() {
+        let s = "\"東京\"\\café\n\t≤E\u{1}🦀/\r\"";
+        let doc = Json::Str(s.into());
+        let text = doc.to_string();
+        assert_eq!(parse(&text).unwrap(), doc, "{text}");
+        // escapes the writer never emits decode between multi-byte runs
+        let read = parse(r#""é\/東\u00e9\b\f🦀\u6771""#).unwrap();
+        assert_eq!(read, Json::Str("é/東é\u{8}\u{c}🦀東".into()));
+        // an escape cut off by the end of input is still an error
+        for bad in ["\"東\\", "\"東\\u00\"", "\"東\\x\"", "\"café"] {
+            assert!(parse(bad).is_err(), "{bad:?}");
+        }
     }
 }

@@ -22,7 +22,11 @@
 //! [`SemanticOutcome`] digest against the one the `done` meta record
 //! stored — bit-identical or it's a finding. A restart decodes the WAL
 //! once: the page-in's decode is kept on the resident session for the
-//! first `recover`, and any `query` in between drops it.
+//! first `recover`, and any `query` in between drops it. It also replays
+//! each distinct run once: a query whose replay inputs (text, resolved
+//! threshold, footer completeness and ops) equal those of a query
+//! replayed earlier in the same `recover` takes that replay's outcome,
+//! and is still verified against its own footer.
 //!
 //! Parse/bind and WHERE are pure functions of a query's text and the
 //! ontology, so the manager keeps the last text it prepared
@@ -47,7 +51,7 @@ use oassis_core::{
     intern_wire_op, CachingCrowd, CrowdBinding, FixedSampleAggregator, MiningConfig, Oassis, OpLog,
     PreparedQuery, QueryRequest, SemanticOutcome, SharedCrowdCache, WireOp,
 };
-use oassis_ql::MatchMode;
+use oassis_ql::{BoundQuery, MatchMode};
 use ontology::json::MAX_EXACT_INT;
 use ontology::Ontology;
 use std::collections::hash_map::Entry;
@@ -189,8 +193,68 @@ pub struct RecoveredQuery {
     /// `Some(replayed == recorded)` when there is a recorded digest —
     /// the recovery oracle.
     pub verified: Option<bool>,
-    /// Ops replayed (the union of the member logs' durable prefixes).
+    /// The number of ops in the query's recovered log (the union of the
+    /// member logs' durable prefixes).
     pub ops: usize,
+}
+
+impl RecoveredQuery {
+    /// `meta`'s recovery from a replay's answers, completeness and
+    /// digest, checked against `meta`'s own `done` footer.
+    fn verify(
+        meta: &QueryMeta,
+        answers: Vec<String>,
+        complete: bool,
+        digest: String,
+        ops: usize,
+    ) -> RecoveredQuery {
+        let recorded = meta.done.as_ref().map(|d| d.digest.clone());
+        let verified = recorded.as_ref().map(|want| *want == digest);
+        RecoveredQuery {
+            qid: meta.qid,
+            spec: meta.spec.clone(),
+            answers,
+            complete,
+            digest,
+            recorded_digest: recorded,
+            verified,
+            ops,
+        }
+    }
+}
+
+/// Every input [`SessionManager::replay_one`] reads from a recovered
+/// query. Replay is a deterministic function of them (DESIGN §14), so
+/// two queries with equal inputs replay to the same answers,
+/// completeness and digest. The ops compare by value, which here is
+/// bit identity: the WAL writes −0.0 as `0` and cannot hold a NaN.
+#[derive(PartialEq)]
+struct ReplayInputs<'r> {
+    src: &'r str,
+    /// The resolved threshold, by bits.
+    threshold: u64,
+    complete: bool,
+    ops: &'r [WireOp],
+}
+
+impl<'r> ReplayInputs<'r> {
+    fn of(meta: &'r QueryMeta, ops: &'r [WireOp], bound: &BoundQuery) -> ReplayInputs<'r> {
+        ReplayInputs {
+            src: &meta.spec.src,
+            threshold: replay_threshold(meta, bound).to_bits(),
+            complete: meta.done.as_ref().is_some_and(|d| d.complete),
+            ops,
+        }
+    }
+}
+
+/// The threshold `meta`'s run mined under: its footer's, or for a run
+/// that never finished, resolved exactly as `run_multi` does.
+fn replay_threshold(meta: &QueryMeta, bound: &BoundQuery) -> f64 {
+    match &meta.done {
+        Some(d) => d.threshold,
+        None => meta.spec.threshold.unwrap_or(bound.threshold),
+    }
 }
 
 /// The reply to opening (or re-opening) a session.
@@ -608,11 +672,17 @@ impl SessionManager {
     /// later call decodes the WAL from disk. Each distinct query text is
     /// parsed, bound and WHERE-evaluated at most once per call, and not
     /// at all when it is the text the manager prepared last.
+    ///
+    /// A query whose replay inputs ([`ReplayInputs`]) equal those of a
+    /// query replayed earlier in the call takes that replay's answers,
+    /// completeness and digest instead of replaying again (the session's
+    /// `replays_shared` counter; `replays` counts the replays run). Its
+    /// `verified` is still checked against its own `done` footer.
     pub fn recover(&mut self, name: &str) -> Result<Vec<RecoveredQuery>, ServerError> {
         self.touch(name)?;
         // PANIC-OK: touch above paged the session in.
         let s = self.sessions.get_mut(name).unwrap();
-        let mut rec = match s.decoded.take() {
+        let rec = match s.decoded.take() {
             Some(rec) => rec,
             None => {
                 let wal = s.wal.lock().expect("wal mutex poisoned"); // PANIC-OK: poisoning means a holder already panicked; propagate it
@@ -623,14 +693,32 @@ impl SessionManager {
         let tele = self.tele.labeled(&format!("session.{name}"));
         let _span = tele.span("recover");
         let mut by_text: HashMap<&str, Arc<PreparedQuery>> = HashMap::new();
-        let mut out = Vec::new();
+        // each replay run in this call: its inputs and its place in `out`
+        let mut replayed: Vec<(ReplayInputs<'_>, usize)> = Vec::new();
+        let mut out: Vec<RecoveredQuery> = Vec::new();
         for q in &rec.queries {
             let prepared = match by_text.entry(q.spec.src.as_str()) {
                 Entry::Occupied(seen) => seen.get().clone(),
                 Entry::Vacant(slot) => slot.insert(self.prepared(&q.spec.src)?).clone(),
             };
-            let ops = rec.ops.remove(&q.qid).unwrap_or_default();
-            out.push(self.replay_one(q, ops, &prepared));
+            let ops = rec.ops.get(&q.qid).map(Vec::as_slice).unwrap_or_default();
+            let inputs = ReplayInputs::of(q, ops, prepared.bound());
+            let recovered = match replayed.iter().find(|(seen, _)| *seen == inputs) {
+                Some(&(_, twin)) => {
+                    tele.count("replays_shared", 1);
+                    // PANIC-OK: twin is a position `out` had when that replay was pushed, and `out` only grows.
+                    let run = &out[twin];
+                    let answers = run.answers.clone();
+                    RecoveredQuery::verify(q, answers, run.complete, run.digest.clone(), run.ops)
+                }
+                None => {
+                    tele.count("replays", 1);
+                    let recovered = self.replay_one(q, ops, &prepared);
+                    replayed.push((inputs, out.len()));
+                    recovered
+                }
+            };
+            out.push(recovered);
         }
         Ok(out)
     }
@@ -655,20 +743,14 @@ impl SessionManager {
     fn replay_one(
         &self,
         meta: &QueryMeta,
-        wire: Vec<WireOp>,
+        wire: &[WireOp],
         prepared: &PreparedQuery,
     ) -> RecoveredQuery {
         let pool = minipool::Pool::sequential();
         let bound = prepared.bound();
         let mut dag = oassis_core::Dag::new(bound, self.ont.vocab(), prepared.base());
         let ops: Vec<_> = wire.iter().map(|w| intern_wire_op(&mut dag, w)).collect();
-        let threshold = match &meta.done {
-            Some(d) => d.threshold,
-            // the run never finished: resolve exactly as run_multi does
-            None => meta.spec.threshold.unwrap_or(bound.threshold),
-        };
-        let n_ops = ops.len();
-        let mut log = OpLog::new(threshold, true).with_ops(ops);
+        let mut log = OpLog::new(replay_threshold(meta, bound), true).with_ops(ops);
         log.set_complete(meta.done.as_ref().is_some_and(|d| d.complete));
         let replay = log.replay_merged(
             &dag,
@@ -678,18 +760,7 @@ impl SessionManager {
         );
         let sem = SemanticOutcome::from_replay(&replay, bound, self.ont.vocab());
         let digest = digest_hex(sem.digest());
-        let recorded = meta.done.as_ref().map(|d| d.digest.clone());
-        let verified = recorded.as_ref().map(|want| *want == digest);
-        RecoveredQuery {
-            qid: meta.qid,
-            spec: meta.spec.clone(),
-            answers: sem.valid_msps,
-            complete: sem.complete,
-            digest,
-            recorded_digest: recorded,
-            verified,
-            ops: n_ops,
-        }
+        RecoveredQuery::verify(meta, sem.valid_msps, sem.complete, digest, wire.len())
     }
 
     /// Closes a session: pages it out (state stays durable on disk).
@@ -831,6 +902,158 @@ mod tests {
         // a second text (cap + 1) replaces the one entry
         let other = mgr.prepared(&format!("{} ", spec.src)).unwrap();
         assert!(Arc::ptr_eq(mgr.last_prepared.as_ref().unwrap(), &other));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    fn a_query(threshold: Option<f64>) -> QuerySpec {
+        QuerySpec {
+            src: figure1::SIMPLE_QUERY.to_string(),
+            threshold,
+            batch_width: 1,
+            max_questions: None,
+            seed: 3,
+        }
+    }
+
+    /// Session `s` under `root`, written in three process lifetimes:
+    /// 1. texts A, A, B, A (qids 1-4), A under another threshold (5), and
+    ///    A cut down by the kill switch at tick 3 (6);
+    /// 2. A cut at tick 5 (7): its text, threshold and completeness equal
+    ///    qid 6's, its ops do not;
+    /// 3. A with the process gone before its footer (8): its ops equal
+    ///    qid 1's, its completeness does not;
+    ///
+    /// and then qid 9, written by hand: qid 1's ops and footer under
+    /// threshold 0.9.
+    fn twins_session(ont: &Arc<Ontology>, root: &std::path::Path) {
+        let b = QuerySpec {
+            src: figure1::SAMPLE_QUERY.to_string(),
+            ..a_query(None)
+        };
+        let session = SessionSpec {
+            name: "s".into(),
+            seed: 7,
+            members: 2,
+        };
+        for kill_at in [Some(3), Some(5), None] {
+            let kill = KillSwitch::new();
+            let provider = Box::new(Figure1Provider::new(ont.clone()));
+            let mut mgr = SessionManager::new(ont.clone(), provider, root).with_kill(kill.clone());
+            mgr.open(&session).unwrap();
+            if kill_at == Some(3) {
+                let (a, a_other) = (a_query(None), a_query(Some(0.3)));
+                for spec in [&a, &a, &b, &a, &a_other] {
+                    mgr.query("s", spec).unwrap();
+                }
+            }
+            if let Some(at) = kill_at {
+                kill.arm(at);
+            }
+            mgr.query("s", &a_query(None)).unwrap();
+            assert_eq!(kill.killed(), kill_at.is_some());
+        }
+        // drop qid 8's footer, the last line of meta.wal
+        let meta = root.join("s").join("meta.wal");
+        let text = std::fs::read_to_string(&meta).unwrap();
+        let keep = text.trim_end_matches('\n').rfind('\n').unwrap() + 1;
+        std::fs::write(&meta, &text[..keep]).unwrap();
+        // qid 9: qid 1's ops and digest under threshold 0.9, an input
+        // this log's replay does not depend on but the sharing key holds
+        let mut wal = SessionWal::open(root.join("s"), 0).unwrap();
+        let rec = wal.recover(ont.vocab()).unwrap();
+        let first = &rec.queries[0];
+        let spec = QuerySpec {
+            threshold: Some(0.9),
+            ..first.spec.clone()
+        };
+        wal.record_query(9, &spec).unwrap();
+        for op in &rec.ops[&1] {
+            assert!(wal.append_op(9, op).unwrap());
+        }
+        let done = DoneMeta {
+            threshold: 0.9,
+            ..first.done.clone().unwrap()
+        };
+        wal.record_done(9, &done).unwrap();
+    }
+
+    /// `recover` on a fresh manager over `root`, against `replay_one` on
+    /// each query separately; returns the recovery and the counters.
+    fn recover_against_separate_replays(
+        ont: &Arc<Ontology>,
+        root: &std::path::Path,
+    ) -> (Vec<RecoveredQuery>, u64, u64) {
+        let sink = Arc::new(telemetry::TelemetrySink::new());
+        let provider = Box::new(Figure1Provider::new(ont.clone()));
+        let mut mgr = SessionManager::new(ont.clone(), provider, root)
+            .with_telemetry(Telemetry::recording(&sink));
+        let rec = SessionWal::open(root.join("s"), 0)
+            .unwrap()
+            .recover(ont.vocab())
+            .unwrap();
+        let separate: Vec<RecoveredQuery> = rec
+            .queries
+            .iter()
+            .map(|q| {
+                let prepared = mgr.prepared(&q.spec.src).unwrap();
+                let ops = rec.ops.get(&q.qid).map(Vec::as_slice).unwrap_or_default();
+                mgr.replay_one(q, ops, &prepared)
+            })
+            .collect();
+        let recovered = mgr.recover("s").unwrap();
+        assert_eq!(recovered, separate, "sharing changed a recovery");
+        let replays = sink.counter("session.s.replays");
+        let shared = sink.counter("session.s.replays_shared");
+        (recovered, replays, shared)
+    }
+
+    #[test]
+    fn shared_replays_equal_separate_replays() {
+        let ont = Arc::new(figure1::ontology());
+        let root = std::env::temp_dir().join(format!("oassis-twins-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        twins_session(&ont, &root);
+        let (recovered, replays, shared) = recover_against_separate_replays(&ont, &root);
+        let qids: Vec<u32> = recovered.iter().map(|q| q.qid).collect();
+        assert_eq!(qids, (1..=9).collect::<Vec<_>>());
+        // the runs without a footer make no claim; every other verifies
+        for q in &recovered {
+            let claim = !(6..=8).contains(&q.qid);
+            assert_eq!(q.verified, claim.then_some(true), "qid {}", q.qid);
+        }
+        assert_ne!(recovered[5].ops, recovered[6].ops, "the cuts differ");
+        for other in [7, 8] {
+            assert_eq!(recovered[other].ops, recovered[0].ops);
+        }
+        assert_ne!(recovered[7].complete, recovered[0].complete);
+        // A's two repeats share A's replay; everything else replays,
+        // qid 9 too: its threshold differs from qid 1's
+        assert_eq!((replays, shared), (7, 2));
+        for twin in [1, 3] {
+            let (x, y) = (&recovered[0], &recovered[twin]);
+            assert_eq!((&x.digest, &x.answers), (&y.digest, &y.answers));
+        }
+
+        // a tampered footer on one twin fails that twin alone
+        let mut wal = SessionWal::open(root.join("s"), 0).unwrap();
+        let mut done = wal.recover(ont.vocab()).unwrap().queries[1]
+            .done
+            .clone()
+            .unwrap();
+        done.digest = "0000000000000000".into();
+        // the later of two footers of a qid is the one recovery reads
+        wal.record_done(2, &done).unwrap();
+        drop(wal);
+        let (recovered, replays, shared) = recover_against_separate_replays(&ont, &root);
+        for q in &recovered {
+            let want = match q.qid {
+                2 => Some(false),
+                6..=8 => None,
+                _ => Some(true),
+            };
+            assert_eq!(q.verified, want, "qid {}", q.qid);
+        }
+        assert_eq!((replays, shared), (7, 2));
         let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -17,6 +17,14 @@
 //! canonical serialization, so any other byte sequence (even one that
 //! parses to the same value) fails the check.
 //!
+//! A served repeat appends op records whose `op` bodies are
+//! byte-identical to its cold run's, so recovery decodes each distinct
+//! `op` body of a member file once and clones that decode for the
+//! file's other records with the same bytes. Only bodies in exactly the
+//! shape this module writes take that path; any other body is parsed
+//! whole, so which records are accepted, where a file is cut and which
+//! errors recovery reports are the same either way.
+//!
 //! ## Record kinds
 //!
 //! * `meta.wal` — `session` (name + protocol version, first record),
@@ -61,7 +69,7 @@ use oassis_core::{op_to_wire, wire_from_json, wire_to_json, CrowdCache, Dag, Wir
 use ontology::json::{self, Json, JsonError};
 use ontology::{PatternSet, Vocabulary};
 use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -431,9 +439,15 @@ impl SessionWal {
     pub fn recover(&self, vocab: &Vocabulary) -> Result<Recovered, JsonError> {
         let mut out = Recovered::default();
         // --- meta.wal: session header + query registry
-        let (meta, torn) = read_records(&self.dir.join(Log::Meta.file_name())).map_err(io_shape)?;
+        let (meta, torn) =
+            read_records(&self.dir.join(Log::Meta.file_name()), vocab).map_err(io_shape)?;
         out.truncated |= torn;
+        // the first query record of each qid, by position in `out.queries`
+        let mut by_qid: HashMap<u32, usize> = HashMap::new();
         for rec in &meta {
+            // op records belong to member files: skipped here, like any
+            // kind meta.wal does not know
+            let Record::Whole(rec) = rec else { continue };
             match rec.field("kind").and_then(|k| k.as_str().map(String::from)) {
                 Ok(kind) if kind == "session" => {
                     out.session = Some(rec.field("name")?.as_str()?.to_string());
@@ -449,8 +463,10 @@ impl SessionWal {
                         max_questions: opt_u32(rec.field("max_questions")?)?,
                         seed: rec.field("seed")?.as_exact_u64()?,
                     };
+                    let qid = rec.field("qid")?.as_u32()?;
+                    by_qid.entry(qid).or_insert(out.queries.len());
                     out.queries.push(QueryMeta {
-                        qid: rec.field("qid")?.as_u32()?,
+                        qid,
                         spec,
                         done: None,
                     });
@@ -462,8 +478,10 @@ impl SessionWal {
                         digest: rec.field("digest")?.as_str()?.to_string(),
                         threshold: rec.field("threshold")?.as_f64()?,
                     };
-                    if let Some(q) = out.queries.iter_mut().find(|q| q.qid == qid) {
-                        q.done = Some(done);
+                    // a footer without an earlier query record is ignored
+                    if let Some(&at) = by_qid.get(&qid) {
+                        // PANIC-OK: by_qid holds positions of pushed queries, and none is removed.
+                        out.queries[at].done = Some(done);
                     }
                 }
                 // unknown kinds are future records — skip, don't fail
@@ -474,9 +492,16 @@ impl SessionWal {
         // --- member files: ops and answers in append order
         for member in self.member_ids().map_err(io_shape)? {
             let path = self.dir.join(Log::Member(member).file_name());
-            let (wal, torn) = read_records(&path).map_err(io_shape)?;
+            let (wal, torn) = read_records(&path, vocab).map_err(io_shape)?;
             out.truncated |= torn;
-            for mut rec in wal {
+            for rec in wal {
+                let mut rec = match rec {
+                    Record::Op { qid, op } => {
+                        out.ops.entry(qid).or_default().push(op?);
+                        continue;
+                    }
+                    Record::Whole(rec) => rec,
+                };
                 match rec.field("kind").and_then(Json::as_str) {
                     Ok("op") => {
                         let qid = rec.field("qid")?.as_u32()?;
@@ -565,10 +590,33 @@ fn frame(rec: &Json) -> String {
     )
 }
 
+/// One complete, crc-valid record line of a WAL file.
+enum Record {
+    /// An op record in exactly the shape [`frame`] writes for
+    /// [`SessionWal::append_op`], with its decoded op. The decode is the
+    /// file's one decode of that op body's bytes (see [`read_records`]).
+    Op {
+        qid: u32,
+        op: Result<WireOp, JsonError>,
+    },
+    /// Any other record, its body parsed whole.
+    Whole(Json),
+}
+
 /// Reads every complete, crc-valid record of `path`, truncating the
 /// file at the first bad line (torn tail). Returns the records and
 /// whether a truncation happened. A missing file is an empty log.
-fn read_records(path: &Path) -> io::Result<(Vec<Json>, bool)> {
+///
+/// An op record whose body splits exactly as [`frame`] writes it,
+/// `{"kind":"op","qid":<u32>,"op":<op>}`, is decoded through a map from
+/// the raw `<op>` bytes to their decoded [`WireOp`]: a served repeat
+/// appends byte-identical op bodies, and each distinct one is parsed and
+/// decoded once per file. Parsing and decoding are functions of those
+/// bytes, so a clone from the map is what a fresh decode would return.
+/// A body of any other shape, or whose `<op>` does not parse on its own,
+/// is parsed whole as before, so which lines are kept, where a file is
+/// cut and which errors recovery returns do not change.
+fn read_records(path: &Path, vocab: &Vocabulary) -> io::Result<(Vec<Record>, bool)> {
     let mut bytes = Vec::new();
     match File::open(path) {
         Ok(mut f) => {
@@ -577,26 +625,28 @@ fn read_records(path: &Path) -> io::Result<(Vec<Json>, bool)> {
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((Vec::new(), false)),
         Err(e) => return Err(e),
     }
+    let mut decoded = HashMap::new();
     let mut records = Vec::new();
     let mut offset = 0usize;
     while offset < bytes.len() {
-        let line_start = offset;
         // PANIC-OK: offset < bytes.len() is the loop guard.
-        let Some(nl) = bytes[offset..].iter().position(|&b| b == b'\n') else {
-            // no trailing newline: the line was cut mid-write
-            truncate_to(path, line_start)?;
-            return Ok((records, true));
-        };
-        // PANIC-OK: nl is an in-bounds position within bytes[offset..].
-        let line = &bytes[offset..offset + nl];
-        offset += nl + 1;
-        match decode_line(line) {
-            Some(rec) => records.push(rec),
-            None => {
+        let rest = &bytes[offset..];
+        // PANIC-OK: the position is in bounds of rest.
+        let line = rest.iter().position(|&b| b == b'\n').map(|nl| &rest[..nl]);
+        // a line without its newline was cut mid-write
+        let record = line
+            .and_then(checked_body)
+            .and_then(|body| decode_body(body, vocab, &mut decoded));
+        match (line, record) {
+            (Some(line), Some(rec)) => {
+                records.push(rec);
+                offset += line.len() + 1;
+            }
+            _ => {
                 // a bad line invalidates it and everything after it —
                 // appends are strictly ordered, so nothing beyond the
                 // first tear is trustworthy
-                truncate_to(path, line_start)?;
+                truncate_to(path, offset)?;
                 return Ok((records, true));
             }
         }
@@ -604,17 +654,57 @@ fn read_records(path: &Path) -> io::Result<(Vec<Json>, bool)> {
     Ok((records, false))
 }
 
-/// Crc-checks one framed line over its raw `rec` body bytes, then
-/// parses the body. The frame is exactly what [`frame`] writes:
+/// Decodes one crc-valid record body; `None` when it does not parse.
+/// An op record of [`frame`]'s exact shape goes through `decoded`, the
+/// file's map from raw op bytes to their decode (see [`read_records`]).
+fn decode_body<'b>(
+    body: &'b [u8],
+    vocab: &Vocabulary,
+    decoded: &mut HashMap<&'b [u8], Result<WireOp, JsonError>>,
+) -> Option<Record> {
+    if let Some((qid, op)) = split_op(body) {
+        if let Some(known) = decoded.get(op) {
+            return Some(Record::Op {
+                qid,
+                op: known.clone(),
+            });
+        }
+        if let Some(json) = parse_body(op) {
+            let op = decoded.entry(op).or_insert(wire_from_json(vocab, &json));
+            return Some(Record::Op {
+                qid,
+                op: op.clone(),
+            });
+        }
+    }
+    parse_body(body).map(Record::Whole)
+}
+
+/// The raw `rec` body of one framed line whose crc checks out over
+/// those bytes. The frame is exactly what [`frame`] writes:
 /// `{"crc":"<16 lowercase hex>","rec":<body>}`.
-fn decode_line(line: &[u8]) -> Option<Json> {
+fn checked_body(line: &[u8]) -> Option<&[u8]> {
     let rest = line.strip_prefix(b"{\"crc\":\"")?;
     let (hex, rest) = rest.split_at_checked(16)?;
     let body = rest.strip_prefix(b"\",\"rec\":")?.strip_suffix(b"}")?;
-    if parse_crc(hex)? != fnv64(body) {
-        return None;
-    }
+    (parse_crc(hex)? == fnv64(body)).then_some(body)
+}
+
+/// Parses one JSON document from raw bytes.
+fn parse_body(body: &[u8]) -> Option<Json> {
     json::parse(std::str::from_utf8(body).ok()?).ok()
+}
+
+/// Splits an op record body of exactly the shape [`frame`] writes,
+/// `{"kind":"op","qid":<digits>,"op":<op>}` with `<digits>` a `u32`,
+/// into the qid and the raw `<op>` bytes. Any other shape is `None`.
+fn split_op(body: &[u8]) -> Option<(u32, &[u8])> {
+    let rest = body.strip_prefix(b"{\"kind\":\"op\",\"qid\":")?;
+    let digits = rest.iter().take_while(|b| b.is_ascii_digit()).count();
+    let (qid, rest) = rest.split_at(digits);
+    let qid = std::str::from_utf8(qid).ok()?.parse::<u32>().ok()?;
+    let op = rest.strip_prefix(b",\"op\":")?.strip_suffix(b"}")?;
+    Some((qid, op))
 }
 
 /// Parses the 16 lowercase hex digits [`frame`] writes for a crc.
@@ -835,6 +925,143 @@ mod tests {
             assert_eq!(json::parse(&spaced).unwrap(), *doc.field("rec").unwrap());
             format!("{{\"crc\":\"{crc}\",\"rec\":{spaced}}}")
         });
+    }
+
+    /// A crc-valid framed line around `body`, as [`frame`] frames it.
+    fn framed(body: &str) -> String {
+        format!(
+            "{{\"crc\":\"{:016x}\",\"rec\":{body}}}",
+            fnv64(body.as_bytes())
+        )
+    }
+
+    fn support_op(tick: u32) -> WireOp {
+        WireOp {
+            verdict: WireVerdict::Support { support: 0.25 },
+            ..op(tick, 0)
+        }
+    }
+
+    /// Appends `lines` to member 0's file.
+    fn append_lines(dir: &Path, lines: &[String]) {
+        let mut f = OpenOptions::new()
+            .append(true)
+            .open(dir.join("member-0.wal"))
+            .unwrap();
+        for line in lines {
+            writeln!(f, "{line}").unwrap();
+        }
+    }
+
+    #[test]
+    fn op_lines_of_other_shapes_decode_as_the_whole_body_parse() {
+        let dir = tmp_dir("shapes");
+        let ont = ontology::domains::figure1::ontology();
+        let mut wal = SessionWal::open(&dir, 0).unwrap();
+        // the canonical line puts its op body in the decode map
+        let want = support_op(4);
+        assert!(wal.append_op(1, &want).unwrap());
+        wal.close_files();
+        let x = wire_to_json(&want).to_string();
+        let bodies = [
+            format!(r#"{{"qid":1,"kind":"op","op":{x}}}"#),
+            format!(r#"{{"kind":"op","qid":1,"op":{x},"extra":1}}"#),
+            format!(r#"{{"kind":"op","op":{x},"qid":1}}"#),
+            format!(r#"{{"kind":"op","qid":1,"op": {x} }}"#),
+            format!(r#"{{"kind":"op","qid":01,"op":{x}}}"#),
+            format!(r#"{{"kind":"op","qid":1.0,"op":{x}}}"#),
+        ];
+        append_lines(&dir, &bodies.iter().map(|b| framed(b)).collect::<Vec<_>>());
+        let rec = wal.recover(ont.vocab()).unwrap();
+        assert!(!rec.truncated);
+        let whole: Vec<WireOp> = bodies
+            .iter()
+            .map(|b| wire_from_json(ont.vocab(), json::parse(b).unwrap().field("op").unwrap()))
+            .collect::<Result<_, _>>()
+            .unwrap();
+        assert_eq!(rec.ops[&1][0], want);
+        assert_eq!(rec.ops[&1][1..], whole[..]);
+        assert_eq!(rec.ops.len(), 1, "every line is qid 1's");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_qid_past_u32_fails_recovery_as_the_whole_body_parse_does() {
+        let dir = tmp_dir("qid-range");
+        let ont = ontology::domains::figure1::ontology();
+        let mut wal = SessionWal::open(&dir, 0).unwrap();
+        assert!(wal.append_op(1, &support_op(1)).unwrap());
+        wal.close_files();
+        let x = wire_to_json(&support_op(1)).to_string();
+        append_lines(
+            &dir,
+            &[framed(&format!(
+                r#"{{"kind":"op","qid":4294967296,"op":{x}}}"#
+            ))],
+        );
+        let err = wal.recover(ont.vocab()).unwrap_err();
+        assert!(err.to_string().contains("expected u32"), "{err}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_op_body_that_does_not_parse_cuts_the_file_at_its_line() {
+        assert_second_line_rejected("op-not-json", |_| {
+            framed(r#"{"kind":"op","qid":1,"op":{"tick":2,}}"#)
+        });
+        // a stray brace makes the split's op body unparsable, and the
+        // whole body too
+        assert_second_line_rejected("op-stray-brace", |line| {
+            let doc = json::parse(line).unwrap();
+            framed(&format!("{}}}", doc.field("rec").unwrap()))
+        });
+    }
+
+    #[test]
+    fn one_op_body_under_nine_qids_recovers_as_nine_equal_vectors() {
+        let dir = tmp_dir("nine");
+        let ont = ontology::domains::figure1::ontology();
+        let mut wal = SessionWal::open(&dir, 0).unwrap();
+        for qid in 1..=9 {
+            assert!(wal.append_op(qid, &support_op(2)).unwrap());
+            assert!(wal.append_op(qid, &op(3, 0)).unwrap());
+        }
+        wal.close_files();
+        let rec = wal.recover(ont.vocab()).unwrap();
+        let want = vec![support_op(2), op(3, 0)];
+        assert_eq!(
+            rec.ops.keys().copied().collect::<Vec<_>>(),
+            (1..=9).collect::<Vec<_>>()
+        );
+        assert!(rec.ops.values().all(|ops| *ops == want));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn footers_attach_by_qid_and_a_footer_without_its_query_is_ignored() {
+        let dir = tmp_dir("footers");
+        let ont = ontology::domains::figure1::ontology();
+        let mut wal = SessionWal::open(&dir, 0).unwrap();
+        wal.record_session("s1", 1, 7, 2).unwrap();
+        // a footer before its query record and one with no query at all
+        wal.record_done(2, &done()).unwrap();
+        wal.record_done(9, &done()).unwrap();
+        for qid in [2, 1] {
+            wal.record_query(qid, &spec()).unwrap();
+        }
+        let late = DoneMeta {
+            complete: false,
+            ..done()
+        };
+        wal.record_done(1, &late).unwrap();
+        let rec = wal.recover(ont.vocab()).unwrap();
+        let got: Vec<(u32, Option<DoneMeta>)> = rec
+            .queries
+            .iter()
+            .map(|q| (q.qid, q.done.clone()))
+            .collect();
+        assert_eq!(got, [(1, Some(late)), (2, None)]);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

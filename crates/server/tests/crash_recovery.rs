@@ -14,7 +14,8 @@
 //!
 //! It also pins the single-decode restart (the decode a page-in keeps
 //! for `recover` is dropped by a later query, and a second `recover`
-//! reads the disk and agrees with the first) and the append-handle
+//! reads the disk and agrees with the first), the shared replay of a
+//! cold run's repeats on a restart, and the append-handle
 //! lifetime: a session between queries holds no open WAL file, and a
 //! crowd wider than the held-handle bound still recovers verified. A
 //! directory holding a snapshot file of a compacting build is refused.
@@ -29,6 +30,7 @@ use ontology::Ontology;
 use proptest::prelude::*;
 use std::path::Path;
 use std::sync::Arc;
+use telemetry::{Telemetry, TelemetrySink};
 
 /// The session spec every test session uses.
 fn spec(name: &str) -> SessionSpec {
@@ -245,6 +247,31 @@ fn second_recover_reads_the_disk_and_agrees() {
     assert_eq!(from_page_in.len(), 3);
     assert!(from_page_in.iter().all(|r| r.verified == Some(true)));
     assert_eq!(from_page_in, from_disk);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_restart_replays_a_cold_run_once_for_its_eight_repeats() {
+    let ont = Arc::new(figure1::ontology());
+    let root = temp_root("shared-replays");
+    let sp = spec("s");
+    let replies = lifetime(&ont, &root, &sp, &vec![qspec(); 9]);
+    let sink = Arc::new(TelemetrySink::new());
+    let mut mgr = manager(&ont, &root).with_telemetry(Telemetry::recording(&sink));
+    mgr.open(&sp).unwrap();
+    let recovered = mgr.recover("s").unwrap();
+    assert_eq!(recovered.len(), 9);
+    for (q, reply) in recovered.iter().zip(&replies) {
+        assert_eq!(q.verified, Some(true), "qid {}", q.qid);
+        assert_eq!(q.digest, reply.digest);
+        assert_eq!(q.ops, recovered[0].ops, "a repeat logs the cold run's ops");
+    }
+    assert_eq!(sink.counter("session.s.replays"), 1);
+    assert_eq!(sink.counter("session.s.replays_shared"), 8);
+    // a second call decodes the disk and shares the same way
+    assert_eq!(mgr.recover("s").unwrap(), recovered);
+    assert_eq!(sink.counter("session.s.replays"), 2);
+    assert_eq!(sink.counter("session.s.replays_shared"), 16);
     let _ = std::fs::remove_dir_all(&root);
 }
 
