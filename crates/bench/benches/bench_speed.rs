@@ -446,7 +446,7 @@ fn incremental_section(e1_digest: Option<u64>) -> (Json, f64) {
     let bound = bind_domain(&domain);
     let pool = minipool::Pool::sequential();
     let tele = telemetry::Telemetry::off();
-    let base = oassis_ql::evaluate_where_pool(&bound, &domain.ontology, MatchMode::Exact, &pool);
+    let base = evaluate_where(&bound, &domain.ontology, MatchMode::Exact);
     let mut dag = Dag::new(&bound, domain.ontology.vocab(), &base);
     let crowd = domain_crowd(&domain, domain.ontology.vocab(), 248, 12, 7);
     let mut cache = oassis_core::CrowdCache::new();
@@ -809,31 +809,6 @@ fn main() {
             _ => None,
         })
         .unwrap_or_default();
-    // preserve fields other harnesses own (e.g. bench_throughput's)
-    let extra_fields: Vec<(String, Json)> = match &previous {
-        Some(Json::Obj(fields)) => fields
-            .iter()
-            .filter(|(k, _)| {
-                !matches!(
-                    k.as_str(),
-                    "schema"
-                        | "baseline"
-                        | "current"
-                        | "speedup_vs_baseline"
-                        | "history"
-                        | "cores"
-                        | "repeats"
-                        | "telemetry"
-                        | "batched"
-                        | "incremental"
-                        | "cluster"
-                        | "server"
-                )
-            })
-            .cloned()
-            .collect(),
-        _ => Vec::new(),
-    };
     let current = timings_to_json(&timings);
     let baseline = baseline.unwrap_or_else(|| {
         println!("(no existing baseline — recording this run as the baseline)");
@@ -904,7 +879,7 @@ fn main() {
         history.extend(tail);
     }
 
-    let mut fields = vec![
+    let fields = vec![
         ("schema".into(), Json::Num(1.0)),
         ("cores".into(), Json::Num(cores as f64)),
         ("repeats".into(), Json::Num(REPEATS as f64)),
@@ -918,7 +893,6 @@ fn main() {
         ("cluster".into(), cluster_json),
         ("server".into(), server_json),
     ];
-    fields.extend(extra_fields);
     let doc = Json::Obj(fields);
     std::fs::write(&path, format!("{doc}\n")).expect("write BENCH_speed.json");
     println!("wrote {}", path.display());

@@ -386,33 +386,6 @@ pub fn digest_domain_run(run: &DomainRun) -> u64 {
     h
 }
 
-/// A *pure* domain crowd for concurrent workloads: same habit profiles as
-/// [`domain_crowd`] but with default behaviour (no pruning clicks, no
-/// volunteered tips, unbounded sessions) and the rng-free 5-point answer
-/// scale. Such members' answers are pure functions of the question, so a
-/// shared [`oassis_core::SharedCrowdCache`] can absorb any subset of the
-/// questions without altering the remaining answers — the property that
-/// makes concurrent multi-query outcomes independent of scheduling.
-pub fn pure_domain_crowd<'v>(
-    domain: &GeneratedDomain,
-    vocab: &'v ontology::Vocabulary,
-    members: usize,
-    habits: usize,
-    seed: u64,
-) -> SimulatedCrowd<'v> {
-    let profiles = domain_profiles(domain, habits, seed);
-    let cfg = PopulationConfig {
-        members,
-        transactions: (20, 40),
-        behavior: MemberBehavior::default(),
-        answer_model: AnswerModel::Bucketed5,
-        seed,
-        ..Default::default()
-    };
-    let members: Vec<SimulatedMember> = generate(&profiles, &cfg);
-    SimulatedCrowd::new(vocab, members)
-}
-
 /// Fully materializes a domain DAG without multiplicities (the paper's
 /// reported DAG sizes).
 pub fn domain_dag_size(domain: &GeneratedDomain, bound: &BoundQuery) -> usize {

@@ -260,14 +260,13 @@ fn answer_from_json(v: &Json) -> Result<CachedAnswer, JsonError> {
     }
 }
 
-/// A thread-safe [`CrowdCache`] for concurrent query execution (batch
-/// requests through [`Oassis::run`](crate::Oassis::run) and the serving
-/// layer's sessions): several queries running on different threads share
-/// one answer store, so a pattern any query already asked a member about
-/// is never re-asked.
+/// A thread-safe [`CrowdCache`] for the serving layer's sessions: the
+/// queries of a session, served on whichever connection thread carries
+/// them, share one answer store, so a pattern any query already asked a
+/// member about is never re-asked.
 ///
 /// A single mutex guards the store. Lookups clone the cached answer out
-/// under the lock; the lock is never held across a crowd call, so worker
+/// under the lock; the lock is never held across a crowd call, so
 /// threads only contend for the duration of a hash-map probe.
 #[derive(Debug)]
 pub struct SharedCrowdCache {
@@ -323,8 +322,8 @@ impl SharedCrowdCache {
 }
 
 /// Where a [`CachingCrowd`] keeps answers: a [`CrowdCache`] owned by one
-/// caller, a [`SharedCrowdCache`] that concurrent queries share, or a
-/// durable store that logs each answer before caching it.
+/// caller, a [`SharedCrowdCache`] that sessions share, or a durable
+/// store that logs each answer before caching it.
 pub trait AnswerStore {
     /// The cached answer of `member` about `pattern`, if any.
     fn get(&self, member: MemberId, pattern: &PatternSet) -> Option<CachedAnswer>;
@@ -367,7 +366,7 @@ pub struct CachingCrowd<C, S> {
 }
 
 /// A [`CachingCrowd`] over a [`SharedCrowdCache`]: any number of
-/// concurrent queries can wrap the same store.
+/// sessions can wrap the same store.
 pub type SharedCachingCrowd<'c, C> = CachingCrowd<C, &'c SharedCrowdCache>;
 
 impl<C: CrowdSource, S: AnswerStore> CachingCrowd<C, S> {

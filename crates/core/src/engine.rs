@@ -7,18 +7,17 @@
 //!
 //! # The single entry point
 //!
-//! [`Oassis::run`] executes any request — a pattern query, a rule query
-//! (`IMPLYING … AND CONFIDENCE`), or a batch of concurrent queries —
-//! described by a [`QueryRequest`] with [`ExecuteOptions`], against a
-//! [`CrowdBinding`], and returns a [`QueryOutcome`]. Errors unify under
-//! [`OassisError`]. The historical entry points `execute`,
-//! `execute_concurrent` and `execute_rules` are gone — audit rule D6
-//! bans both their definitions and any call site, so the single entry
-//! point cannot regrow wrappers silently. Requests are built fluently:
+//! [`Oassis::run`] executes one query — a pattern query or a rule query
+//! (`IMPLYING … AND CONFIDENCE`) — described by a [`QueryRequest`] with
+//! [`ExecuteOptions`], against a crowd source, on the caller's thread,
+//! and returns a [`QueryOutcome`]. Errors unify under [`OassisError`].
+//! The historical entry points `execute`, `execute_concurrent` and
+//! `execute_rules` are gone — audit rule D6 bans both their definitions
+//! and any call site, so the single entry point cannot regrow wrappers
+//! silently. Requests are built fluently:
 //! `QueryRequest::pattern(src).threshold(0.4).batch_width(2)`.
 
 use crate::aggregate::Aggregator;
-use crate::cache::{SharedCachingCrowd, SharedCrowdCache};
 use crate::dag::Dag;
 use crate::diversify::diversify;
 use crate::multi::{run_multi, MultiOutcome};
@@ -27,7 +26,7 @@ use crate::templates::QuestionTemplates;
 use crate::vertical::MiningConfig;
 use crowd::CrowdSource;
 use oassis_ql::{
-    bind, evaluate_where_pool, parse, BaseAssignment, BoundQuery, MatchMode, OutputFormat, QlError,
+    bind, evaluate_where, parse, BaseAssignment, BoundQuery, MatchMode, OutputFormat, QlError,
 };
 use ontology::Ontology;
 use std::path::PathBuf;
@@ -38,9 +37,6 @@ use std::sync::Arc;
 pub enum OassisError {
     /// Query-language error: parse, bind, or semantic validation.
     Ql(QlError),
-    /// Crowd-side error: the request and the crowd binding don't fit
-    /// (e.g. a batch request with a single shared crowd).
-    Crowd(String),
     /// Invalid resource budget (question budget, support threshold).
     Budget(String),
     /// Telemetry error: a trace was requested without a recording sink,
@@ -52,7 +48,6 @@ impl std::fmt::Display for OassisError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             OassisError::Ql(e) => write!(f, "query error: {e}"),
-            OassisError::Crowd(m) => write!(f, "crowd error: {m}"),
             OassisError::Budget(m) => write!(f, "budget error: {m}"),
             OassisError::Telemetry(m) => write!(f, "telemetry error: {m}"),
         }
@@ -90,11 +85,10 @@ pub struct ExecuteOptions {
 }
 
 /// A declarative description of one engine invocation: one query (pattern
-/// or rule) or a batch of concurrently executed pattern queries, plus the
-/// [`ExecuteOptions`] to run them under.
+/// or rule) plus the [`ExecuteOptions`] to run it under.
 #[derive(Debug, Clone)]
 pub struct QueryRequest<'q> {
-    queries: Vec<&'q str>,
+    src: &'q str,
     options: ExecuteOptions,
 }
 
@@ -103,17 +97,7 @@ impl<'q> QueryRequest<'q> {
     /// presence of an `IMPLYING` clause).
     pub fn new(src: &'q str) -> Self {
         QueryRequest {
-            queries: vec![src],
-            options: ExecuteOptions::default(),
-        }
-    }
-
-    /// A request executing `queries` concurrently (one pool slot each)
-    /// against per-query crowds sharing one answer cache; requires a
-    /// [`CrowdBinding::PerQuery`] binding.
-    pub fn batch(queries: &[&'q str]) -> Self {
-        QueryRequest {
-            queries: queries.to_vec(),
+            src,
             options: ExecuteOptions::default(),
         }
     }
@@ -180,9 +164,9 @@ impl<'q> QueryRequest<'q> {
         self
     }
 
-    /// The query sources in the request.
-    pub fn queries(&self) -> &[&'q str] {
-        &self.queries
+    /// The query source of the request.
+    pub fn src(&self) -> &'q str {
+        self.src
     }
 
     /// The options the request runs under.
@@ -191,33 +175,15 @@ impl<'q> QueryRequest<'q> {
     }
 }
 
-/// How [`Oassis::run`] reaches the crowd.
-pub enum CrowdBinding<'c, C, F = fn(usize) -> C> {
-    /// One shared crowd source, asked directly (single queries).
-    Single(&'c mut C),
-    /// A per-query crowd factory plus a shared answer cache (batch
-    /// requests; also accepted for single queries, which use `make(0)`).
-    PerQuery {
-        /// Builds the `i`-th query's crowd on whichever worker thread
-        /// picks it up.
-        make: F,
-        /// The cache every per-query crowd consults and fills.
-        cache: &'c SharedCrowdCache,
-    },
-}
+/// A name perfbench's `Oassis::run` calls still spell:
+/// `CrowdBinding::single(&mut crowd)` is `&mut crowd`. ROADMAP item 4's
+/// benchmark PR removes it.
+pub enum CrowdBinding {}
 
-impl<'c, C: CrowdSource> CrowdBinding<'c, C, fn(usize) -> C> {
-    /// Binds one crowd source directly (pins the unused factory type so
-    /// plain `run` calls infer).
-    pub fn single(crowd: &'c mut C) -> Self {
-        CrowdBinding::Single(crowd)
-    }
-}
-
-impl<'c, C: CrowdSource, F: Fn(usize) -> C> CrowdBinding<'c, C, F> {
-    /// Binds a per-query crowd factory and a shared answer cache.
-    pub fn per_query(make: F, cache: &'c SharedCrowdCache) -> Self {
-        CrowdBinding::PerQuery { make, cache }
+impl CrowdBinding {
+    /// Returns `crowd` unchanged.
+    pub fn single<C: CrowdSource>(crowd: &mut C) -> &mut C {
+        crowd
     }
 }
 
@@ -232,8 +198,6 @@ pub enum QueryOutcome {
     Patterns(QueryAnswer),
     /// A rule query's rendered rules and outcome.
     Rules(RuleAnswer),
-    /// Per-query results of a batch request, in query order.
-    Batch(Vec<Result<QueryAnswer, OassisError>>),
 }
 
 impl QueryOutcome {
@@ -253,14 +217,6 @@ impl QueryOutcome {
         }
     }
 
-    /// The per-query results, if this was a batch request.
-    pub fn as_batch(&self) -> Option<&[Result<QueryAnswer, OassisError>]> {
-        match self {
-            QueryOutcome::Batch(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// Consumes into the pattern answer, if this was a pattern query.
     pub fn into_patterns(self) -> Option<QueryAnswer> {
         match self {
@@ -276,14 +232,6 @@ impl QueryOutcome {
             _ => None,
         }
     }
-
-    /// Consumes into the batch results, if this was a batch request.
-    pub fn into_batch(self) -> Option<Vec<Result<QueryAnswer, OassisError>>> {
-        match self {
-            QueryOutcome::Batch(v) => Some(v),
-            _ => None,
-        }
-    }
 }
 
 /// The OASSIS engine over one ontology.
@@ -291,7 +239,6 @@ pub struct Oassis<'o> {
     ont: &'o Ontology,
     match_mode: MatchMode,
     templates: QuestionTemplates,
-    pool: minipool::Pool,
     policy: Option<crowd::CrowdPolicy>,
     prepared: Option<Arc<PreparedQuery>>,
 }
@@ -311,15 +258,10 @@ pub struct PreparedQuery {
 
 impl PreparedQuery {
     /// Parses and binds `src`, then evaluates its WHERE clause under
-    /// `mode` (on `pool`; the result is identical at any pool width).
-    pub fn new(
-        ont: &Ontology,
-        src: &str,
-        mode: MatchMode,
-        pool: &minipool::Pool,
-    ) -> Result<PreparedQuery, OassisError> {
+    /// `mode`.
+    pub fn new(ont: &Ontology, src: &str, mode: MatchMode) -> Result<PreparedQuery, OassisError> {
         let bound = bind(&parse(src)?, ont)?;
-        let base = evaluate_where_pool(&bound, ont, mode, pool);
+        let base = evaluate_where(&bound, ont, mode);
         Ok(PreparedQuery {
             src: src.to_string(),
             mode,
@@ -373,7 +315,6 @@ impl<'o> Oassis<'o> {
             ont,
             match_mode: MatchMode::Exact,
             templates: QuestionTemplates::new(),
-            pool: minipool::Pool::sequential(),
             policy: None,
             prepared: None,
         }
@@ -390,15 +331,6 @@ impl<'o> Oassis<'o> {
     /// Switches the WHERE match mode.
     pub fn with_match_mode(mut self, mode: MatchMode) -> Self {
         self.match_mode = mode;
-        self
-    }
-
-    /// Installs a fork-join pool. Single queries use it for WHERE
-    /// evaluation; batch requests use it to run whole queries on parallel
-    /// threads, each mined on its worker alone. Answers are bit-identical
-    /// at any pool width.
-    pub fn with_pool(mut self, pool: minipool::Pool) -> Self {
-        self.pool = pool;
         self
     }
 
@@ -437,7 +369,6 @@ impl<'o> Oassis<'o> {
                 self.ont,
                 src,
                 self.match_mode,
-                &self.pool,
             )?)),
         }
     }
@@ -454,34 +385,21 @@ impl<'o> Oassis<'o> {
         }
     }
 
-    /// Executes any [`QueryRequest`] — a pattern query, a rule query, or
-    /// a batch — against the given [`CrowdBinding`] and aggregator. The
+    /// Executes a [`QueryRequest`] — a pattern query or a rule query —
+    /// against `crowd` and the aggregator, on the caller's thread. The
     /// single entry point of the engine.
     ///
     /// Validation performed up front:
-    /// * the request must carry at least one query;
     /// * a zero question budget or a support threshold outside `(0, 1]`
     ///   is rejected with [`OassisError::Budget`];
     /// * `trace_path` without a recording telemetry sink is rejected with
-    ///   [`OassisError::Telemetry`];
-    /// * a batch request with a [`CrowdBinding::Single`] binding is
-    ///   rejected with [`OassisError::Crowd`].
-    pub fn run<C, A, F>(
+    ///   [`OassisError::Telemetry`].
+    pub fn run<C: CrowdSource, A: Aggregator>(
         &self,
         req: &QueryRequest<'_>,
-        crowd: CrowdBinding<'_, C, F>,
+        crowd: &mut C,
         aggregator: &A,
-    ) -> Result<QueryOutcome, OassisError>
-    where
-        C: CrowdSource,
-        A: Aggregator + Sync,
-        F: Fn(usize) -> C + Sync,
-    {
-        if req.queries.is_empty() {
-            return Err(OassisError::Ql(QlError::Invalid(
-                "request has no queries".into(),
-            )));
-        }
+    ) -> Result<QueryOutcome, OassisError> {
         let mining = &req.options.mining;
         if mining.max_questions == Some(0) {
             return Err(OassisError::Budget(
@@ -500,61 +418,19 @@ impl<'o> Oassis<'o> {
                 "trace_path requires a recording telemetry sink on the mining config".into(),
             ));
         }
-        let outcome = if req.queries.len() > 1 {
-            match crowd {
-                CrowdBinding::PerQuery { make, cache } => QueryOutcome::Batch(self.run_batch(
-                    &req.queries,
-                    &make,
-                    aggregator,
-                    mining,
-                    cache,
-                )),
-                CrowdBinding::Single(_) => {
-                    return Err(OassisError::Crowd(
-                        "batch request needs a per-query crowd binding \
-                         (CrowdBinding::per_query)"
-                            .into(),
-                    ))
-                }
-            }
+        let prepared = {
+            let _s = mining.telemetry.span("prepare");
+            self.prepared(req.src)?
+        };
+        let outcome = if prepared.bound.imp_meta.is_empty() {
+            QueryOutcome::Patterns(self.run_pattern_query(&prepared, crowd, aggregator, mining))
         } else {
-            let prepared = {
-                let _s = mining.telemetry.span("prepare");
-                // PANIC-OK: the is_empty check above guarantees an element.
-                self.prepared(req.queries[0])?
-            };
-            let is_rule = !prepared.bound.imp_meta.is_empty();
-            match crowd {
-                CrowdBinding::Single(c) => {
-                    if is_rule {
-                        QueryOutcome::Rules(self.run_rule_query(
-                            &prepared,
-                            c,
-                            &req.options.rules,
-                            &mining.telemetry,
-                        )?)
-                    } else {
-                        QueryOutcome::Patterns(
-                            self.run_pattern_query(&prepared, c, aggregator, mining)?,
-                        )
-                    }
-                }
-                CrowdBinding::PerQuery { make, cache } => {
-                    let mut c = SharedCachingCrowd::new(make(0), cache);
-                    if is_rule {
-                        QueryOutcome::Rules(self.run_rule_query(
-                            &prepared,
-                            &mut c,
-                            &req.options.rules,
-                            &mining.telemetry,
-                        )?)
-                    } else {
-                        QueryOutcome::Patterns(
-                            self.run_pattern_query(&prepared, &mut c, aggregator, mining)?,
-                        )
-                    }
-                }
-            }
+            QueryOutcome::Rules(self.run_rule_query(
+                &prepared,
+                crowd,
+                &req.options.rules,
+                &mining.telemetry,
+            )?)
         };
         if let Some(path) = &req.options.trace_path {
             if let Some(sink) = mining.telemetry.sink() {
@@ -578,13 +454,8 @@ impl<'o> Oassis<'o> {
         crowd: &mut C,
         aggregator: &A,
         cfg: &MiningConfig,
-    ) -> Result<QueryAnswer, OassisError> {
+    ) -> QueryAnswer {
         let bound = &prepared.bound;
-        if !bound.imp_meta.is_empty() {
-            return Err(OassisError::Ql(QlError::Invalid(
-                "query has an IMPLYING clause; rule queries dispatch through Oassis::run".into(),
-            )));
-        }
         let root = cfg.telemetry.span("query.pattern");
         let tele = root.tele().clone();
         let mut dag = {
@@ -618,58 +489,7 @@ impl<'o> Oassis<'o> {
                 OutputFormat::Variables => a.to_display(bound, vocab),
             })
             .collect();
-        Ok(QueryAnswer { answers, outcome })
-    }
-
-    /// Batch pipeline: one query per pool slot over per-query crowds and
-    /// a shared answer cache. Inner queries run with telemetry *off* (the
-    /// workers' interleaving is non-deterministic); the coordinator
-    /// records deterministic per-query aggregates after the join, in
-    /// query order, so traces are bit-identical at any pool width.
-    fn run_batch<C, A, F>(
-        &self,
-        queries: &[&str],
-        make_crowd: &F,
-        aggregator: &A,
-        cfg: &MiningConfig,
-        cache: &SharedCrowdCache,
-    ) -> Vec<Result<QueryAnswer, OassisError>>
-    where
-        C: CrowdSource,
-        A: Aggregator + Sync,
-        F: Fn(usize) -> C + Sync,
-    {
-        let root = cfg.telemetry.span("batch");
-        let tele = root.tele().clone();
-        let indices: Vec<usize> = (0..queries.len()).collect();
-        let results = self.pool.par_map(&indices, |&i| {
-            let mut crowd = SharedCachingCrowd::new(make_crowd(i), cache);
-            let query_cfg = MiningConfig {
-                telemetry: telemetry::Telemetry::off(),
-                ..cfg.clone()
-            };
-            let engine = Oassis {
-                ont: self.ont,
-                match_mode: self.match_mode,
-                templates: QuestionTemplates::new(),
-                pool: minipool::Pool::sequential(),
-                policy: self.policy,
-                prepared: self.prepared.clone(),
-            };
-            // PANIC-OK: `i` ranges over 0..queries.len() by construction.
-            let prepared = engine.prepared(queries[i])?;
-            engine.run_pattern_query(&prepared, &mut crowd, aggregator, &query_cfg)
-        });
-        if tele.is_enabled() {
-            tele.count("batch.queries", queries.len() as u64);
-            for r in results.iter().flatten() {
-                let q = r.outcome.mining.questions as u64;
-                tele.count("batch.queries_ok", 1);
-                tele.count("engine.questions", q);
-                tele.observe("batch.questions_per_query", q);
-            }
-        }
-        results
+        QueryAnswer { answers, outcome }
     }
 
     /// Rule-query pipeline over a prepared query: DAG → two-phase rule
@@ -756,7 +576,7 @@ mod tests {
         let ans = engine
             .run(
                 &QueryRequest::pattern(figure1::SIMPLE_QUERY),
-                CrowdBinding::single(&mut crowd),
+                &mut crowd,
                 &agg,
             )
             .unwrap()
@@ -784,7 +604,7 @@ mod tests {
         let msp_ans = engine
             .run(
                 &QueryRequest::pattern(figure1::SIMPLE_QUERY),
-                CrowdBinding::single(&mut crowd1),
+                &mut crowd1,
                 &agg,
             )
             .unwrap()
@@ -792,11 +612,7 @@ mod tests {
             .unwrap();
         let mut crowd2 = SimulatedCrowd::new(ont.vocab(), vec![u_avg(&ont, 1)]);
         let all_ans = engine
-            .run(
-                &QueryRequest::pattern(&all_query),
-                CrowdBinding::single(&mut crowd2),
-                &agg,
-            )
+            .run(&QueryRequest::pattern(&all_query), &mut crowd2, &agg)
             .unwrap()
             .into_patterns()
             .unwrap();
@@ -825,11 +641,7 @@ mod tests {
         let var_query = figure1::SIMPLE_QUERY.replace("SELECT FACT-SETS", "SELECT VARIABLES");
         let mut crowd = SimulatedCrowd::new(ont.vocab(), vec![u_avg(&ont, 1)]);
         let ans = engine
-            .run(
-                &QueryRequest::pattern(&var_query),
-                CrowdBinding::single(&mut crowd),
-                &agg,
-            )
+            .run(&QueryRequest::pattern(&var_query), &mut crowd, &agg)
             .unwrap()
             .into_patterns()
             .unwrap();
@@ -855,7 +667,7 @@ mod tests {
         assert_eq!(m.batch_width, 3);
         assert_eq!(m.max_questions, Some(77));
         assert_eq!(m.seed, 9);
-        assert_eq!(req.queries(), ["q"]);
+        assert_eq!(req.src(), "q");
     }
 
     #[test]
@@ -867,7 +679,7 @@ mod tests {
         let err = engine
             .run(
                 &QueryRequest::pattern(figure1::SIMPLE_QUERY).threshold(1.5),
-                CrowdBinding::single(&mut crowd),
+                &mut crowd,
                 &agg,
             )
             .unwrap_err();

@@ -225,7 +225,7 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
                 continue;
             }
             let width = cfg.batch_width.max(1);
-            let mut planned: Vec<NodeId> = Vec::with_capacity(width);
+            let mut planned: Vec<NodeId> = Vec::new();
             if width == 1 {
                 // PANIC-OK: `mi` is in bounds, as above.
                 if let Some(t) = next_target(dag, run.fold.classifier_mut(), &mut members[mi]) {

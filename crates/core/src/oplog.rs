@@ -343,8 +343,8 @@ impl OpLog {
     /// `nodes_materialized` is derived, not re-grown.
     ///
     /// `_pool` is unused: replay runs on the calling thread. The parameter
-    /// stays only so that existing callers (perfbench's `recover`) keep
-    /// building.
+    /// stays only so that perfbench's `recover` keeps building; ROADMAP
+    /// item 4's benchmark PR removes it.
     pub fn replay<A: Aggregator>(
         &self,
         dag: &Dag<'_>,

@@ -27,9 +27,7 @@ use std::collections::HashSet;
 ///
 /// A run mines on the calling thread. The paper's only concurrency is
 /// crowd members answering in parallel (Section 4.2), and the cost it
-/// bounds is crowd questions, which no thread count changes. Batch
-/// requests run whole queries in parallel instead
-/// ([`crate::Oassis::with_pool`]).
+/// bounds is crowd questions, which no thread count changes.
 #[derive(Debug, Clone)]
 pub struct MiningConfig {
     /// The support threshold Θ (overrides the query's `WITH SUPPORT` when

@@ -61,66 +61,16 @@ pub fn evaluate_where(q: &BoundQuery, ont: &Ontology, mode: MatchMode) -> Vec<Ba
     out
 }
 
-/// [`evaluate_where`] fanned out across a [`minipool::Pool`].
-///
-/// The WHERE clause is exhaustive backtracking over an unordered pattern
-/// set, and the public result is the *sorted, deduplicated* assignment
-/// set — so parallelism cannot change it. We split on the seed pattern
-/// (the one the sequential solver would match first): each of its matches
-/// becomes an independent branch solved by a worker with its own
-/// [`Evaluator`] (star caches are per-worker, rebuilt on demand), and the
-/// branch results are unioned and sorted exactly like the sequential
-/// path. Runs inline — byte-for-byte the sequential algorithm — when the
-/// pool is sequential or there is at most one pattern.
+/// [`evaluate_where`] under the name perfbench and the op-log
+/// permutation oracle still call; `_pool` is ignored. ROADMAP item 4's
+/// benchmark PR removes it.
 pub fn evaluate_where_pool(
     q: &BoundQuery,
     ont: &Ontology,
     mode: MatchMode,
-    pool: &minipool::Pool,
+    _pool: &minipool::Pool,
 ) -> Vec<BaseAssignment> {
-    if pool.threads() <= 1 || q.where_patterns.len() < 2 {
-        return evaluate_where(q, ont, mode);
-    }
-    let mut seed_ev = Evaluator {
-        q,
-        ont,
-        mode,
-        star_cache: HashMap::new(),
-        results: HashSet::new(),
-    };
-    let empty: Vec<Option<Value>> = vec![None; q.vars.len()];
-    // The same seed pattern the sequential solver picks first (fewest
-    // unbound variables; ties to the lowest index).
-    let pi0 = (0..q.where_patterns.len())
-        .min_by_key(|&pi| seed_ev.unbound_count(&q.where_patterns[pi], &empty))
-        .expect("at least two patterns");
-    // Matching the seed pattern with an empty `remaining` set records
-    // every post-match binding state into `results`: those states are the
-    // branch seeds.
-    let mut bindings = empty;
-    let mut no_remaining: Vec<usize> = Vec::new();
-    let pattern = q.where_patterns[pi0].clone();
-    seed_ev.match_pattern(&pattern, &mut bindings, &mut no_remaining);
-    let mut forks: Vec<BaseAssignment> = seed_ev.results.into_iter().collect();
-    forks.sort_by(|a, b| a.0.cmp(&b.0));
-    let rest: Vec<usize> = (0..q.where_patterns.len()).filter(|&i| i != pi0).collect();
-    let branch_sets: Vec<Vec<BaseAssignment>> = pool.par_map(&forks, |fork| {
-        let mut ev = Evaluator {
-            q,
-            ont,
-            mode,
-            star_cache: HashMap::new(),
-            results: HashSet::new(),
-        };
-        let mut b = fork.0.clone();
-        let mut rem = rest.clone();
-        ev.solve(&mut b, &mut rem);
-        ev.results.into_iter().collect()
-    });
-    let merged: HashSet<BaseAssignment> = branch_sets.into_iter().flatten().collect();
-    let mut out: Vec<BaseAssignment> = merged.into_iter().collect();
-    out.sort_by(|a, b| a.0.cmp(&b.0));
-    out
+    evaluate_where(q, ont, mode)
 }
 
 struct Evaluator<'a> {
@@ -621,24 +571,6 @@ mod tests {
         let (_, res1, _) = eval(figure1::SAMPLE_QUERY, MatchMode::Exact);
         let (_, res2, _) = eval(figure1::SAMPLE_QUERY, MatchMode::Exact);
         assert_eq!(res1, res2);
-    }
-
-    #[test]
-    fn pool_evaluation_matches_sequential_at_every_width() {
-        let ont = figure1::ontology();
-        let q = parse(figure1::SAMPLE_QUERY).unwrap();
-        let b = bind(&q, &ont).unwrap();
-        for mode in [MatchMode::Exact, MatchMode::Semantic] {
-            let seq = evaluate_where(&b, &ont, mode);
-            for threads in [1usize, 2, 4, 8] {
-                let pool = minipool::Pool::new(threads);
-                assert_eq!(
-                    evaluate_where_pool(&b, &ont, mode, &pool),
-                    seq,
-                    "threads={threads}"
-                );
-            }
-        }
     }
 
     #[test]

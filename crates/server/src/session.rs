@@ -48,7 +48,7 @@ use crowd::{CrowdSource, MemberId};
 use oassis_core::cache::{AnswerStore, CachedAnswer};
 use oassis_core::oplog::OpTapHandle;
 use oassis_core::{
-    intern_wire_op, CachingCrowd, CrowdBinding, FixedSampleAggregator, MiningConfig, Oassis, OpLog,
+    intern_wire_op, CachingCrowd, FixedSampleAggregator, MiningConfig, Oassis, OpLog,
     PreparedQuery, QueryRequest, SemanticOutcome, SharedCrowdCache, WireOp,
 };
 use oassis_ql::{BoundQuery, MatchMode};
@@ -631,13 +631,11 @@ impl SessionManager {
         };
         let mut crowd = CachingCrowd::new(&mut *inner, store);
         let engine = Oassis::new(&self.ont).with_prepared(prepared.clone());
-        let outcome = engine
-            .run(&req, CrowdBinding::single(&mut crowd), &agg)
-            .map_err(|e| {
-                // no `done` footer will end this query and drop its handles
-                wal.lock().expect("wal mutex poisoned").close_files(); // PANIC-OK: poisoning means a holder already panicked; propagate it
-                ServerError::Engine(e.to_string())
-            })?;
+        let outcome = engine.run(&req, &mut crowd, &agg).map_err(|e| {
+            // no `done` footer will end this query and drop its handles
+            wal.lock().expect("wal mutex poisoned").close_files(); // PANIC-OK: poisoning means a holder already panicked; propagate it
+            ServerError::Engine(e.to_string())
+        })?;
         let fresh = crowd.fresh_questions();
         let replayable = fresh == crowd.stored_answers();
         // PANIC-OK: a single non-IMPLYING query always yields Patterns.
@@ -729,8 +727,7 @@ impl SessionManager {
         if let Some(last) = self.last_prepared.as_ref().filter(|e| e.src() == src) {
             return Ok(last.clone());
         }
-        let pool = minipool::Pool::sequential();
-        let entry = PreparedQuery::new(&self.ont, src, MatchMode::Exact, &pool)
+        let entry = PreparedQuery::new(&self.ont, src, MatchMode::Exact)
             .map_err(|e| ServerError::Engine(e.to_string()))
             .map(Arc::new)?;
         self.last_prepared = Some(entry.clone());
@@ -802,15 +799,9 @@ impl SessionHandle<'_> {
 
     /// Runs a [`QueryRequest`] (single pattern query) in this session.
     pub fn query(&mut self, req: &QueryRequest<'_>) -> Result<QueryReply, ServerError> {
-        let queries = req.queries();
-        let [src] = queries else {
-            return Err(ServerError::Protocol(
-                "sessions run one query per request; batch requests go through Oassis::run".into(),
-            ));
-        };
         let mining = &req.options().mining;
         let spec = QuerySpec {
-            src: (*src).to_string(),
+            src: req.src().to_string(),
             threshold: mining.threshold,
             batch_width: mining.batch_width as u32,
             max_questions: mining.max_questions.map(|m| m as u32),

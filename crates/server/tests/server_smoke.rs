@@ -384,6 +384,53 @@ fn oversized_crowd_is_rejected_and_others_are_served() {
 }
 
 #[test]
+fn the_widest_batch_width_is_mined_and_the_session_serves_on() {
+    // `batch_width` is a u32 the frame chooses; the planner must not
+    // reserve room for it up front
+    let ont = Arc::new(figure1::ontology());
+    let root = temp_root("width");
+    let server = spawn(&ont, &root);
+    let mut client = Client::connect(server.addr()).unwrap();
+    let resp = client
+        .call(&Request::Open(SessionSpec {
+            name: "wide".into(),
+            seed: 1,
+            members: 2,
+        }))
+        .unwrap();
+    assert!(matches!(resp, Response::Opened { .. }), "{resp:?}");
+    let wide = QuerySpec {
+        batch_width: u32::MAX,
+        ..qspec(1)
+    };
+    let resp = client
+        .call(&Request::Query {
+            session: "wide".into(),
+            spec: wide,
+        })
+        .unwrap();
+    let Response::Result { reply, .. } = resp else {
+        panic!("expected result, got {resp:?}")
+    };
+    assert!(reply.complete);
+    assert!(!reply.answers.is_empty(), "the running example has MSPs");
+    let resp = client
+        .call(&Request::Query {
+            session: "wide".into(),
+            spec: qspec(2),
+        })
+        .unwrap();
+    let Response::Result { reply, .. } = resp else {
+        panic!("expected result, got {resp:?}")
+    };
+    assert!(reply.complete);
+
+    client.bye().unwrap();
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn digest_hex_is_sixteen_lowercase_digits() {
     assert_eq!(digest_hex(0), "0000000000000000");
     assert_eq!(digest_hex(u64::MAX), "ffffffffffffffff");

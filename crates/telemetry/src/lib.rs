@@ -17,12 +17,13 @@
 //!
 //! The engines uphold that by construction:
 //!
-//! * span/mark events are recorded only on sequential coordinator
-//!   paths (the mining loops, never inside `minipool::par_map`
-//!   callbacks);
+//! * span/mark events are recorded only on sequential paths: a query
+//!   mines on its caller's thread, so its mining loop records them in
+//!   one order;
 //! * counters and histograms are commutative aggregates (`BTreeMap`
 //!   keyed, addition only) and do **not** advance the tick, so even a
-//!   counter bumped from a worker thread cannot perturb the trace.
+//!   counter bumped from another thread (a server connection's) cannot
+//!   perturb the trace.
 //!
 //! # Zero-cost off switch
 //!

@@ -66,7 +66,7 @@ fn main() {
     let answer = engine
         .run(
             &request,
-            CrowdBinding::single(&mut SimulatedCrowd::new(v, members)),
+            &mut SimulatedCrowd::new(v, members),
             &FixedSampleAggregator { sample_size: 5 },
         )
         .expect("query runs")

@@ -34,11 +34,7 @@ fn main() {
     let top_query = figure1::SIMPLE_QUERY.replace("SELECT FACT-SETS", "SELECT FACT-SETS TOP 1");
     let mut crowd = SimulatedCrowd::new(ont.vocab(), vec![u_avg(&ont, 1)]);
     let top = engine
-        .run(
-            &QueryRequest::pattern(&top_query),
-            CrowdBinding::single(&mut crowd),
-            &agg,
-        )
+        .run(&QueryRequest::pattern(&top_query), &mut crowd, &agg)
         .unwrap()
         .into_patterns()
         .unwrap();
@@ -46,7 +42,7 @@ fn main() {
     let full = engine
         .run(
             &QueryRequest::pattern(figure1::SIMPLE_QUERY),
-            CrowdBinding::single(&mut crowd_full),
+            &mut crowd_full,
             &agg,
         )
         .unwrap()
@@ -65,11 +61,7 @@ fn main() {
         figure1::SIMPLE_QUERY.replace("SELECT FACT-SETS", "SELECT FACT-SETS TOP 2 DIVERSE");
     let mut crowd = SimulatedCrowd::new(ont.vocab(), vec![u_avg(&ont, 1)]);
     let div = engine
-        .run(
-            &QueryRequest::pattern(&div_query),
-            CrowdBinding::single(&mut crowd),
-            &agg,
-        )
+        .run(&QueryRequest::pattern(&div_query), &mut crowd, &agg)
         .unwrap()
         .into_patterns()
         .unwrap();
@@ -103,7 +95,7 @@ WITH SUPPORT = 0.3 AND CONFIDENCE = 0.75
                 panel_size: 1,
                 ..Default::default()
             }),
-            CrowdBinding::single(&mut crowd),
+            &mut crowd,
             &agg,
         )
         .unwrap()
@@ -133,11 +125,7 @@ WITH SUPPORT = 0.3 AND CONFIDENCE = 0.75
     let mut crowd = SimulatedCrowd::new(ont.vocab(), members);
     let agg2 = FixedSampleAggregator { sample_size: 2 };
     let asked = engine
-        .run(
-            &QueryRequest::pattern(&asking_query),
-            CrowdBinding::single(&mut crowd),
-            &agg2,
-        )
+        .run(&QueryRequest::pattern(&asking_query), &mut crowd, &agg2)
         .unwrap()
         .into_patterns()
         .unwrap();

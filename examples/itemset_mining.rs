@@ -106,7 +106,7 @@ fn main() {
     let answer = engine
         .run(
             &request,
-            CrowdBinding::single(&mut SimulatedCrowd::new(v, vec![member])),
+            &mut SimulatedCrowd::new(v, vec![member]),
             &FixedSampleAggregator { sample_size: 1 },
         )
         .expect("query runs")

@@ -67,7 +67,7 @@ fn main() {
     let answer = engine
         .run(
             &request,
-            CrowdBinding::single(&mut crowd),
+            &mut crowd,
             &FixedSampleAggregator { sample_size: 2 },
         )
         .expect("query parses and binds")

@@ -103,7 +103,7 @@ fn main() {
     let answer = engine
         .run(
             &request,
-            CrowdBinding::single(&mut SimulatedCrowd::new(v, members.clone())),
+            &mut SimulatedCrowd::new(v, members.clone()),
             &aggregator,
         )
         .expect("query runs")
@@ -124,7 +124,7 @@ fn main() {
     let naive_answer = engine
         .run(
             &request,
-            CrowdBinding::single(&mut SimulatedCrowd::new(v, members)),
+            &mut SimulatedCrowd::new(v, members),
             &FixedSampleAggregator { sample_size: 5 },
         )
         .expect("query runs")

@@ -95,7 +95,7 @@ fn main() {
         let ans = engine
             .run(
                 &request,
-                CrowdBinding::single(&mut caching),
+                &mut caching,
                 &FixedSampleAggregator { sample_size: 5 },
             )
             .expect("query runs")
@@ -133,7 +133,7 @@ fn main() {
         let ans = engine
             .run(
                 &request_04,
-                CrowdBinding::single(&mut caching),
+                &mut caching,
                 &FixedSampleAggregator { sample_size: 5 },
             )
             .expect("query runs")

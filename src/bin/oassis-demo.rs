@@ -248,7 +248,7 @@ fn main() -> ExitCode {
             let request = QueryRequest::new(&query).with_mining(cfg);
             let answer = match engine.run(
                 &request,
-                CrowdBinding::single(&mut SimulatedCrowd::new(v, crowd_members)),
+                &mut SimulatedCrowd::new(v, crowd_members),
                 &FixedSampleAggregator { sample_size: 5 },
             ) {
                 Ok(outcome) => outcome.into_patterns().expect("pattern query"),

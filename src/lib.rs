@@ -28,8 +28,7 @@
 //! let engine = Oassis::new(&ont);
 //! let request = QueryRequest::pattern(oassis::ontology::domains::figure1::SIMPLE_QUERY);
 //! let answer = engine
-//!     .run(&request, CrowdBinding::single(&mut crowd),
-//!          &FixedSampleAggregator { sample_size: 1 })
+//!     .run(&request, &mut crowd, &FixedSampleAggregator { sample_size: 1 })
 //!     .unwrap()
 //!     .into_patterns()
 //!     .unwrap();
@@ -63,8 +62,7 @@ pub use crowdrules as rules;
 /// Convenient glob-import surface for applications.
 ///
 /// Covers the single-entry query API ([`Oassis::run`](crate::core::Oassis::run)
-/// with [`QueryRequest`](crate::core::QueryRequest) /
-/// [`CrowdBinding`](crate::core::CrowdBinding)), its error and outcome
+/// with [`QueryRequest`](crate::core::QueryRequest)), its error and outcome
 /// types, the persistent-session façade
 /// ([`SessionManager`](crate::server::SessionManager) /
 /// [`SessionHandle`](crate::server::SessionHandle) — the same request
@@ -73,10 +71,10 @@ pub use crowdrules as rules;
 pub mod prelude {
     pub use crate::core::{
         run_horizontal, run_multi, run_naive, run_vertical, Assignment, Class, Classifier,
-        CrowdBinding, CrowdCache, Dag, EarlyDecisionAggregator, ExecuteOptions,
-        FixedSampleAggregator, MiningConfig, MiningOutcome, MultiOutcome, Oassis, OassisError,
-        PlantedOracle, QueryAnswer, QueryOutcome, QueryRequest, QuestionTemplates, RuleAnswer,
-        RuleMiningConfig, SharedCrowdCache,
+        CrowdCache, Dag, EarlyDecisionAggregator, ExecuteOptions, FixedSampleAggregator,
+        MiningConfig, MiningOutcome, MultiOutcome, Oassis, OassisError, PlantedOracle, QueryAnswer,
+        QueryOutcome, QueryRequest, QuestionTemplates, RuleAnswer, RuleMiningConfig,
+        SharedCrowdCache,
     };
     pub use crate::ql::{bind, evaluate_where, parse, BoundQuery, MatchMode, Value};
     pub use crate::server::{

@@ -30,7 +30,7 @@ fn travel_domain_end_to_end() {
     let ans = engine
         .run(
             &QueryRequest::new(&domain.query).with_mining(cfg.clone()),
-            CrowdBinding::single(&mut SimulatedCrowd::new(ont.vocab(), members)),
+            &mut SimulatedCrowd::new(ont.vocab(), members),
             &FixedSampleAggregator { sample_size: 5 },
         )
         .unwrap()
@@ -83,7 +83,7 @@ fn class_level_domains_have_only_valid_msps() {
                     threshold: Some(0.25),
                     ..Default::default()
                 }),
-                CrowdBinding::single(&mut SimulatedCrowd::new(v, members)),
+                &mut SimulatedCrowd::new(v, members),
                 &FixedSampleAggregator { sample_size: 5 },
             )
             .unwrap()
@@ -123,7 +123,7 @@ fn crowd_exhaustion_reports_incomplete() {
                 threshold: Some(0.2),
                 ..Default::default()
             }),
-            CrowdBinding::single(&mut SimulatedCrowd::new(ont.vocab(), members)),
+            &mut SimulatedCrowd::new(ont.vocab(), members),
             &FixedSampleAggregator { sample_size: 5 },
         )
         .unwrap()
@@ -175,7 +175,7 @@ fn spammers_change_results_unless_filtered() {
     let filtered = engine
         .run(
             &request,
-            CrowdBinding::single(&mut SimulatedCrowd::new(v, members.clone())),
+            &mut SimulatedCrowd::new(v, members.clone()),
             &weighted,
         )
         .unwrap()
@@ -188,7 +188,7 @@ fn spammers_change_results_unless_filtered() {
     let unfiltered = engine
         .run(
             &request,
-            CrowdBinding::single(&mut SimulatedCrowd::new(v, members)),
+            &mut SimulatedCrowd::new(v, members),
             &FixedSampleAggregator { sample_size: 5 },
         )
         .unwrap()
@@ -235,7 +235,7 @@ fn cache_snapshot_survives_serialization_between_runs() {
                     threshold: Some(0.2),
                     ..Default::default()
                 }),
-                CrowdBinding::single(&mut caching),
+                &mut caching,
                 &FixedSampleAggregator { sample_size: 5 },
             )
             .unwrap();
@@ -252,7 +252,7 @@ fn cache_snapshot_survives_serialization_between_runs() {
                 threshold: Some(0.4),
                 ..Default::default()
             }),
-            CrowdBinding::single(&mut caching),
+            &mut caching,
             &FixedSampleAggregator { sample_size: 5 },
         )
         .unwrap()

@@ -34,11 +34,7 @@ fn top_k_parses_and_limits_answers() {
     let top_query = figure1::SIMPLE_QUERY.replace("SELECT FACT-SETS", "SELECT FACT-SETS TOP 1");
     let mut crowd = SimulatedCrowd::new(ont.vocab(), vec![u_avg(&ont, 1)]);
     let top = engine
-        .run(
-            &QueryRequest::new(&top_query),
-            CrowdBinding::single(&mut crowd),
-            &agg,
-        )
+        .run(&QueryRequest::new(&top_query), &mut crowd, &agg)
         .unwrap()
         .into_patterns()
         .unwrap();
@@ -49,7 +45,7 @@ fn top_k_parses_and_limits_answers() {
     let full = engine
         .run(
             &QueryRequest::new(figure1::SIMPLE_QUERY),
-            CrowdBinding::single(&mut crowd_full),
+            &mut crowd_full,
             &agg,
         )
         .unwrap()
@@ -74,11 +70,7 @@ fn top_k_diverse_spreads_answers() {
     let q = figure1::SIMPLE_QUERY.replace("SELECT FACT-SETS", "SELECT FACT-SETS TOP 2 DIVERSE");
     let mut crowd = SimulatedCrowd::new(ont.vocab(), vec![u_avg(&ont, 1)]);
     let ans = engine
-        .run(
-            &QueryRequest::new(&q),
-            CrowdBinding::single(&mut crowd),
-            &agg,
-        )
+        .run(&QueryRequest::new(&q), &mut crowd, &agg)
         .unwrap()
         .into_patterns()
         .unwrap();
@@ -117,7 +109,7 @@ WITH SUPPORT = 0.3 AND CONFIDENCE = 0.75
     let ans = engine
         .run(
             &QueryRequest::new(src).with_rules(cfg.clone()),
-            CrowdBinding::single(&mut crowd),
+            &mut crowd,
             &agg,
         )
         .unwrap()
@@ -137,11 +129,7 @@ WITH SUPPORT = 0.3 AND CONFIDENCE = 0.75
     // plain request still comes back as a rule outcome, never a pattern one
     let mut crowd2 = SimulatedCrowd::new(ont.vocab(), vec![u_avg(&ont, 2)]);
     let outcome = engine
-        .run(
-            &QueryRequest::new(src).with_rules(cfg),
-            CrowdBinding::single(&mut crowd2),
-            &agg,
-        )
+        .run(&QueryRequest::new(src).with_rules(cfg), &mut crowd2, &agg)
         .unwrap();
     assert!(outcome.as_patterns().is_none());
     assert!(outcome.as_rules().is_some());
@@ -211,11 +199,7 @@ fn asking_clause_restricts_the_crowd() {
 
     let mut crowd = SimulatedCrowd::new(v, members.clone());
     let ans = engine
-        .run(
-            &QueryRequest::new(&asking_query),
-            CrowdBinding::single(&mut crowd),
-            &agg,
-        )
+        .run(&QueryRequest::new(&asking_query), &mut crowd, &agg)
         .unwrap()
         .into_patterns()
         .unwrap();
@@ -233,15 +217,13 @@ fn asking_clause_restricts_the_crowd() {
     );
     assert!(ans.outcome.answers_per_member.iter().all(|&n| n > 0));
 
-    // every crowd binding must recruit the same two locals: per-query
-    // crowds over a shared cache, and a cache-through wrapper
+    // every answer store must recruit the same two locals: the shared
+    // cache sessions use, and a caller-owned cache
     let shared = SharedCrowdCache::default();
-    let per_query = engine
-        .run(
-            &QueryRequest::new(&asking_query),
-            CrowdBinding::per_query(|_| SimulatedCrowd::new(v, members.clone()), &shared),
-            &agg,
-        )
+    let mut shared_crowd =
+        oassis::core::SharedCachingCrowd::new(SimulatedCrowd::new(v, members.clone()), &shared);
+    let shared_store = engine
+        .run(&QueryRequest::new(&asking_query), &mut shared_crowd, &agg)
         .unwrap()
         .into_patterns()
         .unwrap();
@@ -249,11 +231,7 @@ fn asking_clause_restricts_the_crowd() {
     let mut caching =
         oassis::core::CachingCrowd::new(SimulatedCrowd::new(v, members.clone()), &mut cache);
     let cached = engine
-        .run(
-            &QueryRequest::new(&asking_query),
-            CrowdBinding::single(&mut caching),
-            &agg,
-        )
+        .run(&QueryRequest::new(&asking_query), &mut caching, &agg)
         .unwrap()
         .into_patterns()
         .unwrap();
@@ -262,7 +240,10 @@ fn asking_clause_restricts_the_crowd() {
         a.sort();
         a
     };
-    for (binding, other) in [("per_query", &per_query), ("CachingCrowd", &cached)] {
+    for (binding, other) in [
+        ("SharedCachingCrowd", &shared_store),
+        ("CachingCrowd", &cached),
+    ] {
         assert_eq!(
             other.outcome.answers_per_member.len(),
             2,
@@ -283,7 +264,7 @@ fn asking_clause_restricts_the_crowd() {
     let all_ans = engine
         .run(
             &QueryRequest::new(figure1::SIMPLE_QUERY),
-            CrowdBinding::single(&mut crowd_all),
+            &mut crowd_all,
             &agg4,
         )
         .unwrap()

@@ -30,7 +30,7 @@ fn everyone_leaving_immediately_yields_empty_but_sane_output() {
                 threshold: Some(0.2),
                 ..Default::default()
             }),
-            CrowdBinding::single(&mut SimulatedCrowd::new(ont.vocab(), members)),
+            &mut SimulatedCrowd::new(ont.vocab(), members),
             &FixedSampleAggregator { sample_size: 5 },
         )
         .unwrap()
@@ -59,7 +59,7 @@ fn quorum_larger_than_crowd_never_decides() {
                 threshold: Some(0.2),
                 ..Default::default()
             }),
-            CrowdBinding::single(&mut SimulatedCrowd::new(ont.vocab(), members)),
+            &mut SimulatedCrowd::new(ont.vocab(), members),
             &FixedSampleAggregator { sample_size: 10 }, // unreachable quorum
         )
         .unwrap()
@@ -97,7 +97,7 @@ fn all_spammers_produce_noise_but_never_panic() {
                 specialization_ratio: 0.3,
                 ..Default::default()
             }),
-            CrowdBinding::single(&mut SimulatedCrowd::new(ont.vocab(), members)),
+            &mut SimulatedCrowd::new(ont.vocab(), members),
             &FixedSampleAggregator { sample_size: 5 },
         )
         .unwrap()
@@ -130,7 +130,7 @@ fn tiny_question_budget_is_respected_end_to_end() {
                 max_questions: Some(budget),
                 ..Default::default()
             }),
-            CrowdBinding::single(&mut SimulatedCrowd::new(
+            &mut SimulatedCrowd::new(
                 ont.vocab(),
                 generate(
                     &profiles(&ont),
@@ -140,7 +140,7 @@ fn tiny_question_budget_is_respected_end_to_end() {
                         ..Default::default()
                     },
                 ),
-            )),
+            ),
             &FixedSampleAggregator { sample_size: 5 },
         );
         if budget == 0 {
@@ -175,7 +175,7 @@ fn semantic_match_mode_mines_end_to_end() {
                 threshold: Some(0.2),
                 ..Default::default()
             }),
-            CrowdBinding::single(&mut SimulatedCrowd::new(ont.vocab(), members)),
+            &mut SimulatedCrowd::new(ont.vocab(), members),
             &FixedSampleAggregator { sample_size: 5 },
         )
         .unwrap()
@@ -214,7 +214,7 @@ fn early_decision_aggregator_agrees_with_fixed_sample() {
     let fixed = engine
         .run(
             &request,
-            CrowdBinding::single(&mut SimulatedCrowd::new(ont.vocab(), mk_members())),
+            &mut SimulatedCrowd::new(ont.vocab(), mk_members()),
             &FixedSampleAggregator { sample_size: 5 },
         )
         .unwrap()
@@ -223,7 +223,7 @@ fn early_decision_aggregator_agrees_with_fixed_sample() {
     let early = engine
         .run(
             &request,
-            CrowdBinding::single(&mut SimulatedCrowd::new(ont.vocab(), mk_members())),
+            &mut SimulatedCrowd::new(ont.vocab(), mk_members()),
             &EarlyDecisionAggregator { sample_size: 5 },
         )
         .unwrap()

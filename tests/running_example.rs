@@ -24,7 +24,7 @@ fn full_figure_2_query_with_restaurants() {
     let answer = engine
         .run(
             &QueryRequest::new(figure1::SAMPLE_QUERY),
-            CrowdBinding::single(&mut crowd),
+            &mut crowd,
             &FixedSampleAggregator { sample_size: 1 },
         )
         .unwrap()
@@ -70,7 +70,7 @@ fn example_3_1_significance_decisions() {
     let answer = engine
         .run(
             &QueryRequest::new(&all_query),
-            CrowdBinding::single(&mut crowd),
+            &mut crowd,
             &FixedSampleAggregator { sample_size: 1 },
         )
         .unwrap()
@@ -112,7 +112,7 @@ fn threshold_sweep_monotonicity_of_significant_sets() {
         engine
             .run(
                 &QueryRequest::new(&all_query).with_mining(cfg),
-                CrowdBinding::single(&mut crowd),
+                &mut crowd,
                 &FixedSampleAggregator { sample_size: 1 },
             )
             .unwrap()
@@ -149,7 +149,7 @@ fn questions_scale_with_threshold_like_figure_4a() {
         let ans = engine
             .run(
                 &QueryRequest::new(figure1::SIMPLE_QUERY).with_mining(cfg),
-                CrowdBinding::single(&mut crowd),
+                &mut crowd,
                 &FixedSampleAggregator { sample_size: 1 },
             )
             .unwrap()

@@ -21,8 +21,8 @@ use crowd::{
 };
 use oassis_core::synth::{plant_msps, synthetic_domain, MspDistribution, PlantedOracle};
 use oassis_core::{
-    run_multi, run_vertical, CrowdBinding, Dag, FixedSampleAggregator, MiningConfig, MiningOutcome,
-    MultiOutcome, Oassis, QueryRequest,
+    run_multi, run_vertical, Dag, FixedSampleAggregator, MiningConfig, MiningOutcome, MultiOutcome,
+    Oassis, QueryRequest,
 };
 use oassis_ql::{bind, evaluate_where, parse, BoundQuery, MatchMode};
 use ontology::domains::figure1;
@@ -253,7 +253,7 @@ fn recorded_jsonl_trace_replays_against_the_manifest() {
     let answer = engine
         .run(
             &request,
-            CrowdBinding::single(&mut faulty),
+            &mut faulty,
             &FixedSampleAggregator { sample_size: 2 },
         )
         .expect("query runs")
@@ -345,7 +345,7 @@ fn recorded_jsonl_trace_replays_against_the_manifest() {
     engine
         .run(
             &request2,
-            CrowdBinding::single(&mut faulty2),
+            &mut faulty2,
             &FixedSampleAggregator { sample_size: 2 },
         )
         .expect("replay runs");
