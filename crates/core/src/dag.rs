@@ -461,6 +461,15 @@ impl<'a> Dag<'a> {
         &self.child_edges[span.0 as usize..(span.0 + span.1) as usize]
     }
 
+    /// The child at child-edge arena position `pos`, a position inside a
+    /// span returned by [`Self::ensure_children`]. The arena only grows,
+    /// so a position names the same child for the life of the DAG.
+    #[inline]
+    pub fn child_at(&self, pos: u32) -> NodeId {
+        // PANIC-OK: callers pass positions of spans the arena handed out.
+        self.child_edges[pos as usize]
+    }
+
     /// Whether children were already generated.
     pub fn is_expanded(&self, id: NodeId) -> bool {
         self.child_span[id.index()].0 != NONE32

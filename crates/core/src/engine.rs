@@ -391,7 +391,8 @@ impl<'o> Oassis<'o> {
     ///
     /// Validation performed up front:
     /// * a zero question budget or a support threshold outside `(0, 1]`
-    ///   is rejected with [`OassisError::Budget`];
+    ///   is rejected with [`OassisError::Budget`]
+    ///   ([`MiningConfig::check_budget`]);
     /// * `trace_path` without a recording telemetry sink is rejected with
     ///   [`OassisError::Telemetry`].
     pub fn run<C: CrowdSource, A: Aggregator>(
@@ -401,18 +402,7 @@ impl<'o> Oassis<'o> {
         aggregator: &A,
     ) -> Result<QueryOutcome, OassisError> {
         let mining = &req.options.mining;
-        if mining.max_questions == Some(0) {
-            return Err(OassisError::Budget(
-                "question budget is zero; the run could never ask anything".into(),
-            ));
-        }
-        if let Some(t) = mining.threshold {
-            if !(t > 0.0 && t <= 1.0) {
-                return Err(OassisError::Budget(format!(
-                    "support threshold {t} outside (0, 1]"
-                )));
-            }
-        }
+        mining.check_budget()?;
         if req.options.trace_path.is_some() && mining.telemetry.sink().is_none() {
             return Err(OassisError::Telemetry(
                 "trace_path requires a recording telemetry sink on the mining config".into(),

@@ -70,31 +70,223 @@ pub struct MultiOutcome {
     pub rounds: usize,
 }
 
+/// One member's traversal state.
+///
+/// The member's hot queue holds the roots and the children of nodes that
+/// became *overall* significant, whose answers drive assignments to
+/// quorum, plus the member's own revisits and lazy descents. It is
+/// `front`, then the shared [`HotFrontier`] from `cursor` merged with
+/// `own` by push sequence number, and it is served before `cold`.
+///
+/// NOTE: both queues may hold duplicates (shared children of several
+/// significant parents, re-descents, and the revisit of a specialization
+/// question's base). Deduplicating at push time is *not*
+/// order-preserving — a re-pushed base could previously be consumed at
+/// a mid-queue duplicate's earlier position — so duplicates are kept and
+/// filtered on pop instead.
 struct MemberState {
     id: MemberId,
     personal: Classifier,
-    answered: HashSet<NodeId>,
-    /// Significant nodes whose children this member already enqueued
-    /// (guards the lazy descent in `next_target` against re-pushing).
-    descended: HashSet<NodeId>,
+    answered: NodeBits,
+    /// Significant nodes whose children this member already queued
+    /// (guards the lazy descent in `next_target` against re-queueing).
+    descended: NodeBits,
     active: bool,
-    /// High-priority frontier: children of nodes that became *overall*
-    /// significant — answering these drives assignments to quorum.
-    hot: VecDeque<NodeId>,
-    /// Low-priority frontier: the roots plus this member's personal
-    /// descent (successors of nodes significant *for them* but not yet
-    /// overall) — served only when no quorum work is pending, so that a
-    /// single member's idiosyncratic habits don't starve the crowd's
-    /// shared progress.
-    /// NOTE: the queues may hold duplicates (shared children of several
-    /// significant parents, re-descents, and the revisit re-push of a
-    /// specialization-question base). Deduplicating at push time is *not*
-    /// order-preserving — a re-pushed base could previously be consumed at
-    /// a mid-queue duplicate's earlier position — so duplicates are kept
-    /// and filtered on pop instead. With the classifier's cached indexed
-    /// lookups that pop-side `class()` filter is O(1), so the duplicates
-    /// cost a queue slot, not a witness scan.
+    /// Deferred batch targets, popped from the end before any other hot
+    /// entry.
+    front: Vec<NodeId>,
+    /// The first position of the shared frontier this member has not
+    /// popped.
+    cursor: u32,
+    /// Hot entries only this member queued, with their push sequence
+    /// numbers, in push order.
+    own: VecDeque<(u64, Pending)>,
+    /// Low-priority frontier: this member's personal descent (children of
+    /// nodes significant *for them* but not yet overall, and of
+    /// significant nodes popped from here) — served only when the hot
+    /// queue is empty, so that a single member's idiosyncratic habits
+    /// don't starve the crowd's shared progress.
     cold: VecDeque<NodeId>,
+}
+
+/// An entry of a member's private hot queue.
+#[derive(Debug, Clone, Copy)]
+enum Pending {
+    /// One node: the revisit of a specialization question's base.
+    Node(NodeId),
+    /// A lazy descent: the child-edge arena positions `start..end` of a
+    /// span returned by [`Dag::ensure_children`], popped front to back.
+    Edges(u32, u32),
+}
+
+/// Where a popped hot entry came from: the position a globally
+/// insignificant node is buried at.
+#[derive(Debug, Clone, Copy)]
+enum Origin {
+    /// A position of the shared frontier.
+    Shared(u32),
+    /// A position of the DAG's child-edge arena.
+    Edge(u32),
+    /// A deferred target or a revisit.
+    Own,
+}
+
+/// The hot frontier every member shares: the roots, then the children
+/// of each fan-out, appended once (the paper's `QueueManager` frontier).
+/// A member's private entries and the shared ones carry one global push
+/// sequence, so merging them by sequence number pops in push order.
+struct HotFrontier {
+    nodes: Vec<NodeId>,
+    /// Push sequence number of each position of `nodes`.
+    seqs: Vec<u64>,
+    /// Buried positions of `nodes`.
+    live: NextLive,
+    /// Buried positions of the DAG's child-edge arena.
+    live_edges: NextLive,
+    next_seq: u64,
+    /// Entries `next_target` popped, hot and cold.
+    pops: u64,
+}
+
+impl HotFrontier {
+    fn new(roots: &[NodeId]) -> Self {
+        HotFrontier {
+            nodes: roots.to_vec(),
+            seqs: vec![0; roots.len()],
+            live: NextLive::default(),
+            live_edges: NextLive::default(),
+            next_seq: 1,
+            pops: 0,
+        }
+    }
+
+    /// Takes the next push sequence number.
+    fn stamp(&mut self) -> u64 {
+        self.next_seq += 1;
+        self.next_seq - 1
+    }
+
+    /// Appends one fan-out's children to every member's hot queue.
+    fn fan_out(&mut self, children: impl IntoIterator<Item = NodeId>) {
+        let seq = self.stamp();
+        for c in children {
+            self.nodes.push(c);
+            self.seqs.push(seq);
+        }
+    }
+
+    /// Queues `entry` at the back of `m`'s hot queue.
+    fn push(&mut self, m: &mut MemberState, entry: Pending) {
+        let seq = self.stamp();
+        m.own.push_back((seq, entry));
+    }
+
+    /// Pops `m`'s next hot node: a deferred target first, then whichever
+    /// of the shared and private heads was pushed first. Buried positions
+    /// are skipped.
+    fn pop(&mut self, dag: &Dag<'_>, m: &mut MemberState) -> Option<(NodeId, Origin)> {
+        if let Some(id) = m.front.pop() {
+            return Some((id, Origin::Own));
+        }
+        let at = self.live.find(m.cursor);
+        let shared = self.seqs.get(at as usize).copied();
+        while let Some((seq, entry)) = m.own.front_mut() {
+            if shared.is_some_and(|s| s < *seq) {
+                break;
+            }
+            match entry {
+                Pending::Node(id) => {
+                    let id = *id;
+                    m.own.pop_front();
+                    return Some((id, Origin::Own));
+                }
+                Pending::Edges(start, end) => {
+                    let e = self.live_edges.find(*start);
+                    if e >= *end {
+                        m.own.pop_front();
+                        continue;
+                    }
+                    *start = e + 1;
+                    return Some((dag.child_at(e), Origin::Edge(e)));
+                }
+            }
+        }
+        let id = *self.nodes.get(at as usize)?;
+        m.cursor = at + 1;
+        Some((id, Origin::Shared(at)))
+    }
+
+    /// Buries the position a globally insignificant node was popped
+    /// from. Such a node stays insignificant (the fold never re-marks a
+    /// classified node), so popping it again is a no-op for every member.
+    fn bury(&mut self, origin: Origin) {
+        match origin {
+            Origin::Shared(at) => self.live.kill(at),
+            Origin::Edge(e) => self.live_edges.kill(e),
+            Origin::Own => {}
+        }
+    }
+}
+
+/// Path-compressed "next live position" links over an append-only
+/// sequence: a position is live while it links to itself or lies past
+/// the tracked prefix; a buried one links forward.
+#[derive(Debug, Default)]
+struct NextLive(Vec<u32>);
+
+impl NextLive {
+    /// The first live position at or after `i`.
+    fn find(&mut self, i: u32) -> u32 {
+        let mut root = i;
+        while let Some(&next) = self.0.get(root as usize) {
+            if next == root {
+                break;
+            }
+            root = next;
+        }
+        let mut j = i;
+        while j != root {
+            // PANIC-OK: the walk above read every position from `i` to `root`.
+            let next = std::mem::replace(&mut self.0[j as usize], root);
+            j = next;
+        }
+        root
+    }
+
+    /// Buries position `i`.
+    fn kill(&mut self, i: u32) {
+        if self.0.len() <= i as usize {
+            let tracked = self.0.len() as u32;
+            self.0.extend(tracked..=i);
+        }
+        // PANIC-OK: the extend above tracks position `i`.
+        self.0[i as usize] = i + 1;
+    }
+}
+
+/// A dense set of nodes, grown on demand.
+#[derive(Debug, Default)]
+struct NodeBits(Vec<u64>);
+
+impl NodeBits {
+    /// Adds `id`; returns whether it was absent.
+    fn insert(&mut self, id: NodeId) -> bool {
+        let (w, bit) = (id.index() / 64, 1u64 << (id.index() % 64));
+        if self.0.len() <= w {
+            self.0.resize(w + 1, 0);
+        }
+        // PANIC-OK: the resize above holds word `w`.
+        let word = &mut self.0[w];
+        let absent = *word & bit == 0;
+        *word |= bit;
+        absent
+    }
+
+    fn contains(&self, id: NodeId) -> bool {
+        self.0
+            .get(id.index() / 64)
+            .is_some_and(|w| w & (1u64 << (id.index() % 64)) != 0)
+    }
 }
 
 /// Degradation bookkeeping for the crowd-access policy: timeout/retry
@@ -132,35 +324,6 @@ struct Shared<'a> {
     newly_significant: Vec<NodeId>,
 }
 
-impl MemberState {
-    fn push_hot(&mut self, id: NodeId) {
-        self.hot.push_back(id);
-    }
-
-    /// Re-queues a popped target at the *front* of the hot queue, so a
-    /// batch-planning pass that had to defer a comparable target replays
-    /// it first on the member's next turn (preserving pop order).
-    fn push_front_hot(&mut self, id: NodeId) {
-        self.hot.push_front(id);
-    }
-
-    fn extend_hot(&mut self, ids: impl IntoIterator<Item = NodeId>) {
-        self.hot.extend(ids);
-    }
-
-    fn extend_cold(&mut self, ids: impl IntoIterator<Item = NodeId>) {
-        self.cold.extend(ids);
-    }
-
-    fn pop(&mut self, hot: bool) -> Option<NodeId> {
-        if hot {
-            self.hot.pop_front()
-        } else {
-            self.cold.pop_front()
-        }
-    }
-}
-
 /// Runs the multi-user algorithm.
 pub fn run_multi<C: CrowdSource, A: Aggregator>(
     dag: &mut Dag<'_>,
@@ -189,7 +352,7 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
     let mut last_member = MemberId(0);
     let mut global_decisions = 0usize;
 
-    let roots: VecDeque<NodeId> = dag.roots().iter().copied().collect();
+    let mut hot = HotFrontier::new(dag.roots());
     let asking = dag.query().asking.clone();
     let mut members: Vec<MemberState> = crowd
         .members()
@@ -202,10 +365,12 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
         .map(|id| MemberState {
             id,
             personal: Classifier::new_lazy(),
-            answered: HashSet::new(),
-            descended: HashSet::new(),
+            answered: NodeBits::default(),
+            descended: NodeBits::default(),
             active: true,
-            hot: roots.clone(),
+            front: Vec::new(),
+            cursor: 0,
+            own: VecDeque::new(),
             cold: VecDeque::new(),
         })
         .collect();
@@ -226,9 +391,10 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
             }
             let width = cfg.batch_width.max(1);
             let mut planned: Vec<NodeId> = Vec::new();
+            // PANIC-OK: `mi` is in bounds, as above.
+            let m = &mut members[mi];
             if width == 1 {
-                // PANIC-OK: `mi` is in bounds, as above.
-                if let Some(t) = next_target(dag, run.fold.classifier_mut(), &mut members[mi]) {
+                if let Some(t) = next_target(dag, run.fold.classifier_mut(), &mut hot, m) {
                     planned.push(t);
                 }
             } else {
@@ -240,10 +406,7 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
                 // than asked redundantly in the same batch.
                 let mut deferred: Vec<NodeId> = Vec::new();
                 while planned.len() < width {
-                    let Some(t) =
-                        // PANIC-OK: `mi` is in bounds, as above.
-                        next_target(dag, run.fold.classifier_mut(), &mut members[mi])
-                    else {
+                    let Some(t) = next_target(dag, run.fold.classifier_mut(), &mut hot, m) else {
                         break;
                     };
                     if planned.iter().any(|&p| dag.leq(p, t) || dag.leq(t, p)) {
@@ -254,10 +417,7 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
                 }
                 if !deferred.is_empty() {
                     tele.count("planner.deferred", deferred.len() as u64);
-                    for &d in deferred.iter().rev() {
-                        // PANIC-OK: `mi` is in bounds, as above.
-                        members[mi].push_front_hot(d);
-                    }
+                    m.front.extend(deferred.iter().rev());
                 }
                 if !planned.is_empty() {
                     tele.count("planner.planned", planned.len() as u64);
@@ -292,7 +452,7 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
                         // the base itself is still unanswered by this
                         // member - revisit it later
                         // PANIC-OK: `mi` is in bounds, as above.
-                        members[mi].push_hot(target);
+                        hot.push(&mut members[mi], Pending::Node(target));
                     }
                 }
                 if !asked {
@@ -316,29 +476,21 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
                         );
                     }
                     // fan out the children of any node that just became
-                    // globally significant to every member's queue (the
+                    // globally significant to the shared frontier (the
                     // QueueManager's frontier maintenance)
                     let decisions = run.fold.classifier().decisions();
                     let had_transition = global_decisions != decisions;
                     global_decisions = decisions;
-                    let newly: Vec<NodeId> = std::mem::take(&mut run.newly_significant);
-                    for node in newly {
+                    for node in std::mem::take(&mut run.newly_significant) {
                         let span = dag.ensure_children(node);
                         // a sticky-Insignificant child would be skipped as a
-                        // pure no-op on every member's pop — drop it once here
-                        // instead of queueing it per member
-                        let fresh: Vec<NodeId> = dag
-                            .child_slice(span)
-                            .iter()
-                            .copied()
-                            .filter(|&c| {
-                                run.fold.classifier().cached_queried(c)
-                                    != Some(Class::Insignificant)
-                            })
-                            .collect();
-                        for ms in members.iter_mut() {
-                            ms.extend_hot(fresh.iter().copied());
-                        }
+                        // pure no-op on every member's pop — drop it here
+                        let global = run.fold.classifier();
+                        hot.fan_out(
+                            dag.child_slice(span).iter().copied().filter(|&c| {
+                                global.cached_queried(c) != Some(Class::Insignificant)
+                            }),
+                        );
                     }
                     // MSP entailment can only change when a global
                     // classification changed
@@ -425,6 +577,8 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
         for &n in &per_member {
             tele.observe("engine.answers_per_member", n as u64);
         }
+        tele.count("planner.pops", hot.pops);
+        tele.count("planner.frontier_appends", hot.nodes.len() as u64);
     }
     MultiOutcome {
         mining,
@@ -436,59 +590,85 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
 }
 
 /// Finds the member's next question by draining their pending frontier:
-/// nodes enter the queue when the member starts (the roots), when one of
-/// the member's own answers is significant (personal descent), or when
-/// any node becomes *overall* significant (fan-out in the main loop).
-/// Nodes that are globally classified, personally excluded (rule 4 — the
-/// personal classifier inherits insignificance downward), or already
+/// nodes enter the hot queue at the start (the roots), when any node
+/// becomes *overall* significant (fan-out in the main loop), or when the
+/// member pops a significant node from it (lazy descent); they enter the
+/// cold queue when one of the member's own answers is significant
+/// (personal descent) or when the member pops a significant node from
+/// it. Nodes that are globally classified, personally excluded (rule 4 —
+/// the personal classifier inherits insignificance downward), or already
 /// answered are skipped on pop.
-fn next_target(dag: &mut Dag<'_>, global: &mut Classifier, m: &mut MemberState) -> Option<NodeId> {
-    for hot in [true, false] {
-        while let Some(id) = m.pop(hot) {
-            // Most pops hit a node the crowd already classified — read the
-            // sticky verdict straight from the cache and only fall back to
-            // the full (stamping) lookup on unqueried nodes. Identical
-            // values either way; the fast path skips per-call overhead on
-            // the millions-of-pops filter.
-            let cls = match global.cached_queried(id) {
-                Some(c) => c,
-                None => global.class(dag, id),
-            };
-            match cls {
-                Class::Insignificant => continue,
-                Class::Significant => {
-                    // descend lazily: a node can become significant *by
-                    // inference* (a spec-question jump decided a deeper
-                    // witness first), in which case no fan-out transition
-                    // ever fired for it — its children must still be
-                    // explored.
-                    if m.descended.insert(id) {
-                        let span = dag.ensure_children(id);
-                        // sticky-Insignificant children are pop-side no-ops
-                        let children =
-                            dag.child_slice(span).iter().copied().filter(|&c| {
-                                global.cached_queried(c) != Some(Class::Insignificant)
-                            });
-                        if hot {
-                            m.extend_hot(children);
-                        } else {
-                            m.extend_cold(children);
-                        }
-                    }
-                    continue;
-                }
-                Class::Unknown => {}
+fn next_target(
+    dag: &mut Dag<'_>,
+    global: &mut Classifier,
+    hot: &mut HotFrontier,
+    m: &mut MemberState,
+) -> Option<NodeId> {
+    while let Some((id, origin)) = hot.pop(dag, m) {
+        hot.pops += 1;
+        match triage(dag, global, m, id) {
+            Triage::Dead => hot.bury(origin),
+            Triage::Descend((start, len)) => hot.push(m, Pending::Edges(start, start + len)),
+            Triage::Skip => {}
+            Triage::Target => return Some(id),
+        }
+    }
+    while let Some(id) = m.cold.pop_front() {
+        hot.pops += 1;
+        match triage(dag, global, m, id) {
+            Triage::Descend(span) => {
+                // sticky-Insignificant children are pop-side no-ops
+                let children = dag
+                    .child_slice(span)
+                    .iter()
+                    .copied()
+                    .filter(|&c| global.cached_queried(c) != Some(Class::Insignificant));
+                m.cold.extend(children);
             }
-            if m.personal.class(dag, id) == Class::Insignificant {
-                continue;
-            }
-            if m.answered.contains(&id) {
-                continue;
-            }
-            return Some(id);
+            Triage::Dead | Triage::Skip => {}
+            Triage::Target => return Some(id),
         }
     }
     None
+}
+
+/// What a popped node asks of the member that popped it.
+enum Triage {
+    /// Globally insignificant: a no-op on every pop, for every member.
+    Dead,
+    /// Significant and not yet descended by this member: queue the
+    /// children in this `(start, len)` span.
+    Descend((u32, u32)),
+    /// Nothing to ask this member.
+    Skip,
+    /// The member's next question.
+    Target,
+}
+
+fn triage(dag: &mut Dag<'_>, global: &mut Classifier, m: &mut MemberState, id: NodeId) -> Triage {
+    // Most pops hit a node the crowd already classified — read the
+    // sticky verdict straight from the cache and only fall back to the
+    // full (stamping) lookup on unqueried nodes. Identical values either
+    // way; the fast path skips per-call overhead on the hot pop filter.
+    let cls = match global.cached_queried(id) {
+        Some(c) => c,
+        None => global.class(dag, id),
+    };
+    match cls {
+        Class::Insignificant => Triage::Dead,
+        // descend lazily: a node can become significant *by inference* (a
+        // spec-question jump decided a deeper witness first), in which
+        // case no fan-out transition ever fired for it — its children
+        // must still be explored.
+        Class::Significant if m.descended.insert(id) => Triage::Descend(dag.ensure_children(id)),
+        Class::Significant => Triage::Skip,
+        Class::Unknown
+            if m.personal.class(dag, id) == Class::Insignificant || m.answered.contains(id) =>
+        {
+            Triage::Skip
+        }
+        Class::Unknown => Triage::Target,
+    }
 }
 
 impl Shared<'_> {
@@ -508,7 +688,7 @@ impl Shared<'_> {
     /// after quorum work on the shared frontier.
     fn descend(&self, dag: &mut Dag<'_>, m: &mut MemberState, node: NodeId) {
         let span = dag.ensure_children(node);
-        m.extend_cold(
+        m.cold.extend(
             dag.child_slice(span).iter().copied().filter(|&c| {
                 self.fold.classifier().cached_queried(c) != Some(Class::Insignificant)
             }),
@@ -633,7 +813,7 @@ impl Shared<'_> {
             // PANIC-OK: `ci` ranges over the span's own length.
             let c = dag.child_slice(span)[ci as usize];
             if self.fold.class(dag, c) == Class::Unknown
-                && !m.answered.contains(&c)
+                && !m.answered.contains(c)
                 && m.personal.class(dag, c) != Class::Insignificant
             {
                 options.push(c);

@@ -15,6 +15,7 @@
 use crate::assignment::Assignment;
 use crate::classify::{Class, Classifier};
 use crate::dag::{Dag, NodeId};
+use crate::engine::OassisError;
 use crate::fold::{Fold, FoldMode};
 use crate::manifest::{ask_with_retry, PartialManifest};
 use crate::oplog::OpVerdict;
@@ -91,6 +92,28 @@ impl Default for MiningConfig {
             telemetry: telemetry::Telemetry::off(),
             op_tap: None,
         }
+    }
+}
+
+impl MiningConfig {
+    /// Rejects a budget no run can use: a zero question budget, or a
+    /// support threshold outside `(0, 1]`. [`crate::Oassis::run`] checks
+    /// this before it mines, and a serving layer before it registers the
+    /// query, so a rejected query leaves no trace.
+    pub fn check_budget(&self) -> Result<(), OassisError> {
+        if self.max_questions == Some(0) {
+            return Err(OassisError::Budget(
+                "question budget is zero; the run could never ask anything".into(),
+            ));
+        }
+        if let Some(t) = self.threshold {
+            if !(t > 0.0 && t <= 1.0) {
+                return Err(OassisError::Budget(format!(
+                    "support threshold {t} outside (0, 1]"
+                )));
+            }
+        }
+        Ok(())
     }
 }
 

@@ -608,19 +608,22 @@ impl SessionManager {
                 "rule queries (IMPLYING) are not served over sessions; use the library API".into(),
             ));
         }
-        let (qid, wal) = self.register(name, spec)?;
-        let (cache, sess_spec) = {
-            // PANIC-OK: register above found the session resident.
-            let s = &self.sessions[name];
-            (s.cache.clone(), s.spec.clone())
-        };
-        let cfg = MiningConfig {
+        let mut cfg = MiningConfig {
             threshold: spec.threshold,
             batch_width: spec.batch_width as usize,
             max_questions: spec.max_questions.map(|m| m as usize),
             seed: spec.seed,
-            op_tap: Some(OpTapHandle::new(WalTap::new(wal.clone(), qid))),
             ..Default::default()
+        };
+        // a query the engine would reject takes no qid
+        cfg.check_budget()
+            .map_err(|e| ServerError::Engine(e.to_string()))?;
+        let (qid, wal) = self.register(name, spec)?;
+        cfg.op_tap = Some(OpTapHandle::new(WalTap::new(wal.clone(), qid)));
+        let (cache, sess_spec) = {
+            // PANIC-OK: register above found the session resident.
+            let s = &self.sessions[name];
+            (s.cache.clone(), s.spec.clone())
         };
         let req = QueryRequest::pattern(&spec.src).with_mining(cfg);
         let agg = FixedSampleAggregator { sample_size: 1 };
@@ -800,11 +803,18 @@ impl SessionHandle<'_> {
     /// Runs a [`QueryRequest`] (single pattern query) in this session.
     pub fn query(&mut self, req: &QueryRequest<'_>) -> Result<QueryReply, ServerError> {
         let mining = &req.options().mining;
+        let narrow = |field: &str, v: usize| {
+            u32::try_from(v)
+                .map_err(|_| ServerError::Protocol(format!("{field} {v} exceeds {}", u32::MAX)))
+        };
         let spec = QuerySpec {
             src: req.src().to_string(),
             threshold: mining.threshold,
-            batch_width: mining.batch_width as u32,
-            max_questions: mining.max_questions.map(|m| m as u32),
+            batch_width: narrow("batch_width", mining.batch_width)?,
+            max_questions: mining
+                .max_questions
+                .map(|m| narrow("max_questions", m))
+                .transpose()?,
             seed: mining.seed,
         };
         self.mgr.query(&self.name, &spec)
@@ -1046,5 +1056,46 @@ mod tests {
         }
         assert_eq!((replays, shared), (7, 2));
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// Runs `req` through a fresh session's [`SessionHandle`], which must
+    /// reject it as a protocol error and take no qid: the next accepted
+    /// query is qid 1.
+    fn assert_narrowing_rejected(name: &str, req: QueryRequest<'_>) {
+        let ont = Arc::new(figure1::ontology());
+        let root = std::env::temp_dir().join(format!("oassis-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let provider = Box::new(Figure1Provider::new(ont.clone()));
+        let mut mgr = SessionManager::new(ont, provider, &root);
+        mgr.open(&SessionSpec {
+            name: name.into(),
+            seed: 7,
+            members: 2,
+        })
+        .unwrap();
+        let mut handle = mgr.session(name).unwrap();
+        let err = handle.query(&req).unwrap_err();
+        assert!(matches!(err, ServerError::Protocol(_)), "{err}");
+        let ok = QueryRequest::pattern(figure1::SIMPLE_QUERY).seed(3);
+        assert_eq!(handle.query(&ok).unwrap().qid, 1);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_batch_width_past_u32_is_a_protocol_error() {
+        let wide = u32::MAX as usize + 1;
+        assert_narrowing_rejected(
+            "wide",
+            QueryRequest::pattern(figure1::SIMPLE_QUERY).batch_width(wide),
+        );
+    }
+
+    #[test]
+    fn a_max_questions_past_u32_is_a_protocol_error() {
+        let budget = u32::MAX as usize + 1;
+        assert_narrowing_rejected(
+            "budget",
+            QueryRequest::pattern(figure1::SIMPLE_QUERY).max_questions(budget),
+        );
     }
 }

@@ -271,6 +271,28 @@ fn a_rejected_query_registers_no_qid() {
         })
         .unwrap();
     assert!(matches!(resp, Response::Error { .. }), "{resp:?}");
+    // budgets the engine rejects are rejected before registration too
+    for spec in [
+        QuerySpec {
+            threshold: Some(1.5),
+            ..qspec(1)
+        },
+        QuerySpec {
+            max_questions: Some(0),
+            ..qspec(1)
+        },
+    ] {
+        let resp = client
+            .call(&Request::Query {
+                session: "rejected".into(),
+                spec,
+            })
+            .unwrap();
+        assert!(
+            matches!(&resp, Response::Error { code, .. } if code == "engine"),
+            "{resp:?}"
+        );
+    }
 
     // the resident session and the one paged in from its WAL agree
     let resident = opened_queries(&mut client, &session);

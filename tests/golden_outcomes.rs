@@ -155,11 +155,10 @@ fn multi_figure1_two_members() {
     assert_eq!(d, GOLDEN_MULTI_FIGURE1);
 }
 
-#[test]
-fn multi_synthetic_crowd_with_pruning_clicks() {
-    // A 6-member crowd with bucketed answers and pruning clicks over a
-    // synthetic domain: exercises the multi-user frontier queues, the
-    // aggregator quorum and the bulk pruning path of ask_concrete.
+/// Runs the multi-user engine on a 6-member crowd with bucketed answers
+/// and pruning clicks over a synthetic domain, under `cfg`'s seed and
+/// batch width; returns the outcome digest and the round count.
+fn multi_synthetic(cfg: MiningConfig) -> (u64, usize) {
     let dom = synthetic_domain(120, 5, 1);
     let q = parse(&dom.query).unwrap();
     let b = bind(&q, &dom.ontology).unwrap();
@@ -176,15 +175,38 @@ fn multi_synthetic_crowd_with_pruning_clicks() {
     let mut oracle = PlantedOracle::new(dom.ontology.vocab(), patterns, 6, 17);
     oracle.pruning_prob = 0.3;
     let agg = FixedSampleAggregator { sample_size: 3 };
-    let cfg = MiningConfig {
+    let out = run_multi(&mut dag, &mut oracle, &agg, &cfg);
+    (digest_multi(&out, &b, dom.ontology.vocab()), out.rounds)
+}
+
+#[test]
+fn multi_synthetic_crowd_with_pruning_clicks() {
+    // Exercises the multi-user frontier queues, the aggregator quorum and
+    // the bulk pruning path of ask_concrete.
+    let (d, _) = multi_synthetic(MiningConfig {
         specialization_ratio: 0.25,
         seed: 8,
         ..Default::default()
-    };
-    let out = run_multi(&mut dag, &mut oracle, &agg, &cfg);
-    let d = digest_multi(&out, &b, dom.ontology.vocab());
+    });
     println!("multi_synthetic digest = 0x{d:016x}");
     assert_eq!(d, GOLDEN_MULTI_SYNTHETIC);
+}
+
+#[test]
+fn multi_synthetic_batched_with_deferred_targets() {
+    // The same crowd at batch width 3: the batch planner defers
+    // ≤-comparable pops back onto the front of the member's hot queue,
+    // so this pins the deferred front-push order.
+    let (d, rounds) = multi_synthetic(MiningConfig {
+        specialization_ratio: 0.25,
+        seed: 8,
+        batch_width: 3,
+        debug_checks: true,
+        ..Default::default()
+    });
+    println!("multi_batched digest = 0x{d:016x}, rounds = {rounds}");
+    assert_eq!(d, GOLDEN_MULTI_BATCHED);
+    assert_eq!(rounds, 13);
 }
 
 /// The crowd-rules miner (the only engine path previously without a
@@ -250,5 +272,7 @@ const GOLDEN_VERTICAL_FIGURE1: u64 = 0x43da68006cc27301;
 const GOLDEN_VERTICAL_SYNTHETIC: u64 = 0xdeab91c0df65d2d8;
 const GOLDEN_MULTI_FIGURE1: u64 = 0x91d1bfe9c869b6ad;
 const GOLDEN_MULTI_SYNTHETIC: u64 = 0x4b3695f5ead79508;
+// Captured when the batch-width > 1 planner gained its golden guard.
+const GOLDEN_MULTI_BATCHED: u64 = 0x69c96f5d9321339e;
 // Captured when the crowd-rules miner gained its golden guard.
 const GOLDEN_CROWDRULES_MINER: u64 = 0xa5dbb6fba9ce7cd6;
