@@ -33,25 +33,57 @@ pub fn baseline_question_count(dag: &mut Dag<'_>, sample_size: usize) -> usize {
 /// Incrementally detects assignments whose MSP status is *entailed* by the
 /// fold's current classification: known significant, children generated, and
 /// every child known non-significant.
+///
+/// An update re-checks only what the knowledge added since the previous
+/// update can have changed. A child that a check saw `Unknown` carries no
+/// `Queried` stamp, so its class is a monotone function of the pruning
+/// clicks, the significant witnesses and the insignificant witnesses
+/// (derived stamps come only from witnesses). It can leave `Unknown` only
+/// when a click arrives, a new significant witness `w` has `c ≤ w`, or a
+/// new insignificant witness `w` has `w ≤ c`. A blocked witness whose
+/// blocking child none of those reach would look it up, get `Unknown`
+/// again and stamp nothing, so it is kept without the lookup.
 pub(crate) struct MspMonitor {
-    /// High-water mark into the classifier's append-only witness list —
-    /// witnesses past this index have not been copied into `pending` yet.
-    seen: usize,
+    /// High-water marks into the classifier's append-only witness lists
+    /// and its click count, as of the previous update.
+    sig_seen: usize,
+    insig_seen: usize,
+    clicks_seen: usize,
     /// Directly-witnessed significant nodes not yet confirmed as MSPs,
     /// kept in witness order so confirmation events fire in the same
-    /// order as a full witness-list rescan would emit them. The second
-    /// field is a resume index into the child list: children before it
+    /// order as a full witness-list rescan would emit them.
+    pending: Vec<Pending>,
+    /// Children classified by the scans, for the `msp_monitor.rechecks`
+    /// counter.
+    rechecks: u64,
+}
+
+struct Pending {
+    witness: NodeId,
+    /// Resume index into the witness's child list: children before it
     /// were already seen `Insignificant`, which is sticky, so a re-check
     /// picks up where the last one stopped instead of rescanning.
-    pending: Vec<(NodeId, u32)>,
+    resume: u32,
+    /// The child at `resume` when the last check stopped on it `Unknown`;
+    /// `None` when the witness has not been checked with its children
+    /// generated, or new knowledge can reach that child.
+    blocked_on: Option<NodeId>,
 }
 
 impl MspMonitor {
     pub fn new() -> Self {
         MspMonitor {
-            seen: 0,
+            sig_seen: 0,
+            insig_seen: 0,
+            clicks_seen: 0,
             pending: Vec::new(),
+            rechecks: 0,
         }
+    }
+
+    /// Children the monitor has classified so far.
+    pub fn rechecks(&self) -> u64 {
+        self.rechecks
     }
 
     /// Scans for newly entailed MSPs and confirms each through the fold,
@@ -61,25 +93,46 @@ impl MspMonitor {
     /// is significant purely by inference sits below its witness and thus
     /// has a significant successor. Each witness enters `pending` once (the
     /// witness list is append-only and duplicate-free) and leaves it when
-    /// confirmed, so an update touches only the unconfirmed tail instead
-    /// of rescanning — and reallocating — the whole witness list.
+    /// confirmed; a pending witness blocked on a child no new knowledge
+    /// reaches is skipped (see the type's docs).
     pub fn update(&mut self, dag: &Dag<'_>, fold: &mut Fold<'_>, member: MemberId) {
-        let witnesses = fold.classifier().sig_witnesses();
-        if self.seen < witnesses.len() {
-            // PANIC-OK: `seen` only advances to a previously observed
-            // witness-list length, and the list is append-only.
-            self.pending
-                .extend(witnesses[self.seen..].iter().map(|&w| (w, 0u32)));
-            self.seen = witnesses.len();
+        let cls = fold.classifier();
+        // PANIC-OK: the cursors only advance to previously observed
+        // lengths of append-only lists.
+        let new_sig = &cls.sig_witnesses()[self.sig_seen..];
+        // PANIC-OK: as above.
+        let new_insig = &cls.insig_witnesses()[self.insig_seen..];
+        let clicked = cls.pruned_clicks() != self.clicks_seen;
+        for p in &mut self.pending {
+            if let Some(c) = p.blocked_on {
+                if clicked
+                    || new_sig.iter().any(|&w| dag.leq(c, w))
+                    || new_insig.iter().any(|&w| dag.leq(w, c))
+                {
+                    p.blocked_on = None;
+                }
+            }
         }
+        self.pending.extend(new_sig.iter().map(|&witness| Pending {
+            witness,
+            resume: 0,
+            blocked_on: None,
+        }));
+        self.sig_seen = cls.sig_witnesses().len();
+        self.insig_seen = cls.insig_witnesses().len();
+        self.clicks_seen = cls.pruned_clicks();
         let mut confirmed: Vec<NodeId> = Vec::new();
-        self.pending.retain_mut(|(id, resume)| {
-            let id = *id;
-            let Some(children) = dag.children_if_generated(id) else {
+        let rechecks = &mut self.rechecks;
+        self.pending.retain_mut(|p| {
+            if p.blocked_on.is_some() {
+                return true;
+            }
+            let Some(children) = dag.children_if_generated(p.witness) else {
                 return true;
             };
-            let mut i = *resume as usize;
+            let mut i = p.resume as usize;
             while let Some(&c) = children.get(i) {
+                *rechecks += 1;
                 // `class` (not `class_frozen`): the scan must *stamp* each
                 // child it inspects, exactly as the historical rescan did —
                 // stickiness makes the stamping order observable. The
@@ -97,12 +150,13 @@ impl MspMonitor {
                     // observation-identical.
                     Class::Significant => return false,
                     Class::Unknown => {
-                        *resume = i as u32;
+                        p.resume = i as u32;
+                        p.blocked_on = Some(c);
                         return true;
                     }
                 }
             }
-            confirmed.push(id);
+            confirmed.push(p.witness);
             false
         });
         let tick = fold.questions();

@@ -92,3 +92,30 @@ pub fn check_msp_maximality(
     }
     Ok(())
 }
+
+/// The converse of [`check_msp_maximality`]: every significant witness
+/// whose children are all generated and all classified insignificant must
+/// already be a confirmed MSP. Checked right after an MSP monitor update,
+/// it fails when the monitor missed an entailed MSP.
+pub fn check_msp_completeness(
+    dag: &Dag<'_>,
+    cls: &Classifier,
+    msp_ids: &[NodeId],
+) -> Result<(), String> {
+    for &w in cls.sig_witnesses() {
+        let Some(children) = dag.children_if_generated(w) else {
+            continue;
+        };
+        if children
+            .iter()
+            .all(|&c| cls.class_frozen(dag, c) == Class::Insignificant)
+            && !msp_ids.contains(&w)
+        {
+            return Err(format!(
+                "MSP completeness violated: witness {w:?} has every child \
+                 Insignificant but is not a confirmed MSP"
+            ));
+        }
+    }
+    Ok(())
+}

@@ -496,6 +496,9 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
                     // classification changed
                     if had_transition {
                         monitor.update(dag, &mut run.fold, last_member);
+                        if cfg.debug_checks {
+                            check_msp_completeness(dag, &run.fold);
+                        }
                         // TOP k early termination (Section 8 extension)
                         if let Some(k) = dag.query().top_k {
                             if !dag.query().diverse {
@@ -561,6 +564,9 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
         crate::vertical::find_minimal_unclassified(dag, run.fold.classifier_mut(), &HashSet::new())
             .is_none();
     monitor.update(dag, &mut run.fold, last_member);
+    if cfg.debug_checks {
+        check_msp_completeness(dag, &run.fold);
+    }
     // final tap flush: the completeness sweep may have confirmed MSPs
     // after the last round boundary
     if let Some(tap) = &cfg.op_tap {
@@ -578,6 +584,7 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
             tele.observe("engine.answers_per_member", n as u64);
         }
         tele.count("planner.pops", hot.pops);
+        tele.count("msp_monitor.rechecks", monitor.rechecks());
         tele.count("planner.frontier_appends", hot.nodes.len() as u64);
     }
     MultiOutcome {
@@ -586,6 +593,16 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
         answers_per_member: per_member,
         undecided,
         rounds,
+    }
+}
+
+/// The step invariant armed after every MSP monitor update: no witness
+/// the folded state entails as an MSP is left unconfirmed.
+fn check_msp_completeness(dag: &Dag<'_>, fold: &Fold<'_>) {
+    if let Err(e) =
+        crate::invariants::check_msp_completeness(dag, fold.classifier(), fold.msp_ids())
+    {
+        panic!("simulation invariant violated: {e}");
     }
 }
 

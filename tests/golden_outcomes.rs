@@ -17,6 +17,7 @@ use crowd::{AnswerModel, MemberBehavior, PersonalDb, SimulatedCrowd, SimulatedMe
 use oassis_core::synth::{plant_msps, synthetic_domain, MspDistribution, PlantedOracle};
 use oassis_core::{
     run_multi, run_vertical, Dag, FixedSampleAggregator, MiningConfig, MiningOutcome, MultiOutcome,
+    NodeId,
 };
 use oassis_ql::{bind, evaluate_where, parse, BoundQuery, MatchMode};
 use ontology::domains::figure1;
@@ -63,6 +64,32 @@ fn digest_multi(out: &MultiOutcome, b: &BoundQuery, vocab: &ontology::Vocabulary
     fnv_usize(&mut h, out.question_stats.pruning);
     for &n in &out.answers_per_member {
         fnv_usize(&mut h, n);
+    }
+    h
+}
+
+/// Folds a run's op log into a digest: per op its tick, seq, member, the
+/// rendered assignment of its node (`-` for the sentinel) and its
+/// verdict. Unlike [`digest_multi`] this pins which node each question
+/// asked, and so the planner's pop order.
+fn digest_ops(
+    out: &MiningOutcome,
+    dag: &Dag<'_>,
+    b: &BoundQuery,
+    vocab: &ontology::Vocabulary,
+) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for op in out.ops.ops() {
+        fnv_usize(&mut h, op.tick as usize);
+        fnv_usize(&mut h, op.seq as usize);
+        fnv_usize(&mut h, op.member.0 as usize);
+        if op.node == NodeId::SENTINEL {
+            fnv(&mut h, b"-");
+        } else {
+            let a = &dag.node(op.node).assignment;
+            fnv(&mut h, a.apply(b).to_display(vocab).as_bytes());
+        }
+        fnv(&mut h, format!("{:?}", op.verdict).as_bytes());
     }
     h
 }
@@ -151,21 +178,24 @@ fn multi_figure1_two_members() {
     let agg = FixedSampleAggregator { sample_size: 2 };
     let out = run_multi(&mut dag, &mut crowd, &agg, &MiningConfig::default());
     let d = digest_multi(&out, &b, ont.vocab());
-    println!("multi_figure1 digest = 0x{d:016x}");
+    let ops = digest_ops(&out.mining, &dag, &b, ont.vocab());
+    println!("multi_figure1 digest = 0x{d:016x}, ops = 0x{ops:016x}");
     assert_eq!(d, GOLDEN_MULTI_FIGURE1);
+    assert_eq!(ops, GOLDEN_OPS_MULTI_FIGURE1);
 }
 
 /// Runs the multi-user engine on a 6-member crowd with bucketed answers
-/// and pruning clicks over a synthetic domain, under `cfg`'s seed and
-/// batch width; returns the outcome digest and the round count.
-fn multi_synthetic(cfg: MiningConfig) -> (u64, usize) {
+/// and pruning clicks over a synthetic domain with `planted` MSPs, under
+/// `cfg`'s seed and batch width; returns the outcome digest, the op-log
+/// digest and the round count.
+fn multi_synthetic(cfg: MiningConfig, planted: usize) -> (u64, u64, usize) {
     let dom = synthetic_domain(120, 5, 1);
     let q = parse(&dom.query).unwrap();
     let b = bind(&q, &dom.ontology).unwrap();
     let base = evaluate_where(&b, &dom.ontology, MatchMode::Exact);
     let mut full = Dag::new(&b, dom.ontology.vocab(), &base).without_multiplicities();
     full.materialize_all();
-    let planted = plant_msps(&mut full, 6, true, MspDistribution::Uniform, 31);
+    let planted = plant_msps(&mut full, planted, true, MspDistribution::Uniform, 31);
     let patterns: Vec<_> = planted
         .iter()
         .map(|&id| full.node(id).assignment.apply(&b))
@@ -176,37 +206,69 @@ fn multi_synthetic(cfg: MiningConfig) -> (u64, usize) {
     oracle.pruning_prob = 0.3;
     let agg = FixedSampleAggregator { sample_size: 3 };
     let out = run_multi(&mut dag, &mut oracle, &agg, &cfg);
-    (digest_multi(&out, &b, dom.ontology.vocab()), out.rounds)
+    let vocab = dom.ontology.vocab();
+    (
+        digest_multi(&out, &b, vocab),
+        digest_ops(&out.mining, &dag, &b, vocab),
+        out.rounds,
+    )
 }
 
 #[test]
 fn multi_synthetic_crowd_with_pruning_clicks() {
     // Exercises the multi-user frontier queues, the aggregator quorum and
     // the bulk pruning path of ask_concrete.
-    let (d, _) = multi_synthetic(MiningConfig {
-        specialization_ratio: 0.25,
-        seed: 8,
-        ..Default::default()
-    });
-    println!("multi_synthetic digest = 0x{d:016x}");
+    let (d, ops, _) = multi_synthetic(
+        MiningConfig {
+            specialization_ratio: 0.25,
+            seed: 8,
+            ..Default::default()
+        },
+        6,
+    );
+    println!("multi_synthetic digest = 0x{d:016x}, ops = 0x{ops:016x}");
     assert_eq!(d, GOLDEN_MULTI_SYNTHETIC);
+    assert_eq!(ops, GOLDEN_OPS_MULTI_SYNTHETIC);
 }
 
 #[test]
 fn multi_synthetic_batched_with_deferred_targets() {
     // The same crowd at batch width 3: the batch planner defers
-    // ≤-comparable pops back onto the front of the member's hot queue,
-    // so this pins the deferred front-push order.
-    let (d, rounds) = multi_synthetic(MiningConfig {
-        specialization_ratio: 0.25,
-        seed: 8,
-        batch_width: 3,
-        debug_checks: true,
-        ..Default::default()
-    });
-    println!("multi_batched digest = 0x{d:016x}, rounds = {rounds}");
+    // ≤-comparable pops back onto the front of the member's hot queue.
+    let (d, ops, rounds) = multi_synthetic(
+        MiningConfig {
+            specialization_ratio: 0.25,
+            seed: 8,
+            batch_width: 3,
+            debug_checks: true,
+            ..Default::default()
+        },
+        6,
+    );
+    println!("multi_batched digest = 0x{d:016x}, ops = 0x{ops:016x}, rounds = {rounds}");
     assert_eq!(d, GOLDEN_MULTI_BATCHED);
+    assert_eq!(ops, GOLDEN_OPS_MULTI_BATCHED);
     assert_eq!(rounds, 13);
+}
+
+#[test]
+fn multi_synthetic_batched_deferred_order() {
+    // Width 3 over 10 planted MSPs: some turn defers two targets, and
+    // pushing them back in reverse pop order changes which node a later
+    // question asks but neither the MSPs nor any count, so only the
+    // op-log digest pins the deferred front-push order.
+    let (_, ops, _) = multi_synthetic(
+        MiningConfig {
+            specialization_ratio: 0.25,
+            seed: 2,
+            batch_width: 3,
+            debug_checks: true,
+            ..Default::default()
+        },
+        10,
+    );
+    println!("multi_batched_deferred ops = 0x{ops:016x}");
+    assert_eq!(ops, GOLDEN_OPS_MULTI_DEFERRED);
 }
 
 /// The crowd-rules miner (the only engine path previously without a
@@ -276,3 +338,9 @@ const GOLDEN_MULTI_SYNTHETIC: u64 = 0x4b3695f5ead79508;
 const GOLDEN_MULTI_BATCHED: u64 = 0x69c96f5d9321339e;
 // Captured when the crowd-rules miner gained its golden guard.
 const GOLDEN_CROWDRULES_MINER: u64 = 0xa5dbb6fba9ce7cd6;
+// Op-log digests (`digest_ops`), captured when the multi-user goldens
+// started pinning which node each question asked.
+const GOLDEN_OPS_MULTI_FIGURE1: u64 = 0x49e946cfa0b930cd;
+const GOLDEN_OPS_MULTI_SYNTHETIC: u64 = 0x39fe5611b5154cb7;
+const GOLDEN_OPS_MULTI_BATCHED: u64 = 0xe569d92ba0bedafb;
+const GOLDEN_OPS_MULTI_DEFERRED: u64 = 0x38d3c23d15dea24b;
