@@ -43,9 +43,10 @@
 //! code (Unknown results were never cached) and has been removed.
 
 use crate::assignment::{Assignment, Slot};
-use crate::dag::{Dag, NodeId};
+use crate::dag::{Dag, FxBuildHasher, NodeId};
 use oassis_ql::Value;
 use ontology::{ElemId, Vocabulary};
+use std::collections::HashMap;
 
 /// Classification state of an assignment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,9 +74,6 @@ enum Cached {
 }
 
 /// A witness-based classifier over the assignment DAG.
-///
-/// The same type serves as the *global* classifier of the multi-user
-/// engine and as each member's *personal* exclusion record.
 #[derive(Debug, Default)]
 pub struct Classifier {
     sig_witnesses: Vec<NodeId>,
@@ -126,26 +124,12 @@ pub struct Classifier {
     /// ≤-bottom element can sit below *any* node). Invalidates every
     /// memo, like the historical global test.
     global_reach_epoch: u32,
-    /// Skip eager cone propagation on `mark_*`. The derived stamps only
-    /// accelerate lookups (the posting indexes compute the same values),
-    /// so a classifier with few lookups per mark — a member's personal
-    /// exclusion record — comes out ahead without the propagation walks.
-    lazy: bool,
 }
 
 impl Classifier {
     /// A classifier with no knowledge.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A classifier that skips eager cone propagation — same observable
-    /// results, tuned for many marks and few lookups (personal records).
-    pub fn new_lazy() -> Self {
-        Self {
-            lazy: true,
-            ..Self::default()
-        }
     }
 
     fn ensure_node(&mut self, id: NodeId) {
@@ -240,9 +224,6 @@ impl Classifier {
     /// was stamped when it was). Returns the number of freshly stamped
     /// nodes.
     fn propagate(&mut self, dag: &Dag<'_>, start: NodeId, sig: bool) -> usize {
-        if self.lazy {
-            return 0;
-        }
         let mut stamped = 0;
         let last = NodeId(dag.len().saturating_sub(1) as u32);
         self.ensure_node(last);
@@ -295,12 +276,8 @@ impl Classifier {
     pub fn prune_elem(&mut self, dag: &Dag<'_>, e: ElemId) {
         self.knowledge_epoch += 1;
         self.pruned_elems.push(e);
+        insert_elem(&mut self.pruned_words, e);
         let wi = e.index() / 64;
-        if wi >= self.pruned_words.len() {
-            self.pruned_words.resize(wi + 1, 0);
-        }
-        // PANIC-OK: the resize above guarantees `wi` is in bounds.
-        self.pruned_words[wi] |= 1 << (e.index() % 64);
         let space = dag.fp_space();
         if wi < space.elem_words() {
             let nwords = space.num_slots() * space.words_per_slot();
@@ -541,31 +518,9 @@ impl Classifier {
     }
 
     /// Whether the node involves a pruned element or a specialization of
-    /// one: a pruned element `p` with `p ≤ e` for a slot value `e` is an
-    /// ancestor of `e`, i.e. a set bit in the elem region of the node's
-    /// fingerprint — one word-AND per slot. MORE-fact components are
-    /// checked against the vocabulary's ancestor rows directly.
+    /// one ([`Dag::involves_any`]).
     fn pruned_matches_node(&self, dag: &Dag<'_>, id: NodeId) -> bool {
-        if self.pruned_elems.is_empty() {
-            return false;
-        }
-        let space = dag.fp_space();
-        let words = dag.fp_words(id);
-        for si in 0..space.num_slots() {
-            let base = si * space.words_per_slot();
-            // PANIC-OK: fingerprint layout fixes words.len() at
-            // num_slots * words_per_slot with elem_words <= words_per_slot,
-            // so every per-slot element region is in bounds.
-            let elem_region = &words[base..base + space.elem_words()];
-            if intersects(elem_region, &self.pruned_words) {
-                return true;
-            }
-        }
-        let vocab = dag.vocab();
-        dag.node(id).assignment.more().iter().any(|f| {
-            intersects(vocab.elem_ancestor_words(f.subject), &self.pruned_words)
-                || intersects(vocab.elem_ancestor_words(f.object), &self.pruned_words)
-        })
+        !self.pruned_elems.is_empty() && dag.involves_any(id, &self.pruned_words)
     }
 
     /// The historical witness-scan classification — the executable
@@ -618,10 +573,80 @@ impl Classifier {
     }
 }
 
-/// Tests whether two bitsets of possibly different lengths intersect.
-#[inline]
-fn intersects(a: &[u64], b: &[u64]) -> bool {
-    a.iter().zip(b).any(|(&x, &y)| x & y != 0)
+/// One crowd member's personal record in the multi-user engine (rule 4
+/// of §4.2): what the member answered, and so where they will not be
+/// asked. It holds only the member's own answers — their significant and
+/// insignificant witnesses and their pruning clicks — plus the verdicts
+/// already handed out, so its size follows the member's answers, not the
+/// DAG.
+///
+/// [`Self::class`] has the observable semantics of [`Classifier::class`]:
+/// the first non-`Unknown` verdict of a node sticks; otherwise pruned,
+/// then a significant witness `w` with `id ≤ w`, then an insignificant
+/// witness `w` with `w ≤ id`. `mark_*` overwrites the node's verdict; a
+/// pruning click never flips one already handed out.
+#[derive(Debug, Default)]
+pub struct MemberRecord {
+    sig_witnesses: Vec<NodeId>,
+    insig_witnesses: Vec<NodeId>,
+    /// Bitset over [`ElemId`]s of pruning clicks.
+    pruned_words: Vec<u64>,
+    /// The verdicts already handed out (and the marked witnesses').
+    verdicts: HashMap<NodeId, Class, FxBuildHasher>,
+}
+
+impl MemberRecord {
+    /// A record with no answers.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Records the member's significant answer at `id`.
+    pub fn mark_significant(&mut self, id: NodeId) {
+        self.sig_witnesses.push(id);
+        self.verdicts.insert(id, Class::Significant);
+    }
+
+    /// Records the member's insignificant answer at `id`.
+    pub fn mark_insignificant(&mut self, id: NodeId) {
+        self.insig_witnesses.push(id);
+        self.verdicts.insert(id, Class::Insignificant);
+    }
+
+    /// Records the member's pruning click on element `e`.
+    pub fn prune_elem(&mut self, e: ElemId) {
+        insert_elem(&mut self.pruned_words, e);
+    }
+
+    /// Classifies `id` for this member.
+    pub fn class(&mut self, dag: &Dag<'_>, id: NodeId) -> Class {
+        if let Some(&c) = self.verdicts.get(&id) {
+            return c;
+        }
+        let c = if !self.pruned_words.is_empty() && dag.involves_any(id, &self.pruned_words) {
+            Class::Insignificant
+        } else if self.sig_witnesses.iter().any(|&w| dag.leq(id, w)) {
+            Class::Significant
+        } else if self.insig_witnesses.iter().any(|&w| dag.leq(w, id)) {
+            Class::Insignificant
+        } else {
+            Class::Unknown
+        };
+        if c != Class::Unknown {
+            self.verdicts.insert(id, c);
+        }
+        c
+    }
+}
+
+/// Adds element `e` to a bitset over [`ElemId`]s, growing it as needed.
+pub(crate) fn insert_elem(words: &mut Vec<u64>, e: ElemId) {
+    let wi = e.index() / 64;
+    if wi >= words.len() {
+        words.resize(wi + 1, 0);
+    }
+    // PANIC-OK: the resize above guarantees `wi` is in bounds.
+    words[wi] |= 1 << (e.index() % 64);
 }
 
 /// The first (slot, value) bit of a node's own values, if any.

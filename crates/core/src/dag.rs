@@ -23,6 +23,7 @@ use crate::validity::ValidityIndex;
 use oassis_ql::{BaseAssignment, BoundQuery, Value};
 use ontology::{Fact, Vocabulary};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Identifier of a DAG node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -125,8 +126,14 @@ pub struct Dag<'a> {
     q: &'a BoundQuery,
     vocab: &'a Vocabulary,
     validity: ValidityIndex,
+    /// The only copy of each interned assignment, at its node id.
     nodes: Vec<Node>,
-    index: HashMap<Assignment, NodeId>,
+    /// [`assignment_hash`] of an assignment → the newest node with that
+    /// hash; older nodes with the same hash follow through `chain`.
+    index: HashMap<u64, u32, FxBuildHasher>,
+    /// Per node: the next older node whose assignment has the same hash
+    /// (`NONE32` ends the chain).
+    chain: Vec<u32>,
     roots: Vec<NodeId>,
     stats: GenStats,
     /// Bit layout of the per-node closure fingerprints.
@@ -171,7 +178,8 @@ impl<'a> Dag<'a> {
             vocab,
             validity,
             nodes: Vec::new(),
-            index: HashMap::new(),
+            index: HashMap::default(),
+            chain: Vec::new(),
             roots: Vec::new(),
             stats: GenStats::default(),
             fp_space,
@@ -278,6 +286,31 @@ impl<'a> Dag<'a> {
         res
     }
 
+    /// Whether node `id` involves an element of `elems` (a bitset over
+    /// element ids) or a specialization of one. An element `p` with
+    /// `p ≤ e` for a slot value `e` is an ancestor of `e`, i.e. a set bit
+    /// in that slot's elem region of the node's fingerprint — one
+    /// word-AND per slot. MORE-fact components are checked against the
+    /// vocabulary's ancestor rows directly.
+    pub(crate) fn involves_any(&self, id: NodeId, elems: &[u64]) -> bool {
+        let space = &self.fp_space;
+        let words = self.fp_words(id);
+        for si in 0..space.num_slots() {
+            let base = si * space.words_per_slot();
+            // PANIC-OK: fingerprint layout fixes words.len() at
+            // num_slots * words_per_slot with elem_words <= words_per_slot,
+            // so every per-slot element region is in bounds.
+            let elem_region = &words[base..base + space.elem_words()];
+            if intersects(elem_region, elems) {
+                return true;
+            }
+        }
+        self.node(id).assignment.more().iter().any(|f| {
+            intersects(self.vocab.elem_ancestor_words(f.subject), elems)
+                || intersects(self.vocab.elem_ancestor_words(f.object), elems)
+        })
+    }
+
     fn more_leq(&self, a: NodeId, b: NodeId) -> bool {
         let am = self.nodes[a.index()].assignment.more();
         if am.is_empty() {
@@ -333,9 +366,11 @@ impl<'a> Dag<'a> {
         }
     }
 
-    /// Interns an assignment, materializing a node if new.
+    /// Interns an assignment, materializing a node if new. The
+    /// assignment is hashed once; the node keeps the only copy.
     pub fn intern(&mut self, a: Assignment) -> NodeId {
-        if let Some(&id) = self.index.get(&a) {
+        let hash = assignment_hash(&a);
+        if let Some(id) = self.find(hash, &a) {
             return id;
         }
         let valid = self.validity.is_valid(&a);
@@ -346,14 +381,31 @@ impl<'a> Dag<'a> {
         self.fp_summaries
             .push(fingerprint::summarize(&self.fps[start..]));
         self.nodes.push(Node {
-            assignment: a.clone(),
+            assignment: a,
             valid,
         });
         self.child_span.push((NONE32, 0));
         self.parent_link.push((NONE32, NONE32));
-        self.index.insert(a, id);
+        let older = self.index.insert(hash, id.0);
+        self.chain.push(older.unwrap_or(NONE32));
         self.stats.nodes_created += 1;
         id
+    }
+
+    /// The node holding `a`, found by walking the chain of nodes whose
+    /// assignments hash to `hash`. A hit and a hash collision take the
+    /// same path: each chain member is compared in full.
+    fn find(&self, hash: u64, a: &Assignment) -> Option<NodeId> {
+        let mut cur = self.index.get(&hash).copied().unwrap_or(NONE32);
+        while cur != NONE32 {
+            // PANIC-OK: the index and the chain only hold ids of pushed nodes.
+            if self.nodes[cur as usize].assignment == *a {
+                return Some(NodeId(cur));
+            }
+            // PANIC-OK: as above.
+            cur = self.chain[cur as usize];
+        }
+        None
     }
 
     /// The generated children of `id` as a flat arena slice, if
@@ -416,7 +468,7 @@ impl<'a> Dag<'a> {
 
     /// Looks up a node by assignment without materializing.
     pub fn lookup(&self, a: &Assignment) -> Option<NodeId> {
-        self.index.get(a).copied()
+        self.find(assignment_hash(a), a)
     }
 
     /// The immediate successors of `id`, generating them on first call.
@@ -654,6 +706,68 @@ fn value_children(vocab: &Vocabulary, v: Value) -> impl Iterator<Item = Value> +
         .chain(rels.iter().map(|&c| Value::Rel(c)))
 }
 
+/// Tests whether two bitsets of possibly different lengths intersect.
+#[inline]
+fn intersects(a: &[u64], b: &[u64]) -> bool {
+    a.iter().zip(b).any(|(&x, &y)| x & y != 0)
+}
+
+/// The 64-bit hash an assignment is interned under.
+fn assignment_hash(a: &Assignment) -> u64 {
+    let mut h = FxHasher::default();
+    a.hash(&mut h);
+    h.finish()
+}
+
+/// A fast deterministic hasher for keys the program makes itself (DAG
+/// assignments, node ids): per word, rotate, xor and multiply by an odd
+/// constant (the Fx hash). It has no defence against crafted collisions,
+/// so it must not key a map on input from outside the program.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct FxHasher {
+    hash: u64,
+}
+
+/// Builds [`FxHasher`]s for `HashMap`s and `HashSet`s.
+pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher>;
+
+impl FxHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    /// The multiply leaves the low bits weakly mixed, and `HashMap`
+    /// picks buckets by them: rotate the well-mixed high bits down.
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash.rotate_left(26)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -866,6 +980,77 @@ WITH SUPPORT = 0.2
         let dag = dag_for(&ont, &b);
         assert!(dag.is_empty());
         assert!(dag.roots().is_empty());
+    }
+
+    #[test]
+    fn every_materialized_node_looks_up_to_its_own_id() {
+        let ont = figure1::ontology();
+        let q = parse(figure1::SIMPLE_QUERY).unwrap();
+        let b = bind(&q, &ont).unwrap();
+        let mut dag = dag_for(&ont, &b);
+        dag.materialize_all();
+        for id in dag.node_ids() {
+            assert_eq!(dag.lookup(&dag.node(id).assignment), Some(id));
+        }
+    }
+
+    #[test]
+    fn interning_an_equal_assignment_returns_the_existing_node() {
+        let ont = figure1::ontology();
+        let q = parse(figure1::SIMPLE_QUERY).unwrap();
+        let b = bind(&q, &ont).unwrap();
+        let mut dag = dag_for(&ont, &b);
+        let v = ont.vocab();
+        let elem = |name: &str| Value::Elem(v.elem_id(name).unwrap());
+        let direct = Assignment::new(
+            v,
+            vec![vec![elem("Central Park")], vec![elem("Ball Game")]],
+            vec![],
+        );
+        let id = dag.intern(direct);
+        let (len, created) = (dag.len(), dag.stats().nodes_created);
+        // the same assignment, built by specializing Sport to Ball Game
+        let replaced = Assignment::new(
+            v,
+            vec![vec![elem("Central Park")], vec![elem("Sport")]],
+            vec![],
+        )
+        .with_replaced(v, Slot(1), elem("Sport"), elem("Ball Game"));
+        assert_eq!(dag.lookup(&replaced), Some(id));
+        assert_eq!(dag.intern(replaced), id);
+        assert_eq!((dag.len(), dag.stats().nodes_created), (len, created));
+    }
+
+    /// Interning is order-exact on the paper's three domain queries: a
+    /// breadth-first expansion of each DAG's first 300 nodes creates the
+    /// same number of nodes as the `HashMap<Assignment, NodeId>` index it
+    /// replaced (counts taken from that index), and re-interning any
+    /// node's assignment returns its id.
+    #[test]
+    fn domain_dags_intern_each_assignment_once() {
+        use ontology::domains::{culinary, self_treatment, travel, DomainScale};
+        let cases = [
+            (travel(DomainScale::paper()), 1_304),
+            (culinary(DomainScale::paper()), 1_524),
+            (self_treatment(DomainScale::paper()), 741),
+        ];
+        for (domain, expected) in cases {
+            let q = parse(&domain.query).unwrap();
+            let b = bind(&q, &domain.ontology).unwrap();
+            let mut dag = dag_for(&domain.ontology, &b);
+            let mut cursor = 0;
+            while cursor < dag.len().min(300) {
+                dag.ensure_children(NodeId(cursor as u32));
+                cursor += 1;
+            }
+            let created = dag.stats().nodes_created;
+            assert_eq!(created, expected, "{}", domain.name);
+            for id in dag.node_ids() {
+                let a = dag.node(id).assignment.clone();
+                assert_eq!(dag.intern(a), id, "{}", domain.name);
+            }
+            assert_eq!(dag.stats().nodes_created, created, "{}", domain.name);
+        }
     }
 
     #[test]

@@ -67,7 +67,7 @@ pub use aggregate::{
 pub use assignment::{Assignment, Slot};
 pub use baselines::{baseline_question_count, run_horizontal, run_naive};
 pub use cache::{CachedAnswer, CachingCrowd, CrowdCache, SharedCachingCrowd, SharedCrowdCache};
-pub use classify::{Class, Classifier};
+pub use classify::{Class, Classifier, MemberRecord};
 pub use cluster::{
     assignment_from_json, assignment_to_json, intern_wire_op, op_to_wire, to_wire, wire_from_json,
     wire_to_json, Coordinator, SemanticOutcome, ShardCrowd, ShardMap, WireOp, WireVerdict,

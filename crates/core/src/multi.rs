@@ -19,7 +19,7 @@
 
 use crate::aggregate::Aggregator;
 use crate::baselines::MspMonitor;
-use crate::classify::{Class, Classifier};
+use crate::classify::{insert_elem, Class, Classifier, MemberRecord};
 use crate::dag::{Dag, NodeId};
 use crate::fold::{Fold, FoldMode};
 use crate::manifest::{ask_with_retry, PartialManifest};
@@ -86,7 +86,7 @@ pub struct MultiOutcome {
 /// filtered on pop instead.
 struct MemberState {
     id: MemberId,
-    personal: Classifier,
+    personal: MemberRecord,
     answered: NodeBits,
     /// Significant nodes whose children this member already queued
     /// (guards the lazy descent in `next_target` against re-queueing).
@@ -364,7 +364,7 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
         })
         .map(|id| MemberState {
             id,
-            personal: Classifier::new_lazy(),
+            personal: MemberRecord::new(),
             answered: NodeBits::default(),
             descended: NodeBits::default(),
             active: true,
@@ -613,7 +613,7 @@ fn check_msp_completeness(dag: &Dag<'_>, fold: &Fold<'_>) {
 /// cold queue when one of the member's own answers is significant
 /// (personal descent) or when the member pops a significant node from
 /// it. Nodes that are globally classified, personally excluded (rule 4 —
-/// the personal classifier inherits insignificance downward), or already
+/// the member's record inherits insignificance downward), or already
 /// answered are skipped on pop.
 fn next_target(
     dag: &mut Dag<'_>,
@@ -740,13 +740,13 @@ impl Shared<'_> {
                 let tick = self.fold.questions() + 1;
                 m.answered.insert(target);
                 if support >= self.fold.threshold() {
-                    m.personal.mark_significant(dag, target);
+                    m.personal.mark_significant(target);
                     if let Some(tip) = more_tip {
                         dag.attach_more_tip(target, tip);
                     }
                     self.descend(dag, m, target);
                 } else {
-                    m.personal.mark_insignificant(dag, target);
+                    m.personal.mark_insignificant(target);
                 }
                 self.vote(dag, tick, m.id, target, support);
                 true
@@ -759,37 +759,18 @@ impl Shared<'_> {
                 m.answered.insert(target);
                 self.fold
                     .record(dag, tick, m.id, NodeId::SENTINEL, OpVerdict::NoAnswer);
-                m.personal.prune_elem(dag, elem);
+                m.personal.prune_elem(elem);
                 // The click answers *every* assignment involving the element
                 // (or a specialization) at once for this member — feed those
                 // implicit 0-answers to the aggregator for all materialized
                 // nodes, so pruned cones reach quorum without further
-                // questions (Section 6.2's bulk effect). A node holds a
-                // specialization of `elem` in some slot exactly when `elem`'s
-                // bit is set in that slot's ancestor-closure fingerprint, so
-                // the per-node test is one bit probe per slot.
-                let affected: Vec<NodeId> = {
-                    let vocab = dag.vocab();
-                    let space = dag.fp_space();
-                    let wps = space.words_per_slot();
-                    let ebit_word = elem.index() / 64;
-                    let ebit_mask = 1u64 << (elem.index() % 64);
-                    dag.node_ids()
-                        .filter(|&id| {
-                            let words = dag.fp_words(id);
-                            let hit_value = (0..space.num_slots()).any(|si| {
-                                // PANIC-OK: fingerprint layout fixes words.len() at
-                                // num_slots * wps with ebit_word < elem_words <= wps.
-                                words[si * wps + ebit_word] & ebit_mask != 0
-                            });
-                            hit_value
-                                || dag.node(id).assignment.more().iter().any(|f| {
-                                    vocab.elem_leq(elem, f.subject)
-                                        || vocab.elem_leq(elem, f.object)
-                                })
-                        })
-                        .collect()
-                };
+                // questions (Section 6.2's bulk effect).
+                let mut clicked = Vec::new();
+                insert_elem(&mut clicked, elem);
+                let affected: Vec<NodeId> = dag
+                    .node_ids()
+                    .filter(|&id| dag.involves_any(id, &clicked))
+                    .collect();
                 for id in affected {
                     if m.answered.insert(id) {
                         self.vote(dag, tick, m.id, id, 0.0);
@@ -869,10 +850,10 @@ impl Shared<'_> {
                 let chosen = options[choice.min(options.len() - 1)];
                 m.answered.insert(chosen);
                 if support >= self.fold.threshold() {
-                    m.personal.mark_significant(dag, chosen);
+                    m.personal.mark_significant(chosen);
                     self.descend(dag, m, chosen);
                 } else {
-                    m.personal.mark_insignificant(dag, chosen);
+                    m.personal.mark_insignificant(chosen);
                 }
                 self.vote(dag, tick, m.id, chosen, support);
                 true
@@ -884,7 +865,7 @@ impl Shared<'_> {
                 let tick = self.fold.questions() + 1;
                 for &o in &options {
                     m.answered.insert(o);
-                    m.personal.mark_insignificant(dag, o);
+                    m.personal.mark_insignificant(o);
                     self.vote(dag, tick, m.id, o, 0.0);
                 }
                 true
@@ -896,7 +877,7 @@ impl Shared<'_> {
                 let tick = self.fold.questions() + 1;
                 self.fold
                     .record(dag, tick, m.id, NodeId::SENTINEL, OpVerdict::NoAnswer);
-                m.personal.prune_elem(dag, elem);
+                m.personal.prune_elem(elem);
                 true
             }
             Answer::Unavailable => {

@@ -28,8 +28,8 @@
 //! * [`OpVerdict::Prune`] — a single-user "irrelevant" click: the element
 //!   is pruned from the classifier and the valid tracker.
 //! * [`OpVerdict::NoAnswer`] — a counted question whose effects were
-//!   entirely member-local (multi-user pruning of a *personal*
-//!   classifier): no shared-state delta, but the tick must exist so replay
+//!   entirely member-local (multi-user pruning of a member's *personal*
+//!   record): no shared-state delta, but the tick must exist so replay
 //!   reproduces the question count.
 //! * [`OpVerdict::Msp`] — a derived discovery: the engine confirmed the
 //!   node as an MSP at this tick. Discovery *timing* is control-flow
@@ -96,7 +96,7 @@ pub enum OpVerdict {
         elem: ElemId,
     },
     /// A counted question with no shared-state delta (multi-user pruning
-    /// affects only the member's personal classifier).
+    /// affects only the member's personal record).
     NoAnswer,
     /// Derived discovery: the op's node was confirmed as an MSP.
     Msp {

@@ -1,5 +1,7 @@
-//! Property test: the indexed classifier (closure-fingerprint postings +
-//! eager DAG propagation) is observationally equivalent to the historical
+//! Property tests: the indexed classifier (closure-fingerprint postings +
+//! eager DAG propagation) and a crowd member's personal record
+//! (`MemberRecord`: witness lists, a click bitset and the verdicts handed
+//! out) are each observationally equivalent to the historical
 //! witness-scan classifier under arbitrary interleavings of witness
 //! marks, pruning clicks and queries.
 //!
@@ -16,7 +18,7 @@
 //!   `Unknown` was never cached).
 
 use oassis_core::synth::synthetic_domain;
-use oassis_core::{Class, Classifier, Dag, NodeId};
+use oassis_core::{Class, Classifier, Dag, MemberRecord, NodeId};
 use oassis_ql::{bind, evaluate_where, parse, MatchMode, Value};
 use ontology::{ElemId, Vocabulary};
 use proptest::prelude::*;
@@ -91,6 +93,44 @@ impl RefClassifier {
     }
 }
 
+/// The classification interface both implementations under test share.
+trait UnderTest: Default {
+    fn mark_significant(&mut self, dag: &Dag<'_>, id: NodeId);
+    fn mark_insignificant(&mut self, dag: &Dag<'_>, id: NodeId);
+    fn prune_elem(&mut self, dag: &Dag<'_>, e: ElemId);
+    fn class(&mut self, dag: &Dag<'_>, id: NodeId) -> Class;
+}
+
+impl UnderTest for Classifier {
+    fn mark_significant(&mut self, dag: &Dag<'_>, id: NodeId) {
+        Classifier::mark_significant(self, dag, id);
+    }
+    fn mark_insignificant(&mut self, dag: &Dag<'_>, id: NodeId) {
+        Classifier::mark_insignificant(self, dag, id);
+    }
+    fn prune_elem(&mut self, dag: &Dag<'_>, e: ElemId) {
+        Classifier::prune_elem(self, dag, e);
+    }
+    fn class(&mut self, dag: &Dag<'_>, id: NodeId) -> Class {
+        Classifier::class(self, dag, id)
+    }
+}
+
+impl UnderTest for MemberRecord {
+    fn mark_significant(&mut self, _: &Dag<'_>, id: NodeId) {
+        MemberRecord::mark_significant(self, id);
+    }
+    fn mark_insignificant(&mut self, _: &Dag<'_>, id: NodeId) {
+        MemberRecord::mark_insignificant(self, id);
+    }
+    fn prune_elem(&mut self, _: &Dag<'_>, e: ElemId) {
+        MemberRecord::prune_elem(self, e);
+    }
+    fn class(&mut self, dag: &Dag<'_>, id: NodeId) -> Class {
+        MemberRecord::class(self, dag, id)
+    }
+}
+
 /// Expands the DAG breadth-first until `cap` nodes are materialized.
 fn expand(dag: &mut Dag<'_>, cap: usize) {
     let mut cursor = 0usize;
@@ -98,6 +138,69 @@ fn expand(dag: &mut Dag<'_>, cap: usize) {
         dag.children(NodeId(cursor as u32));
         cursor += 1;
     }
+}
+
+/// Drives `C` and the reference through one op sequence on a synthetic
+/// DAG (each op picks mark-significant, mark-insignificant, prune or
+/// query by its low two bits) and asserts that every query, and a final
+/// sweep over every node, agree.
+fn check_against_reference<C: UnderTest>(
+    width: usize,
+    depth: usize,
+    seed: u64,
+    ops: &[u32],
+) -> Result<(), TestCaseError> {
+    let d = synthetic_domain(width, depth, seed);
+    let q = parse(&d.query).unwrap();
+    let bound = bind(&q, &d.ontology).unwrap();
+    let base = evaluate_where(&bound, &d.ontology, MatchMode::Exact);
+    let vocab = d.ontology.vocab();
+    let mut dag = Dag::new(&bound, vocab, &base);
+    expand(&mut dag, 250);
+    if dag.is_empty() {
+        return Ok(());
+    }
+    let elems: Vec<ElemId> = vocab.elems().collect();
+
+    let mut cls = C::default();
+    let mut reference = RefClassifier::default();
+    for &op in ops {
+        let id = NodeId(((op >> 2) as usize % dag.len()) as u32);
+        match op % 4 {
+            0 => {
+                cls.mark_significant(&dag, id);
+                reference.mark_significant(id);
+            }
+            1 => {
+                cls.mark_insignificant(&dag, id);
+                reference.mark_insignificant(id);
+            }
+            2 => {
+                let e = elems[(op >> 2) as usize % elems.len()];
+                cls.prune_elem(&dag, e);
+                reference.prune_elem(e);
+            }
+            _ => {
+                prop_assert_eq!(
+                    cls.class(&dag, id),
+                    reference.class(&dag, id),
+                    "query diverged on node {:?}",
+                    id
+                );
+            }
+        }
+    }
+    // final sweep: every materialized node must agree, including ones
+    // whose class was pinned by an earlier query
+    for id in dag.node_ids() {
+        prop_assert_eq!(
+            cls.class(&dag, id),
+            reference.class(&dag, id),
+            "sweep diverged on node {:?}",
+            id
+        );
+    }
+    Ok(())
 }
 
 proptest! {
@@ -110,55 +213,16 @@ proptest! {
         seed in any::<u64>(),
         ops in proptest::collection::vec(any::<u32>(), 1..120),
     ) {
-        let d = synthetic_domain(width, depth, seed);
-        let q = parse(&d.query).unwrap();
-        let bound = bind(&q, &d.ontology).unwrap();
-        let base = evaluate_where(&bound, &d.ontology, MatchMode::Exact);
-        let vocab = d.ontology.vocab();
-        let mut dag = Dag::new(&bound, vocab, &base);
-        expand(&mut dag, 250);
-        if dag.is_empty() {
-            return Ok(());
-        }
-        let elems: Vec<ElemId> = vocab.elems().collect();
+        check_against_reference::<Classifier>(width, depth, seed, &ops)?;
+    }
 
-        let mut cls = Classifier::new();
-        let mut reference = RefClassifier::default();
-        for &op in &ops {
-            let id = NodeId(((op >> 2) as usize % dag.len()) as u32);
-            match op % 4 {
-                0 => {
-                    cls.mark_significant(&dag, id);
-                    reference.mark_significant(id);
-                }
-                1 => {
-                    cls.mark_insignificant(&dag, id);
-                    reference.mark_insignificant(id);
-                }
-                2 => {
-                    let e = elems[(op >> 2) as usize % elems.len()];
-                    cls.prune_elem(&dag, e);
-                    reference.prune_elem(e);
-                }
-                _ => {
-                    prop_assert_eq!(
-                        cls.class(&dag, id),
-                        reference.class(&dag, id),
-                        "query diverged on node {:?}",
-                        id
-                    );
-                }
-            }
-        }
-        // final sweep: every materialized node must agree, including ones
-        // whose class was pinned by an earlier query
-        for id in dag.node_ids() {
-            prop_assert_eq!(
-                cls.class(&dag, id),
-                reference.class(&dag, id),
-                "sweep diverged on node {:?}",
-                id
-            );
-        }
+    #[test]
+    fn member_record_matches_witness_scan_reference(
+        width in 20usize..80,
+        depth in 3usize..6,
+        seed in any::<u64>(),
+        ops in proptest::collection::vec(any::<u32>(), 1..120),
+    ) {
+        check_against_reference::<MemberRecord>(width, depth, seed, &ops)?;
     }
 }
