@@ -505,7 +505,7 @@ const ASSERT_MACROS: [&str; 5] = [
 ];
 
 /// D4 — panic surface: `unwrap`/`expect`/slice indexing in engine
-/// source under [`D4_PATHS`] (non-test code) requires
+/// source under `D4_PATHS` (non-test code) requires
 /// `// PANIC-OK: reason`.
 pub fn d4(scope: &FileScope, scanned: &Scanned) -> Vec<RawFinding> {
     if !D4_PATHS.iter().any(|p| scope.path.starts_with(p)) {
@@ -804,7 +804,7 @@ fn header_params(header: &str) -> Vec<String> {
 const D9_ENUMS: [&str; 4] = ["WireVerdict", "OpVerdict", "Payload", "FaultKind"];
 
 /// D9 — wire-op exhaustiveness: every non-test `match` whose arms name
-/// a [`D9_ENUMS`] variant must (a) have no catch-all arm (`_`, a bare
+/// a `D9_ENUMS` variant must (a) have no catch-all arm (`_`, a bare
 /// binding, or an or/`Some`-wrapped one) and (b) name every variant of
 /// the enum. Variants are recognized in qualified `Enum::Variant`
 /// pattern position only; `if let` chains are out of scope (DESIGN.md

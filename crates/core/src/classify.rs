@@ -17,9 +17,9 @@
 //! fingerprints plus eager cone propagation:
 //!
 //! * every `mark_significant` walks the materialized *parent* edges
-//!   upward and stamps the generalization cone [`Cached::DerivedSig`];
+//!   upward and stamps the generalization cone `Cached::DerivedSig`;
 //!   `mark_insignificant` walks generated *child* edges downward and
-//!   stamps [`Cached::DerivedInsig`] — queries on stamped nodes skip the
+//!   stamps `Cached::DerivedInsig` — queries on stamped nodes skip the
 //!   witness search entirely;
 //! * nodes that materialize later (or are unreachable along materialized
 //!   edges) fall back to value-keyed inverted indexes: a significant

@@ -261,12 +261,6 @@ impl<'a> Dag<'a> {
         &self.fps[id.index() * w..(id.index() + 1) * w]
     }
 
-    /// The one-word fingerprint summary of a node.
-    #[inline]
-    pub fn fp_summary(&self, id: NodeId) -> u64 {
-        self.fp_summaries[id.index()]
-    }
-
     /// `a ≤ b` on node assignments: summary prefilter, then word-parallel
     /// subset test on the slot fingerprints, then the exact MORE-fact
     /// condition (facts are not fingerprinted).
@@ -520,11 +514,6 @@ impl<'a> Dag<'a> {
     pub fn child_at(&self, pos: u32) -> NodeId {
         // PANIC-OK: callers pass positions of spans the arena handed out.
         self.child_edges[pos as usize]
-    }
-
-    /// Whether children were already generated.
-    pub fn is_expanded(&self, id: NodeId) -> bool {
-        self.child_span[id.index()].0 != NONE32
     }
 
     /// Generates the immediate-successor assignments of `a` within `𝒜`,

@@ -139,12 +139,6 @@ impl<'q> QueryRequest<'q> {
         self
     }
 
-    /// Replaces the full option block.
-    pub fn with_options(mut self, options: ExecuteOptions) -> Self {
-        self.options = options;
-        self
-    }
-
     /// Sets the mining configuration.
     pub fn with_mining(mut self, mining: MiningConfig) -> Self {
         self.options.mining = mining;

@@ -30,7 +30,7 @@
 //! * [`templates`] — natural-language question rendering (Section 6.2).
 //! * [`rulemine`] — association-rule mining (`IMPLYING … AND CONFIDENCE`,
 //!   a Section-8 / language-guide extension).
-//! * [`diversify`] — diversified top-k answers (Section 8 extension).
+//! * [`diversify`](mod@diversify) — diversified top-k answers (Section 8 extension).
 //! * [`manifest`] — the crowd-access policy's retry loop and the
 //!   partial-answer manifest of degraded runs.
 //! * [`invariants`] — step-level invariant checkers for the simulation

@@ -14,7 +14,6 @@ use std::collections::HashMap;
 #[derive(Debug, Clone, Default)]
 pub struct QuestionTemplates {
     by_rel: HashMap<RelId, String>,
-    fallback: Option<String>,
 }
 
 impl QuestionTemplates {
@@ -59,11 +58,6 @@ impl QuestionTemplates {
         self.by_rel.insert(rel, template.to_owned());
     }
 
-    /// Sets the fallback template (default: `"{s} {r} {o}"`).
-    pub fn set_fallback(&mut self, template: &str) {
-        self.fallback = Some(template.to_owned());
-    }
-
     fn phrase(&self, vocab: &Vocabulary, p: &PatternFact) -> String {
         let subj = p
             .subject
@@ -77,7 +71,6 @@ impl QuestionTemplates {
         let template = p
             .rel
             .and_then(|r| self.by_rel.get(&r).cloned())
-            .or_else(|| self.fallback.clone())
             .unwrap_or_else(|| "{s} {r} {o}".to_owned());
         template
             .replace("{s}", &subj)

@@ -58,14 +58,6 @@ impl PersonalDb {
         n as f64 / self.transactions.len() as f64
     }
 
-    /// Number of transactions implying the pattern.
-    pub fn count_supporting(&self, vocab: &Vocabulary, pattern: &PatternSet) -> usize {
-        self.transactions
-            .iter()
-            .filter(|t| pattern.supported_by(vocab, t))
-            .count()
-    }
-
     /// Whether element `e` (or any specialization of it) occurs in any
     /// transaction fact. Elements that never occur are *irrelevant* for
     /// this member — the basis of the user-guided-pruning click of

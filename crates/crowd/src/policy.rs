@@ -43,15 +43,6 @@ impl Default for CrowdPolicy {
 }
 
 impl CrowdPolicy {
-    /// A policy that never retries (the engine gives up on the first
-    /// timeout). Useful as a differential baseline in the simulator.
-    pub fn no_retries() -> Self {
-        CrowdPolicy {
-            max_retries: 0,
-            ..Default::default()
-        }
-    }
-
     /// Backoff ticks before the `attempt`-th retry (0-based).
     pub fn backoff(&self, attempt: u32) -> u64 {
         self.backoff_base << attempt.min(16)

@@ -99,12 +99,6 @@ impl FactSet {
             .all(|&f| other.0.iter().any(|&g| vocab.fact_leq(f, g)))
     }
 
-    /// Whether the single fact `f` is implied by this set viewed as a
-    /// transaction (`f ≤ self`).
-    pub fn implies_fact(&self, vocab: &Vocabulary, f: Fact) -> bool {
-        self.0.iter().any(|&g| vocab.fact_leq(f, g))
-    }
-
     /// Union of two fact-sets.
     pub fn union(&self, other: &FactSet) -> FactSet {
         FactSet::from_iter(self.iter().chain(other.iter()))

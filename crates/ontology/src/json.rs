@@ -1,7 +1,7 @@
 //! A minimal JSON value type, parser and writer.
 //!
 //! The build environment has no crates.io access, so the snapshot modules
-//! ([`crate::snapshot`] and `oassis-core`'s crowd cache) serialize through
+//! (`snapshot` and `oassis-core`'s crowd cache) serialize through
 //! this hand-rolled implementation instead of `serde_json`. It supports
 //! the full JSON grammar; numbers are kept as `f64`, which is exact for
 //! every id (`u32`) and support value this workspace stores.

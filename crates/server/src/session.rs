@@ -33,14 +33,16 @@
 //! ([`PreparedQuery`]) and lends it to the next `query` or `recover` of
 //! the same text; `recover` prepares each other text once per call.
 //!
-//! Each resident session also keeps a one-entry *result memo*: the spec,
-//! appended ops and reply of its last run that the answer cache alone
-//! reproduces. A `query` with an equal spec appends those ops under a
-//! new qid and returns that reply without mining (the `memo_hits`
-//! counter of the session's telemetry). The WAL bytes and the reply are
-//! those a re-run would produce, and `questions` still counts the
-//! questions the run posed, cache hits included. The memo is not
-//! durable: a page-in starts without one.
+//! Each resident session also keeps a one-entry *result memo*: the spec
+//! and reply of its last run that the answer cache alone reproduces. A
+//! `query` with an equal spec is a *served repeat*: it writes its `query`
+//! record and a `done` footer whose `of` names the memoized run's qid,
+//! no op record, and returns that run's reply under the new qid without
+//! mining (the `memo_hits` counter of the session's telemetry). Recovery
+//! gives the repeat the named run's ops, so it recovers and verifies as
+//! a re-run would, and `questions` still counts the questions the run
+//! posed, cache hits included. The memo is not durable: a page-in starts
+//! without one.
 
 use crate::digest_hex;
 use crate::wal::{DoneMeta, KillSwitch, QueryMeta, QuerySpec, Recovered, SessionWal, WalTap};
@@ -93,6 +95,10 @@ impl std::error::Error for ServerError {}
 /// `open` frame can make the server allocate. It leaves room above the
 /// paper's 248-member crowd.
 pub const MAX_MEMBERS: u32 = 1024;
+
+/// Sessions resident at once: past it, the least recently used one is
+/// paged out (dropped; its state is already durable).
+const RESIDENT_LIMIT: usize = 8;
 
 /// What a session was opened with (the `open` frame's payload); the
 /// crowd provider builds the session's crowd from it.
@@ -160,15 +166,15 @@ impl QueryReply {
             complete: self.complete,
             digest: self.digest.clone(),
             threshold: self.threshold,
+            of: None,
         }
     }
 }
 
-/// A session's memo: a served query's spec, the op records its run
-/// appended (in append order) and its reply.
+/// A session's memo: a mined query's spec and its reply (which carries
+/// the qid a served repeat's footer names).
 struct Memo {
     spec: QuerySpec,
-    ops: Vec<WireOp>,
     reply: QueryReply,
 }
 
@@ -293,7 +299,6 @@ pub struct SessionManager {
     ont: Arc<Ontology>,
     provider: Box<dyn CrowdProvider>,
     root: PathBuf,
-    resident_limit: usize,
     kill: KillSwitch,
     tele: Telemetry,
     sessions: BTreeMap<String, Session>,
@@ -316,20 +321,12 @@ impl SessionManager {
             ont,
             provider,
             root: root.into(),
-            resident_limit: 8,
             kill: KillSwitch::new(),
             tele: Telemetry::off(),
             sessions: BTreeMap::new(),
             last_prepared: None,
             use_counter: 0,
         }
-    }
-
-    /// Caps resident sessions; the least recently used is paged out
-    /// (dropped — its state is already durable) past the cap.
-    pub fn with_resident_limit(mut self, limit: usize) -> SessionManager {
-        self.resident_limit = limit.max(1);
-        self
     }
 
     /// Installs the process-death model (simtest's kill-at-tick fault):
@@ -465,10 +462,10 @@ impl SessionManager {
         })
     }
 
-    /// Pages out least-recently-used sessions past the resident cap,
+    /// Pages out least-recently-used sessions past [`RESIDENT_LIMIT`],
     /// never the one named `keep`.
     fn evict_over_limit(&mut self, keep: &str) {
-        while self.sessions.len() > self.resident_limit {
+        while self.sessions.len() > RESIDENT_LIMIT {
             let victim = self
                 .sessions
                 .iter()
@@ -517,15 +514,14 @@ impl SessionManager {
     /// goes, and records the outcome digest in the `done` footer.
     ///
     /// A query whose spec equals the session's memo is not mined again:
-    /// the WAL gets the `query` record, the memo's ops and the `done`
-    /// footer a re-run would append, through the same appends, and the
-    /// reply is the memo's under the new qid with `fresh: 0`. A run is
-    /// memoized only if the cache alone reproduces it: every answer that
-    /// reached the crowd was stored, no append failed and the kill switch
-    /// never tripped. Cache entries never change and the engine is
-    /// deterministic in its text, config and answers, so a re-run would
-    /// pose the same questions, get the same answers and append the same
-    /// ops.
+    /// the WAL gets its `query` record and a `done` footer whose `of`
+    /// names the memoized run, and the reply is the memo's under the new
+    /// qid with `fresh: 0`. A run is memoized only if the cache alone
+    /// reproduces it: every answer that reached the crowd was stored, no
+    /// append failed and the kill switch never tripped. Cache entries
+    /// never change and the engine is deterministic in its text, config
+    /// and answers, so a re-run would pose the same questions, get the
+    /// same answers and log the same ops as the memoized run.
     pub fn query(&mut self, name: &str, spec: &QuerySpec) -> Result<QueryReply, ServerError> {
         Self::check_seed(spec.seed)?;
         self.touch(name)?;
@@ -571,24 +567,23 @@ impl SessionManager {
         Ok((qid, s.wal.clone()))
     }
 
-    /// Serves a memo hit: the WAL records of a re-run, then the memo's
-    /// reply under the new qid.
+    /// Serves a memo hit: a `query` record and a footer naming the
+    /// memoized run, then the memo's reply under the new qid.
     fn replay_memo(&mut self, name: &str, memo: &Memo) -> Result<QueryReply, ServerError> {
         let (qid, wal) = self.register(name, &memo.spec)?;
-        let mut wal = wal.lock().expect("wal mutex poisoned"); // PANIC-OK: poisoning means a holder already panicked; propagate it
-        for op in &memo.ops {
-            if let Err(e) = wal.append_op(qid, op) {
-                wal.keep_failure(e);
-            }
-        }
-        let reply = QueryReply {
+        let done = DoneMeta {
+            of: Some(memo.reply.qid),
+            ..memo.reply.done_meta()
+        };
+        wal.lock()
+            .expect("wal mutex poisoned") // PANIC-OK: poisoning means a holder already panicked; propagate it
+            .record_done(qid, &done)
+            .map_err(|e| ServerError::Wal(e.to_string()))?;
+        Ok(QueryReply {
             qid,
             fresh: 0,
             ..memo.reply.clone()
-        };
-        wal.record_done(qid, &reply.done_meta())
-            .map_err(|e| ServerError::Wal(e.to_string()))?;
-        Ok(reply)
+        })
     }
 
     /// Mines `spec` over the session's cache and crowd; returns the reply
@@ -653,13 +648,12 @@ impl SessionManager {
             digest: digest_hex(sem.digest()),
             threshold: answer.outcome.mining.ops.threshold(),
         };
-        let mut wal = wal.lock().expect("wal mutex poisoned"); // PANIC-OK: poisoning means a holder already panicked; propagate it
-        wal.record_done(qid, &reply.done_meta())
+        wal.lock()
+            .expect("wal mutex poisoned") // PANIC-OK: poisoning means a holder already panicked; propagate it
+            .record_done(qid, &reply.done_meta())
             .map_err(|e| ServerError::Wal(e.to_string()))?;
-        let ops = wal.take_tapped();
         let memo = (replayable && !self.kill.killed()).then(|| Memo {
             spec: spec.clone(),
-            ops,
             reply: reply.clone(),
         });
         Ok((reply, memo))
@@ -674,7 +668,7 @@ impl SessionManager {
     /// parsed, bound and WHERE-evaluated at most once per call, and not
     /// at all when it is the text the manager prepared last.
     ///
-    /// A query whose replay inputs ([`ReplayInputs`]) equal those of a
+    /// A query whose replay inputs (`ReplayInputs`) equal those of a
     /// query replayed earlier in the call takes that replay's answers,
     /// completeness and digest instead of replaying again (the session's
     /// `replays_shared` counter; `replays` counts the replays run). Its
@@ -1055,6 +1049,47 @@ mod tests {
             assert_eq!(q.verified, want, "qid {}", q.qid);
         }
         assert_eq!((replays, shared), (7, 2));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn the_least_recently_used_session_pages_out_and_back_in() {
+        let ont = Arc::new(figure1::ontology());
+        let root = std::env::temp_dir().join(format!("oassis-lru-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let provider = Box::new(Figure1Provider::new(ont.clone()));
+        let mut mgr = SessionManager::new(ont, provider, &root);
+        let open = |mgr: &mut SessionManager, name: &str| {
+            mgr.open(&SessionSpec {
+                name: name.into(),
+                seed: 7,
+                members: 2,
+            })
+            .unwrap();
+        };
+        let names: Vec<String> = (0..=RESIDENT_LIMIT).map(|i| format!("s{i}")).collect();
+        let mut digests = Vec::new();
+        for name in &names[..RESIDENT_LIMIT] {
+            open(&mut mgr, name);
+            digests.push(mgr.query(name, &a_query(None)).unwrap().digest);
+        }
+        // s0 is used again, so s1 is now the least recently used
+        mgr.query("s0", &a_query(None)).unwrap();
+        open(&mut mgr, &names[RESIDENT_LIMIT]);
+        let mut want: Vec<String> = names.clone();
+        want.remove(1);
+        assert_eq!(mgr.resident(), want);
+        // recover pages s1 back in, paging out s2, and verifies
+        let recovered = mgr.recover("s1").unwrap();
+        assert_eq!(recovered.len(), 1);
+        assert_eq!(recovered[0].verified, Some(true));
+        assert_eq!(recovered[0].digest, digests[1]);
+        assert!(!mgr.resident().contains(&"s2".to_string()));
+        // and a query pages s2 back in over its durable answers
+        let again = mgr.query("s2", &a_query(None)).unwrap();
+        assert_eq!((again.qid, again.fresh), (2, 0));
+        assert_eq!(again.digest, digests[2]);
+        assert_eq!(mgr.recover("s2").unwrap()[1].verified, Some(true));
         let _ = std::fs::remove_dir_all(&root);
     }
 

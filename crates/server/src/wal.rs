@@ -17,19 +17,15 @@
 //! canonical serialization, so any other byte sequence (even one that
 //! parses to the same value) fails the check.
 //!
-//! A served repeat appends op records whose `op` bodies are
-//! byte-identical to its cold run's, so recovery decodes each distinct
-//! `op` body of a member file once and clones that decode for the
-//! file's other records with the same bytes. Only bodies in exactly the
-//! shape this module writes take that path; any other body is parsed
-//! whole, so which records are accepted, where a file is cut and which
-//! errors recovery reports are the same either way.
+//! A served repeat writes no op record: its `done` footer names the run
+//! it repeats (`"of": m`), and recovery gives it that run's ops.
 //!
 //! ## Record kinds
 //!
 //! * `meta.wal` — `session` (name + protocol version, first record),
 //!   `query` (qid + the request spec), `done` (qid + completion flag,
-//!   resolved threshold, and the recorded `SemanticOutcome` digest).
+//!   resolved threshold, the recorded `SemanticOutcome` digest, and for
+//!   a served repeat `of`, the qid of the mined run it repeats).
 //! * `member-<id>.wal` — `op` (qid + one [`WireOp`] of that member) and
 //!   `answer` (one cached `(pattern, answer)` entry of that member's
 //!   personal database).
@@ -162,6 +158,9 @@ pub struct DoneMeta {
     pub digest: String,
     /// The resolved support threshold the run mined under.
     pub threshold: f64,
+    /// For a served repeat, the qid of the earlier run it repeats: the
+    /// repeat writes no op record, and recovery gives it that run's ops.
+    pub of: Option<u32>,
 }
 
 /// One query of the session registry, recovered from `meta.wal`.
@@ -189,7 +188,8 @@ pub struct Recovered {
     /// The query registry, in qid order.
     pub queries: Vec<QueryMeta>,
     /// Per-query member ops: each member's contiguous durable prefix,
-    /// in append order, members in id order.
+    /// in append order, members in id order. A served repeat's are the
+    /// ops of the run its footer names.
     pub ops: BTreeMap<u32, Vec<WireOp>>,
     /// The union of the per-member answer databases.
     pub cache: CrowdCache,
@@ -224,9 +224,6 @@ pub struct SessionWal {
     dir: PathBuf,
     /// Append handles held for the running query (see the module doc).
     handles: BTreeMap<Log, File>,
-    /// The op records the running query's [`WalTap`] appended, in
-    /// append order.
-    tapped: Vec<WireOp>,
     /// The first append error of the running query's tap or answer
     /// store; it stops the query's footer.
     failed: Option<io::Error>,
@@ -246,7 +243,6 @@ impl SessionWal {
         Ok(SessionWal {
             dir,
             handles: BTreeMap::new(),
-            tapped: Vec::new(),
             failed: None,
             kill: KillSwitch::new(),
         })
@@ -317,9 +313,8 @@ impl SessionWal {
 
     /// Registers a query before it runs (so a crash mid-run still knows
     /// what was running and how to rebuild its DAG). It starts the
-    /// query: the previous query's tapped ops and kept error are gone.
+    /// query: the previous query's kept error is gone.
     pub fn record_query(&mut self, qid: u32, spec: &QuerySpec) -> io::Result<()> {
-        self.tapped.clear();
         self.failed = None;
         if !self.kill.admit(None) {
             return Ok(());
@@ -348,21 +343,24 @@ impl SessionWal {
     /// ends the query, so every append handle is dropped.
     ///
     /// A footer claims that the query's whole log is on disk, so when an
-    /// append of the query failed ([`keep_failure`](Self::keep_failure))
-    /// nothing is written and the first such error is returned.
+    /// append of the query failed (`keep_failure`) nothing is written
+    /// and the first such error is returned.
     pub fn record_done(&mut self, qid: u32, done: &DoneMeta) -> io::Result<()> {
         if let Some(e) = self.failed.take() {
             self.close_files();
             return Err(e);
         }
-        let rec = Json::Obj(vec![
+        let mut fields = vec![
             ("kind".into(), Json::Str("done".into())),
             ("qid".into(), Json::Num(qid as f64)),
             ("complete".into(), Json::Bool(done.complete)),
             ("digest".into(), Json::Str(done.digest.clone())),
             ("threshold".into(), Json::Num(done.threshold)),
-        ]);
-        self.append_last(&rec)
+        ];
+        if let Some(m) = done.of {
+            fields.push(("of".into(), Json::Num(m as f64)));
+        }
+        self.append_last(&Json::Obj(fields))
     }
 
     /// Appends a `meta.wal` record no query record follows (the header,
@@ -388,11 +386,6 @@ impl SessionWal {
     /// cannot return one to the engine (the op tap, the answer store).
     pub(crate) fn keep_failure(&mut self, e: io::Error) {
         self.failed.get_or_insert(e);
-    }
-
-    /// Moves out the op records the running query's [`WalTap`] appended.
-    pub(crate) fn take_tapped(&mut self) -> Vec<WireOp> {
-        std::mem::take(&mut self.tapped)
     }
 
     /// Appends one wire op to its member's log. Returns `false` when the
@@ -439,15 +432,11 @@ impl SessionWal {
     pub fn recover(&self, vocab: &Vocabulary) -> Result<Recovered, JsonError> {
         let mut out = Recovered::default();
         // --- meta.wal: session header + query registry
-        let (meta, torn) =
-            read_records(&self.dir.join(Log::Meta.file_name()), vocab).map_err(io_shape)?;
+        let (meta, torn) = read_records(&self.dir.join(Log::Meta.file_name())).map_err(io_shape)?;
         out.truncated |= torn;
         // the first query record of each qid, by position in `out.queries`
         let mut by_qid: HashMap<u32, usize> = HashMap::new();
         for rec in &meta {
-            // op records belong to member files: skipped here, like any
-            // kind meta.wal does not know
-            let Record::Whole(rec) = rec else { continue };
             match rec.field("kind").and_then(|k| k.as_str().map(String::from)) {
                 Ok(kind) if kind == "session" => {
                     out.session = Some(rec.field("name")?.as_str()?.to_string());
@@ -477,6 +466,8 @@ impl SessionWal {
                         complete: as_bool(rec.field("complete")?)?,
                         digest: rec.field("digest")?.as_str()?.to_string(),
                         threshold: rec.field("threshold")?.as_f64()?,
+                        // absent on a mined run's footer
+                        of: rec.field("of").ok().map(Json::as_u32).transpose()?,
                     };
                     // a footer without an earlier query record is ignored
                     if let Some(&at) = by_qid.get(&qid) {
@@ -492,16 +483,9 @@ impl SessionWal {
         // --- member files: ops and answers in append order
         for member in self.member_ids().map_err(io_shape)? {
             let path = self.dir.join(Log::Member(member).file_name());
-            let (wal, torn) = read_records(&path, vocab).map_err(io_shape)?;
+            let (wal, torn) = read_records(&path).map_err(io_shape)?;
             out.truncated |= torn;
-            for rec in wal {
-                let mut rec = match rec {
-                    Record::Op { qid, op } => {
-                        out.ops.entry(qid).or_default().push(op?);
-                        continue;
-                    }
-                    Record::Whole(rec) => rec,
-                };
+            for mut rec in wal {
                 match rec.field("kind").and_then(Json::as_str) {
                     Ok("op") => {
                         let qid = rec.field("qid")?.as_u32()?;
@@ -516,6 +500,20 @@ impl SessionWal {
                     }
                     // unknown kinds are future records — skip, don't fail
                     _ => {}
+                }
+            }
+        }
+        // a served repeat's footer names an earlier registered run; with
+        // no op record of its own, the repeat's ops are that run's (qid
+        // order resolves a repeat of a repeat). Any other `of` is ignored,
+        // so the query recovers from its own records and fails to verify.
+        for q in &out.queries {
+            let Some(m) = q.done.as_ref().and_then(|d| d.of) else {
+                continue;
+            };
+            if m < q.qid && by_qid.contains_key(&m) && !out.ops.contains_key(&q.qid) {
+                if let Some(ops) = out.ops.get(&m).cloned() {
+                    out.ops.insert(q.qid, ops);
                 }
             }
         }
@@ -590,33 +588,10 @@ fn frame(rec: &Json) -> String {
     )
 }
 
-/// One complete, crc-valid record line of a WAL file.
-enum Record {
-    /// An op record in exactly the shape [`frame`] writes for
-    /// [`SessionWal::append_op`], with its decoded op. The decode is the
-    /// file's one decode of that op body's bytes (see [`read_records`]).
-    Op {
-        qid: u32,
-        op: Result<WireOp, JsonError>,
-    },
-    /// Any other record, its body parsed whole.
-    Whole(Json),
-}
-
 /// Reads every complete, crc-valid record of `path`, truncating the
 /// file at the first bad line (torn tail). Returns the records and
 /// whether a truncation happened. A missing file is an empty log.
-///
-/// An op record whose body splits exactly as [`frame`] writes it,
-/// `{"kind":"op","qid":<u32>,"op":<op>}`, is decoded through a map from
-/// the raw `<op>` bytes to their decoded [`WireOp`]: a served repeat
-/// appends byte-identical op bodies, and each distinct one is parsed and
-/// decoded once per file. Parsing and decoding are functions of those
-/// bytes, so a clone from the map is what a fresh decode would return.
-/// A body of any other shape, or whose `<op>` does not parse on its own,
-/// is parsed whole as before, so which lines are kept, where a file is
-/// cut and which errors recovery returns do not change.
-fn read_records(path: &Path, vocab: &Vocabulary) -> io::Result<(Vec<Record>, bool)> {
+fn read_records(path: &Path) -> io::Result<(Vec<Json>, bool)> {
     let mut bytes = Vec::new();
     match File::open(path) {
         Ok(mut f) => {
@@ -625,7 +600,6 @@ fn read_records(path: &Path, vocab: &Vocabulary) -> io::Result<(Vec<Record>, boo
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((Vec::new(), false)),
         Err(e) => return Err(e),
     }
-    let mut decoded = HashMap::new();
     let mut records = Vec::new();
     let mut offset = 0usize;
     while offset < bytes.len() {
@@ -634,9 +608,7 @@ fn read_records(path: &Path, vocab: &Vocabulary) -> io::Result<(Vec<Record>, boo
         // PANIC-OK: the position is in bounds of rest.
         let line = rest.iter().position(|&b| b == b'\n').map(|nl| &rest[..nl]);
         // a line without its newline was cut mid-write
-        let record = line
-            .and_then(checked_body)
-            .and_then(|body| decode_body(body, vocab, &mut decoded));
+        let record = line.and_then(checked_body).and_then(parse_body);
         match (line, record) {
             (Some(line), Some(rec)) => {
                 records.push(rec);
@@ -654,32 +626,6 @@ fn read_records(path: &Path, vocab: &Vocabulary) -> io::Result<(Vec<Record>, boo
     Ok((records, false))
 }
 
-/// Decodes one crc-valid record body; `None` when it does not parse.
-/// An op record of [`frame`]'s exact shape goes through `decoded`, the
-/// file's map from raw op bytes to their decode (see [`read_records`]).
-fn decode_body<'b>(
-    body: &'b [u8],
-    vocab: &Vocabulary,
-    decoded: &mut HashMap<&'b [u8], Result<WireOp, JsonError>>,
-) -> Option<Record> {
-    if let Some((qid, op)) = split_op(body) {
-        if let Some(known) = decoded.get(op) {
-            return Some(Record::Op {
-                qid,
-                op: known.clone(),
-            });
-        }
-        if let Some(json) = parse_body(op) {
-            let op = decoded.entry(op).or_insert(wire_from_json(vocab, &json));
-            return Some(Record::Op {
-                qid,
-                op: op.clone(),
-            });
-        }
-    }
-    parse_body(body).map(Record::Whole)
-}
-
 /// The raw `rec` body of one framed line whose crc checks out over
 /// those bytes. The frame is exactly what [`frame`] writes:
 /// `{"crc":"<16 lowercase hex>","rec":<body>}`.
@@ -693,18 +639,6 @@ fn checked_body(line: &[u8]) -> Option<&[u8]> {
 /// Parses one JSON document from raw bytes.
 fn parse_body(body: &[u8]) -> Option<Json> {
     json::parse(std::str::from_utf8(body).ok()?).ok()
-}
-
-/// Splits an op record body of exactly the shape [`frame`] writes,
-/// `{"kind":"op","qid":<digits>,"op":<op>}` with `<digits>` a `u32`,
-/// into the qid and the raw `<op>` bytes. Any other shape is `None`.
-fn split_op(body: &[u8]) -> Option<(u32, &[u8])> {
-    let rest = body.strip_prefix(b"{\"kind\":\"op\",\"qid\":")?;
-    let digits = rest.iter().take_while(|b| b.is_ascii_digit()).count();
-    let (qid, rest) = rest.split_at(digits);
-    let qid = std::str::from_utf8(qid).ok()?.parse::<u32>().ok()?;
-    let op = rest.strip_prefix(b",\"op\":")?.strip_suffix(b"}")?;
-    Some((qid, op))
 }
 
 /// Parses the 16 lowercase hex digits [`frame`] writes for a crc.
@@ -728,8 +662,7 @@ fn truncate_to(path: &Path, len: usize) -> io::Result<()> {
 /// The [`OpTap`] the session manager installs on every query run: each
 /// flushed op is rendered to wire form against the run's DAG and
 /// appended to its member's log, stamped with the query id. The WAL
-/// keeps the appended ops for the query's caller and the first append
-/// error, which stops the query's `done` footer.
+/// keeps the first append error, which stops the query's `done` footer.
 pub struct WalTap {
     wal: Arc<TrackedMutex<SessionWal>>,
     qid: u32,
@@ -746,11 +679,9 @@ impl OpTap for WalTap {
     fn append(&self, dag: &Dag<'_>, ops: &[AnswerOp]) {
         let mut wal = self.wal.lock().expect("wal mutex poisoned"); // PANIC-OK: poisoning means a holder already panicked; propagate it
         for op in ops {
-            let wire = op_to_wire(op, dag);
-            match wal.append_op(self.qid, &wire) {
-                Ok(true) => wal.tapped.push(wire),
-                Ok(false) => {} // kill switch: the process model is dead
-                Err(e) => wal.keep_failure(e),
+            // `Ok(false)` is the kill switch: the process model is dead
+            if let Err(e) = wal.append_op(self.qid, &op_to_wire(op, dag)) {
+                wal.keep_failure(e);
             }
         }
     }
@@ -793,6 +724,7 @@ mod tests {
             complete: true,
             digest: "00000000000000ff".into(),
             threshold: 0.4,
+            of: None,
         }
     }
 
@@ -954,38 +886,6 @@ mod tests {
     }
 
     #[test]
-    fn op_lines_of_other_shapes_decode_as_the_whole_body_parse() {
-        let dir = tmp_dir("shapes");
-        let ont = ontology::domains::figure1::ontology();
-        let mut wal = SessionWal::open(&dir, 0).unwrap();
-        // the canonical line puts its op body in the decode map
-        let want = support_op(4);
-        assert!(wal.append_op(1, &want).unwrap());
-        wal.close_files();
-        let x = wire_to_json(&want).to_string();
-        let bodies = [
-            format!(r#"{{"qid":1,"kind":"op","op":{x}}}"#),
-            format!(r#"{{"kind":"op","qid":1,"op":{x},"extra":1}}"#),
-            format!(r#"{{"kind":"op","op":{x},"qid":1}}"#),
-            format!(r#"{{"kind":"op","qid":1,"op": {x} }}"#),
-            format!(r#"{{"kind":"op","qid":01,"op":{x}}}"#),
-            format!(r#"{{"kind":"op","qid":1.0,"op":{x}}}"#),
-        ];
-        append_lines(&dir, &bodies.iter().map(|b| framed(b)).collect::<Vec<_>>());
-        let rec = wal.recover(ont.vocab()).unwrap();
-        assert!(!rec.truncated);
-        let whole: Vec<WireOp> = bodies
-            .iter()
-            .map(|b| wire_from_json(ont.vocab(), json::parse(b).unwrap().field("op").unwrap()))
-            .collect::<Result<_, _>>()
-            .unwrap();
-        assert_eq!(rec.ops[&1][0], want);
-        assert_eq!(rec.ops[&1][1..], whole[..]);
-        assert_eq!(rec.ops.len(), 1, "every line is qid 1's");
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn a_qid_past_u32_fails_recovery_as_the_whole_body_parse_does() {
         let dir = tmp_dir("qid-range");
         let ont = ontology::domains::figure1::ontology();
@@ -1009,32 +909,11 @@ mod tests {
         assert_second_line_rejected("op-not-json", |_| {
             framed(r#"{"kind":"op","qid":1,"op":{"tick":2,}}"#)
         });
-        // a stray brace makes the split's op body unparsable, and the
-        // whole body too
+        // a stray brace after a well-formed body
         assert_second_line_rejected("op-stray-brace", |line| {
             let doc = json::parse(line).unwrap();
             framed(&format!("{}}}", doc.field("rec").unwrap()))
         });
-    }
-
-    #[test]
-    fn one_op_body_under_nine_qids_recovers_as_nine_equal_vectors() {
-        let dir = tmp_dir("nine");
-        let ont = ontology::domains::figure1::ontology();
-        let mut wal = SessionWal::open(&dir, 0).unwrap();
-        for qid in 1..=9 {
-            assert!(wal.append_op(qid, &support_op(2)).unwrap());
-            assert!(wal.append_op(qid, &op(3, 0)).unwrap());
-        }
-        wal.close_files();
-        let rec = wal.recover(ont.vocab()).unwrap();
-        let want = vec![support_op(2), op(3, 0)];
-        assert_eq!(
-            rec.ops.keys().copied().collect::<Vec<_>>(),
-            (1..=9).collect::<Vec<_>>()
-        );
-        assert!(rec.ops.values().all(|ops| *ops == want));
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

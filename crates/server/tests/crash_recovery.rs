@@ -103,6 +103,11 @@ fn kill_cycle(seed: u64, kill_tick: u32) -> (Vec<String>, String, usize) {
         let mut mgr = manager(&ont, &root).with_kill(kill.clone());
         mgr.open(&sp).unwrap();
         mgr.query("s", &qs).unwrap(); // qid 1 finishes durably
+
+        // a page-out drops the result memo, so qid 2 mines over the
+        // cache: a served repeat appends no ticked record to cut
+        mgr.close("s").unwrap();
+        mgr.open(&sp).unwrap();
         kill.arm(kill_tick);
         let _ = mgr.query("s", &qs); // qid 2's durable suffix is cut
         assert!(

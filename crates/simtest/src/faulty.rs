@@ -135,11 +135,6 @@ impl<C: CrowdSource> FaultyCrowd<C> {
         self.clock.now()
     }
 
-    /// Consumes the wrapper, returning the inner source and the trace.
-    pub fn into_parts(self) -> (C, SimTrace) {
-        (self.inner, self.trace)
-    }
-
     /// Removes and returns the first due event for `member`, if any.
     /// Cluster faults (partitions, node crashes) share the schedule but
     /// target node indices, not members — they are left pending for the

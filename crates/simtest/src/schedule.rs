@@ -125,11 +125,6 @@ impl Schedule {
         Schedule::default()
     }
 
-    /// Whether no fault ever fires.
-    pub fn is_fault_free(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// Generates a schedule from `seed`: up to `max_events` events over
     /// `members` members within `horizon` ticks, mixing all five fault
     /// classes. Same seed ⇒ same schedule, forever.

@@ -10,7 +10,7 @@
 //! with wall time could never be replayed bit-identically. Instead every
 //! *trace event* (span start/end, mark) advances a **logical tick
 //! counter** by one; a harness that owns a logical clock (the simtest
-//! [`LogicalClock`]) can fold real event time in via
+//! `LogicalClock`) can fold real event time in via
 //! [`Telemetry::sync_tick`], which only ever moves the counter forward.
 //! Two runs that record the same events in the same order therefore
 //! produce byte-identical traces.
