@@ -483,9 +483,9 @@ pub fn d3(scanned: &Scanned) -> (Vec<RawFinding>, Vec<UnsafeSite>) {
 
 /// Path prefixes whose non-test panic surface must be justified: all
 /// engine source in the three deterministic crates. A prefix match
-/// (not a file list) means files added later — `oplog.rs`,
-/// `cluster.rs`, `net.rs`, whatever comes next — are audited the day
-/// they land instead of silently exempt.
+/// (not a file list) means files added later — `oplog.rs`, `wire.rs`,
+/// `recovery.rs`, whatever comes next — are audited the day they land
+/// instead of silently exempt.
 const D4_PATHS: [&str; 4] = [
     "crates/core/src/",
     "crates/crowd/src/",

@@ -504,102 +504,6 @@ fn incremental_section(e1_digest: Option<u64>) -> (Json, f64) {
     (section, wall_s)
 }
 
-/// The sharded-cluster merge path (`core::cluster`), digest-gated: the
-/// round-driven E1 log is split into per-node wire streams (assignment-
-/// addressed, exactly what `simtest::net` delivers), and the coordinator
-/// merge — intern into a fresh replica + canonical sort + merged-mode
-/// replay — is timed at N ∈ {1, 2, 4, 8}. Every shard count must merge
-/// to the same [`SemanticOutcome`] digest as the single-node run, or the
-/// harness exits non-zero; the reported number is merge throughput in
-/// ops/s (higher is better).
-fn cluster_section() -> (Json, bool) {
-    use oassis_core::cluster::{to_wire, Coordinator, SemanticOutcome};
-
-    let domain = travel(DomainScale::paper());
-    let bound = bind_domain(&domain);
-    let tele = telemetry::Telemetry::off();
-    let base = oassis_ql::evaluate_where(&bound, &domain.ontology, MatchMode::Exact);
-    let mut dag = Dag::new(&bound, domain.ontology.vocab(), &base);
-    let crowd = domain_crowd(&domain, domain.ontology.vocab(), 248, 12, 7);
-    let mut cache = oassis_core::CrowdCache::new();
-    let mut caching = oassis_core::CachingCrowd::new(crowd, &mut cache);
-    let cfg = MiningConfig {
-        threshold: Some(0.2),
-        specialization_ratio: 0.12,
-        seed: 7,
-        ..Default::default()
-    };
-    let agg = paper_aggregator();
-    let out = run_multi(&mut dag, &mut caching, &agg, &cfg);
-    let wire = to_wire(&out.mining.ops, &dag);
-    let vocab = domain.ontology.vocab();
-    let reference = SemanticOutcome::from_mining(&out.mining, &bound, vocab);
-    let ref_digest = reference.digest();
-
-    let mut ok = true;
-    let mut entries = Vec::new();
-    for shards in [1u32, 2, 4, 8] {
-        // the per-member split simtest's shard map induces: member ids
-        // are the cross-node tie-breaker, so any member partition merges
-        // back to the same canonical order
-        let mut streams: Vec<Vec<_>> = vec![Vec::new(); shards as usize];
-        for op in &wire {
-            streams[(op.member.0 % shards) as usize].push(op.clone());
-        }
-        let mut samples: Vec<(f64, u64)> = Vec::with_capacity(REPEATS);
-        let mut merge_ops = 0u64;
-        for _ in 0..REPEATS {
-            let start = Instant::now();
-            let mut coord = Coordinator::new(shards, out.mining.ops.threshold(), true);
-            for (node, stream) in streams.iter().enumerate() {
-                coord.ingest(node as u32, 0, stream);
-            }
-            let mut replica = Dag::new(&bound, vocab, &base);
-            let merged = coord.merge(&mut replica, &agg, &tele, out.mining.complete);
-            let wall = start.elapsed().as_secs_f64();
-            merge_ops = coord.merge_ops();
-            samples.push((
-                wall,
-                SemanticOutcome::from_replay(&merged, &bound, vocab).digest(),
-            ));
-        }
-        let wall_s = median_wall(&format!("cluster_N{shards}"), &samples);
-        let digest = samples[0].1;
-        let same = digest == ref_digest;
-        ok &= same;
-        let ops_per_s = merge_ops as f64 / wall_s;
-        println!(
-            "cluster E1 N={shards}       {wall_s:>8.3}s merge (median of {REPEATS})  \
-             ops={merge_ops} throughput={ops_per_s:.0} ops/s  outcomes {}",
-            if same {
-                "identical"
-            } else {
-                "DIFFER from the single-node run!"
-            }
-        );
-        entries.push(Json::Obj(vec![
-            ("shards".into(), Json::Num(f64::from(shards))),
-            ("ops".into(), Json::Num(merge_ops as f64)),
-            (
-                "merge_wall_s".into(),
-                Json::Num((wall_s * 1e4).round() / 1e4),
-            ),
-            ("ops_per_s".into(), Json::Num(ops_per_s.round())),
-            ("digest".into(), Json::Str(format!("{digest:016x}"))),
-            ("matches_single_node".into(), Json::Bool(same)),
-        ]));
-    }
-    let section = Json::Obj(vec![
-        ("workload".into(), Json::Str("E1_travel".into())),
-        (
-            "single_node_digest".into(),
-            Json::Str(format!("{ref_digest:016x}")),
-        ),
-        ("merges".into(), Json::Arr(entries)),
-    ]);
-    (section, ok)
-}
-
 /// `server` section, digest-gated: the persistent-session service on
 /// the Figure-1 domain. One query mines live over loopback TCP, a
 /// burst of repeat requests (all answer-cache hits) measures protocol
@@ -751,10 +655,6 @@ fn main() {
     // E1 run inside the section builder
     let (incremental_json, incremental_wall) = incremental_section(e1_digest);
 
-    // sharded coordinator merge at N ∈ {1, 2, 4, 8}: every shard count
-    // must land on the single-node semantic digest
-    let (cluster_json, cluster_ok) = cluster_section();
-
     // persistent-session service: requests/s over loopback TCP plus
     // cold-restart recovery latency, gated on the recovered digest
     let (server_json, server_ok) = server_section();
@@ -890,7 +790,6 @@ fn main() {
         ("telemetry".into(), telemetry_json),
         ("batched".into(), batched_json),
         ("incremental".into(), incremental_json),
-        ("cluster".into(), cluster_json),
         ("server".into(), server_json),
     ];
     let doc = Json::Obj(fields);
@@ -911,10 +810,6 @@ fn main() {
     }
     if incremental_gate {
         eprintln!("incremental E1 replay regressed more than 25% over the committed wall-clock — failing the smoke run");
-        std::process::exit(1);
-    }
-    if !cluster_ok {
-        eprintln!("a sharded merge diverged from the single-node digest — failing the smoke run");
         std::process::exit(1);
     }
     if !server_ok {

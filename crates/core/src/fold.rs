@@ -13,8 +13,8 @@
 //! answer to [`Fold::record`], which stamps it as the run's next op and
 //! applies it. Replay ([`OpLog::replay`], [`OpLog::replay_merged`]) is
 //! the same fold with no planner: sort the ops canonically, apply each.
-//! The permutation, shard and recovery oracles therefore all run the
-//! code the engines run.
+//! The permutation and recovery oracles therefore both run the code the
+//! engines run.
 //!
 //! [`Fold::finish`] is the one end-of-run assembly of a
 //! [`MiningOutcome`]; [`Fold::into_replay`] is its replay counterpart.
@@ -37,12 +37,13 @@ pub(crate) enum FoldMode {
     /// A live engine run: MSP claims are debug-asserted against the
     /// folded state; no `oplog.*` telemetry.
     Engine,
-    /// Strict replay of one coordinator's log: engine semantics, plus
+    /// Strict replay of one run's log: engine semantics, plus
     /// the `oplog.apply` span, `oplog.applied`/`oplog.compensated`
     /// counters and the `oplog.cone_size` histogram.
     Replay,
-    /// Replay of a union of shard streams: an MSP claim survives only if
-    /// the merged state entails it and no earlier claim named the node.
+    /// Replay of a union of per-member streams (WAL recovery): an MSP
+    /// claim survives only if the merged state entails it and no earlier
+    /// claim named the node.
     Merged,
 }
 
@@ -213,8 +214,8 @@ impl<'a> Fold<'a> {
             OpVerdict::NoAnswer => self.count_applied(),
             OpVerdict::Msp { valid } => {
                 let keep = match self.mode {
-                    // a shard's claim survives only if the merged evidence
-                    // entails it and no peer shard claimed the node first
+                    // a claim survives only if the merged evidence entails
+                    // it and no earlier claim named the node
                     FoldMode::Merged => {
                         self.entails_msp(dag, op.node, *valid) && !self.msp_ids.contains(&op.node)
                     }

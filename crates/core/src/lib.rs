@@ -23,8 +23,6 @@
 //!   algorithms of Section 6.4, and the exhaustive-baseline question count.
 //! * [`cache`] — `CrowdCache`: answer caching and threshold re-use
 //!   (Section 6.3).
-//! * [`cluster`] — sharded deployment: member partitions, wire ops and
-//!   the coordinator merge (with `crates/simtest`'s simulated network).
 //! * [`synth`] — synthetic DAGs, planted MSPs and ground-truth oracles
 //!   (Section 6.4).
 //! * [`templates`] — natural-language question rendering (Section 6.2).
@@ -35,6 +33,8 @@
 //!   partial-answer manifest of degraded runs.
 //! * [`invariants`] — step-level invariant checkers for the simulation
 //!   harness (`crates/simtest`).
+//! * [`wire`] — replica-portable wire ops (nodes addressed by assignment)
+//!   and their JSON codec: how the server's write-ahead log stores a run.
 //! * [`engine`] — the high-level `Oassis` facade.
 #![forbid(unsafe_code)]
 #![deny(unused_must_use)]
@@ -45,7 +45,6 @@ pub mod assignment;
 pub mod baselines;
 pub mod cache;
 pub mod classify;
-pub mod cluster;
 pub mod dag;
 pub mod diversify;
 pub mod engine;
@@ -60,6 +59,7 @@ pub mod synth;
 pub mod templates;
 pub mod validity;
 pub mod vertical;
+pub mod wire;
 
 pub use aggregate::{
     AggVerdict, Aggregator, EarlyDecisionAggregator, FixedSampleAggregator, TrustWeightedAggregator,
@@ -68,10 +68,6 @@ pub use assignment::{Assignment, Slot};
 pub use baselines::{baseline_question_count, run_horizontal, run_naive};
 pub use cache::{CachedAnswer, CachingCrowd, CrowdCache, SharedCachingCrowd, SharedCrowdCache};
 pub use classify::{Class, Classifier, MemberRecord};
-pub use cluster::{
-    assignment_from_json, assignment_to_json, intern_wire_op, op_to_wire, to_wire, wire_from_json,
-    wire_to_json, Coordinator, SemanticOutcome, ShardCrowd, ShardMap, WireOp, WireVerdict,
-};
 pub use dag::{Dag, GenStats, Node, NodeId};
 pub use diversify::{diversify, semantic_distance};
 pub use engine::{
@@ -80,9 +76,12 @@ pub use engine::{
 };
 pub use manifest::PartialManifest;
 pub use multi::{run_multi, MultiOutcome, QuestionStats};
-pub use oplog::{AnswerOp, OpLog, OpTap, OpTapHandle, OpVerdict, ReplayOutcome, Watermark};
+pub use oplog::{AnswerOp, OpLog, OpTap, OpTapHandle, OpVerdict, ReplayOutcome};
 pub use rulemine::{run_rules, MinedRule, RuleMiningConfig, RuleOutcome};
 pub use synth::{plant_msps, synthetic_domain, MspDistribution, PlantedOracle, SyntheticDomain};
 pub use templates::QuestionTemplates;
 pub use validity::{SlotInfo, ValidityIndex};
 pub use vertical::{run_vertical, DiscoveryEvent, DiscoveryKind, MiningConfig, MiningOutcome};
+pub use wire::{
+    intern_wire_op, op_to_wire, wire_from_json, wire_to_json, SemanticOutcome, WireOp, WireVerdict,
+};

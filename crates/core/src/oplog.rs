@@ -48,13 +48,13 @@
 //!
 //! The canonical order is **`(tick, member, seq)`**. Ticks are unique per
 //! question and every op of a tick belongs to the member who answered it,
-//! so within one coordinator's log the order reduces to `(tick, seq)` —
-//! exactly the recording order. Replay always sorts first, so applying
-//! **any permutation** of the ops converges to the same outcome: this is
-//! the differential oracle checked by `crates/simtest`'s permutation
-//! harness and `tests/oplog_equivalence.rs`, and the property that lets
-//! the per-node logs of a sharded deployment ([`crate::cluster`]) merge
-//! deterministically by `member` within a tick.
+//! so within one run's log the order reduces to `(tick, seq)` — exactly
+//! the recording order. Replay always sorts first, so applying **any
+//! permutation** of the ops converges to the same outcome: this is the
+//! differential oracle checked by `crates/simtest`'s permutation harness
+//! and `tests/oplog_equivalence.rs`, and the property that lets the
+//! server's per-member WAL files, read back in any order, merge into the
+//! run's log deterministically.
 //!
 //! ## Delta-cone invariants
 //!
@@ -110,29 +110,6 @@ pub enum OpVerdict {
         /// The revised support (recorded for provenance; never applied).
         support: f64,
     },
-}
-
-/// A position in one coordinator's op log: the `(tick, seq)` stamp of
-/// the last op a consumer has durably applied. The cluster's merge
-/// protocol acks batches by watermark, and a restarted node re-requests
-/// its peer's position to resume sending from exactly the right op —
-/// nothing is lost, and re-delivery below the watermark is idempotent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
-pub struct Watermark {
-    /// Tick of the last applied op (0 = nothing applied).
-    pub tick: u32,
-    /// Intra-tick sequence of the last applied op.
-    pub seq: u32,
-}
-
-impl Watermark {
-    /// The watermark of an op (the position *after* applying it).
-    pub fn of(op: &AnswerOp) -> Watermark {
-        Watermark {
-            tick: op.tick,
-            seq: op.seq,
-        }
-    }
 }
 
 /// One entry of the answer-operation log.
@@ -272,23 +249,6 @@ impl OpLog {
         &self.ops
     }
 
-    /// The `(tick, seq)` watermark of the last recorded op (the position
-    /// an up-to-date consumer has acked), or the default zero watermark
-    /// for an empty log.
-    pub fn watermark(&self) -> Watermark {
-        self.ops.last().map(Watermark::of).unwrap_or_default()
-    }
-
-    /// The suffix of the log strictly after `from` — what a peer that
-    /// acked `from` still needs. Within one log the recording order is
-    /// the canonical `(tick, seq)` order, so the suffix is contiguous.
-    pub fn ops_after(&self, from: Watermark) -> &[AnswerOp] {
-        let start = self
-            .ops
-            .partition_point(|o| (o.tick, o.seq) <= (from.tick, from.seq));
-        &self.ops[start..] // PANIC-OK: start is a watermark previously returned by this log hence <= ops.len()
-    }
-
     /// Number of recorded ops.
     pub fn len(&self) -> usize {
         self.ops.len()
@@ -327,8 +287,8 @@ impl OpLog {
     ///
     /// Ticks are unique per question and all ops of a tick carry the
     /// answering member, so within one log this is exactly the recording
-    /// order; `member` is the tie-breaker that makes logs from different
-    /// coordinators merge deterministically.
+    /// order; `member` is the tie-breaker that makes a union of per-member
+    /// streams sort to one sequence whatever order it was read in.
     pub fn canonical_sort(ops: &mut [AnswerOp]) {
         ops.sort_by_key(|o| (o.tick, o.member.0, o.seq));
     }
@@ -355,24 +315,24 @@ impl OpLog {
         self.replay_impl(dag, aggregator, tele, FoldMode::Replay)
     }
 
-    /// The cluster coordinator's merge entry point: replays a log merged
-    /// from several nodes' streams, where the single-log invariants the
-    /// strict replay asserts can fail legitimately:
+    /// Replays a log merged from per-member streams — the server's WAL
+    /// recovery, which reads one file per member — where the single-log
+    /// invariants the strict replay asserts can fail legitimately:
     ///
-    /// * the same MSP is discovered independently by every shard, so
-    ///   `Msp` ops arrive duplicated — the first in canonical order wins;
-    /// * under faults a node's `Msp` op can outlive the evidence that
-    ///   justified it (a peer's stream was cut by a partition or a
-    ///   permanent crash), so each `Msp` op is *entailment-checked*
-    ///   against the merged state and silently discarded (counted in
-    ///   [`ReplayOutcome::discarded_msps`]) when the evidence is missing.
+    /// * a crash cuts each member file at its own point, so a member's
+    ///   `Msp` op can outlive the evidence that justified it (another
+    ///   member's answers were in the cut tail); each `Msp` op is
+    ///   therefore *entailment-checked* against the merged state and
+    ///   silently discarded (counted in [`ReplayOutcome::discarded_msps`])
+    ///   when the evidence is missing;
+    /// * a duplicated `Msp` claim for one node is kept once — the first
+    ///   in canonical order wins.
     ///
     /// Everything else — canonical `(tick, member, seq)` sort, aggregator
-    /// routing, delta application — is identical to [`OpLog::replay`],
-    /// which is what makes the merge commutative: ticks are per-node
-    /// question counters, members belong to exactly one node, and `seq`
-    /// orders within a tick, so the sort is a total order over any union
-    /// of per-node streams. `_pool` is unused, as in [`OpLog::replay`].
+    /// routing, delta application — is identical to [`OpLog::replay`]:
+    /// every op of a tick belongs to one member and `seq` orders within a
+    /// tick, so the sort is a total order over any union of per-member
+    /// streams. `_pool` is unused, as in [`OpLog::replay`].
     pub fn replay_merged<A: Aggregator>(
         &self,
         dag: &Dag<'_>,
@@ -506,38 +466,9 @@ mod tests {
     }
 
     #[test]
-    fn watermarks_slice_the_log_into_contiguous_suffixes() {
-        let mut log = OpLog::new(0.5, true);
-        log.record(
-            1,
-            MemberId(0),
-            NodeId(0),
-            OpVerdict::Support { support: 1.0 },
-        );
-        log.record(
-            1,
-            MemberId(0),
-            NodeId(1),
-            OpVerdict::Support { support: 0.0 },
-        );
-        log.record(2, MemberId(1), NodeId(2), OpVerdict::NoAnswer);
-        // zero watermark = the whole log
-        assert_eq!(log.ops_after(Watermark::default()), log.ops());
-        // mid-tick watermark = the suffix strictly after (1, 0)
-        let wm = Watermark { tick: 1, seq: 0 };
-        assert_eq!(log.ops_after(wm).len(), 2);
-        assert_eq!(log.ops_after(wm)[0].node, NodeId(1));
-        // the log's own watermark = nothing left to send
-        assert_eq!(log.watermark(), Watermark { tick: 2, seq: 0 });
-        assert!(log.ops_after(log.watermark()).is_empty());
-        assert_eq!(OpLog::new(0.5, true).watermark(), Watermark::default());
-    }
-
-    #[test]
     fn merged_replay_dedupes_and_entails_msp_ops() {
-        // Two "shards" over the same world: duplicate the whole log with
-        // shifted member ids, as two nodes that independently mined the
-        // same planted truth would produce.
+        // Duplicate the whole log with shifted member ids, as two streams
+        // that independently mined the same planted truth would produce.
         let d = synthetic_domain(80, 5, 1);
         let q = parse(&d.query).unwrap();
         let b = bind(&q, &d.ontology).unwrap();
@@ -663,10 +594,9 @@ pub struct ReplayOutcome {
     /// Compensating revisions dropped under first-answer-wins.
     // audit: allow(D8, replay-cost instrumentation; not part of the semantic outcome replicas compare)
     pub compensated: u64,
-    /// Merged-mode only: `Msp` ops discarded as duplicates (every shard
-    /// discovers the same MSP) or as unentailed by the merged evidence
-    /// (their justifying stream was cut by a fault). Always 0 for
-    /// [`OpLog::replay`].
-    // audit: allow(D8, merge bookkeeping that varies with shard count by design; the folded msps/events prove equivalence)
+    /// Merged-mode only: `Msp` ops discarded as duplicates or as
+    /// unentailed by the merged evidence (their justifying stream was cut
+    /// by a crash). Always 0 for [`OpLog::replay`].
+    // audit: allow(D8, merge bookkeeping that varies with where a crash cut each stream; the folded msps/events prove equivalence)
     pub discarded_msps: u64,
 }

@@ -25,7 +25,7 @@
 //!
 //! On restart the server rebuilds each session by replaying the union
 //! of its member logs against a freshly built DAG (the *stale-DAG*
-//! shape of `core::cluster`: ops address nodes by assignment, the
+//! shape of [`oassis_core::wire`]: ops address nodes by assignment, the
 //! recovering replica interns them at recovery time). The replayed
 //! [`oassis_core::SemanticOutcome`] digest must equal the pre-crash
 //! digest bit-identically — the kill-at-tick oracle in `crates/simtest`

@@ -732,7 +732,7 @@ impl SessionManager {
     }
 
     /// Replays one recovered query against a freshly built DAG — the
-    /// stale-DAG shape of `core::cluster`: wire ops address nodes by
+    /// stale-DAG shape of [`oassis_core::wire`]: wire ops address nodes by
     /// assignment and are interned into the new replica.
     fn replay_one(
         &self,

@@ -34,9 +34,10 @@
 //!
 //! A member's ops are appended in recording order, so each file always
 //! holds a contiguous *prefix* of that member's subsequence of the
-//! run's log — the same per-node prefix property the cluster's
-//! coordinator relies on. Recovery takes the union of member prefixes
-//! and replays it under the canonical `(tick, member, seq)` order with
+//! run's log: a crash cuts a file's tail, never a record from its
+//! middle, so no op survives without the ops recorded before it in the
+//! same file. Recovery takes the union of member prefixes and replays it
+//! under the canonical `(tick, member, seq)` order with
 //! `OpLog::replay_merged`, whose entailment filter absorbs MSP claims
 //! whose cross-member evidence was cut by a crash.
 //!

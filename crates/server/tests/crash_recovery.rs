@@ -1,8 +1,7 @@
 //! Crash-recovery suite: the kill-at-tick fault class against the
 //! session manager's WAL, without the TCP layer in between.
 //!
-//! The oracle (mirroring the cluster simulation's shard-equivalence
-//! oracle, with the crash cut playing the role of the partition):
+//! The oracle:
 //!
 //! 1. a query that *finished* before the kill must recover to its
 //!    recorded `SemanticOutcome` digest bit-identically;

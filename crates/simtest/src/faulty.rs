@@ -136,9 +136,9 @@ impl<C: CrowdSource> FaultyCrowd<C> {
     }
 
     /// Removes and returns the first due event for `member`, if any.
-    /// Cluster faults (partitions, node crashes) share the schedule but
-    /// target node indices, not members — they are left pending for the
-    /// network scheduler and never fire here.
+    /// Server kills share the schedule but target the server process
+    /// model, not a member — they are left pending for the recovery
+    /// harness and never fire here.
     fn take_due(&mut self, member: MemberId) -> Option<FaultEvent> {
         let now = self.clock.now();
         let idx = self
@@ -230,11 +230,9 @@ impl<C: CrowdSource> CrowdSource for FaultyCrowd<C> {
                     .push(tick, member, "absent", format!("{q} for={d}"));
                 Answer::NoResponse
             }
-            // cluster and server faults are filtered out by `take_due`; a
-            // crowd ask proceeds normally even while the network or the
-            // server process is faulting
-            Some(FaultKind::Partition { .. } | FaultKind::Crash { .. } | FaultKind::ServerKill)
-            | None => {
+            // server faults are filtered out by `take_due`; a crowd ask
+            // proceeds normally even while the server process is faulting
+            Some(FaultKind::ServerKill) | None => {
                 let ans = self.inner.ask(member, question);
                 self.trace.push(
                     tick,

@@ -154,13 +154,13 @@ impl SimReport {
 }
 
 /// The shared immutable world for one seed: query binding, base facts,
-/// planted truth. Shared with the cluster harness (`crate::cluster`).
-pub(crate) struct World {
-    pub(crate) dom: oassis_core::SyntheticDomain,
-    pub(crate) planted_display: Vec<String>,
+/// planted truth.
+struct World {
+    dom: oassis_core::SyntheticDomain,
+    planted_display: Vec<String>,
 }
 
-pub(crate) fn build_world(cfg: &SimConfig) -> (World, Vec<PatternSet>) {
+fn build_world(cfg: &SimConfig) -> (World, Vec<PatternSet>) {
     let dom = synthetic_domain(cfg.width, cfg.depth, cfg.seed);
     let q = parse(&dom.query).expect("synthetic query parses");
     let b = bind(&q, &dom.ontology).expect("synthetic query binds");

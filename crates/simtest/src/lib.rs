@@ -14,12 +14,6 @@
 //! * [`harness`] — [`run_seed`]: differential oracles across all four
 //!   engines, graceful-degradation and budget checks, and
 //!   bit-identical-replay verification.
-//! * [`net`] — the simulated cluster network: seeded latency and
-//!   reordering, link partitions, node crash/restart with watermark
-//!   resync, all on the logical clock.
-//! * [`cluster`] — the differential shard-equivalence oracle: sharded
-//!   engines + simulated network + coordinator merge vs the single-node
-//!   run, bit-identical fault-free, bounded under faults.
 //! * [`recovery`] — the kill-at-tick crash-recovery harness: the
 //!   crowd-mining server process model killed mid-run at scheduled
 //!   ticks, restarted over the surviving WAL prefix, and verified to
@@ -35,27 +29,19 @@
 #![warn(missing_docs)]
 
 pub mod clock;
-pub mod cluster;
 pub mod faulty;
 pub mod harness;
-pub mod net;
 pub mod permute;
 pub mod recovery;
 pub mod schedule;
 pub mod shrink;
 
 pub use clock::LogicalClock;
-pub use cluster::{
-    run_cluster, run_cluster_seed, run_cluster_with_schedule, shrink_cluster_failure,
-    single_node_reference, ClusterConfig, ClusterReport, ClusterRun, CLUSTER_MEMBERS,
-};
 pub use faulty::{FaultyCrowd, SimTrace, TraceEntry};
 pub use harness::{
     record_seed_trace, run_corpus, run_seed, run_with_schedule, shrink_failure, SimConfig,
     SimReport,
 };
-pub use net::{run_net, NetConfig, NetStats};
-pub use oassis_core::cluster::{SemanticOutcome, ShardMap};
 pub use permute::{domain_replay_digest, fig5_fold, permutation_count, shuffled};
 pub use recovery::{
     run_recovery_corpus, run_recovery_seed, run_recovery_with_schedule, shrink_recovery_failure,

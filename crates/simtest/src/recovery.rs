@@ -22,8 +22,7 @@
 //!
 //! Failing schedules shrink via [`crate::shrink::shrink`] to a
 //! 1-minimal, one-line replayable counterexample, exactly like the
-//! engine ([`crate::harness`]) and cluster ([`crate::cluster`])
-//! harnesses.
+//! engine harness ([`crate::harness`]).
 
 use crate::schedule::Schedule;
 use crate::shrink::shrink;

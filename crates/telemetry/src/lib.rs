@@ -563,10 +563,10 @@ impl Telemetry {
     }
 
     /// A view of this handle that prefixes every recorded name with
-    /// `label` (`"<label>.<name>"`). The cluster simulation hands each
-    /// shard node a `labeled("node3")` view so one shared sink keeps
-    /// per-node spans and counters apart without threading label strings
-    /// through every call site. Free when telemetry is off.
+    /// `label` (`"<label>.<name>"`). The server hands each session a
+    /// `labeled("session.<name>")` view so one shared sink keeps
+    /// per-session spans and counters apart without threading label
+    /// strings through every call site. Free when telemetry is off.
     pub fn labeled(&self, label: &str) -> Labeled {
         Labeled {
             inner: self.clone(),

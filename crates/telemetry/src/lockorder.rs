@@ -113,7 +113,7 @@ fn exit(name: &'static str) {
 
 /// A deterministic snapshot of every acquisition-order edge observed so
 /// far, as `(outer, inner)` pairs sorted by name. Test hook: the
-/// static/dynamic agreement test replays a sim run and asserts each
+/// static/dynamic agreement test drives a server run and asserts each
 /// observed edge is compatible with the order the audit derived.
 pub fn observed_edges() -> Vec<(&'static str, &'static str)> {
     let graph = ORDER.lock().unwrap_or_else(PoisonError::into_inner);

@@ -269,12 +269,12 @@ fn replay_against_a_stale_replica_reproduces_the_semantic_outcome() {
     // Every other replay in this file runs against the post-run DAG,
     // whose nodes were materialized at the ops' own ticks — so replay
     // never had to face an op referencing a node the replica had not
-    // generated yet. A merging coordinator (and a restarted node
-    // re-applying its durable log) does: its replica is fresh, and every
-    // node is interned at merge time, long after the op's tick. Wire the
-    // log through assignment addressing into a fresh replica and demand
-    // the same semantic outcome.
-    use oassis_core::cluster::{to_wire, Coordinator, SemanticOutcome};
+    // generated yet. A restarted server re-applying its durable log
+    // does: its replica is fresh, and every node is interned at recovery
+    // time, long after the op's tick. Wire the log through assignment
+    // addressing into a fresh replica — the server's recovery shape — and
+    // demand the same semantic outcome.
+    use oassis_core::{intern_wire_op, op_to_wire, OpLog, SemanticOutcome};
 
     let dom = synthetic_domain(90, 5, 2);
     let q = parse(&dom.query).unwrap();
@@ -294,12 +294,20 @@ fn replay_against_a_stale_replica_reproduces_the_semantic_outcome() {
     let out = run_multi(&mut dag, &mut oracle, &agg, &MiningConfig::default());
     assert!(!out.mining.ops.is_empty());
 
-    let wire = to_wire(&out.mining.ops, &dag);
-    let mut coord = Coordinator::new(1, out.mining.ops.threshold(), true);
-    assert_eq!(coord.ingest(0, 0, &wire), wire.len());
+    let wire: Vec<_> = out
+        .mining
+        .ops
+        .ops()
+        .iter()
+        .map(|op| op_to_wire(op, &dag))
+        .collect();
     let mut fresh = Dag::new(&b, dom.ontology.vocab(), &base).without_multiplicities();
+    let ops: Vec<_> = wire.iter().map(|w| intern_wire_op(&mut fresh, w)).collect();
+    let mut log = OpLog::new(out.mining.ops.threshold(), true).with_ops(ops);
+    log.set_complete(out.mining.complete);
+    let pool = minipool::Pool::sequential();
     let tele = telemetry::Telemetry::off();
-    let merged = coord.merge(&mut fresh, &agg, &tele, out.mining.complete);
+    let merged = log.replay_merged(&fresh, &agg, &pool, &tele);
 
     // assignments are replica-portable, so the semantic fields compare
     // directly even though every NodeId differs between the replicas
