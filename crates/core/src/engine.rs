@@ -170,7 +170,7 @@ impl<'q> QueryRequest<'q> {
 }
 
 /// A name perfbench's `Oassis::run` calls still spell:
-/// `CrowdBinding::single(&mut crowd)` is `&mut crowd`. ROADMAP item 4's
+/// `CrowdBinding::single(&mut crowd)` is `&mut crowd`. ROADMAP item 9's
 /// benchmark PR removes it.
 pub enum CrowdBinding {}
 

@@ -11,8 +11,10 @@
 //! crowd, makes the DAG changes the answer implies (the *more* button's
 //! extended successor, a member's personal descent), then hands the
 //! answer to [`Fold::record`], which stamps it as the run's next op and
-//! applies it. Replay ([`OpLog::replay`], [`OpLog::replay_merged`]) is
-//! the same fold with no planner: sort the ops canonically, apply each.
+//! applies it. Replay ([`OpLog::replay`]) is the same fold with no
+//! planner: sort the ops canonically, apply each. The one difference is
+//! how an MSP claim is taken: an engine asserts it (debug builds), a
+//! replay checks it and drops one the replayed evidence does not entail.
 //! The permutation and recovery oracles therefore both run the code the
 //! engines run.
 //!
@@ -37,14 +39,13 @@ pub(crate) enum FoldMode {
     /// A live engine run: MSP claims are debug-asserted against the
     /// folded state; no `oplog.*` telemetry.
     Engine,
-    /// Strict replay of one run's log: engine semantics, plus
-    /// the `oplog.apply` span, `oplog.applied`/`oplog.compensated`
-    /// counters and the `oplog.cone_size` histogram.
+    /// Replay of a recorded log (or a crash-cut prefix of one): an MSP
+    /// claim survives only if the folded state entails it and no earlier
+    /// claim named the node; any other claim is discarded and counted.
+    /// Records the `oplog.apply` span, the `oplog.applied` /
+    /// `oplog.compensated` / `oplog.msp_discarded` counters and the
+    /// `oplog.cone_size` histogram.
     Replay,
-    /// Replay of a union of per-member streams (WAL recovery): an MSP
-    /// claim survives only if the merged state entails it and no earlier
-    /// claim named the node.
-    Merged,
 }
 
 /// A run's shared classification state and the single transition that
@@ -95,7 +96,7 @@ impl<'a> Fold<'a> {
             mode,
             replay_tele: match mode {
                 FoldMode::Engine => telemetry::Telemetry::off(),
-                FoldMode::Replay | FoldMode::Merged => tele.clone(),
+                FoldMode::Replay => tele.clone(),
             },
             questions: 0,
             applied: 0,
@@ -214,18 +215,19 @@ impl<'a> Fold<'a> {
             OpVerdict::NoAnswer => self.count_applied(),
             OpVerdict::Msp { valid } => {
                 let keep = match self.mode {
-                    // a claim survives only if the merged evidence entails
-                    // it and no earlier claim named the node
-                    FoldMode::Merged => {
-                        self.entails_msp(dag, op.node, *valid) && !self.msp_ids.contains(&op.node)
-                    }
-                    FoldMode::Engine | FoldMode::Replay => {
+                    FoldMode::Engine => {
                         debug_assert!(
                             self.entails_msp(dag, op.node, *valid),
                             "MSP op for {:?} is not entailed by the folded state",
                             op.node
                         );
                         true
+                    }
+                    // a record on disk is checked, never trusted: a claim
+                    // survives only if the folded evidence entails it and
+                    // no earlier claim named the node
+                    FoldMode::Replay => {
+                        self.entails_msp(dag, op.node, *valid) && !self.msp_ids.contains(&op.node)
                     }
                 };
                 if keep {

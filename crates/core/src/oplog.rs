@@ -35,8 +35,9 @@
 //!   node as an MSP at this tick. Discovery *timing* is control-flow
 //!   dependent (the vertical climb notices late, the baselines' monitor
 //!   notices per answer), so it is carried in the log and re-emitted at
-//!   its recorded position; the fold asserts the state still entails it
-//!   (debug builds).
+//!   its recorded position. An engine asserts that the state entails it
+//!   (debug builds); replay checks it and discards a claim the replayed
+//!   evidence does not entail.
 //! * [`OpVerdict::Revise`] — a *compensating* op: a late or contradictory
 //!   re-answer for a node the member already answered (simtest's
 //!   contradiction faults). The engines keep the first accepted answer,
@@ -52,9 +53,10 @@
 //! the recording order. Replay always sorts first, so applying **any
 //! permutation** of the ops converges to the same outcome: this is the
 //! differential oracle checked by `crates/simtest`'s permutation harness
-//! and `tests/oplog_equivalence.rs`, and the property that lets the
-//! server's per-member WAL files, read back in any order, merge into the
-//! run's log deterministically.
+//! and `tests/oplog_equivalence.rs`. The server appends a run's ops to its
+//! session WAL in recording order, so a crash leaves a prefix of the
+//! canonical order: every MSP claim in it follows the evidence that
+//! entailed it when it was recorded.
 //!
 //! ## Delta-cone invariants
 //!
@@ -287,14 +289,13 @@ impl OpLog {
     ///
     /// Ticks are unique per question and all ops of a tick carry the
     /// answering member, so within one log this is exactly the recording
-    /// order; `member` is the tie-breaker that makes a union of per-member
-    /// streams sort to one sequence whatever order it was read in.
+    /// order, whatever order the ops arrive in.
     pub fn canonical_sort(ops: &mut [AnswerOp]) {
         ops.sort_by_key(|o| (o.tick, o.member.0, o.seq));
     }
 
-    /// Replays the log against the post-run `dag`, applying each op as an
-    /// incremental classification delta to a fresh classifier/tracker.
+    /// Replays the log against `dag`, applying each op as an incremental
+    /// classification delta to a fresh classifier/tracker.
     ///
     /// Ops are canonically sorted first, so any permutation of the log
     /// converges to the same outcome. `aggregator` must be the black box
@@ -302,9 +303,15 @@ impl OpLog {
     /// taken by shared reference: replay never materializes nodes, so
     /// `nodes_materialized` is derived, not re-grown.
     ///
+    /// A log read back from disk may be damaged, so an [`OpVerdict::Msp`]
+    /// op is checked, not trusted: it is kept only if the folded state
+    /// entails it and no earlier claim named its node, and is otherwise
+    /// discarded and counted in [`ReplayOutcome::discarded_msps`]. A
+    /// recorded log, or any recording-order prefix of one, discards none.
+    ///
     /// `_pool` is unused: replay runs on the calling thread. The parameter
     /// stays only so that perfbench's `recover` keeps building; ROADMAP
-    /// item 4's benchmark PR removes it.
+    /// item 9's benchmark PR removes it.
     pub fn replay<A: Aggregator>(
         &self,
         dag: &Dag<'_>,
@@ -312,60 +319,34 @@ impl OpLog {
         _pool: &minipool::Pool,
         tele: &telemetry::Telemetry,
     ) -> ReplayOutcome {
-        self.replay_impl(dag, aggregator, tele, FoldMode::Replay)
-    }
-
-    /// Replays a log merged from per-member streams — the server's WAL
-    /// recovery, which reads one file per member — where the single-log
-    /// invariants the strict replay asserts can fail legitimately:
-    ///
-    /// * a crash cuts each member file at its own point, so a member's
-    ///   `Msp` op can outlive the evidence that justified it (another
-    ///   member's answers were in the cut tail); each `Msp` op is
-    ///   therefore *entailment-checked* against the merged state and
-    ///   silently discarded (counted in [`ReplayOutcome::discarded_msps`])
-    ///   when the evidence is missing;
-    /// * a duplicated `Msp` claim for one node is kept once — the first
-    ///   in canonical order wins.
-    ///
-    /// Everything else — canonical `(tick, member, seq)` sort, aggregator
-    /// routing, delta application — is identical to [`OpLog::replay`]:
-    /// every op of a tick belongs to one member and `seq` orders within a
-    /// tick, so the sort is a total order over any union of per-member
-    /// streams. `_pool` is unused, as in [`OpLog::replay`].
-    pub fn replay_merged<A: Aggregator>(
-        &self,
-        dag: &Dag<'_>,
-        aggregator: &A,
-        _pool: &minipool::Pool,
-        tele: &telemetry::Telemetry,
-    ) -> ReplayOutcome {
-        self.replay_impl(dag, aggregator, tele, FoldMode::Merged)
-    }
-
-    /// Sort, then fold each op: replay is the engines' fold with no
-    /// planner.
-    fn replay_impl(
-        &self,
-        dag: &Dag<'_>,
-        aggregator: &dyn Aggregator,
-        tele: &telemetry::Telemetry,
-        mode: FoldMode,
-    ) -> ReplayOutcome {
         let span = tele.span("oplog.replay");
         let mut ops = self.ops.clone();
         Self::canonical_sort(&mut ops);
+        let aggregator: &dyn Aggregator = aggregator;
         let mut fold = Fold::new(
             dag,
             self.threshold,
             self.aggregated.then_some(aggregator),
             span.tele(),
-            mode,
+            FoldMode::Replay,
         );
         for op in ops {
             fold.apply(dag, op);
         }
         fold.into_replay(dag, self.complete)
+    }
+
+    /// [`OpLog::replay`] under its old name, kept only because
+    /// perfbench's `recover` calls it; ROADMAP item 9's benchmark PR
+    /// deletes it.
+    pub fn replay_merged<A: Aggregator>(
+        &self,
+        dag: &Dag<'_>,
+        aggregator: &A,
+        pool: &minipool::Pool,
+        tele: &telemetry::Telemetry,
+    ) -> ReplayOutcome {
+        self.replay(dag, aggregator, pool, tele)
     }
 }
 
@@ -395,25 +376,8 @@ mod tests {
 
     #[test]
     fn vertical_log_replays_bit_identically() {
-        let d = synthetic_domain(80, 5, 0);
-        let q = parse(&d.query).unwrap();
-        let b = bind(&q, &d.ontology).unwrap();
-        let base = evaluate_where(&b, &d.ontology, MatchMode::Exact);
-        let mut full = Dag::new(&b, d.ontology.vocab(), &base).without_multiplicities();
-        full.materialize_all();
-        let planted = plant_msps(&mut full, 6, true, MspDistribution::Uniform, 7);
-        let patterns: Vec<_> = planted
-            .iter()
-            .map(|&id| full.node(id).assignment.apply(&b))
-            .collect();
-        let cfg = MiningConfig {
-            specialization_ratio: 0.4,
-            ..MiningConfig::default()
-        };
-        let mut dag = Dag::new(&b, d.ontology.vocab(), &base).without_multiplicities();
-        let mut oracle = PlantedOracle::new(d.ontology.vocab(), patterns, 1, 0);
-        oracle.pruning_prob = 0.3;
-        let out = run_vertical(&mut dag, &mut oracle, MemberId(0), &cfg);
+        let run = SyntheticRun::new(0, 6, 7);
+        let (dag, out) = run.vertical();
         assert!(!out.ops.is_empty());
         let agg = FixedSampleAggregator { sample_size: 1 };
         let pool = minipool::Pool::sequential();
@@ -422,6 +386,7 @@ mod tests {
             .replay(&dag, &agg, &pool, &telemetry::Telemetry::off());
         assert_replay_matches(&replay, &out);
         assert_eq!(replay.compensated, 0);
+        assert_eq!(replay.discarded_msps, 0);
     }
 
     #[test]
@@ -455,6 +420,7 @@ mod tests {
         let replay = ops.replay(&dag, &agg, &pool, &tele);
         assert_replay_matches(&replay, &out.mining);
         assert_eq!(replay.undecided, out.undecided);
+        assert_eq!(replay.discarded_msps, 0);
         // any shuffle of the ops must converge to the same outcome
         for seed in 0..4u64 {
             let mut shuffled = ops.ops().to_vec();
@@ -462,50 +428,96 @@ mod tests {
             let permuted = ops.with_ops(shuffled).replay(&dag, &agg, &pool, &tele);
             assert_replay_matches(&permuted, &out.mining);
             assert_eq!(permuted.undecided, out.undecided);
+            assert_eq!(permuted.discarded_msps, 0);
         }
     }
 
+    /// A synthetic domain with planted MSPs, bound and WHERE-evaluated.
+    struct SyntheticRun {
+        dom: crate::synth::SyntheticDomain,
+        b: oassis_ql::BoundQuery,
+        base: Vec<oassis_ql::BaseAssignment>,
+        patterns: Vec<ontology::PatternSet>,
+    }
+
+    impl SyntheticRun {
+        fn new(dom_seed: u64, n_msps: usize, plant_seed: u64) -> SyntheticRun {
+            let dom = synthetic_domain(80, 5, dom_seed);
+            let b = bind(&parse(&dom.query).unwrap(), &dom.ontology).unwrap();
+            let base = evaluate_where(&b, &dom.ontology, MatchMode::Exact);
+            let mut full = Dag::new(&b, dom.ontology.vocab(), &base).without_multiplicities();
+            full.materialize_all();
+            let planted = plant_msps(
+                &mut full,
+                n_msps,
+                true,
+                MspDistribution::Uniform,
+                plant_seed,
+            );
+            let patterns = planted
+                .iter()
+                .map(|&id| full.node(id).assignment.apply(&b))
+                .collect();
+            SyntheticRun {
+                dom,
+                b,
+                base,
+                patterns,
+            }
+        }
+
+        /// A fresh replica, as the engines and recovery build it.
+        fn dag(&self) -> Dag<'_> {
+            Dag::new(&self.b, self.dom.ontology.vocab(), &self.base).without_multiplicities()
+        }
+
+        /// The vertical engine over one planted member with pruning
+        /// clicks and specialization questions; returns the post-run DAG
+        /// and the outcome.
+        fn vertical(&self) -> (Dag<'_>, MiningOutcome) {
+            let mut dag = self.dag();
+            let mut oracle =
+                PlantedOracle::new(self.dom.ontology.vocab(), self.patterns.clone(), 1, 0);
+            oracle.pruning_prob = 0.3;
+            let cfg = MiningConfig {
+                specialization_ratio: 0.4,
+                ..MiningConfig::default()
+            };
+            let out = run_vertical(&mut dag, &mut oracle, MemberId(0), &cfg);
+            (dag, out)
+        }
+
+        /// The multi-user engine over a 5-member planted crowd with
+        /// pruning clicks, at `batch_width`; returns the post-run DAG and
+        /// the outcome.
+        fn multi(&self, batch_width: usize) -> (Dag<'_>, MiningOutcome) {
+            let mut dag = self.dag();
+            let mut oracle =
+                PlantedOracle::new(self.dom.ontology.vocab(), self.patterns.clone(), 5, 5);
+            oracle.pruning_prob = 0.2;
+            let cfg = MiningConfig {
+                batch_width,
+                ..MiningConfig::default()
+            };
+            let out = run_multi(&mut dag, &mut oracle, &MULTI_AGG, &cfg).mining;
+            (dag, out)
+        }
+    }
+
+    const MULTI_AGG: FixedSampleAggregator = FixedSampleAggregator { sample_size: 2 };
+
     #[test]
-    fn merged_replay_dedupes_and_entails_msp_ops() {
-        // Duplicate the whole log with shifted member ids, as two streams
-        // that independently mined the same planted truth would produce.
-        let d = synthetic_domain(80, 5, 1);
-        let q = parse(&d.query).unwrap();
-        let b = bind(&q, &d.ontology).unwrap();
-        let base = evaluate_where(&b, &d.ontology, MatchMode::Exact);
-        let mut full = Dag::new(&b, d.ontology.vocab(), &base).without_multiplicities();
-        full.materialize_all();
-        let planted = plant_msps(&mut full, 5, true, MspDistribution::Uniform, 3);
-        let patterns: Vec<_> = planted
-            .iter()
-            .map(|&id| full.node(id).assignment.apply(&b))
-            .collect();
-        let mut dag = Dag::new(&b, d.ontology.vocab(), &base).without_multiplicities();
-        let mut oracle = PlantedOracle::new(d.ontology.vocab(), patterns, 1, 5);
-        let agg = FixedSampleAggregator { sample_size: 1 };
-        let out = run_multi(&mut dag, &mut oracle, &agg, &MiningConfig::default());
+    fn replay_discards_msp_claims_the_log_does_not_entail() {
+        let run = SyntheticRun::new(1, 5, 3);
+        let (dag, out) = run.multi(1);
         let pool = minipool::Pool::sequential();
         let tele = telemetry::Telemetry::off();
-        let ops = &out.mining.ops;
-        let single = ops.replay(&dag, &agg, &pool, &tele);
-
-        let mut doubled = ops.ops().to_vec();
-        doubled.extend(ops.ops().iter().map(|o| AnswerOp {
-            member: MemberId(o.member.0 + 1),
-            ..o.clone()
-        }));
-        let merged = ops
-            .with_ops(doubled)
-            .replay_merged(&dag, &agg, &pool, &tele);
-        // every duplicated MSP claim collapses to one discovery
-        assert_eq!(merged.msps, single.msps);
-        assert_eq!(merged.valid_msps, single.valid_msps);
-        assert_eq!(merged.total_valid, single.total_valid);
-        assert_eq!(merged.discarded_msps, single.msps.len() as u64);
-
+        let whole = out.ops.replay(&dag, &MULTI_AGG, &pool, &tele);
+        assert_eq!(whole.discarded_msps, 0);
         // an MSP claim whose evidence never arrived is discarded, not
         // trusted: keep only the Msp ops and drop all answers
-        let orphans: Vec<AnswerOp> = ops
+        let orphans: Vec<AnswerOp> = out
+            .ops
             .ops()
             .iter()
             .filter(|o| matches!(o.verdict, OpVerdict::Msp { .. }))
@@ -513,11 +525,58 @@ mod tests {
             .collect();
         let n_orphans = orphans.len() as u64;
         assert!(n_orphans > 0);
-        let starved = ops
+        let starved = out
+            .ops
             .with_ops(orphans)
-            .replay_merged(&dag, &agg, &pool, &tele);
+            .replay(&dag, &MULTI_AGG, &pool, &tele);
         assert!(starved.msps.is_empty());
         assert_eq!(starved.discarded_msps, n_orphans);
+    }
+
+    /// Sends every recording-order prefix of `log` (recorded on
+    /// `recorded_on`) through the wire form into a fresh replica, as WAL
+    /// recovery after a crash does, and checks that its replay keeps
+    /// every MSP claim of the prefix.
+    fn assert_every_prefix_replays_clean(run: &SyntheticRun, log: &OpLog, recorded_on: &Dag<'_>) {
+        let pool = minipool::Pool::sequential();
+        let tele = telemetry::Telemetry::off();
+        let wire: Vec<_> = log
+            .ops()
+            .iter()
+            .map(|op| crate::op_to_wire(op, recorded_on))
+            .collect();
+        for cut in 0..=wire.len() {
+            let mut fresh = run.dag();
+            let ops = wire[..cut]
+                .iter()
+                .map(|w| crate::intern_wire_op(&mut fresh, w))
+                .collect();
+            let prefix = log.with_ops(ops);
+            let replay = prefix.replay(&fresh, &MULTI_AGG, &pool, &tele);
+            let claims = prefix
+                .ops()
+                .iter()
+                .filter(|o| matches!(o.verdict, OpVerdict::Msp { .. }))
+                .count();
+            assert_eq!(replay.discarded_msps, 0, "prefix of {cut} ops");
+            assert_eq!(replay.msps.len(), claims, "prefix of {cut} ops");
+        }
+    }
+
+    #[test]
+    fn every_recording_order_prefix_replays_without_discards() {
+        // a single user, vertical: a single-user log ignores the aggregator
+        let run = SyntheticRun::new(0, 6, 7);
+        let (dag, out) = run.vertical();
+        assert!(out.msps.len() > 1, "the run must claim MSPs");
+        assert_every_prefix_replays_clean(&run, &out.ops, &dag);
+        // a crowd, one question and three questions per round
+        let run = SyntheticRun::new(1, 5, 3);
+        for batch_width in [1, 3] {
+            let (dag, out) = run.multi(batch_width);
+            assert!(out.msps.len() > 1, "batch width {batch_width}");
+            assert_every_prefix_replays_clean(&run, &out.ops, &dag);
+        }
     }
 
     #[test]
@@ -594,9 +653,9 @@ pub struct ReplayOutcome {
     /// Compensating revisions dropped under first-answer-wins.
     // audit: allow(D8, replay-cost instrumentation; not part of the semantic outcome replicas compare)
     pub compensated: u64,
-    /// Merged-mode only: `Msp` ops discarded as duplicates or as
-    /// unentailed by the merged evidence (their justifying stream was cut
-    /// by a crash). Always 0 for [`OpLog::replay`].
-    // audit: allow(D8, merge bookkeeping that varies with where a crash cut each stream; the folded msps/events prove equivalence)
+    /// `Msp` ops discarded as repeated claims or as unentailed by the
+    /// replayed evidence. 0 for a recorded log or a recording-order
+    /// prefix of one; nonzero only for a damaged or forged log.
+    // audit: allow(D8, damage bookkeeping that is 0 on every recorded log; the folded msps/events prove equivalence)
     pub discarded_msps: u64,
 }

@@ -12,7 +12,7 @@
 //! ([`wire_from_json`]) and interns every op into a *fresh* replica
 //! ([`intern_wire_op`]) whose nodes are materialized at recovery time,
 //! long after the ops' ticks — the stale-DAG replay shape
-//! [`OpLog::replay_merged`](crate::oplog::OpLog::replay_merged) folds.
+//! [`OpLog::replay`](crate::oplog::OpLog::replay) folds.
 //! [`SemanticOutcome`] is the replica-independent value recovery checks
 //! against the digest recorded before the crash.
 

@@ -62,7 +62,7 @@ pub fn evaluate_where(q: &BoundQuery, ont: &Ontology, mode: MatchMode) -> Vec<Ba
 }
 
 /// [`evaluate_where`] under the name perfbench and the op-log
-/// permutation oracle still call; `_pool` is ignored. ROADMAP item 4's
+/// permutation oracle still call; `_pool` is ignored. ROADMAP item 9's
 /// benchmark PR removes it.
 pub fn evaluate_where_pool(
     q: &BoundQuery,

@@ -2,23 +2,23 @@
 //!
 //! A *session* is the server's unit of persistence: one named scope
 //! owning a shared answer cache (the members' "virtual personal
-//! databases" of the paper), a [`SessionWal`] directory, and a query
-//! registry. The [`SessionManager`] pages sessions in and out of
-//! memory: everything a session knows is already durable by the time
-//! any call returns, so paging out is just dropping resident state and
-//! paging in is WAL recovery.
+//! databases" of the paper), a [`SessionWal`] directory holding one
+//! append-only log, and a query registry. The [`SessionManager`] pages
+//! sessions in and out of memory: everything a session knows is already
+//! durable by the time any call returns, so paging out is just dropping
+//! resident state and paging in is WAL recovery.
 //!
 //! Queries execute through the single engine entry point
 //! [`Oassis::run`] with two durability hooks installed:
 //!
 //! * a [`WalTap`] on [`MiningConfig::op_tap`] streams every accepted
-//!   answer op to its member's log at round boundaries;
+//!   answer op to the session's log at round boundaries;
 //! * a [`CachingCrowd`] over a WAL-backed answer store persists every
 //!   fresh cached answer at ask time (and serves repeats from the
 //!   session cache without asking the crowd at all).
 //!
-//! Recovery replays the union of member logs against a freshly built
-//! DAG with [`OpLog::replay_merged`] and compares the replayed
+//! Recovery replays each query's durable ops against a freshly built
+//! DAG with [`OpLog::replay`] and compares the replayed
 //! [`SemanticOutcome`] digest against the one the `done` meta record
 //! stored — bit-identical or it's a finding. A restart decodes the WAL
 //! once: the page-in's decode is kept on the resident session for the
@@ -45,7 +45,9 @@
 //! without one.
 
 use crate::digest_hex;
-use crate::wal::{DoneMeta, KillSwitch, QueryMeta, QuerySpec, Recovered, SessionWal, WalTap};
+use crate::wal::{
+    DoneMeta, KillSwitch, QueryMeta, QuerySpec, Recovered, SessionWal, WalTap, SESSION_WAL,
+};
 use crowd::{CrowdSource, MemberId};
 use oassis_core::cache::{AnswerStore, CachedAnswer};
 use oassis_core::oplog::OpTapHandle;
@@ -199,8 +201,8 @@ pub struct RecoveredQuery {
     /// `Some(replayed == recorded)` when there is a recorded digest —
     /// the recovery oracle.
     pub verified: Option<bool>,
-    /// The number of ops in the query's recovered log (the union of the
-    /// member logs' durable prefixes).
+    /// The number of ops in the query's recovered log (its durable
+    /// prefix).
     pub ops: usize,
 }
 
@@ -408,7 +410,7 @@ impl SessionManager {
             return Ok(reply);
         }
         let dir = self.root.join(&spec.name);
-        let existed = dir.join("meta.wal").exists();
+        let existed = dir.join(SESSION_WAL).exists();
         let mut wal = SessionWal::open(&dir, 0)
             .map_err(|e| ServerError::Wal(e.to_string()))?
             .with_kill(self.kill.clone());
@@ -489,7 +491,7 @@ impl SessionManager {
     fn touch(&mut self, name: &str) -> Result<(), ServerError> {
         if !self.sessions.contains_key(name) {
             Self::check_name(name)?;
-            if !self.root.join(name).join("meta.wal").exists() {
+            if !self.root.join(name).join(SESSION_WAL).exists() {
                 return Err(ServerError::UnknownSession(name.to_string()));
             }
             // a bare touch pages in with placeholder crowd fields; open
@@ -630,7 +632,7 @@ impl SessionManager {
         let mut crowd = CachingCrowd::new(&mut *inner, store);
         let engine = Oassis::new(&self.ont).with_prepared(prepared.clone());
         let outcome = engine.run(&req, &mut crowd, &agg).map_err(|e| {
-            // no `done` footer will end this query and drop its handles
+            // no `done` footer will end this query and drop its handle
             wal.lock().expect("wal mutex poisoned").close_files(); // PANIC-OK: poisoning means a holder already panicked; propagate it
             ServerError::Engine(e.to_string())
         })?;
@@ -660,7 +662,7 @@ impl SessionManager {
     }
 
     /// Recovers every registered query of `name`'s session from its WAL:
-    /// fresh DAG, interned wire ops, [`OpLog::replay_merged`], and a
+    /// fresh DAG, interned wire ops, [`OpLog::replay`], and a
     /// digest comparison against the recorded `done` footer.
     ///
     /// The first call after a page-in replays the page-in's decode; any
@@ -746,7 +748,7 @@ impl SessionManager {
         let ops: Vec<_> = wire.iter().map(|w| intern_wire_op(&mut dag, w)).collect();
         let mut log = OpLog::new(replay_threshold(meta, bound), true).with_ops(ops);
         log.set_complete(meta.done.as_ref().is_some_and(|d| d.complete));
-        let replay = log.replay_merged(
+        let replay = log.replay(
             &dag,
             &FixedSampleAggregator { sample_size: 1 },
             &pool,
@@ -826,7 +828,7 @@ impl SessionHandle<'_> {
 }
 
 /// The session's answer store: every fresh cacheable answer is appended
-/// to the member's WAL *at ask time*, then cached — so a crash loses at
+/// to the session's WAL *at ask time*, then cached — so a crash loses at
 /// most the in-flight question, and a recovered session never re-asks
 /// what any earlier query already learned.
 struct WalStore {
@@ -947,8 +949,8 @@ mod tests {
             mgr.query("s", &a_query(None)).unwrap();
             assert_eq!(kill.killed(), kill_at.is_some());
         }
-        // drop qid 8's footer, the last line of meta.wal
-        let meta = root.join("s").join("meta.wal");
+        // drop qid 8's footer, the last line of the log
+        let meta = root.join("s").join(SESSION_WAL);
         let text = std::fs::read_to_string(&meta).unwrap();
         let keep = text.trim_end_matches('\n').rfind('\n').unwrap() + 1;
         std::fs::write(&meta, &text[..keep]).unwrap();
@@ -1049,6 +1051,76 @@ mod tests {
             assert_eq!(q.verified, want, "qid {}", q.qid);
         }
         assert_eq!((replays, shared), (7, 2));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    type SharedWal = Arc<TrackedMutex<SessionWal>>;
+
+    /// Figure-1 crowds that take the WAL put in the slot and, on their
+    /// first question, make its held handle read-only: every later append
+    /// of the running query fails, after its `query` record was written.
+    struct ReadOnlyOnAsk(Figure1Provider, Arc<std::sync::Mutex<Option<SharedWal>>>);
+
+    struct ReadOnlyCrowd<'a>(Box<dyn CrowdSource + Send + 'a>, Option<SharedWal>);
+
+    impl CrowdProvider for ReadOnlyOnAsk {
+        fn provide<'a>(&'a self, spec: &SessionSpec) -> Box<dyn CrowdSource + Send + 'a> {
+            Box::new(ReadOnlyCrowd(
+                self.0.provide(spec),
+                self.1.lock().unwrap().take(),
+            ))
+        }
+    }
+
+    impl CrowdSource for ReadOnlyCrowd<'_> {
+        fn members(&self) -> Vec<MemberId> {
+            self.0.members()
+        }
+
+        fn ask(&mut self, member: MemberId, question: &crowd::Question) -> crowd::Answer {
+            if let Some(wal) = self.1.take() {
+                wal.lock().unwrap().make_handle_read_only();
+            }
+            self.0.ask(member, question)
+        }
+
+        fn questions_asked(&self) -> usize {
+            self.0.questions_asked()
+        }
+    }
+
+    #[test]
+    fn a_failed_append_fails_the_query_without_a_footer_and_empties_the_memo() {
+        let ont = Arc::new(figure1::ontology());
+        let root = std::env::temp_dir().join(format!("oassis-failed-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let slot = Arc::new(std::sync::Mutex::new(None));
+        let provider = ReadOnlyOnAsk(Figure1Provider::new(ont.clone()), slot.clone());
+        let sink = Arc::new(telemetry::TelemetrySink::new());
+        let mut mgr = SessionManager::new(ont, Box::new(provider), &root)
+            .with_telemetry(Telemetry::recording(&sink));
+        let spec = SessionSpec {
+            name: "s".into(),
+            seed: 7,
+            members: 2,
+        };
+        mgr.open(&spec).unwrap();
+        // the cold query's `query` record lands; its op and answer
+        // appends fail
+        *slot.lock().unwrap() = Some(mgr.sessions["s"].wal.clone());
+        let err = mgr.query("s", &a_query(None)).unwrap_err();
+        assert!(matches!(err, ServerError::Wal(_)), "{err}");
+        assert!(slot.lock().unwrap().is_none(), "the crowd was asked");
+        let log = std::fs::read_to_string(root.join("s").join(SESSION_WAL)).unwrap();
+        assert!(log.contains(r#""kind":"query","qid":1"#), "{log}");
+        let footer = log.contains(r#""kind":"done""#);
+        assert!(!footer, "no footer claims the lost records");
+        // not memoized: the next query re-mines, the one after hits
+        let memo_hits = || sink.counter("session.s.memo_hits");
+        mgr.query("s", &a_query(None)).unwrap();
+        assert_eq!(memo_hits(), 0);
+        mgr.query("s", &a_query(None)).unwrap();
+        assert_eq!(memo_hits(), 1);
         let _ = std::fs::remove_dir_all(&root);
     }
 

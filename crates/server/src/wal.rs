@@ -1,12 +1,12 @@
 //! # The WAL-backed embedded store
 //!
-//! One directory per session. The paper's prototype kept each member's
-//! "virtual personal database" in MySQL; here every member gets an
-//! **append-only answer-op log** in wire form (`member-<id>.wal`), and
-//! the session's query registry lives in `meta.wal`. No byte of either
-//! is ever rewritten (a torn tail is only cut off). Everything is
-//! line-delimited JSON over [`ontology::json`], one record per line,
-//! each line guarded by an FNV-1a crc of its payload:
+//! One directory per session, holding one **append-only** log,
+//! `session.wal`: the query registry and every member's answer ops and
+//! cached answers (the paper's "virtual personal databases"), in the
+//! order they were recorded. No byte of it is ever rewritten (a torn
+//! tail is only cut off). Records are line-delimited JSON over
+//! [`ontology::json`], one record per line, each line guarded by an
+//! FNV-1a crc of its payload:
 //!
 //! ```text
 //! {"crc":"<16 hex>","rec":{"kind":"op","qid":3,"op":{…wire op…}}}
@@ -22,42 +22,29 @@
 //!
 //! ## Record kinds
 //!
-//! * `meta.wal` — `session` (name + protocol version, first record),
-//!   `query` (qid + the request spec), `done` (qid + completion flag,
-//!   resolved threshold, the recorded `SemanticOutcome` digest, and for
-//!   a served repeat `of`, the qid of the mined run it repeats).
-//! * `member-<id>.wal` — `op` (qid + one [`WireOp`] of that member) and
-//!   `answer` (one cached `(pattern, answer)` entry of that member's
-//!   personal database).
+//! * `session` — name, protocol version and crowd spec (first record).
+//! * `query` — qid + the request spec, written before the run starts.
+//! * `op` — qid + one [`WireOp`], which names its member.
+//! * `answer` — member + one cached `(pattern, answer)` entry of that
+//!   member's personal database.
+//! * `done` — qid + completion flag, resolved threshold, the recorded
+//!   `SemanticOutcome` digest, and for a served repeat `of`, the qid of
+//!   the mined run it repeats.
 //!
-//! ## Why per-member logs merge safely
+//! A running query's append handle on the file is opened by its first
+//! record and dropped by its footer, so an idle session holds none.
 //!
-//! A member's ops are appended in recording order, so each file always
-//! holds a contiguous *prefix* of that member's subsequence of the
-//! run's log: a crash cuts a file's tail, never a record from its
-//! middle, so no op survives without the ops recorded before it in the
-//! same file. Recovery takes the union of member prefixes and replays it
-//! under the canonical `(tick, member, seq)` order with
-//! `OpLog::replay_merged`, whose entailment filter absorbs MSP claims
-//! whose cross-member evidence was cut by a crash.
+//! A directory an older build wrote — `meta.wal` beside one
+//! `member-<id>.wal` per member, or a `.snap` snapshot of a compacting
+//! build — is refused with an error naming the file, never read in part.
 //!
 //! ## Torn tails
 //!
 //! A crash can cut the last line short (or corrupt it). Recovery stops
 //! at the first line that fails to parse or fails its crc, truncates
 //! the file back to the last complete record, and carries on — never a
-//! panic, never a lost *complete* record.
-//!
-//! ## Append handles
-//!
-//! A file's append handle is opened by the first record a query writes
-//! to it and dropped by the query's `done` footer, so an idle session
-//! holds none. A running query holds at most [`MAX_HELD_HANDLES`]: the
-//! crowd size is the client's to choose, and the process's descriptor
-//! limit is not. Past the bound, the handle of the highest-numbered held
-//! member gives way, so a crowd larger than the bound costs one `open`
-//! per record to its overflow members, as every record did before
-//! handles were held.
+//! panic, never a lost *complete* record. Ops are appended in recording
+//! order, so what survives is a prefix of each run's log.
 
 use crowd::MemberId;
 use oassis_core::cache::{entry_from_json, entry_to_json, CachedAnswer};
@@ -65,7 +52,6 @@ use oassis_core::oplog::{AnswerOp, OpTap};
 use oassis_core::{op_to_wire, wire_from_json, wire_to_json, CrowdCache, Dag, WireOp};
 use ontology::json::{self, Json, JsonError};
 use ontology::{PatternSet, Vocabulary};
-use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
@@ -164,7 +150,7 @@ pub struct DoneMeta {
     pub of: Option<u32>,
 }
 
-/// One query of the session registry, recovered from `meta.wal`.
+/// One query of the session registry, recovered from `session.wal`.
 #[derive(Debug, Clone)]
 pub struct QueryMeta {
     /// Session-scoped query id (1-based, in issue order).
@@ -188,43 +174,24 @@ pub struct Recovered {
     pub members: u32,
     /// The query registry, in qid order.
     pub queries: Vec<QueryMeta>,
-    /// Per-query member ops: each member's contiguous durable prefix,
-    /// in append order, members in id order. A served repeat's are the
-    /// ops of the run its footer names.
+    /// Per-query ops: the run's durable prefix, in recording order. A
+    /// served repeat's are the ops of the run its footer names.
     pub ops: BTreeMap<u32, Vec<WireOp>>,
-    /// The union of the per-member answer databases.
+    /// Every member's answer database.
     pub cache: CrowdCache,
     /// Whether any torn tail was truncated during recovery.
     pub truncated: bool,
 }
 
-/// Append handles one [`SessionWal`] holds at most. It covers
-/// `meta.wal` plus every member of the largest crowd the benchmark
-/// serves (48) and stays far below common descriptor limits (1024).
-pub const MAX_HELD_HANDLES: usize = 64;
-
-/// A file of a session directory that takes appends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Log {
-    Meta,
-    Member(u32),
-}
-
-impl Log {
-    fn file_name(self) -> String {
-        match self {
-            Log::Meta => "meta.wal".into(),
-            Log::Member(member) => format!("member-{member}.wal"),
-        }
-    }
-}
+/// The one log file of a session directory.
+pub(crate) const SESSION_WAL: &str = "session.wal";
 
 /// The append side of one session's directory.
 #[derive(Debug)]
 pub struct SessionWal {
     dir: PathBuf,
-    /// Append handles held for the running query (see the module doc).
-    handles: BTreeMap<Log, File>,
+    /// The running query's append handle (see the module doc).
+    file: Option<File>,
     /// The first append error of the running query's tap or answer
     /// store; it stops the query's footer.
     failed: Option<io::Error>,
@@ -243,7 +210,7 @@ impl SessionWal {
         fs::create_dir_all(&dir)?;
         Ok(SessionWal {
             dir,
-            handles: BTreeMap::new(),
+            file: None,
             failed: None,
             kill: KillSwitch::new(),
         })
@@ -261,40 +228,34 @@ impl SessionWal {
         &self.dir
     }
 
-    /// The member ids with a WAL file. A `.snap` file is refused: it
-    /// holds the compacted prefix of a member log written by an older
-    /// build, and recovering without it would silently lose that prefix.
-    fn member_ids(&self) -> io::Result<Vec<u32>> {
-        let mut ids: Vec<u32> = Vec::new();
+    /// Refuses a directory an older build wrote: its per-member layout
+    /// (`meta.wal`, `member-<id>.wal`) or a `.snap` snapshot of a
+    /// compacting build. Reading past either would lose its records.
+    fn refuse_old_layout(&self) -> io::Result<()> {
         if !self.dir.exists() {
-            return Ok(ids);
+            return Ok(());
         }
         for entry in fs::read_dir(&self.dir)? {
             let name = entry?.file_name();
             let name = name.to_string_lossy();
-            if name.ends_with(".snap") {
+            let member_log = name.starts_with("member-") && name.ends_with(".wal");
+            if name == "meta.wal" || member_log || name.ends_with(".snap") {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
-                    format!("{name}: snapshot files of compacting builds are not read"),
+                    format!("{name}: written by an older build; only {SESSION_WAL} is read"),
                 ));
             }
-            let id = name
-                .strip_prefix("member-")
-                .and_then(|rest| rest.strip_suffix(".wal"));
-            if let Some(Ok(id)) = id.map(str::parse::<u32>) {
-                ids.push(id);
-            }
         }
-        ids.sort_unstable();
-        Ok(ids)
+        Ok(())
     }
 
-    /// Writes the session header (first record of a fresh `meta.wal`).
+    /// Writes the session header (first record of a fresh `session.wal`).
     /// The crowd spec (seed, member count) is part of the header: paging
     /// a session in must rebuild the *same* deterministic crowd, so the
     /// durable header — not whatever a later `open` frame claims — is
     /// the source of truth. No query is running, so the handle is
-    /// dropped again.
+    /// dropped again. A directory an older build wrote is refused, and
+    /// nothing is written to it.
     pub fn record_session(
         &mut self,
         name: &str,
@@ -302,6 +263,7 @@ impl SessionWal {
         seed: u64,
         members: u32,
     ) -> io::Result<()> {
+        self.refuse_old_layout()?;
         let rec = Json::Obj(vec![
             ("kind".into(), Json::Str("session".into())),
             ("name".into(), Json::Str(name.into())),
@@ -336,12 +298,12 @@ impl SessionWal {
             ),
             ("seed".into(), Json::Num(spec.seed as f64)),
         ]);
-        self.append_line(Log::Meta, &rec)
+        self.append_line(&rec)
     }
 
     /// Records a query's completion footer: the resolved threshold and
     /// the `SemanticOutcome` digest recovery must reproduce. The footer
-    /// ends the query, so every append handle is dropped.
+    /// ends the query, so its append handle is dropped.
     ///
     /// A footer claims that the query's whole log is on disk, so when an
     /// append of the query failed (`keep_failure`) nothing is written
@@ -364,23 +326,20 @@ impl SessionWal {
         self.append_last(&Json::Obj(fields))
     }
 
-    /// Appends a `meta.wal` record no query record follows (the header,
-    /// a footer) and drops every held handle, even when the kill switch
-    /// drops the record.
+    /// Appends a record no record of the same query follows (the
+    /// header, a footer) and drops the append handle, even when the kill
+    /// switch drops the record.
     fn append_last(&mut self, rec: &Json) -> io::Result<()> {
-        let appended = self
-            .kill
-            .admit(None)
-            .then(|| self.append_line(Log::Meta, rec));
+        let appended = self.kill.admit(None).then(|| self.append_line(rec));
         self.close_files();
         appended.unwrap_or(Ok(()))
     }
 
-    /// Drops every held append handle. [`record_done`](Self::record_done)
-    /// does this; a query that ends without a footer (an engine error)
-    /// leaves it to its caller.
+    /// Drops the append handle. [`record_done`](Self::record_done) does
+    /// this; a query that ends without a footer (an engine error) leaves
+    /// it to its caller.
     pub fn close_files(&mut self) {
-        self.handles.clear();
+        self.file = None;
     }
 
     /// Keeps the running query's first append error, for writers that
@@ -389,8 +348,8 @@ impl SessionWal {
         self.failed.get_or_insert(e);
     }
 
-    /// Appends one wire op to its member's log. Returns `false` when the
-    /// kill switch dropped it (the process model is dead).
+    /// Appends one wire op of query `qid`. Returns `false` when the kill
+    /// switch dropped it (the process model is dead).
     pub fn append_op(&mut self, qid: u32, op: &WireOp) -> io::Result<bool> {
         if !self.kill.admit(Some(op.tick)) {
             return Ok(false);
@@ -400,12 +359,12 @@ impl SessionWal {
             ("qid".into(), Json::Num(qid as f64)),
             ("op".into(), wire_to_json(op)),
         ]);
-        self.append_line(Log::Member(op.member.0), &rec)?;
+        self.append_line(&rec)?;
         Ok(true)
     }
 
-    /// Appends one cached `(pattern, answer)` entry to its member's
-    /// answer database. `tick` is the question counter at ask time (the
+    /// Appends one cached `(pattern, answer)` entry to `member`'s answer
+    /// database. `tick` is the question counter at ask time (the
     /// kill model uses it). Returns `false` when dropped.
     pub fn append_answer(
         &mut self,
@@ -419,33 +378,50 @@ impl SessionWal {
         }
         let rec = Json::Obj(vec![
             ("kind".into(), Json::Str("answer".into())),
+            ("member".into(), Json::Num(member.0 as f64)),
             ("entry".into(), entry_to_json(pattern, answer)),
         ]);
-        self.append_line(Log::Member(member.0), &rec)?;
+        self.append_line(&rec)?;
         Ok(true)
     }
 
-    /// Reconstructs the session from disk: query registry, per-query
-    /// merged member ops, and the union answer cache. Torn tails are
-    /// truncated to the last complete record; nothing here panics on a
-    /// damaged directory. Call it with no append handle held (the
-    /// session manager recovers only between queries).
+    /// Appends one crc-framed record line to `session.wal` through the
+    /// held handle, opening it on the query's first record. The whole
+    /// line is handed to the OS before the call returns, so it survives
+    /// the death of the process; nothing syncs it to disk.
+    fn append_line(&mut self, rec: &Json) -> io::Result<()> {
+        let file = match self.file.take() {
+            Some(file) => file,
+            None => OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(self.dir.join(SESSION_WAL))?,
+        };
+        self.file.insert(file).write_all(frame(rec).as_bytes())
+    }
+
+    /// Reconstructs the session from `session.wal`, in one pass in
+    /// recording order: query registry, per-query ops, and every
+    /// member's answer database. A torn tail is truncated to the last
+    /// complete record; nothing here panics on a damaged directory, and a
+    /// directory an older build wrote is an error. Call it with no append
+    /// handle held (the session manager recovers only between queries).
     pub fn recover(&self, vocab: &Vocabulary) -> Result<Recovered, JsonError> {
+        self.refuse_old_layout().map_err(io_shape)?;
         let mut out = Recovered::default();
-        // --- meta.wal: session header + query registry
-        let (meta, torn) = read_records(&self.dir.join(Log::Meta.file_name())).map_err(io_shape)?;
-        out.truncated |= torn;
+        let (records, torn) = read_records(&self.dir.join(SESSION_WAL)).map_err(io_shape)?;
+        out.truncated = torn;
         // the first query record of each qid, by position in `out.queries`
         let mut by_qid: HashMap<u32, usize> = HashMap::new();
-        for rec in &meta {
-            match rec.field("kind").and_then(|k| k.as_str().map(String::from)) {
-                Ok(kind) if kind == "session" => {
+        for rec in records {
+            match rec.field("kind").and_then(Json::as_str) {
+                Ok("session") => {
                     out.session = Some(rec.field("name")?.as_str()?.to_string());
                     out.proto = rec.field("proto")?.as_u32()?;
                     out.seed = rec.field("seed")?.as_exact_u64()?;
                     out.members = rec.field("members")?.as_u32()?;
                 }
-                Ok(kind) if kind == "query" => {
+                Ok("query") => {
                     let spec = QuerySpec {
                         src: rec.field("src")?.as_str()?.to_string(),
                         threshold: opt_f64(rec.field("threshold")?)?,
@@ -461,7 +437,7 @@ impl SessionWal {
                         done: None,
                     });
                 }
-                Ok(kind) if kind == "done" => {
+                Ok("done") => {
                     let qid = rec.field("qid")?.as_u32()?;
                     let done = DoneMeta {
                         complete: as_bool(rec.field("complete")?)?,
@@ -476,34 +452,23 @@ impl SessionWal {
                         out.queries[at].done = Some(done);
                     }
                 }
+                Ok("op") => {
+                    let qid = rec.field("qid")?.as_u32()?;
+                    let op = wire_from_json(vocab, rec.field("op")?)?;
+                    out.ops.entry(qid).or_default().push(op);
+                }
+                Ok("answer") => {
+                    let member = MemberId(rec.field("member")?.as_u32()?);
+                    if let Ok(entry) = rec.field("entry") {
+                        let (pattern, answer) = entry_from_json(entry)?;
+                        out.cache.put(member, pattern, answer);
+                    }
+                }
                 // unknown kinds are future records — skip, don't fail
                 _ => {}
             }
         }
         out.queries.sort_by_key(|q| q.qid);
-        // --- member files: ops and answers in append order
-        for member in self.member_ids().map_err(io_shape)? {
-            let path = self.dir.join(Log::Member(member).file_name());
-            let (wal, torn) = read_records(&path).map_err(io_shape)?;
-            out.truncated |= torn;
-            for mut rec in wal {
-                match rec.field("kind").and_then(Json::as_str) {
-                    Ok("op") => {
-                        let qid = rec.field("qid")?.as_u32()?;
-                        let op = wire_from_json(vocab, rec.field("op")?)?;
-                        out.ops.entry(qid).or_default().push(op);
-                    }
-                    Ok("answer") => {
-                        if let Some(entry) = take_field(&mut rec, "entry") {
-                            let (pattern, answer) = entry_from_json(&entry)?;
-                            out.cache.put(MemberId(member), pattern, answer);
-                        }
-                    }
-                    // unknown kinds are future records — skip, don't fail
-                    _ => {}
-                }
-            }
-        }
         // a served repeat's footer names an earlier registered run; with
         // no op record of its own, the repeat's ops are that run's (qid
         // order resolves a repeat of a repeat). Any other `of` is ignored,
@@ -545,37 +510,6 @@ fn as_bool(v: &Json) -> Result<bool, JsonError> {
     match v {
         Json::Bool(b) => Ok(*b),
         other => Err(JsonError::shape(format!("expected bool, got {other}"))),
-    }
-}
-
-/// Moves field `name` out of an object record, leaving `null` behind.
-fn take_field(rec: &mut Json, name: &str) -> Option<Json> {
-    let Json::Obj(fields) = rec else {
-        return None;
-    };
-    let (_, value) = fields.iter_mut().find(|(k, _)| k == name)?;
-    Some(std::mem::replace(value, Json::Null))
-}
-
-impl SessionWal {
-    /// Appends one crc-framed record line to `log` through its held
-    /// handle, opening the handle on the query's first record there
-    /// (dropping the highest held one when [`MAX_HELD_HANDLES`] are
-    /// held). The whole line is handed to the OS before the call
-    /// returns, so it survives the death of the process; nothing syncs
-    /// it to disk.
-    fn append_line(&mut self, log: Log, rec: &Json) -> io::Result<()> {
-        if self.handles.len() >= MAX_HELD_HANDLES && !self.handles.contains_key(&log) {
-            self.handles.pop_last();
-        }
-        let file = match self.handles.entry(log) {
-            Entry::Occupied(held) => held.into_mut(),
-            Entry::Vacant(slot) => {
-                let path = self.dir.join(log.file_name());
-                slot.insert(OpenOptions::new().create(true).append(true).open(path)?)
-            }
-        };
-        file.write_all(frame(rec).as_bytes())
     }
 }
 
@@ -662,7 +596,7 @@ fn truncate_to(path: &Path, len: usize) -> io::Result<()> {
 
 /// The [`OpTap`] the session manager installs on every query run: each
 /// flushed op is rendered to wire form against the run's DAG and
-/// appended to its member's log, stamped with the query id. The WAL
+/// appended to the session's log, stamped with the query id. The WAL
 /// keeps the first append error, which stops the query's `done` footer.
 pub struct WalTap {
     wal: Arc<TrackedMutex<SessionWal>>,
@@ -685,6 +619,16 @@ impl OpTap for WalTap {
                 wal.keep_failure(e);
             }
         }
+    }
+}
+
+#[cfg(test)]
+impl SessionWal {
+    /// Swaps the held append handle for a read-only one, so every later
+    /// append of the running query fails.
+    pub(crate) fn make_handle_read_only(&mut self) {
+        assert!(self.file.is_some(), "a query is running");
+        self.file = Some(File::open(self.dir.join(SESSION_WAL)).unwrap());
     }
 }
 
@@ -737,11 +681,22 @@ mod tests {
         wal.record_session("s1", 1, 7, 2).unwrap();
         wal.record_query(1, &spec()).unwrap();
         assert!(wal.append_op(1, &op(1, 0)).unwrap());
+        let pattern = PatternSet::default();
+        let answer = CachedAnswer::Support {
+            support: 0.5,
+            more_tip: None,
+        };
+        assert!(wal
+            .append_answer(MemberId(9), 1, &pattern, &answer)
+            .unwrap());
         assert!(wal.append_op(1, &op(2, 1)).unwrap());
         wal.record_done(1, &done()).unwrap();
         drop(wal);
         let wal = SessionWal::open(&dir, 0).unwrap();
         let rec = wal.recover(ont.vocab()).unwrap();
+        // an answer recovers to the member its record names
+        assert_eq!(rec.cache.get(MemberId(9), &pattern), Some(&answer));
+        assert_eq!(rec.cache.len(), 1);
         assert_eq!(rec.session.as_deref(), Some("s1"));
         assert_eq!(rec.proto, 1);
         assert_eq!(rec.queries.len(), 1);
@@ -760,8 +715,8 @@ mod tests {
         wal.record_session("s1", 1, 7, 2).unwrap();
         assert!(wal.append_op(1, &op(1, 0)).unwrap());
         assert!(wal.append_op(1, &op(2, 0)).unwrap());
-        // tear the member WAL mid-record
-        let path = dir.join("member-0.wal");
+        // tear the log mid-record
+        let path = dir.join(SESSION_WAL);
         let full = fs::read(&path).unwrap();
         fs::write(&path, &full[..full.len() - 7]).unwrap();
         let rec = wal.recover(ont.vocab()).unwrap();
@@ -776,25 +731,11 @@ mod tests {
 
     #[test]
     fn corrupt_crc_invalidates_the_suffix() {
-        let dir = tmp_dir("crc");
-        let ont = ontology::domains::figure1::ontology();
-        let mut wal = SessionWal::open(&dir, 0).unwrap();
-        for t in 1..=3 {
-            assert!(wal.append_op(1, &op(t, 0)).unwrap());
-        }
-        let path = dir.join("member-0.wal");
-        let text = fs::read_to_string(&path).unwrap();
-        let mut lines: Vec<String> = text.lines().map(String::from).collect();
         // flip a byte inside the second record's payload
-        lines[1] = lines[1].replace("\"tick\":2", "\"tick\":9");
-        fs::write(&path, format!("{}\n", lines.join("\n"))).unwrap();
-        let rec = wal.recover(ont.vocab()).unwrap();
-        assert!(rec.truncated);
-        assert_eq!(rec.ops[&1].len(), 1, "suffix after the bad line is gone");
-        fs::remove_dir_all(&dir).unwrap();
+        assert_second_line_rejected("crc", |line| line.replace("\"tick\":2", "\"tick\":9"));
     }
 
-    /// Rewrites the second of three member-0 op records with `damage`
+    /// Rewrites the second of three op records with `damage`
     /// and checks recovery rejects it: the file is cut back to the first
     /// record, `truncated` is set, and only that record survives.
     fn assert_second_line_rejected(name: &str, damage: impl Fn(&str) -> String) {
@@ -804,7 +745,7 @@ mod tests {
         for t in 1..=3 {
             assert!(wal.append_op(1, &op(t, 0)).unwrap());
         }
-        let path = dir.join("member-0.wal");
+        let path = dir.join(SESSION_WAL);
         let text = fs::read_to_string(&path).unwrap();
         let mut lines: Vec<String> = text.lines().map(String::from).collect();
         let damaged = damage(&lines[1]);
@@ -875,11 +816,11 @@ mod tests {
         }
     }
 
-    /// Appends `lines` to member 0's file.
+    /// Appends `lines` to the session's log.
     fn append_lines(dir: &Path, lines: &[String]) {
         let mut f = OpenOptions::new()
             .append(true)
-            .open(dir.join("member-0.wal"))
+            .open(dir.join(SESSION_WAL))
             .unwrap();
         for line in lines {
             writeln!(f, "{line}").unwrap();
@@ -945,15 +886,16 @@ mod tests {
     }
 
     #[test]
-    fn member_wal_only_grows_by_appends() {
+    fn the_session_log_only_grows_by_appends() {
         let dir = tmp_dir("append-only");
         // 64 was the default cadence of the snapshot compaction that
-        // used to rewrite this file; the argument is ignored now
+        // used to rewrite member logs; the argument is ignored now
         let mut wal = SessionWal::open(&dir, 64).unwrap();
-        let path = dir.join("member-0.wal");
+        let path = dir.join(SESSION_WAL);
         let mut before = Vec::new();
         for t in 1..=200 {
-            assert!(wal.append_op(1, &op(t, 0)).unwrap());
+            // records of several members go to the one file
+            assert!(wal.append_op(1, &op(t, t % 3)).unwrap());
             let now = fs::read(&path).unwrap();
             assert!(
                 now.len() > before.len() && now.starts_with(&before),
@@ -965,50 +907,35 @@ mod tests {
             .unwrap()
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
             .collect();
-        assert_eq!(names, ["member-0.wal"]);
+        assert_eq!(names, [SESSION_WAL]);
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn held_handles_are_bounded_and_dropped_by_the_footer() {
-        let dir = tmp_dir("handles");
+    fn a_file_of_an_older_layout_fails_recovery() {
         let ont = ontology::domains::figure1::ontology();
-        let mut wal = SessionWal::open(&dir, 0).unwrap();
-        wal.record_session("s1", 1, 7, 3).unwrap();
-        assert!(wal.handles.is_empty(), "no query runs after the header");
-        wal.record_query(1, &spec()).unwrap();
-        // two round-robin passes over more members than the bound: one
-        // handle per file (meta.wal + the members so far), up to the bound
-        let members = MAX_HELD_HANDLES as u32 + 16;
-        for t in 0..2 * members {
-            assert!(wal.append_op(1, &op(t + 1, t % members)).unwrap());
-            let want = (t as usize + 2).min(MAX_HELD_HANDLES);
-            assert_eq!(wal.handles.len(), want, "record {t}");
+        // a compacting build kept member 0's older records in a `.snap`
+        // file; builds before one file kept one log per member
+        for old in [
+            &["member-0.snap"][..],
+            &["meta.wal", "member-0.wal"],
+            &["member-3.wal"],
+        ] {
+            let dir = tmp_dir(old[0]);
+            let mut wal = SessionWal::open(&dir, 0).unwrap();
+            for name in old {
+                fs::write(dir.join(name), name).unwrap();
+            }
+            let err = wal.recover(ont.vocab()).unwrap_err().to_string();
+            assert!(old.iter().any(|name| err.contains(name)), "{err}");
+            // nor is a fresh header written into it
+            assert!(wal.record_session("s1", 1, 7, 2).is_err());
+            assert_eq!(fs::read_dir(&dir).unwrap().count(), old.len());
+            for name in old {
+                assert_eq!(fs::read_to_string(dir.join(name)).unwrap(), *name);
+            }
+            fs::remove_dir_all(&dir).unwrap();
         }
-        wal.record_done(1, &done()).unwrap();
-        assert!(wal.handles.is_empty());
-        let ops = &wal.recover(ont.vocab()).unwrap().ops[&1];
-        let per_member = |m| ops.iter().filter(|o| o.member.0 == m).count();
-        assert!(
-            (0..members).all(|m| per_member(m) == 2),
-            "no record was lost"
-        );
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn a_snapshot_file_fails_recovery() {
-        let dir = tmp_dir("snap");
-        let ont = ontology::domains::figure1::ontology();
-        let mut wal = SessionWal::open(&dir, 0).unwrap();
-        assert!(wal.append_op(1, &op(1, 0)).unwrap());
-        wal.close_files();
-        assert!(wal.recover(ont.vocab()).is_ok());
-        // a compacting build kept member 0's older records here
-        fs::write(dir.join("member-0.snap"), "").unwrap();
-        let err = wal.recover(ont.vocab()).unwrap_err();
-        assert!(err.to_string().contains("member-0.snap"), "{err}");
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -11,18 +11,20 @@
 //!    over the paged-in answer cache) must land on the fault-free
 //!    digest — and ask strictly fewer fresh questions than a cold run.
 //!
+//! The kill-at-tick oracle also runs on a batched query (three questions
+//! per round): every query with a footer verifies at every kill tick.
+//!
 //! It also pins the single-decode restart (the decode a page-in keeps
 //! for `recover` is dropped by a later query, and a second `recover`
 //! reads the disk and agrees with the first), the shared replay of a
-//! cold run's repeats on a restart, and the append-handle
-//! lifetime: a session between queries holds no open WAL file, and a
-//! crowd wider than the held-handle bound still recovers verified. A
-//! directory holding a snapshot file of a compacting build is refused.
+//! cold run's repeats on a restart, and the one-file layout: a session
+//! between queries holds no open WAL file, a 128-member crowd logs to
+//! the one `session.wal` and recovers verified, and a directory an older
+//! build wrote (per-member logs, a snapshot file) is refused untouched.
 
 mod common;
 
 use common::{manager, temp_root};
-use oassis_server::wal::MAX_HELD_HANDLES;
 use oassis_server::{KillSwitch, QueryReply, QuerySpec, SessionManager, SessionSpec};
 use ontology::domains::figure1;
 use ontology::Ontology;
@@ -185,27 +187,30 @@ fn torn_tail_on_a_killed_wal_still_recovers() {
     let root = temp_root("torn");
     let sp = spec("s");
     lifetime(&ont, &root, &sp, &[qspec()]);
-    // tear every member WAL mid-record (a crash inside write(2))
-    let dir = root.join("s");
-    let mut tore = 0;
-    for entry in std::fs::read_dir(&dir).unwrap() {
-        let path = entry.unwrap().path();
-        let name = path.file_name().unwrap().to_string_lossy().to_string();
-        if name.starts_with("member-") && name.ends_with(".wal") {
-            let bytes = std::fs::read(&path).unwrap();
-            if bytes.len() > 10 {
-                std::fs::write(&path, &bytes[..bytes.len() - 9]).unwrap();
-                tore += 1;
-            }
+    let mut full = restart(&ont, &root, &sp);
+    let all_ops = full.recover("s").unwrap()[0].ops;
+    drop(full);
+    // tear the log mid-record at its middle op (a crash inside write(2)
+    // part-way through the run): that op and everything after are lost
+    let path = root.join("s").join("session.wal");
+    let text = std::fs::read_to_string(&path).unwrap();
+    let mut op_starts = Vec::new();
+    let mut at = 0;
+    for line in text.lines() {
+        if line.contains(r#""kind":"op""#) {
+            op_starts.push(at);
         }
+        at += line.len() + 1;
     }
-    assert!(tore > 0, "expected member WALs to tear");
+    let middle = op_starts[op_starts.len() / 2];
+    std::fs::write(&path, &text.as_bytes()[..middle + 20]).unwrap();
     let mut mgr = restart(&ont, &root, &sp);
-    // recovery must not panic; the lost suffix means the digest check
-    // can fail (verified == Some(false)) but the replay itself holds
+    // recovery must not panic; the cut run has no footer, so it makes
+    // no claim, and replays the prefix that survived
     let recovered = mgr.recover("s").unwrap();
     assert_eq!(recovered.len(), 1);
-    assert!(recovered[0].verified.is_some());
+    assert_eq!(recovered[0].verified, None);
+    assert!(recovered[0].ops > 0 && recovered[0].ops < all_ops);
     // and resumption still converges to the true answer
     let reply = mgr.query("s", &qspec()).unwrap();
     let r = temp_root("torn-ref");
@@ -313,17 +318,20 @@ fn a_session_between_queries_holds_no_wal_file_open() {
 }
 
 #[test]
-fn a_crowd_larger_than_the_handle_bound_recovers_verified() {
+fn a_128_member_crowd_logs_to_one_file_and_recovers_verified() {
     let ont = Arc::new(figure1::ontology());
     let root = temp_root("wide-crowd");
     let mut sp = spec("s");
-    sp.members = 2 * MAX_HELD_HANDLES as u32;
-    // a low threshold asks enough questions to reach that many members
+    sp.members = 128;
+    // a low threshold asks enough questions to reach many members
     let mut qs = qspec();
     qs.threshold = Some(0.05);
     let digest = lifetime(&ont, &root, &sp, &[qs]).remove(0).digest;
-    let wal_files = std::fs::read_dir(root.join("s")).unwrap().count();
-    assert!(wal_files > MAX_HELD_HANDLES + 1, "{wal_files} files");
+    let names: Vec<String> = std::fs::read_dir(root.join("s"))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(names, ["session.wal"]);
     let recovered = restart(&ont, &root, &sp).recover("s").unwrap();
     assert_eq!(recovered[0].verified, Some(true));
     assert_eq!(recovered[0].digest, digest);
@@ -331,15 +339,82 @@ fn a_crowd_larger_than_the_handle_bound_recovers_verified() {
 }
 
 #[test]
-fn a_session_with_a_snapshot_file_does_not_page_in() {
+fn a_session_of_an_older_layout_does_not_page_in() {
     let ont = Arc::new(figure1::ontology());
-    let root = temp_root("snap-file");
-    lifetime(&ont, &root, &spec("s"), &[qspec()]);
-    // a compacting build kept member 0's older records in this file
-    std::fs::write(root.join("s").join("member-0.snap"), "").unwrap();
-    let mut mgr = manager(&ont, &root);
-    assert!(mgr.open(&spec("s")).is_err());
-    let _ = std::fs::remove_dir_all(&root);
+    // a compacting build kept member 0's older records in a `.snap`
+    // file; builds before it kept `meta.wal` and one log per member
+    for (tag, files) in [
+        ("snap", &["member-0.snap"][..]),
+        ("per-member", &["meta.wal", "member-0.wal"][..]),
+    ] {
+        let root = temp_root(&format!("old-{tag}"));
+        lifetime(&ont, &root, &spec("s"), &[qspec()]);
+        let dir = root.join("s");
+        if tag == "per-member" {
+            std::fs::remove_file(dir.join("session.wal")).unwrap();
+        }
+        for name in files {
+            std::fs::write(dir.join(name), format!("{name}\n")).unwrap();
+        }
+        let before = std::fs::read_dir(&dir).unwrap().count();
+        let mut mgr = manager(&ont, &root);
+        let err = mgr.open(&spec("s")).unwrap_err().to_string();
+        assert!(files.iter().any(|f| err.contains(f)), "{tag}: {err}");
+        // nothing was written: no fresh header in the old directory
+        for name in files {
+            let bytes = std::fs::read_to_string(dir.join(name)).unwrap();
+            assert_eq!(bytes, format!("{name}\n"), "{tag}: {name} changed");
+        }
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), before, "{tag}");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+}
+
+/// The batched query of the kill matrix: the simple query at three
+/// questions per round. After [`qspec`]'s run it still asks the crowd
+/// fresh questions, so answer and op records interleave in the log.
+fn batched() -> QuerySpec {
+    QuerySpec {
+        batch_width: 3,
+        ..qspec()
+    }
+}
+
+#[test]
+fn a_batched_query_killed_at_any_tick_recovers_every_footer_verified() {
+    let ont = Arc::new(figure1::ontology());
+    let sp = spec("s");
+    let reference = temp_root("batched-ref");
+    let want = lifetime(&ont, &reference, &sp, &[qspec(), batched()]).remove(1);
+    let _ = std::fs::remove_dir_all(&reference);
+    assert!(want.questions > 3, "the batched run must span rounds");
+    assert!(want.fresh > 0, "the batched run must reach the crowd");
+    for tick in 1..=want.questions as u32 + 1 {
+        let root = temp_root(&format!("batched-{tick}"));
+        let kill = KillSwitch::new();
+        {
+            // qid 1 finishes; the cold batched qid 2 is cut at `tick`
+            let mut mgr = manager(&ont, &root).with_kill(kill.clone());
+            mgr.open(&sp).unwrap();
+            mgr.query("s", &qspec()).unwrap();
+            kill.arm(tick);
+            let _ = mgr.query("s", &batched());
+        }
+        let mut mgr = restart(&ont, &root, &sp);
+        // qid 1's footer verifies; qid 2 has one unless it was cut
+        let got: Vec<Option<bool>> = mgr
+            .recover("s")
+            .unwrap()
+            .iter()
+            .map(|q| q.verified)
+            .collect();
+        let cut = kill.killed();
+        assert_eq!(got, [Some(true), (!cut).then_some(true)], "tick {tick}");
+        // resumption over the recovered cache lands on the fault-free run
+        let reply = mgr.query("s", &batched()).unwrap();
+        assert_eq!(reply.digest, want.digest, "tick {tick}");
+        let _ = std::fs::remove_dir_all(&root);
+    }
 }
 
 proptest! {

@@ -94,6 +94,7 @@ fn e_domain_permutations_reproduce_the_golden_digests() {
         );
 
         let canonical = out.mining.ops.replay(&dag, &agg, &pool, &tele);
+        assert_eq!(canonical.discarded_msps, 0, "{name}: canonical replay");
         assert_eq!(
             domain_replay_digest(&canonical),
             expected,
@@ -101,6 +102,7 @@ fn e_domain_permutations_reproduce_the_golden_digests() {
         );
         for perm in 0..permutation_count() {
             let replay = shuffled(&out.mining.ops, perm).replay(&dag, &agg, &pool, &tele);
+            assert_eq!(replay.discarded_msps, 0, "{name}: permutation {perm}");
             assert_eq!(
                 domain_replay_digest(&replay),
                 expected,
@@ -174,6 +176,7 @@ fn fig5_strategy_permutations_reproduce_the_golden_digests() {
                     shuffled(&run.ops, perm)
                 };
                 let replay = log.replay(dag, &agg, &pool, &tele);
+                assert_eq!(replay.discarded_msps, 0, "{name}: permutation {perm}");
                 fig5_fold(&mut h, &replay);
             }
             assert_eq!(

@@ -139,6 +139,10 @@ fn assert_permutation_oracle(
     let ops = &out.mining.ops;
 
     let replay = ops.replay(&dag, &agg, &pool, &tele);
+    assert_eq!(
+        replay.discarded_msps, 0,
+        "canonical replay kept every claim"
+    );
     assert_eq!(replay.msps, out.mining.msps, "canonical replay MSP set");
     assert_eq!(replay.valid_msps, out.mining.valid_msps);
     assert_eq!(replay.events, out.mining.events);
@@ -148,6 +152,10 @@ fn assert_permutation_oracle(
         let mut shuffled = ops.ops().to_vec();
         shuffled.shuffle(&mut StdRng::seed_from_u64(seed ^ (shuffle_seed << 32)));
         let permuted = ops.with_ops(shuffled).replay(&dag, &agg, &pool, &tele);
+        assert_eq!(
+            permuted.discarded_msps, 0,
+            "shuffle {shuffle_seed} discarded a claim"
+        );
         assert_eq!(
             permuted.msps, out.mining.msps,
             "shuffle {shuffle_seed} changed the MSP set"
@@ -216,6 +224,7 @@ fn faulty_runs_replay_bit_identically_under_permutation() {
             .ops
             .with_ops(shuffled)
             .replay(&dag, &agg, &pool, &tele);
+        assert_eq!(permuted.discarded_msps, 0);
         assert_eq!(permuted.msps, out.mining.msps);
         assert_eq!(replay_digest(&permuted), reference);
     }
@@ -307,28 +316,28 @@ fn replay_against_a_stale_replica_reproduces_the_semantic_outcome() {
     log.set_complete(out.mining.complete);
     let pool = minipool::Pool::sequential();
     let tele = telemetry::Telemetry::off();
-    let merged = log.replay_merged(&fresh, &agg, &pool, &tele);
+    let replayed = log.replay(&fresh, &agg, &pool, &tele);
 
     // assignments are replica-portable, so the semantic fields compare
     // directly even though every NodeId differs between the replicas
-    assert_eq!(merged.msps, out.mining.msps);
-    assert_eq!(merged.valid_msps, out.mining.valid_msps);
-    assert_eq!(merged.total_valid, out.mining.total_valid);
-    assert_eq!(merged.complete, out.mining.complete);
+    assert_eq!(replayed.msps, out.mining.msps);
+    assert_eq!(replayed.valid_msps, out.mining.valid_msps);
+    assert_eq!(replayed.total_valid, out.mining.total_valid);
+    assert_eq!(replayed.complete, out.mining.complete);
     assert_eq!(
-        merged.discarded_msps, 0,
-        "a single stream has no duplicates"
+        replayed.discarded_msps, 0,
+        "a recorded log entails every claim"
     );
     assert_eq!(
-        SemanticOutcome::from_replay(&merged, &b, dom.ontology.vocab()),
+        SemanticOutcome::from_replay(&replayed, &b, dom.ontology.vocab()),
         SemanticOutcome::from_mining(&out.mining, &b, dom.ontology.vocab()),
     );
     // the stale replica materialized only what the ops forced it to —
     // if these were equal the test would not be exercising staleness
     assert!(
-        merged.nodes_materialized < out.mining.nodes_materialized,
+        replayed.nodes_materialized < out.mining.nodes_materialized,
         "fresh replica materialized {} >= engine's {}",
-        merged.nodes_materialized,
+        replayed.nodes_materialized,
         out.mining.nodes_materialized
     );
 }
