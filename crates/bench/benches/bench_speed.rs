@@ -26,9 +26,10 @@
 //! to restart the trajectory, delete `BENCH_speed.json` and rerun.
 
 use bench::{
-    bind_domain, digest_domain_run, domain_crowd, paper_aggregator, run_domain_at,
-    run_domain_at_batched, run_domain_at_traced,
+    bind_domain, domain_crowd, paper_aggregator, run_domain_at, run_domain_at_batched,
+    run_domain_at_traced,
 };
+use oassis_core::digest::{fig5_fold, Fnv};
 use oassis_core::synth::{
     plant_msps, stress_domain, synthetic_domain, MspDistribution, PlantedOracle,
 };
@@ -65,17 +66,6 @@ fn median_wall(name: &str, samples: &[(f64, u64)]) -> f64 {
     walls[walls.len() / 2]
 }
 
-fn fnv(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-}
-
-fn fnv_usize(h: &mut u64, v: usize) {
-    fnv(h, &(v as u64).to_le_bytes());
-}
-
 fn domain_workloads() -> Vec<Timing> {
     let domains = [
         ("E1_travel", travel(DomainScale::paper()), 12usize),
@@ -106,7 +96,7 @@ fn domain_workloads() -> Vec<Timing> {
                 7,
             );
             let wall = start.elapsed().as_secs_f64();
-            samples.push((wall, digest_domain_run(&run)));
+            samples.push((wall, run.run_digest()));
             questions = run.questions;
             msps = run.msps;
         }
@@ -144,7 +134,7 @@ fn fig5_workloads() -> Vec<Timing> {
         let mut questions = 0usize;
         let mut msps = 0usize;
         for _rep in 0..REPEATS {
-            let mut digest = 0xcbf2_9ce4_8422_2325u64;
+            let mut digest = Fnv::new();
             questions = 0;
             msps = 0;
             let start = Instant::now();
@@ -180,14 +170,9 @@ fn fig5_workloads() -> Vec<Timing> {
                 };
                 questions += run.questions;
                 msps += run.msps.len();
-                fnv_usize(&mut digest, run.questions);
-                fnv_usize(&mut digest, run.msps.len());
-                for e in &run.events {
-                    fnv_usize(&mut digest, e.question);
-                    fnv(&mut digest, format!("{:?}", e.kind).as_bytes());
-                }
+                fig5_fold(&mut digest, run.questions, run.msps.len(), &run.events);
             }
-            samples.push((start.elapsed().as_secs_f64(), digest));
+            samples.push((start.elapsed().as_secs_f64(), digest.finish()));
         }
         let digest = samples[0].1;
         let wall_s = median_wall(name, &samples);
@@ -247,7 +232,7 @@ fn telemetry_section() -> (Json, u64) {
         7,
         &tele,
     );
-    let digest = digest_domain_run(&run);
+    let digest = run.run_digest();
     let snap = sink.snapshot();
     let spans = Json::Obj(
         snap.spans
@@ -308,7 +293,7 @@ fn batched_section(e1_digest: Option<u64>) -> Json {
         );
         let wall = start.elapsed().as_secs_f64();
         if k == 1 {
-            let d = digest_domain_run(&run);
+            let d = run.run_digest();
             assert_eq!(
                 Some(d),
                 e1_digest,
@@ -411,28 +396,6 @@ fn batched_section(e1_digest: Option<u64>) -> Json {
     Json::Obj(entries)
 }
 
-/// Digest of a replayed outcome, field-for-field identical to
-/// [`digest_domain_run`] over the round-driven run that recorded the
-/// log — equal digests mean the replay reproduced the run bit-for-bit.
-fn digest_replay(r: &oassis_core::ReplayOutcome) -> u64 {
-    fn word(h: &mut u64, v: usize) {
-        fnv(h, &(v as u64).to_le_bytes());
-    }
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    word(&mut h, r.questions);
-    word(&mut h, r.msps.len());
-    word(&mut h, r.valid_msps.len());
-    word(&mut h, r.undecided);
-    word(&mut h, r.total_valid);
-    word(&mut h, r.nodes_materialized);
-    word(&mut h, usize::from(r.complete));
-    for e in &r.events {
-        word(&mut h, e.question);
-        fnv(&mut h, format!("{:?}", e.kind).as_bytes());
-    }
-    h
-}
-
 /// `incremental` section: the op-log replay core on E1 — every accepted
 /// answer applied as a classification delta against the post-run DAG,
 /// no round loop, no crowd. One round-driven E1 run records the log
@@ -444,7 +407,6 @@ fn digest_replay(r: &oassis_core::ReplayOutcome) -> u64 {
 fn incremental_section(e1_digest: Option<u64>) -> (Json, f64) {
     let domain = travel(DomainScale::paper());
     let bound = bind_domain(&domain);
-    let pool = minipool::Pool::sequential();
     let tele = telemetry::Telemetry::off();
     let base = evaluate_where(&bound, &domain.ontology, MatchMode::Exact);
     let mut dag = Dag::new(&bound, domain.ontology.vocab(), &base);
@@ -466,9 +428,9 @@ fn incremental_section(e1_digest: Option<u64>) -> (Json, f64) {
     let mut compensated = 0u64;
     for _ in 0..REPEATS {
         let start = Instant::now();
-        let replay = out.mining.ops.replay(&dag, &agg, &pool, &tele);
+        let replay = out.mining.ops.replay(&dag, &agg, &tele);
         let wall = start.elapsed().as_secs_f64();
-        samples.push((wall, digest_replay(&replay)));
+        samples.push((wall, replay.run_digest()));
         applied = replay.applied;
         compensated = replay.compensated;
     }
@@ -581,13 +543,13 @@ fn server_section() -> (Json, bool) {
         mgr.open(&session).expect("resume");
         let recovered = mgr.recover("bench").expect("recover");
         let wall = start.elapsed().as_secs_f64();
-        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut digest = Fnv::new();
         for r in &recovered {
             ok &= r.verified == Some(true) && r.digest == live_digest;
             recovered_ops = r.ops;
-            fnv(&mut digest, r.digest.as_bytes());
+            digest.bytes(r.digest.as_bytes());
         }
-        samples.push((wall, digest));
+        samples.push((wall, digest.finish()));
     }
     let recovery_wall_s = median_wall("server_recovery", &samples);
     let _ = std::fs::remove_dir_all(&root);

@@ -8,6 +8,7 @@
 
 use crowd::population::{generate, HabitProfile, PopulationConfig};
 use crowd::{AnswerModel, MemberBehavior, SimulatedCrowd, SimulatedMember};
+use oassis_core::digest::RunDigest;
 use oassis_core::{
     run_multi, Dag, FixedSampleAggregator, MiningConfig, MultiOutcome, QuestionStats,
 };
@@ -247,7 +248,7 @@ pub struct DomainRun {
     // audit: allow(D8, cost instrumentation; not part of the semantic outcome)
     pub admits_calls: usize,
     /// Rounds in which at least one question was asked (deliberately
-    /// excluded from [`digest_domain_run`]: the round count is what
+    /// excluded from [`DomainRun::run_digest`]: the round count is what
     /// batching is *supposed* to change).
     // audit: allow(D8, deliberately excluded - the round count is what batching is supposed to change)
     pub rounds: usize,
@@ -358,32 +359,23 @@ pub fn run_domain_at_batched(
     }
 }
 
-/// FNV-1a digest of a [`DomainRun`]'s mining outcome — the equivalence
-/// currency of the perf harnesses: two runs with equal digests asked the
-/// same questions and reached the same conclusions in the same order.
-pub fn digest_domain_run(run: &DomainRun) -> u64 {
-    fn fnv(h: &mut u64, bytes: &[u8]) {
-        for &b in bytes {
-            *h ^= b as u64;
-            *h = h.wrapping_mul(0x0000_0100_0000_01B3);
+impl DomainRun {
+    /// The run digest of the mining outcome — the equivalence currency
+    /// of the perf harnesses: two runs with equal digests asked the same
+    /// questions and reached the same conclusions in the same order.
+    pub fn run_digest(&self) -> u64 {
+        RunDigest {
+            questions: self.questions,
+            msps: self.msps,
+            valid_msps: self.valid_msps,
+            undecided: self.undecided,
+            total_valid: self.total_valid,
+            nodes_materialized: self.nodes_materialized,
+            complete: self.complete,
+            events: &self.outcome_events,
         }
+        .digest()
     }
-    fn word(h: &mut u64, v: usize) {
-        fnv(h, &(v as u64).to_le_bytes());
-    }
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    word(&mut h, run.questions);
-    word(&mut h, run.msps);
-    word(&mut h, run.valid_msps);
-    word(&mut h, run.undecided);
-    word(&mut h, run.total_valid);
-    word(&mut h, run.nodes_materialized);
-    word(&mut h, usize::from(run.complete));
-    for e in &run.outcome_events {
-        word(&mut h, e.question);
-        fnv(&mut h, format!("{:?}", e.kind).as_bytes());
-    }
-    h
 }
 
 /// Fully materializes a domain DAG without multiplicities (the paper's

@@ -29,7 +29,6 @@ use oassis_ql::{
     bind, evaluate_where, parse, BaseAssignment, BoundQuery, MatchMode, OutputFormat, QlError,
 };
 use ontology::Ontology;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Unified error type of the public engine surface.
@@ -39,9 +38,6 @@ pub enum OassisError {
     Ql(QlError),
     /// Invalid resource budget (question budget, support threshold).
     Budget(String),
-    /// Telemetry error: a trace was requested without a recording sink,
-    /// or writing the trace failed.
-    Telemetry(String),
 }
 
 impl std::fmt::Display for OassisError {
@@ -49,7 +45,6 @@ impl std::fmt::Display for OassisError {
         match self {
             OassisError::Ql(e) => write!(f, "query error: {e}"),
             OassisError::Budget(m) => write!(f, "budget error: {m}"),
-            OassisError::Telemetry(m) => write!(f, "telemetry error: {m}"),
         }
     }
 }
@@ -78,10 +73,6 @@ pub struct ExecuteOptions {
     /// Rule-mining configuration, used when the query has an `IMPLYING`
     /// clause.
     pub rules: RuleMiningConfig,
-    /// Where to write the JSONL telemetry trace after the run. Requires a
-    /// recording sink on `mining.telemetry`; rejected with
-    /// [`OassisError::Telemetry`] otherwise.
-    pub trace_path: Option<PathBuf>,
 }
 
 /// A declarative description of one engine invocation: one query (pattern
@@ -148,13 +139,6 @@ impl<'q> QueryRequest<'q> {
     /// Sets the rule-mining configuration.
     pub fn with_rules(mut self, rules: RuleMiningConfig) -> Self {
         self.options.rules = rules;
-        self
-    }
-
-    /// Requests a JSONL trace dump after the run (requires a recording
-    /// sink on the mining telemetry handle).
-    pub fn with_trace_path(mut self, path: impl Into<PathBuf>) -> Self {
-        self.options.trace_path = Some(path.into());
         self
     }
 
@@ -233,7 +217,6 @@ pub struct Oassis<'o> {
     ont: &'o Ontology,
     match_mode: MatchMode,
     templates: QuestionTemplates,
-    policy: Option<crowd::CrowdPolicy>,
     prepared: Option<Arc<PreparedQuery>>,
 }
 
@@ -309,17 +292,8 @@ impl<'o> Oassis<'o> {
             ont,
             match_mode: MatchMode::Exact,
             templates: QuestionTemplates::new(),
-            policy: None,
             prepared: None,
         }
-    }
-
-    /// Installs a crowd-access policy (per-question timeout, retry cap,
-    /// deterministic backoff) that overrides the one in the request's
-    /// [`MiningConfig`] on every [`Self::run`].
-    pub fn with_policy(mut self, policy: crowd::CrowdPolicy) -> Self {
-        self.policy = Some(policy);
-        self
     }
 
     /// Switches the WHERE match mode.
@@ -383,12 +357,9 @@ impl<'o> Oassis<'o> {
     /// against `crowd` and the aggregator, on the caller's thread. The
     /// single entry point of the engine.
     ///
-    /// Validation performed up front:
-    /// * a zero question budget or a support threshold outside `(0, 1]`
-    ///   is rejected with [`OassisError::Budget`]
-    ///   ([`MiningConfig::check_budget`]);
-    /// * `trace_path` without a recording telemetry sink is rejected with
-    ///   [`OassisError::Telemetry`].
+    /// A zero question budget or a support threshold outside `(0, 1]`
+    /// is rejected up front with [`OassisError::Budget`]
+    /// ([`MiningConfig::check_budget`]).
     pub fn run<C: CrowdSource, A: Aggregator>(
         &self,
         req: &QueryRequest<'_>,
@@ -397,11 +368,6 @@ impl<'o> Oassis<'o> {
     ) -> Result<QueryOutcome, OassisError> {
         let mining = &req.options.mining;
         mining.check_budget()?;
-        if req.options.trace_path.is_some() && mining.telemetry.sink().is_none() {
-            return Err(OassisError::Telemetry(
-                "trace_path requires a recording telemetry sink on the mining config".into(),
-            ));
-        }
         let prepared = {
             let _s = mining.telemetry.span("prepare");
             self.prepared(req.src)?
@@ -416,16 +382,6 @@ impl<'o> Oassis<'o> {
                 &mining.telemetry,
             )?)
         };
-        if let Some(path) = &req.options.trace_path {
-            if let Some(sink) = mining.telemetry.sink() {
-                sink.write_jsonl(path).map_err(|e| {
-                    OassisError::Telemetry(format!(
-                        "failed to write trace to {}: {e}",
-                        path.display()
-                    ))
-                })?;
-            }
-        }
         Ok(outcome)
     }
 
@@ -447,9 +403,6 @@ impl<'o> Oassis<'o> {
             Dag::new(bound, self.ont.vocab(), &prepared.base)
         };
         let mut run_cfg = cfg.clone();
-        if let Some(policy) = self.policy {
-            run_cfg.policy = policy;
-        }
         run_cfg.telemetry = tele.clone();
         let outcome = run_multi(&mut dag, crowd, aggregator, &run_cfg);
         let _s = tele.span("select");

@@ -15,6 +15,8 @@
 //! * [`multi`] — the multi-user engine of Section 4.2 (`QueueManager`).
 //! * `fold` — the classification fold: the one writer of shared
 //!   classification state, run by every engine and by op-log replay.
+//! * [`digest`] — the one FNV-1a hasher every digest and WAL crc folds
+//!   through, and the outcome folds the run-vs-replay oracles compare.
 //! * [`oplog`] — the answer-operation log: every accepted answer as a
 //!   replayable delta, permutation-invariant under the canonical merge
 //!   order.
@@ -46,6 +48,7 @@ pub mod baselines;
 pub mod cache;
 pub mod classify;
 pub mod dag;
+pub mod digest;
 pub mod diversify;
 pub mod engine;
 pub mod fingerprint;

@@ -56,10 +56,12 @@ pub struct MultiOutcome {
     /// The shared mining outcome (MSPs, questions, events, …).
     pub mining: MiningOutcome,
     /// Answer-mix statistics.
+    // audit: allow(D8, reporting breakdown of questions; the run digest folds the authoritative total, and a replay does not rebuild the mix)
     pub question_stats: QuestionStats,
     /// Questions answered per *recruited* member (when the query carries
     /// an `ASKING` clause, only profile-matching members are recruited, so
     /// this can be shorter than the crowd).
+    // audit: allow(D8, per-member load, not an outcome a replay rebuilds; the folded events fix what was concluded)
     pub answers_per_member: Vec<usize>,
     /// Materialized nodes still unclassified when the run stopped
     /// (non-zero when the crowd was exhausted before convergence).
@@ -67,6 +69,7 @@ pub struct MultiOutcome {
     /// Rounds in which at least one question was asked. With a batch
     /// width above one, each member answers up to `batch_width` questions
     /// per round, so fewer rounds should reach the same MSP set.
+    // audit: allow(D8, deliberately excluded - the round count is what batching is supposed to change)
     pub rounds: usize,
 }
 

@@ -308,15 +308,10 @@ impl OpLog {
     /// entails it and no earlier claim named its node, and is otherwise
     /// discarded and counted in [`ReplayOutcome::discarded_msps`]. A
     /// recorded log, or any recording-order prefix of one, discards none.
-    ///
-    /// `_pool` is unused: replay runs on the calling thread. The parameter
-    /// stays only so that perfbench's `recover` keeps building; ROADMAP
-    /// item 9's benchmark PR removes it.
     pub fn replay<A: Aggregator>(
         &self,
         dag: &Dag<'_>,
         aggregator: &A,
-        _pool: &minipool::Pool,
         tele: &telemetry::Telemetry,
     ) -> ReplayOutcome {
         let span = tele.span("oplog.replay");
@@ -336,17 +331,17 @@ impl OpLog {
         fold.into_replay(dag, self.complete)
     }
 
-    /// [`OpLog::replay`] under its old name, kept only because
-    /// perfbench's `recover` calls it; ROADMAP item 9's benchmark PR
-    /// deletes it.
+    /// [`OpLog::replay`] under its old name and with an unused pool
+    /// argument, kept only because perfbench's `recover` calls it;
+    /// ROADMAP item 9's benchmark PR deletes it.
     pub fn replay_merged<A: Aggregator>(
         &self,
         dag: &Dag<'_>,
         aggregator: &A,
-        pool: &minipool::Pool,
+        _pool: &minipool::Pool,
         tele: &telemetry::Telemetry,
     ) -> ReplayOutcome {
-        self.replay(dag, aggregator, pool, tele)
+        self.replay(dag, aggregator, tele)
     }
 }
 
@@ -380,10 +375,7 @@ mod tests {
         let (dag, out) = run.vertical();
         assert!(!out.ops.is_empty());
         let agg = FixedSampleAggregator { sample_size: 1 };
-        let pool = minipool::Pool::sequential();
-        let replay = out
-            .ops
-            .replay(&dag, &agg, &pool, &telemetry::Telemetry::off());
+        let replay = out.ops.replay(&dag, &agg, &telemetry::Telemetry::off());
         assert_replay_matches(&replay, &out);
         assert_eq!(replay.compensated, 0);
         assert_eq!(replay.discarded_msps, 0);
@@ -414,10 +406,9 @@ mod tests {
         let mut crowd = SimulatedCrowd::new(ont.vocab(), members);
         let agg = FixedSampleAggregator { sample_size: 2 };
         let out = run_multi(&mut dag, &mut crowd, &agg, &MiningConfig::default());
-        let pool = minipool::Pool::sequential();
         let tele = telemetry::Telemetry::off();
         let ops = &out.mining.ops;
-        let replay = ops.replay(&dag, &agg, &pool, &tele);
+        let replay = ops.replay(&dag, &agg, &tele);
         assert_replay_matches(&replay, &out.mining);
         assert_eq!(replay.undecided, out.undecided);
         assert_eq!(replay.discarded_msps, 0);
@@ -425,7 +416,7 @@ mod tests {
         for seed in 0..4u64 {
             let mut shuffled = ops.ops().to_vec();
             shuffled.shuffle(&mut StdRng::seed_from_u64(seed));
-            let permuted = ops.with_ops(shuffled).replay(&dag, &agg, &pool, &tele);
+            let permuted = ops.with_ops(shuffled).replay(&dag, &agg, &tele);
             assert_replay_matches(&permuted, &out.mining);
             assert_eq!(permuted.undecided, out.undecided);
             assert_eq!(permuted.discarded_msps, 0);
@@ -510,9 +501,8 @@ mod tests {
     fn replay_discards_msp_claims_the_log_does_not_entail() {
         let run = SyntheticRun::new(1, 5, 3);
         let (dag, out) = run.multi(1);
-        let pool = minipool::Pool::sequential();
         let tele = telemetry::Telemetry::off();
-        let whole = out.ops.replay(&dag, &MULTI_AGG, &pool, &tele);
+        let whole = out.ops.replay(&dag, &MULTI_AGG, &tele);
         assert_eq!(whole.discarded_msps, 0);
         // an MSP claim whose evidence never arrived is discarded, not
         // trusted: keep only the Msp ops and drop all answers
@@ -525,10 +515,7 @@ mod tests {
             .collect();
         let n_orphans = orphans.len() as u64;
         assert!(n_orphans > 0);
-        let starved = out
-            .ops
-            .with_ops(orphans)
-            .replay(&dag, &MULTI_AGG, &pool, &tele);
+        let starved = out.ops.with_ops(orphans).replay(&dag, &MULTI_AGG, &tele);
         assert!(starved.msps.is_empty());
         assert_eq!(starved.discarded_msps, n_orphans);
     }
@@ -538,7 +525,6 @@ mod tests {
     /// recovery after a crash does, and checks that its replay keeps
     /// every MSP claim of the prefix.
     fn assert_every_prefix_replays_clean(run: &SyntheticRun, log: &OpLog, recorded_on: &Dag<'_>) {
-        let pool = minipool::Pool::sequential();
         let tele = telemetry::Telemetry::off();
         let wire: Vec<_> = log
             .ops()
@@ -552,7 +538,7 @@ mod tests {
                 .map(|w| crate::intern_wire_op(&mut fresh, w))
                 .collect();
             let prefix = log.with_ops(ops);
-            let replay = prefix.replay(&fresh, &MULTI_AGG, &pool, &tele);
+            let replay = prefix.replay(&fresh, &MULTI_AGG, &tele);
             let claims = prefix
                 .ops()
                 .iter()
@@ -596,10 +582,9 @@ mod tests {
         let mut crowd = SimulatedCrowd::new(ont.vocab(), members);
         let agg = FixedSampleAggregator { sample_size: 1 };
         let out = run_multi(&mut dag, &mut crowd, &agg, &MiningConfig::default());
-        let pool = minipool::Pool::sequential();
         let tele = telemetry::Telemetry::off();
         let ops = &out.mining.ops;
-        let baseline = ops.replay(&dag, &agg, &pool, &tele);
+        let baseline = ops.replay(&dag, &agg, &tele);
         // a contradictory re-answer arrives late — and is delivered twice
         let first = ops.ops().first().expect("run recorded ops").clone();
         let mut with_revision = ops.ops().to_vec();
@@ -612,7 +597,7 @@ mod tests {
                 verdict: OpVerdict::Revise { support: 0.0 },
             });
         }
-        let revised = ops.with_ops(with_revision).replay(&dag, &agg, &pool, &tele);
+        let revised = ops.with_ops(with_revision).replay(&dag, &agg, &tele);
         assert_eq!(revised.compensated, 2);
         assert_eq!(revised.applied, baseline.applied);
         assert_eq!(revised.questions, baseline.questions);

@@ -18,6 +18,7 @@
 
 use crate::assignment::Assignment;
 use crate::dag::{Dag, NodeId};
+use crate::digest::Fnv;
 use crate::oplog::{AnswerOp, OpVerdict, ReplayOutcome};
 use crate::vertical::MiningOutcome;
 use crowd::MemberId;
@@ -354,26 +355,20 @@ impl SemanticOutcome {
     /// FNV-1a digest of the semantic outcome — what a WAL `done` footer
     /// records and recovery must reproduce.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut fold = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
+        let mut h = Fnv::new();
         for m in &self.msps {
-            fold(m.as_bytes());
-            fold(&[0xFF]);
+            h.bytes(m.as_bytes());
+            h.bytes(&[0xFF]);
         }
-        fold(&[0xFE]);
+        h.bytes(&[0xFE]);
         for m in &self.valid_msps {
-            fold(m.as_bytes());
-            fold(&[0xFF]);
+            h.bytes(m.as_bytes());
+            h.bytes(&[0xFF]);
         }
-        fold(&[0xFE]);
-        fold(&(self.total_valid as u64).to_le_bytes());
-        fold(&[u8::from(self.complete)]);
-        h
+        h.bytes(&[0xFE]);
+        h.word(self.total_valid);
+        h.bytes(&[u8::from(self.complete)]);
+        h.finish()
     }
 }
 

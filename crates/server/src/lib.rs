@@ -12,20 +12,21 @@
 //! * [`proto`] — the wire contract: versioned hello handshake,
 //!   request/response/error frames over the hand-rolled
 //!   [`ontology::json`], decoding tolerant of unknown fields.
-//! * [`wal`] — the embedded store: per-member append-only `AnswerOp`
-//!   logs (wire form, crc-guarded, torn-tail tolerant), building
-//!   directly on `core::oplog`'s record format.
-//! * [`session`] — the session manager and the [`SessionHandle`]
-//!   façade: sessions page in by WAL replay and page out by dropping
-//!   resident state (everything is already durable).
+//! * [`wal`] — the embedded store: one append-only `session.wal` per
+//!   session holding every record kind (wire-form `AnswerOp`s, cached
+//!   answers, query records and `done` footers; crc-guarded, torn-tail
+//!   tolerant), building directly on `core::oplog`'s record format.
+//! * [`session`] — the session manager: sessions page in by WAL replay
+//!   and page out by dropping resident state (everything is already
+//!   durable).
 //! * [`service`] — the TCP serve loop: thread-per-connection over a
 //!   shared session manager.
 //!
 //! ## Recovery is replay
 //!
-//! On restart the server rebuilds each session by replaying the union
-//! of its member logs against a freshly built DAG (the *stale-DAG*
-//! shape of [`oassis_core::wire`]: ops address nodes by assignment, the
+//! On restart the server rebuilds each session by replaying its log
+//! against a freshly built DAG (the *stale-DAG* shape of
+//! [`oassis_core::wire`]: ops address nodes by assignment, the
 //! recovering replica interns them at recovery time). The replayed
 //! [`oassis_core::SemanticOutcome`] digest must equal the pre-crash
 //! digest bit-identically — the kill-at-tick oracle in `crates/simtest`
@@ -44,8 +45,8 @@ pub use proto::{negotiate, Request, Response, PROTO_MIN, PROTO_VERSION};
 pub use provider::Figure1Provider;
 pub use service::{Client, Server, ServerConfig};
 pub use session::{
-    CrowdProvider, FnProvider, OpenReply, QueryReply, RecoveredQuery, ServerError, SessionHandle,
-    SessionManager, SessionSpec, MAX_MEMBERS,
+    CrowdProvider, OpenReply, QueryReply, RecoveredQuery, ServerError, SessionManager, SessionSpec,
+    MAX_MEMBERS,
 };
 pub use wal::{DoneMeta, KillSwitch, QueryMeta, QuerySpec, Recovered, SessionWal, WalTap};
 

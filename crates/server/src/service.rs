@@ -2,7 +2,7 @@
 //!
 //! Thread-per-connection over one shared [`SessionManager`] guarded by
 //! the `server.sessions` [`TrackedMutex`] — queries serialize at the
-//! process level (the engine parallelizes internally through its pool),
+//! process level (a query mines on the thread that holds the lock),
 //! which keeps every durable append totally ordered per session without
 //! a second lock level. Acquisition order is always
 //! `server.sessions → core.cache.inner / server.wal`; the lock-order

@@ -129,19 +129,6 @@ pub trait CrowdProvider: Send + Sync {
     fn provide<'a>(&'a self, spec: &SessionSpec) -> Box<dyn CrowdSource + Send + 'a>;
 }
 
-/// A [`CrowdProvider`] from a closure (for crowds that own their data;
-/// borrowing crowds implement the trait on an owning struct instead).
-pub struct FnProvider<F>(pub F);
-
-impl<F> CrowdProvider for FnProvider<F>
-where
-    F: Fn(&SessionSpec) -> Box<dyn CrowdSource + Send> + Send + Sync,
-{
-    fn provide<'a>(&'a self, spec: &SessionSpec) -> Box<dyn CrowdSource + Send + 'a> {
-        (self.0)(spec)
-    }
-}
-
 /// The reply to one executed query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryReply {
@@ -742,7 +729,6 @@ impl SessionManager {
         wire: &[WireOp],
         prepared: &PreparedQuery,
     ) -> RecoveredQuery {
-        let pool = minipool::Pool::sequential();
         let bound = prepared.bound();
         let mut dag = oassis_core::Dag::new(bound, self.ont.vocab(), prepared.base());
         let ops: Vec<_> = wire.iter().map(|w| intern_wire_op(&mut dag, w)).collect();
@@ -751,7 +737,6 @@ impl SessionManager {
         let replay = log.replay(
             &dag,
             &FixedSampleAggregator { sample_size: 1 },
-            &pool,
             &Telemetry::off(),
         );
         let sem = SemanticOutcome::from_replay(&replay, bound, self.ont.vocab());
@@ -768,62 +753,6 @@ impl SessionManager {
             .labeled(&format!("session.{name}"))
             .mark("page_out", "close");
         Ok(())
-    }
-
-    /// A borrowing façade over one session — the library-user face of
-    /// the same request surface the wire protocol drives.
-    pub fn session<'m>(&'m mut self, name: &str) -> Result<SessionHandle<'m>, ServerError> {
-        self.touch(name)?;
-        Ok(SessionHandle {
-            mgr: self,
-            name: name.to_string(),
-        })
-    }
-}
-
-/// A borrowing façade over one open session: library users build a
-/// [`QueryRequest`] with the fluent builder and run it here; the wire
-/// protocol lowers its `query` frame onto the same [`QuerySpec`]
-/// surface, so both faces execute identically.
-pub struct SessionHandle<'m> {
-    mgr: &'m mut SessionManager,
-    name: String,
-}
-
-impl SessionHandle<'_> {
-    /// The session name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Runs a [`QueryRequest`] (single pattern query) in this session.
-    pub fn query(&mut self, req: &QueryRequest<'_>) -> Result<QueryReply, ServerError> {
-        let mining = &req.options().mining;
-        let narrow = |field: &str, v: usize| {
-            u32::try_from(v)
-                .map_err(|_| ServerError::Protocol(format!("{field} {v} exceeds {}", u32::MAX)))
-        };
-        let spec = QuerySpec {
-            src: req.src().to_string(),
-            threshold: mining.threshold,
-            batch_width: narrow("batch_width", mining.batch_width)?,
-            max_questions: mining
-                .max_questions
-                .map(|m| narrow("max_questions", m))
-                .transpose()?,
-            seed: mining.seed,
-        };
-        self.mgr.query(&self.name, &spec)
-    }
-
-    /// Recovers (replays and verifies) every query of this session.
-    pub fn recover(&mut self) -> Result<Vec<RecoveredQuery>, ServerError> {
-        self.mgr.recover(&self.name)
-    }
-
-    /// Closes the session (pages it out; durable state remains).
-    pub fn close(self) -> Result<(), ServerError> {
-        self.mgr.close(&self.name)
     }
 }
 
@@ -1163,46 +1092,5 @@ mod tests {
         assert_eq!(again.digest, digests[2]);
         assert_eq!(mgr.recover("s2").unwrap()[1].verified, Some(true));
         let _ = std::fs::remove_dir_all(&root);
-    }
-
-    /// Runs `req` through a fresh session's [`SessionHandle`], which must
-    /// reject it as a protocol error and take no qid: the next accepted
-    /// query is qid 1.
-    fn assert_narrowing_rejected(name: &str, req: QueryRequest<'_>) {
-        let ont = Arc::new(figure1::ontology());
-        let root = std::env::temp_dir().join(format!("oassis-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        let provider = Box::new(Figure1Provider::new(ont.clone()));
-        let mut mgr = SessionManager::new(ont, provider, &root);
-        mgr.open(&SessionSpec {
-            name: name.into(),
-            seed: 7,
-            members: 2,
-        })
-        .unwrap();
-        let mut handle = mgr.session(name).unwrap();
-        let err = handle.query(&req).unwrap_err();
-        assert!(matches!(err, ServerError::Protocol(_)), "{err}");
-        let ok = QueryRequest::pattern(figure1::SIMPLE_QUERY).seed(3);
-        assert_eq!(handle.query(&ok).unwrap().qid, 1);
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn a_batch_width_past_u32_is_a_protocol_error() {
-        let wide = u32::MAX as usize + 1;
-        assert_narrowing_rejected(
-            "wide",
-            QueryRequest::pattern(figure1::SIMPLE_QUERY).batch_width(wide),
-        );
-    }
-
-    #[test]
-    fn a_max_questions_past_u32_is_a_protocol_error() {
-        let budget = u32::MAX as usize + 1;
-        assert_narrowing_rejected(
-            "budget",
-            QueryRequest::pattern(figure1::SIMPLE_QUERY).max_questions(budget),
-        );
     }
 }

@@ -48,6 +48,7 @@
 
 use crowd::MemberId;
 use oassis_core::cache::{entry_from_json, entry_to_json, CachedAnswer};
+use oassis_core::digest::fnv64;
 use oassis_core::oplog::{AnswerOp, OpTap};
 use oassis_core::{op_to_wire, wire_from_json, wire_to_json, CrowdCache, Dag, WireOp};
 use ontology::json::{self, Json, JsonError};
@@ -59,17 +60,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use telemetry::lockorder::TrackedMutex;
-
-/// FNV-1a over `bytes` — the same fold `SemanticOutcome::digest` uses,
-/// here guarding WAL lines against torn or bit-rotted tails.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 /// The process-death model for the simtest kill-at-tick fault class.
 ///

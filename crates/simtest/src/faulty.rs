@@ -13,6 +13,7 @@
 use crate::clock::LogicalClock;
 use crate::schedule::{FaultEvent, FaultKind, Schedule};
 use crowd::{Answer, CrowdSource, MemberId, Question};
+use oassis_core::digest::Fnv;
 
 /// One observable simulation step, recorded for the determinism digest.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,14 +49,11 @@ impl SimTrace {
     /// FNV-1a digest of the rendered trace. Same seed ⇒ same digest,
     /// across runs.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut h = Fnv::new();
         for e in &self.entries {
-            for b in format!("{}|{}|{}|{}\n", e.tick, e.member, e.kind, e.detail).bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
+            h.bytes(format!("{}|{}|{}|{}\n", e.tick, e.member, e.kind, e.detail).as_bytes());
         }
-        h
+        h.finish()
     }
 }
 

@@ -24,6 +24,7 @@ use crate::faulty::FaultyCrowd;
 use crate::schedule::Schedule;
 use crate::shrink::shrink;
 use crowd::{CrowdPolicy, MemberId};
+use oassis_core::digest::Fnv;
 use oassis_core::synth::{plant_msps, synthetic_domain, MspDistribution, PlantedOracle};
 use oassis_core::{
     run_horizontal, run_multi, run_naive, run_vertical, Assignment, Dag, FixedSampleAggregator,
@@ -109,25 +110,19 @@ struct EngineRun {
 }
 
 impl EngineRun {
-    fn digest_into(&self, h: &mut u64) {
-        let fnv = |h: &mut u64, bytes: &[u8]| {
-            for &b in bytes {
-                *h ^= b as u64;
-                *h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
+    fn digest_into(&self, h: &mut Fnv) {
         for m in &self.msps {
-            fnv(h, m.as_bytes());
+            h.bytes(m.as_bytes());
         }
         for s in &self.significant {
-            fnv(h, s.as_bytes());
+            h.bytes(s.as_bytes());
         }
-        fnv(h, &(self.questions as u64).to_le_bytes());
-        fnv(h, &[u8::from(self.complete)]);
-        fnv(h, &(self.manifest.timeouts as u64).to_le_bytes());
-        fnv(h, &(self.manifest.retries as u64).to_le_bytes());
-        fnv(h, &(self.manifest.unanswered.len() as u64).to_le_bytes());
-        fnv(h, &self.trace_digest.to_le_bytes());
+        h.word(self.questions);
+        h.bytes(&[u8::from(self.complete)]);
+        h.word(self.manifest.timeouts);
+        h.word(self.manifest.retries);
+        h.word(self.manifest.unanswered.len());
+        h.bytes(&self.trace_digest.to_le_bytes());
     }
 }
 
@@ -277,7 +272,7 @@ pub fn run_with_schedule(cfg: &SimConfig, schedule: &Schedule) -> SimReport {
     let base = evaluate_where(&b, &world.dom.ontology, MatchMode::Exact);
 
     let mut failures: Vec<String> = Vec::new();
-    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut digest = Fnv::new();
     let fault_free = Schedule::fault_free();
 
     // Phase 1 — differential oracle on the fault-free schedule: every
@@ -384,7 +379,7 @@ pub fn run_with_schedule(cfg: &SimConfig, schedule: &Schedule) -> SimReport {
         seed: cfg.seed,
         schedule: schedule.clone(),
         failures,
-        digest,
+        digest: digest.finish(),
     }
 }
 

@@ -42,7 +42,7 @@ pub use harness::{
     record_seed_trace, run_corpus, run_seed, run_with_schedule, shrink_failure, SimConfig,
     SimReport,
 };
-pub use permute::{domain_replay_digest, fig5_fold, permutation_count, shuffled};
+pub use permute::{permutation_count, shuffled};
 pub use recovery::{
     run_recovery_corpus, run_recovery_seed, run_recovery_with_schedule, shrink_recovery_failure,
     RecoveryConfig, RecoveryReport,

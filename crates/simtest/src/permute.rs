@@ -7,68 +7,17 @@
 //! supplies the pieces the harness composes:
 //!
 //! * [`shuffled`] — a deterministic Fisher–Yates permutation of a log;
-//! * [`domain_replay_digest`] — folds a [`ReplayOutcome`] with exactly
-//!   the FNV-1a recipe `bench_speed` uses for the E-domain workloads
-//!   (`digest_domain_run`), so a replay digest is directly comparable
-//!   to the committed `BENCH_speed.json` goldens;
-//! * [`fig5_fold`] — the per-trial fold of the Figure-5 strategy
-//!   workloads (questions, MSP count, event stream);
 //! * [`permutation_count`] — the shuffle budget, `OPLOG_PERMS` from the
 //!   environment (nightly widens it) with a push-CI default of 12.
+//!
+//! Both sides of the oracle digest with `oassis_core::digest`, the same
+//! folds `bench_speed` gates the committed `BENCH_speed.json` goldens
+//! with.
 
-use oassis_core::{AnswerOp, OpLog, ReplayOutcome};
+use oassis_core::{AnswerOp, OpLog};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-
-/// FNV-1a over raw bytes — byte-compatible with the `bench_speed` and
-/// `digest_domain_run` folds.
-pub fn fnv(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-}
-
-/// Folds one machine word.
-pub fn fnv_usize(h: &mut u64, v: usize) {
-    fnv(h, &(v as u64).to_le_bytes());
-}
-
-/// The FNV offset basis every digest in the workspace starts from.
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Digest of a replayed E-domain outcome, field-for-field identical to
-/// `bench::digest_domain_run` over the round-driven run — equal digests
-/// mean the replay reproduced the run bit-identically.
-pub fn domain_replay_digest(r: &ReplayOutcome) -> u64 {
-    let mut h = FNV_OFFSET;
-    fnv_usize(&mut h, r.questions);
-    fnv_usize(&mut h, r.msps.len());
-    fnv_usize(&mut h, r.valid_msps.len());
-    fnv_usize(&mut h, r.undecided);
-    fnv_usize(&mut h, r.total_valid);
-    fnv_usize(&mut h, r.nodes_materialized);
-    fnv_usize(&mut h, usize::from(r.complete));
-    fold_events(&mut h, &r.events);
-    h
-}
-
-/// Folds a replayed Figure-5 trial into a running digest: question
-/// count, MSP count, then the event stream — the exact per-trial fold
-/// of `bench_speed`'s `fig5_workloads`.
-pub fn fig5_fold(h: &mut u64, r: &ReplayOutcome) {
-    fnv_usize(h, r.questions);
-    fnv_usize(h, r.msps.len());
-    fold_events(h, &r.events);
-}
-
-fn fold_events(h: &mut u64, events: &[oassis_core::DiscoveryEvent]) {
-    for e in events {
-        fnv_usize(h, e.question);
-        fnv(h, format!("{:?}", e.kind).as_bytes());
-    }
-}
 
 /// A deterministic random permutation of `ops`' op sequence (the footer
 /// is carried unchanged).

@@ -26,6 +26,7 @@
 
 use crate::schedule::Schedule;
 use crate::shrink::shrink;
+use oassis_core::digest::{fnv64, Fnv};
 use oassis_server::{Figure1Provider, KillSwitch, QuerySpec, SessionManager, SessionSpec};
 use ontology::domains::figure1;
 use ontology::Ontology;
@@ -83,22 +84,14 @@ impl RecoveryReport {
     }
 }
 
-fn fold(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-}
-
 /// A WAL root unique to this `(seed, schedule)` run, cleared of any
 /// previous run's leftovers (the shrinker replays many schedules for
 /// one seed, so the schedule line is part of the name).
 fn wal_root(seed: u64, schedule: &Schedule) -> PathBuf {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    fold(&mut h, schedule.to_line().as_bytes());
     let dir = std::env::temp_dir().join(format!(
-        "oassis-simtest-recovery-{}-{seed}-{h:016x}",
-        std::process::id()
+        "oassis-simtest-recovery-{}-{seed}-{:016x}",
+        std::process::id(),
+        fnv64(schedule.to_line().as_bytes())
     ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
@@ -151,10 +144,10 @@ fn reference(ont: &Arc<Ontology>, cfg: &RecoveryConfig) -> Result<(String, usize
 fn check_cycle(cfg: &RecoveryConfig, schedule: &Schedule) -> (Vec<String>, u64) {
     let ont = Arc::new(figure1::ontology());
     let mut failures: Vec<String> = Vec::new();
-    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut digest = Fnv::new();
     let (want_digest, cold_fresh) = match reference(&ont, cfg) {
         Ok(r) => r,
-        Err(e) => return (vec![e], digest),
+        Err(e) => return (vec![e], digest.finish()),
     };
     let root = wal_root(cfg.seed, schedule);
     let spec = SessionSpec {
@@ -220,8 +213,8 @@ fn check_cycle(cfg: &RecoveryConfig, schedule: &Schedule) -> (Vec<String>, u64) 
                             r.qid, r.digest, r.recorded_digest
                         ));
                     }
-                    fold(&mut digest, r.digest.as_bytes());
-                    fold(&mut digest, &[u8::from(r.complete)]);
+                    digest.bytes(r.digest.as_bytes());
+                    digest.bytes(&[u8::from(r.complete)]);
                 }
             }
             // oracle 2: prefix replay must never error out
@@ -247,12 +240,12 @@ fn check_cycle(cfg: &RecoveryConfig, schedule: &Schedule) -> (Vec<String>, u64) 
                     reply.fresh
                 ));
             }
-            fold(&mut digest, reply.digest.as_bytes());
+            digest.bytes(reply.digest.as_bytes());
         }
         Err(e) => failures.push(format!("resumption: {e}")),
     }
     let _ = std::fs::remove_dir_all(&root);
-    (failures, digest)
+    (failures, digest.finish())
 }
 
 /// Runs the kill/restart/verify cycle for `schedule` (overriding the

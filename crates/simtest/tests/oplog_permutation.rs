@@ -17,15 +17,14 @@
 //!    random permutations of the log and checks every one.
 
 use bench::{bind_domain, domain_crowd, paper_aggregator};
+use oassis_core::digest::{fig5_fold, Fnv};
 use oassis_core::synth::{plant_msps, synthetic_domain, MspDistribution, PlantedOracle};
 use oassis_core::{
     run_horizontal, run_multi, run_naive, run_vertical, Dag, FixedSampleAggregator, MiningConfig,
 };
 use oassis_ql::{bind, evaluate_where, evaluate_where_pool, parse, MatchMode};
 use ontology::domains::{culinary, self_treatment, travel, DomainScale};
-use simtest::permute::{
-    domain_replay_digest, fig5_fold, fnv_usize, permutation_count, shuffled, FNV_OFFSET,
-};
+use simtest::permute::{permutation_count, shuffled};
 
 /// Reads the committed golden digest of `workload` from the repo's
 /// `BENCH_speed.json` (the `current` section; `baseline` and `current`
@@ -76,35 +75,24 @@ fn e_domain_permutations_reproduce_the_golden_digests() {
 
         // the round-driven run itself must sit on the golden — otherwise
         // the harness drifted off the benchmark workload
-        let mut run_digest = FNV_OFFSET;
-        fnv_usize(&mut run_digest, out.mining.questions);
-        fnv_usize(&mut run_digest, out.mining.msps.len());
-        fnv_usize(&mut run_digest, out.mining.valid_msps.len());
-        fnv_usize(&mut run_digest, out.undecided);
-        fnv_usize(&mut run_digest, out.mining.total_valid);
-        fnv_usize(&mut run_digest, out.mining.nodes_materialized);
-        fnv_usize(&mut run_digest, usize::from(out.mining.complete));
-        for e in &out.mining.events {
-            fnv_usize(&mut run_digest, e.question);
-            simtest::permute::fnv(&mut run_digest, format!("{:?}", e.kind).as_bytes());
-        }
         assert_eq!(
-            run_digest, expected,
+            out.run_digest(),
+            expected,
             "{name}: round-driven digest is off the committed golden"
         );
 
-        let canonical = out.mining.ops.replay(&dag, &agg, &pool, &tele);
+        let canonical = out.mining.ops.replay(&dag, &agg, &tele);
         assert_eq!(canonical.discarded_msps, 0, "{name}: canonical replay");
         assert_eq!(
-            domain_replay_digest(&canonical),
+            canonical.run_digest(),
             expected,
             "{name}: canonical replay digest diverged from the golden"
         );
         for perm in 0..permutation_count() {
-            let replay = shuffled(&out.mining.ops, perm).replay(&dag, &agg, &pool, &tele);
+            let replay = shuffled(&out.mining.ops, perm).replay(&dag, &agg, &tele);
             assert_eq!(replay.discarded_msps, 0, "{name}: permutation {perm}");
             assert_eq!(
-                domain_replay_digest(&replay),
+                replay.run_digest(),
                 expected,
                 "{name}: permutation {perm} diverged from the golden digest"
             );
@@ -121,7 +109,6 @@ fn fig5_strategy_permutations_reproduce_the_golden_digests() {
     let mut full = Dag::new(&b, d.ontology.vocab(), &base).without_multiplicities();
     let total = full.materialize_all();
     let agg = FixedSampleAggregator { sample_size: 1 };
-    let pool = minipool::Pool::sequential();
     let tele = telemetry::Telemetry::off();
 
     for (name, algo) in [
@@ -168,19 +155,20 @@ fn fig5_strategy_permutations_reproduce_the_golden_digests() {
         // canonical replays first, then each permutation across all
         // three trials (the golden folds the trials in order)
         for perm in 0..=permutation_count() {
-            let mut h = FNV_OFFSET;
+            let mut h = Fnv::new();
             for (dag, run) in &trials {
                 let log = if perm == 0 {
                     run.ops.clone()
                 } else {
                     shuffled(&run.ops, perm)
                 };
-                let replay = log.replay(dag, &agg, &pool, &tele);
+                let replay = log.replay(dag, &agg, &tele);
                 assert_eq!(replay.discarded_msps, 0, "{name}: permutation {perm}");
-                fig5_fold(&mut h, &replay);
+                fig5_fold(&mut h, replay.questions, replay.msps.len(), &replay.events);
             }
             assert_eq!(
-                h, expected,
+                h.finish(),
+                expected,
                 "{name}: permutation {perm} diverged from the golden digest"
             );
         }

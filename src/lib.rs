@@ -63,10 +63,9 @@ pub use crowdrules as rules;
 ///
 /// Covers the single-entry query API ([`Oassis::run`](crate::core::Oassis::run)
 /// with [`QueryRequest`](crate::core::QueryRequest)), its error and outcome
-/// types, the persistent-session façade
-/// ([`SessionManager`](crate::server::SessionManager) /
-/// [`SessionHandle`](crate::server::SessionHandle) — the same request
-/// surface over a WAL-backed session), the telemetry handles, and the
+/// types, the persistent-session manager
+/// ([`SessionManager`](crate::server::SessionManager), WAL-backed
+/// sessions), the telemetry handles, and the
 /// crowd/ontology vocabulary most applications need.
 pub mod prelude {
     pub use crate::core::{
@@ -78,8 +77,7 @@ pub mod prelude {
     };
     pub use crate::ql::{bind, evaluate_where, parse, BoundQuery, MatchMode, Value};
     pub use crate::server::{
-        CrowdProvider, QueryReply, RecoveredQuery, ServerError, SessionHandle, SessionManager,
-        SessionSpec,
+        CrowdProvider, QueryReply, RecoveredQuery, ServerError, SessionManager, SessionSpec,
     };
     pub use crowd::{
         Answer, AnswerModel, CrowdPolicy, CrowdSource, MemberBehavior, MemberId, PersonalDb,

@@ -1,9 +1,11 @@
-//! Shared population/member builders for the integration tests.
+//! Shared population/member builders and golden-outcome digests for the
+//! integration tests.
 //!
 //! Each test binary compiles this module independently, so helpers a
 //! given binary does not use are expected dead code.
 #![allow(dead_code)]
 
+use oassis::core::digest::Fnv;
 use oassis::crowd::population::HabitProfile;
 use oassis::ontology::domains::figure1;
 use oassis::prelude::*;
@@ -65,4 +67,42 @@ pub fn figure1_avg_member(ont: &Ontology, seed: u64) -> SimulatedMember {
         AnswerModel::Exact,
         seed,
     )
+}
+
+/// Folds a mining outcome into a digest: counts, rendered MSPs (in
+/// discovery order) and the full event stream.
+pub fn digest_outcome(out: &MiningOutcome, b: &BoundQuery, vocab: &Vocabulary) -> u64 {
+    fold_outcome(out, b, vocab).finish()
+}
+
+/// [`digest_outcome`] of the shared outcome, then the multi-user
+/// engine's undecided count, answer mix and per-member answer counts.
+pub fn digest_multi(out: &MultiOutcome, b: &BoundQuery, vocab: &Vocabulary) -> u64 {
+    let mut h = fold_outcome(&out.mining, b, vocab);
+    h.word(out.undecided);
+    h.word(out.question_stats.concrete);
+    h.word(out.question_stats.specialization);
+    h.word(out.question_stats.none_of_these);
+    h.word(out.question_stats.pruning);
+    for &n in &out.answers_per_member {
+        h.word(n);
+    }
+    h.finish()
+}
+
+fn fold_outcome(out: &MiningOutcome, b: &BoundQuery, vocab: &Vocabulary) -> Fnv {
+    let mut h = Fnv::new();
+    h.word(out.questions);
+    h.word(out.msps.len());
+    h.word(out.valid_msps.len());
+    h.word(out.significant_valid.len());
+    h.word(out.total_valid);
+    h.word(out.valid_mult_nodes);
+    h.word(out.nodes_materialized);
+    h.word(usize::from(out.complete));
+    for m in &out.msps {
+        h.bytes(m.apply(b).to_display(vocab).as_bytes());
+    }
+    h.events(&out.events);
+    h
 }

@@ -13,60 +13,17 @@
 //! constants — in the same commit as the semantic change, with a log
 //! message explaining why outcomes moved.
 
+mod common;
+
+use common::{digest_multi, digest_outcome};
 use crowd::{AnswerModel, MemberBehavior, PersonalDb, SimulatedCrowd, SimulatedMember};
+use oassis_core::digest::Fnv;
 use oassis_core::synth::{plant_msps, synthetic_domain, MspDistribution, PlantedOracle};
 use oassis_core::{
-    run_multi, run_vertical, Dag, FixedSampleAggregator, MiningConfig, MiningOutcome, MultiOutcome,
-    NodeId,
+    run_multi, run_vertical, Dag, FixedSampleAggregator, MiningConfig, MiningOutcome, NodeId,
 };
 use oassis_ql::{bind, evaluate_where, parse, BoundQuery, MatchMode};
 use ontology::domains::figure1;
-
-fn fnv(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-}
-
-fn fnv_usize(h: &mut u64, v: usize) {
-    fnv(h, &(v as u64).to_le_bytes());
-}
-
-/// Folds a mining outcome into a digest: counts, rendered MSPs (in
-/// discovery order) and the full event stream.
-fn digest_outcome(out: &MiningOutcome, b: &BoundQuery, vocab: &ontology::Vocabulary) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    fnv_usize(&mut h, out.questions);
-    fnv_usize(&mut h, out.msps.len());
-    fnv_usize(&mut h, out.valid_msps.len());
-    fnv_usize(&mut h, out.significant_valid.len());
-    fnv_usize(&mut h, out.total_valid);
-    fnv_usize(&mut h, out.valid_mult_nodes);
-    fnv_usize(&mut h, out.nodes_materialized);
-    fnv_usize(&mut h, usize::from(out.complete));
-    for m in &out.msps {
-        fnv(&mut h, m.apply(b).to_display(vocab).as_bytes());
-    }
-    for e in &out.events {
-        fnv_usize(&mut h, e.question);
-        fnv(&mut h, format!("{:?}", e.kind).as_bytes());
-    }
-    h
-}
-
-fn digest_multi(out: &MultiOutcome, b: &BoundQuery, vocab: &ontology::Vocabulary) -> u64 {
-    let mut h = digest_outcome(&out.mining, b, vocab);
-    fnv_usize(&mut h, out.undecided);
-    fnv_usize(&mut h, out.question_stats.concrete);
-    fnv_usize(&mut h, out.question_stats.specialization);
-    fnv_usize(&mut h, out.question_stats.none_of_these);
-    fnv_usize(&mut h, out.question_stats.pruning);
-    for &n in &out.answers_per_member {
-        fnv_usize(&mut h, n);
-    }
-    h
-}
 
 /// Folds a run's op log into a digest: per op its tick, seq, member, the
 /// rendered assignment of its node (`-` for the sentinel) and its
@@ -78,20 +35,20 @@ fn digest_ops(
     b: &BoundQuery,
     vocab: &ontology::Vocabulary,
 ) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = Fnv::new();
     for op in out.ops.ops() {
-        fnv_usize(&mut h, op.tick as usize);
-        fnv_usize(&mut h, op.seq as usize);
-        fnv_usize(&mut h, op.member.0 as usize);
+        h.word(op.tick as usize);
+        h.word(op.seq as usize);
+        h.word(op.member.0 as usize);
         if op.node == NodeId::SENTINEL {
-            fnv(&mut h, b"-");
+            h.bytes(b"-");
         } else {
             let a = &dag.node(op.node).assignment;
-            fnv(&mut h, a.apply(b).to_display(vocab).as_bytes());
+            h.bytes(a.apply(b).to_display(vocab).as_bytes());
         }
-        fnv(&mut h, format!("{:?}", op.verdict).as_bytes());
+        h.bytes(format!("{:?}", op.verdict).as_bytes());
     }
-    h
+    h.finish()
 }
 
 /// Figure-1 member whose answers average u1 and u2 (Example 4.6).
@@ -303,10 +260,10 @@ fn golden_crowdrules_miner() {
     );
     miner.run(&mut crowd, 500);
 
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    fnv_usize(&mut h, miner.questions());
-    fnv_usize(&mut h, crowd.questions_asked());
-    fnv_usize(&mut h, miner.candidates());
+    let mut h = Fnv::new();
+    h.word(miner.questions());
+    h.word(crowd.questions_asked());
+    h.word(miner.candidates());
     let mut significant: Vec<String> = miner
         .significant_rules()
         .iter()
@@ -314,7 +271,7 @@ fn golden_crowdrules_miner() {
         .collect();
     significant.sort();
     for r in &significant {
-        fnv(&mut h, r.as_bytes());
+        h.bytes(r.as_bytes());
     }
     let mut open: Vec<String> = miner
         .open_candidates()
@@ -323,8 +280,9 @@ fn golden_crowdrules_miner() {
         .collect();
     open.sort();
     for r in &open {
-        fnv(&mut h, r.as_bytes());
+        h.bytes(r.as_bytes());
     }
+    let h = h.finish();
     println!("crowdrules_miner digest = 0x{h:016x}");
     assert_eq!(h, GOLDEN_CROWDRULES_MINER);
 }

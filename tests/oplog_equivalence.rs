@@ -15,82 +15,13 @@
 //!    idempotence under duplicated delivery.
 
 use oassis_core::synth::{plant_msps, synthetic_domain, MspDistribution, PlantedOracle};
-use oassis_core::{
-    run_multi, AnswerOp, Dag, FixedSampleAggregator, MiningConfig, MultiOutcome, OpVerdict,
-    ReplayOutcome,
-};
+use oassis_core::{run_multi, AnswerOp, Dag, FixedSampleAggregator, MiningConfig, OpVerdict};
 use oassis_ql::{bind, evaluate_where, parse, MatchMode};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use simtest::{FaultyCrowd, Schedule};
-
-/// FNV-1a over the digest-bearing fields shared by a round-driven
-/// outcome and a replay outcome.
-fn fnv(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x100_0000_01b3);
-    }
-}
-
-fn fnv_usize(h: &mut u64, v: usize) {
-    fnv(h, &v.to_le_bytes());
-}
-
-struct DigestFields<'a> {
-    questions: usize,
-    msps: usize,
-    valid_msps: usize,
-    undecided: usize,
-    total_valid: usize,
-    nodes_materialized: usize,
-    complete: bool,
-    events: &'a [oassis_core::DiscoveryEvent],
-}
-
-fn digest(f: &DigestFields<'_>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    fnv_usize(&mut h, f.questions);
-    fnv_usize(&mut h, f.msps);
-    fnv_usize(&mut h, f.valid_msps);
-    fnv_usize(&mut h, f.undecided);
-    fnv_usize(&mut h, f.total_valid);
-    fnv_usize(&mut h, f.nodes_materialized);
-    fnv_usize(&mut h, usize::from(f.complete));
-    for e in f.events {
-        fnv_usize(&mut h, e.question);
-        fnv(&mut h, format!("{:?}", e.kind).as_bytes());
-    }
-    h
-}
-
-fn run_digest(out: &MultiOutcome) -> u64 {
-    digest(&DigestFields {
-        questions: out.mining.questions,
-        msps: out.mining.msps.len(),
-        valid_msps: out.mining.valid_msps.len(),
-        undecided: out.undecided,
-        total_valid: out.mining.total_valid,
-        nodes_materialized: out.mining.nodes_materialized,
-        complete: out.mining.complete,
-        events: &out.mining.events,
-    })
-}
-
-fn replay_digest(r: &ReplayOutcome) -> u64 {
-    digest(&DigestFields {
-        questions: r.questions,
-        msps: r.msps.len(),
-        valid_msps: r.valid_msps.len(),
-        undecided: r.undecided,
-        total_valid: r.total_valid,
-        nodes_materialized: r.nodes_materialized,
-        complete: r.complete,
-        events: &r.events,
-    })
-}
 
 /// Mines a planted synthetic workload round-driven, then replays its op
 /// log — canonical order plus `n_shuffles` random permutations —
@@ -132,13 +63,12 @@ fn assert_permutation_oracle(
     };
     let out = run_multi(&mut dag, &mut oracle, &agg, &cfg);
     assert!(!out.mining.ops.is_empty(), "run recorded no ops");
-    let reference = run_digest(&out);
+    let reference = out.run_digest();
 
-    let pool = minipool::Pool::sequential();
     let tele = telemetry::Telemetry::off();
     let ops = &out.mining.ops;
 
-    let replay = ops.replay(&dag, &agg, &pool, &tele);
+    let replay = ops.replay(&dag, &agg, &tele);
     assert_eq!(
         replay.discarded_msps, 0,
         "canonical replay kept every claim"
@@ -146,12 +76,12 @@ fn assert_permutation_oracle(
     assert_eq!(replay.msps, out.mining.msps, "canonical replay MSP set");
     assert_eq!(replay.valid_msps, out.mining.valid_msps);
     assert_eq!(replay.events, out.mining.events);
-    assert_eq!(replay_digest(&replay), reference, "canonical replay digest");
+    assert_eq!(replay.run_digest(), reference, "canonical replay digest");
 
     for shuffle_seed in 0..n_shuffles {
         let mut shuffled = ops.ops().to_vec();
         shuffled.shuffle(&mut StdRng::seed_from_u64(seed ^ (shuffle_seed << 32)));
-        let permuted = ops.with_ops(shuffled).replay(&dag, &agg, &pool, &tele);
+        let permuted = ops.with_ops(shuffled).replay(&dag, &agg, &tele);
         assert_eq!(
             permuted.discarded_msps, 0,
             "shuffle {shuffle_seed} discarded a claim"
@@ -165,7 +95,7 @@ fn assert_permutation_oracle(
             "shuffle {shuffle_seed} changed the valid set"
         );
         assert_eq!(
-            replay_digest(&permuted),
+            permuted.run_digest(),
             reference,
             "shuffle {shuffle_seed} changed the digest"
         );
@@ -213,20 +143,15 @@ fn faulty_runs_replay_bit_identically_under_permutation() {
     let agg = FixedSampleAggregator { sample_size: 4 };
     let out = run_multi(&mut dag, &mut faulty, &agg, &MiningConfig::default());
     assert!(!out.mining.ops.is_empty());
-    let reference = run_digest(&out);
-    let pool = minipool::Pool::sequential();
+    let reference = out.run_digest();
     let tele = telemetry::Telemetry::off();
     for shuffle_seed in 0..6u64 {
         let mut shuffled = out.mining.ops.ops().to_vec();
         shuffled.shuffle(&mut StdRng::seed_from_u64(shuffle_seed));
-        let permuted = out
-            .mining
-            .ops
-            .with_ops(shuffled)
-            .replay(&dag, &agg, &pool, &tele);
+        let permuted = out.mining.ops.with_ops(shuffled).replay(&dag, &agg, &tele);
         assert_eq!(permuted.discarded_msps, 0);
         assert_eq!(permuted.msps, out.mining.msps);
-        assert_eq!(replay_digest(&permuted), reference);
+        assert_eq!(permuted.run_digest(), reference);
     }
 }
 
@@ -249,10 +174,9 @@ fn duplicated_contradiction_revisions_are_idempotent() {
     let mut oracle = PlantedOracle::new(dom.ontology.vocab(), patterns, 2, 5);
     let agg = FixedSampleAggregator { sample_size: 2 };
     let out = run_multi(&mut dag, &mut oracle, &agg, &MiningConfig::default());
-    let pool = minipool::Pool::sequential();
     let tele = telemetry::Telemetry::off();
     let ops = &out.mining.ops;
-    let baseline = ops.replay(&dag, &agg, &pool, &tele);
+    let baseline = ops.replay(&dag, &agg, &tele);
 
     let first = ops.ops().first().expect("run recorded ops").clone();
     let mut with_revision = ops.ops().to_vec();
@@ -265,10 +189,10 @@ fn duplicated_contradiction_revisions_are_idempotent() {
             verdict: OpVerdict::Revise { support: 1.0 },
         });
     }
-    let revised = ops.with_ops(with_revision).replay(&dag, &agg, &pool, &tele);
+    let revised = ops.with_ops(with_revision).replay(&dag, &agg, &tele);
     assert_eq!(revised.compensated, 3);
     assert_eq!(revised.applied, baseline.applied);
-    assert_eq!(replay_digest(&revised), replay_digest(&baseline));
+    assert_eq!(revised.run_digest(), baseline.run_digest());
     assert_eq!(revised.msps, baseline.msps);
     assert_eq!(revised.events, baseline.events);
 }
@@ -314,9 +238,8 @@ fn replay_against_a_stale_replica_reproduces_the_semantic_outcome() {
     let ops: Vec<_> = wire.iter().map(|w| intern_wire_op(&mut fresh, w)).collect();
     let mut log = OpLog::new(out.mining.ops.threshold(), true).with_ops(ops);
     log.set_complete(out.mining.complete);
-    let pool = minipool::Pool::sequential();
     let tele = telemetry::Telemetry::off();
-    let replayed = log.replay(&fresh, &agg, &pool, &tele);
+    let replayed = log.replay(&fresh, &agg, &tele);
 
     // assignments are replica-portable, so the semantic fields compare
     // directly even though every NodeId differs between the replicas

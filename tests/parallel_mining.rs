@@ -30,9 +30,12 @@ fn execute_degrades_gracefully_under_fault_schedules() {
     // answered subset truthful, and must report the degradation in the
     // partial-answer manifest instead of claiming completeness.
     let ont = figure1::ontology();
-    let engine = Oassis::new(&ont).with_policy(oassis::crowd::CrowdPolicy::default());
+    let engine = Oassis::new(&ont);
     let agg = FixedSampleAggregator { sample_size: 4 };
-    let cfg = MiningConfig::default();
+    let cfg = MiningConfig {
+        policy: CrowdPolicy::default(),
+        ..Default::default()
+    };
 
     let request = QueryRequest::new(figure1::SIMPLE_QUERY).with_mining(cfg.clone());
     let fault_free = {

@@ -10,21 +10,23 @@
 //!    side.
 //!
 //! 2. **Trace replay** — a faulty run recorded through the single-entry
-//!    [`Oassis::run`] API (with `with_trace_path`) emits a JSONL trace
-//!    whose schema parses with `ontology::json`, whose spans nest
-//!    properly with non-decreasing ticks, and whose question accounting
+//!    [`Oassis::run`] API and written out with `write_jsonl` gives a
+//!    JSONL trace whose schema parses with `ontology::json`, whose spans
+//!    nest properly with non-decreasing ticks, and whose question accounting
 //!    (timeout/retry marks, `engine.questions` and per-kind counters)
 //!    matches the run's [`PartialManifest`] and `QuestionStats` exactly.
 
+mod common;
+
+use common::{digest_multi, digest_outcome};
 use crowd::{
     AnswerModel, CrowdPolicy, MemberBehavior, PersonalDb, SimulatedCrowd, SimulatedMember,
 };
 use oassis_core::synth::{plant_msps, synthetic_domain, MspDistribution, PlantedOracle};
 use oassis_core::{
-    run_multi, run_vertical, Dag, FixedSampleAggregator, MiningConfig, MiningOutcome, MultiOutcome,
-    Oassis, QueryRequest,
+    run_multi, run_vertical, Dag, FixedSampleAggregator, MiningConfig, Oassis, QueryRequest,
 };
-use oassis_ql::{bind, evaluate_where, parse, BoundQuery, MatchMode};
+use oassis_ql::{bind, evaluate_where, parse, MatchMode};
 use ontology::domains::figure1;
 use ontology::json::{self, Json};
 use simtest::{FaultyCrowd, Schedule};
@@ -34,50 +36,6 @@ use telemetry::{NoopSink, Telemetry, TelemetrySink, TraceEvent};
 const GOLDEN_VERTICAL_SYNTHETIC: u64 = 0xdeab91c0df65d2d8;
 const GOLDEN_MULTI_FIGURE1: u64 = 0x91d1bfe9c869b6ad;
 const GOLDEN_MULTI_SYNTHETIC: u64 = 0x4b3695f5ead79508;
-
-fn fnv(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-}
-
-fn fnv_usize(h: &mut u64, v: usize) {
-    fnv(h, &(v as u64).to_le_bytes());
-}
-
-fn digest_outcome(out: &MiningOutcome, b: &BoundQuery, vocab: &ontology::Vocabulary) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    fnv_usize(&mut h, out.questions);
-    fnv_usize(&mut h, out.msps.len());
-    fnv_usize(&mut h, out.valid_msps.len());
-    fnv_usize(&mut h, out.significant_valid.len());
-    fnv_usize(&mut h, out.total_valid);
-    fnv_usize(&mut h, out.valid_mult_nodes);
-    fnv_usize(&mut h, out.nodes_materialized);
-    fnv_usize(&mut h, usize::from(out.complete));
-    for m in &out.msps {
-        fnv(&mut h, m.apply(b).to_display(vocab).as_bytes());
-    }
-    for e in &out.events {
-        fnv_usize(&mut h, e.question);
-        fnv(&mut h, format!("{:?}", e.kind).as_bytes());
-    }
-    h
-}
-
-fn digest_multi(out: &MultiOutcome, b: &BoundQuery, vocab: &ontology::Vocabulary) -> u64 {
-    let mut h = digest_outcome(&out.mining, b, vocab);
-    fnv_usize(&mut h, out.undecided);
-    fnv_usize(&mut h, out.question_stats.concrete);
-    fnv_usize(&mut h, out.question_stats.specialization);
-    fnv_usize(&mut h, out.question_stats.none_of_these);
-    fnv_usize(&mut h, out.question_stats.pruning);
-    for &n in &out.answers_per_member {
-        fnv_usize(&mut h, n);
-    }
-    h
-}
 
 /// Figure-1 member whose answers average u1 and u2 (Example 4.6).
 fn u_avg(ont: &ontology::Ontology, seed: u64) -> SimulatedMember {
@@ -242,14 +200,13 @@ fn recorded_jsonl_trace_replays_against_the_manifest() {
     let mut faulty = FaultyCrowd::new(crowd, &schedule, policy.timeout_ticks)
         .with_telemetry(Telemetry::recording(&sink));
 
-    let engine = Oassis::new(&ont).with_policy(policy);
+    let engine = Oassis::new(&ont);
     let cfg = MiningConfig {
+        policy,
         telemetry: Telemetry::recording(&sink),
         ..Default::default()
     };
-    let request = QueryRequest::new(figure1::SIMPLE_QUERY)
-        .with_mining(cfg)
-        .with_trace_path(&trace_path);
+    let request = QueryRequest::new(figure1::SIMPLE_QUERY).with_mining(cfg);
     let answer = engine
         .run(
             &request,
@@ -259,6 +216,7 @@ fn recorded_jsonl_trace_replays_against_the_manifest() {
         .expect("query runs")
         .into_patterns()
         .expect("pattern query");
+    sink.write_jsonl(&trace_path).expect("trace file written");
 
     let manifest = &answer.outcome.mining.manifest;
     assert!(manifest.timeouts > 0, "schedule induced no timeouts");
