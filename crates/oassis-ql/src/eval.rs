@@ -13,6 +13,7 @@
 use crate::bind::{BoundQuery, FactTerm, RelTerm, Value, VarId, WherePattern};
 use ontology::{ElemId, Ontology, RelId};
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::rc::Rc;
 
 /// How constants in WHERE patterns match ontology facts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -45,19 +46,26 @@ impl BaseAssignment {
 /// all-unbound assignment (the SATISFYING clause then ranges over the
 /// whole vocabulary, which is how OASSIS-QL captures classic frequent
 /// itemset mining — Section 4.1).
+///
+/// The patterns are joined in one order, fixed for the query before the
+/// search starts (`join_plan`).
 pub fn evaluate_where(q: &BoundQuery, ont: &Ontology, mode: MatchMode) -> Vec<BaseAssignment> {
     let mut ev = Evaluator {
-        q,
         ont,
         mode,
+        plan: join_plan(q)
+            .into_iter()
+            .map(|pi| &q.where_patterns[pi])
+            .collect(),
         star_cache: HashMap::new(),
-        results: HashSet::new(),
+        reach: HashMap::new(),
+        results: Vec::new(),
     };
     let mut bindings: Vec<Option<Value>> = vec![None; q.vars.len()];
-    let mut remaining: Vec<usize> = (0..q.where_patterns.len()).collect();
-    ev.solve(&mut bindings, &mut remaining);
-    let mut out: Vec<BaseAssignment> = ev.results.into_iter().collect();
-    out.sort_by(|a, b| a.0.cmp(&b.0));
+    ev.solve(0, &mut bindings);
+    let mut out = ev.results;
+    out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    out.dedup();
     out
 }
 
@@ -73,65 +81,94 @@ pub fn evaluate_where_pool(
     evaluate_where(q, ont, mode)
 }
 
+/// The order in which the solver matches the WHERE patterns, as indexes
+/// into `q.where_patterns`. Greedy: next comes the pattern with the
+/// fewest unbound variables, then one that shares a bound variable (a
+/// join rather than a cross product), then the earliest in the source.
+///
+/// The order depends on the query alone. Which variables are bound at a
+/// depth of the search does not depend on the values: every pattern
+/// matched so far has bound all of its variables, whatever it bound them
+/// to. So the greedy choice made once here is the one the search would
+/// make at every node.
+fn join_plan(q: &BoundQuery) -> Vec<usize> {
+    let n = q.where_patterns.len();
+    let mut bound = vec![false; q.vars.len()];
+    let mut planned = vec![false; n];
+    let mut plan = Vec::with_capacity(n);
+    for _ in 0..n {
+        let pi = (0..n)
+            .filter(|&pi| !planned[pi])
+            .min_by_key(|&pi| {
+                let mut vars: Vec<VarId> = pattern_vars(&q.where_patterns[pi])
+                    .into_iter()
+                    .flatten()
+                    .collect();
+                let joins = vars.iter().any(|v| bound[v.index()]);
+                vars.retain(|v| !bound[v.index()]);
+                vars.sort_unstable();
+                vars.dedup();
+                (vars.len(), !joins)
+            })
+            .expect("an unplanned pattern is left");
+        planned[pi] = true;
+        for v in pattern_vars(&q.where_patterns[pi]).into_iter().flatten() {
+            bound[v.index()] = true;
+        }
+        plan.push(pi);
+    }
+    plan
+}
+
+/// The variables of a pattern's subject, relation and object positions.
+fn pattern_vars(p: &WherePattern) -> [Option<VarId>; 3] {
+    let var = |t: &FactTerm| match *t {
+        FactTerm::Var(v) => Some(v),
+        FactTerm::Const(_) | FactTerm::Blank => None,
+    };
+    match p {
+        WherePattern::Label { s, .. } => [var(s), None, None],
+        WherePattern::Triple { s, r, o, .. } => {
+            let r = match *r {
+                RelTerm::Var(v) => Some(v),
+                RelTerm::Const(_) => None,
+            };
+            [var(s), r, var(o)]
+        }
+    }
+}
+
 struct Evaluator<'a> {
-    q: &'a BoundQuery,
     ont: &'a Ontology,
     mode: MatchMode,
+    /// The WHERE patterns in [`join_plan`] order: depth `d` of the search
+    /// matches `plan[d]`.
+    plan: Vec<&'a WherePattern>,
     /// Per-relation star-path adjacency: `(rel, reversed)` → successors.
     star_cache: HashMap<(RelId, bool), HashMap<ElemId, Vec<ElemId>>>,
-    results: HashSet<BaseAssignment>,
+    /// Star-path reach: `(rel, start, reversed)` → every element reachable
+    /// from `start` by 0+ steps.
+    reach: HashMap<(RelId, ElemId, bool), Rc<[ElemId]>>,
+    /// Every complete assignment found, duplicates included.
+    results: Vec<BaseAssignment>,
 }
 
 impl Evaluator<'_> {
-    fn solve(&mut self, bindings: &mut Vec<Option<Value>>, remaining: &mut Vec<usize>) {
-        if remaining.is_empty() {
-            self.results.insert(BaseAssignment(bindings.clone()));
+    /// Matches `plan[depth..]` under `bindings`, which `plan[..depth]` bound.
+    fn solve(&mut self, depth: usize, bindings: &mut Vec<Option<Value>>) {
+        let Some(&p) = self.plan.get(depth) else {
+            self.results.push(BaseAssignment(bindings.clone()));
             return;
-        }
-        // Pick the most-bound pattern next (fewest unbound variables).
-        let (pos, _) = remaining
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &pi)| self.unbound_count(&self.q.where_patterns[pi], bindings))
-            .expect("remaining is non-empty");
-        let pi = remaining.swap_remove(pos);
-        let pattern = self.q.where_patterns[pi].clone();
-        self.match_pattern(&pattern, bindings, remaining);
-        remaining.push(pi);
-    }
-
-    fn unbound_count(&self, p: &WherePattern, bindings: &[Option<Value>]) -> usize {
-        let term = |t: &FactTerm| match t {
-            FactTerm::Var(v) if bindings[v.index()].is_none() => 1,
-            _ => 0,
         };
+        let next = depth + 1;
         match p {
-            WherePattern::Label { s, .. } => term(s),
-            WherePattern::Triple { s, r, o, .. } => {
-                term(s)
-                    + term(o)
-                    + match r {
-                        RelTerm::Var(v) if bindings[v.index()].is_none() => 1,
-                        _ => 0,
-                    }
-            }
-        }
-    }
-
-    fn match_pattern(
-        &mut self,
-        p: &WherePattern,
-        bindings: &mut Vec<Option<Value>>,
-        remaining: &mut Vec<usize>,
-    ) {
-        match p {
-            WherePattern::Label { s, label } => self.match_label(*s, label, bindings, remaining),
+            WherePattern::Label { s, label } => self.match_label(*s, label, next, bindings),
             WherePattern::Triple {
                 s,
                 r,
                 o,
                 star: false,
-            } => self.match_triple(*s, *r, *o, bindings, remaining),
+            } => self.match_triple(*s, *r, *o, next, bindings),
             WherePattern::Triple {
                 s,
                 r,
@@ -141,7 +178,7 @@ impl Evaluator<'_> {
                 let RelTerm::Const(rel) = *r else {
                     unreachable!("binder rejects star with relation variable")
                 };
-                self.match_star(*s, rel, *o, bindings, remaining);
+                self.match_star(*s, rel, *o, next, bindings);
             }
         }
     }
@@ -150,31 +187,31 @@ impl Evaluator<'_> {
         &mut self,
         s: FactTerm,
         label: &str,
+        next: usize,
         bindings: &mut Vec<Option<Value>>,
-        remaining: &mut Vec<usize>,
     ) {
         match s {
             FactTerm::Const(e) => {
                 if self.ont.has_label(e, label) {
-                    self.solve(bindings, remaining);
+                    self.solve(next, bindings);
                 }
             }
             FactTerm::Blank => {
                 if !self.ont.elems_with_label(label).is_empty() {
-                    self.solve(bindings, remaining);
+                    self.solve(next, bindings);
                 }
             }
             FactTerm::Var(v) => match bindings[v.index()] {
                 Some(Value::Elem(e)) => {
                     if self.ont.has_label(e, label) {
-                        self.solve(bindings, remaining);
+                        self.solve(next, bindings);
                     }
                 }
                 Some(Value::Rel(_)) => {}
                 None => {
-                    for e in self.ont.elems_with_label(label) {
+                    for &e in self.ont.elems_with_label(label) {
                         bindings[v.index()] = Some(Value::Elem(e));
-                        self.solve(bindings, remaining);
+                        self.solve(next, bindings);
                     }
                     bindings[v.index()] = None;
                 }
@@ -212,63 +249,76 @@ impl Evaluator<'_> {
         s: FactTerm,
         r: RelTerm,
         o: FactTerm,
+        next: usize,
         bindings: &mut Vec<Option<Value>>,
-        remaining: &mut Vec<usize>,
     ) {
-        // Candidate relations.
-        let rels: Vec<RelId> = match r {
+        let vocab = self.ont.vocab();
+        match r {
             RelTerm::Const(rel) => match self.mode {
-                MatchMode::Exact => vec![rel],
-                MatchMode::Semantic => self.ont.vocab().rel_descendants(rel).collect(),
+                MatchMode::Exact => self.match_facts(s, rel, None, o, next, bindings),
+                MatchMode::Semantic => {
+                    for d in vocab.rel_descendants(rel) {
+                        self.match_facts(s, d, None, o, next, bindings);
+                    }
+                }
             },
             RelTerm::Var(v) => match bindings[v.index()] {
-                Some(Value::Rel(rel)) => vec![rel],
-                Some(Value::Elem(_)) => vec![],
-                None => self.ont.vocab().rels().collect(),
+                Some(Value::Rel(rel)) => self.match_facts(s, rel, None, o, next, bindings),
+                Some(Value::Elem(_)) => {}
+                None => {
+                    for rel in vocab.rels() {
+                        self.match_facts(s, rel, Some(v), o, next, bindings);
+                    }
+                }
             },
-        };
-        for rel in rels {
-            let rel_binds = match r {
-                RelTerm::Var(v) if bindings[v.index()].is_none() => Some(v),
-                _ => None,
+        }
+    }
+
+    /// Matches the asserted `rel` facts against `s` and `o`, binding
+    /// `rel_var` (if any) to `rel` as well.
+    fn match_facts(
+        &mut self,
+        s: FactTerm,
+        rel: RelId,
+        rel_var: Option<VarId>,
+        o: FactTerm,
+        next: usize,
+        bindings: &mut Vec<Option<Value>>,
+    ) {
+        for f in self.ont.facts_with_rel(rel) {
+            let Some(sb) = self.accept_elem(s, f.subject, bindings) else {
+                continue;
             };
-            // Iterate asserted facts with this relation.
-            let facts: Vec<ontology::Fact> = self.ont.facts_with_rel(rel).to_vec();
-            for f in facts {
-                let Some(sb) = self.accept_elem(s, f.subject, bindings) else {
-                    continue;
-                };
-                let Some(ob_pre) = self.accept_elem(o, f.object, bindings) else {
-                    continue;
-                };
-                // Bind subject first; re-check object if s and o are the
-                // same unbound variable.
-                if let Some(v) = sb {
-                    bindings[v.index()] = Some(Value::Elem(f.subject));
+            let Some(ob_pre) = self.accept_elem(o, f.object, bindings) else {
+                continue;
+            };
+            // Bind subject first; re-check object if s and o are the
+            // same unbound variable.
+            if let Some(v) = sb {
+                bindings[v.index()] = Some(Value::Elem(f.subject));
+            }
+            let ob = if sb.is_some() {
+                self.accept_elem(o, f.object, bindings)
+            } else {
+                Some(ob_pre)
+            };
+            if let Some(ob) = ob {
+                if let Some(v) = ob {
+                    bindings[v.index()] = Some(Value::Elem(f.object));
                 }
-                let ob = if sb.is_some() {
-                    self.accept_elem(o, f.object, bindings)
-                } else {
-                    Some(ob_pre)
-                };
-                if let Some(ob) = ob {
-                    if let Some(v) = ob {
-                        bindings[v.index()] = Some(Value::Elem(f.object));
-                    }
-                    if let Some(v) = rel_binds {
-                        bindings[v.index()] = Some(Value::Rel(rel));
-                    }
-                    self.solve(bindings, remaining);
-                    if let Some(v) = rel_binds {
-                        bindings[v.index()] = None;
-                    }
-                    if let Some(v) = ob {
-                        bindings[v.index()] = None;
-                    }
+                if let Some(v) = rel_var {
+                    bindings[v.index()] = Some(Value::Rel(rel));
                 }
-                if let Some(v) = sb {
+                self.solve(next, bindings);
+                if let Some(v) = rel_var {
                     bindings[v.index()] = None;
                 }
+                if let Some(v) = ob {
+                    bindings[v.index()] = None;
+                }
+            }
+            if let Some(v) = sb {
+                bindings[v.index()] = None;
             }
         }
     }
@@ -291,8 +341,12 @@ impl Evaluator<'_> {
     }
 
     /// All elements reachable from `start` by 0+ `rel` facts (forward or
-    /// reversed), including `start` itself.
-    fn star_reach(&mut self, rel: RelId, start: ElemId, reversed: bool) -> Vec<ElemId> {
+    /// reversed), including `start` itself. Each start is searched once
+    /// per call of [`evaluate_where`].
+    fn star_reach(&mut self, rel: RelId, start: ElemId, reversed: bool) -> Rc<[ElemId]> {
+        if let Some(reach) = self.reach.get(&(rel, start, reversed)) {
+            return Rc::clone(reach);
+        }
         let adj = self.star_adj(rel, reversed);
         let mut seen: HashSet<ElemId> = HashSet::from([start]);
         let mut queue: VecDeque<ElemId> = VecDeque::from([start]);
@@ -307,7 +361,9 @@ impl Evaluator<'_> {
                 }
             }
         }
-        out
+        let reach: Rc<[ElemId]> = out.into();
+        self.reach.insert((rel, start, reversed), Rc::clone(&reach));
+        reach
     }
 
     fn match_star(
@@ -315,8 +371,8 @@ impl Evaluator<'_> {
         s: FactTerm,
         rel: RelId,
         o: FactTerm,
+        next: usize,
         bindings: &mut Vec<Option<Value>>,
-        remaining: &mut Vec<usize>,
     ) {
         let elem_of = |t: FactTerm, bindings: &[Option<Value>]| -> Option<Option<ElemId>> {
             // Some(Some(e)) = bound to e; Some(None) = unbound var or blank
@@ -339,34 +395,33 @@ impl Evaluator<'_> {
         match (sv, ov) {
             (Some(se), Some(oe)) => {
                 if self.star_reach(rel, se, false).contains(&oe) {
-                    self.solve(bindings, remaining);
+                    self.solve(next, bindings);
                 }
             }
             (Some(se), None) => {
                 // enumerate objects reachable forward from se
-                for oe in self.star_reach(rel, se, false) {
-                    self.bind_star_end(o, oe, bindings, remaining);
+                for &oe in self.star_reach(rel, se, false).iter() {
+                    self.bind_star_end(o, oe, next, bindings);
                 }
             }
             (None, Some(oe)) => {
                 // enumerate subjects that reach oe (reverse reachability)
-                for se in self.star_reach(rel, oe, true) {
-                    self.bind_star_end(s, se, bindings, remaining);
+                for &se in self.star_reach(rel, oe, true).iter() {
+                    self.bind_star_end(s, se, next, bindings);
                 }
             }
             (None, None) => {
                 // both open: every element paired with everything it reaches
-                let elems: Vec<ElemId> = self.ont.vocab().elems().collect();
-                for se in elems {
-                    for oe in self.star_reach(rel, se, false) {
+                for se in self.ont.vocab().elems() {
+                    for &oe in self.star_reach(rel, se, false).iter() {
                         // bind s then o (they may be the same variable)
                         match s {
                             FactTerm::Var(v) => {
                                 bindings[v.index()] = Some(Value::Elem(se));
-                                self.bind_star_end(o, oe, bindings, remaining);
+                                self.bind_star_end(o, oe, next, bindings);
                                 bindings[v.index()] = None;
                             }
-                            _ => self.bind_star_end(o, oe, bindings, remaining),
+                            _ => self.bind_star_end(o, oe, next, bindings),
                         }
                     }
                 }
@@ -378,23 +433,23 @@ impl Evaluator<'_> {
         &mut self,
         t: FactTerm,
         e: ElemId,
+        next: usize,
         bindings: &mut Vec<Option<Value>>,
-        remaining: &mut Vec<usize>,
     ) {
         match t {
             FactTerm::Var(v) => match bindings[v.index()] {
                 None => {
                     bindings[v.index()] = Some(Value::Elem(e));
-                    self.solve(bindings, remaining);
+                    self.solve(next, bindings);
                     bindings[v.index()] = None;
                 }
-                Some(Value::Elem(b)) if b == e => self.solve(bindings, remaining),
+                Some(Value::Elem(b)) if b == e => self.solve(next, bindings),
                 _ => {}
             },
-            FactTerm::Blank => self.solve(bindings, remaining),
+            FactTerm::Blank => self.solve(next, bindings),
             FactTerm::Const(c) => {
                 if c == e {
-                    self.solve(bindings, remaining);
+                    self.solve(next, bindings);
                 }
             }
         }
@@ -406,7 +461,7 @@ mod tests {
     use super::*;
     use crate::bind::bind;
     use crate::parse;
-    use ontology::domains::figure1;
+    use ontology::domains::{figure1, travel, DomainScale};
 
     fn eval(src: &str, mode: MatchMode) -> (BoundQuery, Vec<BaseAssignment>, Ontology) {
         let ont = figure1::ontology();
@@ -458,6 +513,34 @@ mod tests {
         assert!(ys.contains(&"Feed a Monkey".to_owned()));
         assert!(!ys.contains(&"Thing".to_owned())); // above Activity
         assert_eq!(ys.len(), 13);
+    }
+
+    #[test]
+    fn the_join_plan_filters_x_and_z_before_enumerating_y() {
+        // Both queries list, in source order: 0 `$w subClassOf* Attraction`,
+        // 1 `$x instanceOf $w`, 2 `$x inside …`, 3 `$x hasLabel …`,
+        // 4 `$y subClassOf* Activity`, 5 `$z instanceOf Restaurant`,
+        // 6 `$z nearBy $x`. `$y` joins nothing, so enumerating its values
+        // before the `$x`/`$z` filters would repeat them once per value.
+        let travel = travel(DomainScale::paper());
+        for (src, ont) in [
+            (figure1::SAMPLE_QUERY, figure1::ontology()),
+            (travel.query.as_str(), travel.ontology),
+        ] {
+            let b = bind(&parse(src).unwrap(), &ont).unwrap();
+            let plan = join_plan(&b);
+            assert_eq!(plan, vec![0, 1, 2, 3, 6, 5, 4]);
+            let mentions = |pi: usize, var: &str| {
+                let v = b.var_by_name(var).unwrap();
+                pattern_vars(&b.where_patterns[pi]).contains(&Some(v))
+            };
+            let y_at = plan.iter().position(|&pi| mentions(pi, "y")).unwrap();
+            for (at, &pi) in plan.iter().enumerate() {
+                if mentions(pi, "x") || mentions(pi, "z") {
+                    assert!(at < y_at, "pattern {pi} is planned after `$y`");
+                }
+            }
+        }
     }
 
     #[test]

@@ -148,8 +148,14 @@ impl OntologyBuilder {
             by_rel[f.rel.index()].push(f);
         }
         let mut labels: HashMap<ElemId, BTreeSet<String>> = HashMap::new();
+        let mut by_label: HashMap<String, Vec<ElemId>> = HashMap::new();
         for (e, l) in self.labels {
-            labels.entry(e).or_default().insert(l);
+            if labels.entry(e).or_default().insert(l.clone()) {
+                by_label.entry(l).or_default().push(e);
+            }
+        }
+        for elems in by_label.values_mut() {
+            elems.sort_unstable();
         }
         Ok(Ontology {
             subclass_rel: self.subclass_rel,
@@ -158,6 +164,7 @@ impl OntologyBuilder {
             facts,
             by_rel,
             labels,
+            by_label,
         })
     }
 }
@@ -170,6 +177,8 @@ pub struct Ontology {
     facts: FactSet,
     by_rel: Vec<Vec<Fact>>,
     labels: HashMap<ElemId, BTreeSet<String>>,
+    /// Label → the elements carrying it, in id order.
+    by_label: HashMap<String, Vec<ElemId>>,
     subclass_rel: RelId,
     instance_rel: RelId,
 }
@@ -225,15 +234,8 @@ impl Ontology {
     }
 
     /// All elements carrying `label`, in id order.
-    pub fn elems_with_label(&self, label: &str) -> Vec<ElemId> {
-        let mut v: Vec<ElemId> = self
-            .labels
-            .iter()
-            .filter(|(_, set)| set.contains(label))
-            .map(|(&e, _)| e)
-            .collect();
-        v.sort_unstable();
-        v
+    pub fn elems_with_label(&self, label: &str) -> &[ElemId] {
+        self.by_label.get(label).map_or(&[], Vec::as_slice)
     }
 
     /// Number of asserted facts.
