@@ -482,13 +482,15 @@ pub fn d3(scanned: &Scanned) -> (Vec<RawFinding>, Vec<UnsafeSite>) {
 // ---------------------------------------------------------------- D4
 
 /// Path prefixes whose non-test panic surface must be justified: all
-/// engine source in the three deterministic crates. A prefix match
+/// engine source in the three deterministic crates, the server, and the
+/// JSON reader every WAL and frame byte passes through. A prefix match
 /// (not a file list) means files added later — `oplog.rs`, `wire.rs`,
 /// `recovery.rs`, whatever comes next — are audited the day they land
 /// instead of silently exempt.
-const D4_PATHS: [&str; 4] = [
+const D4_PATHS: [&str; 5] = [
     "crates/core/src/",
     "crates/crowd/src/",
+    "crates/ontology/src/json.rs",
     "crates/server/src/",
     "crates/simtest/src/",
 ];

@@ -11,7 +11,7 @@
 //! work.
 
 use crowd::{Answer, CrowdSource, MemberId, Question};
-use ontology::json::{self, Json, JsonError};
+use ontology::json::{Json, JsonError, Reader};
 use ontology::{PatternFact, PatternSet};
 use std::collections::HashMap;
 use telemetry::lockorder::TrackedMutex;
@@ -124,20 +124,31 @@ impl CrowdCache {
 
     /// Restores from JSON.
     pub fn from_json(s: &str) -> Result<Self, JsonError> {
-        let doc = json::parse(s)?;
+        let mut r = Reader::new(s);
         let mut cache = CrowdCache::new();
-        for entry in doc.field("entries")?.as_arr()? {
-            let [m, p, a] = entry.as_arr()? else {
-                return Err(JsonError::shape(
-                    "expected a [member, pattern, answer] entry",
-                ));
-            };
-            cache.put(
-                MemberId(m.as_u32()?),
-                pattern_from_json(p)?,
-                answer_from_json(a)?,
-            );
-        }
+        let what = || JsonError::shape("expected a [member, pattern, answer] entry");
+        r.field("entries", |r| {
+            r.arr(|r| {
+                let (mut member, mut pattern, mut answer) = (None, None, None);
+                r.arr(|r| {
+                    if member.is_none() {
+                        member = Some(MemberId(r.u32()?));
+                    } else if pattern.is_none() {
+                        pattern = Some(read_pattern(r)?);
+                    } else if answer.is_none() {
+                        answer = Some(read_answer(r)?);
+                    } else {
+                        return Err(what());
+                    }
+                    Ok(())
+                })?;
+                let ((member, pattern), answer) =
+                    member.zip(pattern).zip(answer).ok_or_else(what)?;
+                cache.put(member, pattern, answer);
+                Ok(())
+            })
+        })?;
+        r.end()?;
         Ok(cache)
     }
 }
@@ -149,23 +160,14 @@ pub fn entry_to_json(pattern: &PatternSet, answer: &CachedAnswer) -> Json {
     Json::Arr(vec![pattern_to_json(pattern), answer_to_json(answer)])
 }
 
-/// Restores a cache entry serialized by [`entry_to_json`].
-pub fn entry_from_json(v: &Json) -> Result<(PatternSet, CachedAnswer), JsonError> {
-    let [p, a] = v.as_arr()? else {
-        return Err(JsonError::shape("expected a [pattern, answer] entry"));
-    };
-    Ok((pattern_from_json(p)?, answer_from_json(a)?))
+/// Reads a cache entry serialized by [`entry_to_json`] off `r`,
+/// building no tree.
+pub fn read_entry(r: &mut Reader<'_>) -> Result<(PatternSet, CachedAnswer), JsonError> {
+    r.pair("a [pattern, answer] entry", read_pattern, read_answer)
 }
 
 fn opt_id_to_json(id: Option<u32>) -> Json {
     id.map_or(Json::Null, |v| Json::Num(v as f64))
-}
-
-fn opt_id_from_json(v: &Json) -> Result<Option<u32>, JsonError> {
-    match v {
-        Json::Null => Ok(None),
-        other => other.as_u32().map(Some),
-    }
 }
 
 fn pattern_to_json(p: &PatternSet) -> Json {
@@ -182,23 +184,15 @@ fn pattern_to_json(p: &PatternSet) -> Json {
     )
 }
 
-fn pattern_from_json(v: &Json) -> Result<PatternSet, JsonError> {
-    let facts = v
-        .as_arr()?
-        .iter()
-        .map(|f| {
-            let [s, r, o] = f.as_arr()? else {
-                return Err(JsonError::shape(
-                    "expected a [subject, rel, object] pattern",
-                ));
-            };
-            Ok(PatternFact {
-                subject: opt_id_from_json(s)?.map(ontology::ElemId),
-                rel: opt_id_from_json(r)?.map(ontology::RelId),
-                object: opt_id_from_json(o)?.map(ontology::ElemId),
-            })
+fn read_pattern(r: &mut Reader<'_>) -> Result<PatternSet, JsonError> {
+    let facts = r.vec(|r| {
+        let [s, rel, o] = r.array("a [subject, rel, object] pattern", |r| r.opt(Reader::u32))?;
+        Ok(PatternFact {
+            subject: s.map(ontology::ElemId),
+            rel: rel.map(ontology::RelId),
+            object: o.map(ontology::ElemId),
         })
-        .collect::<Result<Vec<_>, _>>()?;
+    })?;
     Ok(PatternSet::from_iter(facts))
 }
 
@@ -227,37 +221,52 @@ fn answer_to_json(a: &CachedAnswer) -> Json {
     }
 }
 
-fn answer_from_json(v: &Json) -> Result<CachedAnswer, JsonError> {
-    let [(tag, body)] = v.as_obj()? else {
-        return Err(JsonError::shape("expected a single-variant answer object"));
-    };
-    match tag.as_str() {
-        "Support" => {
-            let tip = match body.field("more_tip")? {
-                Json::Null => None,
-                f => {
-                    let [s, r, o] = f.as_arr()? else {
-                        return Err(JsonError::shape("expected a [s, r, o] fact"));
-                    };
-                    Some(ontology::Fact::new(
-                        ontology::ElemId(s.as_u32()?),
-                        ontology::RelId(r.as_u32()?),
-                        ontology::ElemId(o.as_u32()?),
-                    ))
-                }
-            };
-            Ok(CachedAnswer::Support {
-                support: body.field("support")?.as_f64()?,
-                more_tip: tip,
-            })
+/// Reads the single-variant answer object [`answer_to_json`] writes.
+fn read_answer(r: &mut Reader<'_>) -> Result<CachedAnswer, JsonError> {
+    let single = || JsonError::shape("expected a single-variant answer object");
+    let mut answer = None;
+    r.obj(|r, tag| {
+        if answer.is_some() {
+            return Err(single());
         }
-        "Irrelevant" => Ok(CachedAnswer::Irrelevant {
-            elem: ontology::ElemId(body.field("elem")?.as_u32()?),
-        }),
-        other => Err(JsonError::shape(format!(
-            "unknown answer variant {other:?}"
-        ))),
-    }
+        answer = Some(match &*tag {
+            "Support" => {
+                let (mut support, mut tip) = (None, None);
+                // unknown keys are skipped, and the first of two equal keys wins
+                r.obj(|r, key| {
+                    match &*key {
+                        "support" if support.is_none() => support = Some(r.f64()?),
+                        "more_tip" if tip.is_none() => {
+                            tip = Some(r.opt(|r| {
+                                let [s, rel, o] = r.array("a [s, r, o] fact", Reader::u32)?;
+                                Ok(ontology::Fact::new(
+                                    ontology::ElemId(s),
+                                    ontology::RelId(rel),
+                                    ontology::ElemId(o),
+                                ))
+                            })?)
+                        }
+                        _ => r.skip()?,
+                    }
+                    Ok(())
+                })?;
+                CachedAnswer::Support {
+                    support: support.ok_or_else(|| JsonError::missing("support"))?,
+                    more_tip: tip.ok_or_else(|| JsonError::missing("more_tip"))?,
+                }
+            }
+            "Irrelevant" => CachedAnswer::Irrelevant {
+                elem: ontology::ElemId(r.field("elem", Reader::u32)?),
+            },
+            other => {
+                return Err(JsonError::shape(format!(
+                    "unknown answer variant {other:?}"
+                )))
+            }
+        });
+        Ok(())
+    })?;
+    answer.ok_or_else(single)
 }
 
 /// A thread-safe [`CrowdCache`] for the serving layer's sessions: the

@@ -8,8 +8,9 @@
 //!
 //! This is what crash recovery needs: the server appends each op of a
 //! run to its write-ahead log as a wire op ([`op_to_wire`] +
-//! [`wire_to_json`]), and a restarted process decodes the log
-//! ([`wire_from_json`]) and interns every op into a *fresh* replica
+//! [`wire_to_json`]), and a restarted process reads each op straight
+//! off the log's text ([`read_wire_op`], no JSON tree between) and
+//! interns every op into a *fresh* replica
 //! ([`intern_wire_op`]) whose nodes are materialized at recovery time,
 //! long after the ops' ticks — the stale-DAG replay shape
 //! [`OpLog::replay`](crate::oplog::OpLog::replay) folds.
@@ -23,7 +24,7 @@ use crate::oplog::{AnswerOp, OpVerdict, ReplayOutcome};
 use crate::vertical::MiningOutcome;
 use crowd::MemberId;
 use oassis_ql::{BoundQuery, Value};
-use ontology::json::{Json, JsonError};
+use ontology::json::{Json, JsonError, Reader};
 use ontology::{ElemId, Fact, RelId, Vocabulary};
 
 /// [`OpVerdict`] with nodes addressed by assignment — replica-portable.
@@ -113,13 +114,11 @@ fn value_to_json(v: Value) -> Json {
     }
 }
 
-fn value_from_json(j: &Json) -> Result<Value, JsonError> {
-    let [kind, id] = j.as_arr()? else {
-        return Err(JsonError::shape("expected a [kind, id] value"));
-    };
-    match kind.as_str()? {
-        "e" => Ok(Value::Elem(ElemId(id.as_u32()?))),
-        "r" => Ok(Value::Rel(RelId(id.as_u32()?))),
+fn read_value(r: &mut Reader<'_>) -> Result<Value, JsonError> {
+    let (kind, id) = r.pair("a [kind, id] value", Reader::str, Reader::u32)?;
+    match &*kind {
+        "e" => Ok(Value::Elem(ElemId(id))),
+        "r" => Ok(Value::Rel(RelId(id))),
         other => Err(JsonError::shape(format!("unknown value kind {other:?}"))),
     }
 }
@@ -154,32 +153,29 @@ fn assignment_to_json(a: &Assignment) -> Json {
     ])
 }
 
-/// Restores an assignment serialized by [`assignment_to_json`],
+/// Reads an assignment serialized by [`assignment_to_json`],
 /// re-canonicalizing against `vocab` (a no-op for well-formed input —
 /// wire assignments are canonical by construction).
-fn assignment_from_json(vocab: &Vocabulary, j: &Json) -> Result<Assignment, JsonError> {
-    let values = j
-        .field("slots")?
-        .as_arr()?
-        .iter()
-        .map(|s| s.as_arr()?.iter().map(value_from_json).collect())
-        .collect::<Result<Vec<Vec<Value>>, _>>()?;
-    let more = j
-        .field("more")?
-        .as_arr()?
-        .iter()
-        .map(|f| {
-            let [s, r, o] = f.as_arr()? else {
-                return Err(JsonError::shape("expected a [s, r, o] fact"));
-            };
-            Ok(Fact::new(
-                ElemId(s.as_u32()?),
-                RelId(r.as_u32()?),
-                ElemId(o.as_u32()?),
-            ))
-        })
-        .collect::<Result<Vec<Fact>, _>>()?;
-    Ok(Assignment::new(vocab, values, more))
+fn read_assignment(vocab: &Vocabulary, r: &mut Reader<'_>) -> Result<Assignment, JsonError> {
+    let (mut slots, mut more) = (None, None);
+    // unknown keys are skipped, and the first of two equal keys wins
+    r.obj(|r, key| match &*key {
+        "slots" if slots.is_none() => {
+            slots = Some(r.vec(|r| r.vec(read_value))?);
+            Ok(())
+        }
+        "more" if more.is_none() => {
+            more = Some(r.vec(|r| {
+                let [s, rel, o] = r.array("a [s, r, o] fact", Reader::u32)?;
+                Ok(Fact::new(ElemId(s), RelId(rel), ElemId(o)))
+            })?);
+            Ok(())
+        }
+        _ => r.skip(),
+    })?;
+    let slots = slots.ok_or_else(|| JsonError::missing("slots"))?;
+    let more = more.ok_or_else(|| JsonError::missing("more"))?;
+    Ok(Assignment::new(vocab, slots, more))
 }
 
 /// Serializes a wire op for the WAL / wire protocol. The verdict is a
@@ -224,55 +220,68 @@ pub fn wire_to_json(op: &WireOp) -> Json {
     ])
 }
 
-/// Restores a wire op serialized by [`wire_to_json`].
-pub fn wire_from_json(vocab: &Vocabulary, j: &Json) -> Result<WireOp, JsonError> {
-    let node = match j.field("node")? {
-        Json::Null => None,
-        a => Some(assignment_from_json(vocab, a)?),
-    };
-    let [(tag, body)] = j.field("verdict")?.as_obj()? else {
-        return Err(JsonError::shape("expected a single-variant verdict object"));
-    };
-    let verdict = match tag.as_str() {
-        "Support" => WireVerdict::Support {
-            support: body.field("support")?.as_f64()?,
-        },
-        "NoneOfThese" => WireVerdict::NoneOfThese {
-            options: body
-                .field("options")?
-                .as_arr()?
-                .iter()
-                .map(|a| assignment_from_json(vocab, a))
-                .collect::<Result<Vec<_>, _>>()?,
-        },
-        "Prune" => WireVerdict::Prune {
-            elem: ElemId(body.field("elem")?.as_u32()?),
-        },
-        "NoAnswer" => WireVerdict::NoAnswer,
-        "Msp" => WireVerdict::Msp {
-            valid: match body.field("valid")? {
-                Json::Bool(b) => *b,
-                other => {
-                    return Err(JsonError::shape(format!(
-                        "expected bool valid, got {other}"
-                    )))
-                }
-            },
-        },
-        "Revise" => WireVerdict::Revise {
-            support: body.field("support")?.as_f64()?,
-        },
-        other => Err(JsonError::shape(format!(
-            "unknown verdict variant {other:?}"
-        )))?,
-    };
+/// Reads a wire op serialized by [`wire_to_json`] off `r`, building no
+/// tree. Unknown keys are skipped (frames can grow), and the first of two
+/// equal keys wins.
+pub fn read_wire_op(vocab: &Vocabulary, r: &mut Reader<'_>) -> Result<WireOp, JsonError> {
+    let (mut tick, mut seq, mut member, mut node, mut verdict) = (None, None, None, None, None);
+    r.obj(|r, key| {
+        match &*key {
+            "tick" if tick.is_none() => tick = Some(r.u32()?),
+            "seq" if seq.is_none() => seq = Some(r.u32()?),
+            "member" if member.is_none() => member = Some(MemberId(r.u32()?)),
+            "node" if node.is_none() => node = Some(r.opt(|r| read_assignment(vocab, r))?),
+            "verdict" if verdict.is_none() => verdict = Some(read_verdict(vocab, r)?),
+            _ => r.skip()?,
+        }
+        Ok(())
+    })?;
     Ok(WireOp {
-        tick: j.field("tick")?.as_u32()?,
-        seq: j.field("seq")?.as_u32()?,
-        member: MemberId(j.field("member")?.as_u32()?),
-        node,
-        verdict,
+        tick: tick.ok_or_else(|| JsonError::missing("tick"))?,
+        seq: seq.ok_or_else(|| JsonError::missing("seq"))?,
+        member: member.ok_or_else(|| JsonError::missing("member"))?,
+        node: node.ok_or_else(|| JsonError::missing("node"))?,
+        verdict: verdict.ok_or_else(|| JsonError::missing("verdict"))?,
     })
+}
+
+/// Reads the single-variant verdict object [`wire_to_json`] writes.
+fn read_verdict(vocab: &Vocabulary, r: &mut Reader<'_>) -> Result<WireVerdict, JsonError> {
+    let single = || JsonError::shape("expected a single-variant verdict object");
+    let mut verdict = None;
+    r.obj(|r, tag| {
+        if verdict.is_some() {
+            return Err(single());
+        }
+        verdict = Some(match &*tag {
+            "Support" => WireVerdict::Support {
+                support: r.field("support", Reader::f64)?,
+            },
+            "NoneOfThese" => WireVerdict::NoneOfThese {
+                options: r.field("options", |r| r.vec(|r| read_assignment(vocab, r)))?,
+            },
+            "Prune" => WireVerdict::Prune {
+                elem: ElemId(r.field("elem", Reader::u32)?),
+            },
+            "NoAnswer" => {
+                r.skip()?;
+                WireVerdict::NoAnswer
+            }
+            "Msp" => WireVerdict::Msp {
+                valid: r.field("valid", Reader::bool)?,
+            },
+            "Revise" => WireVerdict::Revise {
+                support: r.field("support", Reader::f64)?,
+            },
+            other => {
+                return Err(JsonError::shape(format!(
+                    "unknown verdict variant {other:?}"
+                )))
+            }
+        });
+        Ok(())
+    })?;
+    verdict.ok_or_else(single)
 }
 
 /// Interns one wire op into `dag` (assignment → local [`NodeId`]) — the
@@ -442,18 +451,39 @@ mod tests {
         let a0 = dag.node(crate::dag::NodeId(0)).assignment.clone();
         let a1 = dag.node(crate::dag::NodeId(1)).assignment.clone();
         let ops = every_verdict(&a0, &a1);
+        let read = |text: &str| {
+            let mut r = Reader::new(text);
+            let op = read_wire_op(vocab, &mut r)?;
+            r.end().map(|()| op)
+        };
         for op in &ops {
             let text = wire_to_json(op).to_string();
-            let back = wire_from_json(vocab, &ontology::json::parse(&text).unwrap()).unwrap();
-            assert_eq!(&back, op, "{text}");
+            assert_eq!(&read(&text).unwrap(), op, "{text}");
         }
-        // decoding tolerates unknown fields (frame evolution)
+        // decoding tolerates unknown fields (frame evolution) and keeps
+        // the first of two equal keys
         let mut j = wire_to_json(&ops[0]);
         if let Json::Obj(fields) = &mut j {
             fields.push(("future_field".into(), Json::Str("ignored".into())));
+            fields.push(("tick".into(), Json::Str("not a tick".into())));
         }
-        let back = wire_from_json(vocab, &j).unwrap();
-        assert_eq!(back, ops[0]);
+        assert_eq!(read(&j.to_string()).unwrap(), ops[0]);
+        // a verdict names exactly one known variant
+        let text = wire_to_json(&ops[3]).to_string();
+        for (from, to) in [
+            ("{\"NoAnswer\":{}}", "{}"),
+            (
+                "{\"NoAnswer\":{}}",
+                "{\"NoAnswer\":{},\"Msp\":{\"valid\":true}}",
+            ),
+            ("{\"NoAnswer\":{}}", "{\"Maybe\":{}}"),
+            ("\"tick\":3", "\"tick\":-3"),
+        ] {
+            let bad = text.replace(from, to);
+            assert_ne!(bad, text);
+            let err = read(&bad).unwrap_err();
+            assert!(!err.is_syntax(), "{bad}: {err}");
+        }
     }
 
     /// Interning a wire op into a fresh replica and rendering it back is

@@ -1,11 +1,18 @@
-//! A minimal JSON value type, parser and writer.
+//! A minimal JSON value type, a borrowing pull reader, and a writer.
 //!
 //! The build environment has no crates.io access, so the snapshot modules
 //! (`snapshot` and `oassis-core`'s crowd cache) serialize through
 //! this hand-rolled implementation instead of `serde_json`. It supports
 //! the full JSON grammar; numbers are kept as `f64`, which is exact for
 //! every id (`u32`) and support value this workspace stores.
+//!
+//! A document is read one of two ways. [`parse`] builds a [`Json`] tree
+//! (protocol frames, ontology snapshots). A [`Reader`] pulls typed values
+//! straight off the text and builds no tree: the server's WAL decodes
+//! every record with it. `parse` is built on the reader, so the string,
+//! escape, number and literal grammar exists once.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// The largest integer up to which a JSON number here (an `f64`) holds
@@ -30,21 +37,36 @@ pub enum Json {
 }
 
 /// A parse (or shape-validation) failure.
+///
+/// A *syntax* error (the text is not JSON) carries the byte offset where
+/// reading stopped; a *shape* error (well-formed JSON of the wrong type,
+/// or a missing field) carries none. [`Self::is_syntax`] tells them apart.
 #[derive(Debug, Clone)]
 pub struct JsonError {
     /// What went wrong.
     pub msg: String,
-    /// Byte offset of the failure, when known.
+    /// Byte offset of a syntax error; `None` for a shape error.
     pub offset: Option<usize>,
 }
 
 impl JsonError {
-    /// A shape error raised while interpreting an already-parsed value.
+    /// A shape error raised while interpreting a well-formed value.
     pub fn shape(msg: impl Into<String>) -> Self {
         JsonError {
             msg: msg.into(),
             offset: None,
         }
+    }
+
+    /// The shape error of a required object field that is absent.
+    pub fn missing(name: &str) -> Self {
+        JsonError::shape(format!("missing field {name:?}"))
+    }
+
+    /// Whether the text was not JSON at all, as opposed to JSON of the
+    /// wrong shape.
+    pub fn is_syntax(&self) -> bool {
+        self.offset.is_some()
     }
 }
 
@@ -77,7 +99,7 @@ impl Json {
             .iter()
             .find(|(k, _)| k == name)
             .map(|(_, v)| v)
-            .ok_or_else(|| JsonError::shape(format!("missing field {name:?}")))
+            .ok_or_else(|| JsonError::missing(name))
     }
 
     /// The array's elements, or a shape error.
@@ -115,12 +137,7 @@ impl Json {
 
     /// The value as a `u32`, or a shape error.
     pub fn as_u32(&self) -> Result<u32, JsonError> {
-        let n = self.as_f64()?;
-        if n.fract() == 0.0 && (0.0..=u32::MAX as f64).contains(&n) {
-            Ok(n as u32)
-        } else {
-            Err(JsonError::shape(format!("expected u32, got {n}")))
-        }
+        self.as_f64().and_then(to_u32)
     }
 
     /// The value as an integer in `[0, MAX_EXACT_INT]`, or a shape error.
@@ -128,14 +145,7 @@ impl Json {
     /// past 2^53 an `f64` no longer holds every integer, so a larger
     /// value could not round-trip through a document.
     pub fn as_exact_u64(&self) -> Result<u64, JsonError> {
-        let n = self.as_f64()?;
-        if n.fract() == 0.0 && (0.0..=MAX_EXACT_INT as f64).contains(&n) {
-            Ok(n as u64)
-        } else {
-            Err(JsonError::shape(format!(
-                "expected an integer in [0, 2^53], got {n}"
-            )))
-        }
+        self.as_f64().and_then(to_exact_u64)
     }
 
     fn kind(&self) -> &'static str {
@@ -147,6 +157,24 @@ impl Json {
             Json::Arr(_) => "array",
             Json::Obj(_) => "object",
         }
+    }
+}
+
+fn to_u32(n: f64) -> Result<u32, JsonError> {
+    if n.fract() == 0.0 && (0.0..=u32::MAX as f64).contains(&n) {
+        Ok(n as u32)
+    } else {
+        Err(JsonError::shape(format!("expected u32, got {n}")))
+    }
+}
+
+fn to_exact_u64(n: f64) -> Result<u64, JsonError> {
+    if n.fract() == 0.0 && (0.0..=MAX_EXACT_INT as f64).contains(&n) {
+        Ok(n as u64)
+    } else {
+        Err(JsonError::shape(format!(
+            "expected an integer in [0, 2^53], got {n}"
+        )))
     }
 }
 
@@ -201,29 +229,318 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")
 }
 
-/// Parses a JSON document; trailing non-whitespace is an error.
+/// Parses a JSON document into a tree; trailing non-whitespace is an
+/// error.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
-    let mut p = Parser {
-        src: input,
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters"));
-    }
+    let mut r = Reader::new(input);
+    let v = r.tree()?;
+    r.end()?;
     Ok(v)
 }
 
-struct Parser<'a> {
+/// The type of the value at a reader's cursor, told by its first byte.
+#[derive(Clone, Copy, PartialEq)]
+enum Kind {
+    Null,
+    Bool,
+    Num,
+    Str,
+    Arr,
+    Obj,
+}
+
+impl Kind {
+    fn name(self) -> &'static str {
+        match self {
+            Kind::Null => "null",
+            Kind::Bool => "bool",
+            Kind::Num => "number",
+            Kind::Str => "string",
+            Kind::Arr => "array",
+            Kind::Obj => "object",
+        }
+    }
+}
+
+/// A borrowing pull reader over one JSON document.
+///
+/// Each method reads one value at the cursor, after any whitespace, and
+/// the caller decides what each value must be: a decoder reads its
+/// typed value straight off the text, with no [`Json`] tree between.
+/// Strings borrow from the text unless they hold an escape.
+///
+/// A type check fails with a shape error before it consumes anything. A
+/// decoder that fails deeper inside a value leaves the cursor there;
+/// [`Self::shaped`] rewinds and skips the whole value, so the rest of
+/// the document is still checked for syntax. A syntax error leaves the
+/// reader unusable.
+pub struct Reader<'a> {
     src: &'a str,
-    bytes: &'a [u8],
     pos: usize,
 }
 
-impl<'a> Parser<'a> {
+impl<'a> Reader<'a> {
+    /// A reader at the start of `src`. The text is UTF-8 by type; a
+    /// caller holding bytes checks them as a whole first.
+    pub fn new(src: &'a str) -> Reader<'a> {
+        Reader { src, pos: 0 }
+    }
+
+    /// Reads an object, calling `f` with each key in document order. `f`
+    /// must consume exactly the key's value: read it, or [`Self::skip`]
+    /// it. A repeated key is passed again; the caller decides which wins.
+    pub fn obj(
+        &mut self,
+        mut f: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.expect_kind(Kind::Obj)?;
+        self.pos += 1;
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(());
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.byte(b':')?;
+            f(self, key)?;
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(());
+                }
+                _ => return Err(self.err("expected ',' or '}'")),
+            }
+        }
+    }
+
+    /// Reads an array, calling `f` once per element; `f` must consume
+    /// exactly that element.
+    pub fn arr(
+        &mut self,
+        mut f: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.expect_kind(Kind::Arr)?;
+        self.pos += 1;
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(());
+        }
+        loop {
+            f(self)?;
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(());
+                }
+                _ => return Err(self.err("expected ',' or ']'")),
+            }
+        }
+    }
+
+    /// Reads an array, each element with `read`.
+    pub fn vec<T>(
+        &mut self,
+        mut read: impl FnMut(&mut Self) -> Result<T, JsonError>,
+    ) -> Result<Vec<T>, JsonError> {
+        let mut out = Vec::new();
+        self.arr(|r| {
+            out.push(read(r)?);
+            Ok(())
+        })?;
+        Ok(out)
+    }
+
+    /// Reads an array of exactly `N` elements, each with `read`; any
+    /// other length is a shape error: "expected {what}".
+    pub fn array<T: Copy + Default, const N: usize>(
+        &mut self,
+        what: &str,
+        mut read: impl FnMut(&mut Self) -> Result<T, JsonError>,
+    ) -> Result<[T; N], JsonError> {
+        let mut out = [T::default(); N];
+        let mut slots = out.iter_mut();
+        let mut len = 0;
+        self.arr(|r| {
+            let slot = slots.next().ok_or_else(|| wrong_len(what))?;
+            *slot = read(r)?;
+            len += 1;
+            Ok(())
+        })?;
+        if len == N {
+            Ok(out)
+        } else {
+            Err(wrong_len(what))
+        }
+    }
+
+    /// Reads a two-element array, the first element with `first` and the
+    /// second with `second`; any other length is a shape error:
+    /// "expected {what}".
+    pub fn pair<A, B>(
+        &mut self,
+        what: &str,
+        first: impl FnOnce(&mut Self) -> Result<A, JsonError>,
+        second: impl FnOnce(&mut Self) -> Result<B, JsonError>,
+    ) -> Result<(A, B), JsonError> {
+        let (mut first, mut second) = (Some(first), Some(second));
+        let (mut a, mut b) = (None, None);
+        self.arr(|r| {
+            if let Some(read) = first.take() {
+                a = Some(read(r)?);
+            } else if let Some(read) = second.take() {
+                b = Some(read(r)?);
+            } else {
+                return Err(wrong_len(what));
+            }
+            Ok(())
+        })?;
+        a.zip(b).ok_or_else(|| wrong_len(what))
+    }
+
+    /// Reads an object and its first `name` member with `read`,
+    /// skipping every other member; without `name` it is a shape error.
+    pub fn field<T>(
+        &mut self,
+        name: &str,
+        read: impl FnOnce(&mut Self) -> Result<T, JsonError>,
+    ) -> Result<T, JsonError> {
+        let mut read = Some(read);
+        let mut out = None;
+        self.obj(|r, key| match read.take_if(|_| key == name) {
+            Some(read) => {
+                out = Some(read(r)?);
+                Ok(())
+            }
+            None => r.skip(),
+        })?;
+        out.ok_or_else(|| JsonError::missing(name))
+    }
+
+    /// Reads a string; it borrows from the text unless it holds an
+    /// escape.
+    pub fn str(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        self.expect_kind(Kind::Str)?;
+        self.string()
+    }
+
+    /// Reads a number.
+    pub fn f64(&mut self) -> Result<f64, JsonError> {
+        self.expect_kind(Kind::Num)?;
+        self.number()
+    }
+
+    /// Reads a number that is a `u32`, as [`Json::as_u32`] accepts it.
+    pub fn u32(&mut self) -> Result<u32, JsonError> {
+        self.f64().and_then(to_u32)
+    }
+
+    /// Reads an integer in `[0, MAX_EXACT_INT]`, as
+    /// [`Json::as_exact_u64`] accepts it.
+    pub fn exact_u64(&mut self) -> Result<u64, JsonError> {
+        self.f64().and_then(to_exact_u64)
+    }
+
+    /// Reads `true` or `false`.
+    pub fn bool(&mut self) -> Result<bool, JsonError> {
+        self.expect_kind(Kind::Bool)?;
+        let b = self.peek() == Some(b't');
+        self.literal(if b { "true" } else { "false" })?;
+        Ok(b)
+    }
+
+    /// Reads a `null` if one is at the cursor, and says whether it did;
+    /// any other value is left for the caller to read.
+    pub fn null(&mut self) -> Result<bool, JsonError> {
+        if self.kind()? == Kind::Null {
+            self.literal("null")?;
+            return Ok(true);
+        }
+        Ok(false)
+    }
+
+    /// Reads `null` as `None`, and any other value with `read`.
+    pub fn opt<T>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<T, JsonError>,
+    ) -> Result<Option<T>, JsonError> {
+        if self.null()? {
+            Ok(None)
+        } else {
+            read(self).map(Some)
+        }
+    }
+
+    /// Skips one value of any type, checking its syntax.
+    pub fn skip(&mut self) -> Result<(), JsonError> {
+        match self.kind()? {
+            Kind::Obj => self.obj(|r, _| r.skip()),
+            Kind::Arr => self.arr(Reader::skip),
+            Kind::Str => self.string().map(drop),
+            Kind::Num => self.number().map(drop),
+            Kind::Bool => self.bool().map(drop),
+            Kind::Null => self.literal("null"),
+        }
+    }
+
+    /// Checks that only whitespace is left.
+    pub fn end(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos == self.src.len() {
+            Ok(())
+        } else {
+            Err(self.err("trailing characters"))
+        }
+    }
+
+    /// Reads the value at the cursor with `read`, keeping a shape error
+    /// as the inner `Err`: the cursor is rewound and the whole value
+    /// skipped, so reading goes on past it. A syntax error, in `read` or
+    /// in the skip, is the outer `Err`.
+    pub fn shaped<T>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<T, JsonError>,
+    ) -> Result<Result<T, JsonError>, JsonError> {
+        let start = self.pos;
+        match read(self) {
+            Err(e) if !e.is_syntax() => {
+                self.pos = start;
+                self.skip()?;
+                Ok(Err(e))
+            }
+            read => read.map(Ok),
+        }
+    }
+
+    /// Reads the value at the cursor as a tree.
+    fn tree(&mut self) -> Result<Json, JsonError> {
+        Ok(match self.kind()? {
+            Kind::Null => {
+                self.literal("null")?;
+                Json::Null
+            }
+            Kind::Bool => Json::Bool(self.bool()?),
+            Kind::Num => Json::Num(self.number()?),
+            Kind::Str => Json::Str(self.string()?.into_owned()),
+            Kind::Arr => Json::Arr(self.vec(Reader::tree)?),
+            Kind::Obj => {
+                let mut fields = Vec::new();
+                self.obj(|r, key| {
+                    fields.push((key.into_owned(), r.tree()?));
+                    Ok(())
+                })?;
+                Json::Obj(fields)
+            }
+        })
+    }
+
     fn err(&self, msg: &str) -> JsonError {
         JsonError {
             msg: msg.to_owned(),
@@ -231,21 +548,23 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
+    fn rest(&self) -> &'a [u8] {
+        self.src.as_bytes().get(self.pos..).unwrap_or_default()
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.rest().first().copied()
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
+    fn skip_ws(&mut self) {
+        self.pos += self
+            .rest()
+            .iter()
+            .take_while(|&&b| b == b' ' || b == b'\t' || b == b'\n' || b == b'\r')
+            .count();
+    }
+
+    fn byte(&mut self, b: u8) -> Result<(), JsonError> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
@@ -254,180 +573,141 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn eat_lit(&mut self, lit: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            true
+    /// The type of the value at the cursor, after whitespace; a byte no
+    /// value starts with is a syntax error.
+    fn kind(&mut self) -> Result<Kind, JsonError> {
+        self.skip_ws();
+        match self.peek() {
+            None => Err(self.err("unexpected end of input")),
+            Some(b'n') => Ok(Kind::Null),
+            Some(b't' | b'f') => Ok(Kind::Bool),
+            Some(b'-' | b'0'..=b'9') => Ok(Kind::Num),
+            Some(b'"') => Ok(Kind::Str),
+            Some(b'[') => Ok(Kind::Arr),
+            Some(b'{') => Ok(Kind::Obj),
+            Some(_) => Err(self.err("unexpected character")),
+        }
+    }
+
+    fn expect_kind(&mut self, want: Kind) -> Result<(), JsonError> {
+        let got = self.kind()?;
+        if got == want {
+            Ok(())
         } else {
-            false
+            Err(JsonError::shape(format!(
+                "expected {}, got {}",
+                want.name(),
+                got.name()
+            )))
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
-        match self
-            .peek()
-            .ok_or_else(|| self.err("unexpected end of input"))?
-        {
-            b'n' => {
-                if self.eat_lit("null") {
-                    Ok(Json::Null)
-                } else {
-                    Err(self.err("invalid literal"))
-                }
-            }
-            b't' => {
-                if self.eat_lit("true") {
-                    Ok(Json::Bool(true))
-                } else {
-                    Err(self.err("invalid literal"))
-                }
-            }
-            b'f' => {
-                if self.eat_lit("false") {
-                    Ok(Json::Bool(false))
-                } else {
-                    Err(self.err("invalid literal"))
-                }
-            }
-            b'"' => self.string().map(Json::Str),
-            b'[' => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    self.skip_ws();
-                    items.push(self.value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Json::Arr(items));
-                        }
-                        _ => return Err(self.err("expected ',' or ']'")),
-                    }
-                }
-            }
-            b'{' => {
-                self.pos += 1;
-                let mut fields = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    self.skip_ws();
-                    let val = self.value()?;
-                    fields.push((key, val));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Json::Obj(fields));
-                        }
-                        _ => return Err(self.err("expected ',' or '}'")),
-                    }
-                }
-            }
-            b'-' | b'0'..=b'9' => self.number(),
-            _ => Err(self.err("unexpected character")),
+    fn literal(&mut self, lit: &str) -> Result<(), JsonError> {
+        if self.rest().starts_with(lit.as_bytes()) {
+            self.pos += lit.len();
+            Ok(())
+        } else {
+            Err(self.err("invalid literal"))
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
+    /// The run of the text from `start` to the cursor.
+    fn since(&self, start: usize) -> Result<&'a str, JsonError> {
+        self.src
+            .get(start..self.pos)
+            .ok_or_else(|| self.err("not on a char boundary"))
+    }
+
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        self.byte(b'"')?;
         let mut out = String::new();
         loop {
+            // take the run up to the next quote or escape whole: both are
+            // ASCII, so the run ends on a char boundary
+            let start = self.pos;
+            let rest = self.rest();
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(rest.len());
+            self.pos += run;
+            let text = self.since(start)?;
             match self.peek().ok_or_else(|| self.err("unterminated string"))? {
                 b'"' => {
                     self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            self.pos += 4;
-                            // surrogate pairs are not needed by our writers;
-                            // reject rather than mis-decode
-                            let c = char::from_u32(code)
-                                .ok_or_else(|| self.err("unpaired surrogate"))?;
-                            out.push(c);
-                        }
-                        _ => return Err(self.err("invalid escape")),
+                    // an escape-free string borrows
+                    if out.is_empty() {
+                        return Ok(Cow::Borrowed(text));
                     }
+                    out.push_str(text);
+                    return Ok(Cow::Owned(out));
                 }
                 _ => {
-                    // copy the run up to the next quote or escape whole:
-                    // both are ASCII, so the run ends on a char boundary
-                    let start = self.pos;
-                    let run = self.bytes[start..]
-                        .iter()
-                        .position(|&b| b == b'"' || b == b'\\')
-                        .unwrap_or(self.bytes.len() - start);
-                    self.pos += run;
-                    out.push_str(&self.src[start..self.pos]);
+                    out.push_str(text);
+                    self.pos += 1;
+                    out.push(self.escape()?);
                 }
             }
         }
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    /// The char of the escape after a backslash.
+    fn escape(&mut self) -> Result<char, JsonError> {
+        let esc = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
+        self.pos += 1;
+        Ok(match esc {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'b' => '\u{8}',
+            b'f' => '\u{c}',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'u' => {
+                let hex = self
+                    .rest()
+                    .get(..4)
+                    .ok_or_else(|| self.err("truncated \\u escape"))?;
+                let hex = std::str::from_utf8(hex).map_err(|_| self.err("invalid \\u escape"))?;
+                let code =
+                    u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))?;
+                self.pos += 4;
+                // surrogate pairs are not needed by our writers; reject
+                // rather than mis-decode
+                char::from_u32(code).ok_or_else(|| self.err("unpaired surrogate"))?
+            }
+            _ => return Err(self.err("invalid escape")),
+        })
+    }
+
+    fn number(&mut self) -> Result<f64, JsonError> {
         let start = self.pos;
+        let digits = |r: &mut Self| {
+            r.pos += r.rest().iter().take_while(|b| b.is_ascii_digit()).count();
+        };
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
+        digits(self);
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            digits(self);
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            digits(self);
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("invalid number"))
+        let text = self.since(start)?;
+        text.parse::<f64>().map_err(|_| self.err("invalid number"))
     }
+}
+
+fn wrong_len(what: &str) -> JsonError {
+    JsonError::shape(format!("expected {what}"))
 }
 
 #[cfg(test)]
@@ -487,6 +767,109 @@ mod tests {
             "1 2",
         ] {
             assert!(parse(bad).is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn the_reader_reads_typed_values_and_borrows_plain_strings() {
+        let text = r#" {"a" : "plain", "b\u0069":"esc\n", "n":[1, 4294967295, null, true]} "#;
+        let mut r = Reader::new(text);
+        let mut seen = Vec::new();
+        r.obj(|r, key| {
+            match &*key {
+                "a" => assert!(matches!(r.str()?, Cow::Borrowed("plain"))),
+                "bi" => assert!(matches!(r.str()?, Cow::Owned(s) if s == "esc\n")),
+                _ => {
+                    assert!(r.u32().is_err(), "an array is no u32");
+                    r.arr(|r| {
+                        if r.null()? {
+                            seen.push(None);
+                        } else if r.kind()? == Kind::Bool {
+                            assert!(r.bool()?);
+                        } else {
+                            seen.push(Some(r.u32()?));
+                        }
+                        Ok(())
+                    })?;
+                }
+            }
+            Ok(())
+        })
+        .unwrap();
+        r.end().unwrap();
+        assert_eq!(seen, [Some(1), Some(u32::MAX), None]);
+    }
+
+    #[test]
+    fn a_type_mismatch_is_a_shape_error_that_consumes_nothing() {
+        let mut r = Reader::new(r#""7""#);
+        let err = r.u32().unwrap_err();
+        assert!(!err.is_syntax(), "{err}");
+        assert_eq!(err.msg, "expected number, got string");
+        assert_eq!(r.str().unwrap(), "7");
+        r.end().unwrap();
+        // numbers of the wrong range are shape errors too
+        for (text, msg) in [("4294967296", "expected u32"), ("-1", "expected u32")] {
+            let err = Reader::new(text).u32().unwrap_err();
+            assert!(!err.is_syntax() && err.msg.contains(msg), "{text}: {err}");
+        }
+        let err = Reader::new("9007199254740994").exact_u64().unwrap_err();
+        assert!(!err.is_syntax(), "{err}");
+    }
+
+    #[test]
+    fn shaped_rewinds_a_deep_shape_error_and_still_checks_syntax() {
+        let deep = |r: &mut Reader<'_>| r.field("a", |r| r.vec(Reader::u32));
+        let mut r = Reader::new(r#"[{"a":[1,"x"],"b":{}}, 2]"#);
+        let mut got = Vec::new();
+        r.arr(|r| {
+            got.push(r.shaped(deep)?.map_err(|e| e.msg));
+            Ok(())
+        })
+        .unwrap();
+        r.end().unwrap();
+        // the second element is a number, not an object
+        assert_eq!(
+            got,
+            [
+                Err("expected number, got string".to_string()),
+                Err("expected object, got number".to_string())
+            ]
+        );
+        // a syntax error behind the shape error still fails the read
+        let mut r = Reader::new(r#"{"a":[1,"x"],"b":}"#);
+        assert!(r.shaped(deep).unwrap_err().is_syntax());
+    }
+
+    #[test]
+    fn fixed_arrays_fields_and_pairs_check_their_shape() {
+        let arr = |t: &str| Reader::new(t).array::<u32, 3>("a triple", Reader::u32);
+        assert_eq!(arr("[1,2,3]").unwrap(), [1, 2, 3]);
+        for bad in ["[1,2]", "[1,2,3,4]", "[]"] {
+            assert_eq!(arr(bad).unwrap_err().msg, "expected a triple", "{bad}");
+        }
+        fn pair(t: &str) -> Result<(Cow<'_, str>, bool), JsonError> {
+            Reader::new(t).pair("a pair", Reader::str, Reader::bool)
+        }
+        assert_eq!(pair(r#"["x",true]"#).unwrap(), (Cow::Borrowed("x"), true));
+        assert!(pair(r#"["x"]"#).is_err() && pair(r#"["x",true,1]"#).is_err());
+        // the first of two equal keys wins; the rest are skipped
+        let mut r = Reader::new(r#"{"k":1,"z":[{}],"k":"no"}"#);
+        assert_eq!(r.field("k", Reader::u32).unwrap(), 1);
+        r.end().unwrap();
+        let err = Reader::new(r#"{"j":1}"#)
+            .field("k", Reader::u32)
+            .unwrap_err();
+        assert_eq!(err.msg, "missing field \"k\"");
+    }
+
+    #[test]
+    fn a_malformed_number_is_a_syntax_error() {
+        for (text, want) in [("007", 7.0f64), ("1.", 1.0), ("-0", -0.0), ("1E2", 100.0)] {
+            assert_eq!(Reader::new(text).f64().unwrap().to_bits(), want.to_bits());
+        }
+        for bad in ["-", "1e", "-e1"] {
+            assert!(Reader::new(bad).f64().unwrap_err().is_syntax(), "{bad}");
         }
     }
 

@@ -17,6 +17,14 @@
 //! canonical serialization, so any other byte sequence (even one that
 //! parses to the same value) fails the check.
 //!
+//! Writing builds a [`Json`] tree per record; reading builds none. Each
+//! crc-checked body is checked as UTF-8 and then decoded in one pass by
+//! an [`ontology::json::Reader`] straight into a typed record — the
+//! [`WireOp`] and cache entry decoders in `oassis-core` read off the
+//! same reader. Keys may come in any order, unknown keys and unknown or
+//! missing `kind`s are skipped, the first of two equal keys wins, and
+//! an `answer` without `entry` is skipped.
+//!
 //! A served repeat writes no op record: its `done` footer names the run
 //! it repeats (`"of": m`), and recovery gives it that run's ops.
 //!
@@ -41,18 +49,24 @@
 //! ## Torn tails
 //!
 //! A crash can cut the last line short (or corrupt it). Recovery stops
-//! at the first line that fails to parse or fails its crc, truncates
-//! the file back to the last complete record, and carries on — never a
-//! panic, never a lost *complete* record. Ops are appended in recording
-//! order, so what survives is a prefix of each run's log.
+//! at the first line that is cut short, fails its crc, is not UTF-8 or
+//! is not JSON, truncates the file back to the last complete record,
+//! and carries on — never a panic, never a lost *complete* record. Ops
+//! are appended in recording order, so what survives is a prefix of
+//! each run's log.
+//!
+//! A body that is JSON of the wrong shape (a qid past `u32`, say) is no
+//! tear: it fails [`SessionWal::recover`] with a shape error. The lines
+//! after it are still checked, so a later tear is cut first.
 
 use crowd::MemberId;
-use oassis_core::cache::{entry_from_json, entry_to_json, CachedAnswer};
+use oassis_core::cache::{entry_to_json, read_entry, CachedAnswer};
 use oassis_core::digest::fnv64;
 use oassis_core::oplog::{AnswerOp, OpTap};
-use oassis_core::{op_to_wire, wire_from_json, wire_to_json, CrowdCache, Dag, WireOp};
-use ontology::json::{self, Json, JsonError};
+use oassis_core::{op_to_wire, read_wire_op, wire_to_json, CrowdCache, Dag, WireOp};
+use ontology::json::{Json, JsonError, Reader};
 use ontology::{PatternSet, Vocabulary};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
@@ -398,83 +412,71 @@ impl SessionWal {
     /// handle held (the session manager recovers only between queries).
     pub fn recover(&self, vocab: &Vocabulary) -> Result<Recovered, JsonError> {
         self.refuse_old_layout().map_err(io_shape)?;
-        let mut out = Recovered::default();
-        let (records, torn) = read_records(&self.dir.join(SESSION_WAL)).map_err(io_shape)?;
+        let (records, torn) = read_records(&self.dir.join(SESSION_WAL), vocab).map_err(io_shape)?;
+        let mut out = fold(records?);
         out.truncated = torn;
-        // the first query record of each qid, by position in `out.queries`
-        let mut by_qid: HashMap<u32, usize> = HashMap::new();
-        for rec in records {
-            match rec.field("kind").and_then(Json::as_str) {
-                Ok("session") => {
-                    out.session = Some(rec.field("name")?.as_str()?.to_string());
-                    out.proto = rec.field("proto")?.as_u32()?;
-                    out.seed = rec.field("seed")?.as_exact_u64()?;
-                    out.members = rec.field("members")?.as_u32()?;
-                }
-                Ok("query") => {
-                    let spec = QuerySpec {
-                        src: rec.field("src")?.as_str()?.to_string(),
-                        threshold: opt_f64(rec.field("threshold")?)?,
-                        batch_width: rec.field("batch_width")?.as_u32()?,
-                        max_questions: opt_u32(rec.field("max_questions")?)?,
-                        seed: rec.field("seed")?.as_exact_u64()?,
-                    };
-                    let qid = rec.field("qid")?.as_u32()?;
-                    by_qid.entry(qid).or_insert(out.queries.len());
-                    out.queries.push(QueryMeta {
-                        qid,
-                        spec,
-                        done: None,
-                    });
-                }
-                Ok("done") => {
-                    let qid = rec.field("qid")?.as_u32()?;
-                    let done = DoneMeta {
-                        complete: as_bool(rec.field("complete")?)?,
-                        digest: rec.field("digest")?.as_str()?.to_string(),
-                        threshold: rec.field("threshold")?.as_f64()?,
-                        // absent on a mined run's footer
-                        of: rec.field("of").ok().map(Json::as_u32).transpose()?,
-                    };
-                    // a footer without an earlier query record is ignored
-                    if let Some(&at) = by_qid.get(&qid) {
-                        // PANIC-OK: by_qid holds positions of pushed queries, and none is removed.
-                        out.queries[at].done = Some(done);
-                    }
-                }
-                Ok("op") => {
-                    let qid = rec.field("qid")?.as_u32()?;
-                    let op = wire_from_json(vocab, rec.field("op")?)?;
-                    out.ops.entry(qid).or_default().push(op);
-                }
-                Ok("answer") => {
-                    let member = MemberId(rec.field("member")?.as_u32()?);
-                    if let Ok(entry) = rec.field("entry") {
-                        let (pattern, answer) = entry_from_json(entry)?;
-                        out.cache.put(member, pattern, answer);
-                    }
-                }
-                // unknown kinds are future records — skip, don't fail
-                _ => {}
-            }
-        }
-        out.queries.sort_by_key(|q| q.qid);
-        // a served repeat's footer names an earlier registered run; with
-        // no op record of its own, the repeat's ops are that run's (qid
-        // order resolves a repeat of a repeat). Any other `of` is ignored,
-        // so the query recovers from its own records and fails to verify.
-        for q in &out.queries {
-            let Some(m) = q.done.as_ref().and_then(|d| d.of) else {
-                continue;
-            };
-            if m < q.qid && by_qid.contains_key(&m) && !out.ops.contains_key(&q.qid) {
-                if let Some(ops) = out.ops.get(&m).cloned() {
-                    out.ops.insert(q.qid, ops);
-                }
-            }
-        }
         Ok(out)
     }
+}
+
+/// Folds decoded records, in recording order, into what the session
+/// directory reconstructs to.
+fn fold(records: Vec<Record>) -> Recovered {
+    let mut out = Recovered::default();
+    // the first query record of each qid, by position in `out.queries`
+    let mut by_qid: HashMap<u32, usize> = HashMap::new();
+    for rec in records {
+        match rec {
+            Record::Session {
+                name,
+                proto,
+                seed,
+                members,
+            } => {
+                out.session = Some(name);
+                out.proto = proto;
+                out.seed = seed;
+                out.members = members;
+            }
+            Record::Query { qid, spec } => {
+                by_qid.entry(qid).or_insert(out.queries.len());
+                out.queries.push(QueryMeta {
+                    qid,
+                    spec,
+                    done: None,
+                });
+            }
+            Record::Done { qid, done } => {
+                // a footer without an earlier query record is ignored
+                if let Some(q) = by_qid.get(&qid).and_then(|&at| out.queries.get_mut(at)) {
+                    q.done = Some(done);
+                }
+            }
+            Record::Op { qid, op } => out.ops.entry(qid).or_default().push(op),
+            Record::Answer {
+                member,
+                pattern,
+                answer,
+            } => out.cache.put(member, pattern, answer),
+            Record::Skip => {}
+        }
+    }
+    out.queries.sort_by_key(|q| q.qid);
+    // a served repeat's footer names an earlier registered run; with
+    // no op record of its own, the repeat's ops are that run's (qid
+    // order resolves a repeat of a repeat). Any other `of` is ignored,
+    // so the query recovers from its own records and fails to verify.
+    for q in &out.queries {
+        let Some(m) = q.done.as_ref().and_then(|d| d.of) else {
+            continue;
+        };
+        if m < q.qid && by_qid.contains_key(&m) && !out.ops.contains_key(&q.qid) {
+            if let Some(ops) = out.ops.get(&m).cloned() {
+                out.ops.insert(q.qid, ops);
+            }
+        }
+    }
+    out
 }
 
 /// Maps an io error into the recovery error surface.
@@ -482,24 +484,190 @@ fn io_shape(e: io::Error) -> JsonError {
     JsonError::shape(format!("wal io error: {e}"))
 }
 
-fn opt_f64(v: &Json) -> Result<Option<f64>, JsonError> {
-    match v {
-        Json::Null => Ok(None),
-        other => other.as_f64().map(Some),
+/// One `session.wal` record, decoded straight from its body.
+#[derive(Debug, PartialEq)]
+enum Record {
+    Session {
+        name: String,
+        proto: u32,
+        seed: u64,
+        members: u32,
+    },
+    Query {
+        qid: u32,
+        spec: QuerySpec,
+    },
+    Op {
+        qid: u32,
+        op: WireOp,
+    },
+    Answer {
+        member: MemberId,
+        pattern: PatternSet,
+        answer: CachedAnswer,
+    },
+    Done {
+        qid: u32,
+        done: DoneMeta,
+    },
+    /// A body recovery ignores: not an object, no string `kind`, a kind
+    /// this build does not know (a future record), or an `answer`
+    /// without `entry`.
+    Skip,
+}
+
+/// A field of a record body as first seen: absent, read, or the shape
+/// error reading it raised.
+type Slot<T> = Option<Result<T, JsonError>>;
+
+/// Every field a record kind reads. The kind may come last, so each is
+/// read when it is met and a shape error is kept, not raised: it counts
+/// only if the record's kind reads that field.
+#[derive(Default)]
+struct Fields<'a> {
+    kind: Slot<Cow<'a, str>>,
+    name: Slot<String>,
+    proto: Slot<u32>,
+    seed: Slot<u64>,
+    members: Slot<u32>,
+    qid: Slot<u32>,
+    src: Slot<String>,
+    threshold: Slot<Option<f64>>,
+    batch_width: Slot<u32>,
+    max_questions: Slot<Option<u32>>,
+    complete: Slot<bool>,
+    digest: Slot<String>,
+    of: Slot<u32>,
+    op: Slot<WireOp>,
+    member: Slot<u32>,
+    entry: Slot<(PatternSet, CachedAnswer)>,
+}
+
+impl<'a> Fields<'a> {
+    /// Reads the value of `key` into its slot; unknown keys and every
+    /// repeat of a key are skipped (the first of two equal keys wins).
+    fn read(&mut self, r: &mut Reader<'a>, key: &str, vocab: &Vocabulary) -> Result<(), JsonError> {
+        match key {
+            "kind" => fill(&mut self.kind, r, Reader::str),
+            "name" => fill(&mut self.name, r, owned_str),
+            "proto" => fill(&mut self.proto, r, Reader::u32),
+            "seed" => fill(&mut self.seed, r, Reader::exact_u64),
+            "members" => fill(&mut self.members, r, Reader::u32),
+            "qid" => fill(&mut self.qid, r, Reader::u32),
+            "src" => fill(&mut self.src, r, owned_str),
+            "threshold" => fill(&mut self.threshold, r, |r| r.opt(Reader::f64)),
+            "batch_width" => fill(&mut self.batch_width, r, Reader::u32),
+            "max_questions" => fill(&mut self.max_questions, r, |r| r.opt(Reader::u32)),
+            "complete" => fill(&mut self.complete, r, Reader::bool),
+            "digest" => fill(&mut self.digest, r, owned_str),
+            "of" => fill(&mut self.of, r, Reader::u32),
+            "op" => fill(&mut self.op, r, |r| read_wire_op(vocab, r)),
+            "member" => fill(&mut self.member, r, Reader::u32),
+            "entry" => fill(&mut self.entry, r, read_entry),
+            _ => r.skip(),
+        }
+    }
+
+    /// The record these fields make, or the first shape error of a field
+    /// its kind reads.
+    fn record(self) -> Result<Record, JsonError> {
+        let Some(Ok(kind)) = self.kind else {
+            return Ok(Record::Skip);
+        };
+        Ok(match &*kind {
+            "session" => Record::Session {
+                name: need(self.name, "name")?,
+                proto: need(self.proto, "proto")?,
+                seed: need(self.seed, "seed")?,
+                members: need(self.members, "members")?,
+            },
+            "query" => {
+                let spec = QuerySpec {
+                    src: need(self.src, "src")?,
+                    threshold: need(self.threshold, "threshold")?,
+                    batch_width: need(self.batch_width, "batch_width")?,
+                    max_questions: need(self.max_questions, "max_questions")?,
+                    seed: need(self.seed, "seed")?,
+                };
+                Record::Query {
+                    qid: need(self.qid, "qid")?,
+                    spec,
+                }
+            }
+            "done" => {
+                let qid = need(self.qid, "qid")?;
+                let done = DoneMeta {
+                    complete: need(self.complete, "complete")?,
+                    digest: need(self.digest, "digest")?,
+                    threshold: need(self.threshold, "threshold")?
+                        .ok_or_else(|| JsonError::shape("expected number, got null"))?,
+                    // absent on a mined run's footer
+                    of: self.of.transpose()?,
+                };
+                Record::Done { qid, done }
+            }
+            "op" => Record::Op {
+                qid: need(self.qid, "qid")?,
+                op: need(self.op, "op")?,
+            },
+            "answer" => {
+                let member = MemberId(need(self.member, "member")?);
+                match self.entry {
+                    Some(entry) => {
+                        let (pattern, answer) = entry?;
+                        Record::Answer {
+                            member,
+                            pattern,
+                            answer,
+                        }
+                    }
+                    None => Record::Skip,
+                }
+            }
+            // unknown kinds are future records — skip, don't fail
+            _ => Record::Skip,
+        })
     }
 }
 
-fn opt_u32(v: &Json) -> Result<Option<u32>, JsonError> {
-    match v {
-        Json::Null => Ok(None),
-        other => other.as_u32().map(Some),
+/// Reads a field into an empty slot, keeping a shape error in it; a
+/// filled slot skips the repeat.
+fn fill<'a, T>(
+    slot: &mut Slot<T>,
+    r: &mut Reader<'a>,
+    read: impl FnOnce(&mut Reader<'a>) -> Result<T, JsonError>,
+) -> Result<(), JsonError> {
+    if slot.is_some() {
+        return r.skip();
     }
+    *slot = Some(r.shaped(read)?);
+    Ok(())
 }
 
-fn as_bool(v: &Json) -> Result<bool, JsonError> {
-    match v {
-        Json::Bool(b) => Ok(*b),
-        other => Err(JsonError::shape(format!("expected bool, got {other}"))),
+/// A field a record kind requires.
+fn need<T>(slot: Slot<T>, name: &str) -> Result<T, JsonError> {
+    slot.unwrap_or_else(|| Err(JsonError::missing(name)))
+}
+
+fn owned_str(r: &mut Reader<'_>) -> Result<String, JsonError> {
+    r.str().map(Cow::into_owned)
+}
+
+/// Decodes one record body in one pass, building no tree. A syntax
+/// error (the body is not JSON) is a tear; a shape error means the body
+/// is JSON of the wrong shape.
+fn decode_record(body: &str, vocab: &Vocabulary) -> Result<Record, JsonError> {
+    let mut r = Reader::new(body);
+    let mut fields = Fields::default();
+    // the only shape error `obj` itself raises is a body that is no object
+    let is_obj = r
+        .shaped(|r| r.obj(|r, key| fields.read(r, &key, vocab)))?
+        .is_ok();
+    r.end()?;
+    if is_obj {
+        fields.record()
+    } else {
+        Ok(Record::Skip)
     }
 }
 
@@ -513,19 +681,24 @@ fn frame(rec: &Json) -> String {
     )
 }
 
-/// Reads every complete, crc-valid record of `path`, truncating the
-/// file at the first bad line (torn tail). Returns the records and
-/// whether a truncation happened. A missing file is an empty log.
-fn read_records(path: &Path) -> io::Result<(Vec<Json>, bool)> {
+/// Decodes every complete, crc-valid record of `path`, truncating the
+/// file at the first line that is cut short, fails its crc, is not
+/// UTF-8 or is not JSON (a torn tail). Returns the records, or the first
+/// shape error among the lines kept, and whether a truncation happened.
+/// A missing file is an empty log.
+fn read_records(
+    path: &Path,
+    vocab: &Vocabulary,
+) -> io::Result<(Result<Vec<Record>, JsonError>, bool)> {
     let mut bytes = Vec::new();
     match File::open(path) {
         Ok(mut f) => {
             f.read_to_end(&mut bytes)?;
         }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((Vec::new(), false)),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((Ok(Vec::new()), false)),
         Err(e) => return Err(e),
     }
-    let mut records = Vec::new();
+    let mut records = Ok(Vec::new());
     let mut offset = 0usize;
     while offset < bytes.len() {
         // PANIC-OK: offset < bytes.len() is the loop guard.
@@ -533,10 +706,20 @@ fn read_records(path: &Path) -> io::Result<(Vec<Json>, bool)> {
         // PANIC-OK: the position is in bounds of rest.
         let line = rest.iter().position(|&b| b == b'\n').map(|nl| &rest[..nl]);
         // a line without its newline was cut mid-write
-        let record = line.and_then(checked_body).and_then(parse_body);
+        let record = line
+            .and_then(checked_body)
+            .and_then(|body| std::str::from_utf8(body).ok())
+            .map(|body| decode_record(body, vocab))
+            .filter(|record| !record.as_ref().is_err_and(JsonError::is_syntax));
         match (line, record) {
-            (Some(line), Some(rec)) => {
-                records.push(rec);
+            (Some(line), Some(record)) => {
+                // a shape error fails recovery, but only once the lines
+                // after it are checked for a tear
+                match (&mut records, record) {
+                    (Ok(kept), Ok(record)) => kept.push(record),
+                    (Ok(_), Err(e)) => records = Err(e),
+                    (Err(_), _) => {}
+                }
                 offset += line.len() + 1;
             }
             _ => {
@@ -559,11 +742,6 @@ fn checked_body(line: &[u8]) -> Option<&[u8]> {
     let (hex, rest) = rest.split_at_checked(16)?;
     let body = rest.strip_prefix(b"\",\"rec\":")?.strip_suffix(b"}")?;
     (parse_crc(hex)? == fnv64(body)).then_some(body)
-}
-
-/// Parses one JSON document from raw bytes.
-fn parse_body(body: &[u8]) -> Option<Json> {
-    json::parse(std::str::from_utf8(body).ok()?).ok()
 }
 
 /// Parses the 16 lowercase hex digits [`frame`] writes for a crc.
@@ -623,10 +801,15 @@ impl SessionWal {
 }
 
 #[cfg(test)]
+#[path = "tests/wal_decode.rs"]
+mod decode_tests;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crowd::MemberId;
     use oassis_core::WireVerdict;
+    use ontology::json;
 
     fn tmp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("oassis-wal-{name}-{}", std::process::id()));
