@@ -1,9 +1,9 @@
 //! `oassis-audit` — workspace determinism & safety static-analysis.
 //!
 //! Every correctness claim this repo makes (golden outcome digests,
-//! width-independent parallel equivalence, bit-identical sim replays)
-//! rests on the engine being deterministic. This crate enforces that
-//! invariant mechanically, as nine named rules over the source tree:
+//! bit-identical sim replays) rests on the engine being
+//! deterministic. This crate enforces that invariant mechanically, as
+//! nine named rules over the source tree:
 //!
 //! * **D1** — hash-order leaks: `HashMap`/`HashSet` iteration in
 //!   `crates/{core,crowd,simtest}` must not feed ordered results
@@ -18,9 +18,8 @@
 //! * **D5** — lint hygiene: crate roots carry the agreed
 //!   `#![deny]`/`#![forbid]` set.
 //! * **D6** — deprecated entry points route through `Oassis::run`.
-//! * **D7** — lock discipline: acquisition-order cycles, double
-//!   locks and fork-joins under a held guard, propagated over the
-//!   intra-repo call graph ([`locks`]).
+//! * **D7** — lock discipline: acquisition-order cycles and double
+//!   locks, propagated over the intra-repo call graph ([`locks`]).
 //! * **D8** — digest coverage: every struct feeding a digest fn has
 //!   all fields folded in, or each omission is justified.
 //! * **D9** — wire-op exhaustiveness: `match`es over the wire/fault
@@ -200,17 +199,16 @@ fn audit_prepared(file: &SourceFile, crate_has_unsafe: bool, extra: &[RawFinding
 }
 
 /// Audits a set of `(path, source)` pairs as one workspace: per-file
-/// rules plus the cross-file D7–D9 passes, fanned out over `threads`
-/// minipool workers. The report is byte-identical at any width: file
-/// preparation and per-file auditing use order-preserving `par_map`,
-/// and every cross-file pass runs on the deterministic symbol table.
+/// rules plus the cross-file D7–D9 passes, in input order on the
+/// caller's thread.
 ///
 /// This is the API both [`audit_workspace`] and the multi-file
 /// fixture tests go through.
-pub fn audit_files(sources: &[(String, String)], threads: usize) -> Report {
-    let prepared: Vec<SourceFile> = minipool::par_map(threads, sources, |(path, src)| {
-        SourceFile::prepare(path, src)
-    });
+pub fn audit_files(sources: &[(String, String)]) -> Report {
+    let prepared: Vec<SourceFile> = sources
+        .iter()
+        .map(|(path, src)| SourceFile::prepare(path, src))
+        .collect();
 
     // Which crates contain `unsafe` at all (for D5's either/or).
     let mut crate_unsafe: BTreeMap<String, bool> = BTreeMap::new();
@@ -225,7 +223,7 @@ pub fn audit_files(sources: &[(String, String)], threads: usize) -> Report {
             .or_insert(false) |= has;
     }
 
-    // Cross-file passes (serial: they need the whole table).
+    // Cross-file passes: they need the whole table.
     let table = SymbolTable::build(&prepared);
     let graph = callgraph::CallGraph::build(&prepared, &table);
     let mut extra: Vec<Vec<RawFinding>> = vec![Vec::new(); prepared.len()];
@@ -237,16 +235,10 @@ pub fn audit_files(sources: &[(String, String)], threads: usize) -> Report {
         extra[fi].push(rf);
     }
 
-    let idx: Vec<usize> = (0..prepared.len()).collect();
-    let audits: Vec<FileAudit> = minipool::par_map(threads, &idx, |&i| {
-        let f = &prepared[i];
-        let has = *crate_unsafe.get(&f.scope.crate_name).unwrap_or(&false);
-        audit_prepared(f, has, &extra[i])
-    });
-
     let mut report = Report::default();
-    for (f, fa) in prepared.iter().zip(&audits) {
-        report.add_file(&f.scope.crate_name, fa);
+    for (f, extra) in prepared.iter().zip(&extra) {
+        let has = *crate_unsafe.get(&f.scope.crate_name).unwrap_or(&false);
+        report.add_file(&f.scope.crate_name, &audit_prepared(f, has, extra));
     }
     report.files_scanned = prepared.len();
     report
@@ -305,15 +297,14 @@ fn rel_path(root: &Path, path: &Path) -> String {
         .replace('\\', "/")
 }
 
-/// Audits the whole workspace rooted at `root`, fanned out over the
-/// default minipool width (`MINIPOOL_THREADS` respected).
+/// Audits the whole workspace rooted at `root`.
 pub fn audit_workspace(root: &Path) -> std::io::Result<Report> {
     let files = workspace_files(root)?;
     let mut sources: Vec<(String, String)> = Vec::with_capacity(files.len());
     for rel in &files {
         sources.push((rel.clone(), std::fs::read_to_string(root.join(rel))?));
     }
-    Ok(audit_files(&sources, minipool::default_threads()))
+    Ok(audit_files(&sources))
 }
 
 /// Finds the workspace root: the nearest ancestor of `start` whose

@@ -4,7 +4,7 @@
 //! each guard is held (a `let`-bound guard lives to its enclosing
 //! block's close or an explicit `drop(..)`, a temporary to its own
 //! statement, a block-header scrutinee to the block close), and then
-//! checks three properties:
+//! checks two properties:
 //!
 //! * **double lock** — the same lock acquired while already held, on
 //!   the same path (directly, or through a uniquely-resolved call
@@ -12,10 +12,7 @@
 //! * **acquisition-order cycles** — lock `A` held while `B` is
 //!   acquired at one site and `B` held while `A` is acquired at
 //!   another (possibly in different crates, via the call graph): a
-//!   potential deadlock the moment the two paths run concurrently;
-//! * **fork-join under a lock** — a blocking `par_map` issued while a
-//!   guard is held serializes the pool at best and deadlocks at worst
-//!   (workers touching the same lock).
+//!   potential deadlock the moment the two paths run concurrently.
 //!
 //! Lock identity is name-resolved: `self.FIELD.lock()` binds through
 //! the enclosing impl type to a `Mutex`-typed field (`Type.field`);
@@ -33,9 +30,6 @@ use crate::symbols::{FnDef, SourceFile, SymbolTable};
 /// Lock acquisition tokens (empty-parens forms only, so `io::Read::
 /// read(buf)` and `fmt::Write::write(s)` never match).
 const LOCK_TOKENS: [&str; 3] = [".lock()", ".read()", ".write()"];
-
-/// Blocking fork-join entry points checked under held locks.
-const PAR_TOKENS: [&str; 2] = ["par_map(", "minipool::join("];
 
 /// A finding attributed to a file index (cross-file rules report into
 /// other files than the one that triggered the analysis).
@@ -84,12 +78,7 @@ fn analyze(
         .iter()
         .map(|f| fn_sites(files, table, f))
         .collect();
-    let pars: Vec<Vec<(usize, usize)>> = table
-        .fns
-        .iter()
-        .map(|f| par_sites(files, table, f))
-        .collect();
-    let trans = Transitive::compute(table, graph, &sites, &pars);
+    let trans = transitive_acquires(graph, &sites);
 
     for (fi, f) in table.fns.iter().enumerate() {
         if f.is_test || files[f.file].scope.is_test_file || files[f.file].scope.is_vendor {
@@ -121,34 +110,11 @@ fn analyze(
                 }
             }
         }
-        // Fork-join directly under a held guard.
-        for &(pl, pc) in &pars[fi] {
-            for held in s.iter().filter(|x| covers(x, pl, pc)) {
-                out.push((
-                    f.file,
-                    finding(
-                        pl,
-                        format!(
-                            "blocking fork-join while holding `{}` (guard from line {}): \
-                             par_map under a lock serializes or deadlocks the pool",
-                            held.id, held.line
-                        ),
-                    ),
-                ));
-            }
-        }
         // Propagation through uniquely-resolved calls.
         for call in &graph.calls[fi] {
             let callee = &table.fns[call.callee];
-            let (tacq, tpar) = trans.of(call.callee);
-            let held: Vec<&Site> = s
-                .iter()
-                .filter(|x| covers(x, call.line, call.col))
-                .collect();
-            if held.is_empty() {
-                continue;
-            }
-            for h in &held {
+            let tacq = &trans[call.callee];
+            for h in s.iter().filter(|x| covers(x, call.line, call.col)) {
                 if tacq.contains(&h.id) {
                     out.push((
                         f.file,
@@ -168,22 +134,6 @@ fn analyze(
                             .entry((h.id.clone(), a.clone()))
                             .or_insert((f.file, call.line));
                     }
-                }
-            }
-            if tpar {
-                for h in &held {
-                    out.push((
-                        f.file,
-                        finding(
-                            call.line,
-                            format!(
-                                "call while holding `{}` reaches a blocking fork-join \
-                                 inside `{}`",
-                                h.id,
-                                callee.qual()
-                            ),
-                        ),
-                    ));
                 }
             }
         }
@@ -242,39 +192,15 @@ fn reachable(adj: &BTreeMap<&str, BTreeSet<&str>>, from: &str, to: &str) -> bool
     false
 }
 
-/// Locks acquired (and fork-joins reached) by a fn *or any uniquely
-/// resolved callee*, memoized; recursion is cut by returning the
-/// partial set (an under-approximation, never a false positive).
-struct Transitive {
-    acq: Vec<BTreeSet<String>>,
-    par: Vec<bool>,
-}
-
-impl Transitive {
-    fn compute(
-        table: &SymbolTable,
-        graph: &CallGraph,
-        sites: &[Vec<Site>],
-        pars: &[Vec<(usize, usize)>],
-    ) -> Transitive {
-        let n = table.fns.len();
-        let mut t = Transitive {
-            acq: vec![BTreeSet::new(); n],
-            par: vec![false; n],
-        };
-        let mut done = vec![false; n];
-        for i in 0..n {
-            Self::fill(i, graph, sites, pars, &mut t, &mut done, &mut Vec::new());
-        }
-        t
-    }
-
+/// Locks acquired by each fn *or any uniquely resolved callee*;
+/// recursion is cut by returning the partial set (an
+/// under-approximation, never a false positive).
+fn transitive_acquires(graph: &CallGraph, sites: &[Vec<Site>]) -> Vec<BTreeSet<String>> {
     fn fill(
         i: usize,
         graph: &CallGraph,
         sites: &[Vec<Site>],
-        pars: &[Vec<(usize, usize)>],
-        t: &mut Transitive,
+        acq: &mut [BTreeSet<String>],
         done: &mut [bool],
         on_stack: &mut Vec<usize>,
     ) {
@@ -282,42 +208,22 @@ impl Transitive {
             return;
         }
         on_stack.push(i);
-        let mut acq: BTreeSet<String> = sites[i].iter().map(|s| s.id.clone()).collect();
-        let mut par = !pars[i].is_empty();
+        let mut own: BTreeSet<String> = sites[i].iter().map(|s| s.id.clone()).collect();
         for call in &graph.calls[i] {
-            Self::fill(call.callee, graph, sites, pars, t, done, on_stack);
-            acq.extend(t.acq[call.callee].iter().cloned());
-            par |= t.par[call.callee];
+            fill(call.callee, graph, sites, acq, done, on_stack);
+            own.extend(acq[call.callee].iter().cloned());
         }
         on_stack.pop();
-        t.acq[i] = acq;
-        t.par[i] = par;
+        acq[i] = own;
         done[i] = true;
     }
-
-    fn of(&self, i: usize) -> (&BTreeSet<String>, bool) {
-        (&self.acq[i], self.par[i])
+    let n = sites.len();
+    let mut acq = vec![BTreeSet::new(); n];
+    let mut done = vec![false; n];
+    for i in 0..n {
+        fill(i, graph, sites, &mut acq, &mut done, &mut Vec::new());
     }
-}
-
-/// Fork-join tokens in a fn body, as (line, col).
-fn par_sites(files: &[SourceFile], table: &SymbolTable, f: &FnDef) -> Vec<(usize, usize)> {
-    let scanned = &files[f.file].scanned;
-    let mut out = Vec::new();
-    for line_no in body_lines(table, f) {
-        let line = scanned.line(line_no);
-        for tok in PAR_TOKENS {
-            let mut from = 0;
-            while let Some(p) = line[from..].find(tok) {
-                let abs = from + p;
-                out.push((line_no, abs));
-                from = abs + tok.len();
-            }
-        }
-    }
-    out.sort_unstable();
-    out.dedup();
-    out
+    acq
 }
 
 /// Every resolved lock acquisition in a fn body, in (line, col) order.
@@ -546,16 +452,6 @@ mod tests {
         let got = run(&src);
         assert_eq!(got.len(), 1, "{got:?}");
         assert!(got[0].1.contains("double lock via call"), "{got:?}");
-    }
-
-    #[test]
-    fn par_map_under_local_lock_fires() {
-        let src = "fn f(items: &[u32]) {\n    let m = std::sync::Mutex::new(0u32);\n    \
-                   let g = m.lock().unwrap();\n    let _v = minipool::par_map(2, items, |x| *x);\n    \
-                   drop(g);\n}\n";
-        let got = run(src);
-        assert_eq!(got.len(), 1, "{got:?}");
-        assert!(got[0].1.contains("fork-join"), "{got:?}");
     }
 
     #[test]

@@ -8,14 +8,14 @@
 
 use audit::audit_files;
 
-/// Scans the given `(path, source)` pairs single-threaded and returns
-/// every open finding as `(rule, line, path)`.
+/// Scans the given `(path, source)` pairs and returns every open
+/// finding as `(rule, line, path)`.
 fn scan(sources: &[(&str, &str)]) -> Vec<(String, usize, String)> {
     let owned: Vec<(String, String)> = sources
         .iter()
         .map(|(p, s)| (p.to_string(), s.to_string()))
         .collect();
-    audit_files(&owned, 1)
+    audit_files(&owned)
         .findings
         .iter()
         .map(|f| (f.rule.clone(), f.line, f.path.clone()))
@@ -23,7 +23,7 @@ fn scan(sources: &[(&str, &str)]) -> Vec<(String, usize, String)> {
 }
 
 #[test]
-fn d7_fires_on_double_lock_inversion_and_par_under_lock() {
+fn d7_fires_on_double_lock_and_inversion() {
     let got = scan(&[(
         "crates/planted/src/locks.rs",
         include_str!("fixtures/d7_locks.rs"),
@@ -35,8 +35,8 @@ fn d7_fires_on_double_lock_inversion_and_par_under_lock() {
         .collect();
     assert_eq!(
         d7,
-        vec![15, 21, 27, 33],
-        "double-lock@15, both inversion witnesses@21/27, par-under-lock@33: {got:?}"
+        vec![15, 21, 27],
+        "double-lock@15, both inversion witnesses@21/27: {got:?}"
     );
     assert!(
         got.iter().all(|(r, _, _)| r == "D7"),
@@ -50,7 +50,7 @@ fn d7_messages_name_the_failure_modes() {
         "crates/planted/src/locks.rs".to_string(),
         include_str!("fixtures/d7_locks.rs").to_string(),
     )];
-    let report = audit_files(&owned, 1);
+    let report = audit_files(&owned);
     let msg = |line: usize| -> String {
         report
             .findings
@@ -61,7 +61,6 @@ fn d7_messages_name_the_failure_modes() {
     };
     assert!(msg(15).contains("still held"), "double-lock: {}", msg(15));
     assert!(msg(21).contains("cycle"), "inversion: {}", msg(21));
-    assert!(msg(33).contains("while holding"), "par: {}", msg(33));
 }
 
 #[test]
@@ -127,26 +126,4 @@ fn cross_file_findings_are_suppressible_with_reasons() {
         "the allowed catch-all is suppressed; the missing-variant match \
          (shifted one line by the marker) still fires: {got:?}"
     );
-}
-
-#[test]
-fn report_bytes_are_identical_at_any_worker_width() {
-    let root = audit::find_workspace_root(std::path::Path::new(env!("CARGO_MANIFEST_DIR")))
-        .expect("workspace root with Cargo.toml");
-    let files = audit::workspace_files(&root).expect("workspace listing");
-    let sources: Vec<(String, String)> = files
-        .iter()
-        .map(|rel| {
-            let src = std::fs::read_to_string(root.join(rel)).expect("source file reads");
-            (rel.clone(), src)
-        })
-        .collect();
-    let golden = audit_files(&sources, 1).to_json();
-    for width in [2, 8] {
-        assert_eq!(
-            audit_files(&sources, width).to_json(),
-            golden,
-            "AUDIT.json bytes must not depend on the worker width ({width})"
-        );
-    }
 }

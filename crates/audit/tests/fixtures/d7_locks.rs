@@ -1,7 +1,7 @@
-// Planted D7 violations — double-lock, AB/BA inversion and a worker
-// fan-out under a held lock. Never compiled: the cross-file fixture
-// tests scan this text through `audit_files` and assert the exact
-// rule@line set.
+// Planted D7 violations — a double-lock, and an AB/BA inversion
+// whose two witnesses must both be reported. Never compiled: the
+// cross-file fixture tests scan this text through `audit_files` and
+// assert the exact rule@line set.
 use std::sync::Mutex;
 
 pub struct Shared {
@@ -26,10 +26,5 @@ impl Shared {
         let gb = self.b.lock().unwrap();
         let ga = self.a.lock().unwrap();
         *ga + *gb
-    }
-
-    pub fn fan_out(&self) -> Vec<u32> {
-        let g = self.a.lock().unwrap();
-        minipool::par_map(2, &[*g, *g], |x| x + 1)
     }
 }

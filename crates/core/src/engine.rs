@@ -154,7 +154,7 @@ impl<'q> QueryRequest<'q> {
 }
 
 /// A name perfbench's `Oassis::run` calls still spell:
-/// `CrowdBinding::single(&mut crowd)` is `&mut crowd`. ROADMAP item 9's
+/// `CrowdBinding::single(&mut crowd)` is `&mut crowd`. The next
 /// benchmark PR removes it.
 pub enum CrowdBinding {}
 

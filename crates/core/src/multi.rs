@@ -393,47 +393,42 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
                 continue;
             }
             let width = cfg.batch_width.max(1);
-            let mut planned: Vec<NodeId> = Vec::new();
             // PANIC-OK: `mi` is in bounds, as above.
             let m = &mut members[mi];
-            if width == 1 {
-                if let Some(t) = next_target(dag, run.fold.classifier_mut(), &mut hot, m) {
+            // batch planning: collect up to `width` targets forming an
+            // antichain under ≤. Comparable assignments can classify each
+            // other (an answer about one may decide the other by
+            // inference), so a comparable pop is deferred — pushed back to
+            // the *front* of the hot queue, in pop order — rather than
+            // asked redundantly in the same batch. At width 1 this is one
+            // pop and nothing is deferred.
+            let mut planned: Vec<NodeId> = Vec::new();
+            let mut deferred: Vec<NodeId> = Vec::new();
+            while planned.len() < width {
+                let Some(t) = next_target(dag, run.fold.classifier_mut(), &mut hot, m) else {
+                    break;
+                };
+                if planned.iter().any(|&p| dag.leq(p, t) || dag.leq(t, p)) {
+                    deferred.push(t);
+                } else {
                     planned.push(t);
                 }
-            } else {
-                // batch planning: collect up to `width` targets forming an
-                // antichain under ≤. Comparable assignments can classify
-                // each other (an answer about one may decide the other by
-                // inference), so a comparable pop is deferred — pushed back
-                // to the *front* of the hot queue, in pop order — rather
-                // than asked redundantly in the same batch.
-                let mut deferred: Vec<NodeId> = Vec::new();
-                while planned.len() < width {
-                    let Some(t) = next_target(dag, run.fold.classifier_mut(), &mut hot, m) else {
-                        break;
-                    };
-                    if planned.iter().any(|&p| dag.leq(p, t) || dag.leq(t, p)) {
-                        deferred.push(t);
-                    } else {
-                        planned.push(t);
-                    }
-                }
-                if !deferred.is_empty() {
-                    tele.count("planner.deferred", deferred.len() as u64);
-                    m.front.extend(deferred.iter().rev());
-                }
-                if !planned.is_empty() {
-                    tele.count("planner.planned", planned.len() as u64);
-                }
-                if cfg.debug_checks {
-                    for (i, &a) in planned.iter().enumerate() {
-                        for &b in planned.iter().skip(i + 1) {
-                            assert!(
-                                !dag.leq(a, b) && !dag.leq(b, a),
-                                "batch planner invariant violated: planned targets \
-                                 {a:?} and {b:?} are ≤-comparable"
-                            );
-                        }
+            }
+            if !deferred.is_empty() {
+                tele.count("planner.deferred", deferred.len() as u64);
+                m.front.extend(deferred.iter().rev());
+            }
+            if width > 1 && !planned.is_empty() {
+                tele.count("planner.planned", planned.len() as u64);
+            }
+            if cfg.debug_checks {
+                for (i, &a) in planned.iter().enumerate() {
+                    for &b in planned.iter().skip(i + 1) {
+                        assert!(
+                            !dag.leq(a, b) && !dag.leq(b, a),
+                            "batch planner invariant violated: planned targets \
+                             {a:?} and {b:?} are ≤-comparable"
+                        );
                     }
                 }
             }

@@ -332,8 +332,8 @@ impl OpLog {
     }
 
     /// [`OpLog::replay`] under its old name and with an unused pool
-    /// argument, kept only because perfbench's `recover` calls it;
-    /// ROADMAP item 9's benchmark PR deletes it.
+    /// argument, kept only because perfbench's `recover` calls it; the
+    /// next benchmark PR deletes it.
     pub fn replay_merged<A: Aggregator>(
         &self,
         dag: &Dag<'_>,

@@ -114,12 +114,33 @@ fn value_to_json(v: Value) -> Json {
     }
 }
 
-fn read_value(r: &mut Reader<'_>) -> Result<Value, JsonError> {
+fn read_value(vocab: &Vocabulary, r: &mut Reader<'_>) -> Result<Value, JsonError> {
     let (kind, id) = r.pair("a [kind, id] value", Reader::str, Reader::u32)?;
     match &*kind {
-        "e" => Ok(Value::Elem(ElemId(id))),
-        "r" => Ok(Value::Rel(RelId(id))),
+        "e" => elem_id(vocab, id).map(Value::Elem),
+        "r" => rel_id(vocab, id).map(Value::Rel),
         other => Err(JsonError::shape(format!("unknown value kind {other:?}"))),
+    }
+}
+
+/// `id` as an element of `vocab`; an id past the vocabulary is a shape
+/// error, not an index that panics deeper in.
+fn elem_id(vocab: &Vocabulary, id: u32) -> Result<ElemId, JsonError> {
+    vocab_id(id, vocab.num_elems(), "element").map(ElemId)
+}
+
+/// `id` as a relation of `vocab`, checked like [`elem_id`].
+fn rel_id(vocab: &Vocabulary, id: u32) -> Result<RelId, JsonError> {
+    vocab_id(id, vocab.num_rels(), "relation").map(RelId)
+}
+
+fn vocab_id(id: u32, len: usize, what: &str) -> Result<u32, JsonError> {
+    if (id as usize) < len {
+        Ok(id)
+    } else {
+        Err(JsonError::shape(format!(
+            "{what} id {id} is past the vocabulary's {len}"
+        )))
     }
 }
 
@@ -155,19 +176,24 @@ fn assignment_to_json(a: &Assignment) -> Json {
 
 /// Reads an assignment serialized by [`assignment_to_json`],
 /// re-canonicalizing against `vocab` (a no-op for well-formed input —
-/// wire assignments are canonical by construction).
+/// wire assignments are canonical by construction). An element or
+/// relation id past `vocab` is a shape error.
 fn read_assignment(vocab: &Vocabulary, r: &mut Reader<'_>) -> Result<Assignment, JsonError> {
     let (mut slots, mut more) = (None, None);
     // unknown keys are skipped, and the first of two equal keys wins
     r.obj(|r, key| match &*key {
         "slots" if slots.is_none() => {
-            slots = Some(r.vec(|r| r.vec(read_value))?);
+            slots = Some(r.vec(|r| r.vec(|r| read_value(vocab, r)))?);
             Ok(())
         }
         "more" if more.is_none() => {
             more = Some(r.vec(|r| {
                 let [s, rel, o] = r.array("a [s, r, o] fact", Reader::u32)?;
-                Ok(Fact::new(ElemId(s), RelId(rel), ElemId(o)))
+                Ok(Fact::new(
+                    elem_id(vocab, s)?,
+                    rel_id(vocab, rel)?,
+                    elem_id(vocab, o)?,
+                ))
             })?);
             Ok(())
         }
@@ -222,7 +248,8 @@ pub fn wire_to_json(op: &WireOp) -> Json {
 
 /// Reads a wire op serialized by [`wire_to_json`] off `r`, building no
 /// tree. Unknown keys are skipped (frames can grow), and the first of two
-/// equal keys wins.
+/// equal keys wins. Every element and relation id is checked against
+/// `vocab`: one past it is a shape error.
 pub fn read_wire_op(vocab: &Vocabulary, r: &mut Reader<'_>) -> Result<WireOp, JsonError> {
     let (mut tick, mut seq, mut member, mut node, mut verdict) = (None, None, None, None, None);
     r.obj(|r, key| {
@@ -261,7 +288,7 @@ fn read_verdict(vocab: &Vocabulary, r: &mut Reader<'_>) -> Result<WireVerdict, J
                 options: r.field("options", |r| r.vec(|r| read_assignment(vocab, r)))?,
             },
             "Prune" => WireVerdict::Prune {
-                elem: ElemId(r.field("elem", Reader::u32)?),
+                elem: r.field("elem", |r| elem_id(vocab, r.u32()?))?,
             },
             "NoAnswer" => {
                 r.skip()?;
@@ -483,6 +510,56 @@ mod tests {
             assert_ne!(bad, text);
             let err = read(&bad).unwrap_err();
             assert!(!err.is_syntax(), "{bad}: {err}");
+        }
+    }
+
+    /// An element or relation id past the vocabulary, in a slot value,
+    /// a MORE fact or a `Prune` verdict, is a shape error: it never
+    /// reaches `Assignment::new` or an intern, which would index past
+    /// the vocabulary and panic.
+    #[test]
+    fn ids_past_the_vocabulary_are_shape_errors() {
+        let d = synthetic_domain(30, 4, 2);
+        let vocab = d.ontology.vocab();
+        let (elems, rels) = (vocab.num_elems() as u32, vocab.num_rels() as u32);
+        let op = |node: &str, verdict: &str| {
+            format!(r#"{{"tick":1,"seq":0,"member":0,"node":{node},"verdict":{verdict}}}"#)
+        };
+        let node = |slots: &str, more: &str| format!(r#"{{"slots":{slots},"more":{more}}}"#);
+        let support = r#"{"Support":{"support":0.5}}"#;
+        let read = |text: &str| read_wire_op(vocab, &mut Reader::new(text));
+        // the last id in range reads
+        let last = op(
+            &node(
+                &format!(r#"[[["e",{}]],[["r",{}]]]"#, elems - 1, rels - 1),
+                &format!("[[0,{},{}]]", rels - 1, elems - 1),
+            ),
+            support,
+        );
+        read(&last).unwrap();
+        let prune = |elem: u32| op("null", &format!(r#"{{"Prune":{{"elem":{elem}}}}}"#));
+        read(&prune(elems - 1)).unwrap();
+        for bad in [
+            op(&node(&format!(r#"[[["e",{elems}]]]"#), "[]"), support),
+            op(&node(r#"[[["e",4000000000]]]"#, "[]"), support),
+            op(&node(&format!(r#"[[["r",{rels}]]]"#), "[]"), support),
+            op(&node("[]", &format!("[[{elems},0,0]]")), support),
+            op(&node("[]", &format!("[[0,{rels},0]]")), support),
+            op(&node("[]", "[[0,0,4000000000]]"), support),
+            op(
+                "null",
+                &format!(
+                    r#"{{"NoneOfThese":{{"options":[{}]}}}}"#,
+                    node("[]", &format!("[[{elems},0,0]]"))
+                ),
+            ),
+            prune(elems),
+        ] {
+            let err = read(&bad).unwrap_err();
+            assert!(
+                !err.is_syntax() && err.msg.contains("past the vocabulary"),
+                "{bad}: {err}"
+            );
         }
     }
 

@@ -69,9 +69,8 @@ pub fn evaluate_where(q: &BoundQuery, ont: &Ontology, mode: MatchMode) -> Vec<Ba
     out
 }
 
-/// [`evaluate_where`] under the name perfbench and the op-log
-/// permutation oracle still call; `_pool` is ignored. ROADMAP item 9's
-/// benchmark PR removes it.
+/// [`evaluate_where`] under the name perfbench still calls; `_pool` is
+/// ignored. The next benchmark PR removes it.
 pub fn evaluate_where_pool(
     q: &BoundQuery,
     ont: &Ontology,

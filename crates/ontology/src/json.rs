@@ -19,6 +19,13 @@ use std::fmt;
 /// every integer exactly: 2^53.
 pub const MAX_EXACT_INT: u64 = 1 << 53;
 
+/// The deepest nesting of arrays and objects a [`Reader`] accepts. The
+/// deepest document this workspace writes, a WAL `op` body, nests nine
+/// levels. A deeper value is a shape error raised before the reader
+/// recurses into it, so no input can overflow the reading thread's
+/// stack.
+pub const MAX_DEPTH: usize = 32;
+
 /// A JSON document.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -274,16 +281,25 @@ impl Kind {
 /// [`Self::shaped`] rewinds and skips the whole value, so the rest of
 /// the document is still checked for syntax. A syntax error leaves the
 /// reader unusable.
+///
+/// Arrays and objects nest at most [`MAX_DEPTH`] deep; a deeper one is
+/// a shape error, whichever method meets it.
 pub struct Reader<'a> {
     src: &'a str,
     pos: usize,
+    /// Arrays and objects open at the cursor.
+    depth: usize,
 }
 
 impl<'a> Reader<'a> {
     /// A reader at the start of `src`. The text is UTF-8 by type; a
     /// caller holding bytes checks them as a whole first.
     pub fn new(src: &'a str) -> Reader<'a> {
-        Reader { src, pos: 0 }
+        Reader {
+            src,
+            pos: 0,
+            depth: 0,
+        }
     }
 
     /// Reads an object, calling `f` with each key in document order. `f`
@@ -294,28 +310,30 @@ impl<'a> Reader<'a> {
         mut f: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), JsonError>,
     ) -> Result<(), JsonError> {
         self.expect_kind(Kind::Obj)?;
-        self.pos += 1;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.byte(b':')?;
-            f(self, key)?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
+        self.nested(|r| {
+            r.pos += 1;
+            r.skip_ws();
+            if r.peek() == Some(b'}') {
+                r.pos += 1;
+                return Ok(());
             }
-        }
+            loop {
+                r.skip_ws();
+                let key = r.string()?;
+                r.skip_ws();
+                r.byte(b':')?;
+                f(r, key)?;
+                r.skip_ws();
+                match r.peek() {
+                    Some(b',') => r.pos += 1,
+                    Some(b'}') => {
+                        r.pos += 1;
+                        return Ok(());
+                    }
+                    _ => return Err(r.err("expected ',' or '}'")),
+                }
+            }
+        })
     }
 
     /// Reads an array, calling `f` once per element; `f` must consume
@@ -325,24 +343,26 @@ impl<'a> Reader<'a> {
         mut f: impl FnMut(&mut Self) -> Result<(), JsonError>,
     ) -> Result<(), JsonError> {
         self.expect_kind(Kind::Arr)?;
-        self.pos += 1;
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            f(self)?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
+        self.nested(|r| {
+            r.pos += 1;
+            r.skip_ws();
+            if r.peek() == Some(b']') {
+                r.pos += 1;
+                return Ok(());
             }
-        }
+            loop {
+                f(r)?;
+                r.skip_ws();
+                match r.peek() {
+                    Some(b',') => r.pos += 1,
+                    Some(b']') => {
+                        r.pos += 1;
+                        return Ok(());
+                    }
+                    _ => return Err(r.err("expected ',' or ']'")),
+                }
+            }
+        })
     }
 
     /// Reads an array, each element with `read`.
@@ -503,7 +523,8 @@ impl<'a> Reader<'a> {
     /// Reads the value at the cursor with `read`, keeping a shape error
     /// as the inner `Err`: the cursor is rewound and the whole value
     /// skipped, so reading goes on past it. A syntax error, in `read` or
-    /// in the skip, is the outer `Err`.
+    /// in the skip, is the outer `Err`, and so is a value nested past
+    /// [`MAX_DEPTH`], which cannot be skipped either.
     pub fn shaped<T>(
         &mut self,
         read: impl FnOnce(&mut Self) -> Result<T, JsonError>,
@@ -539,6 +560,23 @@ impl<'a> Reader<'a> {
                 Json::Obj(fields)
             }
         })
+    }
+
+    /// Runs `body` one array or object deeper, or fails with a shape
+    /// error past [`MAX_DEPTH`] without running it.
+    fn nested(
+        &mut self,
+        body: impl FnOnce(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonError::shape(format!(
+                "nested deeper than {MAX_DEPTH} levels"
+            )));
+        }
+        self.depth += 1;
+        let out = body(self);
+        self.depth -= 1;
+        out
     }
 
     fn err(&self, msg: &str) -> JsonError {
@@ -665,20 +703,37 @@ impl<'a> Reader<'a> {
             b'r' => '\r',
             b't' => '\t',
             b'u' => {
-                let hex = self
-                    .rest()
-                    .get(..4)
-                    .ok_or_else(|| self.err("truncated \\u escape"))?;
-                let hex = std::str::from_utf8(hex).map_err(|_| self.err("invalid \\u escape"))?;
-                let code =
-                    u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))?;
-                self.pos += 4;
-                // surrogate pairs are not needed by our writers; reject
-                // rather than mis-decode
+                let mut code = self.hex4()?;
+                // a high surrogate and the escaped low one after it
+                // name one char (RFC 8259 §7)
+                if (0xD800..0xDC00).contains(&code) && self.rest().starts_with(b"\\u") {
+                    self.pos += 2;
+                    let low = self.hex4()?;
+                    if !(0xDC00..0xE000).contains(&low) {
+                        return Err(self.err("unpaired surrogate"));
+                    }
+                    code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                }
                 char::from_u32(code).ok_or_else(|| self.err("unpaired surrogate"))?
             }
             _ => return Err(self.err("invalid escape")),
         })
+    }
+
+    /// The code unit of exactly four hex digits after a `\u`.
+    fn hex4(&mut self) -> Result<u32, JsonError> {
+        let hex = self
+            .rest()
+            .get(..4)
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        let code = hex.iter().try_fold(0u32, |acc, &b| {
+            let digit = char::from(b)
+                .to_digit(16)
+                .ok_or_else(|| self.err("invalid \\u escape"))?;
+            Ok(acc << 4 | digit)
+        })?;
+        self.pos += 4;
+        Ok(code)
     }
 
     fn number(&mut self) -> Result<f64, JsonError> {
@@ -892,5 +947,66 @@ mod tests {
         for bad in ["\"東\\", "\"東\\u00\"", "\"東\\x\"", "\"café"] {
             assert!(parse(bad).is_err(), "{bad:?}");
         }
+    }
+
+    #[test]
+    fn a_u_escape_is_exactly_four_hex_digits() {
+        assert_eq!(
+            parse(r#""\u0041\u00e9\u00E9""#).unwrap(),
+            Json::Str("Aéé".into())
+        );
+        // a sign, a space or a non-ASCII byte is no hex digit
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u004g""#,
+            "\"\\u00é\"",
+        ] {
+            assert!(parse(bad).unwrap_err().is_syntax(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn a_surrogate_pair_is_one_char_and_a_lone_surrogate_an_error() {
+        assert_eq!(
+            parse(r#""\ud83e\uDD80 \u6771""#).unwrap(),
+            Json::Str("🦀 東".into())
+        );
+        // lone high, lone low, high before a non-low escape, reversed pair
+        for bad in [
+            r#""\ud83e""#,
+            r#""\ud83ex""#,
+            r#""\udd80""#,
+            r#""\ud83e\u0041""#,
+            r#""\ud83e\ud83e""#,
+            r#""\udd80\ud83e""#,
+        ] {
+            assert!(parse(bad).unwrap_err().is_syntax(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_a_shape_error_that_does_not_recurse() {
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        for text in [
+            nest(MAX_DEPTH + 1),
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            // a frame of 200 000 `[`, which once overflowed the stack
+            "[".repeat(200_000),
+        ] {
+            let err = parse(&text).unwrap_err();
+            assert!(!err.is_syntax() && err.msg.contains("nested"), "{err}");
+            assert!(Reader::new(&text).skip().is_err());
+        }
+        // the bound counts open values, not values read: siblings at
+        // the bound still read, and a failed read leaves the count right
+        let wide = format!("[{}]", vec![nest(MAX_DEPTH - 1); 3].join(","));
+        assert!(parse(&wide).is_ok());
+        let mut r = Reader::new(&wide);
+        assert!(r.shaped(|r| r.vec(Reader::u32)).unwrap().is_err());
+        r.end().unwrap();
+        assert_eq!(r.depth, 0);
     }
 }

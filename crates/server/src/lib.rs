@@ -1,8 +1,8 @@
 //! # oassis-server — the crowd-mining serving layer
 //!
-//! ROADMAP item 1: the paper's OASSIS architecture assumes long-lived
-//! crowd members whose "virtual personal databases" outlive any single
-//! query, so the engine needs a process that outlives the query too.
+//! The paper's OASSIS architecture assumes long-lived crowd members
+//! whose "virtual personal databases" outlive any single query, so the
+//! engine needs a process that outlives the query too.
 //! This crate is that process: a std-only, long-lived service over
 //! [`oassis_core::Oassis::run`] speaking line-delimited JSON over TCP,
 //! with a session manager owning the shared ontology and answer cache,

@@ -12,6 +12,10 @@
 //!   lines swapped. Recovery must not panic, and must match the
 //!   reference on `Ok`/`Err`, `truncated`, the file length afterwards
 //!   and the recovered header, queries, ops and answer cache.
+//! * Hostile lines: a crc-valid `op` line naming an element or relation
+//!   id past the vocabulary, or a crc-valid body nested past
+//!   [`json::MAX_DEPTH`]. Recovery fails with a shape error, cuts
+//!   nothing and does not panic.
 
 use super::{
     checked_body, decode_record, fold, truncate_to, DoneMeta, QuerySpec, Record, Recovered,
@@ -133,6 +137,24 @@ fn as_bool(v: &Json) -> Result<bool, JsonError> {
     }
 }
 
+/// `id` if it is below `len`, the size of the vocabulary it indexes.
+fn in_vocab(id: u32, len: usize) -> Result<u32, JsonError> {
+    if (id as usize) < len {
+        Ok(id)
+    } else {
+        Err(JsonError::shape(format!("id {id} past the vocabulary")))
+    }
+}
+
+/// A MORE fact, whose ids must name elements and a relation of `vocab`.
+fn more_fact_from_json(vocab: &Vocabulary, f: &Json) -> Result<Fact, JsonError> {
+    let f = fact_from_json(f)?;
+    in_vocab(f.subject.0, vocab.num_elems())?;
+    in_vocab(f.rel.0, vocab.num_rels())?;
+    in_vocab(f.object.0, vocab.num_elems())?;
+    Ok(f)
+}
+
 fn fact_from_json(f: &Json) -> Result<Fact, JsonError> {
     let [s, r, o] = f.as_arr()? else {
         return Err(JsonError::shape("expected a [s, r, o] fact"));
@@ -144,13 +166,16 @@ fn fact_from_json(f: &Json) -> Result<Fact, JsonError> {
     ))
 }
 
-fn value_from_json(j: &Json) -> Result<Value, JsonError> {
+fn value_from_json(vocab: &Vocabulary, j: &Json) -> Result<Value, JsonError> {
     let [kind, id] = j.as_arr()? else {
         return Err(JsonError::shape("expected a [kind, id] value"));
     };
     match kind.as_str()? {
-        "e" => Ok(Value::Elem(ElemId(id.as_u32()?))),
-        "r" => Ok(Value::Rel(RelId(id.as_u32()?))),
+        "e" => Ok(Value::Elem(ElemId(in_vocab(
+            id.as_u32()?,
+            vocab.num_elems(),
+        )?))),
+        "r" => Ok(Value::Rel(RelId(in_vocab(id.as_u32()?, vocab.num_rels())?))),
         other => Err(JsonError::shape(format!("unknown value kind {other:?}"))),
     }
 }
@@ -160,13 +185,18 @@ fn assignment_from_json(vocab: &Vocabulary, j: &Json) -> Result<Assignment, Json
         .field("slots")?
         .as_arr()?
         .iter()
-        .map(|s| s.as_arr()?.iter().map(value_from_json).collect())
+        .map(|s| {
+            s.as_arr()?
+                .iter()
+                .map(|v| value_from_json(vocab, v))
+                .collect()
+        })
         .collect::<Result<Vec<Vec<Value>>, _>>()?;
     let more = j
         .field("more")?
         .as_arr()?
         .iter()
-        .map(fact_from_json)
+        .map(|f| more_fact_from_json(vocab, f))
         .collect::<Result<Vec<Fact>, _>>()?;
     Ok(Assignment::new(vocab, values, more))
 }
@@ -192,7 +222,7 @@ fn wire_from_json(vocab: &Vocabulary, j: &Json) -> Result<WireOp, JsonError> {
                 .collect::<Result<Vec<_>, _>>()?,
         },
         "Prune" => WireVerdict::Prune {
-            elem: ElemId(body.field("elem")?.as_u32()?),
+            elem: ElemId(in_vocab(body.field("elem")?.as_u32()?, vocab.num_elems())?),
         },
         "NoAnswer" => WireVerdict::NoAnswer,
         "Msp" => WireVerdict::Msp {
@@ -340,6 +370,12 @@ impl Gen {
     }
 }
 
+/// Figure 1's vocabulary, which the ids of generated ops index.
+fn vocab() -> &'static Vocabulary {
+    static VOCAB: OnceLock<Vocabulary> = OnceLock::new();
+    VOCAB.get_or_init(|| figure1::ontology().vocab().clone())
+}
+
 /// A pool of canonical figure-1 assignments (the nodes of one
 /// materialized DAG) for generated ops.
 fn assignments() -> &'static [Assignment] {
@@ -368,8 +404,9 @@ fn gen_op(g: &mut Gen) -> WireOp {
         1 => WireVerdict::NoneOfThese {
             options: (0..g.below(3)).map(|_| g.pick(pool)).collect(),
         },
+        // a writer prunes only elements of the vocabulary
         2 => WireVerdict::Prune {
-            elem: ElemId(g.u32()),
+            elem: ElemId(g.u32() % vocab().num_elems() as u32),
         },
         3 => WireVerdict::NoAnswer,
         4 => WireVerdict::Msp {
@@ -901,6 +938,110 @@ fn damage(g: &mut Gen, log: &[u8]) -> Vec<u8> {
     }
 }
 
+/// The member `key` of object `j`.
+fn member<'a>(j: &'a mut Json, key: &str) -> &'a mut Json {
+    let Json::Obj(fields) = j else {
+        panic!("{j} is no object");
+    };
+    &mut fields.iter_mut().find(|(k, _)| k == key).unwrap().1
+}
+
+/// A crc-valid `op` line naming an element or relation id past
+/// `vocab`: in a slot value of its node, in a MORE fact, in a
+/// `NoneOfThese` option or as a `Prune` element.
+fn line_past_the_vocabulary(g: &mut Gen, vocab: &Vocabulary) -> Vec<u8> {
+    let (elems, rels) = (vocab.num_elems() as u32, vocab.num_rels() as u32);
+    let past = |g: &mut Gen, len: u32| g.pick(&[len, len + 1, 4_000_000_000, u32::MAX]);
+    let node = |g: &mut Gen| {
+        let op = WireOp {
+            tick: 1,
+            seq: 0,
+            member: MemberId(0),
+            node: Some(g.pick(assignments())),
+            verdict: WireVerdict::NoAnswer,
+        };
+        member(&mut wire_to_json(&op), "node").clone()
+    };
+    // a node with one id past the vocabulary
+    let mut bad = node(g);
+    if g.chance(1, 2) {
+        let Json::Arr(slots) = member(&mut bad, "slots") else {
+            unreachable!("slots are an array");
+        };
+        let at = g.below(slots.len());
+        let Json::Arr(values) = &mut slots[at] else {
+            unreachable!("a slot is an array");
+        };
+        let at = g.below(values.len());
+        let Json::Arr(pair) = &mut values[at] else {
+            unreachable!("a value is a [kind, id] pair");
+        };
+        let len = if pair[0] == s("e") { elems } else { rels };
+        pair[1] = num(past(g, len));
+    } else {
+        let mut fact = [0, 0, 0].map(num);
+        let at = g.below(3);
+        fact[at] = num(past(g, if at == 1 { rels } else { elems }));
+        let Json::Arr(more) = member(&mut bad, "more") else {
+            unreachable!("more is an array");
+        };
+        more.push(Json::Arr(fact.into()));
+    }
+    let mut op = wire_to_json(&WireOp {
+        tick: 1,
+        seq: 0,
+        member: MemberId(0),
+        node: None,
+        verdict: WireVerdict::NoAnswer,
+    });
+    match g.below(3) {
+        0 => *member(&mut op, "node") = bad,
+        1 => {
+            *member(&mut op, "verdict") = Json::Obj(vec![(
+                "NoneOfThese".into(),
+                Json::Obj(vec![("options".into(), Json::Arr(vec![node(g), bad]))]),
+            )])
+        }
+        _ => {
+            *member(&mut op, "verdict") = Json::Obj(vec![(
+                "Prune".into(),
+                Json::Obj(vec![("elem".into(), num(past(g, elems)))]),
+            )])
+        }
+    }
+    let body = Json::Obj(vec![
+        ("kind".into(), s("op")),
+        ("qid".into(), num(1)),
+        ("op".into(), op),
+    ])
+    .to_string();
+    format!(
+        "{{\"crc\":\"{:016x}\",\"rec\":{body}}}\n",
+        fnv64(body.as_bytes())
+    )
+    .into_bytes()
+}
+
+/// `line` inserted into the real log before its `at`-th line, or
+/// after its last.
+fn insert_line(at: usize, line: &[u8]) -> Vec<u8> {
+    let mut lines: Vec<&[u8]> = real_log().split_inclusive(|&b| b == b'\n').collect();
+    lines.insert(at.min(lines.len()), line);
+    lines.concat()
+}
+
+/// Recovers `log` from a fresh directory; returns the recovery and the
+/// file's length afterwards.
+fn recover_log(name: &str, log: &[u8]) -> (Result<Recovered, JsonError>, u64) {
+    let dir = tmp_dir(name);
+    fs::create_dir_all(&dir).unwrap();
+    fs::write(dir.join(SESSION_WAL), log).unwrap();
+    let got = SessionWal::open(&dir, 0).unwrap().recover(vocab());
+    let len = fs::metadata(dir.join(SESSION_WAL)).unwrap().len();
+    fs::remove_dir_all(&dir).unwrap();
+    (got, len)
+}
+
 /// What a recovery is compared on.
 type Seen = Result<
     (
@@ -1041,6 +1182,62 @@ proptest! {
         fs::remove_dir_all(&theirs).unwrap();
         prop_assert_eq!(got, want);
         prop_assert_eq!(lens.0, lens.1);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// A crc-valid line naming an id past the vocabulary fails recovery
+    /// with a shape error, as the reference does, and cuts nothing: it
+    /// is no tear, and it never reaches an index that panics.
+    #[test]
+    fn ids_past_the_vocabulary_fail_recovery(seed in any::<u64>()) {
+        let mut g = Gen(seed);
+        let line = line_past_the_vocabulary(&mut g, vocab());
+        let lines = real_log().iter().filter(|&&b| b == b'\n').count();
+        let log = insert_line(g.below(lines + 1), &line);
+        let (got, len) = recover_log(&format!("past-{seed}"), &log);
+        let err = got.unwrap_err();
+        prop_assert!(!err.is_syntax() && err.msg.contains("past the vocabulary"), "{}", err);
+        prop_assert_eq!(len, log.len() as u64);
+        let dir = tmp_dir(&format!("past-ref-{seed}"));
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join(SESSION_WAL), &log).unwrap();
+        let want = seen(reference_recover(&dir.join(SESSION_WAL), vocab()));
+        fs::remove_dir_all(&dir).unwrap();
+        prop_assert_eq!(want, Err(()));
+    }
+}
+
+/// A crc-valid body nested past the reader's bound fails recovery with
+/// a shape error and cuts nothing, wherever the nesting sits.
+#[test]
+fn a_body_nested_past_the_bound_is_a_shape_error_not_a_tear() {
+    let deep = |n: usize| "[".repeat(n) + &"]".repeat(n);
+    for body in [
+        deep(json::MAX_DEPTH + 1),
+        "[".repeat(200_000),
+        format!(
+            r#"{{"kind":"op","qid":1,"future":{}}}"#,
+            deep(json::MAX_DEPTH)
+        ),
+        format!(
+            r#"{{"kind":"op","qid":1,"op":{{"tick":1,"seq":0,"member":0,"node":null,"verdict":{{"NoAnswer":{}}}}}}}"#,
+            deep(json::MAX_DEPTH)
+        ),
+    ] {
+        let line = format!(
+            "{{\"crc\":\"{:016x}\",\"rec\":{body}}}\n",
+            fnv64(body.as_bytes())
+        );
+        for at in [0, 2, usize::MAX] {
+            let log = insert_line(at, line.as_bytes());
+            let (got, len) = recover_log("deep", &log);
+            let err = got.unwrap_err();
+            assert!(!err.is_syntax() && err.msg.contains("nested"), "{err}");
+            assert_eq!(len, log.len() as u64, "a deep body is no tear");
+        }
     }
 }
 

@@ -55,9 +55,10 @@
 //! are appended in recording order, so what survives is a prefix of
 //! each run's log.
 //!
-//! A body that is JSON of the wrong shape (a qid past `u32`, say) is no
-//! tear: it fails [`SessionWal::recover`] with a shape error. The lines
-//! after it are still checked, so a later tear is cut first.
+//! A body that is JSON of the wrong shape (a qid past `u32`, an element
+//! id past the vocabulary, or nesting past [`ontology::json::MAX_DEPTH`],
+//! say) is no tear: it fails [`SessionWal::recover`] with a shape error.
+//! The lines after it are still checked, so a later tear is cut first.
 
 use crowd::MemberId;
 use oassis_core::cache::{entry_to_json, read_entry, CachedAnswer};
@@ -655,7 +656,7 @@ fn owned_str(r: &mut Reader<'_>) -> Result<String, JsonError> {
 
 /// Decodes one record body in one pass, building no tree. A syntax
 /// error (the body is not JSON) is a tear; a shape error means the body
-/// is JSON of the wrong shape.
+/// is JSON of the wrong shape, or nests too deep to read.
 fn decode_record(body: &str, vocab: &Vocabulary) -> Result<Record, JsonError> {
     let mut r = Reader::new(body);
     let mut fields = Fields::default();

@@ -239,6 +239,67 @@ fn oversized_frame_is_rejected_and_closed() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+#[test]
+fn a_deeply_nested_frame_is_rejected_and_others_are_served() {
+    let ont = Arc::new(figure1::ontology());
+    let root = temp_root("deep");
+    let server = spawn(&ont, &root);
+    // 200 000 `[`: well inside the frame bound, but a reader that
+    // recursed once per level would overflow the connection thread's
+    // stack and abort the whole process
+    let deep = "[".repeat(200_000);
+
+    for after_hello in [true, false] {
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut line = String::new();
+        if after_hello {
+            let hello = Request::Hello {
+                proto: PROTO_VERSION,
+                client: "deep".into(),
+            };
+            writeln!(stream, "{}", hello.to_json()).unwrap();
+            reader.read_line(&mut line).unwrap();
+            assert!(line.contains("hello_ack"), "{line}");
+            line.clear();
+        }
+        writeln!(stream, "{deep}").unwrap();
+        reader.read_line(&mut line).unwrap();
+        let resp = json::parse(line.trim_end())
+            .and_then(|j| Response::from_json(&j))
+            .unwrap();
+        let Response::Error { code, .. } = resp else {
+            panic!("expected error, got {resp:?}")
+        };
+        assert_eq!(code, "bad_frame");
+    }
+
+    // a second connection is served end to end
+    let mut client = Client::connect(server.addr()).unwrap();
+    let resp = client
+        .call(&Request::Open(SessionSpec {
+            name: "after".into(),
+            seed: 1,
+            members: 1,
+        }))
+        .unwrap();
+    assert!(matches!(resp, Response::Opened { .. }), "{resp:?}");
+    let resp = client
+        .call(&Request::Query {
+            session: "after".into(),
+            spec: qspec(1),
+        })
+        .unwrap();
+    assert!(matches!(resp, Response::Result { .. }), "{resp:?}");
+
+    client.bye().unwrap();
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// The `queries` an `opened` reply lists.
 fn opened_queries(client: &mut Client, spec: &SessionSpec) -> Vec<u32> {
     let resp = client.call(&Request::Open(spec.clone())).unwrap();

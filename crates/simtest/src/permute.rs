@@ -31,7 +31,7 @@ pub fn shuffled(ops: &OpLog, seed: u64) -> OpLog {
 /// from the environment, defaulting to 12 (sized for the push-CI
 /// budget; the nightly matrix raises it).
 pub fn permutation_count() -> u64 {
-    // audit: allow(D2, harness-depth knob like minipool's thread count - the count only widens the shuffle sweep; every shuffle is seeded, so no outcome can depend on it)
+    // audit: allow(D2, harness-depth knob - the count only widens the shuffle sweep; every shuffle is seeded, so no outcome can depend on it)
     std::env::var("OPLOG_PERMS")
         .ok()
         .and_then(|s| s.parse().ok())
