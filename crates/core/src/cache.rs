@@ -10,9 +10,10 @@
 //! answers, while [`CachingCrowd::fresh_questions`] counts actual crowd
 //! work.
 
+use crate::wire::{elem_id, read_fact, rel_id};
 use crowd::{Answer, CrowdSource, MemberId, Question};
 use ontology::json::{Json, JsonError, Reader};
-use ontology::{PatternFact, PatternSet};
+use ontology::{PatternFact, PatternSet, Vocabulary};
 use std::collections::HashMap;
 use telemetry::lockorder::TrackedMutex;
 
@@ -122,30 +123,21 @@ impl CrowdCache {
         entries
     }
 
-    /// Restores from JSON.
-    pub fn from_json(s: &str) -> Result<Self, JsonError> {
+    /// Restores from JSON. Every element and relation id is checked
+    /// against `vocab`: one past it is a shape error.
+    pub fn from_json(s: &str, vocab: &Vocabulary) -> Result<Self, JsonError> {
         let mut r = Reader::new(s);
         let mut cache = CrowdCache::new();
-        let what = || JsonError::shape("expected a [member, pattern, answer] entry");
-        r.field("entries", |r| {
-            r.arr(|r| {
-                let (mut member, mut pattern, mut answer) = (None, None, None);
+        r.fields(|k| {
+            k.next("entries", |r| {
                 r.arr(|r| {
-                    if member.is_none() {
-                        member = Some(MemberId(r.u32()?));
-                    } else if pattern.is_none() {
-                        pattern = Some(read_pattern(r)?);
-                    } else if answer.is_none() {
-                        answer = Some(read_answer(r)?);
-                    } else {
-                        return Err(what());
-                    }
-                    Ok(())
-                })?;
-                let ((member, pattern), answer) =
-                    member.zip(pattern).zip(answer).ok_or_else(what)?;
-                cache.put(member, pattern, answer);
-                Ok(())
+                    r.items("a [member, pattern, answer] entry", |i| {
+                        let member = MemberId(i.item(Reader::u32)?);
+                        let pattern = i.item(|r| read_pattern(vocab, r))?;
+                        cache.put(member, pattern, i.item(|r| read_answer(vocab, r))?);
+                        Ok(())
+                    })
+                })
             })
         })?;
         r.end()?;
@@ -161,9 +153,18 @@ pub fn entry_to_json(pattern: &PatternSet, answer: &CachedAnswer) -> Json {
 }
 
 /// Reads a cache entry serialized by [`entry_to_json`] off `r`,
-/// building no tree.
-pub fn read_entry(r: &mut Reader<'_>) -> Result<(PatternSet, CachedAnswer), JsonError> {
-    r.pair("a [pattern, answer] entry", read_pattern, read_answer)
+/// building no tree. Every element and relation id is checked against
+/// `vocab`: one past it is a shape error.
+pub fn read_entry(
+    vocab: &Vocabulary,
+    r: &mut Reader<'_>,
+) -> Result<(PatternSet, CachedAnswer), JsonError> {
+    r.items("a [pattern, answer] entry", |i| {
+        Ok((
+            i.item(|r| read_pattern(vocab, r))?,
+            i.item(|r| read_answer(vocab, r))?,
+        ))
+    })
 }
 
 fn opt_id_to_json(id: Option<u32>) -> Json {
@@ -184,13 +185,15 @@ fn pattern_to_json(p: &PatternSet) -> Json {
     )
 }
 
-fn read_pattern(r: &mut Reader<'_>) -> Result<PatternSet, JsonError> {
+fn read_pattern(vocab: &Vocabulary, r: &mut Reader<'_>) -> Result<PatternSet, JsonError> {
     let facts = r.vec(|r| {
-        let [s, rel, o] = r.array("a [subject, rel, object] pattern", |r| r.opt(Reader::u32))?;
-        Ok(PatternFact {
-            subject: s.map(ontology::ElemId),
-            rel: rel.map(ontology::RelId),
-            object: o.map(ontology::ElemId),
+        r.items("a [subject, rel, object] pattern", |i| {
+            let elem = |r: &mut Reader<'_>| r.opt(|r| elem_id(vocab, r.u32()?));
+            Ok(PatternFact {
+                subject: i.item(elem)?,
+                rel: i.item(|r| r.opt(|r| rel_id(vocab, r.u32()?)))?,
+                object: i.item(elem)?,
+            })
         })
     })?;
     Ok(PatternSet::from_iter(facts))
@@ -222,51 +225,23 @@ fn answer_to_json(a: &CachedAnswer) -> Json {
 }
 
 /// Reads the single-variant answer object [`answer_to_json`] writes.
-fn read_answer(r: &mut Reader<'_>) -> Result<CachedAnswer, JsonError> {
-    let single = || JsonError::shape("expected a single-variant answer object");
-    let mut answer = None;
-    r.obj(|r, tag| {
-        if answer.is_some() {
-            return Err(single());
-        }
-        answer = Some(match &*tag {
-            "Support" => {
-                let (mut support, mut tip) = (None, None);
-                // unknown keys are skipped, and the first of two equal keys wins
-                r.obj(|r, key| {
-                    match &*key {
-                        "support" if support.is_none() => support = Some(r.f64()?),
-                        "more_tip" if tip.is_none() => {
-                            tip = Some(r.opt(|r| {
-                                let [s, rel, o] = r.array("a [s, r, o] fact", Reader::u32)?;
-                                Ok(ontology::Fact::new(
-                                    ontology::ElemId(s),
-                                    ontology::RelId(rel),
-                                    ontology::ElemId(o),
-                                ))
-                            })?)
-                        }
-                        _ => r.skip()?,
-                    }
-                    Ok(())
-                })?;
-                CachedAnswer::Support {
-                    support: support.ok_or_else(|| JsonError::missing("support"))?,
-                    more_tip: tip.ok_or_else(|| JsonError::missing("more_tip"))?,
-                }
-            }
+fn read_answer(vocab: &Vocabulary, r: &mut Reader<'_>) -> Result<CachedAnswer, JsonError> {
+    r.variant(|tag, k| {
+        Ok(match tag {
+            "Support" => CachedAnswer::Support {
+                support: k.next("support", Reader::f64)?,
+                more_tip: k.next("more_tip", |r| r.opt(|r| read_fact(vocab, r)))?,
+            },
             "Irrelevant" => CachedAnswer::Irrelevant {
-                elem: ontology::ElemId(r.field("elem", Reader::u32)?),
+                elem: k.next("elem", |r| elem_id(vocab, r.u32()?))?,
             },
             other => {
                 return Err(JsonError::shape(format!(
                     "unknown answer variant {other:?}"
                 )))
             }
-        });
-        Ok(())
-    })?;
-    answer.ok_or_else(single)
+        })
+    })
 }
 
 /// A thread-safe [`CrowdCache`] for the serving layer's sessions: the
@@ -552,7 +527,7 @@ mod tests {
                 more_tip: None,
             },
         );
-        let restored = CrowdCache::from_json(&cache.to_json()).unwrap();
+        let restored = CrowdCache::from_json(&cache.to_json(), v).unwrap();
         assert_eq!(
             restored.get(crowd::MemberId(3), &p),
             Some(&CachedAnswer::Support {

@@ -77,6 +77,27 @@ pub struct WireOp {
     pub verdict: WireVerdict,
 }
 
+impl WireOp {
+    /// Whether every assignment the op names, its node and a
+    /// `NoneOfThese` verdict's options, has `slots` slots: what
+    /// [`intern_wire_op`] into a DAG of a query with that many SATISFYING
+    /// variables needs.
+    pub fn has_slots(&self, slots: usize) -> bool {
+        let options: &[Assignment] = match &self.verdict {
+            WireVerdict::NoneOfThese { options } => options,
+            WireVerdict::Support { .. }
+            | WireVerdict::Prune { .. }
+            | WireVerdict::NoAnswer
+            | WireVerdict::Msp { .. }
+            | WireVerdict::Revise { .. } => &[],
+        };
+        self.node
+            .iter()
+            .chain(options)
+            .all(|a| a.num_slots() == slots)
+    }
+}
+
 /// Renders one op in wire form, resolving its replica-local [`NodeId`]s
 /// against the `dag` it was recorded on. Streaming consumers
 /// ([`crate::oplog::OpTap`] implementations) call it per op, before the
@@ -115,7 +136,9 @@ fn value_to_json(v: Value) -> Json {
 }
 
 fn read_value(vocab: &Vocabulary, r: &mut Reader<'_>) -> Result<Value, JsonError> {
-    let (kind, id) = r.pair("a [kind, id] value", Reader::str, Reader::u32)?;
+    let (kind, id) = r.items("a [kind, id] value", |i| {
+        Ok((i.item(Reader::str)?, i.item(Reader::u32)?))
+    })?;
     match &*kind {
         "e" => elem_id(vocab, id).map(Value::Elem),
         "r" => rel_id(vocab, id).map(Value::Rel),
@@ -125,12 +148,12 @@ fn read_value(vocab: &Vocabulary, r: &mut Reader<'_>) -> Result<Value, JsonError
 
 /// `id` as an element of `vocab`; an id past the vocabulary is a shape
 /// error, not an index that panics deeper in.
-fn elem_id(vocab: &Vocabulary, id: u32) -> Result<ElemId, JsonError> {
+pub(crate) fn elem_id(vocab: &Vocabulary, id: u32) -> Result<ElemId, JsonError> {
     vocab_id(id, vocab.num_elems(), "element").map(ElemId)
 }
 
 /// `id` as a relation of `vocab`, checked like [`elem_id`].
-fn rel_id(vocab: &Vocabulary, id: u32) -> Result<RelId, JsonError> {
+pub(crate) fn rel_id(vocab: &Vocabulary, id: u32) -> Result<RelId, JsonError> {
     vocab_id(id, vocab.num_rels(), "relation").map(RelId)
 }
 
@@ -179,34 +202,26 @@ fn assignment_to_json(a: &Assignment) -> Json {
 /// wire assignments are canonical by construction). An element or
 /// relation id past `vocab` is a shape error.
 fn read_assignment(vocab: &Vocabulary, r: &mut Reader<'_>) -> Result<Assignment, JsonError> {
-    let (mut slots, mut more) = (None, None);
-    // unknown keys are skipped, and the first of two equal keys wins
-    r.obj(|r, key| match &*key {
-        "slots" if slots.is_none() => {
-            slots = Some(r.vec(|r| r.vec(|r| read_value(vocab, r)))?);
-            Ok(())
-        }
-        "more" if more.is_none() => {
-            more = Some(r.vec(|r| {
-                let [s, rel, o] = r.array("a [s, r, o] fact", Reader::u32)?;
-                Ok(Fact::new(
-                    elem_id(vocab, s)?,
-                    rel_id(vocab, rel)?,
-                    elem_id(vocab, o)?,
-                ))
-            })?);
-            Ok(())
-        }
-        _ => r.skip(),
-    })?;
-    let slots = slots.ok_or_else(|| JsonError::missing("slots"))?;
-    let more = more.ok_or_else(|| JsonError::missing("more"))?;
-    Ok(Assignment::new(vocab, slots, more))
+    r.fields(|k| {
+        let slots = k.next("slots", |r| r.vec(|r| r.vec(|r| read_value(vocab, r))))?;
+        let more = k.next("more", |r| r.vec(|r| read_fact(vocab, r)))?;
+        Ok(Assignment::new(vocab, slots, more))
+    })
 }
 
-/// Serializes a wire op for the WAL / wire protocol. The verdict is a
-/// single-variant object mirroring [`WireVerdict`]; decoders ignore
-/// fields they don't know, so frames can grow.
+/// Reads an `[s, r, o]` fact whose ids are checked against `vocab`.
+pub(crate) fn read_fact(vocab: &Vocabulary, r: &mut Reader<'_>) -> Result<Fact, JsonError> {
+    r.items("a [s, r, o] fact", |i| {
+        Ok(Fact::new(
+            elem_id(vocab, i.item(Reader::u32)?)?,
+            rel_id(vocab, i.item(Reader::u32)?)?,
+            elem_id(vocab, i.item(Reader::u32)?)?,
+        ))
+    })
+}
+
+/// Serializes a wire op for the WAL. The verdict is a single-variant
+/// object mirroring [`WireVerdict`].
 pub fn wire_to_json(op: &WireOp) -> Json {
     let verdict = match &op.verdict {
         WireVerdict::Support { support } => Json::Obj(vec![(
@@ -247,68 +262,48 @@ pub fn wire_to_json(op: &WireOp) -> Json {
 }
 
 /// Reads a wire op serialized by [`wire_to_json`] off `r`, building no
-/// tree. Unknown keys are skipped (frames can grow), and the first of two
-/// equal keys wins. Every element and relation id is checked against
-/// `vocab`: one past it is a shape error.
+/// tree. Its keys come in the order the writer emits them; any other
+/// key, order or verdict is a shape error. Every element and relation
+/// id is checked against `vocab`: one past it is a shape error.
 pub fn read_wire_op(vocab: &Vocabulary, r: &mut Reader<'_>) -> Result<WireOp, JsonError> {
-    let (mut tick, mut seq, mut member, mut node, mut verdict) = (None, None, None, None, None);
-    r.obj(|r, key| {
-        match &*key {
-            "tick" if tick.is_none() => tick = Some(r.u32()?),
-            "seq" if seq.is_none() => seq = Some(r.u32()?),
-            "member" if member.is_none() => member = Some(MemberId(r.u32()?)),
-            "node" if node.is_none() => node = Some(r.opt(|r| read_assignment(vocab, r))?),
-            "verdict" if verdict.is_none() => verdict = Some(read_verdict(vocab, r)?),
-            _ => r.skip()?,
-        }
-        Ok(())
-    })?;
-    Ok(WireOp {
-        tick: tick.ok_or_else(|| JsonError::missing("tick"))?,
-        seq: seq.ok_or_else(|| JsonError::missing("seq"))?,
-        member: member.ok_or_else(|| JsonError::missing("member"))?,
-        node: node.ok_or_else(|| JsonError::missing("node"))?,
-        verdict: verdict.ok_or_else(|| JsonError::missing("verdict"))?,
+    r.fields(|k| {
+        Ok(WireOp {
+            tick: k.next("tick", Reader::u32)?,
+            seq: k.next("seq", Reader::u32)?,
+            member: MemberId(k.next("member", Reader::u32)?),
+            node: k.next("node", |r| r.opt(|r| read_assignment(vocab, r)))?,
+            verdict: k.next("verdict", |r| read_verdict(vocab, r))?,
+        })
     })
 }
 
 /// Reads the single-variant verdict object [`wire_to_json`] writes.
 fn read_verdict(vocab: &Vocabulary, r: &mut Reader<'_>) -> Result<WireVerdict, JsonError> {
-    let single = || JsonError::shape("expected a single-variant verdict object");
-    let mut verdict = None;
-    r.obj(|r, tag| {
-        if verdict.is_some() {
-            return Err(single());
-        }
-        verdict = Some(match &*tag {
+    r.variant(|tag, k| {
+        Ok(match tag {
             "Support" => WireVerdict::Support {
-                support: r.field("support", Reader::f64)?,
+                support: k.next("support", Reader::f64)?,
             },
             "NoneOfThese" => WireVerdict::NoneOfThese {
-                options: r.field("options", |r| r.vec(|r| read_assignment(vocab, r)))?,
+                options: k.next("options", |r| r.vec(|r| read_assignment(vocab, r)))?,
             },
             "Prune" => WireVerdict::Prune {
-                elem: r.field("elem", |r| elem_id(vocab, r.u32()?))?,
+                elem: k.next("elem", |r| elem_id(vocab, r.u32()?))?,
             },
-            "NoAnswer" => {
-                r.skip()?;
-                WireVerdict::NoAnswer
-            }
+            "NoAnswer" => WireVerdict::NoAnswer,
             "Msp" => WireVerdict::Msp {
-                valid: r.field("valid", Reader::bool)?,
+                valid: k.next("valid", Reader::bool)?,
             },
             "Revise" => WireVerdict::Revise {
-                support: r.field("support", Reader::f64)?,
+                support: k.next("support", Reader::f64)?,
             },
             other => {
                 return Err(JsonError::shape(format!(
                     "unknown verdict variant {other:?}"
                 )))
             }
-        });
-        Ok(())
-    })?;
-    verdict.ok_or_else(single)
+        })
+    })
 }
 
 /// Interns one wire op into `dag` (assignment → local [`NodeId`]) — the
@@ -487,17 +482,23 @@ mod tests {
             let text = wire_to_json(op).to_string();
             assert_eq!(&read(&text).unwrap(), op, "{text}");
         }
-        // decoding tolerates unknown fields (frame evolution) and keeps
-        // the first of two equal keys
-        let mut j = wire_to_json(&ops[0]);
-        if let Json::Obj(fields) = &mut j {
-            fields.push(("future_field".into(), Json::Str("ignored".into())));
-            fields.push(("tick".into(), Json::Str("not a tick".into())));
+        // an unknown key, a repeated key and keys out of the writer's
+        // order are shape errors naming the key
+        for key in ["future_field", "tick", "seq"] {
+            let mut j = wire_to_json(&ops[0]);
+            if let Json::Obj(fields) = &mut j {
+                match key {
+                    "seq" => fields.swap(0, 1),
+                    _ => fields.push((key.into(), Json::Num(1.0))),
+                }
+            }
+            let err = read(&j.to_string()).unwrap_err();
+            assert!(!err.is_syntax() && err.to_string().contains(key), "{err}");
         }
-        assert_eq!(read(&j.to_string()).unwrap(), ops[0]);
-        // a verdict names exactly one known variant
+        // a verdict names exactly one known variant, with its own keys
         let text = wire_to_json(&ops[3]).to_string();
         for (from, to) in [
+            ("{\"NoAnswer\":{}}", "{\"NoAnswer\":{\"x\":1}}"),
             ("{\"NoAnswer\":{}}", "{}"),
             (
                 "{\"NoAnswer\":{}}",

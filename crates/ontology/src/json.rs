@@ -276,11 +276,13 @@ impl Kind {
 /// typed value straight off the text, with no [`Json`] tree between.
 /// Strings borrow from the text unless they hold an escape.
 ///
-/// A type check fails with a shape error before it consumes anything. A
-/// decoder that fails deeper inside a value leaves the cursor there;
-/// [`Self::shaped`] rewinds and skips the whole value, so the rest of
-/// the document is still checked for syntax. A syntax error leaves the
-/// reader unusable.
+/// A decoder reads an object's keys in the one order its writer emits
+/// them ([`Self::fields`]), and an array's elements by position
+/// ([`Self::items`]). A type check fails with a shape error before it
+/// consumes anything; a shape error deeper inside a value leaves the
+/// cursor there, so a caller that must tell a document that is not JSON
+/// from one of the wrong shape scans it again with [`Self::skip`]. Any
+/// error leaves the reader unusable.
 ///
 /// Arrays and objects nest at most [`MAX_DEPTH`] deep; a deeper one is
 /// a shape error, whichever method meets it.
@@ -302,37 +304,18 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Reads an object, calling `f` with each key in document order. `f`
-    /// must consume exactly the key's value: read it, or [`Self::skip`]
-    /// it. A repeated key is passed again; the caller decides which wins.
-    pub fn obj(
+    /// Reads an object, calling `f` with each key in document order; `f`
+    /// must consume exactly the key's value. The tree and the skip read
+    /// any object this way; a decoder reads its keys with [`Self::fields`].
+    fn obj(
         &mut self,
         mut f: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), JsonError>,
     ) -> Result<(), JsonError> {
-        self.expect_kind(Kind::Obj)?;
-        self.nested(|r| {
-            r.pos += 1;
-            r.skip_ws();
-            if r.peek() == Some(b'}') {
-                r.pos += 1;
-                return Ok(());
+        self.fields(|k| {
+            while let Some(key) = k.member()? {
+                f(k.r, key)?;
             }
-            loop {
-                r.skip_ws();
-                let key = r.string()?;
-                r.skip_ws();
-                r.byte(b':')?;
-                f(r, key)?;
-                r.skip_ws();
-                match r.peek() {
-                    Some(b',') => r.pos += 1,
-                    Some(b'}') => {
-                        r.pos += 1;
-                        return Ok(());
-                    }
-                    _ => return Err(r.err("expected ',' or '}'")),
-                }
-            }
+            Ok(())
         })
     }
 
@@ -342,26 +325,12 @@ impl<'a> Reader<'a> {
         &mut self,
         mut f: impl FnMut(&mut Self) -> Result<(), JsonError>,
     ) -> Result<(), JsonError> {
-        self.expect_kind(Kind::Arr)?;
-        self.nested(|r| {
-            r.pos += 1;
-            r.skip_ws();
-            if r.peek() == Some(b']') {
-                r.pos += 1;
-                return Ok(());
+        // every element is read, so the length error never arises
+        self.items("", |i| {
+            while i.step()? {
+                f(i.r)?;
             }
-            loop {
-                f(r)?;
-                r.skip_ws();
-                match r.peek() {
-                    Some(b',') => r.pos += 1,
-                    Some(b']') => {
-                        r.pos += 1;
-                        return Ok(());
-                    }
-                    _ => return Err(r.err("expected ',' or ']'")),
-                }
-            }
+            Ok(())
         })
     }
 
@@ -378,70 +347,71 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
-    /// Reads an array of exactly `N` elements, each with `read`; any
-    /// other length is a shape error: "expected {what}".
-    pub fn array<T: Copy + Default, const N: usize>(
+    /// Reads an object whose keys the caller names, in order, through
+    /// [`Seq::next`]: a key out of that order, unknown or repeated, and a
+    /// key left over when `read` is done, is a shape error naming it.
+    pub fn fields<T>(
         &mut self,
-        what: &str,
-        mut read: impl FnMut(&mut Self) -> Result<T, JsonError>,
-    ) -> Result<[T; N], JsonError> {
-        let mut out = [T::default(); N];
-        let mut slots = out.iter_mut();
-        let mut len = 0;
-        self.arr(|r| {
-            let slot = slots.next().ok_or_else(|| wrong_len(what))?;
-            *slot = read(r)?;
-            len += 1;
-            Ok(())
-        })?;
-        if len == N {
-            Ok(out)
-        } else {
-            Err(wrong_len(what))
-        }
-    }
-
-    /// Reads a two-element array, the first element with `first` and the
-    /// second with `second`; any other length is a shape error:
-    /// "expected {what}".
-    pub fn pair<A, B>(
-        &mut self,
-        what: &str,
-        first: impl FnOnce(&mut Self) -> Result<A, JsonError>,
-        second: impl FnOnce(&mut Self) -> Result<B, JsonError>,
-    ) -> Result<(A, B), JsonError> {
-        let (mut first, mut second) = (Some(first), Some(second));
-        let (mut a, mut b) = (None, None);
-        self.arr(|r| {
-            if let Some(read) = first.take() {
-                a = Some(read(r)?);
-            } else if let Some(read) = second.take() {
-                b = Some(read(r)?);
-            } else {
-                return Err(wrong_len(what));
-            }
-            Ok(())
-        })?;
-        a.zip(b).ok_or_else(|| wrong_len(what))
-    }
-
-    /// Reads an object and its first `name` member with `read`,
-    /// skipping every other member; without `name` it is a shape error.
-    pub fn field<T>(
-        &mut self,
-        name: &str,
-        read: impl FnOnce(&mut Self) -> Result<T, JsonError>,
+        read: impl FnOnce(&mut Seq<'_, 'a>) -> Result<T, JsonError>,
     ) -> Result<T, JsonError> {
-        let mut read = Some(read);
-        let mut out = None;
-        self.obj(|r, key| match read.take_if(|_| key == name) {
-            Some(read) => {
-                out = Some(read(r)?);
-                Ok(())
+        self.seq(Kind::Obj, "", read)
+    }
+
+    /// Reads an array whose elements the caller reads, in order, through
+    /// [`Seq::item`]: too few or too many elements is a shape error,
+    /// "expected {what}".
+    pub fn items<T>(
+        &mut self,
+        what: &str,
+        read: impl FnOnce(&mut Seq<'_, 'a>) -> Result<T, JsonError>,
+    ) -> Result<T, JsonError> {
+        self.seq(Kind::Arr, what, read)
+    }
+
+    /// Reads a single-variant object, `{"Tag": {…}}`: `read` gets the
+    /// tag and reads the inner object's keys.
+    pub fn variant<T>(
+        &mut self,
+        read: impl FnOnce(&str, &mut Seq<'_, 'a>) -> Result<T, JsonError>,
+    ) -> Result<T, JsonError> {
+        self.fields(|k| {
+            let tag = k
+                .member()?
+                .ok_or_else(|| JsonError::shape("expected a variant tag"))?;
+            k.r.fields(|k| read(&tag, k))
+        })
+    }
+
+    /// Reads an object or array whose members `read` reads in order,
+    /// then checks that none is left.
+    fn seq<T>(
+        &mut self,
+        kind: Kind,
+        what: &str,
+        read: impl FnOnce(&mut Seq<'_, 'a>) -> Result<T, JsonError>,
+    ) -> Result<T, JsonError> {
+        self.expect_kind(kind)?;
+        self.nested(|r| {
+            r.pos += 1;
+            let mut seq = Seq {
+                r,
+                close: if kind == Kind::Obj { b'}' } else { b']' },
+                started: false,
+                what,
+            };
+            let out = read(&mut seq)?;
+            let left_over = match kind {
+                Kind::Obj => seq
+                    .member()?
+                    .map(|key| JsonError::shape(format!("unexpected key {key:?}"))),
+                _ => seq.step()?.then(|| wrong_len(what)),
+            };
+            if let Some(e) = left_over {
+                return Err(e);
             }
-            None => r.skip(),
-        })?;
-        out.ok_or_else(|| JsonError::missing(name))
+            seq.r.pos += 1;
+            Ok(out)
+        })
     }
 
     /// Reads a string; it borrows from the text unless it holds an
@@ -476,26 +446,16 @@ impl<'a> Reader<'a> {
         Ok(b)
     }
 
-    /// Reads a `null` if one is at the cursor, and says whether it did;
-    /// any other value is left for the caller to read.
-    pub fn null(&mut self) -> Result<bool, JsonError> {
-        if self.kind()? == Kind::Null {
-            self.literal("null")?;
-            return Ok(true);
-        }
-        Ok(false)
-    }
-
     /// Reads `null` as `None`, and any other value with `read`.
     pub fn opt<T>(
         &mut self,
         read: impl FnOnce(&mut Self) -> Result<T, JsonError>,
     ) -> Result<Option<T>, JsonError> {
-        if self.null()? {
-            Ok(None)
-        } else {
-            read(self).map(Some)
+        if self.kind()? != Kind::Null {
+            return read(self).map(Some);
         }
+        self.literal("null")?;
+        Ok(None)
     }
 
     /// Skips one value of any type, checking its syntax.
@@ -517,26 +477,6 @@ impl<'a> Reader<'a> {
             Ok(())
         } else {
             Err(self.err("trailing characters"))
-        }
-    }
-
-    /// Reads the value at the cursor with `read`, keeping a shape error
-    /// as the inner `Err`: the cursor is rewound and the whole value
-    /// skipped, so reading goes on past it. A syntax error, in `read` or
-    /// in the skip, is the outer `Err`, and so is a value nested past
-    /// [`MAX_DEPTH`], which cannot be skipped either.
-    pub fn shaped<T>(
-        &mut self,
-        read: impl FnOnce(&mut Self) -> Result<T, JsonError>,
-    ) -> Result<Result<T, JsonError>, JsonError> {
-        let start = self.pos;
-        match read(self) {
-            Err(e) if !e.is_syntax() => {
-                self.pos = start;
-                self.skip()?;
-                Ok(Err(e))
-            }
-            read => read.map(Ok),
         }
     }
 
@@ -564,10 +504,10 @@ impl<'a> Reader<'a> {
 
     /// Runs `body` one array or object deeper, or fails with a shape
     /// error past [`MAX_DEPTH`] without running it.
-    fn nested(
+    fn nested<T>(
         &mut self,
-        body: impl FnOnce(&mut Self) -> Result<(), JsonError>,
-    ) -> Result<(), JsonError> {
+        body: impl FnOnce(&mut Self) -> Result<T, JsonError>,
+    ) -> Result<T, JsonError> {
         if self.depth == MAX_DEPTH {
             return Err(JsonError::shape(format!(
                 "nested deeper than {MAX_DEPTH} levels"
@@ -761,6 +701,85 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// The members of one object or array, read in order: the handle
+/// [`Reader::fields`], [`Reader::items`] and [`Reader::variant`] lend
+/// their caller.
+pub struct Seq<'r, 'a> {
+    r: &'r mut Reader<'a>,
+    /// The byte that closes the value: `}` or `]`.
+    close: u8,
+    /// Whether a member was read, so the next one follows a `,`.
+    started: bool,
+    /// What an array must be, for its length error.
+    what: &'r str,
+}
+
+impl<'a> Seq<'_, 'a> {
+    /// Reads the next member, whose key must be `name`, with `read`.
+    pub fn next<T>(
+        &mut self,
+        name: &str,
+        read: impl FnOnce(&mut Reader<'a>) -> Result<T, JsonError>,
+    ) -> Result<T, JsonError> {
+        self.optional(name, read)?
+            .ok_or_else(|| JsonError::missing(name))
+    }
+
+    /// Reads the next member like [`Self::next`], or `None` if the object
+    /// ends here: a key the writer emits last, and only sometimes.
+    pub fn optional<T>(
+        &mut self,
+        name: &str,
+        read: impl FnOnce(&mut Reader<'a>) -> Result<T, JsonError>,
+    ) -> Result<Option<T>, JsonError> {
+        match self.member()? {
+            None => Ok(None),
+            Some(key) if key == name => read(self.r).map(Some),
+            Some(key) => Err(JsonError::shape(format!(
+                "expected key {name:?}, got {key:?}"
+            ))),
+        }
+    }
+
+    /// Reads the next array element with `read`.
+    pub fn item<T>(
+        &mut self,
+        read: impl FnOnce(&mut Reader<'a>) -> Result<T, JsonError>,
+    ) -> Result<T, JsonError> {
+        if !self.step()? {
+            return Err(wrong_len(self.what));
+        }
+        read(self.r)
+    }
+
+    /// Steps to the next member, past its `,` unless it is the first;
+    /// `false` at the closing byte, which is left unread.
+    fn step(&mut self) -> Result<bool, JsonError> {
+        self.r.skip_ws();
+        if self.r.peek() == Some(self.close) {
+            return Ok(false);
+        }
+        if self.started {
+            self.r.byte(b',')?;
+        }
+        self.started = true;
+        Ok(true)
+    }
+
+    /// Reads the next member's key and the `:` after it, or `None` at
+    /// the end of the object.
+    fn member(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
+        if !self.step()? {
+            return Ok(None);
+        }
+        self.r.skip_ws();
+        let key = self.r.string()?;
+        self.r.skip_ws();
+        self.r.byte(b':')?;
+        Ok(Some(key))
+    }
+}
+
 fn wrong_len(what: &str) -> JsonError {
     JsonError::shape(format!("expected {what}"))
 }
@@ -837,12 +856,10 @@ mod tests {
                 _ => {
                     assert!(r.u32().is_err(), "an array is no u32");
                     r.arr(|r| {
-                        if r.null()? {
-                            seen.push(None);
-                        } else if r.kind()? == Kind::Bool {
+                        if r.kind()? == Kind::Bool {
                             assert!(r.bool()?);
                         } else {
-                            seen.push(Some(r.u32()?));
+                            seen.push(r.opt(Reader::u32)?);
                         }
                         Ok(())
                     })?;
@@ -873,49 +890,61 @@ mod tests {
     }
 
     #[test]
-    fn shaped_rewinds_a_deep_shape_error_and_still_checks_syntax() {
-        let deep = |r: &mut Reader<'_>| r.field("a", |r| r.vec(Reader::u32));
-        let mut r = Reader::new(r#"[{"a":[1,"x"],"b":{}}, 2]"#);
-        let mut got = Vec::new();
-        r.arr(|r| {
-            got.push(r.shaped(deep)?.map_err(|e| e.msg));
-            Ok(())
-        })
-        .unwrap();
-        r.end().unwrap();
-        // the second element is a number, not an object
-        assert_eq!(
-            got,
-            [
-                Err("expected number, got string".to_string()),
-                Err("expected object, got number".to_string())
-            ]
-        );
-        // a syntax error behind the shape error still fails the read
-        let mut r = Reader::new(r#"{"a":[1,"x"],"b":}"#);
-        assert!(r.shaped(deep).unwrap_err().is_syntax());
-    }
-
-    #[test]
-    fn fixed_arrays_fields_and_pairs_check_their_shape() {
-        let arr = |t: &str| Reader::new(t).array::<u32, 3>("a triple", Reader::u32);
-        assert_eq!(arr("[1,2,3]").unwrap(), [1, 2, 3]);
+    fn fields_and_items_read_members_in_the_writers_order() {
+        let pair = |t: &str| {
+            let mut r = Reader::new(t);
+            let v =
+                r.fields(|k| Ok((k.next("a", Reader::u32)?, k.optional("b", Reader::bool)?)))?;
+            r.end().map(|()| v)
+        };
+        assert_eq!(pair(r#"{"a":1,"b":true}"#).unwrap(), (1, Some(true)));
+        assert_eq!(pair(r#" { "a" : 1 } "#).unwrap(), (1, None));
+        // a key out of order, unknown, repeated, missing or left over is
+        // a shape error naming it
+        for (bad, msg) in [
+            (r#"{"b":true,"a":1}"#, r#"expected key "a", got "b""#),
+            (r#"{"z":0,"a":1}"#, r#"expected key "a", got "z""#),
+            (r#"{"a":1,"a":2}"#, r#"expected key "b", got "a""#),
+            (r#"{"a":1,"b":true,"c":null}"#, r#"unexpected key "c""#),
+            ("{}", r#"missing field "a""#),
+            ("[1]", "expected object, got array"),
+        ] {
+            let err = pair(bad).unwrap_err();
+            assert!(!err.is_syntax(), "{bad}: {err}");
+            assert_eq!(err.msg, msg, "{bad}");
+        }
+        // broken syntax stays a syntax error
+        for bad in [
+            r#"{"a":1,}"#,
+            r#"{"a" 1}"#,
+            r#"{"a":1"#,
+            r#"{"a":1 "b":true}"#,
+        ] {
+            assert!(pair(bad).unwrap_err().is_syntax(), "{bad}");
+        }
+        let triple = |t: &str| {
+            Reader::new(t).items("a triple", |i| {
+                Ok([
+                    i.item(Reader::u32)?,
+                    i.item(Reader::u32)?,
+                    i.item(Reader::u32)?,
+                ])
+            })
+        };
+        assert_eq!(triple("[1, 2,3 ]").unwrap(), [1, 2, 3]);
         for bad in ["[1,2]", "[1,2,3,4]", "[]"] {
-            assert_eq!(arr(bad).unwrap_err().msg, "expected a triple", "{bad}");
+            assert_eq!(triple(bad).unwrap_err().msg, "expected a triple", "{bad}");
         }
-        fn pair(t: &str) -> Result<(Cow<'_, str>, bool), JsonError> {
-            Reader::new(t).pair("a pair", Reader::str, Reader::bool)
-        }
-        assert_eq!(pair(r#"["x",true]"#).unwrap(), (Cow::Borrowed("x"), true));
-        assert!(pair(r#"["x"]"#).is_err() && pair(r#"["x",true,1]"#).is_err());
-        // the first of two equal keys wins; the rest are skipped
-        let mut r = Reader::new(r#"{"k":1,"z":[{}],"k":"no"}"#);
-        assert_eq!(r.field("k", Reader::u32).unwrap(), 1);
-        r.end().unwrap();
-        let err = Reader::new(r#"{"j":1}"#)
-            .field("k", Reader::u32)
-            .unwrap_err();
-        assert_eq!(err.msg, "missing field \"k\"");
+        // a variant tag is any one key, over an object of its own keys
+        let variant = |t: &str| {
+            Reader::new(t).variant(|tag, k| Ok((tag.to_string(), k.next("v", Reader::u32)?)))
+        };
+        assert_eq!(variant(r#"{"X":{"v":7}}"#).unwrap(), ("X".to_string(), 7));
+        assert_eq!(variant("{}").unwrap_err().msg, "expected a variant tag");
+        assert_eq!(
+            variant(r#"{"X":{"v":7},"Y":{}}"#).unwrap_err().msg,
+            r#"unexpected key "Y""#
+        );
     }
 
     #[test]
@@ -1005,8 +1034,7 @@ mod tests {
         let wide = format!("[{}]", vec![nest(MAX_DEPTH - 1); 3].join(","));
         assert!(parse(&wide).is_ok());
         let mut r = Reader::new(&wide);
-        assert!(r.shaped(|r| r.vec(Reader::u32)).unwrap().is_err());
-        r.end().unwrap();
+        assert!(r.vec(Reader::u32).is_err());
         assert_eq!(r.depth, 0);
     }
 }

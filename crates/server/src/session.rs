@@ -697,7 +697,7 @@ impl SessionManager {
                 }
                 None => {
                     tele.count("replays", 1);
-                    let recovered = self.replay_one(q, ops, &prepared);
+                    let recovered = self.replay_one(q, ops, &prepared)?;
                     replayed.push((inputs, out.len()));
                     recovered
                 }
@@ -722,14 +722,22 @@ impl SessionManager {
 
     /// Replays one recovered query against a freshly built DAG — the
     /// stale-DAG shape of [`oassis_core::wire`]: wire ops address nodes by
-    /// assignment and are interned into the new replica.
+    /// assignment and are interned into the new replica. An op naming an
+    /// assignment without the query's slot count is a `wal` error.
     fn replay_one(
         &self,
         meta: &QueryMeta,
         wire: &[WireOp],
         prepared: &PreparedQuery,
-    ) -> RecoveredQuery {
+    ) -> Result<RecoveredQuery, ServerError> {
         let bound = prepared.bound();
+        let slots = bound.sat_vars.len();
+        if let Some(w) = wire.iter().find(|w| !w.has_slots(slots)) {
+            return Err(ServerError::Wal(format!(
+                "query {}: the op at tick {} names an assignment without the query's {slots} slots",
+                meta.qid, w.tick
+            )));
+        }
         let mut dag = oassis_core::Dag::new(bound, self.ont.vocab(), prepared.base());
         let ops: Vec<_> = wire.iter().map(|w| intern_wire_op(&mut dag, w)).collect();
         let mut log = OpLog::new(replay_threshold(meta, bound), true).with_ops(ops);
@@ -741,7 +749,13 @@ impl SessionManager {
         );
         let sem = SemanticOutcome::from_replay(&replay, bound, self.ont.vocab());
         let digest = digest_hex(sem.digest());
-        RecoveredQuery::verify(meta, sem.valid_msps, sem.complete, digest, wire.len())
+        Ok(RecoveredQuery::verify(
+            meta,
+            sem.valid_msps,
+            sem.complete,
+            digest,
+            wire.len(),
+        ))
     }
 
     /// Closes a session: pages it out (state stays durable on disk).
@@ -923,7 +937,7 @@ mod tests {
             .map(|q| {
                 let prepared = mgr.prepared(&q.spec.src).unwrap();
                 let ops = rec.ops.get(&q.qid).map(Vec::as_slice).unwrap_or_default();
-                mgr.replay_one(q, ops, &prepared)
+                mgr.replay_one(q, ops, &prepared).unwrap()
             })
             .collect();
         let recovered = mgr.recover("s").unwrap();
@@ -980,6 +994,53 @@ mod tests {
             assert_eq!(q.verified, want, "qid {}", q.qid);
         }
         assert_eq!((replays, shared), (7, 2));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A crc-valid `op` line whose node has one slot too few or too many
+    /// for its query fails `recover` with a `wal` error naming the qid,
+    /// and does not panic: interning it would index past its slots.
+    #[test]
+    fn an_op_with_the_wrong_slot_count_fails_recovery() {
+        let ont = Arc::new(figure1::ontology());
+        let root = std::env::temp_dir().join(format!("oassis-slots-{}", std::process::id()));
+        let session = SessionSpec {
+            name: "s".into(),
+            seed: 7,
+            members: 2,
+        };
+        let manager = || {
+            let provider = Box::new(Figure1Provider::new(ont.clone()));
+            SessionManager::new(ont.clone(), provider, &root)
+        };
+        // the query binds two slots
+        for slots in [r#"[[["e",1]]]"#, r#"[[["e",1]],[["e",2]],[["e",3]]]"#] {
+            let _ = std::fs::remove_dir_all(&root);
+            let mut mgr = manager();
+            mgr.open(&session).unwrap();
+            mgr.query("s", &a_query(None)).unwrap();
+            let path = root.join("s").join(SESSION_WAL);
+            let text = std::fs::read_to_string(&path).unwrap();
+            let mut lines: Vec<String> = text.lines().map(String::from).collect();
+            let at = lines
+                .iter()
+                .position(|l| l.contains(r#""kind":"op""#) && l.contains(r#""slots":"#))
+                .unwrap();
+            // the body sits between `"rec":` and the frame's last brace
+            let line = &lines[at];
+            let body = &line[line.find(r#""rec":"#).unwrap() + 6..line.len() - 1];
+            let from = body.find(r#""slots":"#).unwrap() + 8;
+            let to = from + body[from..].find(r#","more""#).unwrap();
+            let body = format!("{}{slots}{}", &body[..from], &body[to..]);
+            let crc = oassis_core::digest::fnv64(body.as_bytes());
+            lines[at] = format!("{{\"crc\":\"{crc:016x}\",\"rec\":{body}}}");
+            std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+            let err = manager().recover("s").unwrap_err();
+            assert!(
+                matches!(&err, ServerError::Wal(m) if m.contains("query 1")),
+                "{err}"
+            );
+        }
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -1,19 +1,20 @@
 //! Differential tests of the one-pass WAL decode against a reference
 //! built the way the log was read before: `json::parse` of the whole
-//! body into a tree, then `Json::field` lookups.
+//! body into a tree, then lookups that hold every object to its
+//! writer's key order.
 //!
 //! * Body level: generated bodies of every record kind — canonical
 //!   writer output, then shuffled, unknown and duplicate keys, extra
 //!   whitespace, escaped strings, numbers at the u32 and 2^53 edges,
 //!   values of the wrong type and broken syntax. Both decoders must give
-//!   the same record, or the same class: tear, shape error or skip.
+//!   the same record, or the same class: tear or shape error.
 //! * File level: a real three-query `session.wal` holding a repeat
 //!   footer (`of`), cut, byte-flipped, or with a line duplicated or two
 //!   lines swapped. Recovery must not panic, and must match the
 //!   reference on `Ok`/`Err`, `truncated`, the file length afterwards
 //!   and the recovered header, queries, ops and answer cache.
-//! * Hostile lines: a crc-valid `op` line naming an element or relation
-//!   id past the vocabulary, or a crc-valid body nested past
+//! * Hostile lines: a crc-valid `op` or `answer` line naming an element
+//!   or relation id past the vocabulary, or a crc-valid body nested past
 //!   [`json::MAX_DEPTH`]. Recovery fails with a shape error, cuts
 //!   nothing and does not panic.
 
@@ -42,14 +43,12 @@ use std::sync::{Arc, OnceLock};
 #[derive(Debug, PartialEq)]
 enum Outcome {
     Value(Record),
-    Skip,
     Shape,
     Tear,
 }
 
 fn outcome(decoded: Result<Record, JsonError>) -> Outcome {
     match decoded {
-        Ok(Record::Skip) => Outcome::Skip,
         Ok(rec) => Outcome::Value(rec),
         Err(e) if e.is_syntax() => Outcome::Tear,
         Err(_) => Outcome::Shape,
@@ -61,65 +60,102 @@ fn reference(body: &str, vocab: &Vocabulary) -> Outcome {
     match json::parse(body) {
         Err(_) => Outcome::Tear,
         Ok(tree) => match reference_record(&tree, vocab) {
-            Ok(Record::Skip) => Outcome::Skip,
             Ok(rec) => Outcome::Value(rec),
             Err(_) => Outcome::Shape,
         },
     }
 }
 
+/// The values of object `j`, whose keys must be exactly `keys`, in
+/// that order: the order the writer emits them.
+fn keyed<'j>(j: &'j Json, keys: &[&str]) -> Result<Vec<&'j Json>, JsonError> {
+    let fields = j.as_obj()?;
+    let got: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+    if got != keys {
+        return Err(JsonError::shape(format!("keys {got:?}, not {keys:?}")));
+    }
+    Ok(fields.iter().map(|(_, v)| v).collect())
+}
+
+/// The tag and body of a single-variant object.
+fn variant(j: &Json) -> Result<(&str, &Json), JsonError> {
+    match j.as_obj()? {
+        [(tag, body)] => Ok((tag, body)),
+        _ => Err(JsonError::shape("expected a single-variant object")),
+    }
+}
+
+const DONE_KEYS: [&str; 6] = ["kind", "qid", "complete", "digest", "threshold", "of"];
+
 fn reference_record(rec: &Json, vocab: &Vocabulary) -> Result<Record, JsonError> {
-    Ok(match rec.field("kind").and_then(Json::as_str) {
-        Ok("session") => Record::Session {
-            name: rec.field("name")?.as_str()?.to_string(),
-            proto: rec.field("proto")?.as_u32()?,
-            seed: rec.field("seed")?.as_exact_u64()?,
-            members: rec.field("members")?.as_u32()?,
-        },
-        Ok("query") => {
-            let spec = QuerySpec {
-                src: rec.field("src")?.as_str()?.to_string(),
-                threshold: opt(rec.field("threshold")?, Json::as_f64)?,
-                batch_width: rec.field("batch_width")?.as_u32()?,
-                max_questions: opt(rec.field("max_questions")?, Json::as_u32)?,
-                seed: rec.field("seed")?.as_exact_u64()?,
-            };
+    let kind = match rec.as_obj()?.first() {
+        Some((k, kind)) if k == "kind" => kind.as_str()?,
+        _ => return Err(JsonError::shape("the kind is not the first key")),
+    };
+    Ok(match kind {
+        "session" => {
+            let f = keyed(rec, &["kind", "name", "proto", "seed", "members"])?;
+            Record::Session {
+                name: f[1].as_str()?.to_string(),
+                proto: f[2].as_u32()?,
+                seed: f[3].as_exact_u64()?,
+                members: f[4].as_u32()?,
+            }
+        }
+        "query" => {
+            let keys = [
+                "kind",
+                "qid",
+                "src",
+                "threshold",
+                "batch_width",
+                "max_questions",
+                "seed",
+            ];
+            let f = keyed(rec, &keys)?;
             Record::Query {
-                qid: rec.field("qid")?.as_u32()?,
-                spec,
+                qid: f[1].as_u32()?,
+                spec: QuerySpec {
+                    src: f[2].as_str()?.to_string(),
+                    threshold: opt(f[3], Json::as_f64)?,
+                    batch_width: f[4].as_u32()?,
+                    max_questions: opt(f[5], Json::as_u32)?,
+                    seed: f[6].as_exact_u64()?,
+                },
             }
         }
-        Ok("done") => {
-            let qid = rec.field("qid")?.as_u32()?;
-            let done = DoneMeta {
-                complete: as_bool(rec.field("complete")?)?,
-                digest: rec.field("digest")?.as_str()?.to_string(),
-                threshold: rec.field("threshold")?.as_f64()?,
-                of: rec.field("of").ok().map(Json::as_u32).transpose()?,
+        "done" => {
+            // `of` is the optional last key
+            let f = keyed(rec, &DONE_KEYS[..rec.as_obj()?.len().clamp(5, 6)])?;
+            Record::Done {
+                qid: f[1].as_u32()?,
+                done: DoneMeta {
+                    complete: as_bool(f[2])?,
+                    digest: f[3].as_str()?.to_string(),
+                    threshold: f[4].as_f64()?,
+                    of: f.get(5).map(|of| of.as_u32()).transpose()?,
+                },
+            }
+        }
+        "op" => {
+            let f = keyed(rec, &["kind", "qid", "op"])?;
+            Record::Op {
+                qid: f[1].as_u32()?,
+                op: wire_from_json(vocab, f[2])?,
+            }
+        }
+        "answer" => {
+            let f = keyed(rec, &["kind", "member", "entry"])?;
+            let [p, a] = f[2].as_arr()? else {
+                return Err(JsonError::shape("expected a [pattern, answer] entry"));
             };
-            Record::Done { qid, done }
-        }
-        Ok("op") => Record::Op {
-            qid: rec.field("qid")?.as_u32()?,
-            op: wire_from_json(vocab, rec.field("op")?)?,
-        },
-        Ok("answer") => {
-            let member = MemberId(rec.field("member")?.as_u32()?);
-            match rec.field("entry") {
-                Ok(entry) => {
-                    let [p, a] = entry.as_arr()? else {
-                        return Err(JsonError::shape("expected a [pattern, answer] entry"));
-                    };
-                    Record::Answer {
-                        member,
-                        pattern: pattern_from_json(p)?,
-                        answer: answer_from_json(a)?,
-                    }
-                }
-                Err(_) => Record::Skip,
+            Record::Answer {
+                member: MemberId(f[1].as_u32()?),
+                pattern: pattern_from_json(vocab, p)?,
+                answer: answer_from_json(vocab, a)?,
             }
         }
-        _ => Record::Skip,
+        other => return Err(JsonError::shape(format!("unknown kind {other:?}"))),
     })
 }
 
@@ -146,23 +182,23 @@ fn in_vocab(id: u32, len: usize) -> Result<u32, JsonError> {
     }
 }
 
-/// A MORE fact, whose ids must name elements and a relation of `vocab`.
-fn more_fact_from_json(vocab: &Vocabulary, f: &Json) -> Result<Fact, JsonError> {
-    let f = fact_from_json(f)?;
-    in_vocab(f.subject.0, vocab.num_elems())?;
-    in_vocab(f.rel.0, vocab.num_rels())?;
-    in_vocab(f.object.0, vocab.num_elems())?;
-    Ok(f)
+fn elem_from_json(vocab: &Vocabulary, j: &Json) -> Result<ElemId, JsonError> {
+    Ok(ElemId(in_vocab(j.as_u32()?, vocab.num_elems())?))
 }
 
-fn fact_from_json(f: &Json) -> Result<Fact, JsonError> {
+fn rel_from_json(vocab: &Vocabulary, j: &Json) -> Result<RelId, JsonError> {
+    Ok(RelId(in_vocab(j.as_u32()?, vocab.num_rels())?))
+}
+
+/// A fact, whose ids must name elements and a relation of `vocab`.
+fn fact_from_json(vocab: &Vocabulary, f: &Json) -> Result<Fact, JsonError> {
     let [s, r, o] = f.as_arr()? else {
         return Err(JsonError::shape("expected a [s, r, o] fact"));
     };
     Ok(Fact::new(
-        ElemId(s.as_u32()?),
-        RelId(r.as_u32()?),
-        ElemId(o.as_u32()?),
+        elem_from_json(vocab, s)?,
+        rel_from_json(vocab, r)?,
+        elem_from_json(vocab, o)?,
     ))
 }
 
@@ -171,18 +207,15 @@ fn value_from_json(vocab: &Vocabulary, j: &Json) -> Result<Value, JsonError> {
         return Err(JsonError::shape("expected a [kind, id] value"));
     };
     match kind.as_str()? {
-        "e" => Ok(Value::Elem(ElemId(in_vocab(
-            id.as_u32()?,
-            vocab.num_elems(),
-        )?))),
-        "r" => Ok(Value::Rel(RelId(in_vocab(id.as_u32()?, vocab.num_rels())?))),
+        "e" => Ok(Value::Elem(elem_from_json(vocab, id)?)),
+        "r" => Ok(Value::Rel(rel_from_json(vocab, id)?)),
         other => Err(JsonError::shape(format!("unknown value kind {other:?}"))),
     }
 }
 
 fn assignment_from_json(vocab: &Vocabulary, j: &Json) -> Result<Assignment, JsonError> {
-    let values = j
-        .field("slots")?
+    let f = keyed(j, &["slots", "more"])?;
+    let values = f[0]
         .as_arr()?
         .iter()
         .map(|s| {
@@ -192,44 +225,44 @@ fn assignment_from_json(vocab: &Vocabulary, j: &Json) -> Result<Assignment, Json
                 .collect()
         })
         .collect::<Result<Vec<Vec<Value>>, _>>()?;
-    let more = j
-        .field("more")?
+    let more = f[1]
         .as_arr()?
         .iter()
-        .map(|f| more_fact_from_json(vocab, f))
+        .map(|f| fact_from_json(vocab, f))
         .collect::<Result<Vec<Fact>, _>>()?;
     Ok(Assignment::new(vocab, values, more))
 }
 
 fn wire_from_json(vocab: &Vocabulary, j: &Json) -> Result<WireOp, JsonError> {
-    let node = match j.field("node")? {
+    let f = keyed(j, &["tick", "seq", "member", "node", "verdict"])?;
+    let node = match f[3] {
         Json::Null => None,
         a => Some(assignment_from_json(vocab, a)?),
     };
-    let [(tag, body)] = j.field("verdict")?.as_obj()? else {
-        return Err(JsonError::shape("expected a single-variant verdict object"));
-    };
-    let verdict = match tag.as_str() {
+    let (tag, body) = variant(f[4])?;
+    let verdict = match tag {
         "Support" => WireVerdict::Support {
-            support: body.field("support")?.as_f64()?,
+            support: keyed(body, &["support"])?[0].as_f64()?,
         },
         "NoneOfThese" => WireVerdict::NoneOfThese {
-            options: body
-                .field("options")?
+            options: keyed(body, &["options"])?[0]
                 .as_arr()?
                 .iter()
                 .map(|a| assignment_from_json(vocab, a))
                 .collect::<Result<Vec<_>, _>>()?,
         },
         "Prune" => WireVerdict::Prune {
-            elem: ElemId(in_vocab(body.field("elem")?.as_u32()?, vocab.num_elems())?),
+            elem: elem_from_json(vocab, keyed(body, &["elem"])?[0])?,
         },
-        "NoAnswer" => WireVerdict::NoAnswer,
+        "NoAnswer" => {
+            keyed(body, &[])?;
+            WireVerdict::NoAnswer
+        }
         "Msp" => WireVerdict::Msp {
-            valid: as_bool(body.field("valid")?)?,
+            valid: as_bool(keyed(body, &["valid"])?[0])?,
         },
         "Revise" => WireVerdict::Revise {
-            support: body.field("support")?.as_f64()?,
+            support: keyed(body, &["support"])?[0].as_f64()?,
         },
         other => {
             return Err(JsonError::shape(format!(
@@ -238,16 +271,15 @@ fn wire_from_json(vocab: &Vocabulary, j: &Json) -> Result<WireOp, JsonError> {
         }
     };
     Ok(WireOp {
-        tick: j.field("tick")?.as_u32()?,
-        seq: j.field("seq")?.as_u32()?,
-        member: MemberId(j.field("member")?.as_u32()?),
+        tick: f[0].as_u32()?,
+        seq: f[1].as_u32()?,
+        member: MemberId(f[2].as_u32()?),
         node,
         verdict,
     })
 }
 
-fn pattern_from_json(v: &Json) -> Result<PatternSet, JsonError> {
-    let id = |v: &Json| opt(v, Json::as_u32);
+fn pattern_from_json(vocab: &Vocabulary, v: &Json) -> Result<PatternSet, JsonError> {
     let facts = v
         .as_arr()?
         .iter()
@@ -258,26 +290,27 @@ fn pattern_from_json(v: &Json) -> Result<PatternSet, JsonError> {
                 ));
             };
             Ok(PatternFact {
-                subject: id(s)?.map(ElemId),
-                rel: id(r)?.map(RelId),
-                object: id(o)?.map(ElemId),
+                subject: opt(s, |s| elem_from_json(vocab, s))?,
+                rel: opt(r, |r| rel_from_json(vocab, r))?,
+                object: opt(o, |o| elem_from_json(vocab, o))?,
             })
         })
         .collect::<Result<Vec<_>, _>>()?;
     Ok(PatternSet::from_iter(facts))
 }
 
-fn answer_from_json(v: &Json) -> Result<CachedAnswer, JsonError> {
-    let [(tag, body)] = v.as_obj()? else {
-        return Err(JsonError::shape("expected a single-variant answer object"));
-    };
-    match tag.as_str() {
-        "Support" => Ok(CachedAnswer::Support {
-            more_tip: opt(body.field("more_tip")?, fact_from_json)?,
-            support: body.field("support")?.as_f64()?,
-        }),
+fn answer_from_json(vocab: &Vocabulary, v: &Json) -> Result<CachedAnswer, JsonError> {
+    let (tag, body) = variant(v)?;
+    match tag {
+        "Support" => {
+            let f = keyed(body, &["support", "more_tip"])?;
+            Ok(CachedAnswer::Support {
+                more_tip: opt(f[1], |t| fact_from_json(vocab, t))?,
+                support: f[0].as_f64()?,
+            })
+        }
         "Irrelevant" => Ok(CachedAnswer::Irrelevant {
-            elem: ElemId(body.field("elem")?.as_u32()?),
+            elem: elem_from_json(vocab, keyed(body, &["elem"])?[0])?,
         }),
         other => Err(JsonError::shape(format!(
             "unknown answer variant {other:?}"
@@ -362,6 +395,16 @@ impl Gen {
         self.pick(&[0.0, 0.25, 1.0 / 3.0, 0.4, 1.0, 1e-300, 5.0 / 12.0, 12.5])
     }
 
+    /// An element of the vocabulary: the writer names no other.
+    fn elem(&mut self) -> ElemId {
+        ElemId(self.u32() % vocab().num_elems() as u32)
+    }
+
+    /// A relation of the vocabulary.
+    fn rel(&mut self) -> RelId {
+        RelId(self.u32() % vocab().num_rels() as u32)
+    }
+
     fn text(&mut self) -> String {
         const CHARS: [char; 14] = [
             'a', 'Z', ' ', '"', '\\', '/', '\n', '\t', '\u{1}', '\u{7f}', 'é', '≤', '東', '🦀',
@@ -394,7 +437,7 @@ fn assignments() -> &'static [Assignment] {
 }
 
 fn gen_fact(g: &mut Gen) -> Fact {
-    Fact::new(ElemId(g.u32()), RelId(g.u32()), ElemId(g.u32()))
+    Fact::new(g.elem(), g.rel(), g.elem())
 }
 
 fn gen_op(g: &mut Gen) -> WireOp {
@@ -405,9 +448,7 @@ fn gen_op(g: &mut Gen) -> WireOp {
             options: (0..g.below(3)).map(|_| g.pick(pool)).collect(),
         },
         // a writer prunes only elements of the vocabulary
-        2 => WireVerdict::Prune {
-            elem: ElemId(g.u32() % vocab().num_elems() as u32),
-        },
+        2 => WireVerdict::Prune { elem: g.elem() },
         3 => WireVerdict::NoAnswer,
         4 => WireVerdict::Msp {
             valid: g.chance(1, 2),
@@ -448,9 +489,9 @@ fn gen_record(g: &mut Gen) -> Record {
         3 => Record::Answer {
             member: MemberId(g.u32()),
             pattern: PatternSet::from_iter((0..g.below(3)).map(|_| PatternFact {
-                subject: g.chance(2, 3).then(|| ElemId(g.u32())),
-                rel: g.chance(2, 3).then(|| RelId(g.u32())),
-                object: g.chance(2, 3).then(|| ElemId(g.u32())),
+                subject: g.chance(2, 3).then(|| g.elem()),
+                rel: g.chance(2, 3).then(|| g.rel()),
+                object: g.chance(2, 3).then(|| g.elem()),
             })),
             answer: if g.chance(2, 3) {
                 CachedAnswer::Support {
@@ -458,9 +499,7 @@ fn gen_record(g: &mut Gen) -> Record {
                     more_tip: g.chance(1, 2).then(|| gen_fact(g)),
                 }
             } else {
-                CachedAnswer::Irrelevant {
-                    elem: ElemId(g.u32()),
-                }
+                CachedAnswer::Irrelevant { elem: g.elem() }
             },
         },
         _ => Record::Done {
@@ -532,7 +571,6 @@ fn canonical(rec: &Record) -> Json {
             fields.extend(done.of.map(|m| ("of", num(m))));
             fields
         }
-        Record::Skip => Vec::new(),
     };
     Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
 }
@@ -946,12 +984,47 @@ fn member<'a>(j: &'a mut Json, key: &str) -> &'a mut Json {
     &mut fields.iter_mut().find(|(k, _)| k == key).unwrap().1
 }
 
-/// A crc-valid `op` line naming an element or relation id past
-/// `vocab`: in a slot value of its node, in a MORE fact, in a
-/// `NoneOfThese` option or as a `Prune` element.
+/// An id at or past `len`, the size of the vocabulary it indexes.
+fn past(g: &mut Gen, len: u32) -> u32 {
+    g.pick(&[len, len + 1, 4_000_000_000, u32::MAX])
+}
+
+/// A crc-valid line naming an element or relation id past `vocab`: an
+/// `op` line or an `answer` line.
 fn line_past_the_vocabulary(g: &mut Gen, vocab: &Vocabulary) -> Vec<u8> {
+    let body = if g.chance(1, 3) {
+        answer_past_the_vocabulary(g, vocab)
+    } else {
+        op_past_the_vocabulary(g, vocab)
+    };
+    format!(
+        "{{\"crc\":\"{:016x}\",\"rec\":{body}}}\n",
+        fnv64(body.as_bytes())
+    )
+    .into_bytes()
+}
+
+/// An `answer` body naming an id past `vocab`: in its pattern, in its
+/// answer's MORE tip, or as an `Irrelevant` element.
+fn answer_past_the_vocabulary(g: &mut Gen, vocab: &Vocabulary) -> String {
     let (elems, rels) = (vocab.num_elems() as u32, vocab.num_rels() as u32);
-    let past = |g: &mut Gen, len: u32| g.pick(&[len, len + 1, 4_000_000_000, u32::MAX]);
+    let mut fact = [0, 0, 0];
+    let at = g.below(3);
+    fact[at] = past(g, if at == 1 { rels } else { elems });
+    let [s, r, o] = fact;
+    let entry = match g.below(3) {
+        0 => format!(r#"[[[{s},{r},{o}]],{{"Support":{{"support":0.5,"more_tip":null}}}}]"#),
+        1 => format!(r#"[[],{{"Support":{{"support":0.5,"more_tip":[{s},{r},{o}]}}}}]"#),
+        _ => format!(r#"[[],{{"Irrelevant":{{"elem":{}}}}}]"#, past(g, elems)),
+    };
+    format!(r#"{{"kind":"answer","member":0,"entry":{entry}}}"#)
+}
+
+/// An `op` body naming an element or relation id past `vocab`: in a
+/// slot value of its node, in a MORE fact, in a `NoneOfThese` option or
+/// as a `Prune` element.
+fn op_past_the_vocabulary(g: &mut Gen, vocab: &Vocabulary) -> String {
+    let (elems, rels) = (vocab.num_elems() as u32, vocab.num_rels() as u32);
     let node = |g: &mut Gen| {
         let op = WireOp {
             tick: 1,
@@ -1009,17 +1082,12 @@ fn line_past_the_vocabulary(g: &mut Gen, vocab: &Vocabulary) -> Vec<u8> {
             )])
         }
     }
-    let body = Json::Obj(vec![
+    Json::Obj(vec![
         ("kind".into(), s("op")),
         ("qid".into(), num(1)),
         ("op".into(), op),
     ])
-    .to_string();
-    format!(
-        "{{\"crc\":\"{:016x}\",\"rec\":{body}}}\n",
-        fnv64(body.as_bytes())
-    )
-    .into_bytes()
+    .to_string()
 }
 
 /// `line` inserted into the real log before its `at`-th line, or
@@ -1097,7 +1165,6 @@ fn canonical_bodies_are_the_writers_bytes() {
                 answer,
             } => assert!(wal.append_answer(*member, 0, pattern, answer).unwrap()),
             Record::Done { qid, done } => wal.record_done(*qid, done).unwrap(),
-            Record::Skip => continue,
         }
         recs.push(rec);
     }
@@ -1128,14 +1195,56 @@ fn generated_bodies_reach_every_class() {
         };
         *seen.entry(class).or_insert(0) += 1;
     }
-    for class in [
-        "Session", "Query", "Op", "Answer", "Done", "Skip", "Shape", "Tear",
-    ] {
+    for class in ["Session", "Query", "Op", "Answer", "Done", "Shape", "Tear"] {
         assert!(
             seen.get(class).is_some_and(|&n| n >= 40),
             "{class}: {seen:?}"
         );
     }
+}
+
+/// A canonical body with two neighbouring keys swapped, an unknown key,
+/// a repeated key or an unknown kind is a shape error in both decoders,
+/// and the decode's message names the key; in a log, it fails recovery.
+#[test]
+fn bodies_off_the_writers_key_order_are_shape_errors_naming_the_key() {
+    let mut g = Gen(11);
+    for _ in 0..500 {
+        let Json::Obj(fields) = canonical(&gen_record(&mut g)) else {
+            unreachable!("a record is an object");
+        };
+        let at = g.below(fields.len());
+        let key = |at: usize| fields[at].0.as_str();
+        let mut cases = vec![
+            (fields.clone(), "future"),
+            (fields.clone(), key(at)),
+            (fields.clone(), "future"),
+        ];
+        cases[0].0.insert(at + 1, ("future".into(), Json::Null));
+        cases[1].0.insert(at + 1, fields[at].clone());
+        cases[2].0[0].1 = s("future");
+        if at + 1 < fields.len() {
+            let mut swapped = fields.clone();
+            swapped.swap(at, at + 1);
+            cases.push((swapped, key(at + 1)));
+        }
+        for (members, key) in cases {
+            let body = Json::Obj(members).to_string();
+            assert_eq!(reference(&body, vocab()), Outcome::Shape, "{body}");
+            let err = decode_record(&body, vocab()).unwrap_err();
+            let named = err.msg.contains(&format!("{key:?}"));
+            assert!(!err.is_syntax() && named, "{body}: {err}");
+        }
+    }
+    let body = r#"{"kind":"future","qid":1}"#;
+    let line = format!(
+        "{{\"crc\":\"{:016x}\",\"rec\":{body}}}\n",
+        fnv64(body.as_bytes())
+    );
+    let log = insert_line(2, line.as_bytes());
+    let (got, len) = recover_log("unknown-kind", &log);
+    assert!(got.unwrap_err().to_string().contains(r#""future""#));
+    assert_eq!(len, log.len() as u64, "a misshapen body is no tear");
 }
 
 proptest! {

@@ -21,9 +21,10 @@
 //! crc-checked body is checked as UTF-8 and then decoded in one pass by
 //! an [`ontology::json::Reader`] straight into a typed record — the
 //! [`WireOp`] and cache entry decoders in `oassis-core` read off the
-//! same reader. Keys may come in any order, unknown keys and unknown or
-//! missing `kind`s are skipped, the first of two equal keys wins, and
-//! an `answer` without `entry` is skipped.
+//! same reader. Every object's keys are read in the one order the
+//! writer emits them, a record's `kind` first: a key out of that order,
+//! unknown, repeated or missing, and an unknown `kind`, is a shape
+//! error naming it. No record is skipped.
 //!
 //! A served repeat writes no op record: its `done` footer names the run
 //! it repeats (`"of": m`), and recovery gives it that run's ops.
@@ -55,9 +56,10 @@
 //! are appended in recording order, so what survives is a prefix of
 //! each run's log.
 //!
-//! A body that is JSON of the wrong shape (a qid past `u32`, an element
-//! id past the vocabulary, or nesting past [`ontology::json::MAX_DEPTH`],
-//! say) is no tear: it fails [`SessionWal::recover`] with a shape error.
+//! A body that is JSON of the wrong shape (a key out of the writer's
+//! order, a qid past `u32`, an element id past the vocabulary, or
+//! nesting past [`ontology::json::MAX_DEPTH`], say) is no tear: it fails
+//! [`SessionWal::recover`] with a shape error.
 //! The lines after it are still checked, so a later tear is cut first.
 
 use crowd::MemberId;
@@ -65,7 +67,7 @@ use oassis_core::cache::{entry_to_json, read_entry, CachedAnswer};
 use oassis_core::digest::fnv64;
 use oassis_core::oplog::{AnswerOp, OpTap};
 use oassis_core::{op_to_wire, read_wire_op, wire_to_json, CrowdCache, Dag, WireOp};
-use ontology::json::{Json, JsonError, Reader};
+use ontology::json::{Json, JsonError, Reader, Seq};
 use ontology::{PatternSet, Vocabulary};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
@@ -459,7 +461,6 @@ fn fold(records: Vec<Record>) -> Recovered {
                 pattern,
                 answer,
             } => out.cache.put(member, pattern, answer),
-            Record::Skip => {}
         }
     }
     out.queries.sort_by_key(|q| q.qid);
@@ -511,143 +512,6 @@ enum Record {
         qid: u32,
         done: DoneMeta,
     },
-    /// A body recovery ignores: not an object, no string `kind`, a kind
-    /// this build does not know (a future record), or an `answer`
-    /// without `entry`.
-    Skip,
-}
-
-/// A field of a record body as first seen: absent, read, or the shape
-/// error reading it raised.
-type Slot<T> = Option<Result<T, JsonError>>;
-
-/// Every field a record kind reads. The kind may come last, so each is
-/// read when it is met and a shape error is kept, not raised: it counts
-/// only if the record's kind reads that field.
-#[derive(Default)]
-struct Fields<'a> {
-    kind: Slot<Cow<'a, str>>,
-    name: Slot<String>,
-    proto: Slot<u32>,
-    seed: Slot<u64>,
-    members: Slot<u32>,
-    qid: Slot<u32>,
-    src: Slot<String>,
-    threshold: Slot<Option<f64>>,
-    batch_width: Slot<u32>,
-    max_questions: Slot<Option<u32>>,
-    complete: Slot<bool>,
-    digest: Slot<String>,
-    of: Slot<u32>,
-    op: Slot<WireOp>,
-    member: Slot<u32>,
-    entry: Slot<(PatternSet, CachedAnswer)>,
-}
-
-impl<'a> Fields<'a> {
-    /// Reads the value of `key` into its slot; unknown keys and every
-    /// repeat of a key are skipped (the first of two equal keys wins).
-    fn read(&mut self, r: &mut Reader<'a>, key: &str, vocab: &Vocabulary) -> Result<(), JsonError> {
-        match key {
-            "kind" => fill(&mut self.kind, r, Reader::str),
-            "name" => fill(&mut self.name, r, owned_str),
-            "proto" => fill(&mut self.proto, r, Reader::u32),
-            "seed" => fill(&mut self.seed, r, Reader::exact_u64),
-            "members" => fill(&mut self.members, r, Reader::u32),
-            "qid" => fill(&mut self.qid, r, Reader::u32),
-            "src" => fill(&mut self.src, r, owned_str),
-            "threshold" => fill(&mut self.threshold, r, |r| r.opt(Reader::f64)),
-            "batch_width" => fill(&mut self.batch_width, r, Reader::u32),
-            "max_questions" => fill(&mut self.max_questions, r, |r| r.opt(Reader::u32)),
-            "complete" => fill(&mut self.complete, r, Reader::bool),
-            "digest" => fill(&mut self.digest, r, owned_str),
-            "of" => fill(&mut self.of, r, Reader::u32),
-            "op" => fill(&mut self.op, r, |r| read_wire_op(vocab, r)),
-            "member" => fill(&mut self.member, r, Reader::u32),
-            "entry" => fill(&mut self.entry, r, read_entry),
-            _ => r.skip(),
-        }
-    }
-
-    /// The record these fields make, or the first shape error of a field
-    /// its kind reads.
-    fn record(self) -> Result<Record, JsonError> {
-        let Some(Ok(kind)) = self.kind else {
-            return Ok(Record::Skip);
-        };
-        Ok(match &*kind {
-            "session" => Record::Session {
-                name: need(self.name, "name")?,
-                proto: need(self.proto, "proto")?,
-                seed: need(self.seed, "seed")?,
-                members: need(self.members, "members")?,
-            },
-            "query" => {
-                let spec = QuerySpec {
-                    src: need(self.src, "src")?,
-                    threshold: need(self.threshold, "threshold")?,
-                    batch_width: need(self.batch_width, "batch_width")?,
-                    max_questions: need(self.max_questions, "max_questions")?,
-                    seed: need(self.seed, "seed")?,
-                };
-                Record::Query {
-                    qid: need(self.qid, "qid")?,
-                    spec,
-                }
-            }
-            "done" => {
-                let qid = need(self.qid, "qid")?;
-                let done = DoneMeta {
-                    complete: need(self.complete, "complete")?,
-                    digest: need(self.digest, "digest")?,
-                    threshold: need(self.threshold, "threshold")?
-                        .ok_or_else(|| JsonError::shape("expected number, got null"))?,
-                    // absent on a mined run's footer
-                    of: self.of.transpose()?,
-                };
-                Record::Done { qid, done }
-            }
-            "op" => Record::Op {
-                qid: need(self.qid, "qid")?,
-                op: need(self.op, "op")?,
-            },
-            "answer" => {
-                let member = MemberId(need(self.member, "member")?);
-                match self.entry {
-                    Some(entry) => {
-                        let (pattern, answer) = entry?;
-                        Record::Answer {
-                            member,
-                            pattern,
-                            answer,
-                        }
-                    }
-                    None => Record::Skip,
-                }
-            }
-            // unknown kinds are future records — skip, don't fail
-            _ => Record::Skip,
-        })
-    }
-}
-
-/// Reads a field into an empty slot, keeping a shape error in it; a
-/// filled slot skips the repeat.
-fn fill<'a, T>(
-    slot: &mut Slot<T>,
-    r: &mut Reader<'a>,
-    read: impl FnOnce(&mut Reader<'a>) -> Result<T, JsonError>,
-) -> Result<(), JsonError> {
-    if slot.is_some() {
-        return r.skip();
-    }
-    *slot = Some(r.shaped(read)?);
-    Ok(())
-}
-
-/// A field a record kind requires.
-fn need<T>(slot: Slot<T>, name: &str) -> Result<T, JsonError> {
-    slot.unwrap_or_else(|| Err(JsonError::missing(name)))
 }
 
 fn owned_str(r: &mut Reader<'_>) -> Result<String, JsonError> {
@@ -659,17 +523,68 @@ fn owned_str(r: &mut Reader<'_>) -> Result<String, JsonError> {
 /// is JSON of the wrong shape, or nests too deep to read.
 fn decode_record(body: &str, vocab: &Vocabulary) -> Result<Record, JsonError> {
     let mut r = Reader::new(body);
-    let mut fields = Fields::default();
-    // the only shape error `obj` itself raises is a body that is no object
-    let is_obj = r
-        .shaped(|r| r.obj(|r, key| fields.read(r, &key, vocab)))?
-        .is_ok();
-    r.end()?;
-    if is_obj {
-        fields.record()
-    } else {
-        Ok(Record::Skip)
+    match r
+        .fields(|k| read_record(k, vocab))
+        .and_then(|rec| r.end().map(|()| rec))
+    {
+        Err(e) if !e.is_syntax() => {
+            // the decode stopped at the first misshapen value: scan the
+            // whole body, so one that is not JSON is still a tear (and
+            // one nested too deep to scan fails on its depth)
+            let mut scan = Reader::new(body);
+            scan.skip().and_then(|()| scan.end())?;
+            Err(e)
+        }
+        decoded => decoded,
     }
+}
+
+/// Reads a record's keys in the order [`SessionWal`] writes them: the
+/// `kind` first, which names the keys that follow.
+fn read_record(k: &mut Seq<'_, '_>, vocab: &Vocabulary) -> Result<Record, JsonError> {
+    let kind = k.next("kind", Reader::str)?;
+    Ok(match &*kind {
+        "session" => Record::Session {
+            name: k.next("name", owned_str)?,
+            proto: k.next("proto", Reader::u32)?,
+            seed: k.next("seed", Reader::exact_u64)?,
+            members: k.next("members", Reader::u32)?,
+        },
+        "query" => Record::Query {
+            qid: k.next("qid", Reader::u32)?,
+            spec: QuerySpec {
+                src: k.next("src", owned_str)?,
+                threshold: k.next("threshold", |r| r.opt(Reader::f64))?,
+                batch_width: k.next("batch_width", Reader::u32)?,
+                max_questions: k.next("max_questions", |r| r.opt(Reader::u32))?,
+                seed: k.next("seed", Reader::exact_u64)?,
+            },
+        },
+        "op" => Record::Op {
+            qid: k.next("qid", Reader::u32)?,
+            op: k.next("op", |r| read_wire_op(vocab, r))?,
+        },
+        "answer" => {
+            let member = MemberId(k.next("member", Reader::u32)?);
+            let (pattern, answer) = k.next("entry", |r| read_entry(vocab, r))?;
+            Record::Answer {
+                member,
+                pattern,
+                answer,
+            }
+        }
+        "done" => Record::Done {
+            qid: k.next("qid", Reader::u32)?,
+            done: DoneMeta {
+                complete: k.next("complete", Reader::bool)?,
+                digest: k.next("digest", owned_str)?,
+                threshold: k.next("threshold", Reader::f64)?,
+                // a mined run's footer has none
+                of: k.optional("of", Reader::u32)?,
+            },
+        },
+        other => return Err(JsonError::shape(format!("unknown record kind {other:?}"))),
+    })
 }
 
 /// Frames one record as a crc-guarded line.

@@ -239,63 +239,116 @@ fn oversized_frame_is_rejected_and_closed() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// Hostile frames, each sent alone, with the `error` code each gets
+/// after a hello: truncated JSON, a frame past [`MAX_FRAME_BYTES`] with
+/// no newline, 200 000 `[` (a reader that recursed once per level would
+/// overflow the connection thread's stack and abort the whole process),
+/// invalid UTF-8, an unknown `type`, a `query` before any `open`, and a
+/// bad session name.
+fn hostile_frames() -> Vec<(&'static str, Vec<u8>, &'static str)> {
+    let line = |text: String| (text + "\n").into_bytes();
+    let query = Request::Query {
+        session: "never-opened".into(),
+        spec: qspec(1),
+    };
+    let bad_name = r#"{"type":"open","session":"../escape","seed":1,"members":1}"#;
+    vec![
+        (
+            "truncated",
+            line(r#"{"type":"open","session":"x","#.into()),
+            "bad_frame",
+        ),
+        ("oversized", vec![b'x'; MAX_FRAME_BYTES + 1], "bad_frame"),
+        ("deep", line("[".repeat(200_000)), "bad_frame"),
+        (
+            "not utf-8",
+            b"{\"type\":\"open\",\"session\":\"\xff\xfe\"}\n".to_vec(),
+            "bad_frame",
+        ),
+        (
+            "unknown type",
+            line(r#"{"type":"teleport"}"#.into()),
+            "bad_frame",
+        ),
+        (
+            "query before open",
+            line(query.to_json().to_string()),
+            "unknown_session",
+        ),
+        ("bad session name", line(bad_name.into()), "protocol"),
+    ]
+}
+
+/// Each hostile frame gets its `error` reply after a hello, and
+/// `bad_frame` as a connection's first frame, and the next connection in
+/// the same process completes hello, open, query and close.
 #[test]
-fn a_deeply_nested_frame_is_rejected_and_others_are_served() {
+fn malformed_frames_are_refused_and_others_are_served() {
     let ont = Arc::new(figure1::ontology());
-    let root = temp_root("deep");
+    let root = temp_root("malformed");
     let server = spawn(&ont, &root);
-    // 200 000 `[`: well inside the frame bound, but a reader that
-    // recursed once per level would overflow the connection thread's
-    // stack and abort the whole process
-    let deep = "[".repeat(200_000);
-
-    for after_hello in [true, false] {
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut line = String::new();
-        if after_hello {
-            let hello = Request::Hello {
-                proto: PROTO_VERSION,
-                client: "deep".into(),
+    // one hostile connection at a time: the server starts a thread for
+    // each, and this one is closed before the next opens
+    for (name, frame, code_after_hello) in hostile_frames() {
+        for after_hello in [true, false] {
+            let mut stream = TcpStream::connect(server.addr()).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut line = String::new();
+            if after_hello {
+                let hello = Request::Hello {
+                    proto: PROTO_VERSION,
+                    client: "hostile".into(),
+                };
+                writeln!(stream, "{}", hello.to_json()).unwrap();
+                reader.read_line(&mut line).unwrap();
+                assert!(line.contains("hello_ack"), "{line}");
+                line.clear();
+            }
+            stream.write_all(&frame).unwrap();
+            reader.read_line(&mut line).expect(name);
+            let resp = json::parse(line.trim_end())
+                .and_then(|j| Response::from_json(&j))
+                .unwrap();
+            let Response::Error { code, .. } = resp else {
+                panic!("{name}: expected error, got {resp:?}")
             };
-            writeln!(stream, "{}", hello.to_json()).unwrap();
-            reader.read_line(&mut line).unwrap();
-            assert!(line.contains("hello_ack"), "{line}");
-            line.clear();
+            let want = if after_hello {
+                code_after_hello
+            } else {
+                "bad_frame"
+            };
+            assert_eq!(code, want, "{name}, after hello: {after_hello}");
+            drop(reader);
+            drop(stream);
+
+            let mut client = Client::connect(server.addr()).unwrap();
+            let resp = client
+                .call(&Request::Open(SessionSpec {
+                    name: "after".into(),
+                    seed: 1,
+                    members: 1,
+                }))
+                .unwrap();
+            assert!(matches!(resp, Response::Opened { .. }), "{name}: {resp:?}");
+            let resp = client
+                .call(&Request::Query {
+                    session: "after".into(),
+                    spec: qspec(1),
+                })
+                .unwrap();
+            assert!(matches!(resp, Response::Result { .. }), "{name}: {resp:?}");
+            let resp = client
+                .call(&Request::Close {
+                    session: "after".into(),
+                })
+                .unwrap();
+            assert!(matches!(resp, Response::Closed { .. }), "{name}: {resp:?}");
+            client.bye().unwrap();
         }
-        writeln!(stream, "{deep}").unwrap();
-        reader.read_line(&mut line).unwrap();
-        let resp = json::parse(line.trim_end())
-            .and_then(|j| Response::from_json(&j))
-            .unwrap();
-        let Response::Error { code, .. } = resp else {
-            panic!("expected error, got {resp:?}")
-        };
-        assert_eq!(code, "bad_frame");
     }
-
-    // a second connection is served end to end
-    let mut client = Client::connect(server.addr()).unwrap();
-    let resp = client
-        .call(&Request::Open(SessionSpec {
-            name: "after".into(),
-            seed: 1,
-            members: 1,
-        }))
-        .unwrap();
-    assert!(matches!(resp, Response::Opened { .. }), "{resp:?}");
-    let resp = client
-        .call(&Request::Query {
-            session: "after".into(),
-            spec: qspec(1),
-        })
-        .unwrap();
-    assert!(matches!(resp, Response::Result { .. }), "{resp:?}");
-
-    client.bye().unwrap();
     server.shutdown();
     let _ = std::fs::remove_dir_all(&root);
 }

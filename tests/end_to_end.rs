@@ -241,7 +241,7 @@ fn cache_snapshot_survives_serialization_between_runs() {
             .unwrap();
     }
     let json = cache.to_json();
-    let mut restored = CrowdCache::from_json(&json).unwrap();
+    let mut restored = CrowdCache::from_json(&json, v).unwrap();
     assert_eq!(restored.len(), cache.len());
     // run at a new threshold from the restored cache
     let crowd = SimulatedCrowd::new(v, members);
