@@ -25,10 +25,7 @@
 //! Usage: `cargo bench --bench bench_speed` (add `--release` implicitly);
 //! to restart the trajectory, delete `BENCH_speed.json` and rerun.
 
-use bench::{
-    bind_domain, domain_crowd, paper_aggregator, run_domain_at, run_domain_at_batched,
-    run_domain_at_traced,
-};
+use bench::{bind_domain, domain_crowd, paper_aggregator, run_domain_at};
 use oassis_core::digest::{fig5_fold, Fnv};
 use oassis_core::synth::{
     plant_msps, stress_domain, synthetic_domain, MspDistribution, PlantedOracle,
@@ -94,6 +91,8 @@ fn domain_workloads() -> Vec<Timing> {
                 248,
                 habits,
                 7,
+                1,
+                &telemetry::Telemetry::off(),
             );
             let wall = start.elapsed().as_secs_f64();
             samples.push((wall, run.run_digest()));
@@ -221,7 +220,7 @@ fn telemetry_section() -> (Json, u64) {
     let mut cache = oassis_core::CrowdCache::new();
     let sink = telemetry::TelemetrySink::shared();
     let tele = telemetry::Telemetry::recording(&sink);
-    let run = run_domain_at_traced(
+    let run = run_domain_at(
         &domain,
         &bound,
         &domain.ontology,
@@ -230,6 +229,7 @@ fn telemetry_section() -> (Json, u64) {
         248,
         6,
         7,
+        1,
         &tele,
     );
     let digest = run.run_digest();
@@ -279,7 +279,7 @@ fn batched_section(e1_digest: Option<u64>) -> Json {
     for k in [1usize, 2, 4, 8] {
         let mut cache = oassis_core::CrowdCache::new();
         let start = Instant::now();
-        let run = run_domain_at_batched(
+        let run = run_domain_at(
             &domain,
             &bound,
             &domain.ontology,

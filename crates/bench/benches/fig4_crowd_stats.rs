@@ -45,6 +45,8 @@ fn main() {
                 248, // the paper's crowd size
                 *habits,
                 7,
+                1,
+                &telemetry::Telemetry::off(),
             );
             let baseline_pct = 100.0 * run.questions as f64 / run.baseline_questions.max(1) as f64;
             rows.push(vec![

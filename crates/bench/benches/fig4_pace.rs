@@ -29,6 +29,8 @@ fn main() {
             248,
             habits,
             7,
+            1,
+            &telemetry::Telemetry::off(),
         );
         println!(
             "\n### {} at Θ=0.2: {} questions, {} MSPs ({} valid), {} valid assignments",

@@ -267,56 +267,12 @@ pub fn paper_aggregator() -> FixedSampleAggregator {
 
 /// Runs one domain query at one threshold with the standard crowd,
 /// re-using `cache` across thresholds exactly as in Section 6.3.
+/// `batch_width` is the planner's question-batch width (1 is the
+/// unbatched algorithm; see `MiningConfig::batch_width`) and `tele` the
+/// handle the mining engine records into (`Telemetry::off()` records
+/// nothing and changes no outcome).
 #[allow(clippy::too_many_arguments)]
 pub fn run_domain_at(
-    domain: &GeneratedDomain,
-    bound: &BoundQuery,
-    ont: &Ontology,
-    cache: &mut oassis_core::CrowdCache,
-    threshold: f64,
-    members: usize,
-    habits: usize,
-    seed: u64,
-) -> DomainRun {
-    run_domain_at_traced(
-        domain,
-        bound,
-        ont,
-        cache,
-        threshold,
-        members,
-        habits,
-        seed,
-        &telemetry::Telemetry::off(),
-    )
-}
-
-/// [`run_domain_at`] with a telemetry handle attached to the mining
-/// engine, so the perf harness can record per-phase span totals and
-/// engine counters for one instrumented (untimed) pass. With
-/// `Telemetry::off()` this is exactly [`run_domain_at`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_domain_at_traced(
-    domain: &GeneratedDomain,
-    bound: &BoundQuery,
-    ont: &Ontology,
-    cache: &mut oassis_core::CrowdCache,
-    threshold: f64,
-    members: usize,
-    habits: usize,
-    seed: u64,
-    tele: &telemetry::Telemetry,
-) -> DomainRun {
-    run_domain_at_batched(
-        domain, bound, ont, cache, threshold, members, habits, seed, 1, tele,
-    )
-}
-
-/// [`run_domain_at_traced`] with an explicit question-batch width for the
-/// planner (`batch_width = 1` is the unbatched algorithm and what every
-/// other entry point uses; see `MiningConfig::batch_width`).
-#[allow(clippy::too_many_arguments)]
-pub fn run_domain_at_batched(
     domain: &GeneratedDomain,
     bound: &BoundQuery,
     ont: &Ontology,

@@ -98,8 +98,8 @@ impl CrowdCache {
     }
 
     /// The members holding cached answers, in id order. With
-    /// [`Self::entries_of`] it walks the cache member by member, the way
-    /// the server's WAL keeps one answer log per member.
+    /// [`Self::entries_of`] it walks the cache member by member; the
+    /// benchmark's `serve` mirror is the caller.
     pub fn members(&self) -> Vec<MemberId> {
         let mut ids: Vec<MemberId> = self
             .answers
@@ -111,8 +111,7 @@ impl CrowdCache {
         ids
     }
 
-    /// One member's cached entries, sorted by pattern for determinism:
-    /// the answers that member's WAL answer log holds.
+    /// One member's cached entries, sorted by pattern for determinism.
     pub fn entries_of(&self, member: MemberId) -> Vec<(&PatternSet, &CachedAnswer)> {
         let mut entries: Vec<(&PatternSet, &CachedAnswer)> = self
             .answers

@@ -566,11 +566,6 @@ impl Classifier {
             .iter()
             .any(|f| elem_hit(f.subject) || elem_hit(f.object))
     }
-
-    /// Whether `id` is classified (not [`Class::Unknown`]).
-    pub fn is_classified(&mut self, dag: &Dag<'_>, id: NodeId) -> bool {
-        self.class(dag, id) != Class::Unknown
-    }
 }
 
 /// One crowd member's personal record in the multi-user engine (rule 4
@@ -751,7 +746,7 @@ mod tests {
         let mut dag = Dag::new(&b, ont.vocab(), &base);
         let mut cls = Classifier::new();
         let n = node(&mut dag, &ont, "Central Park", "Biking");
-        assert!(!cls.is_classified(&dag, n));
+        assert_eq!(cls.class(&dag, n), Class::Unknown);
         cls.mark_significant(&dag, n);
         assert_eq!(cls.class(&dag, n), Class::Significant);
     }

@@ -34,25 +34,6 @@ impl QuestionTemplates {
         t
     }
 
-    /// Templates for the culinary evaluation domain ("How often do you
-    /// have dish X with drink Y?").
-    pub fn culinary_defaults(vocab: &Vocabulary) -> Self {
-        let mut t = Self::new();
-        if let Some(r) = vocab.rel_id("servedWith") {
-            t.set(r, "have {s} together with {o}");
-        }
-        t
-    }
-
-    /// Templates for the self-treatment evaluation domain.
-    pub fn self_treatment_defaults(vocab: &Vocabulary) -> Self {
-        let mut t = Self::new();
-        if let Some(r) = vocab.rel_id("takenFor") {
-            t.set(r, "take {s} to relieve {o}");
-        }
-        t
-    }
-
     /// Sets the template for one relation.
     pub fn set(&mut self, rel: RelId, template: &str) {
         self.by_rel.insert(rel, template.to_owned());
@@ -189,26 +170,6 @@ mod tests {
         let p = PatternSet::from_facts([v.fact("Central Park", "inside", "NYC").unwrap()]);
         let s = t.render_concrete(v, &p);
         assert!(s.contains("inside"), "{s}");
-    }
-
-    #[test]
-    fn domain_default_templates() {
-        use ontology::domains::{culinary, self_treatment, DomainScale};
-        let c = culinary(DomainScale::small());
-        let t = QuestionTemplates::culinary_defaults(c.ontology.vocab());
-        let v = c.ontology.vocab();
-        let p = PatternSet::from_facts([v.fact("DishKind2", "servedWith", "DrinkKind3").unwrap()]);
-        // names with digits are kept verbatim by the humanizer
-        assert_eq!(
-            t.render_concrete(v, &p),
-            "How often do you have DishKind2 together with DrinkKind3?"
-        );
-        let st = self_treatment(DomainScale::small());
-        let t = QuestionTemplates::self_treatment_defaults(st.ontology.vocab());
-        let v = st.ontology.vocab();
-        let p =
-            PatternSet::from_facts([v.fact("RemedyKind3", "takenFor", "SymptomKind2").unwrap()]);
-        assert!(t.render_concrete(v, &p).contains("to relieve SymptomKind2"));
     }
 
     #[test]

@@ -23,7 +23,9 @@ pub enum MatchMode {
     #[default]
     Exact,
     /// Definition 2.5: a pattern constant `c` matches a fact component `c'`
-    /// when `c ≤ c'`. Variables still bind to the asserted components.
+    /// when `c ≤ c'`, and a relation matches any relation it generalizes.
+    /// Variables still bind to the asserted components. A `*` path steps
+    /// along the facts a one-step pattern matches.
     Semantic,
 }
 
@@ -145,9 +147,10 @@ struct Evaluator<'a> {
     plan: Vec<&'a WherePattern>,
     /// Per-relation star-path adjacency: `(rel, reversed)` → successors.
     star_cache: HashMap<(RelId, bool), HashMap<ElemId, Vec<ElemId>>>,
-    /// Star-path reach: `(rel, start, reversed)` → every element reachable
-    /// from `start` by 0+ steps.
-    reach: HashMap<(RelId, ElemId, bool), Rc<[ElemId]>>,
+    /// Star-path reach: `(rel, start, reversed, widened)` → every element
+    /// reachable by 0+ steps from `start` (or, widened, from any
+    /// specialization of `start`).
+    reach: HashMap<(RelId, ElemId, bool, bool), Rc<[ElemId]>>,
     /// Every complete assignment found, duplicates included.
     results: Vec<BaseAssignment>,
 }
@@ -322,34 +325,57 @@ impl Evaluator<'_> {
         }
     }
 
-    /// Star-path adjacency for `rel`: forward (`s → o` of asserted facts)
-    /// or reversed.
+    /// Star-path adjacency for `rel`: forward (`s → o`) or reversed, over
+    /// the facts a one-step `s rel o` pattern matches in this mode — those
+    /// asserted with `rel` itself, or in Semantic mode with any relation
+    /// `rel` generalizes.
     fn star_adj(&mut self, rel: RelId, reversed: bool) -> &HashMap<ElemId, Vec<ElemId>> {
+        let (ont, mode) = (self.ont, self.mode);
         self.star_cache.entry((rel, reversed)).or_insert_with(|| {
             let mut adj: HashMap<ElemId, Vec<ElemId>> = HashMap::new();
-            for f in self.ont.facts_with_rel(rel) {
-                let (from, to) = if reversed {
-                    (f.object, f.subject)
-                } else {
-                    (f.subject, f.object)
-                };
-                adj.entry(from).or_default().push(to);
+            let mut add = |r: RelId| {
+                for f in ont.facts_with_rel(r) {
+                    let (from, to) = if reversed {
+                        (f.object, f.subject)
+                    } else {
+                        (f.subject, f.object)
+                    };
+                    adj.entry(from).or_default().push(to);
+                }
+            };
+            match mode {
+                MatchMode::Exact => add(rel),
+                MatchMode::Semantic => ont.vocab().rel_descendants(rel).for_each(add),
             }
             adj
         })
     }
 
-    /// All elements reachable from `start` by 0+ `rel` facts (forward or
-    /// reversed), including `start` itself. Each start is searched once
-    /// per call of [`evaluate_where`].
-    fn star_reach(&mut self, rel: RelId, start: ElemId, reversed: bool) -> Rc<[ElemId]> {
-        if let Some(reach) = self.reach.get(&(rel, start, reversed)) {
+    /// All elements reachable by 0+ star steps (forward or reversed) from
+    /// `start`, or, when `widened`, from any specialization of `start` (a
+    /// Semantic-mode constant sits on each of them, as it matches them in
+    /// a one-step pattern). The seeds are part of the result. Each start
+    /// is searched once per call of [`evaluate_where`].
+    fn star_reach(
+        &mut self,
+        rel: RelId,
+        start: ElemId,
+        reversed: bool,
+        widened: bool,
+    ) -> Rc<[ElemId]> {
+        let key = (rel, start, reversed, widened);
+        if let Some(reach) = self.reach.get(&key) {
             return Rc::clone(reach);
         }
+        let vocab = self.ont.vocab();
+        let mut out: Vec<ElemId> = if widened {
+            vocab.elem_descendants(start).collect()
+        } else {
+            vec![start]
+        };
+        let mut seen: HashSet<ElemId> = out.iter().copied().collect();
+        let mut queue: VecDeque<ElemId> = out.iter().copied().collect();
         let adj = self.star_adj(rel, reversed);
-        let mut seen: HashSet<ElemId> = HashSet::from([start]);
-        let mut queue: VecDeque<ElemId> = VecDeque::from([start]);
-        let mut out = vec![start];
         while let Some(e) = queue.pop_front() {
             if let Some(next) = adj.get(&e) {
                 for &n in next {
@@ -361,10 +387,14 @@ impl Evaluator<'_> {
             }
         }
         let reach: Rc<[ElemId]> = out.into();
-        self.reach.insert((rel, start, reversed), Rc::clone(&reach));
+        self.reach.insert(key, Rc::clone(&reach));
         reach
     }
 
+    /// Matches `s rel* o`: a path of 0+ steps, each one a fact a one-step
+    /// `x rel y` pattern matches in this mode. A variable endpoint binds
+    /// to an element on the path; a constant endpoint must equal it, or in
+    /// Semantic mode generalize it.
     fn match_star(
         &mut self,
         s: FactTerm,
@@ -373,46 +403,53 @@ impl Evaluator<'_> {
         next: usize,
         bindings: &mut Vec<Option<Value>>,
     ) {
-        let elem_of = |t: FactTerm, bindings: &[Option<Value>]| -> Option<Option<ElemId>> {
-            // Some(Some(e)) = bound to e; Some(None) = unbound var or blank
+        let widen = self.mode == MatchMode::Semantic;
+        // Some(Some((e, widened))) = fixed at e (or, widened, at any
+        // specialization of e); Some(None) = an unbound variable or blank
+        let end_of = |t: FactTerm, bindings: &[Option<Value>]| -> Option<Option<(ElemId, bool)>> {
             match t {
-                FactTerm::Const(e) => Some(Some(e)),
+                FactTerm::Const(e) => Some(Some((e, widen))),
                 FactTerm::Blank => Some(None),
                 FactTerm::Var(v) => match bindings[v.index()] {
-                    Some(Value::Elem(e)) => Some(Some(e)),
+                    Some(Value::Elem(e)) => Some(Some((e, false))),
                     Some(Value::Rel(_)) => None,
                     None => Some(None),
                 },
             }
         };
-        let Some(sv) = elem_of(s, bindings) else {
+        let Some(sv) = end_of(s, bindings) else {
             return;
         };
-        let Some(ov) = elem_of(o, bindings) else {
+        let Some(ov) = end_of(o, bindings) else {
             return;
         };
         match (sv, ov) {
-            (Some(se), Some(oe)) => {
-                if self.star_reach(rel, se, false).contains(&oe) {
+            (Some((se, sw)), Some((oe, ow))) => {
+                let reach = self.star_reach(rel, se, false, sw);
+                let vocab = self.ont.vocab();
+                if reach
+                    .iter()
+                    .any(|&y| y == oe || (ow && vocab.elem_leq(oe, y)))
+                {
                     self.solve(next, bindings);
                 }
             }
-            (Some(se), None) => {
+            (Some((se, sw)), None) => {
                 // enumerate objects reachable forward from se
-                for &oe in self.star_reach(rel, se, false).iter() {
+                for &oe in self.star_reach(rel, se, false, sw).iter() {
                     self.bind_star_end(o, oe, next, bindings);
                 }
             }
-            (None, Some(oe)) => {
+            (None, Some((oe, ow))) => {
                 // enumerate subjects that reach oe (reverse reachability)
-                for &se in self.star_reach(rel, oe, true).iter() {
+                for &se in self.star_reach(rel, oe, true, ow).iter() {
                     self.bind_star_end(s, se, next, bindings);
                 }
             }
             (None, None) => {
                 // both open: every element paired with everything it reaches
                 for se in self.ont.vocab().elems() {
-                    for &oe in self.star_reach(rel, se, false).iter() {
+                    for &oe in self.star_reach(rel, se, false, false).iter() {
                         // bind s then o (they may be the same variable)
                         match s {
                             FactTerm::Var(v) => {

@@ -32,11 +32,6 @@ impl PatternFact {
         }
     }
 
-    /// The concrete fact, if no component is a wildcard.
-    pub fn to_fact(self) -> Option<Fact> {
-        Some(Fact::new(self.subject?, self.rel?, self.object?))
-    }
-
     /// Whether this pattern is ≤ the concrete fact `g` (wildcards accept
     /// anything; concrete components use the orders of Definition 2.5).
     pub fn leq_fact(&self, vocab: &Vocabulary, g: Fact) -> bool {
@@ -229,20 +224,6 @@ mod tests {
         let some = PatternSet::from_facts([v.fact("Biking", "doAt", "Central Park").unwrap()]);
         assert!(empty.leq(v, &some));
         assert!(!some.leq(v, &empty));
-    }
-
-    #[test]
-    fn roundtrip_to_fact() {
-        let ont = figure1::ontology();
-        let v = ont.vocab();
-        let f = v.fact("Biking", "doAt", "Central Park").unwrap();
-        assert_eq!(PatternFact::from_fact(f).to_fact(), Some(f));
-        let wild = PatternFact {
-            subject: None,
-            rel: v.rel_id("doAt"),
-            object: None,
-        };
-        assert_eq!(wild.to_fact(), None);
     }
 
     #[test]

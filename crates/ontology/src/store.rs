@@ -218,11 +218,6 @@ impl Ontology {
             .any(|&g| self.vocab.fact_leq(f, g))
     }
 
-    /// Whether the whole fact-set is implied by the ontology (`A ≤ O`).
-    pub fn implies_set(&self, a: &FactSet) -> bool {
-        a.iter().all(|f| self.implies(f))
-    }
-
     /// All asserted facts with the given relation (exact match).
     pub fn facts_with_rel(&self, r: RelId) -> &[Fact] {
         &self.by_rel[r.index()]
@@ -306,19 +301,6 @@ mod tests {
         assert!(o.implies(f));
         let not = v.fact("Maoz Veg", "inside", "Central Park").unwrap();
         assert!(!o.implies(not));
-    }
-
-    #[test]
-    fn implies_set_follows_members() {
-        let o = sample();
-        let v = o.vocab();
-        let ok = FactSet::from_iter([
-            v.fact("Central Park", "inside", "NYC").unwrap(),
-            v.fact("Central Park", "nearBy", "NYC").unwrap(),
-        ]);
-        assert!(o.implies_set(&ok));
-        let bad = FactSet::from_iter([v.fact("Maoz Veg", "inside", "NYC").unwrap()]);
-        assert!(!o.implies_set(&bad));
     }
 
     #[test]

@@ -337,11 +337,6 @@ impl SessionManager {
         &self.ont
     }
 
-    /// Names of the currently resident sessions (paging diagnostics).
-    pub fn resident(&self) -> Vec<String> {
-        self.sessions.keys().cloned().collect()
-    }
-
     fn check_name(name: &str) -> Result<(), ServerError> {
         let ok = !name.is_empty()
             && name.len() <= 64
@@ -1140,13 +1135,14 @@ mod tests {
         open(&mut mgr, &names[RESIDENT_LIMIT]);
         let mut want: Vec<String> = names.clone();
         want.remove(1);
-        assert_eq!(mgr.resident(), want);
+        let resident = |mgr: &SessionManager| mgr.sessions.keys().cloned().collect::<Vec<_>>();
+        assert_eq!(resident(&mgr), want);
         // recover pages s1 back in, paging out s2, and verifies
         let recovered = mgr.recover("s1").unwrap();
         assert_eq!(recovered.len(), 1);
         assert_eq!(recovered[0].verified, Some(true));
         assert_eq!(recovered[0].digest, digests[1]);
-        assert!(!mgr.resident().contains(&"s2".to_string()));
+        assert!(!resident(&mgr).contains(&"s2".to_string()));
         // and a query pages s2 back in over its durable answers
         let again = mgr.query("s2", &a_query(None)).unwrap();
         assert_eq!((again.qid, again.fresh), (2, 0));

@@ -28,11 +28,11 @@
 //! # Zero-cost off switch
 //!
 //! The handle the engines carry is [`Telemetry`], which is either *off*
-//! (the [`NoopSink`] default — a `None` sink, every call an immediate
-//! early return with no locking and no allocation) or *recording* into
-//! an [`Arc<TelemetrySink>`]. `Telemetry::default()` is off, so adding
-//! the handle to a config struct changes no existing behavior and no
-//! golden digest.
+//! ([`Telemetry::off`] — a `None` sink, every call an immediate early
+//! return with no locking and no allocation) or *recording* into an
+//! [`Arc<TelemetrySink>`]. `Telemetry::default()` is off, so adding the
+//! handle to a config struct changes no existing behavior and no golden
+//! digest.
 //!
 //! ```
 //! use telemetry::{Telemetry, TelemetrySink};
@@ -369,72 +369,6 @@ impl TelemetrySink {
         f.write_all(self.to_jsonl().as_bytes())?;
         f.flush()
     }
-
-    /// The metrics snapshot as one JSON object: `counters`,
-    /// `histograms` (each `{count, sum, min, max, buckets}`) and
-    /// `spans` (each `{count, ticks}`), all name-sorted so output is
-    /// deterministic.
-    pub fn snapshot_json(&self) -> String {
-        let snap = self.snapshot();
-        let mut out = String::from("{\"counters\":{");
-        for (i, (k, v)) in snap.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{}:{}", escape_json(k), v));
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (k, h)) in snap.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let min = if h.count == 0 { 0 } else { h.min };
-            out.push_str(&format!(
-                "{}:{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[",
-                escape_json(k),
-                h.count,
-                h.sum,
-                min,
-                h.max,
-            ));
-            for (j, b) in h.buckets.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&b.to_string());
-            }
-            out.push_str("]}");
-        }
-        out.push_str("},\"spans\":{");
-        for (i, (k, t)) in snap.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{}:{{\"count\":{},\"ticks\":{}}}",
-                escape_json(k),
-                t.count,
-                t.ticks,
-            ));
-        }
-        out.push_str("}}");
-        out
-    }
-}
-
-/// The documented "telemetry off" sink: it stores nothing and costs
-/// nothing. [`Telemetry::default`] is equivalent to routing into a
-/// `NoopSink` — calls early-return before any lock or allocation —
-/// which is what keeps golden digests and `BENCH_speed.json` baselines
-/// bit-identical when observability is not requested.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoopSink;
-
-impl NoopSink {
-    /// The disabled handle this sink stands for.
-    pub fn handle(&self) -> Telemetry {
-        Telemetry::default()
-    }
 }
 
 /// The handle instrumented code carries: either off (default) or
@@ -586,17 +520,6 @@ pub struct Labeled {
 }
 
 impl Labeled {
-    /// The prefix applied to every name.
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
-    /// The unprefixed handle underneath (for records that are global,
-    /// not per-label).
-    pub fn tele(&self) -> &Telemetry {
-        &self.inner
-    }
-
     fn prefixed(&self, name: &str) -> String {
         format!("{}.{}", self.label, name)
     }
@@ -631,19 +554,6 @@ impl Labeled {
             return;
         }
         self.inner.count(&self.prefixed(name), delta);
-    }
-
-    /// [`Telemetry::observe`] under the prefixed name.
-    pub fn observe(&self, name: &str, value: u64) {
-        if !self.inner.is_enabled() {
-            return;
-        }
-        self.inner.observe(&self.prefixed(name), value);
-    }
-
-    /// [`Telemetry::sync_tick`] (labels never apply to the clock).
-    pub fn sync_tick(&self, t: u64) {
-        self.inner.sync_tick(t);
     }
 }
 
@@ -683,9 +593,8 @@ mod tests {
         span.tele().observe("h", 1);
         span.tele().mark("m", "");
         drop(span);
-        // nothing to assert against — the absence of a sink IS the test;
-        // NoopSink::handle is the same disabled handle
-        assert!(!NoopSink.handle().is_enabled());
+        // nothing to assert against — the absence of a sink IS the test
+        assert!(!Telemetry::default().is_enabled());
     }
 
     #[test]
@@ -730,20 +639,15 @@ mod tests {
             span.tele().count("plain", 1); // nested handle is unprefixed
         }
         node.count("ops_sent", 4);
-        node.observe("batch_len", 2);
         node.mark("restart", "");
         let snap = sink.snapshot();
         assert_eq!(snap.spans["node3.merge"].count, 1);
         assert_eq!(snap.counters["plain"], 1);
         assert_eq!(snap.counters["node3.ops_sent"], 4);
-        assert_eq!(snap.histograms["node3.batch_len"].count, 1);
-        assert_eq!(node.label(), "node3");
         // an off handle stays off through the view
         let off = Telemetry::off().labeled("x");
         off.count("c", 1);
-        off.observe("h", 1);
         off.mark("m", "");
-        assert!(!off.tele().is_enabled());
         drop(off.span("s"));
     }
 
@@ -792,9 +696,5 @@ mod tests {
         assert_eq!(text.lines().count(), 2);
         assert!(text.contains("\\\"hi\\\""));
         assert!(text.contains("\\n"));
-        // snapshot JSON is well-formed too (spot-check shape)
-        let snap = sink.snapshot_json();
-        assert!(snap.starts_with("{\"counters\":{"));
-        assert!(snap.contains("\"spans\":{"));
     }
 }

@@ -87,5 +87,5 @@ pub mod prelude {
         Fact, FactSet, Ontology, OntologyBuilder, PatternFact, PatternSet, Vocabulary,
         VocabularyBuilder,
     };
-    pub use telemetry::{NoopSink, Telemetry, TelemetrySink};
+    pub use telemetry::{Telemetry, TelemetrySink};
 }

@@ -282,3 +282,47 @@ WITH SUPPORT = 0.2
     assert!(exact.is_empty());
     assert_eq!(semantic.len(), 3); // the three inside-NYC attractions
 }
+
+#[test]
+fn semantic_match_mode_widens_star_paths_too() {
+    // A `nearBy*` step follows the facts a one-step `nearBy` pattern
+    // matches: in Semantic mode that includes the `inside` facts.
+    let ont = oassis::ontology::domains::figure1::ontology();
+    let src = r#"
+SELECT FACT-SETS
+WHERE
+  $p nearBy* NYC
+SATISFYING
+  Biking doAt $p
+WITH SUPPORT = 0.2
+"#;
+    let q = parse(src).unwrap();
+    let b = bind(&q, &ont).unwrap();
+    let names = |mode| -> Vec<String> {
+        let mut names: Vec<String> = evaluate_where(&b, &ont, mode)
+            .iter()
+            .map(|a| {
+                ont.vocab()
+                    .elem_name(a.0[0].and_then(Value::as_elem).unwrap())
+                    .to_owned()
+            })
+            .collect();
+        names.sort();
+        names
+    };
+    // exactly: only the 0-length path, as no `nearBy` fact reaches NYC
+    assert_eq!(names(MatchMode::Exact), ["NYC"]);
+    // semantically: the three inside-NYC attractions, what is nearBy them,
+    // and NYC itself
+    assert_eq!(
+        names(MatchMode::Semantic),
+        [
+            "Bronx Zoo",
+            "Central Park",
+            "Madison Square",
+            "Maoz Veg",
+            "NYC",
+            "Pine"
+        ]
+    );
+}

@@ -2,10 +2,10 @@
 //!
 //! Two halves:
 //!
-//! 1. **NoopSink bit-identity** — the golden workloads of
-//!    `tests/golden_outcomes.rs` re-run with an explicit [`NoopSink`]
-//!    handle must reproduce the PR-1 golden digests exactly: disabled
-//!    telemetry is observationally free. A recording sink must be
+//! 1. **Telemetry-off bit-identity** — the golden workloads of
+//!    `tests/golden_outcomes.rs` re-run with an explicit
+//!    [`Telemetry::off`] handle must reproduce their golden digests
+//!    exactly: disabled telemetry is observationally free. A recording sink must be
 //!    outcome-neutral too — same digest, with a non-empty trace on the
 //!    side.
 //!
@@ -30,9 +30,9 @@ use oassis_ql::{bind, evaluate_where, parse, MatchMode};
 use ontology::domains::figure1;
 use ontology::json::{self, Json};
 use simtest::{FaultyCrowd, Schedule};
-use telemetry::{NoopSink, Telemetry, TelemetrySink, TraceEvent};
+use telemetry::{Telemetry, TelemetrySink, TraceEvent};
 
-// The PR-1 golden constants (see tests/golden_outcomes.rs).
+// The golden constants of tests/golden_outcomes.rs.
 const GOLDEN_VERTICAL_SYNTHETIC: u64 = 0xdeab91c0df65d2d8;
 const GOLDEN_MULTI_FIGURE1: u64 = 0x91d1bfe9c869b6ad;
 const GOLDEN_MULTI_SYNTHETIC: u64 = 0x4b3695f5ead79508;
@@ -129,21 +129,21 @@ fn multi_figure1_digest(tele: Telemetry) -> u64 {
 }
 
 #[test]
-fn noop_sink_reproduces_golden_digests() {
+fn telemetry_off_reproduces_golden_digests() {
     assert_eq!(
-        multi_figure1_digest(NoopSink.handle()),
+        multi_figure1_digest(Telemetry::off()),
         GOLDEN_MULTI_FIGURE1,
-        "multi_figure1 digest drifted under NoopSink"
+        "multi_figure1 digest drifted with telemetry off"
     );
     assert_eq!(
-        multi_synthetic_digest(NoopSink.handle()),
+        multi_synthetic_digest(Telemetry::off()),
         GOLDEN_MULTI_SYNTHETIC,
-        "multi_synthetic digest drifted under NoopSink"
+        "multi_synthetic digest drifted with telemetry off"
     );
     assert_eq!(
-        vertical_synthetic_digest(NoopSink.handle()),
+        vertical_synthetic_digest(Telemetry::off()),
         GOLDEN_VERTICAL_SYNTHETIC,
-        "vertical_synthetic digest drifted under NoopSink"
+        "vertical_synthetic digest drifted with telemetry off"
     );
 }
 

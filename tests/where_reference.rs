@@ -8,7 +8,11 @@
 //!   constant `c` matches a component `c'` when `c ≤E c'`, and a constant
 //!   relation matches any of its `rel_descendants`);
 //! - a blank is existential;
-//! - `s r* o` holds when `o` is reached from `s` by 0+ asserted `r` facts;
+//! - `s r* o` holds when some element `x` that `s` matches reaches some
+//!   element `y` that `o` matches by 0+ steps, each step an asserted fact
+//!   that a one-step `x r y` pattern matches in that mode (so in Semantic
+//!   mode a step may follow any `rel_descendants` relation, and a constant
+//!   endpoint `c` sits on any `x` with `c ≤E x`);
 //! - `s hasLabel "l"` holds by `has_label`.
 //!
 //! The reference shares no code with the solver: it reads the fact-set
@@ -43,11 +47,12 @@ const RELS: [&str; 5] = ["subClassOf", "instanceOf", "inside", "nearBy", "doAt"]
 
 const LABELS: [&str; 2] = ["child-friendly", "unused-label"];
 
-/// The Figure-1 ontology and, per relation, its reflexive-transitive
-/// closure over elements.
+/// The Figure-1 ontology and, per match mode and relation `r`, the
+/// reflexive-transitive closure over elements of the facts a one-step
+/// `x r y` pattern matches in that mode.
 struct Fixture {
     ont: Ontology,
-    reach: Vec<Vec<Vec<bool>>>,
+    reach: [Vec<Vec<Vec<bool>>>; 2],
 }
 
 fn fixture() -> &'static Fixture {
@@ -55,29 +60,35 @@ fn fixture() -> &'static Fixture {
     FIXTURE.get_or_init(|| {
         let ont = figure1::ontology();
         let n = ont.vocab().num_elems();
-        let reach = ont
-            .vocab()
-            .rels()
-            .map(|r| {
-                let mut m = vec![vec![false; n]; n];
-                for (i, row) in m.iter_mut().enumerate() {
-                    row[i] = true;
-                }
-                for f in ont.facts().iter().filter(|f| f.rel == r) {
-                    m[f.subject.index()][f.object.index()] = true;
-                }
-                // Warshall: row k does not change while k is the pivot.
-                for k in 0..n {
-                    let via = m[k].clone();
-                    for row in m.iter_mut().filter(|row| row[k]) {
-                        for (cell, &step) in row.iter_mut().zip(&via) {
-                            *cell |= step;
+        let closure = |mode: MatchMode| -> Vec<Vec<Vec<bool>>> {
+            ont.vocab()
+                .rels()
+                .map(|r| {
+                    let mut m = vec![vec![false; n]; n];
+                    for (i, row) in m.iter_mut().enumerate() {
+                        row[i] = true;
+                    }
+                    let steps = ont.facts().iter().filter(|f| match mode {
+                        MatchMode::Exact => f.rel == r,
+                        MatchMode::Semantic => ont.vocab().rel_leq(r, f.rel),
+                    });
+                    for f in steps {
+                        m[f.subject.index()][f.object.index()] = true;
+                    }
+                    // Warshall: row k does not change while k is the pivot.
+                    for k in 0..n {
+                        let via = m[k].clone();
+                        for row in m.iter_mut().filter(|row| row[k]) {
+                            for (cell, &step) in row.iter_mut().zip(&via) {
+                                *cell |= step;
+                            }
                         }
                     }
-                }
-                m
-            })
-            .collect();
+                    m
+                })
+                .collect()
+        };
+        let reach = [closure(MatchMode::Exact), closure(MatchMode::Semantic)];
         Fixture { ont, reach }
     })
 }
@@ -148,11 +159,15 @@ fn holds(p: &WherePattern, phi: &[Option<Value>], mode: MatchMode, fx: &Fixture)
             o,
             star: true,
         } => {
-            let reach = &fx.reach[rel.index()];
+            let reach = &fx.reach[mode as usize][rel.index()];
             let ends = |t: FactTerm| -> Vec<ElemId> {
-                match elem_of(t, phi) {
-                    Some(e) => vec![e],
-                    None => ont.vocab().elems().collect(),
+                match t {
+                    FactTerm::Blank => ont.vocab().elems().collect(),
+                    _ => ont
+                        .vocab()
+                        .elems()
+                        .filter(|&e| term_matches(t, e, phi, mode, fx))
+                        .collect(),
                 }
             };
             let objects = ends(*o);
@@ -312,6 +327,9 @@ fn where_evaluation_matches_the_reference_on_edge_shapes() {
         &["$a $p $b", "$b $p $c"],
         &["$a nearBy $a"],
         &["Restaurant nearBy $a", "$a inside NYC"],
+        &["$a nearBy* NYC"],
+        &["Attraction nearBy* $a"],
+        &["Sport subClassOf* $a", "$a nearBy* $b"],
         &[
             "$a instanceOf $b",
             "$b subClassOf* Attraction",
