@@ -241,6 +241,7 @@ pub fn audit_files(sources: &[(String, String)]) -> Report {
         report.add_file(&f.scope.crate_name, &audit_prepared(f, has, extra));
     }
     report.files_scanned = prepared.len();
+    report.d9_unresolved = rules::d9_unresolved(&table);
     report
 }
 

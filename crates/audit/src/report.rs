@@ -50,6 +50,10 @@ pub struct Report {
     pub suppressions: Vec<SuppressionRecord>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
+    /// D9 target enums with no single declaration in the scanned files
+    /// (stale names — visible here, not fatal, like unused
+    /// suppressions).
+    pub d9_unresolved: Vec<String>,
 }
 
 impl Report {

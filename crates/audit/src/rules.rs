@@ -803,7 +803,18 @@ fn header_params(header: &str) -> Vec<String> {
 /// The wire/fault enums whose `match`es must be exhaustive by name: a
 /// new protocol op or fault kind must *fail to compile* at every
 /// dispatch site, never fall into a `_` arm that silently drops it.
-const D9_ENUMS: [&str; 4] = ["WireVerdict", "OpVerdict", "Payload", "FaultKind"];
+const D9_ENUMS: [&str; 3] = ["WireVerdict", "OpVerdict", "FaultKind"];
+
+/// The `D9_ENUMS` names that no single enum declaration in the scanned
+/// files resolves: D9 cannot check a `match` over them for missing
+/// variants, so such a name is stale.
+pub fn d9_unresolved(table: &SymbolTable) -> Vec<String> {
+    D9_ENUMS
+        .iter()
+        .filter(|e| table.enum_named(e).is_none())
+        .map(|e| e.to_string())
+        .collect()
+}
 
 /// D9 — wire-op exhaustiveness: every non-test `match` whose arms name
 /// a `D9_ENUMS` variant must (a) have no catch-all arm (`_`, a bare

@@ -109,6 +109,16 @@ fn d9_catches_catch_all_and_missing_variant() {
 }
 
 #[test]
+fn d9_reports_target_enums_no_file_declares() {
+    let report = audit_files(&[(
+        "crates/planted/src/dispatch.rs".to_owned(),
+        include_str!("fixtures/d9_match.rs").to_owned(),
+    )]);
+    // the fixture declares `FaultKind` only
+    assert_eq!(report.d9_unresolved, ["WireVerdict", "OpVerdict"]);
+}
+
+#[test]
 fn cross_file_findings_are_suppressible_with_reasons() {
     let src = include_str!("fixtures/d9_match.rs").replace(
         "        _ => 0,",

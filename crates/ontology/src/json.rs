@@ -47,13 +47,23 @@ pub enum Json {
 ///
 /// A *syntax* error (the text is not JSON) carries the byte offset where
 /// reading stopped; a *shape* error (well-formed JSON of the wrong type,
-/// or a missing field) carries none. [`Self::is_syntax`] tells them apart.
+/// or a missing field) carries none. [`Self::is_syntax`] tells them apart,
+/// and [`Self::is_too_deep`] picks out the shape error of nesting past
+/// [`MAX_DEPTH`].
 #[derive(Debug, Clone)]
 pub struct JsonError {
     /// What went wrong.
     pub msg: String,
-    /// Byte offset of a syntax error; `None` for a shape error.
-    pub offset: Option<usize>,
+    kind: ErrorKind,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum ErrorKind {
+    /// Not JSON; reading stopped at this byte offset.
+    Syntax(usize),
+    Shape,
+    /// A shape error: nested past [`MAX_DEPTH`].
+    TooDeep,
 }
 
 impl JsonError {
@@ -61,7 +71,15 @@ impl JsonError {
     pub fn shape(msg: impl Into<String>) -> Self {
         JsonError {
             msg: msg.into(),
-            offset: None,
+            kind: ErrorKind::Shape,
+        }
+    }
+
+    /// The shape error of an array or object nested past [`MAX_DEPTH`].
+    pub fn too_deep() -> Self {
+        JsonError {
+            msg: format!("nested deeper than {MAX_DEPTH} levels"),
+            kind: ErrorKind::TooDeep,
         }
     }
 
@@ -73,15 +91,20 @@ impl JsonError {
     /// Whether the text was not JSON at all, as opposed to JSON of the
     /// wrong shape.
     pub fn is_syntax(&self) -> bool {
-        self.offset.is_some()
+        matches!(self.kind, ErrorKind::Syntax(_))
+    }
+
+    /// Whether reading stopped at the [`MAX_DEPTH`] nesting bound.
+    pub fn is_too_deep(&self) -> bool {
+        matches!(self.kind, ErrorKind::TooDeep)
     }
 }
 
 impl fmt::Display for JsonError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.offset {
-            Some(at) => write!(f, "{} at byte {at}", self.msg),
-            None => write!(f, "{}", self.msg),
+        match self.kind {
+            ErrorKind::Syntax(at) => write!(f, "{} at byte {at}", self.msg),
+            ErrorKind::Shape | ErrorKind::TooDeep => write!(f, "{}", self.msg),
         }
     }
 }
@@ -509,9 +532,7 @@ impl<'a> Reader<'a> {
         body: impl FnOnce(&mut Self) -> Result<T, JsonError>,
     ) -> Result<T, JsonError> {
         if self.depth == MAX_DEPTH {
-            return Err(JsonError::shape(format!(
-                "nested deeper than {MAX_DEPTH} levels"
-            )));
+            return Err(JsonError::too_deep());
         }
         self.depth += 1;
         let out = body(self);
@@ -522,7 +543,7 @@ impl<'a> Reader<'a> {
     fn err(&self, msg: &str) -> JsonError {
         JsonError {
             msg: msg.to_owned(),
-            offset: Some(self.pos),
+            kind: ErrorKind::Syntax(self.pos),
         }
     }
 
@@ -1026,7 +1047,8 @@ mod tests {
             "[".repeat(200_000),
         ] {
             let err = parse(&text).unwrap_err();
-            assert!(!err.is_syntax() && err.msg.contains("nested"), "{err}");
+            assert!(err.is_too_deep() && !err.is_syntax(), "{err}");
+            assert!(err.msg.contains("nested"), "{err}");
             assert!(Reader::new(&text).skip().is_err());
         }
         // the bound counts open values, not values read: siblings at

@@ -101,11 +101,12 @@ pub enum Response {
         /// The session name.
         session: String,
     },
-    /// Any failure. The connection survives errors (except a failed
-    /// hello, after which the server hangs up).
+    /// Any failure. The connection survives errors (except any before
+    /// a successful hello, after which the server hangs up).
     Error {
         /// Stable machine-readable code (`unsupported_proto`,
-        /// `bad_frame`, `engine`, `wal`, `protocol`, `unknown_session`).
+        /// `bad_frame`, `too_deep`, `engine`, `wal`, `protocol`,
+        /// `unknown_session`).
         code: String,
         /// Human-readable detail.
         msg: String,

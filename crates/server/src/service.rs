@@ -8,11 +8,13 @@
 //! `server.sessions → core.cache.inner / server.wal`; the lock-order
 //! sanitizer (feature `lockorder`) watches exactly this.
 //!
-//! Each connection starts with a hello negotiation (see
-//! [`crate::proto`]); after that, frames are dispatched one at a time
-//! and every frame gets exactly one reply. Errors answer with an
-//! `error` frame and keep the connection alive — only a failed hello,
-//! a frame longer than [`MAX_FRAME_BYTES`] (or `bye`/EOF) ends it.
+//! Each connection is one frame loop: frames are dispatched one at a
+//! time and every frame gets exactly one reply. The first frame must be
+//! a hello the server accepts (see [`crate::proto`]); anything else
+//! first is refused and ends the connection. After the hello, errors
+//! answer with an `error` frame and keep the connection alive — only a
+//! frame longer than [`MAX_FRAME_BYTES`] or not UTF-8 (or `bye`/EOF)
+//! ends it. A frame nested past [`json::MAX_DEPTH`] gets `too_deep`.
 
 use crate::proto::{negotiate, Request, Response, PROTO_VERSION};
 use crate::session::{ServerError, SessionManager};
@@ -174,22 +176,24 @@ fn read_frame(reader: &mut BufReader<TcpStream>, buf: &mut Vec<u8>) -> io::Resul
     })
 }
 
-/// Answers an unreadable frame with `bad_frame` and ends the connection:
-/// the reply is followed by a FIN, and input already in flight is
-/// drained (bounded by one more frame's worth and a short timeout) so
-/// closing does not reset the connection before the client reads it.
-fn reject_frame(
+/// A `bad_frame` error reply.
+fn bad_frame(msg: impl Into<String>) -> Response {
+    Response::Error {
+        code: "bad_frame".into(),
+        msg: msg.into(),
+    }
+}
+
+/// Answers with `resp` and ends the connection: the reply is followed by
+/// a FIN, and input already in flight is drained (bounded by one more
+/// frame's worth and a short timeout) so closing does not reset the
+/// connection before the client reads it.
+fn refuse(
     reader: &mut BufReader<TcpStream>,
     stream: &mut TcpStream,
-    msg: &str,
+    resp: &Response,
 ) -> io::Result<()> {
-    write_frame(
-        stream,
-        &Response::Error {
-            code: "bad_frame".into(),
-            msg: msg.into(),
-        },
-    )?;
+    write_frame(stream, resp)?;
     stream.shutdown(Shutdown::Write)?;
     stream.set_read_timeout(Some(std::time::Duration::from_millis(200)))?;
     let _ = io::copy(
@@ -199,7 +203,9 @@ fn reject_frame(
     Ok(())
 }
 
-/// One connection: hello handshake, then a frame-reply loop.
+/// One connection: a frame-reply loop whose first frame must be a
+/// `hello` the server accepts. Until then every refusal ends the
+/// connection; after it, only an unreadable frame or `bye` does.
 fn handle_connection(
     stream: TcpStream,
     manager: &Arc<TrackedMutex<SessionManager>>,
@@ -208,106 +214,63 @@ fn handle_connection(
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut stream = stream;
     let mut buf = Vec::new();
-
-    // --- hello
-    let line = match read_frame(&mut reader, &mut buf)? {
-        Frame::Line(line) => line,
-        Frame::Eof => return Ok(()),
-        Frame::Bad(msg) => return reject_frame(&mut reader, &mut stream, msg),
-    };
-    let hello = json::parse(line.trim_end())
-        .map_err(json_io)
-        .and_then(|j| Request::from_json(&j).map_err(json_io));
-    let client_proto = match hello {
-        Ok(Request::Hello { proto, .. }) => proto,
-        Ok(_) => {
-            write_frame(
-                &mut stream,
-                &Response::Error {
-                    code: "bad_frame".into(),
-                    msg: "first frame must be hello".into(),
-                },
-            )?;
-            return Ok(());
-        }
-        Err(_) => {
-            write_frame(
-                &mut stream,
-                &Response::Error {
-                    code: "bad_frame".into(),
-                    msg: "unparseable hello frame".into(),
-                },
-            )?;
-            return Ok(());
-        }
-    };
-    match negotiate(client_proto) {
-        Ok(agreed) => write_frame(
-            &mut stream,
-            &Response::HelloAck {
-                proto: agreed,
-                server: server_name.to_string(),
-            },
-        )?,
-        Err(err) => {
-            write_frame(&mut stream, &err)?;
-            return Ok(());
-        }
-    }
-
-    // --- frame loop
+    let mut greeted = false;
     loop {
         let line = match read_frame(&mut reader, &mut buf)? {
             Frame::Line(line) => line,
             Frame::Eof => return Ok(()),
-            Frame::Bad(msg) => return reject_frame(&mut reader, &mut stream, msg),
+            Frame::Bad(msg) => return refuse(&mut reader, &mut stream, &bad_frame(msg)),
         };
-        let req = match json::parse(line.trim_end()).and_then(|j| Request::from_json(&j)) {
-            Ok(r) => r,
-            Err(e) => {
-                write_frame(
-                    &mut stream,
-                    &Response::Error {
-                        code: "bad_frame".into(),
-                        msg: e.to_string(),
-                    },
-                )?;
-                continue;
+        let resp = match json::parse(line.trim_end()).and_then(|j| Request::from_json(&j)) {
+            Err(_) if !greeted => {
+                let resp = bad_frame("unparseable hello frame");
+                return refuse(&mut reader, &mut stream, &resp);
             }
-        };
-        let resp = match req {
-            Request::Bye => return Ok(()),
-            Request::Hello { proto, .. } => match negotiate(proto) {
-                // a re-hello renegotiates (idempotent for well-behaved
-                // clients, harmless otherwise)
-                Ok(agreed) => Response::HelloAck {
-                    proto: agreed,
-                    server: server_name.to_string(),
-                },
+            Err(e) if e.is_too_deep() => Response::Error {
+                code: "too_deep".into(),
+                msg: e.to_string(),
+            },
+            Err(e) => bad_frame(e.to_string()),
+            // the first accepted hello greets; a re-hello renegotiates
+            // (idempotent for well-behaved clients, harmless otherwise)
+            Ok(Request::Hello { proto, .. }) => match negotiate(proto) {
+                Ok(agreed) => {
+                    greeted = true;
+                    Response::HelloAck {
+                        proto: agreed,
+                        server: server_name.to_string(),
+                    }
+                }
+                Err(err) if !greeted => return refuse(&mut reader, &mut stream, &err),
                 Err(err) => err,
             },
-            Request::Open(spec) => {
+            Ok(_) if !greeted => {
+                let resp = bad_frame("first frame must be hello");
+                return refuse(&mut reader, &mut stream, &resp);
+            }
+            Ok(Request::Bye) => return Ok(()),
+            Ok(Request::Open(spec)) => {
                 let mut mgr = manager.lock().expect("sessions mutex poisoned"); // PANIC-OK: poisoning means a handler already panicked; propagate it
                 match mgr.open(&spec) {
                     Ok(reply) => Response::opened(&spec.name, &reply),
                     Err(e) => error_frame(&e),
                 }
             }
-            Request::Query { session, spec } => {
+            Ok(Request::Query { session, spec }) => {
                 let mut mgr = manager.lock().expect("sessions mutex poisoned"); // PANIC-OK: poisoning means a handler already panicked; propagate it
                 match mgr.query(&session, &spec) {
                     Ok(reply) => Response::Result { session, reply },
                     Err(e) => error_frame(&e),
                 }
             }
-            Request::Recover { session } => {
+            Ok(Request::Recover { session }) => {
                 let mut mgr = manager.lock().expect("sessions mutex poisoned"); // PANIC-OK: poisoning means a handler already panicked; propagate it
                 match mgr.recover(&session) {
                     Ok(queries) => Response::Recovered { session, queries },
                     Err(e) => error_frame(&e),
                 }
             }
-            Request::Close { session } => {
+            Ok(Request::Close { session }) => {
                 let mut mgr = manager.lock().expect("sessions mutex poisoned"); // PANIC-OK: poisoning means a handler already panicked; propagate it
                 match mgr.close(&session) {
                     Ok(()) => Response::Closed { session },

@@ -239,75 +239,124 @@ fn oversized_frame_is_rejected_and_closed() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// Hostile frames, each sent alone, with the `error` code each gets
-/// after a hello: truncated JSON, a frame past [`MAX_FRAME_BYTES`] with
-/// no newline, 200 000 `[` (a reader that recursed once per level would
-/// overflow the connection thread's stack and abort the whole process),
-/// invalid UTF-8, an unknown `type`, a `query` before any `open`, and a
-/// bad session name.
-fn hostile_frames() -> Vec<(&'static str, Vec<u8>, &'static str)> {
+/// A hostile frame, sent alone after a hello and as a connection's
+/// first frame.
+struct Hostile {
+    name: &'static str,
+    frame: Vec<u8>,
+    /// The `error` code it gets after a hello, and whether the
+    /// connection then closes (it serves on otherwise).
+    after_hello: (&'static str, bool),
+    /// The `error` code it gets as the first frame; the connection then
+    /// closes.
+    first: &'static str,
+}
+
+/// Truncated JSON, a frame past [`MAX_FRAME_BYTES`] with no newline,
+/// 200 000 `[` (a reader that recursed once per level would overflow
+/// the connection thread's stack and abort the whole process), invalid
+/// UTF-8, an unknown `type`, a `query` before any `open`, a bad session
+/// name, and a hello below the oldest protocol the server speaks.
+fn hostile_frames() -> Vec<Hostile> {
     let line = |text: String| (text + "\n").into_bytes();
     let query = Request::Query {
         session: "never-opened".into(),
         spec: qspec(1),
     };
     let bad_name = r#"{"type":"open","session":"../escape","seed":1,"members":1}"#;
+    let hello0 = Request::Hello {
+        proto: 0,
+        client: "ancient".into(),
+    };
+    let hostile = |name, frame, after_hello, first| Hostile {
+        name,
+        frame,
+        after_hello,
+        first,
+    };
     vec![
-        (
+        hostile(
             "truncated",
             line(r#"{"type":"open","session":"x","#.into()),
+            ("bad_frame", false),
             "bad_frame",
         ),
-        ("oversized", vec![b'x'; MAX_FRAME_BYTES + 1], "bad_frame"),
-        ("deep", line("[".repeat(200_000)), "bad_frame"),
-        (
+        hostile(
+            "oversized",
+            vec![b'x'; MAX_FRAME_BYTES + 1],
+            ("bad_frame", true),
+            "bad_frame",
+        ),
+        hostile(
+            "deep",
+            line("[".repeat(200_000)),
+            ("too_deep", false),
+            "bad_frame",
+        ),
+        hostile(
             "not utf-8",
             b"{\"type\":\"open\",\"session\":\"\xff\xfe\"}\n".to_vec(),
+            ("bad_frame", true),
             "bad_frame",
         ),
-        (
+        hostile(
             "unknown type",
             line(r#"{"type":"teleport"}"#.into()),
+            ("bad_frame", false),
             "bad_frame",
         ),
-        (
+        hostile(
             "query before open",
             line(query.to_json().to_string()),
-            "unknown_session",
+            ("unknown_session", false),
+            "bad_frame",
         ),
-        ("bad session name", line(bad_name.into()), "protocol"),
+        hostile(
+            "bad session name",
+            line(bad_name.into()),
+            ("protocol", false),
+            "bad_frame",
+        ),
+        hostile(
+            "hello proto 0",
+            line(hello0.to_json().to_string()),
+            ("unsupported_proto", false),
+            "unsupported_proto",
+        ),
     ]
 }
 
-/// Each hostile frame gets its `error` reply after a hello, and
-/// `bad_frame` as a connection's first frame, and the next connection in
+/// Each hostile frame gets its `error` reply after a hello, and its
+/// first-frame code as a connection's first frame; the connection
+/// closes or serves on as the table says, and the next connection in
 /// the same process completes hello, open, query and close.
 #[test]
 fn malformed_frames_are_refused_and_others_are_served() {
     let ont = Arc::new(figure1::ontology());
     let root = temp_root("malformed");
     let server = spawn(&ont, &root);
+    let hello = Request::Hello {
+        proto: PROTO_VERSION,
+        client: "hostile".into(),
+    };
     // one hostile connection at a time: the server starts a thread for
     // each, and this one is closed before the next opens
-    for (name, frame, code_after_hello) in hostile_frames() {
+    for h in hostile_frames() {
+        let name = h.name;
         for after_hello in [true, false] {
             let mut stream = TcpStream::connect(server.addr()).unwrap();
             stream
                 .set_read_timeout(Some(Duration::from_secs(5)))
                 .unwrap();
             let mut reader = BufReader::new(stream.try_clone().unwrap());
-            let mut line = String::new();
             if after_hello {
-                let hello = Request::Hello {
-                    proto: PROTO_VERSION,
-                    client: "hostile".into(),
-                };
                 writeln!(stream, "{}", hello.to_json()).unwrap();
+                let mut line = String::new();
                 reader.read_line(&mut line).unwrap();
                 assert!(line.contains("hello_ack"), "{line}");
-                line.clear();
             }
-            stream.write_all(&frame).unwrap();
+            stream.write_all(&h.frame).unwrap();
+            let mut line = String::new();
             reader.read_line(&mut line).expect(name);
             let resp = json::parse(line.trim_end())
                 .and_then(|j| Response::from_json(&j))
@@ -315,12 +364,25 @@ fn malformed_frames_are_refused_and_others_are_served() {
             let Response::Error { code, .. } = resp else {
                 panic!("{name}: expected error, got {resp:?}")
             };
-            let want = if after_hello {
-                code_after_hello
+            let (want, closes) = if after_hello {
+                h.after_hello
             } else {
-                "bad_frame"
+                (h.first, true)
             };
             assert_eq!(code, want, "{name}, after hello: {after_hello}");
+            if closes {
+                let mut rest = Vec::new();
+                assert_eq!(
+                    reader.read_to_end(&mut rest).unwrap(),
+                    0,
+                    "{name}, after hello: {after_hello}: the connection closes"
+                );
+            } else {
+                writeln!(stream, "{}", hello.to_json()).unwrap();
+                line.clear();
+                reader.read_line(&mut line).unwrap();
+                assert!(line.contains("hello_ack"), "{name}: serves on: {line}");
+            }
             drop(reader);
             drop(stream);
 

@@ -2,7 +2,7 @@
 //! answer-operation log reproduces the round-driven engines' six golden
 //! digests bit-identically.
 //!
-//! The six goldens are the committed `current` digests of
+//! The six goldens are the committed `workloads` digests of
 //! `BENCH_speed.json` — E1_travel, E2_culinary, E3_self_treatment at
 //! paper scale through the multi-user engine, and the three Figure-5
 //! strategies (vertical, horizontal, naive) over the planted synthetic
@@ -24,26 +24,21 @@ use oassis_core::{
 };
 use oassis_ql::{bind, evaluate_where, parse, MatchMode};
 use ontology::domains::{culinary, self_treatment, travel, DomainScale};
+use ontology::json;
 use simtest::permute::{permutation_count, shuffled};
 
 /// Reads the committed golden digest of `workload` from the repo's
-/// `BENCH_speed.json` (the `current` section; `baseline` and `current`
-/// digests are identical by the bench's own outcome gate).
+/// `BENCH_speed.json` (`workloads.<workload>.digest`).
 fn golden(workload: &str) -> u64 {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_speed.json");
     let text = std::fs::read_to_string(path).expect("BENCH_speed.json is committed");
-    let key = format!("\"{workload}\"");
-    let at = text
-        .find(&key)
-        .unwrap_or_else(|| panic!("{workload} missing from BENCH_speed.json"));
-    let tail = &text[at..];
-    let d = tail
-        .find("\"digest\"")
-        .unwrap_or_else(|| panic!("{workload} has no digest field"));
-    let hex = tail[d..]
-        .split('"')
-        .nth(3)
-        .unwrap_or_else(|| panic!("{workload} digest is malformed"));
+    let doc = json::parse(&text).expect("BENCH_speed.json is JSON");
+    let hex = doc
+        .field("workloads")
+        .and_then(|w| w.field(workload))
+        .and_then(|w| w.field("digest"))
+        .and_then(|d| d.as_str())
+        .unwrap_or_else(|e| panic!("BENCH_speed.json workloads.{workload}.digest: {e}"));
     u64::from_str_radix(hex, 16).unwrap_or_else(|_| panic!("{workload} digest `{hex}` not hex"))
 }
 

@@ -3,7 +3,9 @@
 //! fails on any unsuppressed finding, so a hash-order leak, stray
 //! nondeterminism source, naked `unsafe`, unjustified panic site, or
 //! missing crate-root lint cannot land without either a fix or a
-//! reasoned `// audit: allow(...)` that shows up in review.
+//! reasoned `// audit: allow(...)` that shows up in review. A stale
+//! suppression, or a D9 target enum the tree no longer declares, fails
+//! too.
 
 use audit::{audit_workspace, find_workspace_root};
 
@@ -50,4 +52,16 @@ fn every_suppression_is_reasoned_and_used() {
             s.file, s.line, s.rule
         );
     }
+}
+
+#[test]
+fn every_d9_target_enum_is_declared() {
+    let root = find_workspace_root(std::path::Path::new(env!("CARGO_MANIFEST_DIR")))
+        .expect("workspace root with Cargo.toml");
+    let report = audit_workspace(&root).expect("audit scan succeeds");
+    assert!(
+        report.d9_unresolved.is_empty(),
+        "D9 names enum(s) {:?} that no single declaration resolves — stale, remove them",
+        report.d9_unresolved
+    );
 }
