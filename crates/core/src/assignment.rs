@@ -11,7 +11,7 @@
 
 // audit: allow-file(D4, slot indices are bounded by the query arity fixed at parse time)
 use oassis_ql::{BoundQuery, FactTerm, RelTerm, Value, VarId};
-use ontology::{Fact, PatternFact, PatternSet, Vocabulary};
+use ontology::{ElemId, Fact, PatternFact, PatternSet, RelId, Vocabulary};
 
 /// Index of a SATISFYING variable within an assignment (the *slot*);
 /// slot `i` corresponds to `BoundQuery::sat_vars[i]`.
@@ -91,6 +91,55 @@ impl Assignment {
     /// used in experiments on multiplicities).
     pub fn total_values(&self) -> usize {
         self.values.iter().map(Vec::len).sum::<usize>() + self.more.len()
+    }
+
+    /// Appends the assignment's word form to `out`: per slot, its length
+    /// and then one word per value (the id, with bit 32 set for a
+    /// relation); then the MORE-fact count and two words per fact. Given
+    /// the slot count the form delimits itself, so forms concatenate.
+    pub(crate) fn push_words(&self, out: &mut Vec<u64>) {
+        for slot in &self.values {
+            out.push(slot.len() as u64);
+            out.extend(slot.iter().map(|&v| match v {
+                Value::Elem(e) => u64::from(e.0),
+                Value::Rel(r) => 1 << 32 | u64::from(r.0),
+            }));
+        }
+        out.push(self.more.len() as u64);
+        for f in &self.more {
+            out.push(u64::from(f.subject.0) << 32 | u64::from(f.object.0));
+            out.push(u64::from(f.rel.0));
+        }
+    }
+
+    /// Reads an assignment of `slots` slots off the front of `words`, a
+    /// run of [`Self::push_words`] forms; returns it and the words after
+    /// it. The form was written from a canonical assignment, so it is
+    /// not canonicalized again.
+    pub(crate) fn pop_words(words: &[u64], slots: usize) -> (Assignment, &[u64]) {
+        let mut rest = words.iter();
+        let mut word = || {
+            // PANIC-OK: runs are written whole by push_words, so a form never ends early.
+            *rest.next().expect("a word run holds whole forms")
+        };
+        let values = (0..slots)
+            .map(|_| {
+                (0..word())
+                    .map(|_| match word() {
+                        w if w >> 32 == 0 => Value::Elem(ElemId(w as u32)),
+                        w => Value::Rel(RelId(w as u32)),
+                    })
+                    .collect()
+            })
+            .collect();
+        let more = (0..word())
+            .map(|_| {
+                let (ends, rel) = (word(), word());
+                let (s, o) = (ElemId((ends >> 32) as u32), ElemId(ends as u32));
+                Fact::new(s, RelId(rel as u32), o)
+            })
+            .collect();
+        (Assignment { values, more }, rest.as_slice())
     }
 
     /// Returns a copy with `v` inserted into slot `s` (canonicalized).
@@ -346,6 +395,30 @@ mod tests {
             ],
             vec![],
         )
+    }
+
+    #[test]
+    fn word_forms_concatenate_and_read_back() {
+        let (ont, _) = setup();
+        let v = ont.vocab();
+        let tip = v.fact("Rent Bikes", "doAt", "Boathouse").unwrap();
+        let rel = Value::Rel(v.rel_id("doAt").unwrap());
+        let run = [
+            assign(&ont, "Central Park", &["Biking", "Ball Game"]),
+            Assignment::empty(2),
+            Assignment::new(v, vec![vec![rel], vec![]], vec![]).with_more(v, tip),
+        ];
+        let mut words = Vec::new();
+        for a in &run {
+            a.push_words(&mut words);
+        }
+        let mut rest = &words[..];
+        for a in &run {
+            let (read, tail) = Assignment::pop_words(rest, 2);
+            assert_eq!(&read, a);
+            rest = tail;
+        }
+        assert!(rest.is_empty());
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! edges point from an assignment to its immediate successors (one
 //! specialization step). Children are generated **on demand** — the lazy
 //! strategy the paper credits with generating "less than 1% of the nodes"
-//! with multiplicities compared to an eager generator — via three moves:
+//! with multiplicities compared to an eager generator; this build
+//! materializes 5.6–41.4% of the eager count (EXPERIMENTS.md §6.4) — via
+//! three moves:
 //!
 //! 1. *replace*: specialize one value of one slot by an immediate child in
 //!    the vocabulary order;
@@ -15,6 +17,15 @@
 //! 3. *MORE refinement*: specialize a component of a MORE fact. New MORE
 //!    facts themselves enter the DAG only through crowd-volunteered tips
 //!    ([`Dag::attach_more_tip`]), mirroring the prototype's *more* button.
+//!
+//! The successors of an assignment are a pure function of the query, the
+//! vocabulary and the WHERE result. A DAG given a successor memo (a
+//! `SuccessorMap` of lists an earlier DAG of the same query generated)
+//! interns a listed assignment's successors from it, in the order
+//! generation would produce them, so node ids, child spans and parent
+//! order are those of a DAG without one. It keeps the lists it had to
+//! generate for its caller to publish: the engine's `PreparedQuery`
+//! holds the memo.
 
 // audit: allow-file(D4, node ids are arena indices minted by this module; every access goes through a handle the same arena produced)
 use crate::assignment::{value_leq, Assignment, Slot};
@@ -24,6 +35,7 @@ use oassis_ql::{BaseAssignment, BoundQuery, Value};
 use ontology::{Fact, Vocabulary};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::sync::Arc;
 
 /// Identifier of a DAG node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -112,8 +124,94 @@ pub struct GenStats {
     pub nodes_created: usize,
     /// Nodes whose children were generated.
     pub nodes_expanded: usize,
-    /// Calls to the validity oracle (`admits`).
+    /// Calls to the validity oracle (`admits`). An expansion served from
+    /// the successor memo makes none.
     pub admits_calls: usize,
+    /// Expansions whose successors came from the successor memo.
+    pub successor_memo_hits: usize,
+    /// Expansions with a successor memo that had to generate their
+    /// successors (0 without one).
+    pub successor_memo_misses: usize,
+}
+
+/// Successor lists by assignment. An entry holds an assignment's word
+/// form ([`Assignment::push_words`]) and the sorted, deduplicated list of
+/// immediate successors node expansion generates for it, as a run of
+/// word forms: `[key length, key, list length, list]`. A run's entries
+/// sit back to back in one chunk, so the memo is a handful of
+/// allocations however many lists it holds; a chunk entry the index
+/// does not name (its key was known, or the cap was reached) is dead.
+/// MORE tips are never part of a list ([`Dag::attach_more_tip`] appends
+/// them to a child span after the list is interned).
+#[derive(Default, Clone)]
+pub(crate) struct SuccessorMap {
+    /// [`words_hash`] of an entry's key → its chunk and its offset there.
+    /// Of two keys with one hash the first stays and the second is never
+    /// memoized.
+    index: HashMap<u64, (u32, u32), FxBuildHasher>,
+    chunks: Vec<Arc<[u64]>>,
+}
+
+impl SuccessorMap {
+    /// Assignments the map holds a list for.
+    pub(crate) fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// The list of the assignment whose word form is `key`.
+    fn get(&self, key: &[u64]) -> Option<&[u64]> {
+        let &(chunk, at) = self.index.get(&words_hash(key))?;
+        let entry = self.chunks.get(chunk as usize)?.get(at as usize..)?;
+        let (k, list, _) = split_entry(entry)?;
+        (k == key).then_some(list)
+    }
+
+    /// This map plus the entries of `chunk` (a run of entries) whose keys
+    /// it lacks, in order, until it holds `cap` entries. The map keeps
+    /// `chunk` itself when it takes any of them.
+    pub(crate) fn grown(&self, chunk: &Arc<[u64]>, cap: usize) -> SuccessorMap {
+        let mut grown = self.clone();
+        let mut rest: &[u64] = chunk;
+        while let Some((key, _, tail)) = split_entry(rest) {
+            if grown.len() >= cap {
+                break;
+            }
+            let at = (self.chunks.len() as u32, (chunk.len() - rest.len()) as u32);
+            grown.index.entry(words_hash(key)).or_insert(at);
+            rest = tail;
+        }
+        if grown.len() > self.len() {
+            grown.chunks.push(chunk.clone());
+        }
+        grown
+    }
+}
+
+impl std::fmt::Debug for SuccessorMap {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SuccessorMap")
+            .field("entries", &self.len())
+            .finish()
+    }
+}
+
+/// The key, the list and the words after the entry at the front of
+/// `words`; `None` when `words` holds no whole entry.
+fn split_entry(words: &[u64]) -> Option<(&[u64], &[u64], &[u64])> {
+    let (&key_len, rest) = words.split_first()?;
+    let (key, rest) = rest.split_at_checked(key_len as usize)?;
+    let (&list_len, rest) = rest.split_first()?;
+    let (list, rest) = rest.split_at_checked(list_len as usize)?;
+    Some((key, list, rest))
+}
+
+/// The hash a [`SuccessorMap`] indexes a word form under.
+fn words_hash(words: &[u64]) -> u64 {
+    let mut h = FxHasher::default();
+    for &w in words {
+        h.add(w);
+    }
+    h.finish()
 }
 
 /// The lazily generated assignment DAG for one query.
@@ -165,6 +263,13 @@ pub struct Dag<'a> {
     scratch_succs: Vec<Assignment>,
     scratch_queue: Vec<Value>,
     scratch_seen: std::collections::HashSet<Value>,
+    /// Successor lists an earlier DAG of the same query generated.
+    successor_memo: Option<Arc<SuccessorMap>>,
+    /// The entries this DAG generated that `successor_memo` lacked, as
+    /// a [`SuccessorMap`] chunk lays them out.
+    successor_misses: Vec<u64>,
+    /// The word form of the assignment being expanded.
+    scratch_key: Vec<u64>,
 }
 
 impl<'a> Dag<'a> {
@@ -193,15 +298,38 @@ impl<'a> Dag<'a> {
             scratch_succs: Vec::new(),
             scratch_queue: Vec::new(),
             scratch_seen: std::collections::HashSet::new(),
+            successor_memo: None,
+            successor_misses: Vec::new(),
+            scratch_key: Vec::new(),
         };
         dag.make_roots();
         dag
     }
 
-    /// Suppresses multiplicity (add-value) successors.
+    /// Suppresses multiplicity (add-value) successors. Such a DAG
+    /// neither reads nor records a successor memo, whose lists include
+    /// them.
     pub fn without_multiplicities(mut self) -> Self {
         self.allow_multiplicities = false;
+        self.successor_memo = None;
         self
+    }
+
+    /// Expands the assignments `memo` lists from their lists instead of
+    /// generating them. `memo` must come from DAGs of the same query,
+    /// vocabulary and WHERE result; ignored without multiplicities.
+    pub(crate) fn with_successor_memo(mut self, memo: Arc<SuccessorMap>) -> Self {
+        if self.allow_multiplicities {
+            self.successor_memo = Some(memo);
+        }
+        self
+    }
+
+    /// Takes the entries this DAG generated because its [`SuccessorMap`]
+    /// lacked them, one per expanded assignment (none without a map), for
+    /// [`SuccessorMap::grown`].
+    pub(crate) fn take_successor_misses(&mut self) -> Vec<u64> {
+        std::mem::take(&mut self.successor_misses)
     }
 
     /// The query this DAG was built for.
@@ -478,27 +606,71 @@ impl<'a> Dag<'a> {
     /// `(start, len)` span in the child-edge arena. The span stays valid
     /// for the life of the DAG (a MORE-tip append may relocate it, but
     /// only to a superset — resolve via [`Self::child_slice`] when fresh).
+    ///
+    /// With a successor memo, a listed assignment's successors are
+    /// interned from its list; an unlisted one's are generated and kept
+    /// for the memo. Either way they are interned in the order
+    /// generation produces them.
     pub fn ensure_children(&mut self, id: NodeId) -> (u32, u32) {
         let (s, l) = self.child_span[id.index()];
         if s != NONE32 {
             return (s, l);
         }
-        let assignment = self.nodes[id.index()].assignment.clone();
-        let mut succs = std::mem::take(&mut self.scratch_succs);
-        self.successor_assignments(&assignment, &mut succs);
         let start = self.child_edges.len() as u32;
-        for a in succs.drain(..) {
-            let cid = self.intern(a);
-            if cid != id && !self.child_edges[start as usize..].contains(&cid) {
-                self.child_edges.push(cid);
-                self.add_parent(cid, id);
+        let slots = self.nodes[id.index()].assignment.num_slots();
+        let memo = self.successor_memo.clone();
+        let listed = memo.as_deref().map(|memo| {
+            self.scratch_key.clear();
+            self.nodes[id.index()]
+                .assignment
+                .push_words(&mut self.scratch_key);
+            memo.get(&self.scratch_key)
+        });
+        if let Some(Some(list)) = listed {
+            self.stats.successor_memo_hits += 1;
+            let mut rest = list;
+            while !rest.is_empty() {
+                let (a, tail) = Assignment::pop_words(rest, slots);
+                rest = tail;
+                let cid = self.intern(a);
+                self.link_child(id, start, cid);
             }
+        } else {
+            let assignment = self.nodes[id.index()].assignment.clone();
+            let mut succs = std::mem::take(&mut self.scratch_succs);
+            self.successor_assignments(&assignment, &mut succs);
+            if listed.is_some() {
+                self.stats.successor_memo_misses += 1;
+                let entry = &mut self.successor_misses;
+                entry.push(self.scratch_key.len() as u64);
+                entry.extend_from_slice(&self.scratch_key);
+                let list_at = entry.len();
+                entry.push(0);
+                for a in &succs {
+                    a.push_words(entry);
+                }
+                // PANIC-OK: list_at indexes the length word pushed above.
+                entry[list_at] = (entry.len() - list_at - 1) as u64;
+            }
+            for a in succs.drain(..) {
+                let cid = self.intern(a);
+                self.link_child(id, start, cid);
+            }
+            self.scratch_succs = succs;
         }
         let len = self.child_edges.len() as u32 - start;
         self.child_span[id.index()] = (start, len);
         self.stats.nodes_expanded += 1;
-        self.scratch_succs = succs;
         (start, len)
+    }
+
+    /// Records `cid` as a child of `id`, whose span begins at `start`,
+    /// unless it is `id` itself or already there.
+    fn link_child(&mut self, id: NodeId, start: u32, cid: NodeId) {
+        if cid != id && !self.child_edges[start as usize..].contains(&cid) {
+            self.child_edges.push(cid);
+            self.add_parent(cid, id);
+        }
     }
 
     /// Resolves a span returned by [`Self::ensure_children`].
@@ -1039,6 +1211,198 @@ WITH SUPPORT = 0.2
                 assert_eq!(dag.intern(a), id, "{}", domain.name);
             }
             assert_eq!(dag.stats().nodes_created, created, "{}", domain.name);
+        }
+    }
+
+    /// Everything a DAG's consumers can observe of its shape: per node
+    /// its assignment, `valid` flag, generated children and parents in
+    /// order, plus the created and expanded counts.
+    type Shape = (
+        Vec<(Assignment, bool, Option<Vec<NodeId>>, Vec<NodeId>)>,
+        usize,
+        usize,
+    );
+
+    fn shape(dag: &Dag) -> Shape {
+        let nodes = dag
+            .node_ids()
+            .map(|id| {
+                let kids = dag.children_if_generated(id).map(<[NodeId]>::to_vec);
+                let node = dag.node(id);
+                (
+                    node.assignment.clone(),
+                    node.valid,
+                    kids,
+                    dag.parents(id).collect(),
+                )
+            })
+            .collect();
+        let gs = dag.stats();
+        (nodes, gs.nodes_created, gs.nodes_expanded)
+    }
+
+    /// A splitmix64 stream: the random node order of one case.
+    fn stream(seed: u64) -> impl FnMut(usize) -> usize {
+        let mut state = seed;
+        move |n| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+    }
+
+    /// `steps` random moves on `dag`: each expands a random node, or
+    /// (with `tips`, one move in four) first attaches a random fact of
+    /// the ontology as a MORE tip to it. Returns each tip's parent and
+    /// child.
+    fn random_moves(
+        dag: &mut Dag,
+        ont: &ontology::Ontology,
+        seed: u64,
+        steps: usize,
+        tips: bool,
+    ) -> Vec<(NodeId, NodeId)> {
+        let facts = ont.facts().as_slice();
+        let mut pick = stream(seed);
+        let mut attached = Vec::new();
+        for _ in 0..steps {
+            let id = NodeId(pick(dag.len()) as u32);
+            if tips && pick(4) == 0 {
+                if let Some(tip) = dag.attach_more_tip(id, facts[pick(facts.len())]) {
+                    attached.push((id, tip));
+                }
+            }
+            dag.ensure_children(id);
+        }
+        attached
+    }
+
+    /// The entries of `map`, decoded and sorted.
+    fn decoded(map: &SuccessorMap, slots: usize) -> Vec<(Assignment, Vec<Assignment>)> {
+        let forms = |mut words: &[u64]| {
+            let mut out = Vec::new();
+            while !words.is_empty() {
+                let (a, rest) = Assignment::pop_words(words, slots);
+                out.push(a);
+                words = rest;
+            }
+            out
+        };
+        let mut lists = Vec::new();
+        for chunk in &map.chunks {
+            let mut rest: &[u64] = chunk;
+            while let Some((key, list, tail)) = split_entry(rest) {
+                let [key] = &forms(key)[..] else {
+                    panic!("a key is one form")
+                };
+                lists.push((key.clone(), forms(list)));
+                rest = tail;
+            }
+            assert!(rest.is_empty());
+        }
+        lists.sort();
+        lists
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// A DAG that reads a successor memo an earlier DAG of the same
+        /// query filled has the shape of one without a memo, whatever
+        /// order nodes expand in and wherever MORE tips attach; every
+        /// memo list is exactly what generation returns, so no tip-only
+        /// child enters the memo.
+        #[test]
+        fn a_successor_memo_leaves_the_dag_unchanged(
+            domain in 0usize..2,
+            fill_seed in 0u64..1_000_000,
+            seed in 0u64..1_000_000,
+            tips in proptest::prelude::any::<bool>(),
+        ) {
+            use ontology::domains::{travel, DomainScale};
+            let (ont, src) = match domain {
+                0 => (figure1::ontology(), figure1::SAMPLE_QUERY.to_string()),
+                _ => {
+                    let d = travel(DomainScale::small());
+                    (d.ontology, d.query)
+                }
+            };
+            let b = bind(&parse(&src).unwrap(), &ont).unwrap();
+            let base = evaluate_where(&b, &ont, MatchMode::Exact);
+            let slots = b.sat_vars.len();
+            // the earlier DAG fills the memo
+            let mut first =
+                Dag::new(&b, ont.vocab(), &base).with_successor_memo(Arc::default());
+            let first_tips = random_moves(&mut first, &ont, fill_seed, 30, tips);
+            let memo = SuccessorMap::default().grown(&first.take_successor_misses().into(), usize::MAX);
+            let lists = decoded(&memo, slots);
+            proptest::prelude::prop_assert_eq!(lists.len(), first.stats().nodes_expanded);
+            let mut fresh = Dag::new(&b, ont.vocab(), &base);
+            for (key, list) in &lists {
+                let mut want = Vec::new();
+                fresh.successor_assignments(key, &mut want);
+                proptest::prelude::prop_assert_eq!(list, &want);
+            }
+            for (parent, tip) in &first_tips {
+                let tip = &first.node(*tip).assignment;
+                let parent = &first.node(*parent).assignment;
+                let mut generated = Vec::new();
+                fresh.successor_assignments(parent, &mut generated);
+                if let Some((_, list)) = lists.iter().find(|(key, _)| key == parent) {
+                    proptest::prelude::prop_assert!(
+                        generated.contains(tip) || !list.contains(tip)
+                    );
+                }
+            }
+            // the same moves on a DAG with the memo and on one without
+            let memo = Arc::new(memo);
+            // the earlier DAG's own moves: every expansion hits
+            let mut again = Dag::new(&b, ont.vocab(), &base).with_successor_memo(memo.clone());
+            random_moves(&mut again, &ont, fill_seed, 30, tips);
+            proptest::prelude::prop_assert_eq!(shape(&again), shape(&first));
+            let gs = again.stats();
+            proptest::prelude::prop_assert_eq!(
+                (gs.successor_memo_hits, gs.successor_memo_misses),
+                (gs.nodes_expanded, 0)
+            );
+            let mut plain = Dag::new(&b, ont.vocab(), &base);
+            let mut memoized = Dag::new(&b, ont.vocab(), &base).with_successor_memo(memo);
+            let plain_tips = random_moves(&mut plain, &ont, seed, 40, tips);
+            let memo_tips = random_moves(&mut memoized, &ont, seed, 40, tips);
+            proptest::prelude::prop_assert_eq!(plain_tips, memo_tips);
+            proptest::prelude::prop_assert_eq!(shape(&plain), shape(&memoized));
+            let gs = memoized.stats();
+            proptest::prelude::prop_assert_eq!(
+                gs.successor_memo_hits + gs.successor_memo_misses,
+                gs.nodes_expanded
+            );
+            let misses =
+                SuccessorMap::default().grown(&memoized.take_successor_misses().into(), usize::MAX);
+            proptest::prelude::prop_assert_eq!(gs.successor_memo_misses, misses.len());
+        }
+    }
+
+    #[test]
+    fn a_dag_without_multiplicities_ignores_the_successor_memo() {
+        let ont = figure1::ontology();
+        let b = bind(&parse(figure1::SIMPLE_QUERY).unwrap(), &ont).unwrap();
+        let base = evaluate_where(&b, &ont, MatchMode::Exact);
+        let memo: Arc<SuccessorMap> = Arc::default();
+        let mut dags = [
+            Dag::new(&b, ont.vocab(), &base)
+                .with_successor_memo(memo.clone())
+                .without_multiplicities(),
+            Dag::new(&b, ont.vocab(), &base)
+                .without_multiplicities()
+                .with_successor_memo(memo),
+        ];
+        for dag in &mut dags {
+            assert_eq!(dag.materialize_all(), 112);
+            let gs = dag.stats();
+            assert_eq!((gs.successor_memo_hits, gs.successor_memo_misses), (0, 0));
+            assert!(dag.take_successor_misses().is_empty());
         }
     }
 

@@ -18,7 +18,7 @@
 //! `QueryRequest::pattern(src).threshold(0.4).batch_width(2)`.
 
 use crate::aggregate::Aggregator;
-use crate::dag::Dag;
+use crate::dag::{Dag, SuccessorMap};
 use crate::diversify::diversify;
 use crate::multi::{run_multi, MultiOutcome};
 use crate::rulemine::{run_rules, RuleMiningConfig, RuleOutcome};
@@ -30,6 +30,7 @@ use oassis_ql::{
 };
 use ontology::Ontology;
 use std::sync::Arc;
+use telemetry::lockorder::TrackedMutex;
 
 /// Unified error type of the public engine surface.
 #[derive(Debug)]
@@ -225,13 +226,35 @@ pub struct Oassis<'o> {
 /// the ontology and the mode, so one entry serves every run of the
 /// text. [`Oassis::run`] mines from such an entry — a lent one
 /// ([`Oassis::with_prepared`]) or one it prepares for the call.
+///
+/// An entry also keeps a grow-only *successor memo*, which only runs
+/// that borrow it through [`Oassis::with_prepared`] read and fill: keyed
+/// by assignment content, the successor list node expansion generated
+/// for each assignment such a run expanded (MORE tips excluded). That
+/// list is a pure function of the entry, so a later run's DAG interns
+/// it instead of generating it again, in the same order, and every node
+/// id, edge and digest stays what generation gives. A run reads a
+/// snapshot taken when its DAG is built and publishes what it generated
+/// after it mines; the memo stops growing at [`SUCCESSOR_MEMO_CAP`]
+/// entries.
 #[derive(Debug)]
 pub struct PreparedQuery {
     src: String,
     mode: MatchMode,
     bound: BoundQuery,
     base: Vec<BaseAssignment>,
+    /// The successor memo; replaced whole, never edited in place.
+    successors: TrackedMutex<Arc<SuccessorMap>>,
+    /// Entries past which `successors` stops growing:
+    /// [`SUCCESSOR_MEMO_CAP`], which tests lower.
+    successor_cap: usize,
 }
+
+/// Entries at which a [`PreparedQuery`]'s successor memo stops growing.
+/// perfbench's `serve` workload, one travel text under a rotation of
+/// crowds and seeds, expands about 900 distinct assignments holding
+/// about 11 000 successors, which raise its peak RSS by 0.3–0.6 MiB.
+pub const SUCCESSOR_MEMO_CAP: usize = 2048;
 
 impl PreparedQuery {
     /// Parses and binds `src`, then evaluates its WHERE clause under
@@ -244,6 +267,8 @@ impl PreparedQuery {
             mode,
             bound,
             base,
+            successors: TrackedMutex::new("core.prepared.successors", Arc::default()),
+            successor_cap: SUCCESSOR_MEMO_CAP,
         })
     }
 
@@ -260,6 +285,62 @@ impl PreparedQuery {
     /// The WHERE clause's valid base assignments.
     pub fn base(&self) -> &[BaseAssignment] {
         &self.base
+    }
+
+    /// Assignments the successor memo holds a list for.
+    pub fn successor_memo_len(&self) -> usize {
+        self.successor_snapshot().len()
+    }
+
+    fn successor_snapshot(&self) -> Arc<SuccessorMap> {
+        self.successors
+            .lock()
+            .expect("successor memo mutex poisoned") // PANIC-OK: poisoning means a holder already panicked; propagate it
+            .clone()
+    }
+
+    /// A DAG over this entry; with `memo`, one that reads the successor
+    /// memo and keeps what it lacks for [`Self::publish_successors`].
+    fn dag<'p>(&'p self, ont: &'p Ontology, memo: bool) -> Dag<'p> {
+        let dag = Dag::new(&self.bound, ont.vocab(), &self.base);
+        if memo {
+            dag.with_successor_memo(self.successor_snapshot())
+        } else {
+            dag
+        }
+    }
+
+    /// Ends a run's `dag` and adds the successor lists it generated that
+    /// the memo lacked, up to the cap. The DAG is dropped first, so the
+    /// new chunk takes its memory rather than adding to it. A copy of the
+    /// current map grows outside the lock, and the lock is held only to
+    /// swap it in; a copy that another run's publish made stale is grown
+    /// again from the newer map, so no published entry is lost.
+    fn publish_successors(&self, mut dag: Dag<'_>) {
+        let misses = dag.take_successor_misses();
+        drop(dag);
+        if misses.is_empty() {
+            return;
+        }
+        let chunk: Arc<[u64]> = misses.into();
+        loop {
+            let seen = self.successor_snapshot();
+            if seen.len() >= self.successor_cap {
+                return;
+            }
+            let grown = seen.grown(&chunk, self.successor_cap);
+            if grown.len() == seen.len() {
+                return;
+            }
+            let mut memo = self
+                .successors
+                .lock()
+                .expect("successor memo mutex poisoned"); // PANIC-OK: poisoning means a holder already panicked; propagate it
+            if Arc::ptr_eq(&memo, &seen) {
+                *memo = Arc::new(grown);
+                return;
+            }
+        }
     }
 }
 
@@ -328,16 +409,18 @@ impl<'o> Oassis<'o> {
         Ok(bind(&q, self.ont)?)
     }
 
-    /// The entry `src` mines from: the lent one when it serves `src`
-    /// under this engine's match mode, else one prepared here.
-    fn prepared(&self, src: &str) -> Result<Arc<PreparedQuery>, OassisError> {
+    /// The entry `src` mines from and whether it is the lent one: the
+    /// lent one when it serves `src` under this engine's match mode,
+    /// else one prepared here.
+    fn prepared(&self, src: &str) -> Result<(Arc<PreparedQuery>, bool), OassisError> {
         match &self.prepared {
-            Some(entry) if entry.src == src && entry.mode == self.match_mode => Ok(entry.clone()),
-            _ => Ok(Arc::new(PreparedQuery::new(
-                self.ont,
-                src,
-                self.match_mode,
-            )?)),
+            Some(entry) if entry.src == src && entry.mode == self.match_mode => {
+                Ok((entry.clone(), true))
+            }
+            _ => {
+                let entry = PreparedQuery::new(self.ont, src, self.match_mode)?;
+                Ok((Arc::new(entry), false))
+            }
         }
     }
 
@@ -360,6 +443,11 @@ impl<'o> Oassis<'o> {
     /// A zero question budget or a support threshold outside `(0, 1]`
     /// is rejected up front with [`OassisError::Budget`]
     /// ([`MiningConfig::check_budget`]).
+    ///
+    /// A run that mines from a lent entry reads the entry's successor
+    /// memo and publishes the successor lists it generated to it
+    /// ([`PreparedQuery`]); a run from an entry prepared for the call
+    /// does neither.
     pub fn run<C: CrowdSource, A: Aggregator>(
         &self,
         req: &QueryRequest<'_>,
@@ -368,15 +456,18 @@ impl<'o> Oassis<'o> {
     ) -> Result<QueryOutcome, OassisError> {
         let mining = &req.options.mining;
         mining.check_budget()?;
-        let prepared = {
+        let (prepared, lent) = {
             let _s = mining.telemetry.span("prepare");
             self.prepared(req.src)?
         };
         let outcome = if prepared.bound.imp_meta.is_empty() {
-            QueryOutcome::Patterns(self.run_pattern_query(&prepared, crowd, aggregator, mining))
+            QueryOutcome::Patterns(
+                self.run_pattern_query(&prepared, lent, crowd, aggregator, mining),
+            )
         } else {
             QueryOutcome::Rules(self.run_rule_query(
                 &prepared,
+                lent,
                 crowd,
                 &req.options.rules,
                 &mining.telemetry,
@@ -387,10 +478,11 @@ impl<'o> Oassis<'o> {
 
     /// Pattern-query pipeline over a prepared query: DAG → multi-user
     /// mining → selection/rendering, each phase under its own telemetry
-    /// span.
+    /// span. `memo`: whether the DAG uses the entry's successor memo.
     fn run_pattern_query<C: CrowdSource, A: Aggregator>(
         &self,
         prepared: &PreparedQuery,
+        memo: bool,
         crowd: &mut C,
         aggregator: &A,
         cfg: &MiningConfig,
@@ -400,11 +492,12 @@ impl<'o> Oassis<'o> {
         let tele = root.tele().clone();
         let mut dag = {
             let _s = tele.span("dag_build");
-            Dag::new(bound, self.ont.vocab(), &prepared.base)
+            prepared.dag(self.ont, memo)
         };
         let mut run_cfg = cfg.clone();
         run_cfg.telemetry = tele.clone();
         let outcome = run_multi(&mut dag, crowd, aggregator, &run_cfg);
+        prepared.publish_successors(dag);
         let _s = tele.span("select");
         let vocab = self.ont.vocab();
         let selected: Vec<crate::Assignment> = {
@@ -431,9 +524,11 @@ impl<'o> Oassis<'o> {
 
     /// Rule-query pipeline over a prepared query: DAG → two-phase rule
     /// mining → rendering, each phase under its own telemetry span.
+    /// `memo`: whether the DAG uses the entry's successor memo.
     fn run_rule_query<C: CrowdSource>(
         &self,
         prepared: &PreparedQuery,
+        memo: bool,
         crowd: &mut C,
         cfg: &RuleMiningConfig,
         telemetry: &telemetry::Telemetry,
@@ -443,12 +538,13 @@ impl<'o> Oassis<'o> {
         let bound = &prepared.bound;
         let mut dag = {
             let _s = tele.span("dag_build");
-            Dag::new(bound, self.ont.vocab(), &prepared.base)
+            prepared.dag(self.ont, memo)
         };
         let outcome = {
             let _s = tele.span("mine.rules");
             run_rules(&mut dag, crowd, cfg)?
         };
+        prepared.publish_successors(dag);
         tele.count("engine.questions", outcome.questions as u64);
         let _s = tele.span("select");
         let vocab = self.ont.vocab();
@@ -590,6 +686,49 @@ mod tests {
             ans.answers
         );
         assert!(ans.answers.iter().any(|a| a.contains("$y ↦ {Biking}")));
+    }
+
+    /// Runs from a lent entry mine what runs that lend nothing mine, op
+    /// for op and node id for node id, while the successor memo fills
+    /// and after it reaches its cap; past the cap a run still reads the
+    /// memo but publishes nothing.
+    #[test]
+    fn lent_runs_mine_what_unlent_runs_mine_up_to_and_past_the_successor_cap() {
+        let ont = figure1::ontology();
+        let agg = FixedSampleAggregator { sample_size: 1 };
+        let src = figure1::SAMPLE_QUERY;
+        let mut entry = PreparedQuery::new(&ont, src, MatchMode::Exact).unwrap();
+        entry.successor_cap = 12;
+        let entry = Arc::new(entry);
+        let lent = Oassis::new(&ont).with_prepared(entry.clone());
+        let unlent = Oassis::new(&ont);
+        for (run, threshold) in [0.4, 0.2, 0.3, 0.1].into_iter().enumerate() {
+            let mine = |engine: &Oassis| {
+                let mut crowd = SimulatedCrowd::new(ont.vocab(), vec![u_avg(&ont, 1)]);
+                let req = QueryRequest::pattern(src).threshold(threshold);
+                let answer = engine.run(&req, &mut crowd, &agg).unwrap();
+                let mining = answer.into_patterns().unwrap().outcome.mining;
+                let gs = mining.gen_stats;
+                let shape = (
+                    mining.ops.ops().to_vec(),
+                    mining.valid_msps,
+                    mining.questions,
+                    gs.nodes_created,
+                    gs.nodes_expanded,
+                );
+                (shape, gs.successor_memo_hits, gs.successor_memo_misses)
+            };
+            let (want, 0, 0) = mine(&unlent) else {
+                panic!("a run that lends nothing used the memo")
+            };
+            let (got, hits, misses) = mine(&lent);
+            assert_eq!(got, want, "run {run}");
+            assert_eq!(hits + misses, want.4, "run {run}");
+            // past the cap a run both reads the memo and generates lists
+            // it does not publish
+            assert!(run == 0 || (hits > 0 && misses > 0), "run {run}");
+            assert_eq!(entry.successor_memo_len(), 12, "run {run}");
+        }
     }
 
     #[test]

@@ -353,6 +353,8 @@ impl<'a> Fold<'a> {
             tele.count("dag.nodes_created", gs.nodes_created as u64);
             tele.count("dag.nodes_expanded", gs.nodes_expanded as u64);
             tele.count("dag.admits_calls", gs.admits_calls as u64);
+            tele.count("dag.successor_memo_hits", gs.successor_memo_hits as u64);
+            tele.count("dag.successor_memo_misses", gs.successor_memo_misses as u64);
             tele.count(
                 "validity.bases_classified",
                 self.tracker.total_classified as u64,

@@ -33,6 +33,17 @@
 //! ([`PreparedQuery`]) and lends it to the next `query` or `recover` of
 //! the same text; `recover` prepares each other text once per call.
 //!
+//! The entry also holds the text's *successor memo*: keyed by an
+//! assignment's content, the successor list node expansion generated
+//! for it in an earlier `query` of the text. A later cold run interns a
+//! listed assignment's successors in the list's order instead of
+//! generating them, so node ids, ops and digests cannot move: the list
+//! is a pure function of the entry. The memo stops growing at
+//! [`oassis_core::engine::SUCCESSOR_MEMO_CAP`] entries, and it lives
+//! and dies with the manager's one prepared entry: a query of another
+//! text drops it. `recover` never expands a node, so it neither reads
+//! nor fills the memo.
+//!
 //! Each resident session also keeps a one-entry *result memo*: the spec
 //! and reply of its last run that the answer cache alone reproduces. A
 //! `query` with an equal spec is a *served repeat*: it writes its `query`
@@ -804,40 +815,65 @@ mod tests {
     use crate::Figure1Provider;
     use ontology::domains::figure1;
 
+    /// The op records of `name`'s log under `root`.
+    fn op_records(root: &std::path::Path, name: &str) -> Vec<String> {
+        let log = std::fs::read_to_string(root.join(name).join(SESSION_WAL)).unwrap();
+        let ops = log.lines().filter(|l| l.contains(r#""kind":"op""#));
+        ops.map(String::from).collect()
+    }
+
+    /// Three sessions run one text cold on one manager, so the second
+    /// and third mine from the prepared entry, and the successor memo,
+    /// the first left. Each reply and each log's op records equal those
+    /// of the same session on a fresh manager, whose entry and memo
+    /// start empty.
     #[test]
-    fn memo_hit_mines_what_a_miss_mines() {
+    fn a_reused_prepared_entry_mines_what_a_fresh_manager_mines() {
         let ont = Arc::new(figure1::ontology());
-        let root = std::env::temp_dir().join(format!("oassis-memo-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        let provider = Box::new(Figure1Provider::new(ont.clone()));
-        let mut mgr = SessionManager::new(ont, provider, &root);
-        let spec = QuerySpec {
-            src: figure1::SIMPLE_QUERY.to_string(),
-            threshold: None,
-            batch_width: 1,
-            max_questions: None,
-            seed: 3,
+        let dir = |tag: &str| {
+            let root = std::env::temp_dir().join(format!("oassis-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&root);
+            root
         };
-        // two sessions with equal crowds, so each query starts cold
-        let mut runs = Vec::new();
-        for name in ["miss", "hit"] {
-            let (seed, members) = (7, 2);
-            mgr.open(&SessionSpec {
+        let manager = |root: &std::path::Path| {
+            let provider = Box::new(Figure1Provider::new(ont.clone()));
+            SessionManager::new(ont.clone(), provider, root)
+        };
+        let (shared_root, fresh_root) = (dir("reused"), dir("fresh"));
+        let mut shared = manager(&shared_root);
+        // b mines a wider region than a; c repeats a's run over another crowd
+        let runs = [("a", 7, None), ("b", 7, Some(0.2)), ("c", 8, None)];
+        let mut entries = Vec::new();
+        let mut sizes = Vec::new();
+        for (name, seed, threshold) in runs {
+            let session = SessionSpec {
                 name: name.into(),
                 seed,
-                members,
-            })
-            .unwrap();
-            let r = mgr.query(name, &spec).unwrap();
-            let entry = mgr.last_prepared.clone().unwrap();
-            runs.push((entry, (r.digest, r.answers, r.questions, r.fresh)));
+                members: 2,
+            };
+            let spec = a_query(threshold);
+            shared.open(&session).unwrap();
+            let got = shared.query(name, &spec).unwrap();
+            let mut fresh = manager(&fresh_root);
+            fresh.open(&session).unwrap();
+            let want = fresh.query(name, &spec).unwrap();
+            assert_eq!(got, want, "session {name}");
+            let ops = op_records(&shared_root, name);
+            assert!(!ops.is_empty(), "session {name}");
+            assert_eq!(ops, op_records(&fresh_root, name), "session {name}");
+            let entry = shared.last_prepared.clone().unwrap();
+            sizes.push(entry.successor_memo_len());
+            entries.push(entry);
         }
-        assert!(Arc::ptr_eq(&runs[0].0, &runs[1].0), "the repeat hit");
-        assert_eq!(runs[0].1, runs[1].1, "same digest, answers and questions");
-        // a second text (cap + 1) replaces the one entry
-        let other = mgr.prepared(&format!("{} ", spec.src)).unwrap();
-        assert!(Arc::ptr_eq(mgr.last_prepared.as_ref().unwrap(), &other));
-        let _ = std::fs::remove_dir_all(&root);
+        assert!(entries.iter().all(|e| Arc::ptr_eq(e, &entries[0])));
+        assert!(sizes[0] > 0 && sizes[1] > sizes[0], "{sizes:?}");
+        assert_eq!(sizes[2], sizes[1], "c's run was all hits");
+        // a second text replaces the one entry, and its memo with it
+        let other = shared.prepared(&format!("{} ", a_query(None).src)).unwrap();
+        assert!(Arc::ptr_eq(shared.last_prepared.as_ref().unwrap(), &other));
+        assert_eq!(other.successor_memo_len(), 0);
+        let _ = std::fs::remove_dir_all(&shared_root);
+        let _ = std::fs::remove_dir_all(&fresh_root);
     }
 
     fn a_query(threshold: Option<f64>) -> QuerySpec {

@@ -36,6 +36,10 @@ use telemetry::{Telemetry, TelemetrySink};
 fn name_map() -> BTreeMap<&'static str, &'static [&'static str]> {
     BTreeMap::from([
         ("core.cache.inner", &["SharedCrowdCache.inner"][..]),
+        (
+            "core.prepared.successors",
+            &["PreparedQuery.successors"][..],
+        ),
         ("telemetry.sink.state", &["TelemetrySink.state"][..]),
         ("server.sessions", &["Server.manager"][..]),
         (
