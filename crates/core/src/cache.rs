@@ -10,20 +10,20 @@
 //! answers, while [`CachingCrowd::fresh_questions`] counts actual crowd
 //! work.
 
-use crate::wire::{elem_id, read_fact, rel_id};
+use crate::wire::{elem_id, read_fact, rel_id, write_fact};
 use crowd::{Answer, CrowdSource, MemberId, Question};
-use ontology::json::{Json, JsonError, Reader};
+use ontology::json::{JsonError, Reader, Writer};
 use ontology::{PatternFact, PatternSet, Vocabulary};
 use std::collections::HashMap;
 use telemetry::lockorder::TrackedMutex;
 
-/// A serializable store of concrete-question answers.
+/// A store of concrete-question answers.
 ///
 /// Only concrete questions are cached: specialization questions depend on
 /// the offered options, which vary between runs. (A specialization answer
 /// does imply a concrete answer for the chosen option, but the paper's
 /// CrowdCache records answers per assignment, which is what we keep.)
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct CrowdCache {
     answers: HashMap<MemberId, HashMap<PatternSet, CachedAnswer>>,
 }
@@ -74,29 +74,6 @@ impl CrowdCache {
             .insert(pattern, answer);
     }
 
-    /// Serializes to JSON (the paper kept CrowdCache in MySQL; a document
-    /// a caller stores between runs plays that role here, restored by
-    /// [`Self::from_json`]). Entries are sorted for determinism.
-    pub fn to_json(&self) -> String {
-        let mut entries: Vec<(MemberId, &PatternSet, &CachedAnswer)> = self
-            .answers
-            .iter()
-            .flat_map(|(&m, inner)| inner.iter().map(move |(p, a)| (m, p, a)))
-            .collect();
-        entries.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
-        let entries = entries
-            .into_iter()
-            .map(|(m, p, a)| {
-                Json::Arr(vec![
-                    Json::Num(m.0 as f64),
-                    pattern_to_json(p),
-                    answer_to_json(a),
-                ])
-            })
-            .collect();
-        Json::Obj(vec![("entries".into(), Json::Arr(entries))]).to_string()
-    }
-
     /// The members holding cached answers, in id order. With
     /// [`Self::entries_of`] it walks the cache member by member; the
     /// benchmark's `serve` mirror is the caller.
@@ -121,37 +98,18 @@ impl CrowdCache {
         entries.sort_by(|a, b| a.0.cmp(b.0));
         entries
     }
-
-    /// Restores from JSON. Every element and relation id is checked
-    /// against `vocab`: one past it is a shape error.
-    pub fn from_json(s: &str, vocab: &Vocabulary) -> Result<Self, JsonError> {
-        let mut r = Reader::new(s);
-        let mut cache = CrowdCache::new();
-        r.fields(|k| {
-            k.next("entries", |r| {
-                r.arr(|r| {
-                    r.items("a [member, pattern, answer] entry", |i| {
-                        let member = MemberId(i.item(Reader::u32)?);
-                        let pattern = i.item(|r| read_pattern(vocab, r))?;
-                        cache.put(member, pattern, i.item(|r| read_answer(vocab, r))?);
-                        Ok(())
-                    })
-                })
-            })
-        })?;
-        r.end()?;
-        Ok(cache)
-    }
 }
 
-/// Serializes one `(pattern, answer)` cache entry — the payload of the
-/// WAL's `answer` record, in the entry encoding [`CrowdCache::to_json`]
-/// uses.
-pub fn entry_to_json(pattern: &PatternSet, answer: &CachedAnswer) -> Json {
-    Json::Arr(vec![pattern_to_json(pattern), answer_to_json(answer)])
+/// Writes one `(pattern, answer)` cache entry: the payload of the WAL's
+/// `answer` record.
+pub fn write_entry(w: &mut Writer, pattern: &PatternSet, answer: &CachedAnswer) {
+    w.items(|i| {
+        write_pattern(i.item(), pattern);
+        write_answer(i.item(), answer);
+    });
 }
 
-/// Reads a cache entry serialized by [`entry_to_json`] off `r`,
+/// Reads a cache entry written by [`write_entry`] off `r`,
 /// building no tree. Every element and relation id is checked against
 /// `vocab`: one past it is a shape error.
 pub fn read_entry(
@@ -166,22 +124,14 @@ pub fn read_entry(
     })
 }
 
-fn opt_id_to_json(id: Option<u32>) -> Json {
-    id.map_or(Json::Null, |v| Json::Num(v as f64))
-}
-
-fn pattern_to_json(p: &PatternSet) -> Json {
-    Json::Arr(
-        p.iter()
-            .map(|f| {
-                Json::Arr(vec![
-                    opt_id_to_json(f.subject.map(|e| e.0)),
-                    opt_id_to_json(f.rel.map(|r| r.0)),
-                    opt_id_to_json(f.object.map(|e| e.0)),
-                ])
-            })
-            .collect(),
-    )
+fn write_pattern(w: &mut Writer, p: &PatternSet) {
+    w.vec(p.iter(), |w, f| {
+        w.items(|i| {
+            i.item().opt(f.subject.map(|e| e.0), Writer::u32);
+            i.item().opt(f.rel.map(|r| r.0), Writer::u32);
+            i.item().opt(f.object.map(|e| e.0), Writer::u32);
+        })
+    });
 }
 
 fn read_pattern(vocab: &Vocabulary, r: &mut Reader<'_>) -> Result<PatternSet, JsonError> {
@@ -198,32 +148,19 @@ fn read_pattern(vocab: &Vocabulary, r: &mut Reader<'_>) -> Result<PatternSet, Js
     Ok(PatternSet::from_iter(facts))
 }
 
-fn answer_to_json(a: &CachedAnswer) -> Json {
+fn write_answer(w: &mut Writer, a: &CachedAnswer) {
     match a {
-        CachedAnswer::Support { support, more_tip } => {
-            let tip = more_tip.map_or(Json::Null, |f| {
-                Json::Arr(vec![
-                    Json::Num(f.subject.0 as f64),
-                    Json::Num(f.rel.0 as f64),
-                    Json::Num(f.object.0 as f64),
-                ])
-            });
-            Json::Obj(vec![(
-                "Support".into(),
-                Json::Obj(vec![
-                    ("support".into(), Json::Num(*support)),
-                    ("more_tip".into(), tip),
-                ]),
-            )])
+        CachedAnswer::Support { support, more_tip } => w.variant("Support", |k| {
+            k.next("support").f64(*support);
+            k.next("more_tip").opt(more_tip.as_ref(), write_fact);
+        }),
+        CachedAnswer::Irrelevant { elem } => {
+            w.variant("Irrelevant", |k| k.next("elem").u32(elem.0))
         }
-        CachedAnswer::Irrelevant { elem } => Json::Obj(vec![(
-            "Irrelevant".into(),
-            Json::Obj(vec![("elem".into(), Json::Num(elem.0 as f64))]),
-        )]),
     }
 }
 
-/// Reads the single-variant answer object [`answer_to_json`] writes.
+/// Reads the single-variant answer object [`write_answer`] writes.
 fn read_answer(vocab: &Vocabulary, r: &mut Reader<'_>) -> Result<CachedAnswer, JsonError> {
     r.variant(|tag, k| {
         Ok(match tag {
@@ -511,30 +448,52 @@ mod tests {
         }
     }
 
+    /// Every answer kind survives the writer and the reader; an edit of
+    /// the writer's text off its key order or variants is a shape error.
     #[test]
-    fn cache_roundtrips_through_json() {
+    fn entries_roundtrip_through_the_writer() {
         let ont = figure1::ontology();
         let v = ont.vocab();
-        let mut cache = CrowdCache::new();
-        let p =
-            ontology::PatternSet::from_facts([v.fact("Biking", "doAt", "Central Park").unwrap()]);
-        cache.put(
-            crowd::MemberId(3),
-            p.clone(),
+        let fact = v.fact("Biking", "doAt", "Central Park").unwrap();
+        let p = ontology::PatternSet::from_facts([fact]);
+        let text = |answer: &CachedAnswer| ontology::json::write(|w| write_entry(w, &p, answer));
+        let read = |text: &str| {
+            let mut r = Reader::new(text);
+            let entry = read_entry(v, &mut r)?;
+            r.end().map(|()| entry)
+        };
+        for answer in [
             CachedAnswer::Support {
                 support: 0.25,
                 more_tip: None,
             },
-        );
-        let restored = CrowdCache::from_json(&cache.to_json(), v).unwrap();
-        assert_eq!(
-            restored.get(crowd::MemberId(3), &p),
-            Some(&CachedAnswer::Support {
-                support: 0.25,
-                more_tip: None
-            })
-        );
-        assert_eq!(restored.len(), 1);
+            CachedAnswer::Support {
+                support: 1.0 / 3.0,
+                more_tip: Some(fact),
+            },
+            CachedAnswer::Irrelevant { elem: fact.object },
+        ] {
+            let text = text(&answer);
+            assert_eq!(read(&text).unwrap(), (p.clone(), answer), "{text}");
+        }
+        let text = text(&CachedAnswer::Support {
+            support: 0.25,
+            more_tip: None,
+        });
+        for (from, to, named) in [
+            (
+                r#""support":0.25,"more_tip":null"#,
+                r#""more_tip":null,"support":0.25"#,
+                "more_tip",
+            ),
+            (r#""more_tip":null"#, r#""more_tip":null,"x":1"#, "x"),
+            (r#"{"Support":"#, r#"{"Maybe":"#, "Maybe"),
+        ] {
+            let bad = text.replace(from, to);
+            assert_ne!(bad, text);
+            let err = read(&bad).unwrap_err();
+            assert!(!err.is_syntax() && err.msg.contains(named), "{bad}: {err}");
+        }
     }
 
     #[test]

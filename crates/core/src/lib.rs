@@ -86,5 +86,5 @@ pub use templates::QuestionTemplates;
 pub use validity::{SlotInfo, ValidityIndex};
 pub use vertical::{run_vertical, DiscoveryEvent, DiscoveryKind, MiningConfig, MiningOutcome};
 pub use wire::{
-    intern_wire_op, op_to_wire, read_wire_op, wire_to_json, SemanticOutcome, WireOp, WireVerdict,
+    intern_wire_op, op_to_wire, read_wire_op, write_wire_op, SemanticOutcome, WireOp, WireVerdict,
 };

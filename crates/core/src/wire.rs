@@ -8,7 +8,7 @@
 //!
 //! This is what crash recovery needs: the server appends each op of a
 //! run to its write-ahead log as a wire op ([`op_to_wire`] +
-//! [`wire_to_json`]), and a restarted process reads each op straight
+//! [`write_wire_op`]), and a restarted process reads each op straight
 //! off the log's text ([`read_wire_op`], no JSON tree between) and
 //! interns every op into a *fresh* replica
 //! ([`intern_wire_op`]) whose nodes are materialized at recovery time,
@@ -24,7 +24,7 @@ use crate::oplog::{AnswerOp, OpVerdict, ReplayOutcome};
 use crate::vertical::MiningOutcome;
 use crowd::MemberId;
 use oassis_ql::{BoundQuery, Value};
-use ontology::json::{Json, JsonError, Reader};
+use ontology::json::{JsonError, Reader, Writer};
 use ontology::{ElemId, Fact, RelId, Vocabulary};
 
 /// [`OpVerdict`] with nodes addressed by assignment — replica-portable.
@@ -128,11 +128,15 @@ pub fn op_to_wire(op: &AnswerOp, dag: &Dag<'_>) -> WireOp {
     }
 }
 
-fn value_to_json(v: Value) -> Json {
-    match v {
-        Value::Elem(e) => Json::Arr(vec![Json::Str("e".into()), Json::Num(e.0 as f64)]),
-        Value::Rel(r) => Json::Arr(vec![Json::Str("r".into()), Json::Num(r.0 as f64)]),
-    }
+fn write_value(w: &mut Writer, v: Value) {
+    let (kind, id) = match v {
+        Value::Elem(e) => ("e", e.0),
+        Value::Rel(r) => ("r", r.0),
+    };
+    w.items(|i| {
+        i.item().str(kind);
+        i.item().u32(id);
+    });
 }
 
 fn read_value(vocab: &Vocabulary, r: &mut Reader<'_>) -> Result<Value, JsonError> {
@@ -167,37 +171,19 @@ fn vocab_id(id: u32, len: usize, what: &str) -> Result<u32, JsonError> {
     }
 }
 
-/// Serializes an assignment for the wire/WAL: per-slot value arrays plus
+/// Writes an assignment for the wire/WAL: per-slot value arrays plus
 /// MORE facts, element and relation ids vocabulary-global.
-fn assignment_to_json(a: &Assignment) -> Json {
-    let slots = (0..a.num_slots())
-        .map(|si| {
-            Json::Arr(
-                a.slot(crate::assignment::Slot(si as u16))
-                    .iter()
-                    .map(|&v| value_to_json(v))
-                    .collect(),
-            )
-        })
-        .collect();
-    let more = a
-        .more()
-        .iter()
-        .map(|f| {
-            Json::Arr(vec![
-                Json::Num(f.subject.0 as f64),
-                Json::Num(f.rel.0 as f64),
-                Json::Num(f.object.0 as f64),
-            ])
-        })
-        .collect();
-    Json::Obj(vec![
-        ("slots".into(), Json::Arr(slots)),
-        ("more".into(), Json::Arr(more)),
-    ])
+fn write_assignment(w: &mut Writer, a: &Assignment) {
+    w.fields(|k| {
+        k.next("slots").vec(0..a.num_slots(), |w, si| {
+            let slot = a.slot(crate::assignment::Slot(si as u16));
+            w.vec(slot.iter().copied(), write_value);
+        });
+        k.next("more").vec(a.more().iter(), write_fact);
+    });
 }
 
-/// Reads an assignment serialized by [`assignment_to_json`],
+/// Reads an assignment written by [`write_assignment`],
 /// re-canonicalizing against `vocab` (a no-op for well-formed input —
 /// wire assignments are canonical by construction). An element or
 /// relation id past `vocab` is a shape error.
@@ -207,6 +193,15 @@ fn read_assignment(vocab: &Vocabulary, r: &mut Reader<'_>) -> Result<Assignment,
         let more = k.next("more", |r| r.vec(|r| read_fact(vocab, r)))?;
         Ok(Assignment::new(vocab, slots, more))
     })
+}
+
+/// Writes a fact as `[s, r, o]`.
+pub(crate) fn write_fact(w: &mut Writer, f: &Fact) {
+    w.items(|i| {
+        i.item().u32(f.subject.0);
+        i.item().u32(f.rel.0);
+        i.item().u32(f.object.0);
+    });
 }
 
 /// Reads an `[s, r, o]` fact whose ids are checked against `vocab`.
@@ -220,48 +215,33 @@ pub(crate) fn read_fact(vocab: &Vocabulary, r: &mut Reader<'_>) -> Result<Fact, 
     })
 }
 
-/// Serializes a wire op for the WAL. The verdict is a single-variant
+/// Writes a wire op for the WAL. The verdict is a single-variant
 /// object mirroring [`WireVerdict`].
-pub fn wire_to_json(op: &WireOp) -> Json {
-    let verdict = match &op.verdict {
-        WireVerdict::Support { support } => Json::Obj(vec![(
-            "Support".into(),
-            Json::Obj(vec![("support".into(), Json::Num(*support))]),
-        )]),
-        WireVerdict::NoneOfThese { options } => Json::Obj(vec![(
-            "NoneOfThese".into(),
-            Json::Obj(vec![(
-                "options".into(),
-                Json::Arr(options.iter().map(assignment_to_json).collect()),
-            )]),
-        )]),
-        WireVerdict::Prune { elem } => Json::Obj(vec![(
-            "Prune".into(),
-            Json::Obj(vec![("elem".into(), Json::Num(elem.0 as f64))]),
-        )]),
-        WireVerdict::NoAnswer => Json::Obj(vec![("NoAnswer".into(), Json::Obj(vec![]))]),
-        WireVerdict::Msp { valid } => Json::Obj(vec![(
-            "Msp".into(),
-            Json::Obj(vec![("valid".into(), Json::Bool(*valid))]),
-        )]),
-        WireVerdict::Revise { support } => Json::Obj(vec![(
-            "Revise".into(),
-            Json::Obj(vec![("support".into(), Json::Num(*support))]),
-        )]),
-    };
-    Json::Obj(vec![
-        ("tick".into(), Json::Num(op.tick as f64)),
-        ("seq".into(), Json::Num(op.seq as f64)),
-        ("member".into(), Json::Num(op.member.0 as f64)),
-        (
-            "node".into(),
-            op.node.as_ref().map_or(Json::Null, assignment_to_json),
-        ),
-        ("verdict".into(), verdict),
-    ])
+pub fn write_wire_op(w: &mut Writer, op: &WireOp) {
+    w.fields(|k| {
+        k.next("tick").u32(op.tick);
+        k.next("seq").u32(op.seq);
+        k.next("member").u32(op.member.0);
+        k.next("node").opt(op.node.as_ref(), write_assignment);
+        let v = k.next("verdict");
+        match &op.verdict {
+            WireVerdict::Support { support } => {
+                v.variant("Support", |k| k.next("support").f64(*support))
+            }
+            WireVerdict::NoneOfThese { options } => v.variant("NoneOfThese", |k| {
+                k.next("options").vec(options, write_assignment)
+            }),
+            WireVerdict::Prune { elem } => v.variant("Prune", |k| k.next("elem").u32(elem.0)),
+            WireVerdict::NoAnswer => v.variant("NoAnswer", |_| {}),
+            WireVerdict::Msp { valid } => v.variant("Msp", |k| k.next("valid").bool(*valid)),
+            WireVerdict::Revise { support } => {
+                v.variant("Revise", |k| k.next("support").f64(*support))
+            }
+        }
+    });
 }
 
-/// Reads a wire op serialized by [`wire_to_json`] off `r`, building no
+/// Reads a wire op written by [`write_wire_op`] off `r`, building no
 /// tree. Its keys come in the order the writer emits them; any other
 /// key, order or verdict is a shape error. Every element and relation
 /// id is checked against `vocab`: one past it is a shape error.
@@ -277,7 +257,7 @@ pub fn read_wire_op(vocab: &Vocabulary, r: &mut Reader<'_>) -> Result<WireOp, Js
     })
 }
 
-/// Reads the single-variant verdict object [`wire_to_json`] writes.
+/// Reads the single-variant verdict object [`write_wire_op`] writes.
 fn read_verdict(vocab: &Vocabulary, r: &mut Reader<'_>) -> Result<WireVerdict, JsonError> {
     r.variant(|tag, k| {
         Ok(match tag {
@@ -478,25 +458,30 @@ mod tests {
             let op = read_wire_op(vocab, &mut r)?;
             r.end().map(|()| op)
         };
+        let text = |op: &WireOp| ontology::json::write(|w| write_wire_op(w, op));
         for op in &ops {
-            let text = wire_to_json(op).to_string();
+            let text = text(op);
             assert_eq!(&read(&text).unwrap(), op, "{text}");
         }
         // an unknown key, a repeated key and keys out of the writer's
         // order are shape errors naming the key
-        for key in ["future_field", "tick", "seq"] {
-            let mut j = wire_to_json(&ops[0]);
-            if let Json::Obj(fields) = &mut j {
-                match key {
-                    "seq" => fields.swap(0, 1),
-                    _ => fields.push((key.into(), Json::Num(1.0))),
-                }
-            }
-            let err = read(&j.to_string()).unwrap_err();
-            assert!(!err.is_syntax() && err.to_string().contains(key), "{err}");
+        let first = text(&ops[0]);
+        let open = first.strip_suffix('}').unwrap();
+        let head = r#"{"tick":1,"seq":0,"#;
+        assert!(first.starts_with(head), "{first}");
+        for (key, bad) in [
+            ("future_field", format!(r#"{open},"future_field":1}}"#)),
+            ("tick", format!(r#"{open},"tick":1}}"#)),
+            ("seq", first.replacen(head, r#"{"seq":0,"tick":1,"#, 1)),
+        ] {
+            let err = read(&bad).unwrap_err();
+            assert!(
+                !err.is_syntax() && err.to_string().contains(key),
+                "{bad}: {err}"
+            );
         }
         // a verdict names exactly one known variant, with its own keys
-        let text = wire_to_json(&ops[3]).to_string();
+        let text = text(&ops[3]);
         for (from, to) in [
             ("{\"NoAnswer\":{}}", "{\"NoAnswer\":{\"x\":1}}"),
             ("{\"NoAnswer\":{}}", "{}"),

@@ -1,19 +1,26 @@
-//! A minimal JSON value type, a borrowing pull reader, and a writer.
+//! A minimal JSON value type, a borrowing pull reader, and a push writer.
 //!
-//! The build environment has no crates.io access, so the snapshot modules
-//! (`snapshot` and `oassis-core`'s crowd cache) serialize through
-//! this hand-rolled implementation instead of `serde_json`. It supports
-//! the full JSON grammar; numbers are kept as `f64`, which is exact for
-//! every id (`u32`) and support value this workspace stores.
+//! The build environment has no crates.io access, so the server's WAL,
+//! its protocol frames and `oassis-core`'s wire ops and cache entries
+//! go through this hand-rolled implementation instead of `serde_json`.
+//! It supports the full JSON grammar; numbers are kept as `f64`, which
+//! is exact for every id (`u32`) and support value this workspace
+//! stores.
+//!
+//! Every document is written by a [`Writer`], which pushes typed values
+//! straight into the text and builds no tree: each schema's writer sits
+//! beside its reader and emits keys in the order the reader reads them.
+//! `Json`'s [`Display`](fmt::Display) walks a tree through the same
+//! writer, so the number and escape spelling exists once.
 //!
 //! A document is read one of two ways. [`parse`] builds a [`Json`] tree
-//! (protocol frames, ontology snapshots). A [`Reader`] pulls typed values
-//! straight off the text and builds no tree: the server's WAL decodes
-//! every record with it. `parse` is built on the reader, so the string,
-//! escape, number and literal grammar exists once.
+//! (protocol frames). A [`Reader`] pulls typed values straight off the
+//! text and builds no tree: the server's WAL decodes every record with
+//! it. `parse` is built on the reader, so the string, escape, number
+//! and literal grammar exists once.
 
 use std::borrow::Cow;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// The largest integer up to which a JSON number here (an `f64`) holds
 /// every integer exactly: 2^53.
@@ -154,6 +161,17 @@ impl Json {
         }
     }
 
+    /// The boolean value, or a shape error.
+    pub fn as_bool(&self) -> Result<bool, JsonError> {
+        match self {
+            Json::Bool(b) => Ok(*b),
+            other => Err(JsonError::shape(format!(
+                "expected bool, got {}",
+                other.kind()
+            ))),
+        }
+    }
+
     /// The numeric value, or a shape error.
     pub fn as_f64(&self) -> Result<f64, JsonError> {
         match self {
@@ -210,53 +228,188 @@ fn to_exact_u64(n: f64) -> Result<u64, JsonError> {
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            // {:?} prints the shortest representation that parses back to
-            // the same f64, so floats round-trip exactly
-            Json::Num(n) if n.fract() == 0.0 && n.abs() < 1e15 => write!(f, "{}", *n as i64),
-            Json::Num(n) => write!(f, "{n:?}"),
-            Json::Str(s) => write_escaped(f, s),
-            Json::Arr(items) => {
-                f.write_str("[")?;
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{v}")?;
-                }
-                f.write_str("]")
+        f.write_str(&write(|w| w.tree(self)))
+    }
+}
+
+/// A push writer of one JSON document: the mirror of [`Reader`].
+///
+/// Each method writes one value. An object's keys go through
+/// [`Self::fields`] in the order its reader reads them, an array's
+/// elements through [`Self::items`], and a single-variant object through
+/// [`Self::variant`]. It writes no whitespace, and spells each number and
+/// string one way, so a value has exactly one text: the bytes the WAL's
+/// crc covers.
+#[derive(Debug)]
+pub struct Writer {
+    out: String,
+}
+
+impl Writer {
+    fn null(&mut self) {
+        self.out.push_str("null");
+    }
+
+    /// Writes `true` or `false`.
+    pub fn bool(&mut self, b: bool) {
+        self.out.push_str(if b { "true" } else { "false" });
+    }
+
+    /// Writes a number: an integral value below 1e15 in magnitude as
+    /// integer digits, any other with `{:?}`, the shortest text that
+    /// reads back to the same `f64`.
+    pub fn f64(&mut self, n: f64) {
+        if n.fract() == 0.0 && n.abs() < 1e15 {
+            self.put(format_args!("{}", n as i64));
+        } else {
+            self.put(format_args!("{n:?}"));
+        }
+    }
+
+    /// Writes a `u32`, as [`Reader::u32`] reads it.
+    pub fn u32(&mut self, n: u32) {
+        self.put(format_args!("{n}"));
+    }
+
+    /// Writes an integer as the number `n as f64`, which
+    /// [`Reader::exact_u64`] reads back for any `n` up to
+    /// [`MAX_EXACT_INT`].
+    pub fn exact_u64(&mut self, n: u64) {
+        self.f64(n as f64);
+    }
+
+    /// Writes a string: `"` and `\` escaped, `\n`, `\r` and `\t` by their
+    /// short escapes, any other control character as `\u00XX`.
+    pub fn str(&mut self, s: &str) {
+        self.out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => self.out.push_str("\\\""),
+                '\\' => self.out.push_str("\\\\"),
+                '\n' => self.out.push_str("\\n"),
+                '\r' => self.out.push_str("\\r"),
+                '\t' => self.out.push_str("\\t"),
+                c if (c as u32) < 0x20 => self.put(format_args!("\\u{:04x}", c as u32)),
+                c => self.out.push(c),
             }
-            Json::Obj(fields) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write_escaped(f, k)?;
-                    write!(f, ":{v}")?;
-                }
-                f.write_str("}")
+        }
+        self.out.push('"');
+    }
+
+    /// Writes `null` for `None`, and any other value with `write`.
+    pub fn opt<T>(&mut self, v: Option<T>, write: impl FnOnce(&mut Self, T)) {
+        match v {
+            Some(v) => write(self, v),
+            None => self.null(),
+        }
+    }
+
+    /// Writes an array, each element with `write`.
+    pub fn vec<T>(
+        &mut self,
+        items: impl IntoIterator<Item = T>,
+        mut write: impl FnMut(&mut Self, T),
+    ) {
+        self.items(|i| {
+            for v in items {
+                write(i.item(), v);
             }
+        });
+    }
+
+    /// Writes an object whose keys `write` names, in order, through
+    /// [`Members::next`].
+    pub fn fields(&mut self, write: impl FnOnce(&mut Members<'_>)) {
+        self.seq('{', '}', write);
+    }
+
+    /// Writes an array whose elements `write` writes, in order, through
+    /// [`Members::item`].
+    pub fn items(&mut self, write: impl FnOnce(&mut Members<'_>)) {
+        self.seq('[', ']', write);
+    }
+
+    /// Writes a single-variant object, `{"Tag": {…}}`: `write` writes the
+    /// inner object's keys.
+    pub fn variant(&mut self, tag: &str, write: impl FnOnce(&mut Members<'_>)) {
+        self.fields(|k| k.next(tag).fields(write));
+    }
+
+    fn seq(&mut self, open: char, close: char, write: impl FnOnce(&mut Members<'_>)) {
+        self.out.push(open);
+        write(&mut Members {
+            w: self,
+            started: false,
+        });
+        self.out.push(close);
+    }
+
+    fn put(&mut self, args: fmt::Arguments<'_>) {
+        // writing to a `String` cannot fail
+        let _ = self.out.write_fmt(args);
+    }
+
+    /// Writes a tree.
+    fn tree(&mut self, j: &Json) {
+        match j {
+            Json::Null => self.null(),
+            Json::Bool(b) => self.bool(*b),
+            Json::Num(n) => self.f64(*n),
+            Json::Str(s) => self.str(s),
+            Json::Arr(items) => self.vec(items, Writer::tree),
+            Json::Obj(fields) => self.fields(|k| {
+                for (key, v) in fields {
+                    k.next(key).tree(v);
+                }
+            }),
         }
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+/// The text of the one value `f` writes: a WAL record body, a protocol
+/// frame or a test's fragment of either.
+pub fn write(f: impl FnOnce(&mut Writer)) -> String {
+    let mut w = Writer { out: String::new() };
+    f(&mut w);
+    w.out
+}
+
+/// The members of one object or array, written in order: the handle
+/// [`Writer::fields`], [`Writer::items`] and [`Writer::variant`] lend
+/// their caller.
+pub struct Members<'w> {
+    w: &'w mut Writer,
+    /// Whether a member was written, so the next one follows a `,`.
+    started: bool,
+}
+
+impl Members<'_> {
+    /// Writes the next member's key, `name`; the caller writes its value
+    /// with the writer returned.
+    pub fn next(&mut self, name: &str) -> &mut Writer {
+        let w = self.item();
+        w.str(name);
+        w.out.push(':');
+        w
+    }
+
+    /// Writes the next member like [`Self::next`], or nothing for `None`:
+    /// a key [`Seq::optional`] reads last, and only sometimes.
+    pub fn optional<T>(&mut self, name: &str, v: Option<T>, write: impl FnOnce(&mut Writer, T)) {
+        if let Some(v) = v {
+            write(self.next(name), v);
         }
     }
-    f.write_str("\"")
+
+    /// Starts the next array element; the caller writes it with the
+    /// writer returned.
+    pub fn item(&mut self) -> &mut Writer {
+        if self.started {
+            self.w.out.push(',');
+        }
+        self.started = true;
+        self.w
+    }
 }
 
 /// Parses a JSON document into a tree; trailing non-whitespace is an
@@ -344,7 +497,7 @@ impl<'a> Reader<'a> {
 
     /// Reads an array, calling `f` once per element; `f` must consume
     /// exactly that element.
-    pub fn arr(
+    fn arr(
         &mut self,
         mut f: impl FnMut(&mut Self) -> Result<(), JsonError>,
     ) -> Result<(), JsonError> {
@@ -809,39 +962,110 @@ fn wrong_len(what: &str) -> JsonError {
 mod tests {
     use super::*;
 
+    /// The writer's text of each number and string: the spelling of
+    /// every WAL record and frame, captured from the tree printer the
+    /// writer replaced. Each reads back to its value.
     #[test]
-    fn roundtrips_a_nested_document() {
-        let doc = Json::Obj(vec![
-            ("version".into(), Json::Num(1.0)),
-            (
-                "items".into(),
-                Json::Arr(vec![
-                    Json::Str("a \"quoted\" name\nline2".into()),
-                    Json::Num(0.25),
-                    Json::Num(-3.0),
-                    Json::Null,
-                    Json::Bool(true),
-                ]),
-            ),
-            ("empty_arr".into(), Json::Arr(vec![])),
-            ("empty_obj".into(), Json::Obj(vec![])),
-        ]);
-        let text = doc.to_string();
-        assert_eq!(parse(&text).unwrap(), doc);
+    fn the_writer_spells_numbers_and_strings_as_captured() {
+        let numbers = [
+            (0.0, "0"),
+            // an integral zero prints as integer digits, sign dropped
+            (-0.0, "0"),
+            (1.0 / 3.0, "0.3333333333333333"),
+            (0.25, "0.25"),
+            (12.5, "12.5"),
+            (1e-300, "1e-300"),
+            (f64::MAX, "1.7976931348623157e308"),
+            (999_999_999_999_999.0, "999999999999999"),
+            (1e15, "1000000000000000.0"),
+            (MAX_EXACT_INT as f64, "9007199254740992.0"),
+            (u32::MAX as f64, "4294967295"),
+        ];
+        for (n, text) in numbers {
+            assert_eq!(write(|w| w.f64(n)), text, "{n:?}");
+            assert_eq!(Json::Num(n).to_string(), text, "{n:?}");
+            assert_eq!(Reader::new(text).f64().unwrap(), n, "{text}");
+        }
+        let ints = write(|w| {
+            w.items(|i| {
+                i.item().u32(u32::MAX);
+                i.item().exact_u64(MAX_EXACT_INT);
+                i.item().exact_u64(7);
+            })
+        });
+        assert_eq!(ints, "[4294967295,9007199254740992.0,7]");
+        let strings = [
+            ("\"", r#""\"""#),
+            ("\\", r#""\\""#),
+            ("\n", r#""\n""#),
+            ("\r", r#""\r""#),
+            ("\t", r#""\t""#),
+            ("\u{1}", r#""\u0001""#),
+            ("\u{1f}", r#""\u001f""#),
+            ("/", r#""/""#),
+            ("é", r#""é""#),
+            ("東", r#""東""#),
+            ("🦀", r#""🦀""#),
+            ("a\"b\\c\nd\u{1}é東🦀/", r#""a\"b\\c\nd\u0001é東🦀/""#),
+        ];
+        for (s, text) in strings {
+            assert_eq!(write(|w| w.str(s)), text, "{s:?}");
+            assert_eq!(Json::Str(s.into()).to_string(), text, "{s:?}");
+            assert_eq!(Reader::new(text).str().unwrap(), s, "{text}");
+        }
     }
 
+    /// Objects, arrays, variants and `null`s nest as the reader reads
+    /// them, with no whitespace, and a tree prints the same text.
     #[test]
-    fn floats_roundtrip_exactly() {
-        for v in [0.1, 1.0 / 3.0, 5.0 / 12.0, f64::MAX, 1e-300, 0.0] {
-            let text = Json::Num(v).to_string();
-            assert_eq!(parse(&text).unwrap().as_f64().unwrap(), v, "{text}");
-        }
+    fn the_writer_nests_as_the_reader_reads() {
+        let text = write(|w| {
+            w.fields(|k| {
+                k.next("a").u32(1);
+                k.next("list")
+                    .vec([Some(0.25), None], |w, v| w.opt(v, Writer::f64));
+                k.next("v").variant("Tag", |k| k.next("ok").bool(true));
+                k.next("empty").variant("None", |_| {});
+                k.optional("absent", None::<u32>, Writer::u32);
+                k.optional("last", Some("x"), Writer::str);
+            })
+        });
+        assert_eq!(
+            text,
+            r#"{"a":1,"list":[0.25,null],"v":{"Tag":{"ok":true}},"empty":{"None":{}},"last":"x"}"#
+        );
+        assert_eq!(parse(&text).unwrap().to_string(), text);
+        let mut r = Reader::new(&text);
+        let read = r
+            .fields(|k| {
+                Ok((
+                    k.next("a", Reader::u32)?,
+                    k.next("list", |r| r.vec(|r| r.opt(Reader::f64)))?,
+                    k.next("v", |r| {
+                        r.variant(|tag, k| Ok((tag.to_string(), k.next("ok", Reader::bool)?)))
+                    })?,
+                    k.next("empty", |r| r.variant(|tag, _| Ok(tag.to_string())))?,
+                    k.optional("last", Reader::str)?.map(Cow::into_owned),
+                ))
+            })
+            .unwrap();
+        r.end().unwrap();
+        assert_eq!(
+            read,
+            (
+                1,
+                vec![Some(0.25), None],
+                ("Tag".to_string(), true),
+                "None".to_string(),
+                Some("x".to_string())
+            )
+        );
     }
 
     #[test]
     fn exact_integers_are_the_lossless_range_only() {
         for v in [0u64, 1, 7, MAX_EXACT_INT] {
-            let text = Json::Num(v as f64).to_string();
+            let text = write(|w| w.exact_u64(v));
             assert_eq!(parse(&text).unwrap().as_exact_u64().unwrap(), v, "{text}");
         }
         // negative, fractional, past 2^53 (here 2^60), not a number
@@ -979,17 +1203,10 @@ mod tests {
     }
 
     #[test]
-    fn unicode_strings_survive() {
-        let doc = Json::Str("café ≤E 東京".into());
-        assert_eq!(parse(&doc.to_string()).unwrap(), doc);
-    }
-
-    #[test]
     fn multibyte_runs_and_escapes_mix_in_one_string() {
         let s = "\"東京\"\\café\n\t≤E\u{1}🦀/\r\"";
-        let doc = Json::Str(s.into());
-        let text = doc.to_string();
-        assert_eq!(parse(&text).unwrap(), doc, "{text}");
+        let text = write(|w| w.str(s));
+        assert_eq!(Reader::new(&text).str().unwrap(), s, "{text}");
         // escapes the writer never emits decode between multi-byte runs
         let read = parse(r#""é\/東\u00e9\b\f🦀\u6771""#).unwrap();
         assert_eq!(read, Json::Str("é/東é\u{8}\u{c}🦀東".into()));

@@ -37,7 +37,6 @@ mod error;
 mod fact;
 mod ids;
 mod pattern;
-mod snapshot;
 mod store;
 mod vocab;
 
@@ -50,6 +49,5 @@ pub use error::OntologyError;
 pub use fact::{Fact, FactSet};
 pub use ids::{ElemId, RelId};
 pub use pattern::{PatternFact, PatternSet};
-pub use snapshot::{semantically_equal, OntologySnapshot, SnapshotError};
 pub use store::{Ontology, OntologyBuilder};
 pub use vocab::{Vocabulary, VocabularyBuilder};

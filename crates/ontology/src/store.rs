@@ -63,13 +63,6 @@ impl OntologyBuilder {
         }
     }
 
-    /// Access to the underlying vocabulary builder (e.g. to intern terms
-    /// that appear only in personal databases, like `Boathouse` in
-    /// Example 2.4).
-    pub fn vocab_mut(&mut self) -> &mut VocabularyBuilder {
-        &mut self.vocab
-    }
-
     /// Interns an element name without asserting any fact about it.
     pub fn element(&mut self, name: &str) -> ElemId {
         self.vocab.element(name)
@@ -109,17 +102,6 @@ impl OntologyBuilder {
             self.vocab.elem_edge(object, subject);
         }
         self.facts.push(Fact::new(subject, rel, object));
-    }
-
-    /// Adds a fact **without** the order-defining side effect (used when
-    /// restoring snapshots whose order edges are captured explicitly).
-    pub fn raw_fact(&mut self, subject: ElemId, rel: RelId, object: ElemId) {
-        self.facts.push(Fact::new(subject, rel, object));
-    }
-
-    /// Id-based form of [`label`](Self::label).
-    pub fn label_id(&mut self, elem: ElemId, label: &str) {
-        self.labels.push((elem, label.to_owned()));
     }
 
     /// Shorthand for `child subClassOf parent`.
@@ -236,14 +218,6 @@ impl Ontology {
     /// Number of asserted facts.
     pub fn num_facts(&self) -> usize {
         self.facts.len()
-    }
-
-    /// The labels attached to `elem`, in sorted order.
-    pub fn labels_of(&self, elem: ElemId) -> impl Iterator<Item = &str> + '_ {
-        self.labels
-            .get(&elem)
-            .into_iter()
-            .flat_map(|set| set.iter().map(String::as_str))
     }
 }
 

@@ -14,13 +14,16 @@
 //! `proto_version` golden test pins this. Unknown frame *types* are an
 //! error (a field can be skipped; a whole frame cannot).
 //!
+//! A frame is written by an [`ontology::json::Writer`], which builds no
+//! tree, and read by [`json::parse`] into a [`Json`] tree first.
+//!
 //! Both directions are encodable and decodable from here: the server
 //! parses [`Request`]s and renders [`Response`]s; test clients (simtest,
 //! the CI smoke driver) do the reverse with the same code.
 
 use crate::session::{OpenReply, QueryReply, RecoveredQuery, SessionSpec};
 use crate::wal::QuerySpec;
-use ontology::json::{Json, JsonError};
+use ontology::json::{self, Json, JsonError, Writer};
 
 /// The highest protocol version this build speaks.
 pub const PROTO_VERSION: u32 = 1;
@@ -113,15 +116,6 @@ pub enum Response {
     },
 }
 
-fn obj(fields: Vec<(&str, Json)>) -> Json {
-    Json::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
 /// Looks up an *optional* field: absent or `null` both mean `None`
 /// ([`Json::field`] errors on absence, which is right for required
 /// fields and wrong for optional ones).
@@ -138,42 +132,40 @@ fn frame_type(j: &Json) -> Result<&str, JsonError> {
 
 impl Request {
     /// Renders the frame (one line, no trailing newline).
-    pub fn to_json(&self) -> Json {
-        match self {
-            Request::Hello { proto, client } => obj(vec![
-                ("type", Json::Str("hello".into())),
-                ("proto", Json::Num(*proto as f64)),
-                ("client", Json::Str(client.clone())),
-            ]),
-            Request::Open(spec) => obj(vec![
-                ("type", Json::Str("open".into())),
-                ("session", Json::Str(spec.name.clone())),
-                ("seed", Json::Num(spec.seed as f64)),
-                ("members", Json::Num(spec.members as f64)),
-            ]),
-            Request::Query { session, spec } => obj(vec![
-                ("type", Json::Str("query".into())),
-                ("session", Json::Str(session.clone())),
-                ("src", Json::Str(spec.src.clone())),
-                ("threshold", spec.threshold.map_or(Json::Null, Json::Num)),
-                ("batch_width", Json::Num(spec.batch_width as f64)),
-                (
-                    "max_questions",
-                    spec.max_questions
-                        .map_or(Json::Null, |m| Json::Num(m as f64)),
-                ),
-                ("seed", Json::Num(spec.seed as f64)),
-            ]),
-            Request::Recover { session } => obj(vec![
-                ("type", Json::Str("recover".into())),
-                ("session", Json::Str(session.clone())),
-            ]),
-            Request::Close { session } => obj(vec![
-                ("type", Json::Str("close".into())),
-                ("session", Json::Str(session.clone())),
-            ]),
-            Request::Bye => obj(vec![("type", Json::Str("bye".into()))]),
-        }
+    pub fn to_json(&self) -> String {
+        json::write(|w| {
+            w.fields(|k| match self {
+                Request::Hello { proto, client } => {
+                    k.next("type").str("hello");
+                    k.next("proto").u32(*proto);
+                    k.next("client").str(client);
+                }
+                Request::Open(spec) => {
+                    k.next("type").str("open");
+                    k.next("session").str(&spec.name);
+                    k.next("seed").exact_u64(spec.seed);
+                    k.next("members").u32(spec.members);
+                }
+                Request::Query { session, spec } => {
+                    k.next("type").str("query");
+                    k.next("session").str(session);
+                    k.next("src").str(&spec.src);
+                    k.next("threshold").opt(spec.threshold, Writer::f64);
+                    k.next("batch_width").u32(spec.batch_width);
+                    k.next("max_questions").opt(spec.max_questions, Writer::u32);
+                    k.next("seed").exact_u64(spec.seed);
+                }
+                Request::Recover { session } => {
+                    k.next("type").str("recover");
+                    k.next("session").str(session);
+                }
+                Request::Close { session } => {
+                    k.next("type").str("close");
+                    k.next("session").str(session);
+                }
+                Request::Bye => k.next("type").str("bye"),
+            })
+        })
     }
 
     /// Parses a frame. Unknown fields are ignored; optional query knobs
@@ -228,25 +220,18 @@ impl Request {
     }
 }
 
-fn recovered_to_json(q: &RecoveredQuery) -> Json {
-    obj(vec![
-        ("qid", Json::Num(q.qid as f64)),
-        (
-            "answers",
-            Json::Arr(q.answers.iter().map(|a| Json::Str(a.clone())).collect()),
-        ),
-        ("complete", Json::Bool(q.complete)),
-        ("digest", Json::Str(q.digest.clone())),
-        (
-            "recorded_digest",
-            q.recorded_digest
-                .as_ref()
-                .map_or(Json::Null, |d| Json::Str(d.clone())),
-        ),
-        ("verified", q.verified.map_or(Json::Null, Json::Bool)),
-        ("ops", Json::Num(q.ops as f64)),
-        ("src", Json::Str(q.spec.src.clone())),
-    ])
+fn write_recovered(w: &mut Writer, q: &RecoveredQuery) {
+    w.fields(|k| {
+        k.next("qid").u32(q.qid);
+        k.next("answers").vec(&q.answers, |w, a| w.str(a));
+        k.next("complete").bool(q.complete);
+        k.next("digest").str(&q.digest);
+        k.next("recorded_digest")
+            .opt(q.recorded_digest.as_deref(), Writer::str);
+        k.next("verified").opt(q.verified, Writer::bool);
+        k.next("ops").f64(q.ops as f64);
+        k.next("src").str(&q.spec.src);
+    });
 }
 
 fn recovered_from_json(j: &Json) -> Result<RecoveredQuery, JsonError> {
@@ -265,75 +250,65 @@ fn recovered_from_json(j: &Json) -> Result<RecoveredQuery, JsonError> {
             .iter()
             .map(|a| a.as_str().map(String::from))
             .collect::<Result<_, _>>()?,
-        complete: matches!(j.field("complete")?, Json::Bool(true)),
+        complete: j.field("complete")?.as_bool()?,
         digest: j.field("digest")?.as_str()?.to_string(),
         recorded_digest: opt_field(j, "recorded_digest")
             .map(|d| d.as_str().map(String::from))
             .transpose()?,
-        verified: match opt_field(j, "verified") {
-            Some(Json::Bool(b)) => Some(*b),
-            _ => None,
-        },
+        verified: opt_field(j, "verified").map(Json::as_bool).transpose()?,
         ops: j.field("ops")?.as_u32()? as usize,
     })
 }
 
 impl Response {
     /// Renders the frame (one line, no trailing newline).
-    pub fn to_json(&self) -> Json {
-        match self {
-            Response::HelloAck { proto, server } => obj(vec![
-                ("type", Json::Str("hello_ack".into())),
-                ("proto", Json::Num(*proto as f64)),
-                ("server", Json::Str(server.clone())),
-            ]),
-            Response::Opened {
-                session,
-                resumed,
-                queries,
-                cached,
-            } => obj(vec![
-                ("type", Json::Str("opened".into())),
-                ("session", Json::Str(session.clone())),
-                ("resumed", Json::Bool(*resumed)),
-                (
-                    "queries",
-                    Json::Arr(queries.iter().map(|&q| Json::Num(q as f64)).collect()),
-                ),
-                ("cached", Json::Num(*cached as f64)),
-            ]),
-            Response::Result { session, reply } => obj(vec![
-                ("type", Json::Str("result".into())),
-                ("session", Json::Str(session.clone())),
-                ("qid", Json::Num(reply.qid as f64)),
-                (
-                    "answers",
-                    Json::Arr(reply.answers.iter().map(|a| Json::Str(a.clone())).collect()),
-                ),
-                ("questions", Json::Num(reply.questions as f64)),
-                ("fresh", Json::Num(reply.fresh as f64)),
-                ("complete", Json::Bool(reply.complete)),
-                ("digest", Json::Str(reply.digest.clone())),
-                ("threshold", Json::Num(reply.threshold)),
-            ]),
-            Response::Recovered { session, queries } => obj(vec![
-                ("type", Json::Str("recovered".into())),
-                ("session", Json::Str(session.clone())),
-                (
-                    "queries",
-                    Json::Arr(queries.iter().map(recovered_to_json).collect()),
-                ),
-            ]),
-            Response::Closed { session } => obj(vec![
-                ("type", Json::Str("closed".into())),
-                ("session", Json::Str(session.clone())),
-            ]),
-            Response::Error { code, msg } => obj(vec![
-                ("type", Json::Str("error".into())),
-                ("code", Json::Str(code.clone())),
-                ("msg", Json::Str(msg.clone())),
-            ]),
-        }
+    pub fn to_json(&self) -> String {
+        json::write(|w| {
+            w.fields(|k| match self {
+                Response::HelloAck { proto, server } => {
+                    k.next("type").str("hello_ack");
+                    k.next("proto").u32(*proto);
+                    k.next("server").str(server);
+                }
+                Response::Opened {
+                    session,
+                    resumed,
+                    queries,
+                    cached,
+                } => {
+                    k.next("type").str("opened");
+                    k.next("session").str(session);
+                    k.next("resumed").bool(*resumed);
+                    k.next("queries").vec(queries.iter().copied(), Writer::u32);
+                    k.next("cached").u32(*cached);
+                }
+                Response::Result { session, reply } => {
+                    k.next("type").str("result");
+                    k.next("session").str(session);
+                    k.next("qid").u32(reply.qid);
+                    k.next("answers").vec(&reply.answers, |w, a| w.str(a));
+                    k.next("questions").f64(reply.questions as f64);
+                    k.next("fresh").f64(reply.fresh as f64);
+                    k.next("complete").bool(reply.complete);
+                    k.next("digest").str(&reply.digest);
+                    k.next("threshold").f64(reply.threshold);
+                }
+                Response::Recovered { session, queries } => {
+                    k.next("type").str("recovered");
+                    k.next("session").str(session);
+                    k.next("queries").vec(queries, write_recovered);
+                }
+                Response::Closed { session } => {
+                    k.next("type").str("closed");
+                    k.next("session").str(session);
+                }
+                Response::Error { code, msg } => {
+                    k.next("type").str("error");
+                    k.next("code").str(code);
+                    k.next("msg").str(msg);
+                }
+            })
+        })
     }
 
     /// Parses a frame (the client side; unknown fields ignored).
@@ -345,7 +320,7 @@ impl Response {
             }),
             "opened" => Ok(Response::Opened {
                 session: j.field("session")?.as_str()?.to_string(),
-                resumed: matches!(j.field("resumed")?, Json::Bool(true)),
+                resumed: j.field("resumed")?.as_bool()?,
                 queries: j
                     .field("queries")?
                     .as_arr()?
@@ -366,7 +341,7 @@ impl Response {
                         .collect::<Result<_, _>>()?,
                     questions: j.field("questions")?.as_u32()? as usize,
                     fresh: j.field("fresh")?.as_u32()? as usize,
-                    complete: matches!(j.field("complete")?, Json::Bool(true)),
+                    complete: j.field("complete")?.as_bool()?,
                     digest: j.field("digest")?.as_str()?.to_string(),
                     threshold: j.field("threshold")?.as_f64()?,
                 },
@@ -420,91 +395,235 @@ pub fn negotiate(client_proto: u32) -> Result<u32, Response> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ontology::json;
 
     fn rq_roundtrip(r: &Request) {
-        let line = r.to_json().to_string();
+        let line = r.to_json();
         let back = Request::from_json(&json::parse(&line).unwrap()).unwrap();
         assert_eq!(&back, r, "{line}");
     }
 
     fn rs_roundtrip(r: &Response) {
-        let line = r.to_json().to_string();
+        let line = r.to_json();
         let back = Response::from_json(&json::parse(&line).unwrap()).unwrap();
         assert_eq!(&back, r, "{line}");
     }
 
+    /// Every request variant's exact line, captured from the tree
+    /// printer the writer replaced: the bytes a client sends. Each
+    /// decodes back to its request.
     #[test]
-    fn every_request_roundtrips() {
-        rq_roundtrip(&Request::Hello {
-            proto: 1,
-            client: "test".into(),
-        });
-        rq_roundtrip(&Request::Open(SessionSpec {
-            name: "s1".into(),
-            seed: 7,
-            members: 4,
-        }));
-        rq_roundtrip(&Request::Query {
+    fn every_request_is_its_pinned_line_and_roundtrips() {
+        let query = |src: &str, threshold, batch_width, max_questions, seed| Request::Query {
             session: "s1".into(),
             spec: QuerySpec {
-                src: "SELECT …".into(),
-                threshold: Some(0.4),
-                batch_width: 2,
-                max_questions: Some(64),
-                seed: 11,
+                src: src.into(),
+                threshold,
+                batch_width,
+                max_questions,
+                seed,
             },
-        });
-        rq_roundtrip(&Request::Query {
-            session: "s1".into(),
-            spec: QuerySpec {
-                src: "SELECT …".into(),
-                threshold: None,
-                batch_width: 1,
-                max_questions: None,
-                seed: 0,
-            },
-        });
-        rq_roundtrip(&Request::Recover {
-            session: "s1".into(),
-        });
-        rq_roundtrip(&Request::Close {
-            session: "s1".into(),
-        });
-        rq_roundtrip(&Request::Bye);
+        };
+        let open = |seed| {
+            Request::Open(SessionSpec {
+                name: "s1".into(),
+                seed,
+                members: 4,
+            })
+        };
+        for (req, line) in [
+            (
+                Request::Hello {
+                    proto: 1,
+                    client: "test".into(),
+                },
+                r#"{"type":"hello","proto":1,"client":"test"}"#,
+            ),
+            (
+                open(7),
+                r#"{"type":"open","session":"s1","seed":7,"members":4}"#,
+            ),
+            (
+                open(1 << 53),
+                r#"{"type":"open","session":"s1","seed":9007199254740992.0,"members":4}"#,
+            ),
+            (
+                query("SELECT \"x\"\n…", Some(0.4), 2, Some(64), 11),
+                r#"{"type":"query","session":"s1","src":"SELECT \"x\"\n…","threshold":0.4,"batch_width":2,"max_questions":64,"seed":11}"#,
+            ),
+            (
+                query("SELECT …", None, 1, None, 0),
+                r#"{"type":"query","session":"s1","src":"SELECT …","threshold":null,"batch_width":1,"max_questions":null,"seed":0}"#,
+            ),
+            (
+                Request::Recover {
+                    session: "s1".into(),
+                },
+                r#"{"type":"recover","session":"s1"}"#,
+            ),
+            (
+                Request::Close {
+                    session: "s1".into(),
+                },
+                r#"{"type":"close","session":"s1"}"#,
+            ),
+            (Request::Bye, r#"{"type":"bye"}"#),
+        ] {
+            assert_eq!(req.to_json(), line);
+            rq_roundtrip(&req);
+        }
     }
 
+    /// Every response variant's exact line, as for requests: the bytes
+    /// the server sends.
     #[test]
-    fn every_response_roundtrips() {
-        rs_roundtrip(&Response::HelloAck {
-            proto: 1,
-            server: "oassis".into(),
-        });
-        rs_roundtrip(&Response::Opened {
+    fn every_response_is_its_pinned_line_and_roundtrips() {
+        let recovered = |qid, answers: &[&str], complete, digest: &str, recorded, verified, ops| {
+            RecoveredQuery {
+                qid,
+                spec: QuerySpec {
+                    src: "SELECT …".into(),
+                    threshold: None,
+                    batch_width: 1,
+                    max_questions: None,
+                    seed: 0,
+                },
+                answers: answers.iter().map(|a| a.to_string()).collect(),
+                complete,
+                digest: digest.into(),
+                recorded_digest: recorded,
+                verified,
+                ops,
+            }
+        };
+        let opened = |resumed, queries, cached| Response::Opened {
             session: "s1".into(),
-            resumed: true,
-            queries: vec![1, 2],
-            cached: 17,
-        });
-        rs_roundtrip(&Response::Result {
-            session: "s1".into(),
-            reply: QueryReply {
-                qid: 1,
-                answers: vec!["a".into()],
-                questions: 30,
-                fresh: 12,
-                complete: true,
-                digest: "00ff00ff00ff00ff".into(),
-                threshold: 1.0 / 3.0,
-            },
-        });
-        rs_roundtrip(&Response::Closed {
-            session: "s1".into(),
-        });
-        rs_roundtrip(&Response::Error {
-            code: "bad_frame".into(),
-            msg: "nope".into(),
-        });
+            resumed,
+            queries,
+            cached,
+        };
+        for (resp, line) in [
+            (
+                Response::HelloAck {
+                    proto: 1,
+                    server: "oassis".into(),
+                },
+                r#"{"type":"hello_ack","proto":1,"server":"oassis"}"#,
+            ),
+            (
+                opened(true, vec![1, 2], 17),
+                r#"{"type":"opened","session":"s1","resumed":true,"queries":[1,2],"cached":17}"#,
+            ),
+            (
+                opened(false, vec![], 0),
+                r#"{"type":"opened","session":"s1","resumed":false,"queries":[],"cached":0}"#,
+            ),
+            (
+                Response::Result {
+                    session: "s1".into(),
+                    reply: QueryReply {
+                        qid: 1,
+                        answers: vec!["a".into(), "Biking doAt \"Central Park\"".into()],
+                        questions: 30,
+                        fresh: 12,
+                        complete: true,
+                        digest: "00ff00ff00ff00ff".into(),
+                        threshold: 1.0 / 3.0,
+                    },
+                },
+                r#"{"type":"result","session":"s1","qid":1,"answers":["a","Biking doAt \"Central Park\""],"questions":30,"fresh":12,"complete":true,"digest":"00ff00ff00ff00ff","threshold":0.3333333333333333}"#,
+            ),
+            (
+                Response::Recovered {
+                    session: "s1".into(),
+                    queries: vec![
+                        recovered(
+                            1,
+                            &["a"],
+                            true,
+                            "00ff00ff00ff00ff",
+                            Some("00ff00ff00ff00ff".into()),
+                            Some(true),
+                            42,
+                        ),
+                        recovered(2, &[], false, "0000000000000001", None, None, 0),
+                    ],
+                },
+                r#"{"type":"recovered","session":"s1","queries":[{"qid":1,"answers":["a"],"complete":true,"digest":"00ff00ff00ff00ff","recorded_digest":"00ff00ff00ff00ff","verified":true,"ops":42,"src":"SELECT …"},{"qid":2,"answers":[],"complete":false,"digest":"0000000000000001","recorded_digest":null,"verified":null,"ops":0,"src":"SELECT …"}]}"#,
+            ),
+            (
+                Response::Closed {
+                    session: "s1".into(),
+                },
+                r#"{"type":"closed","session":"s1"}"#,
+            ),
+            (
+                Response::Error {
+                    code: "bad_frame".into(),
+                    msg: "nope: \"x\"\n".into(),
+                },
+                r#"{"type":"error","code":"bad_frame","msg":"nope: \"x\"\n"}"#,
+            ),
+        ] {
+            assert_eq!(resp.to_json(), line);
+            rs_roundtrip(&resp);
+        }
+    }
+
+    /// A `complete`, `resumed` or `verified` that is not a bool is a
+    /// shape error, not `false`; an absent or `null` `verified` is
+    /// `None`.
+    #[test]
+    fn mistyped_booleans_are_shape_errors() {
+        let decode = |frame: &str| Response::from_json(&json::parse(frame).unwrap());
+        let result = |complete: &str| {
+            format!(
+                r#"{{"type":"result","session":"s","qid":1,"answers":[],"questions":0,"fresh":0,"complete":{complete},"digest":"d","threshold":0.5}}"#
+            )
+        };
+        let opened = |resumed: &str| {
+            format!(
+                r#"{{"type":"opened","session":"s","resumed":{resumed},"queries":[],"cached":0}}"#
+            )
+        };
+        let recovered = |complete: &str, verified: &str| {
+            format!(
+                r#"{{"type":"recovered","session":"s","queries":[{{"qid":1,"answers":[],"complete":{complete},"digest":"d","recorded_digest":null{verified},"ops":0,"src":"Q"}}]}}"#
+            )
+        };
+        for bad in ["1", r#""true""#, "null", "[]"] {
+            for frame in [
+                result(bad),
+                opened(bad),
+                recovered(bad, ""),
+                recovered("true", &format!(r#","verified":{bad}"#)),
+            ] {
+                // an explicit `null` is an absent `verified`, not a bad one
+                if frame.contains(r#""verified":null"#) {
+                    continue;
+                }
+                let err = decode(&frame).unwrap_err();
+                assert!(
+                    !err.is_syntax() && err.msg.contains("expected bool"),
+                    "{frame}: {err}"
+                );
+            }
+        }
+        for verified in ["", r#","verified":null"#] {
+            let Ok(Response::Recovered { queries, .. }) = decode(&recovered("true", verified))
+            else {
+                panic!("{verified}: a recovered frame decodes");
+            };
+            assert_eq!(queries[0].verified, None, "{verified}");
+        }
+        let Ok(Response::Recovered { queries, .. }) =
+            decode(&recovered("false", r#","verified":false"#))
+        else {
+            panic!("a recovered frame decodes");
+        };
+        assert_eq!(
+            (queries[0].complete, queries[0].verified),
+            (false, Some(false))
+        );
     }
 
     /// Decodes an `open` and a `query` frame carrying `seed` (its JSON

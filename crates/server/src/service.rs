@@ -141,7 +141,7 @@ fn error_frame(e: &ServerError) -> Response {
 }
 
 fn write_frame(stream: &mut TcpStream, resp: &Response) -> io::Result<()> {
-    let mut line = resp.to_json().to_string();
+    let mut line = resp.to_json();
     line.push('\n');
     stream.write_all(line.as_bytes())?;
     stream.flush()
@@ -323,7 +323,7 @@ impl Client {
 
     /// Sends one frame and reads one reply.
     pub fn call(&mut self, req: &Request) -> io::Result<Response> {
-        let mut line = req.to_json().to_string();
+        let mut line = req.to_json();
         line.push('\n');
         self.stream.write_all(line.as_bytes())?;
         self.stream.flush()?;
@@ -341,7 +341,7 @@ impl Client {
 
     /// Sends `bye` and closes.
     pub fn bye(mut self) -> io::Result<()> {
-        let mut line = Request::Bye.to_json().to_string();
+        let mut line = Request::Bye.to_json();
         line.push('\n');
         self.stream.write_all(line.as_bytes())?;
         self.stream.flush()

@@ -25,9 +25,9 @@ use super::{
 use crate::provider::Figure1Provider;
 use crate::session::{SessionManager, SessionSpec};
 use crowd::MemberId;
-use oassis_core::cache::{entry_to_json, CachedAnswer};
+use oassis_core::cache::CachedAnswer;
 use oassis_core::digest::fnv64;
-use oassis_core::{wire_to_json, Assignment, Dag, WireOp, WireVerdict};
+use oassis_core::{Assignment, CrowdCache, Dag, Slot, WireOp, WireVerdict};
 use oassis_ql::{MatchMode, Value};
 use ontology::domains::figure1;
 use ontology::json::{self, Json, JsonError};
@@ -130,7 +130,7 @@ fn reference_record(rec: &Json, vocab: &Vocabulary) -> Result<Record, JsonError>
             Record::Done {
                 qid: f[1].as_u32()?,
                 done: DoneMeta {
-                    complete: as_bool(f[2])?,
+                    complete: f[2].as_bool()?,
                     digest: f[3].as_str()?.to_string(),
                     threshold: f[4].as_f64()?,
                     of: f.get(5).map(|of| of.as_u32()).transpose()?,
@@ -163,13 +163,6 @@ fn opt<T>(v: &Json, read: impl Fn(&Json) -> Result<T, JsonError>) -> Result<Opti
     match v {
         Json::Null => Ok(None),
         other => read(other).map(Some),
-    }
-}
-
-fn as_bool(v: &Json) -> Result<bool, JsonError> {
-    match v {
-        Json::Bool(b) => Ok(*b),
-        other => Err(JsonError::shape(format!("expected bool, got {other}"))),
     }
 }
 
@@ -259,7 +252,7 @@ fn wire_from_json(vocab: &Vocabulary, j: &Json) -> Result<WireOp, JsonError> {
             WireVerdict::NoAnswer
         }
         "Msp" => WireVerdict::Msp {
-            valid: as_bool(keyed(body, &["valid"])?[0])?,
+            valid: keyed(body, &["valid"])?[0].as_bool()?,
         },
         "Revise" => WireVerdict::Revise {
             support: keyed(body, &["support"])?[0].as_f64()?,
@@ -316,6 +309,104 @@ fn answer_from_json(vocab: &Vocabulary, v: &Json) -> Result<CachedAnswer, JsonEr
             "unknown answer variant {other:?}"
         ))),
     }
+}
+
+// ------------------------------------------------------------ spelling
+
+// The tree spelling of every value the decoders above read, written
+// apart from the production writers (`write_wire_op`, `write_entry`), so
+// `canonical_bodies_are_the_writers_bytes` holds each record kind to two
+// independent spellings.
+
+fn num(n: impl Into<f64>) -> Json {
+    Json::Num(n.into())
+}
+
+fn s(text: &str) -> Json {
+    Json::Str(text.into())
+}
+
+fn obj(fields: Vec<(&str, Json)>) -> Json {
+    Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+}
+
+/// A single-variant object, `{"Tag": {…}}`.
+fn variant_json(tag: &str, fields: Vec<(&str, Json)>) -> Json {
+    obj(vec![(tag, obj(fields))])
+}
+
+fn fact_json(f: &Fact) -> Json {
+    Json::Arr(vec![num(f.subject.0), num(f.rel.0), num(f.object.0)])
+}
+
+fn value_json(v: &Value) -> Json {
+    match v {
+        Value::Elem(e) => Json::Arr(vec![s("e"), num(e.0)]),
+        Value::Rel(r) => Json::Arr(vec![s("r"), num(r.0)]),
+    }
+}
+
+fn assignment_json(a: &Assignment) -> Json {
+    let slots = (0..a.num_slots())
+        .map(|si| Json::Arr(a.slot(Slot(si as u16)).iter().map(value_json).collect()))
+        .collect();
+    obj(vec![
+        ("slots", Json::Arr(slots)),
+        ("more", Json::Arr(a.more().iter().map(fact_json).collect())),
+    ])
+}
+
+fn wire_json(op: &WireOp) -> Json {
+    let verdict = match &op.verdict {
+        WireVerdict::Support { support } => {
+            variant_json("Support", vec![("support", num(*support))])
+        }
+        WireVerdict::NoneOfThese { options } => variant_json(
+            "NoneOfThese",
+            vec![(
+                "options",
+                Json::Arr(options.iter().map(assignment_json).collect()),
+            )],
+        ),
+        WireVerdict::Prune { elem } => variant_json("Prune", vec![("elem", num(elem.0))]),
+        WireVerdict::NoAnswer => variant_json("NoAnswer", vec![]),
+        WireVerdict::Msp { valid } => variant_json("Msp", vec![("valid", Json::Bool(*valid))]),
+        WireVerdict::Revise { support } => variant_json("Revise", vec![("support", num(*support))]),
+    };
+    obj(vec![
+        ("tick", num(op.tick)),
+        ("seq", num(op.seq)),
+        ("member", num(op.member.0)),
+        ("node", op.node.as_ref().map_or(Json::Null, assignment_json)),
+        ("verdict", verdict),
+    ])
+}
+
+fn entry_json(pattern: &PatternSet, answer: &CachedAnswer) -> Json {
+    let id = |id: Option<u32>| id.map_or(Json::Null, num);
+    let pattern = pattern
+        .iter()
+        .map(|f| {
+            Json::Arr(vec![
+                id(f.subject.map(|e| e.0)),
+                id(f.rel.map(|r| r.0)),
+                id(f.object.map(|e| e.0)),
+            ])
+        })
+        .collect();
+    let answer = match answer {
+        CachedAnswer::Support { support, more_tip } => variant_json(
+            "Support",
+            vec![
+                ("support", num(*support)),
+                ("more_tip", more_tip.as_ref().map_or(Json::Null, fact_json)),
+            ],
+        ),
+        CachedAnswer::Irrelevant { elem } => {
+            variant_json("Irrelevant", vec![("elem", num(elem.0))])
+        }
+    };
+    Json::Arr(vec![Json::Arr(pattern), answer])
 }
 
 /// The reference recovery of a session directory: parse every line's
@@ -514,14 +605,6 @@ fn gen_record(g: &mut Gen) -> Record {
     }
 }
 
-fn num(n: impl Into<f64>) -> Json {
-    Json::Num(n.into())
-}
-
-fn s(text: &str) -> Json {
-    Json::Str(text.into())
-}
-
 /// The body [`SessionWal`]'s writer emits for `rec`.
 fn canonical(rec: &Record) -> Json {
     let fields: Vec<(&str, Json)> = match rec {
@@ -546,11 +629,9 @@ fn canonical(rec: &Record) -> Json {
             ("max_questions", spec.max_questions.map_or(Json::Null, num)),
             ("seed", Json::Num(spec.seed as f64)),
         ],
-        Record::Op { qid, op } => vec![
-            ("kind", s("op")),
-            ("qid", num(*qid)),
-            ("op", wire_to_json(op)),
-        ],
+        Record::Op { qid, op } => {
+            vec![("kind", s("op")), ("qid", num(*qid)), ("op", wire_json(op))]
+        }
         Record::Answer {
             member,
             pattern,
@@ -558,7 +639,7 @@ fn canonical(rec: &Record) -> Json {
         } => vec![
             ("kind", s("answer")),
             ("member", num(member.0)),
-            ("entry", entry_to_json(pattern, answer)),
+            ("entry", entry_json(pattern, answer)),
         ],
         Record::Done { qid, done } => {
             let mut fields = vec![
@@ -572,7 +653,7 @@ fn canonical(rec: &Record) -> Json {
             fields
         }
     };
-    Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    obj(fields)
 }
 
 /// A body tree whose numbers and literals keep their text, so a case
@@ -1033,7 +1114,7 @@ fn op_past_the_vocabulary(g: &mut Gen, vocab: &Vocabulary) -> String {
             node: Some(g.pick(assignments())),
             verdict: WireVerdict::NoAnswer,
         };
-        member(&mut wire_to_json(&op), "node").clone()
+        member(&mut wire_json(&op), "node").clone()
     };
     // a node with one id past the vocabulary
     let mut bad = node(g);
@@ -1060,7 +1141,7 @@ fn op_past_the_vocabulary(g: &mut Gen, vocab: &Vocabulary) -> String {
         };
         more.push(Json::Arr(fact.into()));
     }
-    let mut op = wire_to_json(&WireOp {
+    let mut op = wire_json(&WireOp {
         tick: 1,
         seq: 0,
         member: MemberId(0),
@@ -1117,7 +1198,7 @@ type Seen = Result<
         (Option<String>, u32, u64, u32),
         Vec<(u32, QuerySpec, Option<DoneMeta>)>,
         std::collections::BTreeMap<u32, Vec<WireOp>>,
-        String,
+        CrowdCache,
     ),
     (),
 >;
@@ -1132,7 +1213,7 @@ fn seen(rec: Result<Recovered, JsonError>) -> Seen {
                 .map(|q| (q.qid, q.spec, q.done))
                 .collect(),
             r.ops,
-            r.cache.to_json(),
+            r.cache,
         )
     })
     .map_err(drop)

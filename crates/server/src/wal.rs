@@ -17,14 +17,15 @@
 //! canonical serialization, so any other byte sequence (even one that
 //! parses to the same value) fails the check.
 //!
-//! Writing builds a [`Json`] tree per record; reading builds none. Each
+//! Neither side builds a JSON tree. Each record is written by an
+//! [`ontology::json::Writer`] straight into its line, and each
 //! crc-checked body is checked as UTF-8 and then decoded in one pass by
-//! an [`ontology::json::Reader`] straight into a typed record — the
-//! [`WireOp`] and cache entry decoders in `oassis-core` read off the
-//! same reader. Every object's keys are read in the one order the
-//! writer emits them, a record's `kind` first: a key out of that order,
-//! unknown, repeated or missing, and an unknown `kind`, is a shape
-//! error naming it. No record is skipped.
+//! an [`ontology::json::Reader`] straight into a typed record. The
+//! [`WireOp`] and cache entry codecs in `oassis-core` write to the same
+//! writer and read off the same reader. Every object's keys are read in
+//! the one order the writer emits them, a record's `kind` first: a key
+//! out of that order, unknown, repeated or missing, and an unknown
+//! `kind`, is a shape error naming it. No record is skipped.
 //!
 //! A served repeat writes no op record: its `done` footer names the run
 //! it repeats (`"of": m`), and recovery gives it that run's ops.
@@ -63,11 +64,11 @@
 //! The lines after it are still checked, so a later tear is cut first.
 
 use crowd::MemberId;
-use oassis_core::cache::{entry_to_json, read_entry, CachedAnswer};
+use oassis_core::cache::{read_entry, write_entry, CachedAnswer};
 use oassis_core::digest::fnv64;
 use oassis_core::oplog::{AnswerOp, OpTap};
-use oassis_core::{op_to_wire, read_wire_op, wire_to_json, CrowdCache, Dag, WireOp};
-use ontology::json::{Json, JsonError, Reader, Seq};
+use oassis_core::{op_to_wire, read_wire_op, write_wire_op, CrowdCache, Dag, WireOp};
+use ontology::json::{self, JsonError, Members, Reader, Seq, Writer};
 use ontology::{PatternSet, Vocabulary};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
@@ -271,14 +272,13 @@ impl SessionWal {
         members: u32,
     ) -> io::Result<()> {
         self.refuse_old_layout()?;
-        let rec = Json::Obj(vec![
-            ("kind".into(), Json::Str("session".into())),
-            ("name".into(), Json::Str(name.into())),
-            ("proto".into(), Json::Num(proto as f64)),
-            ("seed".into(), Json::Num(seed as f64)),
-            ("members".into(), Json::Num(members as f64)),
-        ]);
-        self.append_last(&rec)
+        self.append_last(&frame(|k| {
+            k.next("kind").str("session");
+            k.next("name").str(name);
+            k.next("proto").u32(proto);
+            k.next("seed").exact_u64(seed);
+            k.next("members").u32(members);
+        }))
     }
 
     /// Registers a query before it runs (so a crash mid-run still knows
@@ -289,23 +289,15 @@ impl SessionWal {
         if !self.kill.admit(None) {
             return Ok(());
         }
-        let rec = Json::Obj(vec![
-            ("kind".into(), Json::Str("query".into())),
-            ("qid".into(), Json::Num(qid as f64)),
-            ("src".into(), Json::Str(spec.src.clone())),
-            (
-                "threshold".into(),
-                spec.threshold.map_or(Json::Null, Json::Num),
-            ),
-            ("batch_width".into(), Json::Num(spec.batch_width as f64)),
-            (
-                "max_questions".into(),
-                spec.max_questions
-                    .map_or(Json::Null, |m| Json::Num(m as f64)),
-            ),
-            ("seed".into(), Json::Num(spec.seed as f64)),
-        ]);
-        self.append_line(&rec)
+        self.append_line(&frame(|k| {
+            k.next("kind").str("query");
+            k.next("qid").u32(qid);
+            k.next("src").str(&spec.src);
+            k.next("threshold").opt(spec.threshold, Writer::f64);
+            k.next("batch_width").u32(spec.batch_width);
+            k.next("max_questions").opt(spec.max_questions, Writer::u32);
+            k.next("seed").exact_u64(spec.seed);
+        }))
     }
 
     /// Records a query's completion footer: the resolved threshold and
@@ -320,24 +312,21 @@ impl SessionWal {
             self.close_files();
             return Err(e);
         }
-        let mut fields = vec![
-            ("kind".into(), Json::Str("done".into())),
-            ("qid".into(), Json::Num(qid as f64)),
-            ("complete".into(), Json::Bool(done.complete)),
-            ("digest".into(), Json::Str(done.digest.clone())),
-            ("threshold".into(), Json::Num(done.threshold)),
-        ];
-        if let Some(m) = done.of {
-            fields.push(("of".into(), Json::Num(m as f64)));
-        }
-        self.append_last(&Json::Obj(fields))
+        self.append_last(&frame(|k| {
+            k.next("kind").str("done");
+            k.next("qid").u32(qid);
+            k.next("complete").bool(done.complete);
+            k.next("digest").str(&done.digest);
+            k.next("threshold").f64(done.threshold);
+            k.optional("of", done.of, Writer::u32);
+        }))
     }
 
     /// Appends a record no record of the same query follows (the
     /// header, a footer) and drops the append handle, even when the kill
     /// switch drops the record.
-    fn append_last(&mut self, rec: &Json) -> io::Result<()> {
-        let appended = self.kill.admit(None).then(|| self.append_line(rec));
+    fn append_last(&mut self, line: &str) -> io::Result<()> {
+        let appended = self.kill.admit(None).then(|| self.append_line(line));
         self.close_files();
         appended.unwrap_or(Ok(()))
     }
@@ -361,12 +350,11 @@ impl SessionWal {
         if !self.kill.admit(Some(op.tick)) {
             return Ok(false);
         }
-        let rec = Json::Obj(vec![
-            ("kind".into(), Json::Str("op".into())),
-            ("qid".into(), Json::Num(qid as f64)),
-            ("op".into(), wire_to_json(op)),
-        ]);
-        self.append_line(&rec)?;
+        self.append_line(&frame(|k| {
+            k.next("kind").str("op");
+            k.next("qid").u32(qid);
+            write_wire_op(k.next("op"), op);
+        }))?;
         Ok(true)
     }
 
@@ -383,20 +371,19 @@ impl SessionWal {
         if !self.kill.admit(Some(tick)) {
             return Ok(false);
         }
-        let rec = Json::Obj(vec![
-            ("kind".into(), Json::Str("answer".into())),
-            ("member".into(), Json::Num(member.0 as f64)),
-            ("entry".into(), entry_to_json(pattern, answer)),
-        ]);
-        self.append_line(&rec)?;
+        self.append_line(&frame(|k| {
+            k.next("kind").str("answer");
+            k.next("member").u32(member.0);
+            write_entry(k.next("entry"), pattern, answer);
+        }))?;
         Ok(true)
     }
 
-    /// Appends one crc-framed record line to `session.wal` through the
+    /// Appends one [`frame`]d record line to `session.wal` through the
     /// held handle, opening it on the query's first record. The whole
     /// line is handed to the OS before the call returns, so it survives
     /// the death of the process; nothing syncs it to disk.
-    fn append_line(&mut self, rec: &Json) -> io::Result<()> {
+    fn append_line(&mut self, line: &str) -> io::Result<()> {
         let file = match self.file.take() {
             Some(file) => file,
             None => OpenOptions::new()
@@ -404,7 +391,7 @@ impl SessionWal {
                 .append(true)
                 .open(self.dir.join(SESSION_WAL))?,
         };
-        self.file.insert(file).write_all(frame(rec).as_bytes())
+        self.file.insert(file).write_all(line.as_bytes())
     }
 
     /// Reconstructs the session from `session.wal`, in one pass in
@@ -587,9 +574,9 @@ fn read_record(k: &mut Seq<'_, '_>, vocab: &Vocabulary) -> Result<Record, JsonEr
     })
 }
 
-/// Frames one record as a crc-guarded line.
-fn frame(rec: &Json) -> String {
-    let body = rec.to_string();
+/// Frames one record, whose keys `write` writes, as a crc-guarded line.
+fn frame(write: impl FnOnce(&mut Members<'_>)) -> String {
+    let body = json::write(|w| w.fields(write));
     format!(
         "{{\"crc\":\"{:016x}\",\"rec\":{}}}\n",
         fnv64(body.as_bytes()),
@@ -923,7 +910,7 @@ mod tests {
         let mut wal = SessionWal::open(&dir, 0).unwrap();
         assert!(wal.append_op(1, &support_op(1)).unwrap());
         wal.close_files();
-        let x = wire_to_json(&support_op(1)).to_string();
+        let x = json::write(|w| write_wire_op(w, &support_op(1)));
         append_lines(
             &dir,
             &[framed(&format!(

@@ -19,7 +19,7 @@ mod common;
 
 use common::{manager, temp_root};
 use crowd::{Answer, CrowdSource, MemberId, Question};
-use oassis_core::WireOp;
+use oassis_core::{CrowdCache, WireOp};
 use oassis_server::{
     CrowdProvider, DoneMeta, Figure1Provider, KillSwitch, QueryReply, QuerySpec, RecoveredQuery,
     ServerError, SessionManager, SessionSpec, SessionWal,
@@ -80,14 +80,13 @@ fn dir_bytes(dir: &Path) -> BTreeMap<String, Vec<u8>> {
 }
 
 /// What a session directory recovers to: the fields of
-/// `SessionWal::recover` (the answer cache as its sorted JSON) and a
-/// restarted manager's `recover`.
+/// `SessionWal::recover` and a restarted manager's `recover`.
 #[derive(Debug, PartialEq)]
 struct Durable {
     header: (Option<String>, u32, u64, u32),
     queries: Vec<(u32, QuerySpec, Option<DoneMeta>)>,
     ops: BTreeMap<u32, Vec<WireOp>>,
-    cache: String,
+    cache: CrowdCache,
     truncated: bool,
     restart: Vec<RecoveredQuery>,
 }
@@ -108,7 +107,7 @@ impl Durable {
                 .map(|q| (q.qid, q.spec, q.done))
                 .collect(),
             ops: rec.ops,
-            cache: rec.cache.to_json(),
+            cache: rec.cache,
             truncated: rec.truncated,
             restart: mgr.recover("s").unwrap(),
         }

@@ -307,7 +307,7 @@ fn hostile_frames() -> Vec<Hostile> {
         ),
         hostile(
             "query before open",
-            line(query.to_json().to_string()),
+            line(query.to_json()),
             ("unknown_session", false),
             "bad_frame",
         ),
@@ -319,7 +319,7 @@ fn hostile_frames() -> Vec<Hostile> {
         ),
         hostile(
             "hello proto 0",
-            line(hello0.to_json().to_string()),
+            line(hello0.to_json()),
             ("unsupported_proto", false),
             "unsupported_proto",
         ),

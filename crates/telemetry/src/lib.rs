@@ -205,8 +205,9 @@ impl TraceEvent {
     }
 }
 
-/// JSON string escaping (mirrors `ontology::json`'s writer so traces
-/// parse back with that crate).
+/// JSON string escaping, the escape set of `ontology::json::Writer::str`,
+/// so traces parse back with that crate. (`telemetry` depends on no
+/// workspace crate, so it keeps its own copy.)
 fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');

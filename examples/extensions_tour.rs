@@ -1,7 +1,6 @@
 //! A tour of the Section-8 language extensions implemented in this
 //! reproduction: `TOP k`, `TOP k DIVERSE`, `IMPLYING … AND CONFIDENCE`
-//! (association rules), `ASKING "label"` (crowd selection), and ontology
-//! snapshots.
+//! (association rules) and `ASKING "label"` (crowd selection).
 //!
 //! ```sh
 //! cargo run --example extensions_tour
@@ -136,13 +135,4 @@ WITH SUPPORT = 0.3 AND CONFIDENCE = 0.75
     for a in &asked.answers {
         println!("  • {a}");
     }
-
-    // ---- ontology snapshots ------------------------------------------
-    let json = ont.to_json();
-    let restored = Ontology::from_json(&json).unwrap();
-    println!(
-        "\nontology snapshot: {} bytes of JSON, semantically equal: {}",
-        json.len(),
-        oassis::ontology::semantically_equal(&ont, &restored)
-    );
 }

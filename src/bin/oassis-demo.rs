@@ -5,7 +5,6 @@
 //! cargo run --release --bin oassis-demo -- mine figure1 --theta 0.4
 //! cargo run --release --bin oassis-demo -- mine travel --theta 0.2 --members 100
 //! cargo run --release --bin oassis-demo -- parse examples/query.oql   # or any file
-//! cargo run --release --bin oassis-demo -- export-ontology figure1 out.json
 //! ```
 
 use oassis::crowd::population::{generate, HabitProfile, PopulationConfig};
@@ -16,8 +15,7 @@ use std::process::ExitCode;
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  oassis-demo domains\n  oassis-demo mine <figure1|travel|culinary|self-treatment> \
-         [--theta X] [--members N] [--seed S]\n  oassis-demo parse <query-file>\n  \
-         oassis-demo export-ontology <domain> <out.json>"
+         [--theta X] [--members N] [--seed S]\n  oassis-demo parse <query-file>"
     );
     ExitCode::FAILURE
 }
@@ -105,27 +103,6 @@ fn main() -> ExitCode {
                     ExitCode::FAILURE
                 }
             }
-        }
-        Some("export-ontology") => {
-            let (Some(domain), Some(out)) = (args.get(1), args.get(2)) else {
-                return usage();
-            };
-            let ont = match domain.as_str() {
-                "figure1" => figure1::ontology(),
-                "travel" => travel(DomainScale::paper()).ontology,
-                "culinary" => culinary(DomainScale::paper()).ontology,
-                "self-treatment" => self_treatment(DomainScale::paper()).ontology,
-                other => {
-                    eprintln!("unknown domain {other}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            if let Err(e) = std::fs::write(out, ont.to_json()) {
-                eprintln!("cannot write {out}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!("wrote {out}");
-            ExitCode::SUCCESS
         }
         Some("mine") => {
             let Some(domain) = args.get(1) else {

@@ -1,10 +1,13 @@
 //! End-to-end scenarios across the generated evaluation domains, with
 //! failure injection: leaving members, spammers, undecided aggregation,
-//! and cache-backed threshold sweeps.
+//! and threshold sweeps over a cache paged back in from the session WAL.
 
+use oassis::core::cache::{AnswerStore, CachedAnswer};
 use oassis::crowd::population::{generate, HabitProfile, PopulationConfig};
 use oassis::ontology::domains::{culinary, self_treatment, travel, DomainScale};
+use oassis::ontology::PatternSet;
 use oassis::prelude::*;
+use oassis::server::SessionWal;
 
 mod common;
 use common::travel_profiles;
@@ -205,6 +208,28 @@ fn spammers_change_results_unless_filtered() {
     );
 }
 
+/// The answer store of a served session: every fresh answer is appended
+/// to the session's WAL at ask time, then cached.
+struct Logged<'a> {
+    wal: &'a mut SessionWal,
+    cache: &'a mut CrowdCache,
+}
+
+impl AnswerStore for Logged<'_> {
+    fn get(&self, member: MemberId, pattern: &PatternSet) -> Option<CachedAnswer> {
+        CrowdCache::get(self.cache, member, pattern).cloned()
+    }
+
+    fn put(&mut self, member: MemberId, pattern: &PatternSet, answer: CachedAnswer, tick: usize) {
+        let appended = self
+            .wal
+            .append_answer(member, tick as u32, pattern, &answer)
+            .unwrap();
+        assert!(appended, "no kill switch is armed");
+        self.cache.put(member, pattern.clone(), answer);
+    }
+}
+
 #[test]
 fn cache_snapshot_survives_serialization_between_runs() {
     let domain = self_treatment(DomainScale::small());
@@ -225,10 +250,17 @@ fn cache_snapshot_survives_serialization_between_runs() {
         },
     );
     let engine = Oassis::new(ont);
+    let dir = std::env::temp_dir().join(format!("oassis-e2e-cache-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut wal = SessionWal::open(&dir, 0).unwrap();
     let mut cache = CrowdCache::new();
     {
         let crowd = SimulatedCrowd::new(v, members.clone());
-        let mut caching = oassis::core::CachingCrowd::new(crowd, &mut cache);
+        let store = Logged {
+            wal: &mut wal,
+            cache: &mut cache,
+        };
+        let mut caching = oassis::core::CachingCrowd::new(crowd, store);
         engine
             .run(
                 &QueryRequest::new(&domain.query).with_mining(MiningConfig {
@@ -240,9 +272,12 @@ fn cache_snapshot_survives_serialization_between_runs() {
             )
             .unwrap();
     }
-    let json = cache.to_json();
-    let mut restored = CrowdCache::from_json(&json, v).unwrap();
-    assert_eq!(restored.len(), cache.len());
+    wal.close_files();
+    // a restarted process pages the answers back in from the log
+    let mut restored = wal.recover(v).unwrap().cache;
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert!(!cache.is_empty());
+    assert_eq!(restored, cache);
     // run at a new threshold from the restored cache
     let crowd = SimulatedCrowd::new(v, members);
     let mut caching = oassis::core::CachingCrowd::new(crowd, &mut restored);
