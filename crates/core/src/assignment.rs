@@ -144,22 +144,37 @@ impl Assignment {
 
     /// Returns a copy with `v` inserted into slot `s` (canonicalized).
     pub fn with_value(&self, vocab: &Vocabulary, s: Slot, v: Value) -> Assignment {
-        let mut values = self.values.clone();
-        values[s.index()].push(v);
-        Assignment::new(vocab, values, self.more.clone())
+        self.with_slot(vocab, s, |set| set.push(v))
     }
 
     /// Returns a copy with value `old` of slot `s` replaced by `new`
     /// (canonicalized; `old` must be present).
     pub fn with_replaced(&self, vocab: &Vocabulary, s: Slot, old: Value, new: Value) -> Assignment {
+        self.with_slot(vocab, s, |set| {
+            let pos = set
+                .iter()
+                .position(|&x| x == old)
+                .expect("old value present");
+            set[pos] = new;
+        })
+    }
+
+    /// A copy with slot `s` edited by `edit` and re-canonicalized. The
+    /// other slots and the MORE facts are canonical already.
+    fn with_slot(
+        &self,
+        vocab: &Vocabulary,
+        s: Slot,
+        edit: impl FnOnce(&mut Vec<Value>),
+    ) -> Assignment {
         let mut values = self.values.clone();
         let set = &mut values[s.index()];
-        let pos = set
-            .iter()
-            .position(|&x| x == old)
-            .expect("old value present");
-        set[pos] = new;
-        Assignment::new(vocab, values, self.more.clone())
+        edit(set);
+        *set = canonical_values(vocab, std::mem::take(set));
+        Assignment {
+            values,
+            more: self.more.clone(),
+        }
     }
 
     /// Returns a copy with the MORE fact `f` added (canonicalized).
@@ -346,16 +361,22 @@ impl Assignment {
     }
 }
 
-/// Sorts, dedups and removes dominated values (canonical antichain).
+/// Sorts, dedups and removes dominated values (canonical antichain), in
+/// place.
 fn canonical_values(vocab: &Vocabulary, mut vs: Vec<Value>) -> Vec<Value> {
     vs.sort_unstable();
     vs.dedup();
-    let keep: Vec<Value> = vs
-        .iter()
-        .copied()
-        .filter(|&v| !vs.iter().any(|&w| w != v && value_leq(vocab, v, w)))
-        .collect();
-    keep
+    let mut i = 0;
+    while i < vs.len() {
+        // PANIC-OK: `i < vs.len()` by the loop condition.
+        let v = vs[i];
+        if vs.iter().any(|&w| w != v && value_leq(vocab, v, w)) {
+            vs.remove(i);
+        } else {
+            i += 1;
+        }
+    }
+    vs
 }
 
 /// Canonical antichain of facts under the fact order.

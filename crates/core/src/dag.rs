@@ -262,7 +262,7 @@ pub struct Dag<'a> {
     /// its allocation profile.
     scratch_succs: Vec<Assignment>,
     scratch_queue: Vec<Value>,
-    scratch_seen: std::collections::HashSet<Value>,
+    scratch_seen: std::collections::HashSet<Value, FxBuildHasher>,
     /// Successor lists an earlier DAG of the same query generated.
     successor_memo: Option<Arc<SuccessorMap>>,
     /// The entries this DAG generated that `successor_memo` lacked, as
@@ -297,7 +297,7 @@ impl<'a> Dag<'a> {
             allow_multiplicities: true,
             scratch_succs: Vec::new(),
             scratch_queue: Vec::new(),
-            scratch_seen: std::collections::HashSet::new(),
+            scratch_seen: std::collections::HashSet::default(),
             successor_memo: None,
             successor_misses: Vec::new(),
             scratch_key: Vec::new(),
@@ -718,9 +718,7 @@ impl<'a> Dag<'a> {
                 if info.mult.max().is_some_and(|m| len >= m) {
                     continue;
                 }
-                for v in self.add_candidates(a, slot) {
-                    out.push(a.with_value(vocab, slot, v));
-                }
+                self.add_candidates(a, slot, out);
             }
         }
         // 3. MORE-fact component specialization
@@ -750,14 +748,14 @@ impl<'a> Dag<'a> {
         out
     }
 
-    /// Most-general admissible values incomparable to the slot's current
-    /// antichain — the immediate "add a value" successors. BFS from the
-    /// slot's minimal values; subtrees are pruned on comparability or
-    /// inadmissibility (both are inherited downward).
-    fn add_candidates(&mut self, a: &Assignment, slot: Slot) -> Vec<Value> {
+    /// Appends to `out` the "add a value" successors of `a` at `slot`:
+    /// `a` plus one most-general admissible value incomparable to the
+    /// slot's current antichain. BFS from the slot's minimal values;
+    /// subtrees are pruned on comparability or inadmissibility (both are
+    /// inherited downward).
+    fn add_candidates(&mut self, a: &Assignment, slot: Slot, out: &mut Vec<Assignment>) {
         let vocab = self.vocab;
         let existing = a.slot(slot);
-        let mut out = Vec::new();
         let mut queue = std::mem::take(&mut self.scratch_queue);
         let mut seen = std::mem::take(&mut self.scratch_seen);
         queue.clear();
@@ -786,13 +784,11 @@ impl<'a> Dag<'a> {
             let cand = a.with_value(vocab, slot, v);
             self.stats.admits_calls += 1;
             if self.validity.admits(vocab, &cand) {
-                out.push(v);
+                out.push(cand);
             }
         }
         self.scratch_queue = queue;
         self.scratch_seen = seen;
-        out.sort_unstable();
-        out
     }
 
     /// Attaches a crowd-volunteered MORE fact as a successor of `id`

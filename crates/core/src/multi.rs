@@ -86,7 +86,18 @@ pub struct MultiOutcome {
 /// question's base). Deduplicating at push time is *not*
 /// order-preserving — a re-pushed base could previously be consumed at
 /// a mid-queue duplicate's earlier position — so duplicates are kept and
-/// filtered on pop instead.
+/// filtered on pop instead. Two kinds of duplicate are provably no-ops
+/// and cost no triage: a significant node this member already descended
+/// is passed over in place (the verdict is sticky and `descended` only
+/// grows), and a lazy descent into a fanned-out node waits in `owed`
+/// until the member has popped that node's shared block, then is queued
+/// only if some child it would re-pop is not yet settled (DESIGN §13.3).
+/// Dropping every such descent outright moves the op-log goldens
+/// `multi_synthetic_crowd_with_pruning_clicks`,
+/// `multi_synthetic_batched_with_deferred_targets` and
+/// `multi_synthetic_batched_deferred_order`: the copy still re-reaches a
+/// specialization question's base before its revisit, and a child that
+/// became significant by inference after the member passed it.
 struct MemberState {
     id: MemberId,
     personal: MemberRecord,
@@ -104,12 +115,33 @@ struct MemberState {
     /// Hot entries only this member queued, with their push sequence
     /// numbers, in push order.
     own: VecDeque<(u64, Pending)>,
+    /// Lazy descents into fanned-out nodes whose shared blocks lie past
+    /// `cursor`, in block order.
+    owed: VecDeque<Owed>,
     /// Low-priority frontier: this member's personal descent (children of
     /// nodes significant *for them* but not yet overall, and of
     /// significant nodes popped from here) — served only when the hot
     /// queue is empty, so that a single member's idiosyncratic habits
     /// don't starve the crowd's shared progress.
     cold: VecDeque<NodeId>,
+}
+
+/// A lazy descent into a node the shared frontier fanned out at
+/// positions `start..end`, which the member had not reached when it
+/// descended. Every child the descent would pop is popped from that
+/// block first, so once the member is past it, the descent is queued
+/// (at its own sequence number) only if one of those pops left a child
+/// unsettled: neither sticky-insignificant nor significant and
+/// descended.
+#[derive(Debug)]
+struct Owed {
+    start: u32,
+    end: u32,
+    seq: u64,
+    /// The descent's child-edge span `start..end`.
+    edges: (u32, u32),
+    /// Whether a pop from the block left its child unsettled.
+    keep: bool,
 }
 
 /// An entry of a member's private hot queue.
@@ -132,6 +164,68 @@ enum Origin {
     Edge(u32),
     /// A deferred target or a revisit.
     Own,
+    /// The member's cold queue.
+    Cold,
+}
+
+/// The shared-frontier positions `start..end` of one node's fan-out,
+/// taken from a child span of `children` entries.
+#[derive(Debug, Clone, Copy)]
+struct Block {
+    start: u32,
+    end: u32,
+    children: u32,
+}
+
+/// Exact, noise-free counts of the planner's work in one run, tallied in
+/// locals and emitted once at its end.
+#[derive(Debug, Default)]
+struct PlannerCounts {
+    /// Entries popped and triaged, by [`Origin`]: shared, edge, own, cold.
+    pops: [u64; 4],
+    /// Popped entries by [`Triage`] outcome: dead, descend, skip, target.
+    outcomes: [u64; 4],
+    /// Entries passed over without triage: significant nodes the member
+    /// had already descended.
+    passed_over: u64,
+    /// Lazy descents into fanned-out nodes that were never queued.
+    descents_dropped: u64,
+}
+
+impl PlannerCounts {
+    fn tally(&mut self, origin: Origin, t: &Triage) {
+        let o = match origin {
+            Origin::Shared(_) => 0,
+            Origin::Edge(_) => 1,
+            Origin::Own => 2,
+            Origin::Cold => 3,
+        };
+        let k = match t {
+            Triage::Dead => 0,
+            Triage::Descend(_) => 1,
+            Triage::Skip => 2,
+            Triage::Target => 3,
+        };
+        // PANIC-OK: both indices come from four-way matches.
+        self.pops[o] += 1;
+        // PANIC-OK: as above.
+        self.outcomes[k] += 1;
+    }
+
+    fn emit(&self, tele: &telemetry::Telemetry) {
+        tele.count("planner.pops", self.pops.iter().sum());
+        for (name, n) in ["shared", "edge", "own", "cold"].iter().zip(self.pops) {
+            tele.count(&format!("planner.pops.{name}"), n);
+        }
+        for (name, n) in ["dead", "descend", "skip", "target"]
+            .iter()
+            .zip(self.outcomes)
+        {
+            tele.count(&format!("planner.triage.{name}"), n);
+        }
+        tele.count("planner.passed_over", self.passed_over);
+        tele.count("planner.descents_dropped", self.descents_dropped);
+    }
 }
 
 /// The hot frontier every member shares: the roots, then the children
@@ -146,9 +240,10 @@ struct HotFrontier {
     live: NextLive,
     /// Buried positions of the DAG's child-edge arena.
     live_edges: NextLive,
+    /// Per node id: its first fan-out's block, if it was fanned out.
+    blocks: Vec<Option<Block>>,
     next_seq: u64,
-    /// Entries `next_target` popped, hot and cold.
-    pops: u64,
+    counts: PlannerCounts,
 }
 
 impl HotFrontier {
@@ -158,8 +253,9 @@ impl HotFrontier {
             seqs: vec![0; roots.len()],
             live: NextLive::default(),
             live_edges: NextLive::default(),
+            blocks: Vec::new(),
             next_seq: 1,
-            pops: 0,
+            counts: PlannerCounts::default(),
         }
     }
 
@@ -169,13 +265,24 @@ impl HotFrontier {
         self.next_seq - 1
     }
 
-    /// Appends one fan-out's children to every member's hot queue.
-    fn fan_out(&mut self, children: impl IntoIterator<Item = NodeId>) {
+    /// Appends the fan-out of `node`, whose child span holds `span_len`
+    /// entries, to every member's hot queue.
+    fn fan_out(&mut self, node: NodeId, span_len: u32, children: impl IntoIterator<Item = NodeId>) {
         let seq = self.stamp();
+        let start = self.nodes.len() as u32;
         for c in children {
             self.nodes.push(c);
             self.seqs.push(seq);
         }
+        if self.blocks.len() <= node.index() {
+            self.blocks.resize(node.index() + 1, None);
+        }
+        // PANIC-OK: the resize above holds `node`.
+        self.blocks[node.index()].get_or_insert(Block {
+            start,
+            end: self.nodes.len() as u32,
+            children: span_len,
+        });
     }
 
     /// Queues `entry` at the back of `m`'s hot queue.
@@ -184,39 +291,98 @@ impl HotFrontier {
         m.own.push_back((seq, entry));
     }
 
+    /// Queues `m`'s lazy descent into `node`, whose children are the
+    /// child-edge span `(start, len)`. A descent into a node whose shared
+    /// block `m` has not reached yet waits in `owed` instead (see
+    /// [`Owed`]); one whose span grew since the fan-out (a MORE tip) is
+    /// queued at once.
+    fn descend(&mut self, m: &mut MemberState, node: NodeId, (start, len): (u32, u32)) {
+        let seq = self.stamp();
+        match self.blocks.get(node.index()).copied().flatten() {
+            Some(b) if b.children == len && m.cursor <= b.start => {
+                // blocks are mostly descended in block order
+                let at = match m.owed.back() {
+                    Some(o) if o.start > b.start => m.owed.partition_point(|o| o.start < b.start),
+                    _ => m.owed.len(),
+                };
+                m.owed.insert(
+                    at,
+                    Owed {
+                        start: b.start,
+                        end: b.end,
+                        seq,
+                        edges: (start, start + len),
+                        keep: false,
+                    },
+                );
+            }
+            _ => m.own.push_back((seq, Pending::Edges(start, start + len))),
+        }
+    }
+
+    /// Settles `m`'s owed descents whose blocks end at or before shared
+    /// position `at`: each is queued at its sequence number, or dropped
+    /// when every pop from its block left the child settled.
+    fn settle(&mut self, m: &mut MemberState, at: u32) {
+        while m.owed.front().is_some_and(|o| o.end <= at) {
+            let Some(o) = m.owed.pop_front() else { break };
+            if o.keep {
+                let i = m.own.partition_point(|&(seq, _)| seq < o.seq);
+                m.own
+                    .insert(i, (o.seq, Pending::Edges(o.edges.0, o.edges.1)));
+            } else {
+                self.counts.descents_dropped += 1;
+            }
+        }
+    }
+
     /// Pops `m`'s next hot node: a deferred target first, then whichever
     /// of the shared and private heads was pushed first. Buried positions
-    /// are skipped.
+    /// are skipped, and significant nodes `m` already descended are passed
+    /// over in place: their triage would be a side-effect-free `Skip`.
     fn pop(&mut self, dag: &Dag<'_>, m: &mut MemberState) -> Option<(NodeId, Origin)> {
-        if let Some(id) = m.front.pop() {
-            return Some((id, Origin::Own));
-        }
-        let at = self.live.find(m.cursor);
-        let shared = self.seqs.get(at as usize).copied();
-        while let Some((seq, entry)) = m.own.front_mut() {
-            if shared.is_some_and(|s| s < *seq) {
-                break;
+        while let Some(id) = m.front.pop() {
+            if !m.descended.contains(id) {
+                return Some((id, Origin::Own));
             }
-            match entry {
-                Pending::Node(id) => {
-                    let id = *id;
-                    m.own.pop_front();
-                    return Some((id, Origin::Own));
+            self.counts.passed_over += 1;
+        }
+        loop {
+            let at = self.live.find(m.cursor);
+            self.settle(m, at);
+            let shared = self.seqs.get(at as usize).copied();
+            while let Some((seq, entry)) = m.own.front_mut() {
+                if shared.is_some_and(|s| s < *seq) {
+                    break;
                 }
-                Pending::Edges(start, end) => {
-                    let e = self.live_edges.find(*start);
-                    if e >= *end {
+                let (id, origin) = match entry {
+                    Pending::Node(id) => {
+                        let id = *id;
                         m.own.pop_front();
-                        continue;
+                        (id, Origin::Own)
                     }
-                    *start = e + 1;
-                    return Some((dag.child_at(e), Origin::Edge(e)));
+                    Pending::Edges(start, end) => {
+                        let e = self.live_edges.find(*start);
+                        if e >= *end {
+                            m.own.pop_front();
+                            continue;
+                        }
+                        *start = e + 1;
+                        (dag.child_at(e), Origin::Edge(e))
+                    }
+                };
+                if !m.descended.contains(id) {
+                    return Some((id, origin));
                 }
+                self.counts.passed_over += 1;
             }
+            let id = *self.nodes.get(at as usize)?;
+            m.cursor = at + 1;
+            if !m.descended.contains(id) {
+                return Some((id, Origin::Shared(at)));
+            }
+            self.counts.passed_over += 1;
         }
-        let id = *self.nodes.get(at as usize)?;
-        m.cursor = at + 1;
-        Some((id, Origin::Shared(at)))
     }
 
     /// Buries the position a globally insignificant node was popped
@@ -226,7 +392,7 @@ impl HotFrontier {
         match origin {
             Origin::Shared(at) => self.live.kill(at),
             Origin::Edge(e) => self.live_edges.kill(e),
-            Origin::Own => {}
+            Origin::Own | Origin::Cold => {}
         }
     }
 }
@@ -325,6 +491,9 @@ struct Shared<'a> {
     /// Nodes the fold just marked significant, awaiting fan-out to every
     /// member's queue.
     newly_significant: Vec<NodeId>,
+    /// Materialized nodes pruning clicks scanned, and the votes they cast.
+    click_scanned: u64,
+    click_votes: u64,
 }
 
 /// Runs the multi-user algorithm.
@@ -343,6 +512,8 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
         stats: QuestionStats::default(),
         deg: Degradation::default(),
         newly_significant: Vec::new(),
+        click_scanned: 0,
+        click_votes: 0,
     };
     let mut monitor = MspMonitor::new();
     let mut rounds = 0usize;
@@ -374,6 +545,7 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
             front: Vec::new(),
             cursor: 0,
             own: VecDeque::new(),
+            owed: VecDeque::new(),
             cold: VecDeque::new(),
         })
         .collect();
@@ -485,6 +657,8 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
                         // pure no-op on every member's pop — drop it here
                         let global = run.fold.classifier();
                         hot.fan_out(
+                            node,
+                            span.1,
                             dag.child_slice(span).iter().copied().filter(|&c| {
                                 global.cached_queried(c) != Some(Class::Insignificant)
                             }),
@@ -581,7 +755,9 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
         for &n in &per_member {
             tele.observe("engine.answers_per_member", n as u64);
         }
-        tele.count("planner.pops", hot.pops);
+        hot.counts.emit(&tele);
+        tele.count("planner.click_scanned", run.click_scanned);
+        tele.count("planner.click_votes", run.click_votes);
         tele.count("msp_monitor.rechecks", monitor.rechecks());
         tele.count("planner.frontier_appends", hot.nodes.len() as u64);
     }
@@ -620,17 +796,30 @@ fn next_target(
     m: &mut MemberState,
 ) -> Option<NodeId> {
     while let Some((id, origin)) = hot.pop(dag, m) {
-        hot.pops += 1;
-        match triage(dag, global, m, id) {
+        let t = triage(dag, global, m, id);
+        hot.counts.tally(origin, &t);
+        if let (Origin::Shared(at), Triage::Skip | Triage::Target) = (origin, &t) {
+            // the child stays unsettled: an owed descent over this block
+            // may act on it again
+            if let Some(o) = m.owed.front_mut().filter(|o| o.start <= at) {
+                o.keep = true;
+            }
+        }
+        match t {
             Triage::Dead => hot.bury(origin),
-            Triage::Descend((start, len)) => hot.push(m, Pending::Edges(start, start + len)),
+            Triage::Descend(span) => hot.descend(m, id, span),
             Triage::Skip => {}
             Triage::Target => return Some(id),
         }
     }
     while let Some(id) = m.cold.pop_front() {
-        hot.pops += 1;
-        match triage(dag, global, m, id) {
+        if m.descended.contains(id) {
+            hot.counts.passed_over += 1;
+            continue;
+        }
+        let t = triage(dag, global, m, id);
+        hot.counts.tally(Origin::Cold, &t);
+        match t {
             Triage::Descend(span) => {
                 // sticky-Insignificant children are pop-side no-ops
                 let children = dag
@@ -769,8 +958,10 @@ impl Shared<'_> {
                     .node_ids()
                     .filter(|&id| dag.involves_any(id, &clicked))
                     .collect();
+                self.click_scanned += dag.len() as u64;
                 for id in affected {
                     if m.answered.insert(id) {
+                        self.click_votes += 1;
                         self.vote(dag, tick, m.id, id, 0.0);
                     }
                 }
@@ -914,6 +1105,30 @@ mod tests {
             AnswerModel::Exact,
             seed,
         )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// `NextLive::find` returns what a naive scan over a `Vec<bool>`
+        /// of buried positions returns, under random interleavings of
+        /// `kill` (repeats included) and `find`.
+        #[test]
+        fn next_live_matches_a_naive_scan(seed in 0u64..1_000_000, len in 1u32..200) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut live = NextLive::default();
+            let mut buried = vec![false; len as usize + 1];
+            for _ in 0..4 * len {
+                let i = rng.gen_range(0..len);
+                if rng.gen_bool(0.4) {
+                    live.kill(i);
+                    buried[i as usize] = true;
+                } else {
+                    let naive = (i..=len).find(|&j| !buried[j as usize]).expect("`len` is never buried");
+                    proptest::prop_assert_eq!(live.find(i), naive);
+                }
+            }
+        }
     }
 
     #[test]

@@ -12,6 +12,7 @@
 
 // audit: allow-file(D4, assignment/level indexing is bounded by the vertical-domain sizes fixed at construction)
 use crate::assignment::{value_leq, Assignment, Slot};
+use crate::dag::FxBuildHasher;
 use oassis_ql::{BaseAssignment, BoundQuery, Multiplicity, Value};
 use ontology::Vocabulary;
 use std::cell::RefCell;
@@ -43,7 +44,7 @@ pub struct ValidityIndex {
     /// Indices (into `slots`) of WHERE-constrained slots.
     constrained: Vec<usize>,
     /// Valid tuples over the constrained slots (in `constrained` order).
-    tuples: HashSet<Vec<Value>>,
+    tuples: HashSet<Vec<Value>, FxBuildHasher>,
     /// Per slot: distinct concrete valid values (constrained slots) or all
     /// vocabulary values of the right kind (free slots), sorted.
     universes: Vec<Vec<Value>>,
@@ -51,8 +52,12 @@ pub struct ValidityIndex {
     closures: Vec<Vec<Value>>,
     /// Per slot: the minimal (most general) values of the closure.
     minimals: Vec<Vec<Value>>,
-    /// Tuples in a stable indexed order (same elements as `tuples`).
+    /// Tuples in a stable indexed order (same elements as `tuples`):
+    /// sorted by every column but `run_col`, then by `run_col`, so each
+    /// rest-projection group of `run_col` is one contiguous run.
     tuple_list: Vec<Vec<Value>>,
+    /// The first constrained column whose slot may hold several values.
+    run_col: Option<usize>,
     /// Words per cover bitset: `tuple_list.len().div_ceil(64)`.
     stride: usize,
     /// Number of vocabulary elements — rel keys are offset past them.
@@ -69,12 +74,14 @@ pub struct ValidityIndex {
     /// per block.
     cover_words: RefCell<Vec<u64>>,
     /// Lazily built per-column rest-projection grouping (the
-    /// single-multiplicity-slot path of [`Self::admits`]): tuples with the
-    /// same projection minus column `ci` share a group id.
-    mult_groups: RefCell<HashMap<usize, Rc<MultGroups>>>,
+    /// single-multiplicity-slot path of [`Self::admits`]), indexed by
+    /// constrained column.
+    mult_groups: RefCell<Vec<Option<Rc<MultGroups>>>>,
     /// Epoch-stamped scratch for the grouped cover masks (reused across
     /// `admits` calls; node expansion calls `admits` in its inner loop).
     group_scratch: RefCell<GroupScratch>,
+    /// The surviving-tuple bitset of [`Self::admits`], reused across calls.
+    acc_scratch: RefCell<Vec<u64>>,
     /// Memoized result of [`Self::valid_base_assignments`]. Both the live
     /// run's discovery-curve tracker and op-log replay build a
     /// `ValidTracker` over the same DAG, so the second construction reuses
@@ -82,11 +89,14 @@ pub struct ValidityIndex {
     base_memo: RefCell<Option<Arc<Vec<Assignment>>>>,
 }
 
-/// Tuple-index → rest-projection group id for one multiplicity column.
+/// The rest-projection groups of one multiplicity column: tuples that
+/// agree on every other column form one group.
 #[derive(Debug)]
-struct MultGroups {
-    group_of: Vec<u32>,
-    num: usize,
+enum MultGroups {
+    /// `run_col`'s groups: group `g` is `tuple_list[starts[g]..starts[g + 1]]`.
+    Runs(Vec<u32>),
+    /// Any other column's: tuple index → group id.
+    Ids { group_of: Vec<u32>, num: usize },
 }
 
 #[derive(Debug, Default)]
@@ -118,7 +128,7 @@ impl ValidityIndex {
             .collect();
         let constrained: Vec<usize> = (0..slots.len()).filter(|&i| !slots[i].free).collect();
 
-        let mut tuples: HashSet<Vec<Value>> = HashSet::new();
+        let mut tuples: HashSet<Vec<Value>, FxBuildHasher> = HashSet::default();
         for b in base {
             let tuple: Option<Vec<Value>> =
                 constrained.iter().map(|&i| b.get(slots[i].var)).collect();
@@ -158,10 +168,17 @@ impl ValidityIndex {
             })
             .collect();
 
+        let run_col = constrained
+            .iter()
+            .position(|&si| slots[si].mult.max() != Some(1));
         let mut tuple_list: Vec<Vec<Value>> = tuples.iter().cloned().collect();
-        tuple_list.sort();
+        match run_col {
+            Some(c) => tuple_list.sort_by(|x, y| rest(x, c).cmp(rest(y, c)).then(x[c].cmp(&y[c]))),
+            None => tuple_list.sort(),
+        }
         let stride = tuple_list.len().div_ceil(64);
-        let cover_off = RefCell::new(vec![Vec::new(); constrained.len()]);
+        let constrained_len = constrained.len();
+        let cover_off = RefCell::new(vec![Vec::new(); constrained_len]);
         ValidityIndex {
             slots,
             constrained,
@@ -170,13 +187,15 @@ impl ValidityIndex {
             closures,
             minimals,
             tuple_list,
+            run_col,
             stride,
             num_elems: vocab.num_elems(),
             key_space: vocab.num_elems() + vocab.num_rels(),
             cover_off,
             cover_words: RefCell::new(Vec::new()),
-            mult_groups: RefCell::new(HashMap::new()),
+            mult_groups: RefCell::new(vec![None; constrained_len]),
             group_scratch: RefCell::new(GroupScratch::default()),
+            acc_scratch: RefCell::new(Vec::new()),
             base_memo: RefCell::new(None),
         }
     }
@@ -305,12 +324,15 @@ impl ValidityIndex {
         if n == 0 {
             return false;
         }
-        // intersect single-value cover bitsets; collect multiplicity slots
-        let mut acc: Vec<u64> = vec![!0u64; n.div_ceil(64)];
+        // intersect single-value cover bitsets; find the multiplicity slots
+        let mut acc = self.acc_scratch.borrow_mut();
+        acc.clear();
+        acc.resize(self.stride, !0u64);
         if !n.is_multiple_of(64) {
             *acc.last_mut().expect("non-empty") = (1u64 << (n % 64)) - 1;
         }
-        let mut multi: Vec<(usize, &[Value])> = Vec::new();
+        let mut multi: Option<(usize, &[Value])> = None;
+        let mut multis = 0;
         for (ci, &si) in self.constrained.iter().enumerate() {
             let values = a.slot(Slot(si as u16));
             match values.len() {
@@ -324,64 +346,61 @@ impl ValidityIndex {
                         *w &= b;
                     }
                 }
-                _ => multi.push((ci, values)),
+                _ => {
+                    multis += 1;
+                    multi.get_or_insert((ci, values));
+                }
             }
         }
         if acc.iter().all(|&w| w == 0) {
             return false;
         }
-        match multi.len() {
-            0 => true,
-            1 => {
-                let (ci, values) = multi[0];
-                // a rest-projection group must cover every value of the
-                // slot; with ≤ 64 values this reduces to OR-ing per-value
-                // cover bitsets into per-group masks (the group ids are
-                // precomputed once per column)
-                if values.len() <= 64 {
-                    return self.admits_one_mult(vocab, ci, values, &acc);
-                }
-                // exact scan fallback for absurdly wide antichains
-                let mut groups: HashMap<Vec<Value>, Vec<Value>> = HashMap::new();
-                for t in 0..n {
-                    if acc[t / 64] & (1u64 << (t % 64)) == 0 {
-                        continue;
-                    }
-                    let tuple = &self.tuple_list[t];
-                    let rest: Vec<Value> = tuple
-                        .iter()
-                        .enumerate()
-                        .filter(|&(i, _)| i != ci)
-                        .map(|(_, &v)| v)
-                        .collect();
-                    groups.entry(rest).or_default().push(tuple[ci]);
-                }
-                groups.values().any(|col| {
-                    values
-                        .iter()
-                        .all(|&v| col.iter().any(|&u| value_leq(vocab, v, u)))
-                })
-            }
-            _ => {
-                // general recursion over the surviving tuple subset
-                let live: HashSet<Vec<Value>> = (0..n)
-                    .filter(|&t| acc[t / 64] & (1u64 << (t % 64)) != 0)
-                    .map(|t| self.tuple_list[t].clone())
-                    .collect();
-                self.admits_rec(vocab, a, 0, live)
-            }
+        let Some((ci, values)) = multi else {
+            return true;
+        };
+        if multis > 1 {
+            // general recursion over the surviving tuple subset
+            let live: HashSet<Vec<Value>> = (0..n)
+                .filter(|&t| acc[t / 64] & (1u64 << (t % 64)) != 0)
+                .map(|t| self.tuple_list[t].clone())
+                .collect();
+            return self.admits_rec(vocab, a, 0, live);
         }
+        // a rest-projection group must cover every value of the slot;
+        // with ≤ 64 values the groups are tested against per-value cover
+        // bitsets (the grouping is precomputed once per column)
+        if values.len() <= 64 {
+            return self.admits_one_mult(vocab, ci, values, &acc);
+        }
+        // exact scan fallback for absurdly wide antichains
+        let mut groups: HashMap<Vec<Value>, Vec<Value>> = HashMap::new();
+        for t in 0..n {
+            if acc[t / 64] & (1u64 << (t % 64)) == 0 {
+                continue;
+            }
+            let tuple = &self.tuple_list[t];
+            groups
+                .entry(rest(tuple, ci).copied().collect())
+                .or_default()
+                .push(tuple[ci]);
+        }
+        groups.values().any(|col| {
+            values
+                .iter()
+                .all(|&v| col.iter().any(|&u| value_leq(vocab, v, u)))
+        })
     }
 
     /// The single-multiplicity-slot case of [`Self::admits`], decided via
-    /// the precomputed rest-projection group index.
+    /// the precomputed rest-projection grouping.
     ///
     /// Semantics (identical to the scan fallback): some group of surviving
     /// tuples — tuples agreeing on every column but `ci` — must cover all
-    /// of the slot's `values`. `mask[g]` accumulates, per group `g`, which
-    /// values a surviving tuple of `g` covers: bit `vi` is set iff some
-    /// tuple `t` in `g` survives (`acc`) and `values[vi] ≤ t[ci]` (the
-    /// memoized cover bitset). A full mask is a covering group.
+    /// of the slot's `values`: for each value `v`, some tuple `t` of the
+    /// group survives (`acc`) and has `v ≤ t[ci]` (the memoized cover
+    /// bitset of `v`). A run group tests that word by word over its range;
+    /// otherwise `mask[g]` accumulates, per group `g`, the values a
+    /// surviving tuple of `g` covers, and a full mask is a covering group.
     fn admits_one_mult(
         &self,
         vocab: &Vocabulary,
@@ -390,24 +409,39 @@ impl ValidityIndex {
         acc: &[u64],
     ) -> bool {
         debug_assert!((1..=64).contains(&values.len()));
+        // fetch all offsets first: cover_offset may grow the arena, so it
+        // must run before the long immutable borrow below
+        let mut offs = [0usize; 64];
+        for (off, &v) in offs.iter_mut().zip(values) {
+            *off = self.cover_offset(vocab, ci, v);
+        }
+        // PANIC-OK: the caller passes at most 64 values.
+        let offs = &offs[..values.len()];
         let groups = self.mult_groups_for(ci);
+        let cover = self.cover_words.borrow();
+        let stride = self.stride;
+        let (group_of, num) = match &*groups {
+            MultGroups::Runs(starts) => {
+                return starts.windows(2).any(|run| {
+                    let (lo, hi) = (run[0] as usize, run[1] as usize);
+                    // PANIC-OK: cover_offset returns the base of a full
+                    // stride-sized block inside cover_words.
+                    offs.iter()
+                        .all(|&off| any_in_range(acc, &cover[off..off + stride], lo, hi))
+                });
+            }
+            MultGroups::Ids { group_of, num } => (group_of, *num),
+        };
         let full: u64 = if values.len() == 64 {
             !0
         } else {
             (1u64 << values.len()) - 1
         };
-        // prefetch all offsets first: cover_offset may grow the arena, so
-        // it must run before the long immutable borrow below
-        let offs: Vec<usize> = values
-            .iter()
-            .map(|&v| self.cover_offset(vocab, ci, v))
-            .collect();
-        let cover = self.cover_words.borrow();
         let mut scratch = self.group_scratch.borrow_mut();
         let GroupScratch { mask, stamp, epoch } = &mut *scratch;
-        if mask.len() < groups.num {
-            mask.resize(groups.num, 0);
-            stamp.resize(groups.num, 0);
+        if mask.len() < num {
+            mask.resize(num, 0);
+            stamp.resize(num, 0);
         }
         *epoch = epoch.wrapping_add(1);
         if *epoch == 0 {
@@ -415,16 +449,15 @@ impl ValidityIndex {
             *epoch = 1;
         }
         for (vi, &off) in offs.iter().enumerate() {
-            // PANIC-OK: cover_offset returns the base of a full
-            // stride-sized block inside cover_words.
-            let bits = &cover[off..off + self.stride];
+            // PANIC-OK: as above.
+            let bits = &cover[off..off + stride];
             let last = vi + 1 == values.len();
             for (w, (&bv, &av)) in bits.iter().zip(acc.iter()).enumerate() {
                 let mut word = bv & av;
                 while word != 0 {
                     let t = w * 64 + word.trailing_zeros() as usize;
                     word &= word - 1;
-                    let g = groups.group_of[t] as usize;
+                    let g = group_of[t] as usize;
                     if stamp[g] != *epoch {
                         stamp[g] = *epoch;
                         mask[g] = 0;
@@ -442,31 +475,38 @@ impl ValidityIndex {
     }
 
     /// The rest-projection grouping for multiplicity column `ci`, built on
-    /// first use: tuples with equal projections minus `ci` get one id.
+    /// first use: `run_col`'s as runs of `tuple_list`, any other column's
+    /// as one id per distinct projection.
     fn mult_groups_for(&self, ci: usize) -> Rc<MultGroups> {
-        if let Some(g) = self.mult_groups.borrow().get(&ci) {
+        if let Some(Some(g)) = self.mult_groups.borrow().get(ci) {
             return Rc::clone(g);
         }
-        let mut ids: HashMap<Vec<Value>, u32> = HashMap::new();
-        let group_of: Vec<u32> = self
-            .tuple_list
-            .iter()
-            .map(|tuple| {
-                let rest: Vec<Value> = tuple
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| i != ci)
-                    .map(|(_, &v)| v)
-                    .collect();
-                let next = ids.len() as u32;
-                *ids.entry(rest).or_insert(next)
-            })
-            .collect();
-        let rc = Rc::new(MultGroups {
-            group_of,
-            num: ids.len(),
-        });
-        self.mult_groups.borrow_mut().insert(ci, Rc::clone(&rc));
+        let list = &self.tuple_list;
+        let groups = if self.run_col == Some(ci) {
+            let mut starts: Vec<u32> = (0..list.len())
+                .filter(|&t| t == 0 || rest(&list[t - 1], ci).ne(rest(&list[t], ci)))
+                .map(|t| t as u32)
+                .collect();
+            starts.push(list.len() as u32);
+            MultGroups::Runs(starts)
+        } else {
+            let mut ids: HashMap<Vec<Value>, u32> = HashMap::new();
+            let group_of = list
+                .iter()
+                .map(|tuple| {
+                    let next = ids.len() as u32;
+                    *ids.entry(rest(tuple, ci).copied().collect())
+                        .or_insert(next)
+                })
+                .collect();
+            MultGroups::Ids {
+                group_of,
+                num: ids.len(),
+            }
+        };
+        let rc = Rc::new(groups);
+        // PANIC-OK: mult_groups has one entry per constrained column.
+        self.mult_groups.borrow_mut()[ci] = Some(Rc::clone(&rc));
         rc
     }
 
@@ -602,6 +642,31 @@ impl ValidityIndex {
         choice.pop();
         ok && self.valid_product(a, ci, values, vi + 1, choice)
     }
+}
+
+/// The values of `tuple` outside column `ci`.
+fn rest(tuple: &[Value], ci: usize) -> impl Iterator<Item = &Value> {
+    tuple
+        .iter()
+        .enumerate()
+        .filter(move |&(i, _)| i != ci)
+        .map(|(_, v)| v)
+}
+
+/// Whether some position in `lo..hi` is set in both `a` and `b`.
+fn any_in_range(a: &[u64], b: &[u64], lo: usize, hi: usize) -> bool {
+    let (first, last) = (lo / 64, (hi - 1) / 64);
+    (first..=last).any(|w| {
+        // PANIC-OK: `hi` is at most the bit length of both sets.
+        let mut word = a[w] & b[w];
+        if w == first {
+            word &= !0u64 << (lo % 64);
+        }
+        if w == last {
+            word &= !0u64 >> (63 - (hi - 1) % 64);
+        }
+        word != 0
+    })
 }
 
 /// Rest-tuples (columns `1..`) of the live tuples whose first column is `u`.
@@ -829,5 +894,232 @@ WITH SUPPORT = 0.2
         let f = v.fact("Rent Bikes", "doAt", "Boathouse").unwrap();
         let a = assign(&ont, "Central Park", &["Biking"]).with_more(v, f);
         assert!(idx.admits(v, &a));
+    }
+
+    /// Whether some valid combination covers `a`, by exhaustive search:
+    /// for every constrained slot, pick a concrete universe value above
+    /// each of its values (any one universe value for an empty slot) such
+    /// that every tuple of the picked sets' cross product is valid. The
+    /// search only prunes on valid tuple prefixes.
+    fn admits_brute(ix: &ValidityIndex, vocab: &Vocabulary, a: &Assignment) -> bool {
+        let k = ix.constrained.len();
+        let prefixes: Vec<HashSet<Vec<Value>>> = (1..=k)
+            .map(|len| ix.tuples.iter().map(|t| t[..len].to_vec()).collect())
+            .collect();
+        struct Search<'s> {
+            ix: &'s ValidityIndex,
+            vocab: &'s Vocabulary,
+            a: &'s Assignment,
+            prefixes: Vec<HashSet<Vec<Value>>>,
+        }
+        impl Search<'_> {
+            fn slot(&self, ci: usize, partial: &[Vec<Value>]) -> bool {
+                let Some(&si) = self.ix.constrained.get(ci) else {
+                    return true;
+                };
+                let values = self.a.slot(Slot(si as u16));
+                if values.is_empty() {
+                    return self.ix.universes[si]
+                        .iter()
+                        .any(|&u| self.pick(ci, &[], partial, vec![u]));
+                }
+                self.pick(ci, values, partial, Vec::new())
+            }
+
+            /// Picks a cover for `values[0]`, then the rest; `chosen`
+            /// holds the covers picked so far.
+            fn pick(
+                &self,
+                ci: usize,
+                values: &[Value],
+                partial: &[Vec<Value>],
+                chosen: Vec<Value>,
+            ) -> bool {
+                let Some((&v, rest)) = values.split_first() else {
+                    let next: Vec<Vec<Value>> = partial
+                        .iter()
+                        .flat_map(|p| chosen.iter().map(move |&u| [p.as_slice(), &[u]].concat()))
+                        .collect();
+                    return next.iter().all(|p| self.prefixes[ci].contains(p))
+                        && self.slot(ci + 1, &next);
+                };
+                let si = self.ix.constrained[ci];
+                self.ix.universes[si].iter().any(|&u| {
+                    value_leq(self.vocab, v, u)
+                        && partial
+                            .iter()
+                            .all(|p| self.prefixes[ci].contains(&[p.as_slice(), &[u]].concat()))
+                        && self.pick(ci, rest, partial, [chosen.as_slice(), &[u]].concat())
+                })
+            }
+        }
+        let search = Search {
+            ix,
+            vocab,
+            a,
+            prefixes,
+        };
+        k == 0 || search.slot(0, &[Vec::new()])
+    }
+
+    proptest::proptest! {
+        /// `any_in_range` agrees with a bit-by-bit scan of the range.
+        #[test]
+        fn any_in_range_matches_a_bit_scan(seed in 0u64..1_000_000, lo in 0usize..190, len in 1usize..66) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let (a, b): (Vec<u64>, Vec<u64>) = (0..4)
+                .map(|_| (rng.gen::<u64>() & rng.gen::<u64>(), rng.gen::<u64>() & rng.gen::<u64>()))
+                .unzip();
+            let hi = (lo + len).min(256);
+            let naive = (lo..hi).any(|t| (a[t / 64] & b[t / 64]) >> (t % 64) & 1 == 1);
+            proptest::prop_assert_eq!(any_in_range(&a, &b, lo, hi), naive);
+        }
+    }
+
+    /// Elements `Item1..Item80` and places `Place1..Place4` joined by a
+    /// seeded random `at` relation: unlike the paper's domains, whose
+    /// WHERE results are cross products, most combinations are invalid,
+    /// and one slot has more than 64 concrete values.
+    fn bipartite(seed: u64) -> ontology::Ontology {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut b = ontology::OntologyBuilder::new();
+        b.relation("at");
+        b.relation("likes");
+        for p in 1..=4 {
+            b.instance(&format!("Place{p}"), "Place");
+        }
+        for i in 1..=80 {
+            b.instance(&format!("Item{i}"), "Item");
+            for p in 1..=4 {
+                if rng.gen_bool(if p == 1 { 0.9 } else { 0.1 }) {
+                    b.fact(&format!("Item{i}"), "at", &format!("Place{p}"));
+                }
+            }
+        }
+        b.build().expect("acyclic")
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// `admits` agrees with the brute-force definition on random
+        /// assignments over figure 1, a synthetic domain, travel, travel
+        /// with two `+` slots, and a non-product domain with one and two
+        /// `+` slots. Between them they reach every path: single-valued
+        /// covers, the run-grouped one-multiplicity test (the first `+`
+        /// slot), the id-grouped one (the second `+` slot), the > 64-value
+        /// scan and `admits_rec`.
+        #[test]
+        fn admits_matches_the_brute_force_definition(
+            domain in 0usize..6,
+            seed in 0u64..1_000_000,
+        ) {
+            use ontology::domains::{travel, DomainScale};
+            use rand::seq::SliceRandom;
+            use rand::{Rng, SeedableRng};
+            let (ont, src) = match domain {
+                0 => (figure1::ontology(), figure1::SIMPLE_QUERY.to_string()),
+                1 => {
+                    let d = crate::synth::synthetic_domain_mult(40, 4, 0);
+                    (d.ontology, d.query)
+                }
+                2 => {
+                    let d = travel(DomainScale::small());
+                    (d.ontology, d.query)
+                }
+                3 => {
+                    let d = travel(DomainScale::small());
+                    let src = d.query.replace("$y+ doAt $x.", "$y+ doAt $x+.");
+                    (d.ontology, src)
+                }
+                4 => (
+                    bipartite(seed % 4),
+                    "SELECT FACT-SETS WHERE $x instanceOf Item. $y instanceOf Place. $x at $y \
+                     SATISFYING $x+ likes $y WITH SUPPORT = 0.5"
+                        .to_string(),
+                ),
+                _ => (
+                    bipartite(seed % 4),
+                    "SELECT FACT-SETS WHERE $x instanceOf Item. $y instanceOf Place. $x at $y \
+                     SATISFYING $x+ likes $y+ WITH SUPPORT = 0.5"
+                        .to_string(),
+                ),
+            };
+            let b = bind(&parse(&src).unwrap(), &ont).unwrap();
+            let base = evaluate_where(&b, &ont, MatchMode::Exact);
+            let idx = ValidityIndex::new(&b, ont.vocab(), &base);
+            let v = ont.vocab();
+            let all: Vec<Value> = v.elems().map(Value::Elem).collect();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            for case in 0..40 {
+                // Cases draw each slot's values either at random or around
+                // one valid tuple `t0`: one slot takes several values of
+                // `t0`'s rest group (plus, at times, a stray one), the
+                // others keep `t0`'s value. The first case fills a slot
+                // with > 64 values when it can.
+                let t0 = &idx.tuple_list[rng.gen_range(0..idx.tuple_list.len())];
+                let around = rng.gen_bool(0.6);
+                let wide_ci = rng.gen_range(0..idx.constrained.len());
+                let values: Vec<Vec<Value>> = (0..idx.slots().len())
+                    .map(|si| {
+                        let closure = &idx.closures[si];
+                        let universe = &idx.universes[si];
+                        let ci = idx.constrained.iter().position(|&s| s == si);
+                        let group: Vec<Value> = match ci {
+                            Some(ci) => idx
+                                .tuple_list
+                                .iter()
+                                .filter(|t| rest(t, ci).eq(rest(t0, ci)))
+                                .map(|t| t[ci])
+                                .collect(),
+                            None => universe.clone(),
+                        };
+                        let mut wide = if rng.gen_bool(0.5) { group } else { universe.clone() };
+                        if case == 0 && wide.len() > 64 {
+                            wide.shuffle(&mut rng);
+                            wide.truncate(65 + rng.gen_range(0..wide.len() - 64));
+                            return wide;
+                        }
+                        let random = |rng: &mut rand::rngs::StdRng| match rng.gen_range(0..20) {
+                            0 => all[rng.gen_range(0..all.len())],
+                            1..=9 => universe[rng.gen_range(0..universe.len())],
+                            _ => closure[rng.gen_range(0..closure.len())],
+                        };
+                        match ci {
+                            Some(ci) if around && ci == wide_ci => {
+                                let mut vs: Vec<Value> = (0..rng.gen_range(2..4usize))
+                                    .map(|_| wide[rng.gen_range(0..wide.len())])
+                                    .collect();
+                                if rng.gen_bool(0.5) {
+                                    vs.push(random(&mut rng));
+                                }
+                                vs
+                            }
+                            // an empty slot leaves the group to pin it
+                            Some(ci) if around && rng.gen_bool(0.8) => {
+                                if rng.gen_bool(0.5) {
+                                    vec![t0[ci]]
+                                } else {
+                                    Vec::new()
+                                }
+                            }
+                            _ => {
+                                let n = [0usize, 1, 1, 1, 2, 2, 3][rng.gen_range(0..7usize)];
+                                (0..n).map(|_| random(&mut rng)).collect()
+                            }
+                        }
+                    })
+                    .collect();
+                let a = Assignment::new(v, values, vec![]);
+                proptest::prop_assert_eq!(
+                    idx.admits(v, &a),
+                    admits_brute(&idx, v, &a),
+                    "{}",
+                    a.to_display(&b, v)
+                );
+            }
+        }
     }
 }

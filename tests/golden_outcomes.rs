@@ -24,6 +24,7 @@ use oassis_core::{
 };
 use oassis_ql::{bind, evaluate_where, parse, BoundQuery, MatchMode};
 use ontology::domains::figure1;
+use telemetry::{Telemetry, TelemetrySink};
 
 /// Folds a run's op log into a digest: per op its tick, seq, member, the
 /// rendered assignment of its node (`-` for the sentinel) and its
@@ -188,6 +189,37 @@ fn multi_synthetic_crowd_with_pruning_clicks() {
     assert_eq!(ops, GOLDEN_OPS_MULTI_SYNTHETIC);
 }
 
+/// The planner's exact work counters (DESIGN §12.3) on the pruning-click
+/// run above. They are noise-free, so any change to what the planner
+/// pops, passes over or queues shows here even when no question moves.
+#[test]
+fn multi_synthetic_planner_counters() {
+    let sink = TelemetrySink::shared();
+    let (d, ops, _) = multi_synthetic(
+        MiningConfig {
+            specialization_ratio: 0.25,
+            seed: 8,
+            telemetry: Telemetry::recording(&sink),
+            ..Default::default()
+        },
+        6,
+    );
+    assert_eq!(
+        (d, ops),
+        (GOLDEN_MULTI_SYNTHETIC, GOLDEN_OPS_MULTI_SYNTHETIC)
+    );
+    let snap = sink.snapshot();
+    let got: Vec<(&str, u64)> = PLANNER_COUNTERS
+        .iter()
+        .map(|&(name, _)| {
+            let n = snap.counters.get(name).copied().unwrap_or(0);
+            (name, n)
+        })
+        .collect();
+    println!("planner counters = {got:?}");
+    assert_eq!(got, PLANNER_COUNTERS);
+}
+
 #[test]
 fn multi_synthetic_batched_with_deferred_targets() {
     // The same crowd at batch width 3: the batch planner defers
@@ -302,3 +334,22 @@ const GOLDEN_OPS_MULTI_FIGURE1: u64 = 0x49e946cfa0b930cd;
 const GOLDEN_OPS_MULTI_SYNTHETIC: u64 = 0x39fe5611b5154cb7;
 const GOLDEN_OPS_MULTI_BATCHED: u64 = 0xe569d92ba0bedafb;
 const GOLDEN_OPS_MULTI_DEFERRED: u64 = 0x38d3c23d15dea24b;
+
+/// Planner counters of `multi_synthetic_planner_counters`.
+const PLANNER_COUNTERS: [(&str, u64); 15] = [
+    ("planner.pops", 778),
+    ("planner.pops.shared", 380),
+    ("planner.pops.edge", 157),
+    ("planner.pops.own", 31),
+    ("planner.pops.cold", 210),
+    ("planner.triage.dead", 352),
+    ("planner.triage.descend", 205),
+    ("planner.triage.skip", 14),
+    ("planner.triage.target", 207),
+    ("planner.passed_over", 365),
+    ("planner.descents_dropped", 75),
+    ("planner.frontier_appends", 105),
+    ("planner.click_scanned", 962),
+    ("planner.click_votes", 26),
+    ("msp_monitor.rechecks", 108),
+];
