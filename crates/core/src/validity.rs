@@ -17,7 +17,6 @@ use oassis_ql::{BaseAssignment, BoundQuery, Multiplicity, Value};
 use ontology::Vocabulary;
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
-use std::rc::Rc;
 use std::sync::Arc;
 
 /// Static information about one slot of the assignment DAG.
@@ -58,6 +57,9 @@ pub struct ValidityIndex {
     tuple_list: Vec<Vec<Value>>,
     /// The first constrained column whose slot may hold several values.
     run_col: Option<usize>,
+    /// `run_col`'s rest-projection groups (the one-multiplicity path of
+    /// [`Self::admits`]): group `g` is `tuple_list[run_starts[g]..run_starts[g + 1]]`.
+    run_starts: Vec<u32>,
     /// Words per cover bitset: `tuple_list.len().div_ceil(64)`.
     stride: usize,
     /// Number of vocabulary elements — rel keys are offset past them.
@@ -73,13 +75,6 @@ pub struct ValidityIndex {
     /// Contiguous arena of all memoized cover bitsets, `stride` words
     /// per block.
     cover_words: RefCell<Vec<u64>>,
-    /// Lazily built per-column rest-projection grouping (the
-    /// single-multiplicity-slot path of [`Self::admits`]), indexed by
-    /// constrained column.
-    mult_groups: RefCell<Vec<Option<Rc<MultGroups>>>>,
-    /// Epoch-stamped scratch for the grouped cover masks (reused across
-    /// `admits` calls; node expansion calls `admits` in its inner loop).
-    group_scratch: RefCell<GroupScratch>,
     /// The surviving-tuple bitset of [`Self::admits`], reused across calls.
     acc_scratch: RefCell<Vec<u64>>,
     /// Memoized result of [`Self::valid_base_assignments`]. Both the live
@@ -87,26 +82,6 @@ pub struct ValidityIndex {
     /// `ValidTracker` over the same DAG, so the second construction reuses
     /// the first enumeration instead of re-sorting the tuple set.
     base_memo: RefCell<Option<Arc<Vec<Assignment>>>>,
-}
-
-/// The rest-projection groups of one multiplicity column: tuples that
-/// agree on every other column form one group.
-#[derive(Debug)]
-enum MultGroups {
-    /// `run_col`'s groups: group `g` is `tuple_list[starts[g]..starts[g + 1]]`.
-    Runs(Vec<u32>),
-    /// Any other column's: tuple index → group id.
-    Ids { group_of: Vec<u32>, num: usize },
-}
-
-#[derive(Debug, Default)]
-struct GroupScratch {
-    /// Per group: bitmask of slot values covered by a surviving tuple.
-    mask: Vec<u64>,
-    /// Per group: epoch of the last `mask` write (stale masks are reset
-    /// lazily instead of clearing the whole vector each call).
-    stamp: Vec<u32>,
-    epoch: u32,
 }
 
 impl ValidityIndex {
@@ -176,9 +151,16 @@ impl ValidityIndex {
             Some(c) => tuple_list.sort_by(|x, y| rest(x, c).cmp(rest(y, c)).then(x[c].cmp(&y[c]))),
             None => tuple_list.sort(),
         }
+        let run_starts = run_col.map_or_else(Vec::new, |c| {
+            let mut starts: Vec<u32> = (0..tuple_list.len())
+                .filter(|&t| t == 0 || rest(&tuple_list[t - 1], c).ne(rest(&tuple_list[t], c)))
+                .map(|t| t as u32)
+                .collect();
+            starts.push(tuple_list.len() as u32);
+            starts
+        });
         let stride = tuple_list.len().div_ceil(64);
-        let constrained_len = constrained.len();
-        let cover_off = RefCell::new(vec![Vec::new(); constrained_len]);
+        let cover_off = RefCell::new(vec![Vec::new(); constrained.len()]);
         ValidityIndex {
             slots,
             constrained,
@@ -188,13 +170,12 @@ impl ValidityIndex {
             minimals,
             tuple_list,
             run_col,
+            run_starts,
             stride,
             num_elems: vocab.num_elems(),
             key_space: vocab.num_elems() + vocab.num_rels(),
             cover_off,
             cover_words: RefCell::new(Vec::new()),
-            mult_groups: RefCell::new(vec![None; constrained_len]),
-            group_scratch: RefCell::new(GroupScratch::default()),
             acc_scratch: RefCell::new(Vec::new()),
             base_memo: RefCell::new(None),
         }
@@ -314,8 +295,10 @@ impl ValidityIndex {
     /// with one multiplicity slot the surviving tuples are grouped by
     /// their rest-projection and each value of the slot must be covered
     /// within one group (the cross-product condition of Proposition 5.1).
-    /// The fully general case (≥ 2 multiplicity slots) falls back to a
-    /// recursive cover search.
+    /// That test runs word by word over `run_col`'s contiguous groups, and
+    /// by a scan for any other column or more than 64 values. The fully
+    /// general case (≥ 2 multiplicity slots) falls back to a recursive
+    /// cover search.
     pub fn admits(&self, vocab: &Vocabulary, a: &Assignment) -> bool {
         if self.constrained.is_empty() {
             return true;
@@ -367,12 +350,11 @@ impl ValidityIndex {
             return self.admits_rec(vocab, a, 0, live);
         }
         // a rest-projection group must cover every value of the slot;
-        // with ≤ 64 values the groups are tested against per-value cover
-        // bitsets (the grouping is precomputed once per column)
-        if values.len() <= 64 {
+        // `run_col`'s groups are tested against per-value cover bitsets
+        if self.run_col == Some(ci) && values.len() <= 64 {
             return self.admits_one_mult(vocab, ci, values, &acc);
         }
-        // exact scan fallback for absurdly wide antichains
+        // exact scan for any other column and for absurdly wide antichains
         let mut groups: HashMap<Vec<Value>, Vec<Value>> = HashMap::new();
         for t in 0..n {
             if acc[t / 64] & (1u64 << (t % 64)) == 0 {
@@ -391,16 +373,14 @@ impl ValidityIndex {
         })
     }
 
-    /// The single-multiplicity-slot case of [`Self::admits`], decided via
-    /// the precomputed rest-projection grouping.
+    /// The single-multiplicity-slot case of [`Self::admits`] for
+    /// `run_col`, decided over its contiguous rest-projection groups.
     ///
     /// Semantics (identical to the scan fallback): some group of surviving
     /// tuples — tuples agreeing on every column but `ci` — must cover all
     /// of the slot's `values`: for each value `v`, some tuple `t` of the
     /// group survives (`acc`) and has `v ≤ t[ci]` (the memoized cover
-    /// bitset of `v`). A run group tests that word by word over its range;
-    /// otherwise `mask[g]` accumulates, per group `g`, the values a
-    /// surviving tuple of `g` covers, and a full mask is a covering group.
+    /// bitset of `v`), tested word by word over the group's range.
     fn admits_one_mult(
         &self,
         vocab: &Vocabulary,
@@ -417,97 +397,15 @@ impl ValidityIndex {
         }
         // PANIC-OK: the caller passes at most 64 values.
         let offs = &offs[..values.len()];
-        let groups = self.mult_groups_for(ci);
         let cover = self.cover_words.borrow();
         let stride = self.stride;
-        let (group_of, num) = match &*groups {
-            MultGroups::Runs(starts) => {
-                return starts.windows(2).any(|run| {
-                    let (lo, hi) = (run[0] as usize, run[1] as usize);
-                    // PANIC-OK: cover_offset returns the base of a full
-                    // stride-sized block inside cover_words.
-                    offs.iter()
-                        .all(|&off| any_in_range(acc, &cover[off..off + stride], lo, hi))
-                });
-            }
-            MultGroups::Ids { group_of, num } => (group_of, *num),
-        };
-        let full: u64 = if values.len() == 64 {
-            !0
-        } else {
-            (1u64 << values.len()) - 1
-        };
-        let mut scratch = self.group_scratch.borrow_mut();
-        let GroupScratch { mask, stamp, epoch } = &mut *scratch;
-        if mask.len() < num {
-            mask.resize(num, 0);
-            stamp.resize(num, 0);
-        }
-        *epoch = epoch.wrapping_add(1);
-        if *epoch == 0 {
-            stamp.fill(0);
-            *epoch = 1;
-        }
-        for (vi, &off) in offs.iter().enumerate() {
-            // PANIC-OK: as above.
-            let bits = &cover[off..off + stride];
-            let last = vi + 1 == values.len();
-            for (w, (&bv, &av)) in bits.iter().zip(acc.iter()).enumerate() {
-                let mut word = bv & av;
-                while word != 0 {
-                    let t = w * 64 + word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    let g = group_of[t] as usize;
-                    if stamp[g] != *epoch {
-                        stamp[g] = *epoch;
-                        mask[g] = 0;
-                    }
-                    mask[g] |= 1u64 << vi;
-                    // masks grow monotonically, so fullness can only first
-                    // appear while the last value's bits are applied
-                    if last && mask[g] == full {
-                        return true;
-                    }
-                }
-            }
-        }
-        false
-    }
-
-    /// The rest-projection grouping for multiplicity column `ci`, built on
-    /// first use: `run_col`'s as runs of `tuple_list`, any other column's
-    /// as one id per distinct projection.
-    fn mult_groups_for(&self, ci: usize) -> Rc<MultGroups> {
-        if let Some(Some(g)) = self.mult_groups.borrow().get(ci) {
-            return Rc::clone(g);
-        }
-        let list = &self.tuple_list;
-        let groups = if self.run_col == Some(ci) {
-            let mut starts: Vec<u32> = (0..list.len())
-                .filter(|&t| t == 0 || rest(&list[t - 1], ci).ne(rest(&list[t], ci)))
-                .map(|t| t as u32)
-                .collect();
-            starts.push(list.len() as u32);
-            MultGroups::Runs(starts)
-        } else {
-            let mut ids: HashMap<Vec<Value>, u32> = HashMap::new();
-            let group_of = list
-                .iter()
-                .map(|tuple| {
-                    let next = ids.len() as u32;
-                    *ids.entry(rest(tuple, ci).copied().collect())
-                        .or_insert(next)
-                })
-                .collect();
-            MultGroups::Ids {
-                group_of,
-                num: ids.len(),
-            }
-        };
-        let rc = Rc::new(groups);
-        // PANIC-OK: mult_groups has one entry per constrained column.
-        self.mult_groups.borrow_mut()[ci] = Some(Rc::clone(&rc));
-        rc
+        self.run_starts.windows(2).any(|run| {
+            let (lo, hi) = (run[0] as usize, run[1] as usize);
+            // PANIC-OK: cover_offset returns the base of a full
+            // stride-sized block inside cover_words.
+            offs.iter()
+                .all(|&off| any_in_range(acc, &cover[off..off + stride], lo, hi))
+        })
     }
 
     fn admits_rec(
@@ -1001,125 +899,172 @@ WITH SUPPORT = 0.2
         b.build().expect("acyclic")
     }
 
+    /// The path [`ValidityIndex::admits`] decides `a` on, or `None` when
+    /// no tuple survives the single-valued covers (it answers `false`
+    /// before choosing one).
+    fn admits_path(ix: &ValidityIndex, vocab: &Vocabulary, a: &Assignment) -> Option<&'static str> {
+        let cols: Vec<&[Value]> = ix
+            .constrained
+            .iter()
+            .map(|&si| a.slot(Slot(si as u16)))
+            .collect();
+        let survives = ix.tuple_list.iter().any(|t| {
+            cols.iter()
+                .zip(t)
+                .all(|(vs, &u)| vs.len() != 1 || value_leq(vocab, vs[0], u))
+        });
+        if cols.is_empty() || !survives {
+            return None;
+        }
+        let multi: Vec<usize> = (0..cols.len()).filter(|&ci| cols[ci].len() > 1).collect();
+        Some(match multi[..] {
+            [] => "single-valued covers",
+            [ci] if cols[ci].len() > 64 => "> 64-value scan",
+            [ci] if ix.run_col == Some(ci) => "run groups",
+            [_] => "scan of another column",
+            _ => "admits_rec",
+        })
+    }
+
+    const ADMITS_PATHS: [&str; 5] = [
+        "single-valued covers",
+        "run groups",
+        "scan of another column",
+        "> 64-value scan",
+        "admits_rec",
+    ];
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
 
         /// `admits` agrees with the brute-force definition on random
         /// assignments over figure 1, a synthetic domain, travel, travel
         /// with two `+` slots, and a non-product domain with one and two
-        /// `+` slots. Between them they reach every path: single-valued
-        /// covers, the run-grouped one-multiplicity test (the first `+`
-        /// slot), the id-grouped one (the second `+` slot), the > 64-value
-        /// scan and `admits_rec`.
+        /// `+` slots. Every case runs all six domains and checks that
+        /// together they reach every path of `admits` (`ADMITS_PATHS`);
+        /// each non-product domain takes the > 64-value scan once.
         #[test]
-        fn admits_matches_the_brute_force_definition(
-            domain in 0usize..6,
-            seed in 0u64..1_000_000,
-        ) {
+        fn admits_matches_the_brute_force_definition(seed in 0u64..1_000_000) {
             use ontology::domains::{travel, DomainScale};
             use rand::seq::SliceRandom;
             use rand::{Rng, SeedableRng};
-            let (ont, src) = match domain {
-                0 => (figure1::ontology(), figure1::SIMPLE_QUERY.to_string()),
-                1 => {
-                    let d = crate::synth::synthetic_domain_mult(40, 4, 0);
-                    (d.ontology, d.query)
-                }
-                2 => {
-                    let d = travel(DomainScale::small());
-                    (d.ontology, d.query)
-                }
-                3 => {
-                    let d = travel(DomainScale::small());
-                    let src = d.query.replace("$y+ doAt $x.", "$y+ doAt $x+.");
-                    (d.ontology, src)
-                }
-                4 => (
-                    bipartite(seed % 4),
-                    "SELECT FACT-SETS WHERE $x instanceOf Item. $y instanceOf Place. $x at $y \
-                     SATISFYING $x+ likes $y WITH SUPPORT = 0.5"
-                        .to_string(),
-                ),
-                _ => (
-                    bipartite(seed % 4),
-                    "SELECT FACT-SETS WHERE $x instanceOf Item. $y instanceOf Place. $x at $y \
-                     SATISFYING $x+ likes $y+ WITH SUPPORT = 0.5"
-                        .to_string(),
-                ),
-            };
-            let b = bind(&parse(&src).unwrap(), &ont).unwrap();
-            let base = evaluate_where(&b, &ont, MatchMode::Exact);
-            let idx = ValidityIndex::new(&b, ont.vocab(), &base);
-            let v = ont.vocab();
-            let all: Vec<Value> = v.elems().map(Value::Elem).collect();
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            for case in 0..40 {
-                // Cases draw each slot's values either at random or around
-                // one valid tuple `t0`: one slot takes several values of
-                // `t0`'s rest group (plus, at times, a stray one), the
-                // others keep `t0`'s value. The first case fills a slot
-                // with > 64 values when it can.
-                let t0 = &idx.tuple_list[rng.gen_range(0..idx.tuple_list.len())];
-                let around = rng.gen_bool(0.6);
-                let wide_ci = rng.gen_range(0..idx.constrained.len());
-                let values: Vec<Vec<Value>> = (0..idx.slots().len())
-                    .map(|si| {
-                        let closure = &idx.closures[si];
-                        let universe = &idx.universes[si];
-                        let ci = idx.constrained.iter().position(|&s| s == si);
-                        let group: Vec<Value> = match ci {
-                            Some(ci) => idx
-                                .tuple_list
-                                .iter()
-                                .filter(|t| rest(t, ci).eq(rest(t0, ci)))
-                                .map(|t| t[ci])
-                                .collect(),
-                            None => universe.clone(),
-                        };
-                        let mut wide = if rng.gen_bool(0.5) { group } else { universe.clone() };
-                        if case == 0 && wide.len() > 64 {
-                            wide.shuffle(&mut rng);
-                            wide.truncate(65 + rng.gen_range(0..wide.len() - 64));
-                            return wide;
-                        }
-                        let random = |rng: &mut rand::rngs::StdRng| match rng.gen_range(0..20) {
-                            0 => all[rng.gen_range(0..all.len())],
-                            1..=9 => universe[rng.gen_range(0..universe.len())],
-                            _ => closure[rng.gen_range(0..closure.len())],
-                        };
-                        match ci {
-                            Some(ci) if around && ci == wide_ci => {
-                                let mut vs: Vec<Value> = (0..rng.gen_range(2..4usize))
-                                    .map(|_| wide[rng.gen_range(0..wide.len())])
-                                    .collect();
-                                if rng.gen_bool(0.5) {
-                                    vs.push(random(&mut rng));
+            let mut hit: HashSet<&str> = HashSet::new();
+            for domain in 0..6 {
+                let (ont, src) = match domain {
+                    0 => (figure1::ontology(), figure1::SIMPLE_QUERY.to_string()),
+                    1 => {
+                        let d = crate::synth::synthetic_domain_mult(40, 4, 0);
+                        (d.ontology, d.query)
+                    }
+                    2 => {
+                        let d = travel(DomainScale::small());
+                        (d.ontology, d.query)
+                    }
+                    3 => {
+                        let d = travel(DomainScale::small());
+                        let src = d.query.replace("$y+ doAt $x.", "$y+ doAt $x+.");
+                        (d.ontology, src)
+                    }
+                    4 => (
+                        bipartite(seed % 4),
+                        "SELECT FACT-SETS WHERE $x instanceOf Item. $y instanceOf Place. $x at $y \
+                         SATISFYING $x+ likes $y WITH SUPPORT = 0.5"
+                            .to_string(),
+                    ),
+                    _ => (
+                        bipartite(seed % 4),
+                        "SELECT FACT-SETS WHERE $x instanceOf Item. $y instanceOf Place. $x at $y \
+                         SATISFYING $x+ likes $y+ WITH SUPPORT = 0.5"
+                            .to_string(),
+                    ),
+                };
+                let b = bind(&parse(&src).unwrap(), &ont).unwrap();
+                let base = evaluate_where(&b, &ont, MatchMode::Exact);
+                let idx = ValidityIndex::new(&b, ont.vocab(), &base);
+                let v = ont.vocab();
+                let all: Vec<Value> = v.elems().map(Value::Elem).collect();
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ domain as u64);
+                for case in 0..40 {
+                    // Cases draw each slot's values either at random or
+                    // around one valid tuple `t0`: one slot takes several
+                    // values of `t0`'s rest group (plus, at times, a stray
+                    // one), the others keep `t0`'s value. The first case
+                    // fills every slot with > 64 concrete values (its rest
+                    // group if that large, else its universe) that way and
+                    // gives the other slots `t0`'s value.
+                    let t0 = &idx.tuple_list[rng.gen_range(0..idx.tuple_list.len())];
+                    let around = rng.gen_bool(0.6);
+                    let wide_ci = rng.gen_range(0..idx.constrained.len());
+                    let values: Vec<Vec<Value>> = (0..idx.slots().len())
+                        .map(|si| {
+                            let closure = &idx.closures[si];
+                            let universe = &idx.universes[si];
+                            let ci = idx.constrained.iter().position(|&s| s == si);
+                            let group: Vec<Value> = match ci {
+                                Some(ci) => idx
+                                    .tuple_list
+                                    .iter()
+                                    .filter(|t| rest(t, ci).eq(rest(t0, ci)))
+                                    .map(|t| t[ci])
+                                    .collect(),
+                                None => universe.clone(),
+                            };
+                            if case == 0 {
+                                let mut wide = if group.len() > 64 { group } else { universe.clone() };
+                                if wide.len() > 64 {
+                                    wide.shuffle(&mut rng);
+                                    wide.truncate(65 + rng.gen_range(0..wide.len() - 64));
+                                    return wide;
                                 }
-                                vs
+                                return ci.map(|ci| vec![t0[ci]]).unwrap_or_default();
                             }
-                            // an empty slot leaves the group to pin it
-                            Some(ci) if around && rng.gen_bool(0.8) => {
-                                if rng.gen_bool(0.5) {
-                                    vec![t0[ci]]
-                                } else {
-                                    Vec::new()
+                            let wide = if rng.gen_bool(0.5) { group } else { universe.clone() };
+                            let random = |rng: &mut rand::rngs::StdRng| match rng.gen_range(0..20) {
+                                0 => all[rng.gen_range(0..all.len())],
+                                1..=9 => universe[rng.gen_range(0..universe.len())],
+                                _ => closure[rng.gen_range(0..closure.len())],
+                            };
+                            match ci {
+                                Some(ci) if around && ci == wide_ci => {
+                                    let mut vs: Vec<Value> = (0..rng.gen_range(2..4usize))
+                                        .map(|_| wide[rng.gen_range(0..wide.len())])
+                                        .collect();
+                                    if rng.gen_bool(0.5) {
+                                        vs.push(random(&mut rng));
+                                    }
+                                    vs
+                                }
+                                // an empty slot leaves the group to pin it
+                                Some(ci) if around && rng.gen_bool(0.8) => {
+                                    if rng.gen_bool(0.5) {
+                                        vec![t0[ci]]
+                                    } else {
+                                        Vec::new()
+                                    }
+                                }
+                                _ => {
+                                    let n = [0usize, 1, 1, 1, 2, 2, 3][rng.gen_range(0..7usize)];
+                                    (0..n).map(|_| random(&mut rng)).collect()
                                 }
                             }
-                            _ => {
-                                let n = [0usize, 1, 1, 1, 2, 2, 3][rng.gen_range(0..7usize)];
-                                (0..n).map(|_| random(&mut rng)).collect()
-                            }
-                        }
-                    })
-                    .collect();
-                let a = Assignment::new(v, values, vec![]);
-                proptest::prop_assert_eq!(
-                    idx.admits(v, &a),
-                    admits_brute(&idx, v, &a),
-                    "{}",
-                    a.to_display(&b, v)
-                );
+                        })
+                        .collect();
+                    let a = Assignment::new(v, values, vec![]);
+                    let path = admits_path(&idx, v, &a);
+                    if case == 0 && domain >= 4 {
+                        proptest::prop_assert_eq!(path, Some("> 64-value scan"));
+                    }
+                    hit.extend(path);
+                    proptest::prop_assert_eq!(
+                        idx.admits(v, &a),
+                        admits_brute(&idx, v, &a),
+                        "{}",
+                        a.to_display(&b, v)
+                    );
+                }
             }
+            let missed: Vec<&str> = ADMITS_PATHS.into_iter().filter(|p| !hit.contains(p)).collect();
+            proptest::prop_assert!(missed.is_empty(), "paths not reached: {:?}", missed);
         }
     }
 }
