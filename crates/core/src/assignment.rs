@@ -39,41 +39,107 @@ pub fn value_leq(vocab: &Vocabulary, a: Value, b: Value) -> bool {
 /// An assignment with multiplicities: per-slot canonical antichains of
 /// values plus MORE facts (themselves a canonical antichain under the fact
 /// order).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+///
+/// The slots live in one flat allocation, `cells`: a head of `1 + k`
+/// cells for `k` slots, then every slot's values, slot after slot. Head
+/// cells are not values but counts, stored as element ids: cell 0 holds
+/// `k`, and cell `1 + s` the index in `cells` where slot `s`'s values
+/// end. Equality and hashing read the cells; the order is that of the
+/// nested per-slot lists ([`Ord`] below), which fixes interning order.
+#[derive(Clone, PartialEq, Eq)]
 pub struct Assignment {
-    /// Per-slot value sets, sorted; dominated values removed.
-    values: Vec<Vec<Value>>,
+    /// The head, then each slot's values, sorted, dominated values removed.
+    cells: Vec<Value>,
     /// MORE facts, sorted; dominated facts removed.
     more: Vec<Fact>,
+}
+
+/// The slot of SATISFYING variable `v`.
+fn slot_of(q: &BoundQuery, v: VarId) -> Slot {
+    let i = q
+        .sat_vars
+        .iter()
+        .position(|&x| x == v)
+        .expect("satisfying var has a slot");
+    Slot(i as u16)
+}
+
+/// A head cell holding `n`.
+fn count_cell(n: usize) -> Value {
+    Value::Elem(ElemId(n as u32))
+}
+
+/// The count a head cell holds.
+#[inline]
+fn cell_count(v: Value) -> usize {
+    match v {
+        Value::Elem(ElemId(n)) | Value::Rel(RelId(n)) => n as usize,
+    }
+}
+
+/// One word per value: the id, with bit 32 set for a relation. Words
+/// order like values (elements before relations, then by id).
+#[inline]
+fn value_word(v: Value) -> u64 {
+    match v {
+        Value::Elem(e) => u64::from(e.0),
+        Value::Rel(r) => 1 << 32 | u64::from(r.0),
+    }
 }
 
 impl Assignment {
     /// Creates an assignment from raw per-slot value sets, canonicalizing.
     pub fn new(vocab: &Vocabulary, values: Vec<Vec<Value>>, more: Vec<Fact>) -> Self {
-        let values = values
-            .into_iter()
-            .map(|s| canonical_values(vocab, s))
-            .collect();
+        let k = values.len();
+        let total: usize = values.iter().map(Vec::len).sum();
+        let mut cells = Vec::with_capacity(1 + k + total);
+        cells.push(count_cell(k));
+        cells.resize(1 + k, count_cell(0));
+        for (si, slot) in values.into_iter().enumerate() {
+            let start = cells.len();
+            cells.extend(slot);
+            let n = canonical_values(vocab, &mut cells[start..]);
+            cells.truncate(start + n);
+            // PANIC-OK: the head holds a cell per slot.
+            cells[1 + si] = count_cell(cells.len());
+        }
         let more = canonical_facts(vocab, more);
-        Assignment { values, more }
+        Assignment { cells, more }
     }
 
     /// An assignment with `slots` empty slots and no MORE facts.
     pub fn empty(slots: usize) -> Self {
+        let mut cells = vec![count_cell(1 + slots); 1 + slots];
+        cells[0] = count_cell(slots);
         Assignment {
-            values: vec![Vec::new(); slots],
+            cells,
             more: Vec::new(),
         }
     }
 
     /// Number of slots.
+    #[inline]
     pub fn num_slots(&self) -> usize {
-        self.values.len()
+        cell_count(self.cells[0])
+    }
+
+    /// The cell range of slot `s`'s values.
+    #[inline]
+    fn bounds(&self, s: usize) -> (usize, usize) {
+        let start = cell_count(self.cells[s]) + usize::from(s == 0);
+        (start, cell_count(self.cells[1 + s]))
     }
 
     /// The value set of a slot.
+    #[inline]
     pub fn slot(&self, s: Slot) -> &[Value] {
-        &self.values[s.index()]
+        let (start, end) = self.bounds(s.index());
+        &self.cells[start..end]
+    }
+
+    /// The value sets of all slots, in slot order.
+    fn slots(&self) -> impl Iterator<Item = &[Value]> {
+        (0..self.num_slots()).map(|s| self.slot(Slot(s as u16)))
     }
 
     /// The MORE facts.
@@ -84,13 +150,13 @@ impl Assignment {
     /// Whether every slot is a singleton and there are no MORE facts
     /// (a *base* assignment, as produced by SPARQL evaluation).
     pub fn is_base(&self) -> bool {
-        self.more.is_empty() && self.values.iter().all(|s| s.len() == 1)
+        self.more.is_empty() && self.slots().all(|s| s.len() == 1)
     }
 
     /// Total number of values across slots plus MORE facts (a size measure
     /// used in experiments on multiplicities).
     pub fn total_values(&self) -> usize {
-        self.values.iter().map(Vec::len).sum::<usize>() + self.more.len()
+        self.cells.len() - 1 - self.num_slots() + self.more.len()
     }
 
     /// Appends the assignment's word form to `out`: per slot, its length
@@ -98,12 +164,9 @@ impl Assignment {
     /// relation); then the MORE-fact count and two words per fact. Given
     /// the slot count the form delimits itself, so forms concatenate.
     pub(crate) fn push_words(&self, out: &mut Vec<u64>) {
-        for slot in &self.values {
+        for slot in self.slots() {
             out.push(slot.len() as u64);
-            out.extend(slot.iter().map(|&v| match v {
-                Value::Elem(e) => u64::from(e.0),
-                Value::Rel(r) => 1 << 32 | u64::from(r.0),
-            }));
+            out.extend(slot.iter().map(|&v| value_word(v)));
         }
         out.push(self.more.len() as u64);
         for f in &self.more {
@@ -122,16 +185,17 @@ impl Assignment {
             // PANIC-OK: runs are written whole by push_words, so a form never ends early.
             *rest.next().expect("a word run holds whole forms")
         };
-        let values = (0..slots)
-            .map(|_| {
-                (0..word())
-                    .map(|_| match word() {
-                        w if w >> 32 == 0 => Value::Elem(ElemId(w as u32)),
-                        w => Value::Rel(RelId(w as u32)),
-                    })
-                    .collect()
-            })
-            .collect();
+        let mut cells = vec![count_cell(slots); 1 + slots];
+        for si in 0..slots {
+            for _ in 0..word() {
+                cells.push(match word() {
+                    w if w >> 32 == 0 => Value::Elem(ElemId(w as u32)),
+                    w => Value::Rel(RelId(w as u32)),
+                });
+            }
+            // PANIC-OK: the head holds a cell per slot.
+            cells[1 + si] = count_cell(cells.len());
+        }
         let more = (0..word())
             .map(|_| {
                 let (ends, rel) = (word(), word());
@@ -139,40 +203,54 @@ impl Assignment {
                 Fact::new(s, RelId(rel as u32), o)
             })
             .collect();
-        (Assignment { values, more }, rest.as_slice())
+        (Assignment { cells, more }, rest.as_slice())
     }
 
     /// Returns a copy with `v` inserted into slot `s` (canonicalized).
     pub fn with_value(&self, vocab: &Vocabulary, s: Slot, v: Value) -> Assignment {
-        self.with_slot(vocab, s, |set| set.push(v))
+        self.with_slot(vocab, s, |cells, _| cells.push(v))
     }
 
     /// Returns a copy with value `old` of slot `s` replaced by `new`
     /// (canonicalized; `old` must be present).
     pub fn with_replaced(&self, vocab: &Vocabulary, s: Slot, old: Value, new: Value) -> Assignment {
-        self.with_slot(vocab, s, |set| {
-            let pos = set
+        self.with_slot(vocab, s, |cells, start| {
+            let pos = cells[start..]
                 .iter()
                 .position(|&x| x == old)
                 .expect("old value present");
-            set[pos] = new;
+            cells[start + pos] = new;
         })
     }
 
-    /// A copy with slot `s` edited by `edit` and re-canonicalized. The
-    /// other slots and the MORE facts are canonical already.
+    /// A copy with slot `s` edited and re-canonicalized; the other slots
+    /// and the MORE facts are canonical already. `edit` gets the copy's
+    /// cells up to the end of slot `s` and the index where that slot
+    /// starts.
     fn with_slot(
         &self,
         vocab: &Vocabulary,
         s: Slot,
-        edit: impl FnOnce(&mut Vec<Value>),
+        edit: impl FnOnce(&mut Vec<Value>, usize),
     ) -> Assignment {
-        let mut values = self.values.clone();
-        let set = &mut values[s.index()];
-        edit(set);
-        *set = canonical_values(vocab, std::mem::take(set));
+        let (start, end) = self.bounds(s.index());
+        let mut cells = Vec::with_capacity(self.cells.len() + 1);
+        cells.extend_from_slice(&self.cells[..end]);
+        edit(&mut cells, start);
+        let n = canonical_values(vocab, &mut cells[start..]);
+        cells.truncate(start + n);
+        let new_end = cells.len();
+        cells.extend_from_slice(&self.cells[end..]);
+        if new_end != end {
+            let head = 1 + self.num_slots();
+            // PANIC-OK: the copy kept the head; the ends of slot `s` and
+            // later are at least `end`.
+            for cell in &mut cells[1 + s.index()..head] {
+                *cell = count_cell(cell_count(*cell) + new_end - end);
+            }
+        }
         Assignment {
-            values,
+            cells,
             more: self.more.clone(),
         }
     }
@@ -182,7 +260,7 @@ impl Assignment {
         let mut more = self.more.clone();
         more.push(f);
         Assignment {
-            values: self.values.clone(),
+            cells: self.cells.clone(),
             more: canonical_facts(vocab, more),
         }
     }
@@ -196,7 +274,7 @@ impl Assignment {
             .expect("old fact present");
         more[pos] = new;
         Assignment {
-            values: self.values.clone(),
+            cells: self.cells.clone(),
             more: canonical_facts(vocab, more),
         }
     }
@@ -207,9 +285,8 @@ impl Assignment {
     pub fn leq(&self, vocab: &Vocabulary, other: &Assignment) -> bool {
         debug_assert_eq!(self.num_slots(), other.num_slots());
         let slots_ok = self
-            .values
-            .iter()
-            .zip(&other.values)
+            .slots()
+            .zip(other.slots())
             .all(|(a, b)| a.iter().all(|&v| b.iter().any(|&w| value_leq(vocab, v, w))));
         slots_ok
             && self
@@ -263,49 +340,7 @@ impl Assignment {
         meta: &[oassis_ql::MetaFact],
         out: &mut Vec<PatternFact>,
     ) {
-        let slot_of = |v: VarId| -> Option<Slot> {
-            q.sat_vars
-                .iter()
-                .position(|&x| x == v)
-                .map(|i| Slot(i as u16))
-        };
         for mf in meta {
-            // candidate component values
-            let subjects: Vec<Option<ontology::ElemId>> = match mf.subject {
-                FactTerm::Blank => vec![None],
-                FactTerm::Const(e) => vec![Some(e)],
-                FactTerm::Var(v) => {
-                    let s = slot_of(v).expect("satisfying var has a slot");
-                    self.values[s.index()]
-                        .iter()
-                        .filter_map(|v| v.as_elem())
-                        .map(Some)
-                        .collect()
-                }
-            };
-            let rels: Vec<Option<ontology::RelId>> = match mf.rel {
-                RelTerm::Const(r) => vec![Some(r)],
-                RelTerm::Var(v) => {
-                    let s = slot_of(v).expect("satisfying var has a slot");
-                    self.values[s.index()]
-                        .iter()
-                        .filter_map(|v| v.as_rel())
-                        .map(Some)
-                        .collect()
-                }
-            };
-            let objects: Vec<Option<ontology::ElemId>> = match mf.object {
-                FactTerm::Blank => vec![None],
-                FactTerm::Const(e) => vec![Some(e)],
-                FactTerm::Var(v) => {
-                    let s = slot_of(v).expect("satisfying var has a slot");
-                    self.values[s.index()]
-                        .iter()
-                        .filter_map(|v| v.as_elem())
-                        .map(Some)
-                        .collect()
-                }
-            };
             // When the same variable appears in both element positions
             // (`$x likes $x`), the i-th value instantiates both positions
             // together instead of crossing (a value pairs with itself).
@@ -313,23 +348,49 @@ impl Assignment {
                 (mf.subject, mf.object),
                 (FactTerm::Var(a), FactTerm::Var(b)) if a == b
             );
-            for (si, &s) in subjects.iter().enumerate() {
-                for &r in &rels {
+            self.each_elem(q, mf.subject, &mut |subject| {
+                self.each_rel(q, mf.rel, &mut |rel| {
                     if same_var {
                         out.push(PatternFact {
-                            subject: s,
-                            rel: r,
-                            object: objects[si],
+                            subject,
+                            rel,
+                            object: subject,
                         });
                     } else {
-                        for &o in &objects {
+                        self.each_elem(q, mf.object, &mut |object| {
                             out.push(PatternFact {
-                                subject: s,
-                                rel: r,
-                                object: o,
-                            });
-                        }
+                                subject,
+                                rel,
+                                object,
+                            })
+                        });
                     }
+                })
+            });
+        }
+    }
+
+    /// Calls `f` with each candidate value of an element position: the
+    /// wildcard, the constant, or each element of the variable's slot.
+    fn each_elem(&self, q: &BoundQuery, t: FactTerm, f: &mut dyn FnMut(Option<ElemId>)) {
+        match t {
+            FactTerm::Blank => f(None),
+            FactTerm::Const(e) => f(Some(e)),
+            FactTerm::Var(v) => {
+                for e in self.slot(slot_of(q, v)).iter().filter_map(|v| v.as_elem()) {
+                    f(Some(e));
+                }
+            }
+        }
+    }
+
+    /// Calls `f` with each candidate value of the relation position.
+    fn each_rel(&self, q: &BoundQuery, t: RelTerm, f: &mut dyn FnMut(Option<RelId>)) {
+        match t {
+            RelTerm::Const(r) => f(Some(r)),
+            RelTerm::Var(v) => {
+                for r in self.slot(slot_of(q, v)).iter().filter_map(|v| v.as_rel()) {
+                    f(Some(r));
                 }
             }
         }
@@ -340,7 +401,8 @@ impl Assignment {
     pub fn to_display(&self, q: &BoundQuery, vocab: &Vocabulary) -> String {
         let mut parts: Vec<String> = Vec::new();
         for (i, &v) in q.sat_vars.iter().enumerate() {
-            let names: Vec<String> = self.values[i]
+            let names: Vec<String> = self
+                .slot(Slot(i as u16))
                 .iter()
                 .map(|&val| match val {
                     Value::Elem(e) => vocab.elem_name(e).to_owned(),
@@ -362,21 +424,93 @@ impl Assignment {
 }
 
 /// Sorts, dedups and removes dominated values (canonical antichain), in
-/// place.
-fn canonical_values(vocab: &Vocabulary, mut vs: Vec<Value>) -> Vec<Value> {
+/// place; returns the length of the antichain, which is left at the
+/// front of `vs`.
+fn canonical_values(vocab: &Vocabulary, vs: &mut [Value]) -> usize {
     vs.sort_unstable();
-    vs.dedup();
-    let mut i = 0;
-    while i < vs.len() {
-        // PANIC-OK: `i < vs.len()` by the loop condition.
-        let v = vs[i];
-        if vs.iter().any(|&w| w != v && value_leq(vocab, v, w)) {
-            vs.remove(i);
-        } else {
-            i += 1;
+    let mut n = 0;
+    for i in 0..vs.len() {
+        if n == 0 || vs[n - 1] != vs[i] {
+            vs[n] = vs[i];
+            n += 1;
         }
     }
-    vs
+    // keep the maximal values; a value a kept one overwrote is below a
+    // maximal value still in `vs[..n]`, so the test sees every maximum
+    let mut kept = 0;
+    for i in 0..n {
+        // PANIC-OK: `i < n <= vs.len()`.
+        let v = vs[i];
+        if !vs[..n].iter().any(|&w| w != v && value_leq(vocab, v, w)) {
+            vs[kept] = v;
+            kept += 1;
+        }
+    }
+    kept
+}
+
+impl Ord for Assignment {
+    /// The order of the nested per-slot lists the flat layout replaced:
+    /// slot by slot, each slot's values lexicographically (a prefix
+    /// first), then the slot count, then the MORE facts.
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        let k = self.num_slots();
+        let first_diff = self
+            .cells
+            .iter()
+            .zip(&other.cells)
+            .position(|(a, b)| a != b);
+        let values = match first_diff {
+            // equal heads make equal lengths
+            None => std::cmp::Ordering::Equal,
+            // past equal heads the slots align, so the first different
+            // value decides
+            Some(i) if i > k => value_word(self.cells[i]).cmp(&value_word(other.cells[i])),
+            Some(_) => self
+                .slots()
+                .zip(other.slots())
+                .map(|(a, b)| cmp_values(a, b))
+                .find(|o| o.is_ne())
+                .unwrap_or_else(|| k.cmp(&other.num_slots())),
+        };
+        values.then_with(|| self.more.cmp(&other.more))
+    }
+}
+
+/// `a.cmp(b)` on value slices, one word compare per value.
+#[inline]
+fn cmp_values(a: &[Value], b: &[Value]) -> std::cmp::Ordering {
+    a.iter()
+        .zip(b)
+        .map(|(&x, &y)| value_word(x).cmp(&value_word(y)))
+        .find(|o| o.is_ne())
+        .unwrap_or_else(|| a.len().cmp(&b.len()))
+}
+
+impl PartialOrd for Assignment {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl std::hash::Hash for Assignment {
+    /// One word per cell: the head fixes the slot lengths, so the words
+    /// need no length prefix.
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        for &v in &self.cells {
+            state.write_u64(value_word(v));
+        }
+        self.more.hash(state);
+    }
+}
+
+impl std::fmt::Debug for Assignment {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Assignment")
+            .field("values", &self.slots().collect::<Vec<_>>())
+            .field("more", &self.more)
+            .finish()
+    }
 }
 
 /// Canonical antichain of facts under the fact order.

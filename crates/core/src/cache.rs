@@ -10,6 +10,7 @@
 //! answers, while [`CachingCrowd::fresh_questions`] counts actual crowd
 //! work.
 
+use crate::dag::FxBuildHasher;
 use crate::wire::{elem_id, read_fact, rel_id, write_fact};
 use crowd::{Answer, CrowdSource, MemberId, Question};
 use ontology::json::{JsonError, Reader, Writer};
@@ -23,9 +24,13 @@ use telemetry::lockorder::TrackedMutex;
 /// the offered options, which vary between runs. (A specialization answer
 /// does imply a concrete answer for the chosen option, but the paper's
 /// CrowdCache records answers per assignment, which is what we keep.)
+///
+/// Both maps use the Fx hasher: their keys are member ids and pattern
+/// sets the engine built from vocabulary ids, and every walk over them
+/// ([`Self::members`], [`Self::entries_of`]) sorts.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct CrowdCache {
-    answers: HashMap<MemberId, HashMap<PatternSet, CachedAnswer>>,
+    answers: HashMap<MemberId, HashMap<PatternSet, CachedAnswer, FxBuildHasher>, FxBuildHasher>,
 }
 
 /// A cached concrete answer.

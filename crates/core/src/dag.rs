@@ -32,7 +32,7 @@ use crate::assignment::{value_leq, Assignment, Slot};
 use crate::fingerprint::{self, FingerprintSpace};
 use crate::validity::ValidityIndex;
 use oassis_ql::{BaseAssignment, BoundQuery, Value};
-use ontology::{Fact, Vocabulary};
+use ontology::{ElemId, Fact, Vocabulary};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
@@ -124,9 +124,13 @@ pub struct GenStats {
     pub nodes_created: usize,
     /// Nodes whose children were generated.
     pub nodes_expanded: usize,
-    /// Calls to the validity oracle (`admits`). An expansion served from
-    /// the successor memo makes none.
+    /// Calls to the validity oracle (`admits`): the replace and add
+    /// candidates node expansion built. An expansion served from the
+    /// successor memo makes none.
     pub admits_calls: usize,
+    /// The candidates among those that `admits` accepted, before
+    /// duplicates are removed.
+    pub candidates_admitted: usize,
     /// Expansions whose successors came from the successor memo.
     pub successor_memo_hits: usize,
     /// Expansions with a successor memo that had to generate their
@@ -270,6 +274,12 @@ pub struct Dag<'a> {
     successor_misses: Vec<u64>,
     /// The word form of the assignment being expanded.
     scratch_key: Vec<u64>,
+    /// Per element: the nodes below `involved_upto` that involve it
+    /// ([`Self::involves_any`] of the element's bit), in id order. Built
+    /// on demand by [`Self::index_involvement`].
+    involving: Vec<Vec<NodeId>>,
+    /// The nodes `involving` covers: every id below this.
+    involved_upto: u32,
 }
 
 impl<'a> Dag<'a> {
@@ -301,6 +311,8 @@ impl<'a> Dag<'a> {
             successor_memo: None,
             successor_misses: Vec::new(),
             scratch_key: Vec::new(),
+            involving: Vec::new(),
+            involved_upto: 0,
         };
         dag.make_roots();
         dag
@@ -433,6 +445,48 @@ impl<'a> Dag<'a> {
         })
     }
 
+    /// Brings the element-to-node index behind [`Self::nodes_involving`]
+    /// up to date with the nodes interned since the last call, and
+    /// returns how many it took in. Nodes are immutable and ids are
+    /// minted in order, so each node is read once and every element's
+    /// list stays in id order.
+    pub(crate) fn index_involvement(&mut self) -> usize {
+        let from = self.involved_upto as usize;
+        let space = &self.fp_space;
+        if self.involving.is_empty() {
+            self.involving.resize(space.elem_words() * 64, Vec::new());
+        }
+        let mut elems = vec![0u64; space.elem_words()];
+        for i in from..self.nodes.len() {
+            elems.fill(0);
+            let words = &self.fps[i * space.words_per_node()..(i + 1) * space.words_per_node()];
+            for si in 0..space.num_slots() {
+                let base = si * space.words_per_slot();
+                // PANIC-OK: as in `involves_any`, every per-slot element
+                // region lies inside the node's fingerprint.
+                or_into(&mut elems, &words[base..base + space.elem_words()]);
+            }
+            // PANIC-OK: `i` ranges below nodes.len().
+            for f in self.nodes[i].assignment.more() {
+                or_into(&mut elems, self.vocab.elem_ancestor_words(f.subject));
+                or_into(&mut elems, self.vocab.elem_ancestor_words(f.object));
+            }
+            for bit in fingerprint::iter_bits(&elems) {
+                // PANIC-OK: `involving` holds a list per bit of `elems`.
+                self.involving[bit].push(NodeId(i as u32));
+            }
+        }
+        self.involved_upto = self.nodes.len() as u32;
+        self.nodes.len() - from
+    }
+
+    /// The nodes that involve element `e` or a specialization of it, in
+    /// id order, among those [`Self::index_involvement`] took in: the
+    /// nodes a pruning click on `e` answers.
+    pub(crate) fn nodes_involving(&self, e: ElemId) -> &[NodeId] {
+        self.involving.get(e.index()).map_or(&[], Vec::as_slice)
+    }
+
     fn more_leq(&self, a: NodeId, b: NodeId) -> bool {
         let am = self.nodes[a.index()].assignment.more();
         if am.is_empty() {
@@ -534,12 +588,15 @@ impl<'a> Dag<'a> {
     /// [`Self::children`] / [`Self::ensure_children`] ran for it.
     #[inline]
     pub fn children_if_generated(&self, id: NodeId) -> Option<&[NodeId]> {
+        self.generated_span(id).map(|span| self.child_slice(span))
+    }
+
+    /// The child span [`Self::ensure_children`] would return for `id`, if
+    /// its children were generated.
+    #[inline]
+    pub(crate) fn generated_span(&self, id: NodeId) -> Option<(u32, u32)> {
         let (s, l) = self.child_span[id.index()];
-        if s == NONE32 {
-            None
-        } else {
-            Some(&self.child_edges[s as usize..(s + l) as usize])
-        }
+        (s != NONE32).then_some((s, l))
     }
 
     /// The materialized parents of `id`, in insertion order.
@@ -554,17 +611,16 @@ impl<'a> Dag<'a> {
 
     /// Appends `parent` to `child`'s parent list unless already present.
     fn add_parent(&mut self, child: NodeId, parent: NodeId) {
+        if !self.parents(child).any(|p| p == parent) {
+            self.push_parent(child, parent);
+        }
+    }
+
+    /// Appends `parent` to `child`'s parent list, which must not hold it.
+    fn push_parent(&mut self, child: NodeId, parent: NodeId) {
+        debug_assert!(!self.parents(child).any(|p| p == parent));
         let (head, tail) = self.parent_link[child.index()];
         if head != NONE32 {
-            let mut cur = head;
-            while cur != NONE32 {
-                // PANIC-OK: block links only hold indices of pushed blocks.
-                let b = &self.parent_blocks[cur as usize];
-                if b.items[..b.len as usize].contains(&parent) {
-                    return;
-                }
-                cur = b.next;
-            }
             // PANIC-OK: a non-NONE32 head implies a valid tail block.
             let tb = &mut self.parent_blocks[tail as usize];
             if (tb.len as usize) < PAR_BLOCK {
@@ -665,11 +721,13 @@ impl<'a> Dag<'a> {
     }
 
     /// Records `cid` as a child of `id`, whose span begins at `start`,
-    /// unless it is `id` itself or already there.
+    /// unless it is `id` itself or already there. `id` is not yet a
+    /// parent of anything else: a node expands once, and a MORE tip is
+    /// attached to an expanded node only.
     fn link_child(&mut self, id: NodeId, start: u32, cid: NodeId) {
         if cid != id && !self.child_edges[start as usize..].contains(&cid) {
             self.child_edges.push(cid);
-            self.add_parent(cid, id);
+            self.push_parent(cid, id);
         }
     }
 
@@ -694,34 +752,33 @@ impl<'a> Dag<'a> {
         out.clear();
         let vocab = self.vocab;
         let nslots = self.validity.slots().len();
-        // 1. replace: one vocabulary child step on one value
-        for si in 0..nslots {
+        // Slot by slot, the last first, the add moves and then the replace
+        // moves of higher values first: the list is sorted below, and in
+        // this order it mostly is already (an edit of a later slot sorts
+        // first, and vocabulary children carry larger ids than their
+        // parents), which is the cheap case of sorting a short list.
+        for si in (0..nslots).rev() {
             let slot = Slot(si as u16);
-            for &v in a.slot(slot) {
+            // add (multiplicity combination)
+            let info = &self.validity.slots()[si];
+            if self.allow_multiplicities && info.mult.max().is_none_or(|m| a.slot(slot).len() < m) {
+                self.add_candidates(a, slot, out);
+            }
+            // replace: one vocabulary child step on one value
+            for &v in a.slot(slot).iter().rev() {
                 for c in value_children(vocab, v) {
                     let cand = a.with_replaced(vocab, slot, v, c);
                     if cand != *a {
                         self.stats.admits_calls += 1;
                         if self.validity.admits(vocab, &cand) {
+                            self.stats.candidates_admitted += 1;
                             out.push(cand);
                         }
                     }
                 }
             }
         }
-        // 2. add (multiplicity combination)
-        if self.allow_multiplicities {
-            for si in 0..nslots {
-                let slot = Slot(si as u16);
-                let info = &self.validity.slots()[si];
-                let len = a.slot(slot).len();
-                if info.mult.max().is_some_and(|m| len >= m) {
-                    continue;
-                }
-                self.add_candidates(a, slot, out);
-            }
-        }
-        // 3. MORE-fact component specialization
+        // MORE-fact component specialization
         for &f in a.more() {
             for g in self.fact_children(f) {
                 let cand = a.with_more_replaced(vocab, f, g);
@@ -784,6 +841,7 @@ impl<'a> Dag<'a> {
             let cand = a.with_value(vocab, slot, v);
             self.stats.admits_calls += 1;
             if self.validity.admits(vocab, &cand) {
+                self.stats.candidates_admitted += 1;
                 out.push(cand);
             }
         }
@@ -861,6 +919,13 @@ fn value_children(vocab: &Vocabulary, v: Value) -> impl Iterator<Item = Value> +
         .iter()
         .map(|&c| Value::Elem(c))
         .chain(rels.iter().map(|&c| Value::Rel(c)))
+}
+
+/// ORs `src` into `dst`, over their common length.
+fn or_into(dst: &mut [u64], src: &[u64]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d |= s;
+    }
 }
 
 /// Tests whether two bitsets of possibly different lengths intersect.
@@ -1377,6 +1442,176 @@ WITH SUPPORT = 0.2
             let misses =
                 SuccessorMap::default().grown(&memoized.take_successor_misses().into(), usize::MAX);
             proptest::prelude::prop_assert_eq!(gs.successor_memo_misses, misses.len());
+        }
+    }
+
+    /// For every element of the vocabulary, the index behind pruning
+    /// clicks lists exactly the nodes a full scan finds (`involves_any`
+    /// of the element's bit), in id order. DAGs of figure 1 (whose query
+    /// takes MORE tips), the synthetic domain and travel grow by seeded
+    /// random expansions, and the index catches up between the steps.
+    #[test]
+    fn the_click_index_matches_a_full_scan() {
+        use crate::classify::insert_elem;
+        use ontology::domains::{travel, DomainScale};
+        let synthetic = crate::synth::synthetic_domain(100, 5, 0);
+        let travel = travel(DomainScale::small());
+        let cases = [
+            (figure1::ontology(), figure1::SAMPLE_QUERY.to_string()),
+            (synthetic.ontology, synthetic.query),
+            (travel.ontology, travel.query),
+        ];
+        for (ont, src) in cases {
+            let b = bind(&parse(&src).unwrap(), &ont).unwrap();
+            let base = evaluate_where(&b, &ont, MatchMode::Exact);
+            let mut dag = Dag::new(&b, ont.vocab(), &base);
+            let mut tips = 0;
+            for step in 0..4 {
+                tips += random_moves(&mut dag, &ont, step, 25, true).len();
+                let before = dag.involved_upto as usize;
+                assert_eq!(dag.index_involvement(), dag.len() - before);
+                for e in ont.vocab().elems() {
+                    let mut bit = Vec::new();
+                    insert_elem(&mut bit, e);
+                    let scan: Vec<NodeId> = dag
+                        .node_ids()
+                        .filter(|&id| dag.involves_any(id, &bit))
+                        .collect();
+                    assert_eq!(dag.nodes_involving(e), scan, "{}", ont.vocab().elem_name(e));
+                }
+            }
+            assert_eq!(tips > 0, b.more, "{src}");
+        }
+    }
+
+    /// The nested per-slot lists the flat [`Assignment`] replaced, with
+    /// that layout's canonical form.
+    type Nested = (Vec<Vec<Value>>, Vec<Fact>);
+
+    fn nested(a: &Assignment) -> Nested {
+        let slots = (0..a.num_slots())
+            .map(|s| a.slot(Slot(s as u16)).to_vec())
+            .collect();
+        (slots, a.more().to_vec())
+    }
+
+    /// The nested layout's canonical antichain: sort, dedup, then remove
+    /// each value below another one still there.
+    fn nested_canonical(vocab: &Vocabulary, mut vs: Vec<Value>) -> Vec<Value> {
+        vs.sort_unstable();
+        vs.dedup();
+        let mut i = 0;
+        while i < vs.len() {
+            let v = vs[i];
+            if vs.iter().any(|&w| w != v && value_leq(vocab, v, w)) {
+                vs.remove(i);
+            } else {
+                i += 1;
+            }
+        }
+        vs
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// Random candidate lists over figure 1's three-slot query, with
+        /// multi-valued slots mixing elements and relations and MORE
+        /// facts: the flat `Assignment` canonicalizes, compares, sorts,
+        /// dedups and interns exactly as the nested lists it replaced, so
+        /// node ids do not move. `with_value` and `with_replaced` agree
+        /// with building the edited lists afresh.
+        #[test]
+        fn flat_assignments_behave_like_nested_lists(seed in 0u64..1_000_000) {
+            use proptest::prelude::{prop_assert, prop_assert_eq};
+            let ont = figure1::ontology();
+            let v = ont.vocab();
+            let b = bind(&parse(figure1::SAMPLE_QUERY).unwrap(), &ont).unwrap();
+            let mut dag = dag_for(&ont, &b);
+            let elems: Vec<ElemId> = v.elems().collect();
+            let rels: Vec<ontology::RelId> = v.rels().collect();
+            let facts = ont.facts().as_slice();
+            let mut pick = stream(seed);
+            let value = |pick: &mut dyn FnMut(usize) -> usize| {
+                if pick(5) == 0 {
+                    Value::Rel(rels[pick(rels.len())])
+                } else {
+                    Value::Elem(elems[pick(elems.len())])
+                }
+            };
+            let mut flat = Vec::new();
+            let mut refs = Vec::new();
+            for _ in 0..40 {
+                let slots: Vec<Vec<Value>> = (0..3)
+                    .map(|_| (0..pick(4)).map(|_| value(&mut pick)).collect())
+                    .collect();
+                let more: Vec<Fact> = (0..pick(3)).map(|_| facts[pick(facts.len())]).collect();
+                let a = Assignment::new(v, slots.clone(), more.clone());
+                let canonical: Vec<Vec<Value>> =
+                    slots.into_iter().map(|s| nested_canonical(v, s)).collect();
+                let mut canonical_more = more.clone();
+                canonical_more.sort_unstable();
+                canonical_more.dedup();
+                let canonical_more: Vec<Fact> = canonical_more
+                    .iter()
+                    .copied()
+                    .filter(|&f| !canonical_more.iter().any(|&g| g != f && v.fact_leq(f, g)))
+                    .collect();
+                prop_assert_eq!(nested(&a), (canonical, canonical_more));
+                refs.push(nested(&a));
+                flat.push(a);
+            }
+            for (a, na) in flat.iter().zip(&refs) {
+                for (c, nc) in flat.iter().zip(&refs) {
+                    prop_assert_eq!(a == c, na == nc);
+                    prop_assert_eq!(a.cmp(c), na.cmp(nc));
+                    if a == c {
+                        prop_assert_eq!(assignment_hash(a), assignment_hash(c));
+                    }
+                }
+            }
+            let mut sorted = flat.clone();
+            sorted.sort_unstable();
+            sorted.dedup();
+            let mut sorted_refs = refs.clone();
+            sorted_refs.sort();
+            sorted_refs.dedup();
+            prop_assert_eq!(sorted.iter().map(nested).collect::<Vec<_>>(), sorted_refs);
+            // node ids follow first occurrence, as with a nested index
+            let mut fresh = 0;
+            for (a, na) in flat.iter().zip(&refs) {
+                let existing = (0..dag.len()).find(|&i| nested(&dag.node(NodeId(i as u32)).assignment) == *na);
+                let id = dag.intern(a.clone());
+                match existing {
+                    Some(i) => prop_assert_eq!(id, NodeId(i as u32)),
+                    None => {
+                        prop_assert_eq!(id.index(), dag.len() - 1);
+                        fresh += 1;
+                    }
+                }
+                prop_assert_eq!(dag.lookup(a), Some(id));
+            }
+            // single-slot edits against a fresh build of the edited lists
+            for (a, na) in flat.iter().zip(&refs) {
+                let s = pick(3);
+                let add = value(&mut pick);
+                let mut lists = na.0.clone();
+                lists[s].push(add);
+                prop_assert_eq!(
+                    a.with_value(v, Slot(s as u16), add),
+                    Assignment::new(v, lists, na.1.clone())
+                );
+                if let Some(&old) = na.0[s].first() {
+                    let new = value(&mut pick);
+                    let mut lists = na.0.clone();
+                    lists[s][0] = new;
+                    prop_assert_eq!(
+                        a.with_replaced(v, Slot(s as u16), old, new),
+                        Assignment::new(v, lists, na.1.clone())
+                    );
+                }
+            }
+            prop_assert!(fresh > 0);
         }
     }
 

@@ -26,7 +26,7 @@ use std::collections::HashMap;
 use crate::aggregate::{AggVerdict, Aggregator};
 use crate::assignment::Assignment;
 use crate::classify::{Class, Classifier};
-use crate::dag::{Dag, NodeId};
+use crate::dag::{Dag, FxBuildHasher, NodeId};
 use crate::manifest::PartialManifest;
 use crate::oplog::{AnswerOp, OpLog, OpVerdict, ReplayOutcome};
 use crate::vertical::{DiscoveryEvent, DiscoveryKind, MiningOutcome, ValidTracker};
@@ -58,7 +58,7 @@ pub(crate) struct Fold<'a> {
     aggregator: Option<&'a dyn Aggregator>,
     /// Aggregator inbox per node (lookup only — never iterated, so the
     /// hash map cannot leak ordering into the outcome).
-    inbox: HashMap<NodeId, Vec<(MemberId, f64)>>,
+    inbox: HashMap<NodeId, Vec<(MemberId, f64)>, FxBuildHasher>,
     events: Vec<DiscoveryEvent>,
     msp_ids: Vec<NodeId>,
     log: OpLog,
@@ -89,7 +89,7 @@ impl<'a> Fold<'a> {
             cls: Classifier::new(),
             tracker: ValidTracker::new(dag).with_telemetry(tele.clone()),
             aggregator,
-            inbox: HashMap::new(),
+            inbox: HashMap::default(),
             events: Vec::new(),
             msp_ids: Vec::new(),
             log: OpLog::new(threshold, aggregator.is_some()),
@@ -353,6 +353,7 @@ impl<'a> Fold<'a> {
             tele.count("dag.nodes_created", gs.nodes_created as u64);
             tele.count("dag.nodes_expanded", gs.nodes_expanded as u64);
             tele.count("dag.admits_calls", gs.admits_calls as u64);
+            tele.count("dag.candidates_admitted", gs.candidates_admitted as u64);
             tele.count("dag.successor_memo_hits", gs.successor_memo_hits as u64);
             tele.count("dag.successor_memo_misses", gs.successor_memo_misses as u64);
             tele.count(

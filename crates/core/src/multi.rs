@@ -126,22 +126,18 @@ struct MemberState {
     cold: VecDeque<NodeId>,
 }
 
-/// A lazy descent into a node the shared frontier fanned out at
-/// positions `start..end`, which the member had not reached when it
+/// A lazy descent into `node`, whose (non-empty) fan-out block, ending
+/// at shared position `end`, the member had not reached when it
 /// descended. Every child the descent would pop is popped from that
-/// block first, so once the member is past it, the descent is queued
-/// (at its own sequence number) only if one of those pops left a child
-/// unsettled: neither sticky-insignificant nor significant and
-/// descended.
+/// block first, so the descent is queued (at its own sequence number)
+/// as soon as one of those pops leaves a child unsettled: neither
+/// sticky-insignificant nor significant and descended. It is dropped
+/// once the member is past the block without such a pop.
 #[derive(Debug)]
 struct Owed {
-    start: u32,
     end: u32,
+    node: NodeId,
     seq: u64,
-    /// The descent's child-edge span `start..end`.
-    edges: (u32, u32),
-    /// Whether a pop from the block left its child unsettled.
-    keep: bool,
 }
 
 /// An entry of a member's private hot queue.
@@ -169,12 +165,12 @@ enum Origin {
 }
 
 /// The shared-frontier positions `start..end` of one node's fan-out,
-/// taken from a child span of `children` entries.
+/// taken from its child span `span` (`(start, len)`).
 #[derive(Debug, Clone, Copy)]
 struct Block {
     start: u32,
     end: u32,
-    children: u32,
+    span: (u32, u32),
 }
 
 /// Exact, noise-free counts of the planner's work in one run, tallied in
@@ -190,6 +186,9 @@ struct PlannerCounts {
     passed_over: u64,
     /// Lazy descents into fanned-out nodes that were never queued.
     descents_dropped: u64,
+    /// `Descend` pops of fanned-out nodes made in place, without triage
+    /// (counted in `outcomes` too).
+    descended_in_place: u64,
 }
 
 impl PlannerCounts {
@@ -225,6 +224,7 @@ impl PlannerCounts {
         }
         tele.count("planner.passed_over", self.passed_over);
         tele.count("planner.descents_dropped", self.descents_dropped);
+        tele.count("planner.descended_in_place", self.descended_in_place);
     }
 }
 
@@ -244,10 +244,13 @@ struct HotFrontier {
     blocks: Vec<Option<Block>>,
     next_seq: u64,
     counts: PlannerCounts,
+    /// `MiningConfig::debug_checks`: assert that every pop the walk
+    /// handles without triage is the no-op or descent its triage was.
+    checks: bool,
 }
 
 impl HotFrontier {
-    fn new(roots: &[NodeId]) -> Self {
+    fn new(roots: &[NodeId], checks: bool) -> Self {
         HotFrontier {
             nodes: roots.to_vec(),
             seqs: vec![0; roots.len()],
@@ -256,6 +259,7 @@ impl HotFrontier {
             blocks: Vec::new(),
             next_seq: 1,
             counts: PlannerCounts::default(),
+            checks,
         }
     }
 
@@ -265,9 +269,14 @@ impl HotFrontier {
         self.next_seq - 1
     }
 
-    /// Appends the fan-out of `node`, whose child span holds `span_len`
-    /// entries, to every member's hot queue.
-    fn fan_out(&mut self, node: NodeId, span_len: u32, children: impl IntoIterator<Item = NodeId>) {
+    /// Appends the fan-out of `node`, whose child span is `span`, to
+    /// every member's hot queue.
+    fn fan_out(
+        &mut self,
+        node: NodeId,
+        span: (u32, u32),
+        children: impl IntoIterator<Item = NodeId>,
+    ) {
         let seq = self.stamp();
         let start = self.nodes.len() as u32;
         for c in children {
@@ -281,7 +290,7 @@ impl HotFrontier {
         self.blocks[node.index()].get_or_insert(Block {
             start,
             end: self.nodes.len() as u32,
-            children: span_len,
+            span,
         });
     }
 
@@ -295,24 +304,30 @@ impl HotFrontier {
     /// child-edge span `(start, len)`. A descent into a node whose shared
     /// block `m` has not reached yet waits in `owed` instead (see
     /// [`Owed`]); one whose span grew since the fan-out (a MORE tip) is
-    /// queued at once.
+    /// queued at once. A span only moves when it grows, so an unchanged
+    /// length is the fan-out's span.
     fn descend(&mut self, m: &mut MemberState, node: NodeId, (start, len): (u32, u32)) {
         let seq = self.stamp();
         match self.blocks.get(node.index()).copied().flatten() {
-            Some(b) if b.children == len && m.cursor <= b.start => {
-                // blocks are mostly descended in block order
+            // every child left out of the block was sticky-insignificant
+            // at the fan-out: each pop of an empty block's descent is a no-op
+            Some(b) if b.span.1 == len && m.cursor <= b.start && b.start == b.end => {
+                self.counts.descents_dropped += 1;
+            }
+            Some(b) if b.span.1 == len && m.cursor <= b.start => {
+                debug_assert_eq!(b.span.0, start);
+                // non-empty blocks are disjoint, so their ends order them;
+                // they are mostly descended in block order
                 let at = match m.owed.back() {
-                    Some(o) if o.start > b.start => m.owed.partition_point(|o| o.start < b.start),
+                    Some(o) if o.end > b.end => m.owed.partition_point(|o| o.end < b.end),
                     _ => m.owed.len(),
                 };
                 m.owed.insert(
                     at,
                     Owed {
-                        start: b.start,
                         end: b.end,
+                        node,
                         seq,
-                        edges: (start, start + len),
-                        keep: false,
                     },
                 );
             }
@@ -320,36 +335,71 @@ impl HotFrontier {
         }
     }
 
-    /// Settles `m`'s owed descents whose blocks end at or before shared
-    /// position `at`: each is queued at its sequence number, or dropped
-    /// when every pop from its block left the child settled.
-    fn settle(&mut self, m: &mut MemberState, at: u32) {
+    /// After `m`'s pop from shared position `at` left its node unsettled
+    /// (a `Skip` or a `Target`), queues the owed descent whose block
+    /// holds `at`, if any, at its own sequence number: it will pop that
+    /// node again. Only the first owed block can hold `at`, since every
+    /// block before `at` is settled. Queueing it now rather than once
+    /// `m` is past the block changes no pop: until then the shared head
+    /// lies in the block, whose sequence number is below the descent's.
+    fn keep(&mut self, m: &mut MemberState, at: u32) {
+        let block = |o: &Owed| self.blocks.get(o.node.index()).copied().flatten();
+        let Some(b) = m.owed.front().and_then(block).filter(|b| b.start <= at) else {
+            return;
+        };
+        let Some(o) = m.owed.pop_front() else { return };
+        let i = m.own.partition_point(|&(seq, _)| seq < o.seq);
+        m.own
+            .insert(i, (o.seq, Pending::Edges(b.span.0, b.span.0 + b.span.1)));
+    }
+
+    /// Drops `m`'s owed descents whose blocks end at or before shared
+    /// position `at`: every pop from such a block left its child settled.
+    fn settle(&mut self, dag: &Dag<'_>, global: &Classifier, m: &mut MemberState, at: u32) {
         while m.owed.front().is_some_and(|o| o.end <= at) {
             let Some(o) = m.owed.pop_front() else { break };
-            if o.keep {
-                let i = m.own.partition_point(|&(seq, _)| seq < o.seq);
-                m.own
-                    .insert(i, (o.seq, Pending::Edges(o.edges.0, o.edges.1)));
-            } else {
-                self.counts.descents_dropped += 1;
+            if self.checks {
+                // PANIC-OK: an owed node was fanned out, so it has a block.
+                let span = self.blocks[o.node.index()].map_or((0, 0), |b| b.span);
+                for &c in dag.child_slice(span) {
+                    assert!(
+                        m.descended.contains(c)
+                            || global.cached_queried(c) == Some(Class::Insignificant),
+                        "walk invariant violated: a dropped descent into a fanned-out \
+                         node would pop the unsettled child {c:?}"
+                    );
+                }
             }
+            self.counts.descents_dropped += 1;
         }
     }
 
-    /// Pops `m`'s next hot node: a deferred target first, then whichever
-    /// of the shared and private heads was pushed first. Buried positions
-    /// are skipped, and significant nodes `m` already descended are passed
-    /// over in place: their triage would be a side-effect-free `Skip`.
-    fn pop(&mut self, dag: &Dag<'_>, m: &mut MemberState) -> Option<(NodeId, Origin)> {
+    /// Pops `m`'s next node to triage: a deferred target first, then
+    /// whichever of the shared and private heads was pushed first.
+    /// Buried positions are skipped, and two kinds of pop are handled in
+    /// place, since their triage is known without a lookup (DESIGN
+    /// §13.3): a significant node `m` already descended is passed over
+    /// (its triage would be a side-effect-free `Skip`), and `m`'s first
+    /// pop of a fanned-out node descends it (its triage would read the
+    /// sticky `Significant` verdict the fan-out's vote left and return
+    /// `Descend`).
+    fn pop(
+        &mut self,
+        dag: &Dag<'_>,
+        global: &Classifier,
+        m: &mut MemberState,
+    ) -> Option<(NodeId, Origin)> {
         while let Some(id) = m.front.pop() {
-            if !m.descended.contains(id) {
+            if self.needs_triage(dag, global, m, id, Origin::Own) {
                 return Some((id, Origin::Own));
             }
-            self.counts.passed_over += 1;
         }
-        loop {
+        'walk: loop {
             let at = self.live.find(m.cursor);
-            self.settle(m, at);
+            if self.checks {
+                self.check_buried(global, m.cursor, at);
+            }
+            self.settle(dag, global, m, at);
             let shared = self.seqs.get(at as usize).copied();
             while let Some((seq, entry)) = m.own.front_mut() {
                 if shared.is_some_and(|s| s < *seq) {
@@ -371,17 +421,87 @@ impl HotFrontier {
                         (dag.child_at(e), Origin::Edge(e))
                     }
                 };
-                if !m.descended.contains(id) {
+                if m.descended.contains(id) {
+                    self.pass_over(global, id);
+                    continue;
+                }
+                if self.needs_triage(dag, global, m, id, origin) {
                     return Some((id, origin));
                 }
-                self.counts.passed_over += 1;
+                // a descent may have queued ahead of the next shared head
+                continue 'walk;
             }
             let id = *self.nodes.get(at as usize)?;
             m.cursor = at + 1;
-            if !m.descended.contains(id) {
+            if self.needs_triage(dag, global, m, id, Origin::Shared(at)) {
                 return Some((id, Origin::Shared(at)));
             }
-            self.counts.passed_over += 1;
+        }
+    }
+
+    /// Whether `m` must triage the node `id` it popped from `origin`.
+    /// Not if `m` already descended it (it is passed over), nor if it
+    /// was fanned out: a fan-out follows the vote that marked its node
+    /// significant, so the triage would read that sticky verdict, set
+    /// the `descended` bit and return `Descend` over the node's child
+    /// span, generated for the fan-out. The descent is made here.
+    fn needs_triage(
+        &mut self,
+        dag: &Dag<'_>,
+        global: &Classifier,
+        m: &mut MemberState,
+        id: NodeId,
+        origin: Origin,
+    ) -> bool {
+        if m.descended.contains(id) {
+            self.pass_over(global, id);
+            return false;
+        }
+        if !self.blocks.get(id.index()).is_some_and(Option::is_some) {
+            return true;
+        }
+        // `fan_out` is only handed the span of a generated node
+        let Some(span) = dag.generated_span(id) else {
+            return true;
+        };
+        if self.checks {
+            assert_eq!(
+                global.cached_queried(id),
+                Some(Class::Significant),
+                "walk invariant violated: fanned-out node {id:?} is not sticky-significant"
+            );
+        }
+        m.descended.insert(id);
+        self.counts.tally(origin, &Triage::Descend(span));
+        self.counts.descended_in_place += 1;
+        self.descend(m, id, span);
+        false
+    }
+
+    /// Counts a pop of a node the member already descended; its triage
+    /// would be a `Skip` that stamps nothing.
+    fn pass_over(&mut self, global: &Classifier, id: NodeId) {
+        if self.checks {
+            assert_eq!(
+                global.cached_queried(id),
+                Some(Class::Significant),
+                "walk invariant violated: passed over {id:?}, which is not sticky-significant"
+            );
+        }
+        self.counts.passed_over += 1;
+    }
+
+    /// Checks that the shared positions `from..to` the walk jumped are
+    /// buried: their nodes are sticky-insignificant.
+    fn check_buried(&self, global: &Classifier, from: u32, to: u32) {
+        for at in from..to.min(self.nodes.len() as u32) {
+            // PANIC-OK: `at` is below nodes.len().
+            let id = self.nodes[at as usize];
+            assert_eq!(
+                global.cached_queried(id),
+                Some(Class::Insignificant),
+                "walk invariant violated: jumped shared position {at} holds a live node"
+            );
         }
     }
 
@@ -491,7 +611,9 @@ struct Shared<'a> {
     /// Nodes the fold just marked significant, awaiting fan-out to every
     /// member's queue.
     newly_significant: Vec<NodeId>,
-    /// Materialized nodes pruning clicks scanned, and the votes they cast.
+    /// Nodes the pruning clicks' element index took in (each node once,
+    /// at the first click after it was interned), and the votes the
+    /// clicks cast.
     click_scanned: u64,
     click_votes: u64,
 }
@@ -526,7 +648,7 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
     let mut last_member = MemberId(0);
     let mut global_decisions = 0usize;
 
-    let mut hot = HotFrontier::new(dag.roots());
+    let mut hot = HotFrontier::new(dag.roots(), cfg.debug_checks);
     let asking = dag.query().asking.clone();
     let mut members: Vec<MemberState> = crowd
         .members()
@@ -658,7 +780,7 @@ pub fn run_multi<C: CrowdSource, A: Aggregator>(
                         let global = run.fold.classifier();
                         hot.fan_out(
                             node,
-                            span.1,
+                            span,
                             dag.child_slice(span).iter().copied().filter(|&c| {
                                 global.cached_queried(c) != Some(Class::Insignificant)
                             }),
@@ -795,15 +917,13 @@ fn next_target(
     hot: &mut HotFrontier,
     m: &mut MemberState,
 ) -> Option<NodeId> {
-    while let Some((id, origin)) = hot.pop(dag, m) {
+    while let Some((id, origin)) = hot.pop(dag, global, m) {
         let t = triage(dag, global, m, id);
         hot.counts.tally(origin, &t);
         if let (Origin::Shared(at), Triage::Skip | Triage::Target) = (origin, &t) {
             // the child stays unsettled: an owed descent over this block
             // may act on it again
-            if let Some(o) = m.owed.front_mut().filter(|o| o.start <= at) {
-                o.keep = true;
-            }
+            hot.keep(m, at);
         }
         match t {
             Triage::Dead => hot.bury(origin),
@@ -814,7 +934,7 @@ fn next_target(
     }
     while let Some(id) = m.cold.pop_front() {
         if m.descended.contains(id) {
-            hot.counts.passed_over += 1;
+            hot.pass_over(global, id);
             continue;
         }
         let t = triage(dag, global, m, id);
@@ -866,8 +986,10 @@ fn triage(dag: &mut Dag<'_>, global: &mut Classifier, m: &mut MemberState, id: N
         // must still be explored.
         Class::Significant if m.descended.insert(id) => Triage::Descend(dag.ensure_children(id)),
         Class::Significant => Triage::Skip,
+        // the member's verdict is read (and stamped) only for a node it
+        // has not answered: an answered node's is never read again
         Class::Unknown
-            if m.personal.class(dag, id) == Class::Insignificant || m.answered.contains(id) =>
+            if m.answered.contains(id) || m.personal.class(dag, id) == Class::Insignificant =>
         {
             Triage::Skip
         }
@@ -950,16 +1072,23 @@ impl Shared<'_> {
                 // The click answers *every* assignment involving the element
                 // (or a specialization) at once for this member — feed those
                 // implicit 0-answers to the aggregator for all materialized
-                // nodes, so pruned cones reach quorum without further
-                // questions (Section 6.2's bulk effect).
-                let mut clicked = Vec::new();
-                insert_elem(&mut clicked, elem);
-                let affected: Vec<NodeId> = dag
-                    .node_ids()
-                    .filter(|&id| dag.involves_any(id, &clicked))
-                    .collect();
-                self.click_scanned += dag.len() as u64;
-                for id in affected {
+                // nodes, in id order, so pruned cones reach quorum without
+                // further questions (Section 6.2's bulk effect).
+                self.click_scanned += dag.index_involvement() as u64;
+                let affected = dag.nodes_involving(elem);
+                if cfg.debug_checks {
+                    let mut clicked = Vec::new();
+                    insert_elem(&mut clicked, elem);
+                    let scan: Vec<NodeId> = dag
+                        .node_ids()
+                        .filter(|&id| dag.involves_any(id, &clicked))
+                        .collect();
+                    assert_eq!(
+                        affected, scan,
+                        "click invariant violated: the element index disagrees with a full scan"
+                    );
+                }
+                for &id in affected {
                     if m.answered.insert(id) {
                         self.click_votes += 1;
                         self.vote(dag, tick, m.id, id, 0.0);

@@ -77,6 +77,8 @@ pub struct ValidityIndex {
     cover_words: RefCell<Vec<u64>>,
     /// The surviving-tuple bitset of [`Self::admits`], reused across calls.
     acc_scratch: RefCell<Vec<u64>>,
+    /// The tuple [`Self::is_valid`] builds, reused across calls.
+    choice_scratch: RefCell<Vec<Value>>,
     /// Memoized result of [`Self::valid_base_assignments`]. Both the live
     /// run's discovery-curve tracker and op-log replay build a
     /// `ValidTracker` over the same DAG, so the second construction reuses
@@ -177,6 +179,7 @@ impl ValidityIndex {
             cover_off,
             cover_words: RefCell::new(Vec::new()),
             acc_scratch: RefCell::new(Vec::new()),
+            choice_scratch: RefCell::new(Vec::new()),
             base_memo: RefCell::new(None),
         }
     }
@@ -490,7 +493,8 @@ impl ValidityIndex {
             }
         }
         // cross-product membership over constrained slots
-        let mut choice: Vec<Value> = Vec::with_capacity(self.constrained.len());
+        let mut choice = self.choice_scratch.borrow_mut();
+        choice.clear();
         self.valid_rec(a, 0, &mut choice)
     }
 

@@ -189,9 +189,10 @@ fn multi_synthetic_crowd_with_pruning_clicks() {
     assert_eq!(ops, GOLDEN_OPS_MULTI_SYNTHETIC);
 }
 
-/// The planner's exact work counters (DESIGN §12.3) on the pruning-click
-/// run above. They are noise-free, so any change to what the planner
-/// pops, passes over or queues shows here even when no question moves.
+/// The planner's and node expansion's exact work counters (DESIGN §12.3)
+/// on the pruning-click run above. They are noise-free, so any change to
+/// what the planner pops, passes over or queues, or to what expansion
+/// builds, shows here even when no question moves.
 #[test]
 fn multi_synthetic_planner_counters() {
     let sink = TelemetrySink::shared();
@@ -336,7 +337,7 @@ const GOLDEN_OPS_MULTI_BATCHED: u64 = 0xe569d92ba0bedafb;
 const GOLDEN_OPS_MULTI_DEFERRED: u64 = 0x38d3c23d15dea24b;
 
 /// Planner counters of `multi_synthetic_planner_counters`.
-const PLANNER_COUNTERS: [(&str, u64); 15] = [
+const PLANNER_COUNTERS: [(&str, u64); 18] = [
     ("planner.pops", 778),
     ("planner.pops.shared", 380),
     ("planner.pops.edge", 157),
@@ -348,8 +349,11 @@ const PLANNER_COUNTERS: [(&str, u64); 15] = [
     ("planner.triage.target", 207),
     ("planner.passed_over", 365),
     ("planner.descents_dropped", 75),
+    ("planner.descended_in_place", 166),
     ("planner.frontier_appends", 105),
-    ("planner.click_scanned", 962),
+    ("planner.click_scanned", 127),
     ("planner.click_votes", 26),
     ("msp_monitor.rechecks", 108),
+    ("dag.admits_calls", 200),
+    ("dag.candidates_admitted", 199),
 ];
