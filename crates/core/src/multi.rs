@@ -421,10 +421,6 @@ impl HotFrontier {
                         (dag.child_at(e), Origin::Edge(e))
                     }
                 };
-                if m.descended.contains(id) {
-                    self.pass_over(global, id);
-                    continue;
-                }
                 if self.needs_triage(dag, global, m, id, origin) {
                     return Some((id, origin));
                 }
